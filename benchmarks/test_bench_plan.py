@@ -1,17 +1,15 @@
 """Compiled-execution-tier benchmarks: cold trace vs warm cache vs unfused.
 
-The tentpole claim of :mod:`repro.execution.plan`: re-simulating one
-circuit (new shots / new seeds — the suite-runner and service-coalescer
-workload) through a warm plan cache beats the legacy per-instruction
-path by >=2x, because tracing, identity checks, dtype casts and
-reshape-stride derivation happen once instead of per gate per run, and
-fusion shrinks the op stream itself.
+Re-simulating one circuit (new shots / new seeds — the suite-runner and
+service-coalescer workload) through a warm, fused plan beats the
+unfused ``fuse="none"`` stream (one op per gate, the arithmetic of a
+plain per-instruction loop) by >=2x, because fusion shrinks the op
+stream itself.
 
-``test_warm_plan_speedup_and_no_retrace`` pins the acceptance criteria
-directly (>=2x, zero re-traces on cache hits); the ``benchmark``
-fixtures put the three paths side by side in the comparison table.
-Set ``REPRO_BENCH_SMOKE=1`` (the CI smoke job does) to shrink the
-workload.
+``test_warm_plan_speedup_and_no_retrace`` pins that directly (>=2x,
+zero re-traces on cache hits); the ``benchmark`` fixtures put the three
+paths side by side in the comparison table.  Set ``REPRO_BENCH_SMOKE=1``
+(the CI smoke job does) to shrink the workload.
 """
 
 import os
@@ -63,19 +61,21 @@ def test_bench_plan_warm_cache(benchmark):
     assert counts.shots == _SHOTS
 
 
-def test_bench_plan_unfused_legacy(benchmark):
-    """The seed path: per-instruction loops, no plan tier."""
+def test_bench_plan_unfused(benchmark):
+    """One op per gate (``fuse="none"``) through a warm plan cache."""
     circuit = _workload()
+    run(circuit, _SHOTS, seed=0, fuse="none")  # warm the cache
 
-    counts = benchmark(_repeat_run, circuit, plan=False)
+    counts = benchmark(_repeat_run, circuit, fuse="none")
     assert counts.shots == _SHOTS
 
 
 def test_warm_plan_speedup_and_no_retrace():
-    """Acceptance criteria: >=2x warm over legacy, zero re-traces."""
+    """>=2x warm fused over warm unfused, zero re-traces."""
     circuit = _workload()
     cache = get_plan_cache()
-    run(circuit, _SHOTS, seed=0)  # ensure the plan is cached
+    run(circuit, _SHOTS, seed=0)  # ensure both plans are cached
+    run(circuit, _SHOTS, seed=0, fuse="none")
 
     missed_before = cache.stats().misses
     start = time.perf_counter()
@@ -86,15 +86,15 @@ def test_warm_plan_speedup_and_no_retrace():
     assert stats.hits > 0
 
     start = time.perf_counter()
-    legacy_counts = _repeat_run(circuit, plan=False)
-    legacy = time.perf_counter() - start
+    unfused_counts = _repeat_run(circuit, fuse="none")
+    unfused = time.perf_counter() - start
 
     # same distribution underneath: identical counts at pinned seeds
-    assert dict(warm_counts) == dict(legacy_counts)
-    assert legacy >= 2.0 * warm, (
-        f"warm plan path only {legacy / warm:.2f}x over the legacy loop "
-        f"(warm {warm * 1e3:.1f}ms vs legacy {legacy * 1e3:.1f}ms "
-        f"for {_REPS} run(s))"
+    assert dict(warm_counts) == dict(unfused_counts)
+    assert unfused >= 2.0 * warm, (
+        f"warm fused plan only {unfused / warm:.2f}x over the unfused "
+        f"stream (warm {warm * 1e3:.1f}ms vs unfused "
+        f"{unfused * 1e3:.1f}ms for {_REPS} run(s))"
     )
 
 
@@ -116,9 +116,15 @@ def test_cold_trace_amortised_by_first_run():
         return min(times)
 
     cold = best_of(lambda: PlanCache(maxsize=4).plan_for(circuit))
-    one_run = best_of(lambda: run(circuit, _SHOTS, seed=0, plan=False))
+    # a cold unfused run: trace at fuse="none" plus one execution
+    cache = get_plan_cache()
+    cache.enabled = False
+    try:
+        one_run = best_of(lambda: run(circuit, _SHOTS, seed=0, fuse="none"))
+    finally:
+        cache.enabled = True
 
     assert cold < one_run, (
-        f"tracing ({cold * 1e3:.1f}ms) costs more than a full legacy "
+        f"tracing ({cold * 1e3:.1f}ms) costs more than a cold unfused "
         f"run ({one_run * 1e3:.1f}ms)"
     )

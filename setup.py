@@ -2,8 +2,8 @@
 
 The offline environment lacks the ``wheel`` package that PEP 660
 editable installs require; ``pip install -e . --no-use-pep517
---no-build-isolation`` uses this file instead.  All metadata lives in
-``pyproject.toml``.
+--no-build-isolation`` uses this file instead.  It holds all of the
+package metadata.
 """
 
 from setuptools import find_packages, setup

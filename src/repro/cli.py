@@ -58,7 +58,13 @@ from typing import List, Optional, Sequence
 
 from .circuits import QuantumCircuit, draw_circuit, from_qasm, to_qasm
 from .circuits.grid import OccupancyGrid
-from .execution import available_engines, run as execute, select_engine
+from .execution import (
+    available_engines,
+    get_noise_plan_cache,
+    get_plan_cache,
+    run as execute,
+    select_engine,
+)
 from .noise import valencia_like_backend
 from .revlib import parse_real, write_real
 
@@ -260,9 +266,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             method=method,
             seed=args.seed,
             dtype=dtype,
-            plan=False if args.no_plan else None,
             fuse=args.fuse,
-            trajectories=args.trajectories,
             chunk_size=args.chunk_size,
         )
     except (KeyError, ValueError, TypeError) as exc:
@@ -270,23 +274,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
-    if args.trajectories == "legacy" and engine == "batched":
-        engine = "trajectory"  # run() reroutes the legacy ensemble
     print(f"engine: {engine}  shots: {counts.shots}  "
           f"noise: {'valencia-like' if noise_model else 'none'}")
     for bitstring, count in counts.top(args.top):
         print(f"  {bitstring}  {count:>6}  ({count / counts.shots:.3f})")
-    if not args.no_plan:
-        from .execution import get_noise_plan_cache, get_plan_cache
-
-        stats = get_plan_cache().stats()
-        print(f"plan cache: {stats.size}/{stats.maxsize} entries, "
-              f"{stats.hits} hit(s), {stats.misses} miss(es)")
-        if noise_model is not None:
-            noise_stats = get_noise_plan_cache().stats()
-            print(f"noise-plan cache: {noise_stats.size}/"
-                  f"{noise_stats.maxsize} entries, {noise_stats.hits} "
-                  f"hit(s), {noise_stats.misses} miss(es)")
+    stats = get_plan_cache().stats()
+    print(f"plan cache: {stats.size}/{stats.maxsize} entries, "
+          f"{stats.hits} hit(s), {stats.misses} miss(es)")
+    if noise_model is not None:
+        noise_stats = get_noise_plan_cache().stats()
+        print(f"noise-plan cache: {noise_stats.size}/"
+              f"{noise_stats.maxsize} entries, {noise_stats.hits} "
+              f"hit(s), {noise_stats.misses} miss(es)")
     return 0
 
 
@@ -470,7 +469,6 @@ def _submit_build_simulate(args: argparse.Namespace) -> tuple:
         "noisy": args.noisy,
         "method": args.method,
         "precision": "single" if args.single_precision else None,
-        "trajectories": args.trajectories,
         "chunk_size": args.chunk_size,
     }
 
@@ -606,17 +604,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                           help="outcomes to print")
     simulate.add_argument(
         "--fuse", default=None, choices=["full", "1q", "none"],
-        help="plan fusion level ('none' = per-instruction arithmetic, "
-        "bit-identical to the pre-plan engines)",
-    )
-    simulate.add_argument(
-        "--no-plan", action="store_true",
-        help="bypass the compiled-execution tier entirely",
-    )
-    simulate.add_argument(
-        "--trajectories", default=None, choices=["batched", "legacy"],
-        help="noisy trajectory-ensemble implementation ('legacy' = "
-        "per-shot reference loop, bit-identical to pre-plan output)",
+        help="plan fusion level ('none' = one op per gate)",
     )
     simulate.add_argument(
         "--chunk-size", type=int, default=None,
@@ -777,8 +765,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sim_job.add_argument("--noisy", action="store_true")
     sim_job.add_argument("--method", default="auto")
     sim_job.add_argument("--single-precision", action="store_true")
-    sim_job.add_argument("--trajectories", default=None,
-                         choices=("batched", "legacy"))
     sim_job.add_argument("--chunk-size", type=int, default=None)
     sim_job.set_defaults(func=_cmd_submit, build=_submit_build_simulate)
 

@@ -151,7 +151,6 @@ class TetrisLockPipeline:
         dtype: Optional[np.dtype] = None,
         split_jobs: int = 1,
         use_transpile_cache: Optional[bool] = None,
-        trajectories: Optional[str] = None,
         chunk_size: Optional[int] = None,
     ) -> None:
         """*dtype* is forwarded to :func:`repro.execution.run` — leave
@@ -160,16 +159,13 @@ class TetrisLockPipeline:
         the obfuscated-circuit simulation (compilation is RNG-free, so
         results are unchanged).  *use_transpile_cache* forces the
         transpile cache on/off (``None`` follows the global setting).
-        *trajectories*/*chunk_size* steer the noisy trajectory
-        ensemble (see :func:`repro.execution.run`): ``"legacy"``
-        selects the per-shot reference loop, *chunk_size* caps the
-        shots evolved per tensor chunk in the batched executor."""
+        *chunk_size* caps the shots evolved per tensor chunk in the
+        noisy trajectory ensemble (see :func:`repro.execution.run`)."""
         self.backend = backend
         self.shots = shots
         self.gate_limit = gate_limit
         self.gate_pool = tuple(gate_pool)
         self.dtype = dtype
-        self.trajectories = trajectories
         self.chunk_size = chunk_size
         if split_jobs <= 0:
             raise ValueError("split_jobs must be positive")
@@ -232,7 +228,6 @@ class TetrisLockPipeline:
             noise_model=self._noise_model_for(backend),
             seed=self._rng,
             dtype=self.dtype,
-            trajectories=self.trajectories,
             chunk_size=self.chunk_size,
         )
 
@@ -245,7 +240,6 @@ class TetrisLockPipeline:
             noise_model=self._noise_model_for(backend),
             seed=self._rng,
             dtype=self.dtype,
-            trajectories=self.trajectories,
             chunk_size=self.chunk_size,
         )
 

@@ -23,7 +23,7 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..noise.model import NoiseModel
 from ..simulator.counts import Counts
-from ..simulator.trajectory import TRAJECTORY_MODES, measures_are_terminal
+from ..simulator.trajectory import measures_are_terminal
 from .engines import wants_reduced_precision
 from .plan import FUSION_LEVELS
 from .registry import get_engine
@@ -69,9 +69,7 @@ def run(
     method: str = "auto",
     seed: Seed = None,
     dtype=None,
-    plan: Optional[bool] = None,
     fuse: Optional[str] = None,
-    trajectories: Optional[str] = None,
     chunk_size: Optional[int] = None,
 ) -> Counts:
     """Simulate *circuit* for *shots* and return its :class:`Counts`.
@@ -98,32 +96,18 @@ def run(
         ``numpy.complex64`` / ``numpy.complex128`` select explicitly —
         reduced precision is only available on the batched engine, and
         steers auto-dispatch there.
-    plan:
-        Compiled-execution knob.  ``None`` (default) leaves each
-        engine's default — plans on.  ``False`` bypasses the plan tier
-        entirely (legacy instruction-by-instruction loops).
     fuse:
         Fusion level for the plan tier: ``"full"`` (engine default),
-        ``"1q"``, or ``"none"`` (plans on, but one op per gate with
-        arithmetic bit-identical to the legacy loops).  See
+        ``"1q"``, or ``"none"`` (one op per gate).  See
         :mod:`repro.execution.plan` for the determinism contract.
-
-    trajectories:
-        Trajectory-ensemble implementation for noisy / mid-circuit
-        runs: ``None`` (default) leaves each engine's default — the
-        chunked ``"batched"`` executor; ``"legacy"`` selects the
-        original per-shot loop (bit-identical to pre-plan output at
-        fixed seeds) and steers auto-dispatch to the trajectory
-        engine.  Inert on runs without a trajectory ensemble.
     chunk_size:
-        Shots evolved per tensor chunk in the batched ensemble
+        Shots evolved per tensor chunk in the trajectory ensemble
         (default: whole batch, memory-capped).  Counts are independent
         of the chunk size for a fixed seed.
 
-    ``plan``/``fuse``/``trajectories``/``chunk_size`` are forwarded to
-    the engine only when set, so externally registered engines with
-    the pre-plan ``run`` signature keep working under default
-    dispatch.
+    ``fuse``/``chunk_size`` are forwarded to the engine only when set,
+    so externally registered engines whose ``run`` takes neither keep
+    working under default dispatch.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
@@ -132,27 +116,14 @@ def run(
             f"unknown fusion level {fuse!r}; expected one of "
             f"{', '.join(FUSION_LEVELS)}"
         )
-    if trajectories is not None and trajectories not in TRAJECTORY_MODES:
-        raise ValueError(
-            f"unknown trajectories mode {trajectories!r}; expected one "
-            f"of {', '.join(TRAJECTORY_MODES)}"
-        )
     if chunk_size is not None and int(chunk_size) <= 0:
         raise ValueError("chunk_size must be positive")
     if method == "auto":
         method = select_engine(circuit, noise_model=noise_model, dtype=dtype)
-        if trajectories == "legacy" and method == "batched":
-            # the legacy per-shot ensemble lives on the trajectory
-            # engine only
-            method = "trajectory"
     engine = get_engine(method)
     extra = {}
-    if plan is not None:
-        extra["plan"] = plan
     if fuse is not None:
         extra["fuse"] = fuse
-    if trajectories is not None:
-        extra["trajectories"] = trajectories
     if chunk_size is not None:
         extra["chunk_size"] = chunk_size
     return engine.run(

@@ -78,14 +78,12 @@ class StatevectorEngine:
         noise_model: Optional[NoiseModel] = None,
         seed: Seed = None,
         dtype=None,
-        plan: bool = True,
         fuse: str = "full",
-        trajectories: Optional[str] = None,
         chunk_size: Optional[int] = None,
     ) -> Counts:
-        # trajectories/chunk_size are accepted (callers thread the
-        # knobs through every engine) but inert: one evolution + one
-        # sampling, no trajectory ensemble
+        # chunk_size is accepted (callers thread it through every
+        # engine) but inert: one evolution + one sampling, no
+        # trajectory ensemble
         _require_full_precision(self.name, dtype)
         if _is_noisy(noise_model):
             raise ValueError(
@@ -97,15 +95,13 @@ class StatevectorEngine:
                 "statevector engine needs terminal measurements; use "
                 "the 'trajectory' engine for mid-circuit measurement"
             )
-        return TrajectorySimulator(None, seed, plan=plan, fuse=fuse).run(
-            circuit, shots
-        )
+        return TrajectorySimulator(None, seed, fuse=fuse).run(circuit, shots)
 
 
 @register_engine
 class TrajectoryEngine:
-    """Per-shot quantum trajectories; the only mid-circuit-measurement
-    engine, and the reference implementation for the batched sampler."""
+    """Per-shot quantum trajectories in complex128; the only
+    mid-circuit-measurement engine."""
 
     name = "trajectory"
 
@@ -124,19 +120,12 @@ class TrajectoryEngine:
         noise_model: Optional[NoiseModel] = None,
         seed: Seed = None,
         dtype=None,
-        plan: bool = True,
         fuse: str = "full",
-        trajectories: str = "batched",
         chunk_size: Optional[int] = None,
     ) -> Counts:
         _require_full_precision(self.name, dtype)
         return TrajectorySimulator(
-            noise_model,
-            seed,
-            plan=plan,
-            fuse=fuse,
-            trajectories=trajectories,
-            chunk_size=chunk_size,
+            noise_model, seed, fuse=fuse, chunk_size=chunk_size
         ).run(circuit, shots)
 
 
@@ -166,16 +155,9 @@ class BatchedEngine:
         noise_model: Optional[NoiseModel] = None,
         seed: Seed = None,
         dtype=None,
-        plan: bool = True,
         fuse: str = "full",
-        trajectories: str = "batched",
         chunk_size: Optional[int] = None,
     ) -> Counts:
-        if trajectories == "legacy":
-            raise ValueError(
-                "the batched engine has no legacy per-shot path; use "
-                "method='trajectory' with trajectories='legacy'"
-            )
         if wants_reduced_precision(dtype) and not measures_are_terminal(
             circuit
         ):
@@ -189,7 +171,6 @@ class BatchedEngine:
             noise_model,
             seed,
             dtype=np.complex64 if dtype is None else np.dtype(dtype),
-            plan=plan,
             fuse=fuse,
             chunk_size=chunk_size,
         )
@@ -222,14 +203,12 @@ class DensityEngine:
         noise_model: Optional[NoiseModel] = None,
         seed: Seed = None,
         dtype=None,
-        plan: bool = True,
         fuse: str = "full",
-        trajectories: Optional[str] = None,
         chunk_size: Optional[int] = None,
     ) -> Counts:
-        # trajectories/chunk_size are inert: exact evolution has no
-        # trajectory ensemble
+        # chunk_size is inert: exact evolution has no trajectory
+        # ensemble
         _require_full_precision(self.name, dtype)
-        return DensityMatrixSimulator(noise_model, plan=plan, fuse=fuse).run(
+        return DensityMatrixSimulator(noise_model, fuse=fuse).run(
             circuit, shots, seed=seed
         )

@@ -156,7 +156,7 @@ class ChannelBinding:
     ``kind`` is ``"mixed"`` (every Kraus operator is ``sqrt(p) x
     unitary`` — branch probabilities are state-independent) or
     ``"kraus"`` (branch probabilities are ``Tr(K^† K rho)``).  All the
-    per-application work of the legacy simulators — cumulative tables,
+    per-application work of a per-shot sampler — cumulative tables,
     ``op / sqrt(p)`` scaling, Gram matrices, no-op branch flags — is
     resolved here, once per plan.
     """

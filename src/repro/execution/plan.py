@@ -19,8 +19,8 @@ applied to gate streams):
    group overlapping gates into <=3-qubit blocks with precomputed
    matrices.  Fusion levels: ``"full"`` (all of the above, default),
    ``"1q"`` (1q-run merging only) and ``"none"`` (one op per
-   non-identity gate — arithmetic bit-identical to the legacy
-   instruction loop).
+   non-identity gate — arithmetic bit-identical to a plain
+   instruction-by-instruction loop over the same kernels).
 3. **compile & cache** — :meth:`ExecutionPlan.compiled` lazily lowers
    the op stream to a per-(dtype, tensor layout) instruction list with
    every per-call decision of :func:`repro.simulator.kernels` already
@@ -33,9 +33,10 @@ applied to gate streams):
 
 Determinism contract
 --------------------
-``fusion="none"`` performs exactly the legacy per-instruction
-arithmetic (same kernels, same cast order, same route selection) —
-results are bit-identical to the pre-plan engines.  ``"1q"``/``"full"``
+``fusion="none"`` performs exactly the per-instruction arithmetic
+(same kernels, same cast order, same route selection) — results are
+bit-identical to the reference loop the test suite keeps
+(``tests/reference_sim.py``).  ``"1q"``/``"full"``
 reassociate floating-point products and agree with the unfused result
 to ~1e-12 (relative to unit-norm states); sampled counts at fixed
 seeds are unchanged unless a random draw lands within that margin of a
@@ -119,7 +120,7 @@ class PlanOp:
     or ``"diagonal"`` (a length-``2^k`` diagonal applied as an
     elementwise multiply).  Fused ops carry ``qubits`` sorted
     ascending; ``"none"``-level ops keep the instruction's qubit order
-    so the arithmetic matches the legacy loop exactly.
+    so the arithmetic matches the per-instruction loop exactly.
     """
 
     __slots__ = ("kind", "matrix", "diag", "qubits")
@@ -374,8 +375,7 @@ def lower_ops(ops: Sequence[TracedOp], fusion: str) -> List[PlanOp]:
     these passes.  Accepts any objects exposing the
     ``matrix``/``qubits``/``identity``/``diagonal`` attributes of
     :class:`TracedOp`.  Identity gates are dropped at every level (the
-    legacy kernels skip them too, so even ``"none"`` stays
-    bit-identical).
+    kernels skip them too, so even ``"none"`` stays bit-identical).
     """
     live = [op for op in ops if not op.identity]
     if fusion == "none":
@@ -653,10 +653,10 @@ class ExecutionPlan:
     def execute_density(self, tensor: np.ndarray) -> np.ndarray:
         """Apply the fused stream to a ``(2,)*2n`` density tensor.
 
-        Each op is conjugated in the legacy order — ``U rho`` on the
-        row axes, then ``(conj U)`` on the mirrored column axes —
-        before the next op runs, so ``fusion="none"`` stays
-        bit-identical to the per-instruction density loop.
+        Each op is conjugated in turn — ``U rho`` on the row axes,
+        then ``(conj U)`` on the mirrored column axes — before the next
+        op runs, so ``fusion="none"`` stays bit-identical to a
+        per-instruction density loop.
         """
         n = self.num_qubits
         batch = tensor.reshape((1,) + tensor.shape)

@@ -95,11 +95,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         help="recompile every cell instead of reusing compiled circuits",
     )
     parser.add_argument(
-        "--trajectories", choices=("batched", "legacy"), default=None,
-        help="noisy trajectory-ensemble implementation (default: the "
-        "chunked batched executor)",
-    )
-    parser.add_argument(
         "--chunk-size", type=int, default=None,
         help="shots per tensor chunk in the batched ensemble "
         "(results are chunk-size independent)",
@@ -145,7 +140,6 @@ def _cmd_run(args: argparse.Namespace, resume: bool = False) -> int:
         jobs=args.jobs,
         split_jobs=args.split_jobs,
         transpile_cache=not args.no_transpile_cache,
-        trajectories=args.trajectories,
         chunk_size=args.chunk_size,
         shard=parse_shard(args.shard),
         resume=resume,
@@ -165,7 +159,6 @@ def _cmd_run(args: argparse.Namespace, resume: bool = False) -> int:
             get_noise_plan_cache,
             get_plan_cache,
         )
-        from ...simulator.noisy import trajectory_mode_counts
 
         stats = get_plan_cache().stats()
         if stats.hits or stats.misses:
@@ -180,12 +173,6 @@ def _cmd_run(args: argparse.Namespace, resume: bool = False) -> int:
                 f"{noise_stats.maxsize} entries, {noise_stats.hits} "
                 f"hit(s), {noise_stats.misses} trace(s)"
             )
-        modes = trajectory_mode_counts()
-        if any(modes.values()):
-            rendered = ", ".join(
-                f"{name}={count}" for name, count in sorted(modes.items())
-            )
-            print(f"trajectory ensembles: {rendered}")
     if report.complete:
         print(report.render())
         return 0

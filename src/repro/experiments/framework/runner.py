@@ -93,7 +93,6 @@ def run_experiment(
     jobs: int = 1,
     split_jobs: int = 1,
     transpile_cache: bool = True,
-    trajectories: Optional[str] = None,
     chunk_size: Optional[int] = None,
     shard: Optional[Tuple[int, int]] = None,
     resume: bool = False,
@@ -115,7 +114,6 @@ def run_experiment(
     options = ExecOptions(
         split_jobs=split_jobs,
         transpile_cache=transpile_cache,
-        trajectories=trajectories,
         chunk_size=chunk_size,
     )
 

@@ -62,17 +62,13 @@ class ExecOptions:
 
     *split_jobs* pipelines each evaluation's split compilation on a
     worker thread; *transpile_cache* toggles compile reuse.  Specs that
-    do not transpile simply ignore them.  *trajectories* selects the
-    noisy trajectory-ensemble implementation (``None`` = engine
-    default, ``"legacy"`` = per-shot reference loop) and *chunk_size*
-    caps the batched executor's shots-per-chunk — statistically
-    equivalent knobs for the simulation tier (see
-    :func:`repro.execution.run`).
+    do not transpile simply ignore them.  *chunk_size* caps the noisy
+    trajectory ensemble's shots-per-chunk, which leaves counts
+    unchanged (see :func:`repro.execution.run`).
     """
 
     split_jobs: int = 1
     transpile_cache: bool = True
-    trajectories: Optional[str] = None
     chunk_size: Optional[int] = None
 
 

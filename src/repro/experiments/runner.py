@@ -94,7 +94,6 @@ def _evaluate_record(
     seed: np.random.SeedSequence,
     split_jobs: int = 1,
     transpile_cache: bool = True,
-    trajectories=None,
     chunk_size=None,
 ) -> EvaluationResult:
     """One pipeline iteration — a pure function of its arguments.
@@ -107,7 +106,6 @@ def _evaluate_record(
         seed=np.random.default_rng(seed),
         split_jobs=split_jobs,
         use_transpile_cache=transpile_cache,
-        trajectories=trajectories,
         chunk_size=chunk_size,
     )
     return pipeline.evaluate(
@@ -126,7 +124,6 @@ def run_suite(
     jobs: int = 1,
     split_jobs: int = 1,
     transpile_cache: bool = True,
-    trajectories: Optional[str] = None,
     chunk_size: Optional[int] = None,
 ) -> Dict[str, AggregateResult]:
     """Run the pipeline over a benchmark suite (defaults to Table I).
@@ -142,9 +139,8 @@ def run_suite(
     same benchmark skip recompilation.  Neither affects any result —
     compilation is deterministic and RNG-free.
 
-    *trajectories*/*chunk_size* steer the noisy trajectory ensemble
-    (see :func:`repro.execution.run`): ``"legacy"`` runs the per-shot
-    reference loop, *chunk_size* caps the batched executor's chunk.
+    *chunk_size* caps the shots per tensor chunk of the noisy
+    trajectory ensemble (see :func:`repro.execution.run`).
     """
     if iterations <= 0:
         raise ValueError("iterations must be positive")
@@ -168,7 +164,6 @@ def run_suite(
                 s,
                 split_jobs,
                 transpile_cache,
-                trajectories,
                 chunk_size,
             )
             for r, s in zip(task_records, children)
@@ -187,7 +182,6 @@ def run_suite(
                     children,
                     repeat(split_jobs),
                     repeat(transpile_cache),
-                    repeat(trajectories),
                     repeat(chunk_size),
                 )
             )
@@ -209,7 +203,6 @@ def run_benchmark(
     jobs: int = 1,
     split_jobs: int = 1,
     transpile_cache: bool = True,
-    trajectories: Optional[str] = None,
     chunk_size: Optional[int] = None,
 ) -> AggregateResult:
     """Run the full pipeline *iterations* times on one benchmark."""
@@ -222,6 +215,5 @@ def run_benchmark(
         jobs=jobs,
         split_jobs=split_jobs,
         transpile_cache=transpile_cache,
-        trajectories=trajectories,
         chunk_size=chunk_size,
     )[record.name]

@@ -99,7 +99,6 @@ def table_task(
         seed=seed,
         split_jobs=options.split_jobs,
         transpile_cache=options.transpile_cache,
-        trajectories=options.trajectories,
         chunk_size=options.chunk_size,
     )
 

@@ -81,14 +81,12 @@ def execute_request(kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
 def handle_simulate(params: Dict[str, Any]) -> Dict[str, Any]:
     """Noisy/noiseless simulation through :func:`repro.execution.run`."""
     from ..execution import run as execute, select_engine
-    from ..noise.backend import valencia_like_backend
-    from .requests import prepare_circuit
+    from .requests import prepare_circuit, simulate_noise_model
 
     circuit = prepare_circuit(params["qasm"])
-    noise_model = None
-    if params.get("noisy"):
-        backend = valencia_like_backend(max(circuit.num_qubits, 2))
-        noise_model = backend.noise_model()
+    noise_model = (
+        simulate_noise_model(circuit) if params.get("noisy") else None
+    )
     precision = params.get("precision")
     dtype = {
         None: None,
@@ -101,11 +99,6 @@ def handle_simulate(params: Dict[str, Any]) -> Dict[str, Any]:
         if method == "auto"
         else method
     )
-    trajectories = params.get("trajectories")
-    if trajectories == "legacy" and engine == "batched":
-        # mirror run()'s auto-dispatch reroute: the legacy per-shot
-        # ensemble lives on the trajectory engine only
-        engine = "trajectory"
     chunk_size = params.get("chunk_size")
     counts = execute(
         circuit,
@@ -114,7 +107,6 @@ def handle_simulate(params: Dict[str, Any]) -> Dict[str, Any]:
         method=engine,  # already resolved; skip a second auto-dispatch
         seed=params.get("seed"),
         dtype=dtype,
-        trajectories=trajectories,
         chunk_size=None if chunk_size is None else int(chunk_size),
     )
     return {
@@ -206,7 +198,6 @@ def handle_evaluate(params: Dict[str, Any]) -> Dict[str, Any]:
             shots=int(params.get("shots", 1000)),
             gate_limit=int(params.get("gate_limit", 4)),
             seed=np.random.default_rng(child),
-            trajectories=params.get("trajectories"),
             chunk_size=None if chunk_size is None else int(chunk_size),
         )
         evaluation = pipeline.evaluate(

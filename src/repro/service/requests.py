@@ -43,6 +43,7 @@ __all__ = [
     "REQUEST_TYPES",
     "request_from_wire",
     "prepare_circuit",
+    "simulate_noise_model",
 ]
 
 _PRECISIONS = (None, "single", "double")
@@ -62,6 +63,14 @@ def prepare_circuit(qasm: str) -> QuantumCircuit:
     if not circuit.has_measurements():
         circuit = circuit.copy().measure_all()
     return circuit
+
+
+def simulate_noise_model(circuit: QuantumCircuit):
+    """The noise a ``noisy`` simulate job runs under: the Valencia-like
+    device sized to the circuit."""
+    from ..noise.backend import valencia_like_backend
+
+    return valencia_like_backend(max(circuit.num_qubits, 2)).noise_model()
 
 
 @dataclass
@@ -126,7 +135,6 @@ class SimulateRequest(ServiceRequest):
     noisy: bool = False
     method: str = "auto"
     precision: Optional[str] = None  # None | "single" | "double"
-    trajectories: Optional[str] = None  # None | "batched" | "legacy"
     chunk_size: Optional[int] = None
     _prepared: Optional[QuantumCircuit] = field(
         default=None, repr=False, compare=False
@@ -142,14 +150,34 @@ class SimulateRequest(ServiceRequest):
                 f"unknown precision {self.precision!r}; "
                 "expected 'single', 'double' or null"
             )
-        if self.trajectories not in (None, "batched", "legacy"):
-            raise ValueError(
-                f"unknown trajectories mode {self.trajectories!r}; "
-                "expected 'batched', 'legacy' or null"
-            )
         if self.chunk_size is not None and int(self.chunk_size) <= 0:
             raise ValueError("chunk_size must be positive")
-        self._circuit()  # malformed QASM fails at submit, not in a worker
+        circuit = self._circuit()  # malformed QASM fails at submit
+        if self.method != "auto":
+            self._check_method(circuit)
+
+    def _check_method(self, circuit: QuantumCircuit) -> None:
+        """A forced engine must exist and accept this circuit's noise
+        and measurement layout — refused here, not inside a worker."""
+        from ..execution import available_engines, get_engine
+
+        if self.method not in available_engines():
+            raise ValueError(
+                f"unknown method {self.method!r}; expected 'auto' or one "
+                f"of {', '.join(available_engines())}"
+            )
+        noise_model = simulate_noise_model(circuit) if self.noisy else None
+        if not get_engine(self.method).supports(circuit, noise_model):
+            needs = "noisy" if self.noisy else "noiseless"
+            layout = (
+                "terminal"
+                if measures_are_terminal(circuit)
+                else "mid-circuit"
+            )
+            raise ValueError(
+                f"method {self.method!r} cannot run this {needs} circuit "
+                f"with {layout} measurements; use 'auto'"
+            )
 
     def fingerprint(self) -> Optional[str]:
         if self.seed is None:
@@ -165,7 +193,6 @@ class SimulateRequest(ServiceRequest):
                 # chunk_size is deliberately absent: counts are
                 # chunk-size independent, so requests differing only
                 # in chunking share a cache entry
-                "trajectories": self.trajectories,
             }
         )
 
@@ -303,7 +330,6 @@ class EvaluateRequest(ServiceRequest):
     gate_limit: int = 4
     iterations: int = 1
     seed: Optional[int] = None
-    trajectories: Optional[str] = None  # None | "batched" | "legacy"
     chunk_size: Optional[int] = None
     _prepared: Optional[QuantumCircuit] = field(
         default=None, repr=False, compare=False
@@ -315,11 +341,6 @@ class EvaluateRequest(ServiceRequest):
             raise ValueError("shots must be positive")
         if self.iterations <= 0:
             raise ValueError("iterations must be positive")
-        if self.trajectories not in (None, "batched", "legacy"):
-            raise ValueError(
-                f"unknown trajectories mode {self.trajectories!r}; "
-                "expected 'batched', 'legacy' or null"
-            )
         if self.chunk_size is not None and int(self.chunk_size) <= 0:
             raise ValueError("chunk_size must be positive")
 
@@ -334,7 +355,6 @@ class EvaluateRequest(ServiceRequest):
                 "iterations": self.iterations,
                 "seed": self.seed,
                 # chunk_size omitted: counts are chunk-size independent
-                "trajectories": self.trajectories,
             }
         )
 

@@ -341,7 +341,6 @@ class JobService:
             get_noise_plan_cache,
             get_plan_cache,
         )
-        from ..simulator.noisy import trajectory_mode_counts
 
         with self._mutex:
             states: Dict[str, int] = {s.value: 0 for s in JobState}
@@ -384,8 +383,6 @@ class JobService:
                 "size": noise_plan_stats.size,
                 "maxsize": noise_plan_stats.maxsize,
             },
-            # trajectory-ensemble runs per implementation
-            "trajectories": trajectory_mode_counts(),
             # static plan verification (repro.analysis.static): plans
             # contract-checked this process + violations found
             "plan_validation": validation_stats(),

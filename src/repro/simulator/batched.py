@@ -1,35 +1,31 @@
 """Vectorised (batched) trajectory simulation.
 
-The per-shot trajectory sampler in :mod:`repro.simulator.trajectory`
-pays numpy call overhead for every gate of every shot.  This engine
-keeps *all* shots in one ``(shots, 2, ..., 2)`` tensor and applies each
-gate once:
+This engine keeps *all* shots in one ``(shots, 2, ..., 2)`` tensor and
+applies each op once over the batch:
 
-* unitary gates: a single tensordot over the batch;
-* mixed-unitary channels (Pauli/depolarizing): sample a branch per
-  shot from the fixed probabilities, then apply each distinct branch to
-  its shot-subset;
-* general Kraus channels: two passes — norms of every branch on every
-  shot (vectorised), categorical sampling, then per-branch application
-  with renormalisation;
+* noiseless circuits execute the fused plan stream
+  (:mod:`repro.execution.plan`) on the whole batch, then sample one
+  outcome per shot;
+* noisy circuits run a cached noise-bound plan through the chunked
+  ensemble executor (:mod:`repro.simulator.noisy`), which samples every
+  channel family per shot;
 * readout errors: vectorised bit flips on the sampled outcomes.
 
 Restrictions: measurements must be terminal (no gate after a measure on
-the same qubit); mid-circuit measurement falls back to the per-shot
-engine.  Statistics are identical to :class:`TrajectorySimulator` —
-property tests in ``tests/simulator`` check the agreement.
+the same qubit); mid-circuit measurement falls back to
+:class:`TrajectorySimulator`.  Property tests in ``tests/simulator``
+check the ensemble against a per-shot reference sampler.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..noise.model import NoiseModel
 from .counts import Counts, counts_from_outcomes, remap_bits
-from .kernels import apply_matrix_batch
 from .trajectory import TrajectorySimulator, measures_are_terminal
 
 __all__ = ["BatchedTrajectorySimulator", "run_counts_batched"]
@@ -44,7 +40,6 @@ class BatchedTrajectorySimulator:
         seed: Optional[Union[int, np.random.Generator]] = None,
         dtype: np.dtype = np.complex64,
         *,
-        plan: bool = True,
         fuse: str = "full",
         chunk_size: Optional[int] = None,
     ) -> None:
@@ -53,8 +48,8 @@ class BatchedTrajectorySimulator:
         error is negligible against shot noise (1/sqrt(shots) ~ 3%).
         Pass ``numpy.complex128`` for full precision.
 
-        *plan*/*fuse* steer execution through the compiled-plan tier
-        (see :mod:`repro.execution.plan`).  Noiseless runs execute the
+        *fuse* sets the plan fusion level (see
+        :mod:`repro.execution.plan`).  Noiseless runs execute the
         fused op stream; noisy runs execute a cached noise-bound plan
         (:mod:`repro.execution.noise_plan`) through the chunked
         ensemble executor — channels resolved and classified at trace
@@ -65,7 +60,6 @@ class BatchedTrajectorySimulator:
             raise ValueError("chunk_size must be positive")
         self.noise_model = noise_model
         self.dtype = np.dtype(dtype)
-        self.plan = plan
         self.fuse = fuse
         self.chunk_size = None if chunk_size is None else int(chunk_size)
         if isinstance(seed, np.random.Generator):
@@ -75,13 +69,14 @@ class BatchedTrajectorySimulator:
 
     # ------------------------------------------------------------------
     def run(self, circuit: QuantumCircuit, shots: int = 1000) -> Counts:
+        from ..execution.plan_cache import get_plan
+
         if shots <= 0:
             raise ValueError("shots must be positive")
         if not measures_are_terminal(circuit):
             fallback = TrajectorySimulator(
                 self.noise_model,
                 self._rng,
-                plan=self.plan,
                 fuse=self.fuse,
                 chunk_size=self.chunk_size,
             )
@@ -91,25 +86,9 @@ class BatchedTrajectorySimulator:
         n = circuit.num_qubits
         batch = np.zeros((shots,) + (2,) * n, dtype=self.dtype)
         batch[(slice(None),) + (0,) * n] = 1.0
-
-        measured: List[Tuple[int, int]]
-        if self.plan:
-            from ..execution.plan_cache import get_plan
-
-            compiled = get_plan(circuit, self.fuse)
-            measured = list(compiled.measured)
-            batch = compiled.execute(batch)
-        else:
-            measured = []
-            for inst in circuit:
-                if inst.is_barrier:
-                    continue
-                if inst.is_measure:
-                    measured.append((inst.qubits[0], inst.clbits[0]))
-                    continue
-                batch = apply_matrix_batch(
-                    batch, inst.operation.matrix, inst.qubits
-                )
+        compiled = get_plan(circuit, self.fuse)
+        measured = list(compiled.measured)
+        batch = compiled.execute(batch)
         outcomes = self._sample_outcomes(batch, n)
         outcomes = self._apply_readout(outcomes, n)
         return self._histogram(outcomes, measured, circuit, n, shots)
@@ -117,17 +96,10 @@ class BatchedTrajectorySimulator:
     # ------------------------------------------------------------------
     def _run_noise_plan(self, circuit: QuantumCircuit, shots: int) -> Counts:
         """Noisy terminal run through the chunked plan executor."""
-        from ..execution.noise_plan import build_noise_plan
         from ..execution.plan_cache import get_noise_plan
-        from .noisy import record_trajectory_mode, run_noise_plan
+        from .noisy import run_noise_plan
 
-        if self.plan:
-            noise_plan = get_noise_plan(circuit, self.noise_model, self.fuse)
-        else:
-            noise_plan = build_noise_plan(
-                circuit, self.noise_model, self.fuse
-            )
-        record_trajectory_mode("batched")
+        noise_plan = get_noise_plan(circuit, self.noise_model, self.fuse)
         entropy = int(self._rng.integers(0, 2 ** 63))
         return run_noise_plan(
             noise_plan,
@@ -136,77 +108,6 @@ class BatchedTrajectorySimulator:
             dtype=self.dtype,
             chunk_size=self.chunk_size,
         )
-
-    # ------------------------------------------------------------------
-    def _apply_channel_batch(
-        self, batch: np.ndarray, channel, qubits: Sequence[int]
-    ) -> np.ndarray:
-        operators = channel.kraus_operators
-        if len(operators) == 1:
-            return apply_matrix_batch(batch, operators[0], qubits)
-        shots = batch.shape[0]
-        mixed = getattr(channel, "mixed_unitary_probs", None)
-        identity_flags = _identity_flags_for(channel, operators)
-        if mixed is not None:
-            branches = self._rng.choice(
-                len(operators), size=shots, p=np.asarray(mixed) / sum(mixed)
-            )
-            for index in np.unique(branches):
-                if identity_flags[index]:
-                    continue  # skip the gather/scatter for no-op branches
-                weight = mixed[index]
-                op = operators[index] / np.sqrt(weight)
-                mask = branches == index
-                if mask.all():
-                    batch = apply_matrix_batch(batch, op, qubits)
-                else:
-                    batch[mask] = apply_matrix_batch(
-                        batch[mask], op, qubits
-                    )
-            return batch
-        # general Kraus: branch probabilities via the reduced density
-        # matrix of the channel's qubits — ||K psi||^2 = Tr(K rho K†),
-        # computed with one pass over the batch instead of one
-        # full-state application per Kraus operator
-        rho = _reduced_density_batch(batch, qubits)
-        norms = np.empty((len(operators), shots))
-        for i, op in enumerate(operators):
-            gram = op.conj().T @ op  # ||K psi||^2 = Tr(gram @ rho)
-            norms[i] = np.einsum("ij,sji->s", gram, rho).real
-        norms = np.maximum(norms, 0.0)
-        totals = np.maximum(norms.sum(axis=0), 1e-300)
-        probs = norms / totals
-        draws = self._rng.random(shots)
-        cumulative = np.cumsum(probs, axis=0)
-        branches = (draws[None, :] > cumulative).sum(axis=0)
-        branches = np.minimum(branches, len(operators) - 1)
-        # renormalisation factors come from the precomputed norms —
-        # no extra pass over the batch
-        chosen_norms = np.sqrt(
-            np.maximum(norms[branches, np.arange(shots)], 1e-300)
-        )
-        scale = (1.0 / chosen_norms).reshape(
-            (-1,) + (1,) * (batch.ndim - 1)
-        )
-        unique_branches = np.unique(branches)
-        if len(unique_branches) == 1:
-            # common case under weak noise: every shot takes the same
-            # branch; apply in one pass without gather/scatter copies
-            index = int(unique_branches[0])
-            out = apply_matrix_batch(batch, operators[index], qubits)
-            if out is batch:
-                out = batch * scale
-            else:
-                out *= scale
-            return out
-        out = np.empty_like(batch)
-        for index in unique_branches:
-            mask = branches == index
-            out[mask] = apply_matrix_batch(
-                batch[mask], operators[index], qubits
-            )
-        out *= scale
-        return out
 
     # ------------------------------------------------------------------
     def _sample_outcomes(self, batch: np.ndarray, n: int) -> np.ndarray:
@@ -251,61 +152,6 @@ class BatchedTrajectorySimulator:
         else:
             width = n
         return counts_from_outcomes(outcomes, width, shots=shots)
-
-
-def _reduced_density_batch(
-    batch: np.ndarray, qubits: Sequence[int]
-) -> np.ndarray:
-    """Per-shot reduced density matrix on *qubits*: shape (shots, d, d).
-
-    Index ordering matches the gate-matrix convention (first listed
-    qubit most significant).  The single-qubit case uses a zero-copy
-    reshape view of the contiguous batch.
-    """
-    shots = batch.shape[0]
-    n = batch.ndim - 1
-    if len(qubits) == 1 and batch.flags.c_contiguous:
-        q = qubits[0]
-        left = 2 ** q
-        right = 2 ** (n - 1 - q)
-        view = batch.reshape(shots, left, 2, right)
-        # rho entries via three real reductions — no per-shot matmuls
-        amp0 = view[:, :, 0, :].reshape(shots, -1)
-        amp1 = view[:, :, 1, :].reshape(shots, -1)
-        rho = np.empty((shots, 2, 2), dtype=np.complex128)
-        rho[:, 0, 0] = np.einsum("sk,sk->s", amp0, amp0.conj()).real
-        rho[:, 1, 1] = np.einsum("sk,sk->s", amp1, amp1.conj()).real
-        cross = np.einsum("sk,sk->s", amp0, amp1.conj())
-        rho[:, 0, 1] = cross
-        rho[:, 1, 0] = cross.conj()
-        return rho
-    k = len(qubits)
-    target_axes = [q + 1 for q in qubits]
-    moved = np.moveaxis(batch, target_axes, range(1, k + 1))
-    flat = moved.reshape(shots, 2 ** k, -1)
-    return np.einsum("sir,sjr->sij", flat, flat.conj())
-
-
-def _identity_flags_for(channel, operators) -> Sequence[bool]:
-    """Per-operator "proportional to identity" flags for *channel*.
-
-    :class:`~repro.noise.channels.QuantumChannel` resolves these once
-    at construction; for foreign channel objects without the attribute
-    the flags are derived from the operators here (never a fresh
-    mutable all-False list — an all-False fallback silently disabled
-    the no-op branch skipping for such channels).
-    """
-    flags = getattr(channel, "scalar_identity_flags", None)
-    if flags is not None:
-        return flags
-    dim = operators[0].shape[0]
-    return tuple(
-        bool(
-            abs(op[0, 0]) > 1e-12
-            and np.allclose(op, op[0, 0] * np.eye(dim), atol=1e-12)
-        )
-        for op in operators
-    )
 
 
 def run_counts_batched(

@@ -125,42 +125,29 @@ class DensityMatrixSimulator:
         self,
         noise_model: Optional[NoiseModel] = None,
         *,
-        plan: bool = True,
         fuse: str = "full",
     ) -> None:
-        """*plan*/*fuse* steer noiseless evolution through the
-        compiled-plan tier (see :mod:`repro.execution.plan`); noisy
+        """*fuse* sets the fusion level of noiseless evolution through
+        the compiled-plan tier (see :mod:`repro.execution.plan`); noisy
         evolution executes the traced per-instruction stream so noise
         channels keep their per-gate anchors."""
         self.noise_model = noise_model
-        self.plan = plan
         self.fuse = fuse
 
     def evolve(self, circuit: QuantumCircuit) -> DensityMatrix:
         """Run all gates + channels; measurements are deferred to sampling."""
-        rho = DensityMatrix(circuit.num_qubits)
-        if self.plan:
-            from ..execution.plan_cache import get_plan
+        from ..execution.plan_cache import get_plan
 
-            compiled = get_plan(circuit, self.fuse)
-            if self.noise_model is None:
-                rho._tensor = compiled.execute_density(rho._tensor)
-                return rho
-            for op in compiled.source_ops:
-                if not op.identity:
-                    rho.apply_matrix(op.matrix, op.qubits)
-                for bound in self.noise_model.errors_for(op.instruction):
-                    rho.apply_channel(
-                        bound.channel, bound.resolve(op.instruction)
-                    )
+        rho = DensityMatrix(circuit.num_qubits)
+        compiled = get_plan(circuit, self.fuse)
+        if self.noise_model is None:
+            rho._tensor = compiled.execute_density(rho._tensor)
             return rho
-        for inst in circuit:
-            if not inst.is_gate:
-                continue
-            rho.apply_matrix(inst.operation.matrix, inst.qubits)
-            if self.noise_model is not None:
-                for bound in self.noise_model.errors_for(inst):
-                    rho.apply_channel(bound.channel, bound.resolve(inst))
+        for op in compiled.source_ops:
+            if not op.identity:
+                rho.apply_matrix(op.matrix, op.qubits)
+            for bound in self.noise_model.errors_for(op.instruction):
+                rho.apply_channel(bound.channel, bound.resolve(op.instruction))
         return rho
 
     def output_distribution(self, circuit: QuantumCircuit) -> np.ndarray:

@@ -1,8 +1,7 @@
 """Shared gate-application kernels for every simulation engine.
 
-All four engines (statevector, density, per-shot trajectory through
-:class:`~repro.simulator.statevector.Statevector`, and the batched
-trajectory sampler) reduce gate application to the same operation:
+All engines (statevector, density and the trajectory samplers)
+reduce gate application to the same operation:
 contract a ``2^k x 2^k`` matrix into ``k`` qubit axes of a ``(2,)*m``
 tensor, optionally carrying a leading batch axis.  This module holds
 the one implementation they all share.

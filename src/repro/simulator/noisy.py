@@ -40,46 +40,14 @@ branch boundary.  Below that crossover ``chunk_size=1`` and
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .counts import Counts, counts_from_outcomes
 from .kernels import apply_matrix_batch
 
-__all__ = [
-    "default_chunk_size",
-    "run_noise_plan",
-    "record_trajectory_mode",
-    "trajectory_mode_counts",
-    "reset_trajectory_mode_counts",
-]
-
-# how many trajectory-ensemble runs went through each implementation,
-# surfaced by the service /stats endpoint and the experiment-runner
-# summary next to the plan-cache stats
-_MODE_COUNTS: Dict[str, int] = {"batched": 0, "legacy": 0}
-_MODE_LOCK = threading.Lock()
-
-
-def record_trajectory_mode(mode: str) -> None:
-    """Count one trajectory-ensemble run through *mode*."""
-    with _MODE_LOCK:
-        _MODE_COUNTS[mode] = _MODE_COUNTS.get(mode, 0) + 1
-
-
-def trajectory_mode_counts() -> Dict[str, int]:
-    """Snapshot of the per-mode run counters."""
-    with _MODE_LOCK:
-        return dict(_MODE_COUNTS)
-
-
-def reset_trajectory_mode_counts() -> None:
-    with _MODE_LOCK:
-        for key in _MODE_COUNTS:
-            _MODE_COUNTS[key] = 0
-
+__all__ = ["default_chunk_size", "run_noise_plan"]
 
 # chunk sizing: cap the working tensor near 2^21 complex entries
 # (~32 MB at complex128) so deep circuits stay cache-friendly while
@@ -233,8 +201,6 @@ def _apply_channel_chunk(
         return batch
     # general Kraus: ||K psi||^2 = Tr(gram rho) for every branch in one
     # reduced-density pass, then categorical sampling per shot
-    from .batched import _reduced_density_batch
-
     shots = batch.shape[0]
     rho = _reduced_density_batch(batch, qubits)
     norms = np.empty((binding.num_branches, shots))
@@ -266,6 +232,39 @@ def _apply_channel_chunk(
         )
     out *= scale
     return out
+
+
+def _reduced_density_batch(
+    batch: np.ndarray, qubits: Sequence[int]
+) -> np.ndarray:
+    """Per-shot reduced density matrix on *qubits*: shape (shots, d, d).
+
+    Index ordering matches the gate-matrix convention (first listed
+    qubit most significant).  The single-qubit case uses a zero-copy
+    reshape view of the contiguous batch.
+    """
+    shots = batch.shape[0]
+    n = batch.ndim - 1
+    if len(qubits) == 1 and batch.flags.c_contiguous:
+        q = qubits[0]
+        left = 2 ** q
+        right = 2 ** (n - 1 - q)
+        view = batch.reshape(shots, left, 2, right)
+        # rho entries via three real reductions — no per-shot matmuls
+        amp0 = view[:, :, 0, :].reshape(shots, -1)
+        amp1 = view[:, :, 1, :].reshape(shots, -1)
+        rho = np.empty((shots, 2, 2), dtype=np.complex128)
+        rho[:, 0, 0] = np.einsum("sk,sk->s", amp0, amp0.conj()).real
+        rho[:, 1, 1] = np.einsum("sk,sk->s", amp1, amp1.conj()).real
+        cross = np.einsum("sk,sk->s", amp0, amp1.conj())
+        rho[:, 0, 1] = cross
+        rho[:, 1, 0] = cross.conj()
+        return rho
+    k = len(qubits)
+    target_axes = [q + 1 for q in qubits]
+    moved = np.moveaxis(batch, target_axes, range(1, k + 1))
+    flat = moved.reshape(shots, 2 ** k, -1)
+    return np.einsum("sir,sjr->sij", flat, flat.conj())
 
 
 def _collapse_measure(

@@ -146,41 +146,24 @@ class Statevector:
         return self.apply_matrix(gate.matrix, qubits)
 
     def evolve(
-        self,
-        circuit: QuantumCircuit,
-        *,
-        plan: bool = True,
-        fuse: str = "full",
+        self, circuit: QuantumCircuit, *, fuse: str = "full"
     ) -> "Statevector":
         """Apply every unitary of *circuit* (measures/barriers skipped).
 
-        By default the circuit is traced once into a cached, fused
+        The circuit is traced once into a cached, fused
         :class:`~repro.execution.plan.ExecutionPlan` and executed in
-        one compiled pass.  ``fuse="none"`` keeps the plan but applies
-        one op per gate with arithmetic bit-identical to the legacy
-        loop; ``plan=False`` bypasses plans entirely.  Validation is
-        per-circuit either way (circuits validate their instructions at
-        construction), not per-instruction as :meth:`apply_matrix`
+        one compiled pass; ``fuse="none"`` applies one op per gate.
+        Validation is per-circuit (circuits validate their instructions
+        at construction), not per-instruction as :meth:`apply_matrix`
         does for ad-hoc matrices.
         """
+        from ..execution.plan_cache import get_plan
+
         if circuit.num_qubits != self.num_qubits:
             raise ValueError("circuit width does not match state")
-        if plan:
-            from ..execution.plan_cache import get_plan
-
-            compiled = get_plan(circuit, fuse)
-            batch = self._tensor.reshape((1,) + self._tensor.shape)
-            self._tensor = compiled.execute(batch).reshape(
-                self._tensor.shape
-            )
-            return self
-        for inst in circuit:
-            if inst.is_gate:
-                self._tensor = apply_matrix_state(
-                    self._tensor,
-                    np.asarray(inst.operation.matrix, dtype=complex),
-                    inst.qubits,
-                )
+        compiled = get_plan(circuit, fuse)
+        batch = self._tensor.reshape((1,) + self._tensor.shape)
+        self._tensor = compiled.execute(batch).reshape(self._tensor.shape)
         return self
 
     # ------------------------------------------------------------------

@@ -3,9 +3,11 @@
 For noiseless circuits with only terminal measurements, a single
 statevector evolution plus multinomial sampling is used (fast path,
 identical statistics).  With a :class:`~repro.noise.model.NoiseModel`
-attached, every shot runs its own trajectory: after each gate the bound
-Kraus channels are sampled, measurements collapse the state, and
-readout errors flip the recorded classical bits.
+attached, or with mid-circuit measurement, every shot follows its own
+trajectory through the noise-bound plan executor
+(:mod:`repro.simulator.noisy`): after each gate the bound Kraus
+channels are sampled, measurements collapse the state, and readout
+errors flip the recorded classical bits.
 
 This mirrors how Qiskit Aer's statevector method executes the paper's
 ``FakeValencia`` experiments.
@@ -13,17 +15,15 @@ This mirrors how Qiskit Aer's statevector method executes the paper's
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..noise.model import NoiseModel
 from .counts import Counts, counts_from_outcomes, remap_bits
-from .statevector import Statevector, format_bitstring
 
 __all__ = [
-    "TRAJECTORY_MODES",
     "TrajectorySimulator",
     "measures_are_terminal",
     "run_counts",
@@ -31,17 +31,10 @@ __all__ = [
     "sample_terminal_counts",
 ]
 
-# trajectory-ensemble implementations: "batched" evolves all shots in
-# chunked tensors through the noise-bound plan executor
-# (:mod:`repro.simulator.noisy`); "legacy" is the original per-shot
-# Python loop, bit-identical to the pre-plan behaviour at fixed seeds
-TRAJECTORY_MODES = ("batched", "legacy")
-
 
 def terminal_distribution(
     circuit: QuantumCircuit,
     *,
-    plan: bool = True,
     fuse: str = "full",
 ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
     """Final-state outcome distribution of a noiseless circuit.
@@ -53,31 +46,21 @@ def terminal_distribution(
     is the cheap half, so one evolution can serve many samplings —
     the service layer's request coalescer relies on exactly that split.
 
-    By default the circuit runs through the cached, fused execution
-    plan (see :mod:`repro.execution.plan`); ``fuse="none"`` keeps the
-    plan but stays bit-identical to the legacy loop, ``plan=False``
-    bypasses plans entirely.
+    The circuit runs through the cached, fused execution plan (see
+    :mod:`repro.execution.plan`); ``fuse="none"`` applies one op per
+    gate.
     """
-    if plan:
-        from ..execution.plan_cache import get_plan
+    from ..execution.plan_cache import get_plan
 
-        compiled = get_plan(circuit, fuse)
-        n = circuit.num_qubits
-        batch = np.zeros((1,) + (2,) * n, dtype=complex)
-        batch[(0,) * (n + 1)] = 1.0
-        tensor = compiled.execute(batch)[0]
-        # same little-endian flatten + |amp|^2 as
-        # ``Statevector.probabilities``
-        vec = tensor.transpose(tuple(reversed(range(n)))).reshape(-1)
-        return (vec.conj() * vec).real.copy(), list(compiled.measured)
-    state = Statevector(circuit.num_qubits)
-    measured: List[Tuple[int, int]] = []
-    for inst in circuit:
-        if inst.is_gate:
-            state.apply_matrix(inst.operation.matrix, inst.qubits)
-        elif inst.is_measure:
-            measured.append((inst.qubits[0], inst.clbits[0]))
-    return state.probabilities(), measured
+    compiled = get_plan(circuit, fuse)
+    n = circuit.num_qubits
+    batch = np.zeros((1,) + (2,) * n, dtype=complex)
+    batch[(0,) * (n + 1)] = 1.0
+    tensor = compiled.execute(batch)[0]
+    # same little-endian flatten + |amp|^2 as
+    # ``Statevector.probabilities``
+    vec = tensor.transpose(tuple(reversed(range(n)))).reshape(-1)
+    return (vec.conj() * vec).real.copy(), list(compiled.measured)
 
 
 def sample_terminal_counts(
@@ -110,31 +93,19 @@ class TrajectorySimulator:
         noise_model: Optional[NoiseModel] = None,
         seed: Optional[Union[int, np.random.Generator]] = None,
         *,
-        plan: bool = True,
         fuse: str = "full",
-        trajectories: str = "batched",
         chunk_size: Optional[int] = None,
     ) -> None:
-        """*plan*/*fuse* steer execution through the compiled-plan tier
-        (see :mod:`repro.execution.plan`): the noiseless fast path uses
-        fused noiseless plans, and the default ``trajectories="batched"``
-        ensemble runs through cached noise-bound plans
-        (:mod:`repro.execution.noise_plan`) in chunks of *chunk_size*
-        shots.  ``trajectories="legacy"`` restores the per-shot Python
-        loop — bit-identical to the pre-plan behaviour at fixed seeds —
-        where noise channels and collapses anchor to individual gates.
+        """*fuse* sets the plan fusion level (see
+        :mod:`repro.execution.plan`): the noiseless fast path uses
+        fused noiseless plans, and the trajectory ensemble runs through
+        cached noise-bound plans (:mod:`repro.execution.noise_plan`) in
+        chunks of *chunk_size* shots.
         """
-        if trajectories not in TRAJECTORY_MODES:
-            raise ValueError(
-                f"unknown trajectories mode {trajectories!r}; expected "
-                f"one of {', '.join(TRAJECTORY_MODES)}"
-            )
         if chunk_size is not None and int(chunk_size) <= 0:
             raise ValueError("chunk_size must be positive")
         self.noise_model = noise_model
-        self.plan = plan
         self.fuse = fuse
-        self.trajectories = trajectories
         self.chunk_size = None if chunk_size is None else int(chunk_size)
         if isinstance(seed, np.random.Generator):
             self._rng = seed
@@ -158,9 +129,7 @@ class TrajectorySimulator:
 
     # ------------------------------------------------------------------
     def _run_fast(self, circuit: QuantumCircuit, shots: int) -> Counts:
-        probs, measured = terminal_distribution(
-            circuit, plan=self.plan, fuse=self.fuse
-        )
+        probs, measured = terminal_distribution(circuit, fuse=self.fuse)
         return sample_terminal_counts(
             probs,
             measured,
@@ -172,44 +141,17 @@ class TrajectorySimulator:
 
     # ------------------------------------------------------------------
     def _run_trajectories(self, circuit: QuantumCircuit, shots: int) -> Counts:
-        if self.trajectories == "batched":
-            return self._run_batched(circuit, shots)
-        from .noisy import record_trajectory_mode
-
-        record_trajectory_mode("legacy")
-        histogram: Dict[str, int] = {}
-        explicit_measures = circuit.has_measurements()
-        num_clbits = (
-            max(circuit.num_clbits, 1) if explicit_measures else circuit.num_qubits
-        )
-        for _ in range(shots):
-            key = self._single_trajectory(
-                circuit, explicit_measures, num_clbits
-            )
-            histogram[key] = histogram.get(key, 0) + 1
-        return Counts(histogram, shots=shots)
-
-    def _run_batched(self, circuit: QuantumCircuit, shots: int) -> Counts:
         """Chunked tensor ensemble through the noise-bound plan tier.
 
-        Statistically equivalent to the per-shot loop (every channel
-        family and mid-circuit collapse included), but with different
-        per-site seeding — at a fixed seed the counts differ from
-        ``trajectories="legacy"`` while both converge to the same
-        distribution.  Derives one entropy integer from the simulator's
-        generator so repeated ``run`` calls stay independent.
+        Every channel family and mid-circuit collapse is sampled per
+        shot, with per-site seeding.  Derives one entropy integer from
+        the simulator's generator so repeated ``run`` calls stay
+        independent.
         """
-        from ..execution.noise_plan import build_noise_plan
         from ..execution.plan_cache import get_noise_plan
-        from .noisy import record_trajectory_mode, run_noise_plan
+        from .noisy import run_noise_plan
 
-        if self.plan:
-            noise_plan = get_noise_plan(circuit, self.noise_model, self.fuse)
-        else:
-            noise_plan = build_noise_plan(
-                circuit, self.noise_model, self.fuse
-            )
-        record_trajectory_mode("batched")
+        noise_plan = get_noise_plan(circuit, self.noise_model, self.fuse)
         entropy = int(self._rng.integers(0, 2 ** 63))
         return run_noise_plan(
             noise_plan,
@@ -218,98 +160,6 @@ class TrajectorySimulator:
             dtype=np.complex128,
             chunk_size=self.chunk_size,
         )
-
-    def _single_trajectory(
-        self,
-        circuit: QuantumCircuit,
-        explicit_measures: bool,
-        num_clbits: int,
-    ) -> str:
-        state = Statevector(circuit.num_qubits)
-        clbits = 0
-        for inst in circuit:
-            if inst.is_barrier:
-                continue
-            if inst.is_measure:
-                qubit, clbit = inst.qubits[0], inst.clbits[0]
-                outcome = state.measure_qubit(qubit, self._rng)
-                outcome = self._apply_readout(qubit, outcome)
-                clbits = (clbits & ~(1 << clbit)) | (outcome << clbit)
-                continue
-            state.apply_matrix(inst.operation.matrix, inst.qubits)
-            self._apply_noise(state, inst)
-        if explicit_measures:
-            return format_bitstring(clbits, num_clbits)
-        # measure-all semantics for unmeasured circuits
-        bits = 0
-        for qubit in range(circuit.num_qubits):
-            outcome = state.measure_qubit(qubit, self._rng)
-            outcome = self._apply_readout(qubit, outcome)
-            bits |= outcome << qubit
-        return format_bitstring(bits, num_clbits)
-
-    # ------------------------------------------------------------------
-    def _apply_noise(self, state: Statevector, inst) -> None:
-        if self.noise_model is None:
-            return
-        for bound in self.noise_model.errors_for(inst):
-            qubits = bound.resolve(inst)
-            self._apply_channel(state, bound.channel, qubits)
-
-    def _apply_channel(self, state: Statevector, channel, qubits) -> None:
-        """Sample one Kraus branch and renormalise (trajectory step)."""
-        operators = channel.kraus_operators
-        if len(operators) == 1:
-            state.apply_matrix(operators[0], qubits)
-            return
-        mixed_probs = getattr(channel, "mixed_unitary_probs", None)
-        if mixed_probs is not None:
-            # mixed-unitary fast path: state-independent probabilities.
-            # The cumulative table and pre-scaled branch matrices are
-            # cached on the channel (same expressions, so the draws and
-            # applied operators are bit-identical to recomputing them)
-            cumulative = getattr(channel, "mixed_unitary_cumulative", None)
-            if cumulative is None:
-                cumulative = np.cumsum(mixed_probs)
-            index = int(np.searchsorted(cumulative, self._rng.random()))
-            index = min(index, len(operators) - 1)
-            scaled = getattr(channel, "mixed_unitary_scaled", None)
-            if scaled is not None:
-                op = scaled[index]
-                if op is not None:
-                    state.apply_matrix(op, qubits)
-                return
-            weight = mixed_probs[index]
-            if weight > 0:
-                state.apply_matrix(
-                    operators[index] / np.sqrt(weight), qubits
-                )
-            return
-        draw = self._rng.random()
-        cumulative = 0.0
-        saved = state.copy()
-        for index, op in enumerate(operators):
-            state.apply_matrix(op, qubits)
-            weight = state.norm() ** 2
-            cumulative += weight
-            if draw < cumulative or index == len(operators) - 1:
-                norm = state.norm()
-                if norm < 1e-12:
-                    # zero-probability branch forced on the last operator;
-                    # restore and keep the unperturbed state
-                    state._tensor = saved._tensor
-                    return
-                state._tensor = state._tensor / norm
-                return
-            state._tensor = saved._tensor.copy()
-
-    def _apply_readout(self, qubit: int, outcome: int) -> int:
-        if self.noise_model is None:
-            return outcome
-        error = self.noise_model.readout_error(qubit)
-        if error is None:
-            return outcome
-        return error.apply(outcome, self._rng)
 
 
 def measures_are_terminal(circuit: QuantumCircuit) -> bool:
@@ -326,10 +176,6 @@ def measures_are_terminal(circuit: QuantumCircuit) -> bool:
         elif inst.is_gate and measured.intersection(inst.qubits):
             return False
     return True
-
-
-# backwards-compatible alias (pre-execution-layer name)
-_measures_are_terminal = measures_are_terminal
 
 
 def run_counts(

@@ -14,7 +14,6 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
-from .kernels import apply_matrix_batch
 
 __all__ = [
     "circuit_unitary",
@@ -25,16 +24,18 @@ __all__ = [
 
 
 def circuit_unitary(
-    circuit: QuantumCircuit, *, plan: bool = True, fuse: str = "full"
+    circuit: QuantumCircuit, *, fuse: str = "full"
 ) -> np.ndarray:
     """The little-endian unitary matrix of *circuit*.
 
     Column ``k`` is the state produced from basis input ``|k>``.
     Raises :class:`ValueError` when the circuit contains measurements.
-    By default the circuit runs through the cached, fused execution
-    plan (see :mod:`repro.execution.plan`) — the attack oracles call
-    this on the same circuits the engines simulate, sharing one trace.
+    The circuit runs through the cached, fused execution plan (see
+    :mod:`repro.execution.plan`) — the attack oracles call this on the
+    same circuits the engines simulate, sharing one trace.
     """
+    from ..execution.plan_cache import get_plan
+
     if circuit.has_measurements():
         raise ValueError("cannot build a unitary for a measured circuit")
     n = circuit.num_qubits
@@ -46,17 +47,7 @@ def circuit_unitary(
         # reshape of row k yields big-endian qubit axes; flip to the
         # batch layout (axis i+1 = qubit i)
         eye = eye.transpose((0,) + tuple(range(n, 0, -1)))
-    batch = np.ascontiguousarray(eye)
-    if plan:
-        from ..execution.plan_cache import get_plan
-
-        batch = get_plan(circuit, fuse).execute(batch)
-    else:
-        for inst in circuit:
-            if inst.is_gate:
-                batch = apply_matrix_batch(
-                    batch, inst.operation.matrix, inst.qubits
-                )
+    batch = get_plan(circuit, fuse).execute(np.ascontiguousarray(eye))
     if n:
         batch = batch.transpose((0,) + tuple(range(n, 0, -1)))
     # row k is the little-endian output vector for input |k>; the

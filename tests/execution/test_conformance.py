@@ -1,0 +1,78 @@
+"""Conformance: the default noisy ensemble against the exact density engine.
+
+Paper circuits are compiled to the Valencia-like device, so every
+physical gate carries the backend's thermal-relaxation + depolarizing
+channel and every qubit its readout error.  The batched ensemble
+(default noisy dispatch) must reproduce the exact distribution that
+``method="density"`` samples from, at every fusion level, within shot
+noise.
+
+The bound is fixed from the shot count alone.  For ``N`` shots over
+``K = 2^n`` outcomes the empirical distribution ``p_hat`` satisfies
+``E ||p_hat - p||_1 <= sum_i sqrt(p_i / N) <= sqrt(K / N)``, and one
+shot moves ``||p_hat - p||_1`` by at most ``2 / N``, so McDiarmid gives
+``P(||p_hat - p||_1 >= sqrt(K / N) + t) <= exp(-N t^2 / 2)``.  With
+``t = sqrt(2 ln(1 / delta) / N)`` and ``delta = 1e-6``:
+
+    TVD <= (sqrt(K / N) + sqrt(2 ln(1e6) / N)) / 2
+
+which is 0.033 for ``n = 4`` at ``N = 20000``.  The noise itself moves
+these distributions by well over that, so a dropped channel fails.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from repro.execution import run
+from repro.execution.plan import FUSION_LEVELS
+from repro.noise import valencia_like_backend
+from repro.revlib import benchmark_circuit
+from repro.simulator import DensityMatrixSimulator
+from repro.transpiler import transpile
+
+SHOTS = 20000
+DELTA = 1e-6
+
+
+def _tvd_bound(num_qubits):
+    outcomes = 2 ** num_qubits
+    return 0.5 * (
+        math.sqrt(outcomes / SHOTS)
+        + math.sqrt(2 * math.log(1 / DELTA) / SHOTS)
+    )
+
+
+def _device_circuit(name):
+    """*name* compiled to the Valencia-like device, all qubits measured."""
+    circuit = benchmark_circuit(name)
+    backend = valencia_like_backend(max(circuit.num_qubits, 2))
+    compiled = transpile(circuit, backend=backend).circuit.copy()
+    compiled.num_clbits = max(compiled.num_clbits, compiled.num_qubits)
+    for qubit in range(compiled.num_qubits):
+        compiled.measure(qubit, qubit)
+    return compiled, backend.noise_model()
+
+
+@pytest.mark.parametrize("fusion", FUSION_LEVELS)
+@pytest.mark.parametrize("name", ["4gt13", "one_bit_adder"])
+def test_batched_matches_density(name, fusion):
+    circuit, model = _device_circuit(name)
+    # u1 is a zero-duration virtual Z: the device model binds no error
+    assert all(
+        model.errors_for(inst)
+        for inst in circuit
+        if inst.is_gate and inst.operation.name != "u1"
+    ), "every physical gate must carry a noise channel"
+    exact = DensityMatrixSimulator(model).output_distribution(circuit)
+
+    counts = run(circuit, SHOTS, noise_model=model, seed=2025, fuse=fusion)
+    empirical = np.zeros_like(exact)
+    for bitstring, count in counts.items():
+        empirical[int(bitstring, 2)] = count / SHOTS
+
+    distance = 0.5 * np.abs(empirical - exact).sum()
+    assert distance <= _tvd_bound(circuit.num_qubits), (
+        f"{name}@{fusion}: TVD {distance:.4f} to the density engine"
+    )

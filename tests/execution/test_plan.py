@@ -2,8 +2,8 @@
 
 The contract under test (see ``repro/execution/plan.py``):
 
-* ``fuse="none"`` is bit-identical to the legacy per-instruction loops
-  on every engine;
+* ``fuse="none"`` is bit-identical to the per-instruction reference
+  loops (``tests/reference_sim.py``) on every engine;
 * ``"1q"``/``"full"`` agree with the unfused result to 1e-12;
 * the plan cache traces a circuit exactly once per fusion level
   (misses == traces), evicts LRU, and is safe to hit from threads;
@@ -15,6 +15,7 @@ import threading
 
 import numpy as np
 import pytest
+import reference_sim as ref
 
 from repro.circuits import QuantumCircuit, random_circuit
 from repro.execution import (
@@ -33,7 +34,10 @@ from repro.revlib import benchmark_circuit
 from repro.simulator import DensityMatrixSimulator, Statevector
 from repro.simulator.batched import BatchedTrajectorySimulator
 from repro.simulator.kernels import matrix_is_identity
-from repro.simulator.trajectory import terminal_distribution
+from repro.simulator.trajectory import (
+    sample_terminal_counts,
+    terminal_distribution,
+)
 from repro.simulator.unitary import circuit_unitary
 
 FUSIONS = ("none", "1q", "full")
@@ -122,63 +126,65 @@ class TestFusedAgreement:
     @pytest.mark.parametrize("fusion", FUSIONS)
     def test_statevector_evolve(self, seed, fusion):
         qc = _random(5, 40, seed)
-        legacy = Statevector(5).evolve(qc, plan=False)._tensor
+        reference = ref.evolve_state(qc)
         fused = Statevector(5).evolve(qc, fuse=fusion)._tensor
         if fusion == "none":
-            assert np.array_equal(fused, legacy)
-        np.testing.assert_allclose(fused, legacy, atol=1e-12)
+            assert np.array_equal(fused, reference)
+        np.testing.assert_allclose(fused, reference, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("fusion", FUSIONS)
     def test_terminal_distribution(self, seed, fusion):
         qc = _random(4, 30, seed)
-        legacy, measured_legacy = terminal_distribution(qc, plan=False)
+        reference, measured_reference = ref.terminal_distribution(qc)
         fused, measured = terminal_distribution(qc, fuse=fusion)
-        assert measured == measured_legacy
+        assert measured == measured_reference
         if fusion == "none":
-            assert np.array_equal(fused, legacy)
-        np.testing.assert_allclose(fused, legacy, atol=1e-12)
+            assert np.array_equal(fused, reference)
+        np.testing.assert_allclose(fused, reference, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("fusion", FUSIONS)
     def test_unitary(self, seed, fusion):
         qc = _random(4, 30, seed)
-        legacy = circuit_unitary(qc, plan=False)
+        reference = ref.circuit_unitary(qc)
         fused = circuit_unitary(qc, fuse=fusion)
         if fusion == "none":
-            assert np.array_equal(fused, legacy)
-        np.testing.assert_allclose(fused, legacy, atol=1e-12)
+            assert np.array_equal(fused, reference)
+        np.testing.assert_allclose(fused, reference, atol=1e-12)
 
     @pytest.mark.parametrize("fusion", FUSIONS)
     def test_density_noiseless(self, fusion):
         qc = _random(4, 30, seed=5)
-        legacy = DensityMatrixSimulator(plan=False).evolve(qc).to_matrix()
+        reference = ref.evolve_density(qc).to_matrix()
         fused = DensityMatrixSimulator(fuse=fusion).evolve(qc).to_matrix()
         if fusion == "none":
-            assert np.array_equal(fused, legacy)
-        np.testing.assert_allclose(fused, legacy, atol=1e-12)
+            assert np.array_equal(fused, reference)
+        np.testing.assert_allclose(fused, reference, atol=1e-12)
 
     @pytest.mark.parametrize("fusion", FUSIONS)
     def test_batched_noiseless_counts(self, fusion):
         qc = _mixed_circuit()
-        legacy = BatchedTrajectorySimulator(seed=9, plan=False).run(qc, 600)
+        reference = ref.batched_counts(qc, 600, seed=9)
         fused = BatchedTrajectorySimulator(seed=9, fuse=fusion).run(qc, 600)
-        assert dict(fused) == dict(legacy)
+        assert dict(fused) == dict(reference)
 
     def test_mixed_circuit_all_engines_through_run(self):
+        # fused levels sample the same counts as the unfused stream,
+        # which the tests above pin to the reference loops
         qc = _mixed_circuit()
         for method in ("statevector", "batched", "trajectory", "density"):
-            legacy = run(qc, 500, method=method, seed=13, plan=False)
+            reference = run(qc, 500, method=method, seed=13, fuse="none")
             for fusion in FUSIONS:
                 fused = run(qc, 500, method=method, seed=13, fuse=fusion)
-                assert dict(fused) == dict(legacy), (method, fusion)
+                assert dict(fused) == dict(reference), (method, fusion)
 
     def test_large_batch_gemm_route(self):
         # force the GEMM fast paths (batch.size >= 2^16)
         qc = _random(6, 40, seed=7)
-        sim_a = BatchedTrajectorySimulator(seed=21, plan=False)
-        sim_b = BatchedTrajectorySimulator(seed=21, fuse="none")
-        assert dict(sim_a.run(qc, 2048)) == dict(sim_b.run(qc, 2048))
+        sim = BatchedTrajectorySimulator(seed=21, fuse="none")
+        reference = ref.batched_counts(qc, 2048, seed=21)
+        assert dict(sim.run(qc, 2048)) == dict(reference)
 
 
 class TestNoisyAnchoring:
@@ -187,11 +193,9 @@ class TestNoisyAnchoring:
     def test_batched_noisy_bit_identical(self):
         qc = _mixed_circuit()
         model = _noise()
+        b = BatchedTrajectorySimulator(model, seed=5, fuse="none").run(qc, 400)
         for fusion in FUSIONS:
             a = BatchedTrajectorySimulator(model, seed=5, fuse=fusion).run(
-                qc, 400
-            )
-            b = BatchedTrajectorySimulator(model, seed=5, plan=False).run(
                 qc, 400
             )
             assert dict(a) == dict(b)
@@ -200,7 +204,7 @@ class TestNoisyAnchoring:
         qc = _random(3, 25, seed=2)
         model = _noise()
         a = DensityMatrixSimulator(model).evolve(qc).to_matrix()
-        b = DensityMatrixSimulator(model, plan=False).evolve(qc).to_matrix()
+        b = ref.evolve_density(qc, model).to_matrix()
         assert np.array_equal(a, b)
 
     def test_noise_on_identity_gates_still_fires(self):
@@ -211,7 +215,7 @@ class TestNoisyAnchoring:
         model = NoiseModel("id-noise")
         model.add_all_qubit_quantum_error(depolarizing(0.3), ["id"])
         a = DensityMatrixSimulator(model).evolve(qc).to_matrix()
-        b = DensityMatrixSimulator(model, plan=False).evolve(qc).to_matrix()
+        b = ref.evolve_density(qc, model).to_matrix()
         assert np.array_equal(a, b)
         assert a[0, 1] != pytest.approx(0.5)  # the noise clearly acted
 
@@ -311,9 +315,13 @@ class TestPaperBenchmarks:
     @pytest.mark.parametrize("name", ["4mod5", "4gt11", "rd53"])
     def test_benchmark_counts_identical(self, name):
         qc = benchmark_circuit(name).copy().measure_all()
-        legacy = run(qc, 1000, seed=1234, plan=False)
+        probs, measured = ref.terminal_distribution(qc)
+        reference = sample_terminal_counts(
+            probs, measured, qc.num_qubits, qc.num_clbits, 1000,
+            np.random.default_rng(1234),
+        )
         fused = run(qc, 1000, seed=1234)
-        assert dict(fused) == dict(legacy)
+        assert dict(fused) == dict(reference)
 
     def test_expected_output_dominates(self):
         from repro.revlib.benchmarks import load_benchmark
@@ -331,7 +339,7 @@ class TestApiKnobs:
 
     def test_legacy_signature_engines_still_dispatch(self):
         # engines registered before the plan tier existed take no
-        # plan/fuse kwargs; default dispatch must not pass them
+        # fuse/chunk_size kwargs; default dispatch must not pass them
         class LegacyEngine:
             name = "legacy-sig"
 

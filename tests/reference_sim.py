@@ -1,0 +1,182 @@
+"""Reference simulators the test suite checks the engines against.
+
+Two kinds of reference live here, outside the package:
+
+* per-instruction loops — one kernel call per gate, no plan, no fusion.
+  The plan tier promises that ``fuse="none"`` is bit-identical to them
+  (``tests/execution/test_plan.py``);
+* :class:`PerShotSampler` — one statevector per shot, every noise
+  channel sampled after its gate, measurements collapsing the state.
+  It is the statistical oracle for the batched trajectory ensemble
+  (``tests/simulator/test_trajectory_batched.py``).
+"""
+
+from collections import Counter
+
+import numpy as np
+
+from repro.simulator import (
+    BatchedTrajectorySimulator,
+    Counts,
+    DensityMatrix,
+    Statevector,
+    format_bitstring,
+)
+from repro.simulator.kernels import apply_matrix_batch, apply_matrix_state
+
+
+def _gates(circuit):
+    return (inst for inst in circuit if inst.is_gate)
+
+
+def _measured(circuit):
+    return [
+        (inst.qubits[0], inst.clbits[0]) for inst in circuit if inst.is_measure
+    ]
+
+
+def evolve_state(circuit):
+    """Statevector after every gate of *circuit*, one kernel call each."""
+    tensor = Statevector(circuit.num_qubits)._tensor
+    for inst in _gates(circuit):
+        tensor = apply_matrix_state(
+            tensor, np.asarray(inst.operation.matrix, dtype=complex),
+            inst.qubits,
+        )
+    return tensor
+
+
+def terminal_distribution(circuit):
+    """Final outcome distribution and the ``(qubit, clbit)`` measure map."""
+    state = Statevector(circuit.num_qubits)
+    for inst in _gates(circuit):
+        state.apply_matrix(inst.operation.matrix, inst.qubits)
+    return state.probabilities(), _measured(circuit)
+
+
+def evolve_batch(circuit, batch):
+    """Apply every gate of *circuit* to a ``(shots, 2, ..., 2)`` batch."""
+    for inst in _gates(circuit):
+        batch = apply_matrix_batch(batch, inst.operation.matrix, inst.qubits)
+    return batch
+
+
+def circuit_unitary(circuit):
+    """Little-endian unitary: every basis state evolved as one batch."""
+    n = circuit.num_qubits
+    dim = 2 ** n
+    axes = (0,) + tuple(range(n, 0, -1))
+    eye = np.eye(dim, dtype=complex).reshape((dim,) + (2,) * n)
+    batch = evolve_batch(circuit, np.ascontiguousarray(eye.transpose(axes)))
+    return np.ascontiguousarray(batch.transpose(axes).reshape(dim, dim).T)
+
+
+def evolve_density(circuit, noise_model=None):
+    """Density matrix after every gate and its bound noise channels."""
+    rho = DensityMatrix(circuit.num_qubits)
+    for inst in _gates(circuit):
+        rho.apply_matrix(inst.operation.matrix, inst.qubits)
+        if noise_model is not None:
+            for bound in noise_model.errors_for(inst):
+                rho.apply_channel(bound.channel, bound.resolve(inst))
+    return rho
+
+
+def batched_counts(circuit, shots, seed, dtype=np.complex64):
+    """Noiseless batched-engine counts with the gates applied one by one.
+
+    Sampling reuses :class:`BatchedTrajectorySimulator`'s own sampler,
+    so only the evolution differs from a default engine run.
+    """
+    sim = BatchedTrajectorySimulator(seed=seed, dtype=dtype)
+    n = circuit.num_qubits
+    batch = np.zeros((shots,) + (2,) * n, dtype=dtype)
+    batch[(slice(None),) + (0,) * n] = 1.0
+    outcomes = sim._sample_outcomes(evolve_batch(circuit, batch), n)
+    return sim._histogram(outcomes, _measured(circuit), circuit, n, shots)
+
+
+class PerShotSampler:
+    """Quantum trajectories, one shot at a time.
+
+    Circuits without measurements report every qubit (measure-all);
+    circuits with measures report their classical register.
+    """
+
+    def __init__(self, noise_model=None, seed=None):
+        self.noise_model = noise_model
+        self.rng = np.random.default_rng(seed)
+
+    def run(self, circuit, shots):
+        explicit = circuit.has_measurements()
+        width = (
+            max(circuit.num_clbits, 1) if explicit else circuit.num_qubits
+        )
+        histogram = Counter(
+            self._shot(circuit, explicit) for _ in range(shots)
+        )
+        return Counts(
+            {format_bitstring(k, width): v for k, v in histogram.items()},
+            shots=shots,
+        )
+
+    def _shot(self, circuit, explicit):
+        state = Statevector(circuit.num_qubits)
+        clbits = 0
+        for inst in circuit:
+            if inst.is_measure:
+                qubit, clbit = inst.qubits[0], inst.clbits[0]
+                bit = self._measure(state, qubit)
+                clbits = (clbits & ~(1 << clbit)) | (bit << clbit)
+            elif inst.is_gate:
+                state.apply_matrix(inst.operation.matrix, inst.qubits)
+                if self.noise_model is not None:
+                    for bound in self.noise_model.errors_for(inst):
+                        self._channel(
+                            state, bound.channel, bound.resolve(inst)
+                        )
+        if explicit:
+            return clbits
+        return sum(
+            self._measure(state, q) << q for q in range(circuit.num_qubits)
+        )
+
+    def _measure(self, state, qubit):
+        outcome = state.measure_qubit(qubit, self.rng)
+        error = (
+            None
+            if self.noise_model is None
+            else self.noise_model.readout_error(qubit)
+        )
+        return outcome if error is None else error.apply(outcome, self.rng)
+
+    def _channel(self, state, channel, qubits):
+        """Sample one Kraus branch and renormalise."""
+        operators = channel.kraus_operators
+        if len(operators) == 1:
+            state.apply_matrix(operators[0], qubits)
+            return
+        probs = channel.mixed_unitary_probs
+        if probs is not None:
+            # state-independent branch weights: K_i = sqrt(p_i) U_i
+            index = int(np.searchsorted(np.cumsum(probs), self.rng.random()))
+            index = min(index, len(operators) - 1)
+            if probs[index] > 0:
+                state.apply_matrix(
+                    operators[index] / np.sqrt(probs[index]), qubits
+                )
+            return
+        # general Kraus: branch i with probability ||K_i psi||^2
+        draw = self.rng.random()
+        saved = state._tensor.copy()
+        total = 0.0
+        for index, op in enumerate(operators):
+            state.apply_matrix(op, qubits)
+            total += state.norm() ** 2
+            if draw < total or index == len(operators) - 1:
+                norm = state.norm()
+                # a zero-probability branch forced on the last operator
+                # keeps the unperturbed state
+                state._tensor = saved if norm < 1e-12 else state._tensor / norm
+                return
+            state._tensor = saved.copy()

@@ -7,6 +7,8 @@ import pytest
 from repro.service import HTTPServiceClient, JobService, ServiceError
 from repro.service.http import make_server
 
+from service_qasm import BELL_QASM
+
 
 @pytest.fixture()
 def http_client():
@@ -89,6 +91,14 @@ class TestErrors:
     def test_bad_qasm_is_400(self, http_client):
         with pytest.raises(ServiceError) as err:
             http_client.submit("simulate", {"qasm": "garbage"})
+        assert err.value.status == 400
+
+    def test_incompatible_method_is_400(self, http_client):
+        with pytest.raises(ServiceError) as err:
+            http_client.submit(
+                "simulate",
+                {"qasm": BELL_QASM, "method": "statevector", "noisy": True},
+            )
         assert err.value.status == 400
 
     def test_unknown_job_is_404(self, http_client):

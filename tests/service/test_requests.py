@@ -30,6 +30,12 @@ class TestWireParsing:
                 "simulate", {"qasm": BELL_QASM, "_prepared": "x"}
             )
 
+    @pytest.mark.parametrize("kind", ["simulate", "evaluate"])
+    def test_retired_trajectories_key_rejected(self, kind):
+        target = {"qasm": BELL_QASM}
+        with pytest.raises(ValueError, match="unknown parameter.*trajectories"):
+            request_from_wire(kind, {**target, "trajectories": "batched"})
+
     def test_bad_qasm_fails_at_submit(self):
         with pytest.raises(ValueError):
             request_from_wire("simulate", {"qasm": "garbage"})
@@ -58,6 +64,36 @@ class TestValidation:
     def test_simulate_rejects_bad_precision(self):
         with pytest.raises(ValueError, match="precision"):
             SimulateRequest(qasm=BELL_QASM, precision="half")
+
+    def test_simulate_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method 'nope'"):
+            SimulateRequest(qasm=BELL_QASM, method="nope")
+
+    @pytest.mark.parametrize(
+        "method,qasm,noisy",
+        [
+            ("statevector", BELL_QASM, True),
+            ("statevector", MID_MEASURE_QASM, False),
+            ("batched", MID_MEASURE_QASM, True),
+            ("density", MID_MEASURE_QASM, False),
+        ],
+    )
+    def test_simulate_rejects_incompatible_method(self, method, qasm, noisy):
+        with pytest.raises(ValueError, match=f"method '{method}' cannot run"):
+            SimulateRequest(qasm=qasm, method=method, noisy=noisy)
+
+    @pytest.mark.parametrize(
+        "method,qasm,noisy",
+        [
+            ("statevector", BELL_QASM, False),
+            ("batched", BELL_QASM, True),
+            ("density", BELL_QASM, True),
+            ("trajectory", MID_MEASURE_QASM, True),
+        ],
+    )
+    def test_simulate_accepts_compatible_method(self, method, qasm, noisy):
+        request = SimulateRequest(qasm=qasm, method=method, noisy=noisy)
+        assert request.method == method
 
     def test_protect_needs_pool(self):
         with pytest.raises(ValueError, match="gate_pool"):

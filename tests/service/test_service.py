@@ -222,13 +222,18 @@ class TestLifecycleGuards:
 
     def test_failed_job_raises_service_error(self, service):
         client = ServiceClient(service)
-        # statevector cannot honour mid-circuit measurement -> the
+        # the statevector engine computes in complex128 only -> the
         # handler raises inside the worker and the job fails cleanly
-        from service_qasm import MID_MEASURE_QASM
+        from service_qasm import BELL_QASM
 
         job = client.submit(
             "simulate",
-            {"qasm": MID_MEASURE_QASM, "method": "statevector", "seed": 1},
+            {
+                "qasm": BELL_QASM,
+                "method": "statevector",
+                "precision": "single",
+                "seed": 1,
+            },
         )
         with pytest.raises(ServiceError, match="failed"):
             client.result(job, timeout=60)

@@ -1,27 +1,31 @@
-"""Batched trajectory ensembles vs the legacy per-shot reference.
+"""Batched trajectory ensembles vs the per-shot reference sampler.
 
 The contract under test (see ``repro/simulator/noisy.py``):
 
-* ``trajectories="legacy"`` is bit-identical to the pre-plan per-shot
-  engine at pinned seeds (the hard-coded dicts below were captured on
-  the pre-refactor implementation);
-* the batched ensemble is statistically equivalent to legacy for every
-  channel family (mixed-unitary, general Kraus, mid-circuit measures);
+* the per-shot oracle (``tests/reference_sim.py``) is pinned at fixed
+  seeds — the hard-coded dicts below were captured on the per-shot
+  engine the package used to ship, so the oracle is that algorithm;
+* the batched ensemble is statistically equivalent to the oracle for
+  every channel family (single-operator, mixed-unitary, general Kraus,
+  readout, mid-circuit measures);
 * counts are independent of the chunk size for a fixed seed —
   ``chunk_size=1`` and ``chunk_size=64`` are bit-identical;
-* knobs validate and route: the batched engine refuses the legacy
-  ensemble, ``run()`` reroutes ``legacy`` to the trajectory engine,
-  and the per-mode counters record which implementation ran.
+* knobs validate: a bad chunk size is refused, and the retired
+  ``trajectories`` option is gone from ``run()``.
 """
 
 import numpy as np
 import pytest
 
+from reference_sim import PerShotSampler
+
 from repro.circuits import QuantumCircuit
-from repro.execution import run
+from repro.circuits.gates import gate_from_name
+from repro.execution import get_noise_plan_cache, run
 from repro.metrics import tvd_counts
 from repro.noise import (
     NoiseModel,
+    QuantumChannel,
     ReadoutError,
     amplitude_damping,
     bit_flip,
@@ -29,11 +33,7 @@ from repro.noise import (
     fake_valencia,
     thermal_relaxation,
 )
-from repro.simulator.noisy import (
-    default_chunk_size,
-    reset_trajectory_mode_counts,
-    trajectory_mode_counts,
-)
+from repro.simulator.noisy import default_chunk_size
 from repro.simulator.trajectory import TrajectorySimulator
 
 
@@ -65,6 +65,16 @@ def _kraus_model():
     return model
 
 
+def _unitary_model():
+    """Single-operator channels: a coherent over-rotation after each gate."""
+    model = NoiseModel()
+    model.add_all_qubit_quantum_error(
+        QuantumChannel([gate_from_name("rx", [0.2]).matrix]), ["h", "x", "rz"]
+    )
+    model.add_readout_error(ReadoutError(0.04, 0.02), 1)
+    return model
+
+
 def _mid_circuit():
     qc = QuantumCircuit(2, 2)
     qc.h(0)
@@ -83,24 +93,25 @@ def _mid_model():
 
 
 class TestLegacyBitIdentity:
-    """Pinned pre-refactor outputs — the legacy path must not move."""
+    """Pinned outputs of the retired per-shot engine — the oracle
+    reproduces them bit for bit."""
 
     def test_mixed_unitary_with_readout(self):
-        sim = TrajectorySimulator(_mixed_model(), 123, trajectories="legacy")
+        sim = PerShotSampler(_mixed_model(), 123)
         assert dict(sim.run(_circuit(), 400)) == {
             "100": 171, "011": 182, "010": 16, "000": 9,
             "101": 14, "001": 2, "110": 2, "111": 4,
         }
 
     def test_general_kraus(self):
-        sim = TrajectorySimulator(_kraus_model(), 7, trajectories="legacy")
+        sim = PerShotSampler(_kraus_model(), 7)
         assert dict(sim.run(_circuit(), 300)) == {
             "011": 115, "100": 150, "010": 5, "000": 12,
             "001": 5, "101": 8, "111": 5,
         }
 
     def test_mid_circuit_measurement(self):
-        sim = TrajectorySimulator(_mid_model(), 42, trajectories="legacy")
+        sim = PerShotSampler(_mid_model(), 42)
         assert dict(sim.run(_mid_circuit(), 300)) == {
             "01": 127, "10": 134, "00": 21, "11": 18,
         }
@@ -111,7 +122,7 @@ class TestLegacyBitIdentity:
         qc.h(0).cx(0, 1)
         qc.measure(0, 0)
         qc.measure(1, 1)
-        sim = TrajectorySimulator(model, 99, trajectories="legacy")
+        sim = PerShotSampler(model, 99)
         assert dict(sim.run(qc, 200)) == {
             "00": 100, "11": 92, "01": 4, "10": 4,
         }
@@ -119,14 +130,14 @@ class TestLegacyBitIdentity:
     def test_unmeasured_circuit(self):
         qc = QuantumCircuit(2)
         qc.h(0).cx(0, 1)
-        sim = TrajectorySimulator(_mid_model(), 5, trajectories="legacy")
+        sim = PerShotSampler(_mid_model(), 5)
         assert dict(sim.run(qc, 200)) == {
             "00": 86, "11": 104, "10": 6, "01": 4,
         }
 
 
 class TestBatchedEquivalence:
-    """TVD(batched, legacy) within shot noise per channel family."""
+    """TVD(batched, oracle) within shot noise per channel family."""
 
     @pytest.mark.parametrize(
         "circuit,model",
@@ -134,18 +145,22 @@ class TestBatchedEquivalence:
             (_circuit(), _mixed_model()),
             (_circuit(), _kraus_model()),
             (_mid_circuit(), _mid_model()),
+            (_circuit(), _unitary_model()),
+            (_mid_circuit(), _kraus_model()),
         ],
-        ids=["mixed-readout", "general-kraus", "mid-circuit"],
+        ids=[
+            "mixed-readout",
+            "general-kraus",
+            "mid-circuit",
+            "single-operator",
+            "mid-circuit-kraus",
+        ],
     )
     def test_distributions_agree(self, circuit, model):
         shots = 8000
-        legacy = TrajectorySimulator(
-            model, 11, trajectories="legacy"
-        ).run(circuit, shots)
-        batched = TrajectorySimulator(
-            model, 22, trajectories="batched"
-        ).run(circuit, shots)
-        assert tvd_counts(legacy, batched) < 0.035
+        oracle = PerShotSampler(model, 11).run(circuit, shots)
+        batched = TrajectorySimulator(model, 22).run(circuit, shots)
+        assert tvd_counts(oracle, batched) < 0.035
 
     def test_trivial_model_matches_noiseless_exactly(self):
         qc = _circuit()
@@ -158,9 +173,7 @@ class TestChunkInvariance:
     def test_chunk_sizes_are_bit_identical(self):
         reference = None
         for chunk in (1, 7, 64, None):
-            sim = TrajectorySimulator(
-                _mixed_model(), 123, trajectories="batched", chunk_size=chunk
-            )
+            sim = TrajectorySimulator(_mixed_model(), 123, chunk_size=chunk)
             counts = dict(sim.run(_circuit(), 400))
             if reference is None:
                 reference = counts
@@ -169,9 +182,7 @@ class TestChunkInvariance:
     def test_kraus_chunk_invariance(self):
         reference = None
         for chunk in (1, 64):
-            sim = TrajectorySimulator(
-                _kraus_model(), 3, trajectories="batched", chunk_size=chunk
-            )
+            sim = TrajectorySimulator(_kraus_model(), 3, chunk_size=chunk)
             counts = dict(sim.run(_circuit(), 300))
             if reference is None:
                 reference = counts
@@ -185,10 +196,12 @@ class TestChunkInvariance:
 
 class TestKnobsAndRouting:
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="trajectories"):
-            TrajectorySimulator(None, 0, trajectories="vectorised")
-        with pytest.raises(ValueError, match="trajectories"):
-            run(_circuit(), 10, trajectories="vectorised")
+        # the trajectories option is retired: every mode is unknown
+        for mode in ("vectorised", "batched", "legacy"):
+            with pytest.raises(TypeError, match="trajectories"):
+                TrajectorySimulator(None, 0, trajectories=mode)
+            with pytest.raises(TypeError, match="trajectories"):
+                run(_circuit(), 10, trajectories=mode)
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ValueError, match="chunk_size"):
@@ -196,32 +209,14 @@ class TestKnobsAndRouting:
         with pytest.raises(ValueError, match="chunk_size"):
             run(_circuit(), 10, chunk_size=-1)
 
-    def test_batched_engine_refuses_legacy(self):
-        with pytest.raises(ValueError, match="legacy"):
-            run(
-                _circuit(),
-                10,
-                noise_model=_mixed_model(),
-                method="batched",
-                trajectories="legacy",
-            )
-
-    def test_auto_dispatch_reroutes_legacy(self):
-        reset_trajectory_mode_counts()
-        run(
-            _circuit(),
-            50,
-            noise_model=_mixed_model(),
-            seed=1,
-            trajectories="legacy",
-        )
-        assert trajectory_mode_counts()["legacy"] == 1
-
     def test_default_noisy_dispatch_is_batched(self):
-        reset_trajectory_mode_counts()
-        run(_circuit(), 50, noise_model=_mixed_model(), seed=1)
-        counts = trajectory_mode_counts()
-        assert counts["batched"] == 1 and counts["legacy"] == 0
+        # every noisy terminal run looks up one noise-bound plan
+        cache = get_noise_plan_cache()
+        before = cache.stats()
+        counts = run(_circuit(), 50, noise_model=_mixed_model(), seed=1)
+        after = cache.stats()
+        assert counts.shots == 50
+        assert (after.hits + after.misses) - (before.hits + before.misses) == 1
 
     def test_seed_determinism_across_runs(self):
         a = run(
