@@ -69,7 +69,7 @@ def test_bench_execution_auto_noiseless(benchmark):
 
 
 def test_bench_execution_auto_noisy(benchmark):
-    """Auto dispatch: noisy terminal circuit -> batched engine."""
+    """Auto dispatch: noisy terminal circuit -> trajectory engine."""
     backend = valencia_like_backend(5)
     circuit = QuantumCircuit(5)
     for q in range(4):

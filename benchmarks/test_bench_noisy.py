@@ -1,7 +1,7 @@
-"""Noisy-path benchmark: batched ensembles through the noise-plan cache.
+"""Noisy-path benchmark: the trajectory ensemble through the noise-plan cache.
 
 A table1-style workload (12 qubits, depolarizing + readout noise, 1000
-shots) through the default batched dispatch with a warm noise-plan
+shots) through the default noisy dispatch with a warm noise-plan
 cache: tracing, channel classification and branch pre-scaling happen
 once per (circuit, model) pair and whole shot-chunks evolve as one
 ``(W, 2, ..., 2)`` tensor.

@@ -1,19 +1,15 @@
 """Substrate performance benchmarks (not tied to a paper artefact).
 
 Tracks the performance-critical kernels that every experiment runs
-through: statevector evolution, the batched noisy sampler, and the
-transpiler pipeline.  Regressions here multiply into the Table I /
+through: statevector evolution, the noisy trajectory ensemble, and
+the transpiler pipeline.  Regressions here multiply into the Table I /
 Figure 4 harness runtimes.
 """
 
 from repro.circuits import QuantumCircuit, random_circuit
 from repro.noise import valencia_like_backend
 from repro.revlib import benchmark_circuit
-from repro.simulator import (
-    BatchedTrajectorySimulator,
-    Statevector,
-    run_counts_batched,
-)
+from repro.simulator import Statevector, run_counts
 from repro.transpiler import transpile
 
 
@@ -41,9 +37,7 @@ def test_bench_batched_noisy_sampler(benchmark):
     noise = backend.noise_model()
 
     def sample():
-        return run_counts_batched(
-            circuit, shots=500, noise_model=noise, seed=3
-        )
+        return run_counts(circuit, shots=500, noise_model=noise, seed=3)
 
     counts = benchmark(sample)
     assert counts.shots == 500
@@ -65,7 +59,7 @@ def test_bench_noiseless_bell_sampling(benchmark):
     qc.h(0).cx(0, 1).measure_all()
 
     def sample():
-        return BatchedTrajectorySimulator(seed=1).run(qc, shots=4000)
+        return run_counts(qc, shots=4000, seed=1)
 
     counts = benchmark(sample)
     assert set(counts) <= {"00", "11"}

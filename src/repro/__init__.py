@@ -9,7 +9,7 @@ Public API tour
   point that auto-dispatches every simulation request to the fastest
   valid engine.
 * :mod:`repro.simulator` — statevector / unitary / density /
-  (batched) trajectory engines plus the shared gate kernels
+  trajectory engines plus the shared gate kernels
   (:mod:`repro.simulator.kernels`) they are all built on.
 * :mod:`repro.noise` — channels, noise models, FakeValencia backend.
 * :mod:`repro.transpiler` — the "untrusted compiler": basis
@@ -82,7 +82,7 @@ from .core import (
 )
 from .noise import fake_valencia, valencia_like_backend
 from .revlib import benchmark_circuit, benchmark_names, paper_suite
-from .simulator import run_counts, run_counts_batched
+from .simulator import run_counts
 from .transpiler import transpile
 
 __version__ = "1.0.0"
@@ -117,7 +117,6 @@ __all__ = [
     "get_engine",
     "register_engine",
     "run_counts",
-    "run_counts_batched",
     "transpile",
     "__version__",
 ]

@@ -7,7 +7,9 @@ to exchange circuits with Qiskit-based tooling outside this repo.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 from typing import List, Optional
 
@@ -84,18 +86,54 @@ _MEASURE_RE = re.compile(
 _GATE_RE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?\s*(.*)$")
 _OPERAND_RE = re.compile(r"(\w+)\s*\[\s*(\d+)\s*\]")
 
-_SAFE_EXPR = re.compile(r"^[\d\s+\-*/().eE]*$")
+_BINARY_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
 def _eval_param(text: str) -> float:
-    """Evaluate a QASM angle expression (numbers, pi, + - * / parens)."""
-    text = text.strip().replace("pi", repr(math.pi))
-    if not _SAFE_EXPR.match(text):
-        raise QasmError(f"unsupported parameter expression: {text!r}")
+    """Evaluate a QASM angle expression: numeric literals, ``pi``,
+    unary ``+``/``-``, ``+ - * /``, ``**`` and parentheses.
+
+    Every step is a float operation, so no expression can build a huge
+    integer: ``9**9**9`` overflows and is refused like any other
+    expression that does not evaluate to a finite angle.
+    """
     try:
-        return float(eval(text, {"__builtins__": {}}, {}))  # noqa: S307
-    except Exception as exc:  # pragma: no cover - defensive
+        # MemoryError: the parser's answer to absurdly deep nesting
+        tree = ast.parse(text.strip(), mode="eval")
+    except (SyntaxError, ValueError, MemoryError, RecursionError) as exc:
+        raise QasmError(f"unsupported parameter expression: {text!r}") from exc
+    try:
+        value = _eval_node(tree.body, text)
+    except (OverflowError, ZeroDivisionError, RecursionError) as exc:
         raise QasmError(f"cannot evaluate parameter {text!r}") from exc
+    if not math.isfinite(value):
+        raise QasmError(f"parameter {text!r} is not a finite angle")
+    return value
+
+
+def _eval_node(node: ast.AST, text: str) -> float:
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+        return _UNARY_OPS[type(node.op)](_eval_node(node.operand, text))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        value = _BINARY_OPS[type(node.op)](
+            _eval_node(node.left, text), _eval_node(node.right, text)
+        )
+        if not isinstance(value, float):
+            # a negative base to a fractional power is complex
+            raise QasmError(f"parameter {text!r} is not a real angle")
+        return value
+    raise QasmError(f"unsupported parameter expression: {text!r}")
 
 
 def from_qasm(text: str) -> QuantumCircuit:

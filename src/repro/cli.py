@@ -12,7 +12,7 @@ design before sending it to third-party compilers:
 * ``inspect``  — show a circuit's stats, layer grid and drawing.
 * ``simulate`` — run a circuit through the unified execution layer
   (:func:`repro.execution.run`), optionally under the Valencia-style
-  noise model, with engine and precision selection.
+  noise model, with engine selection.
 * ``transpile`` — compile a circuit for a device through the preset
   pass schedule and report per-pass wall times plus transpile-cache
   statistics (``--no-transpile-cache`` forces a fresh compile).
@@ -242,8 +242,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    import numpy as np
-
     circuit = _load_circuit(args.circuit)
     if not circuit.has_measurements():
         circuit = circuit.copy().measure_all()
@@ -251,10 +249,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.noisy:
         backend = valencia_like_backend(max(circuit.num_qubits, 2))
         noise_model = backend.noise_model()
-    dtype = np.complex64 if args.single_precision else None
     method = args.method
     engine = (
-        select_engine(circuit, noise_model=noise_model, dtype=dtype)
+        select_engine(circuit, noise_model=noise_model)
         if method == "auto"
         else method
     )
@@ -265,7 +262,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             noise_model=noise_model,
             method=method,
             seed=args.seed,
-            dtype=dtype,
             fuse=args.fuse,
             chunk_size=args.chunk_size,
         )
@@ -468,7 +464,6 @@ def _submit_build_simulate(args: argparse.Namespace) -> tuple:
         "seed": args.seed,
         "noisy": args.noisy,
         "method": args.method,
-        "precision": "single" if args.single_precision else None,
         "chunk_size": args.chunk_size,
     }
 
@@ -596,10 +591,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--noisy", action="store_true",
         help="attach the Valencia-style noise model",
     )
-    simulate.add_argument(
-        "--single-precision", action="store_true",
-        help="complex64 simulation (batched engine)",
-    )
     simulate.add_argument("--top", type=int, default=5,
                           help="outcomes to print")
     simulate.add_argument(
@@ -608,7 +599,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     simulate.add_argument(
         "--chunk-size", type=int, default=None,
-        help="shots per tensor chunk in the batched ensemble "
+        help="shots per tensor chunk in the trajectory ensemble "
         "(counts are chunk-size independent)",
     )
     simulate.set_defaults(func=_cmd_simulate)
@@ -764,7 +755,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sim_job.add_argument("--seed", type=int, default=None)
     sim_job.add_argument("--noisy", action="store_true")
     sim_job.add_argument("--method", default="auto")
-    sim_job.add_argument("--single-precision", action="store_true")
     sim_job.add_argument("--chunk-size", type=int, default=None)
     sim_job.set_defaults(func=_cmd_submit, build=_submit_build_simulate)
 

@@ -148,24 +148,21 @@ class TetrisLockPipeline:
         gate_limit: int = 4,
         gate_pool: Sequence[str] = ("x", "cx"),
         seed: Optional[Union[int, np.random.Generator]] = None,
-        dtype: Optional[np.dtype] = None,
         split_jobs: int = 1,
         use_transpile_cache: Optional[bool] = None,
         chunk_size: Optional[int] = None,
     ) -> None:
-        """*dtype* is forwarded to :func:`repro.execution.run` — leave
-        ``None`` for each engine's default precision.  *split_jobs* > 1
-        compiles split segment 1 on a worker thread, overlapped with
-        the obfuscated-circuit simulation (compilation is RNG-free, so
-        results are unchanged).  *use_transpile_cache* forces the
-        transpile cache on/off (``None`` follows the global setting).
-        *chunk_size* caps the shots evolved per tensor chunk in the
-        noisy trajectory ensemble (see :func:`repro.execution.run`)."""
+        """*split_jobs* > 1 compiles split segment 1 on a worker thread,
+        overlapped with the obfuscated-circuit simulation (compilation
+        is RNG-free, so results are unchanged).  *use_transpile_cache*
+        forces the transpile cache on/off (``None`` follows the global
+        setting).  *chunk_size* caps the shots evolved per tensor chunk
+        in the noisy trajectory ensemble (see
+        :func:`repro.execution.run`)."""
         self.backend = backend
         self.shots = shots
         self.gate_limit = gate_limit
         self.gate_pool = tuple(gate_pool)
-        self.dtype = dtype
         self.chunk_size = chunk_size
         if split_jobs <= 0:
             raise ValueError("split_jobs must be positive")
@@ -227,7 +224,6 @@ class TetrisLockPipeline:
             self.shots,
             noise_model=self._noise_model_for(backend),
             seed=self._rng,
-            dtype=self.dtype,
             chunk_size=self.chunk_size,
         )
 
@@ -239,7 +235,6 @@ class TetrisLockPipeline:
             self.shots,
             noise_model=self._noise_model_for(backend),
             seed=self._rng,
-            dtype=self.dtype,
             chunk_size=self.chunk_size,
         )
 

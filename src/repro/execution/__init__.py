@@ -1,7 +1,7 @@
 """Unified execution layer: one ``run()`` for every simulation engine.
 
 Callers never instantiate simulator classes directly — they describe
-the request (circuit, shots, noise, precision) and the registry-driven
+the request (circuit, shots, noise) and the registry-driven
 dispatcher picks the fastest valid engine::
 
     >>> from repro.execution import run
@@ -32,7 +32,6 @@ from .plan_cache import (
 )
 from . import engines as _builtin_engines  # noqa: F401  (registers engines)
 from .engines import (
-    BatchedEngine,
     DensityEngine,
     StatevectorEngine,
     TrajectoryEngine,
@@ -58,7 +57,6 @@ __all__ = [
     "unregister_engine",
     "run",
     "select_engine",
-    "BatchedEngine",
     "DensityEngine",
     "StatevectorEngine",
     "TrajectoryEngine",

@@ -5,13 +5,12 @@ engine that is valid for the request:
 
 * noiseless circuit, terminal measurements -> ``statevector`` (one
   evolution + multinomial sampling, independent of the shot count);
-* noisy circuit, terminal measurements -> ``batched`` (all
-  trajectories in one tensor);
-* mid-circuit measurement -> ``trajectory`` (per-shot collapse);
+* noisy circuit or mid-circuit measurement -> ``trajectory`` (the
+  trajectory ensemble: per-shot channel sampling and collapse, all
+  shots evolved in chunked tensors);
 * ``method="density"`` on request -> exact mixed-state evolution.
 
-A non-default *dtype* routes to the batched engine, the only one with
-a precision knob.  Pass ``method=<engine name>`` to bypass dispatch.
+Pass ``method=<engine name>`` to bypass dispatch.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from ..circuits.circuit import QuantumCircuit
 from ..noise.model import NoiseModel
 from ..simulator.counts import Counts
 from ..simulator.trajectory import measures_are_terminal
-from .engines import wants_reduced_precision
 from .plan import FUSION_LEVELS
 from .registry import get_engine
 
@@ -37,27 +35,11 @@ def select_engine(
     circuit: QuantumCircuit,
     *,
     noise_model: Optional[NoiseModel] = None,
-    dtype=None,
 ) -> str:
-    """Name of the engine auto-dispatch would pick for this request.
-
-    Raises :class:`ValueError` for requests no engine can honour
-    (reduced precision with mid-circuit measurement).
-    """
-    if not measures_are_terminal(circuit):
-        if wants_reduced_precision(dtype):
-            raise ValueError(
-                "no engine supports reduced precision with mid-circuit "
-                "measurement; per-shot collapse runs in complex128 "
-                "(pass dtype=None)"
-            )
-        # per-shot collapse is the only way to honour mid-circuit
-        # measurement; the trajectory engine handles noise too
+    """Name of the engine auto-dispatch would pick for this request."""
+    noisy = noise_model is not None and not noise_model.is_trivial()
+    if noisy or not measures_are_terminal(circuit):
         return "trajectory"
-    if noise_model is not None and not noise_model.is_trivial():
-        return "batched"
-    if wants_reduced_precision(dtype):
-        return "batched"
     return "statevector"
 
 
@@ -68,7 +50,6 @@ def run(
     noise_model: Optional[NoiseModel] = None,
     method: str = "auto",
     seed: Seed = None,
-    dtype=None,
     fuse: Optional[str] = None,
     chunk_size: Optional[int] = None,
 ) -> Counts:
@@ -90,12 +71,6 @@ def run(
         engine.
     seed:
         Integer seed or a shared :class:`numpy.random.Generator`.
-    dtype:
-        Simulation precision.  ``None`` keeps each engine's default
-        (complex128 everywhere except the batched engine's complex64);
-        ``numpy.complex64`` / ``numpy.complex128`` select explicitly —
-        reduced precision is only available on the batched engine, and
-        steers auto-dispatch there.
     fuse:
         Fusion level for the plan tier: ``"full"`` (engine default),
         ``"1q"``, or ``"none"`` (one op per gate).  See
@@ -119,7 +94,7 @@ def run(
     if chunk_size is not None and int(chunk_size) <= 0:
         raise ValueError("chunk_size must be positive")
     if method == "auto":
-        method = select_engine(circuit, noise_model=noise_model, dtype=dtype)
+        method = select_engine(circuit, noise_model=noise_model)
     engine = get_engine(method)
     extra = {}
     if fuse is not None:
@@ -131,6 +106,5 @@ def run(
         shots,
         noise_model=noise_model,
         seed=seed,
-        dtype=dtype,
         **extra,
     )

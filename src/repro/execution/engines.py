@@ -1,9 +1,9 @@
 """Built-in engine adapters bridging the simulator layer to the registry.
 
 Each adapter is a thin stateless wrapper: capability checks live in
-``supports`` and construction details (seeding, dtype) in ``run``.  The
-heavy lifting stays in :mod:`repro.simulator`, which all four engines
-share through :mod:`repro.simulator.kernels`.
+``supports`` and construction details (seeding, fusion, chunking) in
+``run``.  The heavy lifting stays in :mod:`repro.simulator`, which all
+three engines share through :mod:`repro.simulator.kernels`.
 """
 
 from __future__ import annotations
@@ -14,14 +14,12 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..noise.model import NoiseModel
-from ..simulator.batched import BatchedTrajectorySimulator
 from ..simulator.counts import Counts
 from ..simulator.density import DensityMatrixSimulator
 from ..simulator.trajectory import TrajectorySimulator, measures_are_terminal
 from .registry import register_engine
 
 __all__ = [
-    "BatchedEngine",
     "DensityEngine",
     "StatevectorEngine",
     "TrajectoryEngine",
@@ -32,25 +30,6 @@ Seed = Optional[Union[int, np.random.Generator]]
 
 def _is_noisy(noise_model: Optional[NoiseModel]) -> bool:
     return noise_model is not None and not noise_model.is_trivial()
-
-
-def wants_reduced_precision(dtype) -> bool:
-    """True when *dtype* asks for anything below complex128.
-
-    The single precision-policy predicate — auto-dispatch
-    (:func:`repro.execution.api.select_engine`) and the engines'
-    own validation must agree on it.
-    """
-    return dtype is not None and np.dtype(dtype) != np.dtype(np.complex128)
-
-
-def _require_full_precision(name: str, dtype) -> None:
-    if wants_reduced_precision(dtype):
-        raise ValueError(
-            f"engine {name!r} computes in complex128 only; reduced "
-            "precision is available on the batched engine for "
-            "terminal-measurement circuits"
-        )
 
 
 @register_engine
@@ -77,18 +56,16 @@ class StatevectorEngine:
         *,
         noise_model: Optional[NoiseModel] = None,
         seed: Seed = None,
-        dtype=None,
         fuse: str = "full",
         chunk_size: Optional[int] = None,
     ) -> Counts:
         # chunk_size is accepted (callers thread it through every
         # engine) but inert: one evolution + one sampling, no
         # trajectory ensemble
-        _require_full_precision(self.name, dtype)
         if _is_noisy(noise_model):
             raise ValueError(
-                "statevector engine is noiseless; use 'batched', "
-                "'trajectory' or 'density' for noisy circuits"
+                "statevector engine is noiseless; use 'trajectory' "
+                "or 'density' for noisy circuits"
             )
         if not measures_are_terminal(circuit):
             raise ValueError(
@@ -100,8 +77,13 @@ class StatevectorEngine:
 
 @register_engine
 class TrajectoryEngine:
-    """Per-shot quantum trajectories in complex128; the only
-    mid-circuit-measurement engine."""
+    """The trajectory ensemble: every shot sampled through the
+    noise-bound plan, all shots evolved together in chunked tensors.
+
+    The workhorse for every noisy circuit (the Table I / Figure 4
+    suites) and the only mid-circuit-measurement engine.  Noiseless
+    terminal circuits take the statevector fast path.
+    """
 
     name = "trajectory"
 
@@ -119,62 +101,12 @@ class TrajectoryEngine:
         *,
         noise_model: Optional[NoiseModel] = None,
         seed: Seed = None,
-        dtype=None,
         fuse: str = "full",
         chunk_size: Optional[int] = None,
     ) -> Counts:
-        _require_full_precision(self.name, dtype)
         return TrajectorySimulator(
             noise_model, seed, fuse=fuse, chunk_size=chunk_size
         ).run(circuit, shots)
-
-
-@register_engine
-class BatchedEngine:
-    """All trajectories in one ``(shots, 2, ..., 2)`` tensor.
-
-    The workhorse for noisy terminal-measurement circuits (the Table I
-    / Figure 4 suites).  The only engine with a precision knob:
-    *dtype* complex64 (default) or complex128.
-    """
-
-    name = "batched"
-
-    def supports(
-        self,
-        circuit: QuantumCircuit,
-        noise_model: Optional[NoiseModel] = None,
-    ) -> bool:
-        return measures_are_terminal(circuit)
-
-    def run(
-        self,
-        circuit: QuantumCircuit,
-        shots: int,
-        *,
-        noise_model: Optional[NoiseModel] = None,
-        seed: Seed = None,
-        dtype=None,
-        fuse: str = "full",
-        chunk_size: Optional[int] = None,
-    ) -> Counts:
-        if wants_reduced_precision(dtype) and not measures_are_terminal(
-            circuit
-        ):
-            # the mid-circuit fallback is the per-shot complex128
-            # engine — honouring the request silently is a lie
-            raise ValueError(
-                "reduced precision needs terminal measurements; "
-                "mid-circuit measurement runs per-shot in complex128"
-            )
-        sim = BatchedTrajectorySimulator(
-            noise_model,
-            seed,
-            dtype=np.complex64 if dtype is None else np.dtype(dtype),
-            fuse=fuse,
-            chunk_size=chunk_size,
-        )
-        return sim.run(circuit, shots)
 
 
 @register_engine
@@ -202,13 +134,11 @@ class DensityEngine:
         *,
         noise_model: Optional[NoiseModel] = None,
         seed: Seed = None,
-        dtype=None,
         fuse: str = "full",
         chunk_size: Optional[int] = None,
     ) -> Counts:
         # chunk_size is inert: exact evolution has no trajectory
         # ensemble
-        _require_full_precision(self.name, dtype)
         return DensityMatrixSimulator(noise_model, fuse=fuse).run(
             circuit, shots, seed=seed
         )

@@ -22,7 +22,7 @@ lower_ops`), so a weakly-noisy circuit still gets 1q-run merging,
 
 The result is a :class:`NoisePlan`: a flat step stream (span / channel
 / measure) plus a random-site numbering that assigns every stochastic
-decision in the plan a fixed index.  The batched executor
+decision in the plan a fixed index.  The trajectory ensemble
 (:func:`repro.simulator.noisy.run_noise_plan`) spawns one seed per
 site, which is what makes its output independent of the chunk size.
 Plans are cached by ``structural hash x noise fingerprint x fusion``
@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..noise.model import NoiseModel
 from ..simulator.kernels import matrix_is_identity
+from ..simulator.noisy import ENSEMBLE_DTYPE
 from ..simulator.trajectory import measures_are_terminal
 from .plan import (
     FUSION_LEVELS,
@@ -244,8 +245,8 @@ class NoisePlan:
     number every stochastic decision ``0..num_sites-1`` in program
     order; the executor derives one independent seed stream per site.
 
-    Immutable once built; the per-dtype compiled span streams are
-    lazily built under a lock, like :class:`ExecutionPlan`.
+    Immutable once built; the compiled span stream is lazily built
+    under a lock, like :class:`ExecutionPlan`.
     """
 
     def __init__(
@@ -272,7 +273,7 @@ class NoisePlan:
         self.num_sites = num_sites
         self.source_gates = source_gates
         self.trace_seconds = trace_seconds
-        self._compiled: Dict[np.dtype, List[Tuple]] = {}
+        self._compiled: Optional[List[Tuple]] = None
         self._lock = threading.Lock()
 
     @property
@@ -283,29 +284,28 @@ class NoisePlan:
     def num_spans(self) -> int:
         return sum(1 for step in self.steps if step[0] == "span")
 
-    def compiled_steps(self, dtype) -> List[Tuple]:
-        """The step stream with spans lowered to layout-bound op lists.
+    def compiled_steps(self) -> List[Tuple]:
+        """The step stream with spans lowered to layout-bound op lists
+        of :data:`~repro.simulator.noisy.ENSEMBLE_DTYPE` amplitudes.
 
-        Cached per dtype; channel and measure steps pass through
-        unchanged (their matrices are cast inside the batch kernels,
-        which memoize nothing state-dependent).  Span op routes are
-        chosen by matrix structure only — never by batch size — so
-        counts stay bit-identical across chunk widths.
+        Channel and measure steps pass through unchanged (their
+        matrices are cast inside the batch kernels, which memoize
+        nothing state-dependent).  Span op routes are chosen by matrix
+        structure only — never by batch size — so counts stay
+        bit-identical across chunk widths.
         """
-        dtype = np.dtype(dtype)
-        cached = self._compiled.get(dtype)
-        if cached is not None:
-            return cached
-        compiled: List[Tuple] = []
-        for step in self.steps:
-            if step[0] == "span":
-                compiled.append(
-                    ("span", _compile_span(step[1], dtype, self.num_qubits))
-                )
-            else:
-                compiled.append(step)
+        if self._compiled is not None:
+            return self._compiled
+        compiled = [
+            ("span", _compile_span(step[1], ENSEMBLE_DTYPE, self.num_qubits))
+            if step[0] == "span"
+            else step
+            for step in self.steps
+        ]
         with self._lock:
-            return self._compiled.setdefault(dtype, compiled)
+            if self._compiled is None:
+                self._compiled = compiled
+            return self._compiled
 
     def __repr__(self) -> str:
         return (
@@ -326,7 +326,7 @@ def build_noise_plan(
     dropped from the spans but their channels are kept (a model may
     bind errors to ``id``).  A trivial (or absent) model produces a
     plan whose steps are pure spans — the executor then degenerates to
-    the noiseless batched evolution.
+    a noiseless ensemble evolution.
     """
     if fusion not in FUSION_LEVELS:
         raise ValueError(

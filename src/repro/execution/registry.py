@@ -1,7 +1,8 @@
 """Engine protocol and registry for the unified execution layer.
 
-Engines are registered under a short name ("statevector", "batched",
-...) and looked up either explicitly (``run(..., method="batched")``)
+Engines are registered under a short name ("statevector",
+"trajectory", ...) and looked up either explicitly
+(``run(..., method="density")``)
 or by the auto-dispatcher in :mod:`repro.execution.api`.  Third-party
 engines (GPU, stabilizer, MPS) plug in through :func:`register_engine`
 without touching any caller — the backend-dispatch idiom, applied to
@@ -34,7 +35,7 @@ class SimulationEngine(Protocol):
     ``supports`` is a cheap static check used by auto-dispatch and by
     callers probing capabilities; ``run`` may still raise
     :class:`ValueError` for requests outside the engine's contract
-    (e.g. a reduced-precision *dtype* on an exact engine).
+    (e.g. a noise model on a noiseless engine).
     """
 
     name: str
@@ -54,7 +55,6 @@ class SimulationEngine(Protocol):
         *,
         noise_model: Optional[NoiseModel] = None,
         seed: Optional[Union[int, np.random.Generator]] = None,
-        dtype: Optional[np.dtype] = None,
     ) -> Counts:
         """Execute *circuit* for *shots* and return the histogram."""
         ...

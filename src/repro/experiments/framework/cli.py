@@ -96,7 +96,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--chunk-size", type=int, default=None,
-        help="shots per tensor chunk in the batched ensemble "
+        help="shots per tensor chunk in the trajectory ensemble "
         "(results are chunk-size independent)",
     )
     parser.add_argument(

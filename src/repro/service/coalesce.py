@@ -38,8 +38,8 @@ def execute_simulate_batch(
     """Worker-side entry point for one coalesced simulate group.
 
     All entries are guaranteed compatible by the scheduler (equal
-    circuit structural hash, noiseless, full precision, terminal
-    measurements), so the first request's circuit stands in for all.
+    circuit structural hash, noiseless, terminal measurements), so the
+    first request's circuit stands in for all.
     """
     from ..simulator.trajectory import (
         sample_terminal_counts,

@@ -87,15 +87,9 @@ def handle_simulate(params: Dict[str, Any]) -> Dict[str, Any]:
     noise_model = (
         simulate_noise_model(circuit) if params.get("noisy") else None
     )
-    precision = params.get("precision")
-    dtype = {
-        None: None,
-        "single": np.complex64,
-        "double": np.complex128,
-    }[precision]
     method = params.get("method", "auto")
     engine = (
-        select_engine(circuit, noise_model=noise_model, dtype=dtype)
+        select_engine(circuit, noise_model=noise_model)
         if method == "auto"
         else method
     )
@@ -106,7 +100,6 @@ def handle_simulate(params: Dict[str, Any]) -> Dict[str, Any]:
         noise_model=noise_model,
         method=engine,  # already resolved; skip a second auto-dispatch
         seed=params.get("seed"),
-        dtype=dtype,
         chunk_size=None if chunk_size is None else int(chunk_size),
     )
     return {

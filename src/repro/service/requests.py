@@ -16,8 +16,8 @@ Each request knows three things about itself:
   (:mod:`repro._hashing`).  Requests that draw unseeded randomness
   (``seed=None`` on simulate/protect/evaluate) are never cached;
 * ``coalesce_key()`` — the compatibility class for request batching,
-  or ``None``.  Only noiseless, full-precision, terminal-measurement
-  simulations coalesce: those share one statevector evolution and then
+  or ``None``.  Only noiseless, terminal-measurement simulations
+  coalesce: those share one statevector evolution and then
   sample per-request, which is bit-identical to running each alone.
 """
 
@@ -46,7 +46,6 @@ __all__ = [
     "simulate_noise_model",
 ]
 
-_PRECISIONS = (None, "single", "double")
 _COUPLINGS = ("valencia", "line", "ring", "full")
 _FINGERPRINT_SIZE = 16  # bytes; 32 hex chars
 
@@ -134,7 +133,6 @@ class SimulateRequest(ServiceRequest):
     seed: Optional[int] = None
     noisy: bool = False
     method: str = "auto"
-    precision: Optional[str] = None  # None | "single" | "double"
     chunk_size: Optional[int] = None
     _prepared: Optional[QuantumCircuit] = field(
         default=None, repr=False, compare=False
@@ -145,11 +143,6 @@ class SimulateRequest(ServiceRequest):
             raise ValueError("simulate request needs a 'qasm' circuit")
         if self.shots <= 0:
             raise ValueError("shots must be positive")
-        if self.precision not in _PRECISIONS:
-            raise ValueError(
-                f"unknown precision {self.precision!r}; "
-                "expected 'single', 'double' or null"
-            )
         if self.chunk_size is not None and int(self.chunk_size) <= 0:
             raise ValueError("chunk_size must be positive")
         circuit = self._circuit()  # malformed QASM fails at submit
@@ -189,7 +182,6 @@ class SimulateRequest(ServiceRequest):
                 "seed": self.seed,
                 "noisy": self.noisy,
                 "method": self.method,
-                "precision": self.precision,
                 # chunk_size is deliberately absent: counts are
                 # chunk-size independent, so requests differing only
                 # in chunking share a cache entry
@@ -199,8 +191,6 @@ class SimulateRequest(ServiceRequest):
     def coalesce_key(self) -> Optional[Tuple]:
         if self.noisy or self.method not in ("auto", "statevector"):
             return None
-        if self.precision == "single":
-            return None  # reduced precision runs on the batched engine
         if not measures_are_terminal(self._circuit()):
             return None  # needs per-shot collapse
         return ("simulate", self.circuit_hash())

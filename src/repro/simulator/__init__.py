@@ -6,7 +6,6 @@ dispatching entry point :func:`repro.execution.run` rather than
 instantiating engines directly.
 """
 
-from .batched import BatchedTrajectorySimulator, run_counts_batched
 from .counts import Counts, counts_from_outcomes, remap_bits
 from .kernels import (
     apply_matrix_batch,
@@ -36,8 +35,6 @@ from .unitary import (
 )
 
 __all__ = [
-    "BatchedTrajectorySimulator",
-    "run_counts_batched",
     "Statevector",
     "format_bitstring",
     "bitstring_to_index",

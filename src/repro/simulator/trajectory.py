@@ -4,10 +4,11 @@ For noiseless circuits with only terminal measurements, a single
 statevector evolution plus multinomial sampling is used (fast path,
 identical statistics).  With a :class:`~repro.noise.model.NoiseModel`
 attached, or with mid-circuit measurement, every shot follows its own
-trajectory through the noise-bound plan executor
-(:mod:`repro.simulator.noisy`): after each gate the bound Kraus
-channels are sampled, measurements collapse the state, and readout
-errors flip the recorded classical bits.
+trajectory through the trajectory ensemble
+(:mod:`repro.simulator.noisy`), which evolves the shots in chunked
+tensors: after each gate the bound Kraus channels are sampled,
+measurements collapse the state, and readout errors flip the recorded
+classical bits.
 
 This mirrors how Qiskit Aer's statevector method executes the paper's
 ``FakeValencia`` experiments.
@@ -154,19 +155,15 @@ class TrajectorySimulator:
         noise_plan = get_noise_plan(circuit, self.noise_model, self.fuse)
         entropy = int(self._rng.integers(0, 2 ** 63))
         return run_noise_plan(
-            noise_plan,
-            shots,
-            entropy=entropy,
-            dtype=np.complex128,
-            chunk_size=self.chunk_size,
+            noise_plan, shots, entropy=entropy, chunk_size=self.chunk_size
         )
 
 
 def measures_are_terminal(circuit: QuantumCircuit) -> bool:
     """True when no gate follows a measurement on any qubit.
 
-    The execution layer's dispatch rule: terminal-measure circuits can
-    be sampled from one final state (statevector / batched engines);
+    The execution layer's dispatch rule: noiseless terminal-measure
+    circuits can be sampled from one final state (statevector engine);
     mid-circuit measurement forces per-shot collapse.
     """
     measured = set()

@@ -1,6 +1,7 @@
 """Tests for QASM I/O, random circuit generation and the drawer."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -100,6 +101,11 @@ class TestQasmReader:
             from_qasm(
                 "OPENQASM 2.0; qreg q[1]; rz(__import__) q[0];"
             )
+        # a ~370M-digit integer if evaluated exactly: must fail fast
+        started = time.perf_counter()
+        with pytest.raises(QasmError):
+            from_qasm("OPENQASM 2.0; qreg q[1]; rz(9**9**9) q[0];")
+        assert time.perf_counter() - started < 0.5
 
 
 class TestRandomCircuits:

@@ -2,7 +2,7 @@
 
 Paper circuits are compiled to the Valencia-like device, so every
 physical gate carries the backend's thermal-relaxation + depolarizing
-channel and every qubit its readout error.  The batched ensemble
+channel and every qubit its readout error.  The trajectory ensemble
 (default noisy dispatch) must reproduce the exact distribution that
 ``method="density"`` samples from, at every fusion level, within shot
 noise.
@@ -56,8 +56,10 @@ def _device_circuit(name):
 
 
 @pytest.mark.parametrize("fusion", FUSION_LEVELS)
-@pytest.mark.parametrize("name", ["4gt13", "one_bit_adder"])
-def test_batched_matches_density(name, fusion):
+@pytest.mark.parametrize(
+    "name", ["4gt13", "one_bit_adder", "ham3", "graycode6", "4mod5"]
+)
+def test_trajectory_matches_density(name, fusion):
     circuit, model = _device_circuit(name)
     # u1 is a zero-duration virtual Z: the device model binds no error
     assert all(

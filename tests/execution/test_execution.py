@@ -1,6 +1,5 @@
 """The unified execution layer: registry, dispatch, cross-engine agreement."""
 
-import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit, random_circuit
@@ -13,9 +12,12 @@ from repro.execution import (
     unregister_engine,
 )
 from repro.metrics import tvd
-from repro.noise import depolarizing, fake_valencia
+from repro.core.pipeline import TetrisLockPipeline
+from repro.noise import depolarizing, fake_valencia, valencia_like_backend
 from repro.noise.model import NoiseModel
+from repro.revlib import benchmark_circuit
 from repro.simulator import DensityMatrixSimulator
+from repro.transpiler import transpile
 
 
 def _terminal_circuit():
@@ -38,12 +40,7 @@ def _noise():
 
 class TestRegistry:
     def test_builtin_engines_present(self):
-        assert set(available_engines()) >= {
-            "statevector",
-            "trajectory",
-            "batched",
-            "density",
-        }
+        assert available_engines() == ("density", "statevector", "trajectory")
 
     def test_get_engine_unknown_name(self):
         with pytest.raises(KeyError, match="unknown engine"):
@@ -56,8 +53,7 @@ class TestRegistry:
             def supports(self, circuit, noise_model=None):
                 return True
 
-            def run(self, circuit, shots, *, noise_model=None,
-                    seed=None, dtype=None):
+            def run(self, circuit, shots, *, noise_model=None, seed=None):
                 from repro.simulator import Counts
 
                 return Counts({"0" * circuit.num_qubits: shots},
@@ -74,7 +70,7 @@ class TestRegistry:
 
     def test_duplicate_registration_raises(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_engine(get_engine("batched"), name="batched")
+            register_engine(get_engine("trajectory"), name="trajectory")
 
     def test_register_requires_name(self):
         class Nameless:
@@ -94,10 +90,10 @@ class TestDispatch:
             == "statevector"
         )
 
-    def test_noisy_terminal_uses_batched(self):
+    def test_noisy_terminal_uses_trajectory(self):
         assert (
             select_engine(_terminal_circuit(), noise_model=_noise())
-            == "batched"
+            == "trajectory"
         )
 
     def test_mid_circuit_uses_trajectory(self):
@@ -105,18 +101,6 @@ class TestDispatch:
         assert (
             select_engine(_mid_circuit(), noise_model=_noise())
             == "trajectory"
-        )
-
-    def test_reduced_precision_steers_to_batched(self):
-        assert (
-            select_engine(_terminal_circuit(), dtype=np.complex64)
-            == "batched"
-        )
-
-    def test_full_precision_keeps_statevector(self):
-        assert (
-            select_engine(_terminal_circuit(), dtype=np.complex128)
-            == "statevector"
         )
 
     def test_density_never_auto_selected_but_explicit(self):
@@ -138,30 +122,6 @@ class TestDispatch:
         engine = get_engine("statevector")
         with pytest.raises(ValueError, match="terminal"):
             engine.run(_mid_circuit(), 10)
-
-    def test_exact_engines_reject_reduced_precision(self):
-        for name in ("statevector", "trajectory", "density"):
-            with pytest.raises(ValueError, match="complex128"):
-                run(
-                    _terminal_circuit(), 10,
-                    method=name, dtype=np.complex64,
-                )
-
-    def test_mid_circuit_reduced_precision_is_rejected_loudly(self):
-        """No engine can honour complex64 with mid-circuit measurement
-        — dispatch must refuse rather than silently upcast."""
-        with pytest.raises(ValueError, match="mid-circuit"):
-            run(_mid_circuit(), 10, dtype=np.complex64)
-        with pytest.raises(ValueError, match="mid-circuit"):
-            run(_mid_circuit(), 10, method="batched", dtype=np.complex64)
-
-    def test_batched_honours_dtype(self):
-        counts = run(
-            _terminal_circuit(), 500,
-            method="batched", seed=1, dtype=np.complex128,
-        )
-        assert set(counts) <= {"00", "11"}
-        assert counts.shots == 500
 
 
 class TestCrossEngineAgreement:
@@ -185,7 +145,7 @@ class TestCrossEngineAgreement:
         )
         reference = self._exact_reference(circuit)
         circuit = circuit.measure_all()
-        for method in ("statevector", "trajectory", "batched", "density"):
+        for method in ("statevector", "trajectory", "density"):
             counts = run(
                 circuit, self.SHOTS, method=method, seed=42
             )
@@ -199,7 +159,7 @@ class TestCrossEngineAgreement:
         )
         reference = self._exact_reference(circuit, noise)
         circuit = circuit.measure_all()
-        for method in ("trajectory", "batched", "density"):
+        for method in ("trajectory", "density"):
             counts = run(
                 circuit, self.SHOTS, method=method,
                 noise_model=noise, seed=7,
@@ -221,8 +181,58 @@ class TestCrossEngineAgreement:
         reference = run(
             circuit, 8000, method="density", noise_model=noise, seed=0
         )
-        batched = run(
-            circuit, 8000, method="batched", noise_model=noise, seed=1
+        ensemble = run(
+            circuit, 8000, method="trajectory", noise_model=noise, seed=1
         )
         assert tvd(reference.probabilities(),
-                   batched.probabilities()) < 0.04
+                   ensemble.probabilities()) < 0.04
+
+
+class TestRegressionPins:
+    """Seeded counts of the default noisy paths, pinned bit for bit:
+    a change that moves them changes what every noisy caller gets."""
+
+    def test_device_circuit_counts(self):
+        circuit = benchmark_circuit("4gt13")
+        backend = valencia_like_backend(circuit.num_qubits)
+        compiled = transpile(circuit, backend=backend).circuit.copy()
+        compiled.num_clbits = max(compiled.num_clbits, compiled.num_qubits)
+        for qubit in range(compiled.num_qubits):
+            compiled.measure(qubit, qubit)
+        counts = run(
+            compiled, 1000, noise_model=backend.noise_model(), seed=7
+        )
+        assert dict(counts) == {
+            "0000": 40, "0001": 16, "0010": 21, "0100": 3, "0101": 5,
+            "0110": 1, "1000": 31, "1010": 842, "1011": 24, "1110": 17,
+        }
+
+    def test_pipeline_counts(self):
+        result = TetrisLockPipeline(shots=200, seed=3).evaluate(
+            benchmark_circuit("4gt13")
+        )
+        assert dict(result.counts_original) == {
+            "0000": 7, "0001": 1, "0010": 3, "0100": 4, "1000": 7,
+            "1100": 170, "1101": 3, "1110": 5,
+        }
+        assert dict(result.counts_obfuscated) == {
+            "0001": 4, "0011": 1, "0100": 1, "0101": 6, "0111": 4,
+            "1000": 5, "1001": 174, "1011": 2, "1101": 3,
+        }
+        assert dict(result.counts_restored) == {
+            "0000": 8, "0010": 7, "0100": 2, "1000": 4, "1100": 173,
+            "1101": 2, "1110": 3, "1111": 1,
+        }
+
+    def test_mid_circuit_counts(self):
+        circuit = QuantumCircuit(3, 3)
+        circuit.u3(1.1, 0.3, 0.2, 0).cx(0, 1).measure(0, 0)
+        circuit.u3(0.7, 0.1, 0.4, 0).cx(0, 2).cx(1, 2)
+        circuit.measure(0, 1).measure(2, 2)
+        model = valencia_like_backend(3).noise_model()
+        assert select_engine(circuit, noise_model=model) == "trajectory"
+        counts = run(circuit, 1000, noise_model=model, seed=7)
+        assert dict(counts) == {
+            "000": 635, "001": 15, "010": 13, "011": 228, "100": 12,
+            "101": 25, "110": 64, "111": 8,
+        }

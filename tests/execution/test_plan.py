@@ -32,9 +32,9 @@ from repro.noise import depolarizing
 from repro.noise.model import NoiseModel
 from repro.revlib import benchmark_circuit
 from repro.simulator import DensityMatrixSimulator, Statevector
-from repro.simulator.batched import BatchedTrajectorySimulator
 from repro.simulator.kernels import matrix_is_identity
 from repro.simulator.trajectory import (
+    TrajectorySimulator,
     sample_terminal_counts,
     terminal_distribution,
 )
@@ -162,29 +162,23 @@ class TestFusedAgreement:
             assert np.array_equal(fused, reference)
         np.testing.assert_allclose(fused, reference, atol=1e-12)
 
-    @pytest.mark.parametrize("fusion", FUSIONS)
-    def test_batched_noiseless_counts(self, fusion):
-        qc = _mixed_circuit()
-        reference = ref.batched_counts(qc, 600, seed=9)
-        fused = BatchedTrajectorySimulator(seed=9, fuse=fusion).run(qc, 600)
-        assert dict(fused) == dict(reference)
-
     def test_mixed_circuit_all_engines_through_run(self):
         # fused levels sample the same counts as the unfused stream,
         # which the tests above pin to the reference loops
         qc = _mixed_circuit()
-        for method in ("statevector", "batched", "trajectory", "density"):
+        for method in ("statevector", "trajectory", "density"):
             reference = run(qc, 500, method=method, seed=13, fuse="none")
             for fusion in FUSIONS:
                 fused = run(qc, 500, method=method, seed=13, fuse=fusion)
                 assert dict(fused) == dict(reference), (method, fusion)
 
     def test_large_batch_gemm_route(self):
-        # force the GEMM fast paths (batch.size >= 2^16)
-        qc = _random(6, 40, seed=7)
-        sim = BatchedTrajectorySimulator(seed=21, fuse="none")
-        reference = ref.batched_counts(qc, 2048, seed=21)
-        assert dict(sim.run(qc, 2048)) == dict(reference)
+        # force the GEMM fast paths: the unitary's 256 basis states
+        # make a (256, 2, ..., 2) batch of 2^16 amplitudes
+        qc = _random(8, 40, seed=7)
+        assert np.array_equal(
+            circuit_unitary(qc, fuse="none"), ref.circuit_unitary(qc)
+        )
 
 
 class TestNoisyAnchoring:
@@ -193,11 +187,9 @@ class TestNoisyAnchoring:
     def test_batched_noisy_bit_identical(self):
         qc = _mixed_circuit()
         model = _noise()
-        b = BatchedTrajectorySimulator(model, seed=5, fuse="none").run(qc, 400)
+        b = TrajectorySimulator(model, seed=5, fuse="none").run(qc, 400)
         for fusion in FUSIONS:
-            a = BatchedTrajectorySimulator(model, seed=5, fuse=fusion).run(
-                qc, 400
-            )
+            a = TrajectorySimulator(model, seed=5, fuse=fusion).run(qc, 400)
             assert dict(a) == dict(b)
 
     def test_density_noisy_bit_identical(self):
@@ -294,8 +286,8 @@ class TestPlanCache:
         qc = _mixed_circuit()
         run(qc, 100, method="statevector", seed=0)
         before = cache.stats().misses
-        run(qc, 100, method="batched", seed=0)
         run(qc, 100, method="trajectory", seed=0)
+        run(qc, 100, method="density", seed=0)
         after = cache.stats()
         assert after.misses == before  # zero re-traces on cache hits
         assert after.hits >= 2
@@ -346,8 +338,7 @@ class TestApiKnobs:
             def supports(self, circuit, noise_model=None):
                 return True
 
-            def run(self, circuit, shots, *, noise_model=None,
-                    seed=None, dtype=None):
+            def run(self, circuit, shots, *, noise_model=None, seed=None):
                 from repro.simulator.counts import Counts
 
                 return Counts({"0": shots}, shots=shots)

@@ -7,7 +7,7 @@ Two kinds of reference live here, outside the package:
   (``tests/execution/test_plan.py``);
 * :class:`PerShotSampler` — one statevector per shot, every noise
   channel sampled after its gate, measurements collapsing the state.
-  It is the statistical oracle for the batched trajectory ensemble
+  It is the statistical oracle for the trajectory ensemble
   (``tests/simulator/test_trajectory_batched.py``).
 """
 
@@ -16,7 +16,6 @@ from collections import Counter
 import numpy as np
 
 from repro.simulator import (
-    BatchedTrajectorySimulator,
     Counts,
     DensityMatrix,
     Statevector,
@@ -80,20 +79,6 @@ def evolve_density(circuit, noise_model=None):
             for bound in noise_model.errors_for(inst):
                 rho.apply_channel(bound.channel, bound.resolve(inst))
     return rho
-
-
-def batched_counts(circuit, shots, seed, dtype=np.complex64):
-    """Noiseless batched-engine counts with the gates applied one by one.
-
-    Sampling reuses :class:`BatchedTrajectorySimulator`'s own sampler,
-    so only the evolution differs from a default engine run.
-    """
-    sim = BatchedTrajectorySimulator(seed=seed, dtype=dtype)
-    n = circuit.num_qubits
-    batch = np.zeros((shots,) + (2,) * n, dtype=dtype)
-    batch[(slice(None),) + (0,) * n] = 1.0
-    outcomes = sim._sample_outcomes(evolve_batch(circuit, batch), n)
-    return sim._histogram(outcomes, _measured(circuit), circuit, n, shots)
 
 
 class PerShotSampler:

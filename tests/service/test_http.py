@@ -94,12 +94,15 @@ class TestErrors:
         assert err.value.status == 400
 
     def test_incompatible_method_is_400(self, http_client):
-        with pytest.raises(ServiceError) as err:
-            http_client.submit(
-                "simulate",
-                {"qasm": BELL_QASM, "method": "statevector", "noisy": True},
-            )
-        assert err.value.status == 400
+        refused = [
+            {"method": "statevector", "noisy": True},
+            {"method": "batched", "noisy": True},  # retired engine
+            {"precision": "single"},  # retired parameter
+        ]
+        for extra in refused:
+            with pytest.raises(ServiceError) as err:
+                http_client.submit("simulate", {"qasm": BELL_QASM, **extra})
+            assert err.value.status == 400, extra
 
     def test_unknown_job_is_404(self, http_client):
         with pytest.raises(ServiceError) as err:

@@ -21,8 +21,10 @@ class TestWireParsing:
             request_from_wire("frobnicate", {})
 
     def test_unknown_param_rejected(self):
-        with pytest.raises(ValueError, match="unknown parameter"):
-            request_from_wire("simulate", {"qasm": BELL_QASM, "nope": 1})
+        # "precision" is a retired simulate parameter
+        for key in ("nope", "precision"):
+            with pytest.raises(ValueError, match=f"unknown parameter.*{key}"):
+                request_from_wire("simulate", {"qasm": BELL_QASM, key: 1})
 
     def test_private_field_not_injectable(self):
         with pytest.raises(ValueError, match="unknown parameter"):
@@ -61,10 +63,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="shots"):
             SimulateRequest(qasm=BELL_QASM, shots=0)
 
-    def test_simulate_rejects_bad_precision(self):
-        with pytest.raises(ValueError, match="precision"):
-            SimulateRequest(qasm=BELL_QASM, precision="half")
-
     def test_simulate_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method 'nope'"):
             SimulateRequest(qasm=BELL_QASM, method="nope")
@@ -75,18 +73,25 @@ class TestValidation:
             ("statevector", BELL_QASM, True),
             ("statevector", MID_MEASURE_QASM, False),
             ("batched", MID_MEASURE_QASM, True),
+            ("batched", BELL_QASM, True),
             ("density", MID_MEASURE_QASM, False),
         ],
     )
     def test_simulate_rejects_incompatible_method(self, method, qasm, noisy):
-        with pytest.raises(ValueError, match=f"method '{method}' cannot run"):
+        # "batched" is a retired engine name: refused as unknown
+        reason = (
+            f"unknown method '{method}'"
+            if method == "batched"
+            else f"method '{method}' cannot run"
+        )
+        with pytest.raises(ValueError, match=reason):
             SimulateRequest(qasm=qasm, method=method, noisy=noisy)
 
     @pytest.mark.parametrize(
         "method,qasm,noisy",
         [
             ("statevector", BELL_QASM, False),
-            ("batched", BELL_QASM, True),
+            ("trajectory", BELL_QASM, True),
             ("density", BELL_QASM, True),
             ("trajectory", MID_MEASURE_QASM, True),
         ],
@@ -148,7 +153,7 @@ class TestFingerprints:
             {"shots": 11},
             {"noisy": True},
             {"method": "trajectory"},
-            {"precision": "double"},
+            {"method": "density"},
         ],
     )
     def test_any_param_change_changes_fingerprint(self, override):
@@ -179,10 +184,6 @@ class TestCoalesceKeys:
         assert SimulateRequest(qasm=BELL_QASM, noisy=True).coalesce_key() \
             is None
 
-    def test_single_precision_not_coalescable(self):
-        request = SimulateRequest(qasm=BELL_QASM, precision="single")
-        assert request.coalesce_key() is None
-
     def test_forced_engine_not_coalescable(self):
         request = SimulateRequest(qasm=BELL_QASM, method="trajectory")
         assert request.coalesce_key() is None
@@ -190,8 +191,3 @@ class TestCoalesceKeys:
     def test_mid_circuit_measurement_not_coalescable(self):
         request = SimulateRequest(qasm=MID_MEASURE_QASM)
         assert request.coalesce_key() is None
-
-    def test_double_precision_coalesces_with_default(self):
-        a = SimulateRequest(qasm=BELL_QASM)
-        b = SimulateRequest(qasm=BELL_QASM, precision="double")
-        assert a.coalesce_key() == b.coalesce_key()

@@ -63,7 +63,7 @@ class TestSubmitAndResult:
         model = valencia_like_backend(circuit.num_qubits).noise_model()
         direct = execute(circuit, 60, noise_model=model, seed=11)
         assert payload["counts"] == direct.to_dict()
-        assert payload["engine"] == "batched"
+        assert payload["engine"] == "trajectory"
 
     def test_protect_matches_library_call(self, service, bench_qasm):
         client = ServiceClient(service)
@@ -222,19 +222,10 @@ class TestLifecycleGuards:
 
     def test_failed_job_raises_service_error(self, service):
         client = ServiceClient(service)
-        # the statevector engine computes in complex128 only -> the
-        # handler raises inside the worker and the job fails cleanly
-        from service_qasm import BELL_QASM
-
-        job = client.submit(
-            "simulate",
-            {
-                "qasm": BELL_QASM,
-                "method": "statevector",
-                "precision": "single",
-                "seed": 1,
-            },
-        )
+        # internal kinds skip submit-time validation, so the bad value
+        # reaches the handler, which raises inside the worker and the
+        # job fails cleanly
+        job = client.submit("_sleep", {"seconds": "forever"})
         with pytest.raises(ServiceError, match="failed"):
             client.result(job, timeout=60)
         assert service.status(job)["state"] == "failed"

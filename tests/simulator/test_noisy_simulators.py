@@ -1,4 +1,4 @@
-"""Cross-validation of trajectory, batched and density-matrix engines."""
+"""Cross-validation of the trajectory and density-matrix engines."""
 
 import numpy as np
 import pytest
@@ -13,13 +13,11 @@ from repro.noise import (
     fake_valencia,
 )
 from repro.simulator import (
-    BatchedTrajectorySimulator,
     DensityMatrix,
     DensityMatrixSimulator,
     Statevector,
     TrajectorySimulator,
     run_counts,
-    run_counts_batched,
 )
 
 
@@ -47,11 +45,6 @@ class TestNoiselessPaths:
         b = run_counts(bell_circuit(), shots=500, seed=7)
         assert a == b
 
-    def test_batched_matches_per_shot_noiseless(self):
-        a = run_counts(bell_circuit(), shots=4000, seed=3)
-        b = run_counts_batched(bell_circuit(), shots=4000, seed=4)
-        assert tvd(a.probabilities(), b.probabilities()) < 0.05
-
     def test_invalid_shots(self):
         with pytest.raises(ValueError):
             run_counts(bell_circuit(), shots=0)
@@ -65,13 +58,6 @@ class TestMidCircuitMeasurement:
         counts = TrajectorySimulator(seed=5).run(qc, shots=300)
         assert set(counts) <= {"0", "1"}
 
-    def test_batched_falls_back(self):
-        qc = QuantumCircuit(1, 1)
-        qc.h(0).measure(0, 0)
-        qc.x(0)
-        counts = BatchedTrajectorySimulator(seed=5).run(qc, shots=300)
-        assert sum(counts.values()) == 300
-
 
 class TestAgainstDensityMatrix:
     def _exact_vs_sampled(self, noise_model, shots=20000, seed=11):
@@ -79,7 +65,7 @@ class TestAgainstDensityMatrix:
         exact = DensityMatrixSimulator(noise_model).output_distribution(
             circuit
         )
-        sampled = run_counts_batched(
+        sampled = run_counts(
             bell_circuit(), shots=shots, noise_model=noise_model, seed=seed
         )
         sampled_probs = {
@@ -127,14 +113,14 @@ class TestReadoutErrors:
         model = NoiseModel().add_readout_error(ReadoutError(0.3, 0.0), 0)
         qc = QuantumCircuit(1, 1)
         qc.measure(0, 0)
-        counts = run_counts_batched(qc, shots=5000, noise_model=model, seed=1)
+        counts = run_counts(qc, shots=5000, noise_model=model, seed=1)
         assert counts.fraction("1") == pytest.approx(0.3, abs=0.03)
 
     def test_readout_asymmetry(self):
         model = NoiseModel().add_readout_error(ReadoutError(0.0, 0.4), 0)
         qc = QuantumCircuit(1, 1)
         qc.x(0).measure(0, 0)
-        counts = run_counts_batched(qc, shots=5000, noise_model=model, seed=2)
+        counts = run_counts(qc, shots=5000, noise_model=model, seed=2)
         assert counts.fraction("0") == pytest.approx(0.4, abs=0.03)
 
 

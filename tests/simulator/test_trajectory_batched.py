@@ -1,11 +1,12 @@
-"""Batched trajectory ensembles vs the per-shot reference sampler.
+"""The trajectory ensemble (all shots in chunked tensors) vs the
+per-shot reference sampler.
 
 The contract under test (see ``repro/simulator/noisy.py``):
 
 * the per-shot oracle (``tests/reference_sim.py``) is pinned at fixed
   seeds — the hard-coded dicts below were captured on the per-shot
   engine the package used to ship, so the oracle is that algorithm;
-* the batched ensemble is statistically equivalent to the oracle for
+* the ensemble is statistically equivalent to the oracle for
   every channel family (single-operator, mixed-unitary, general Kraus,
   readout, mid-circuit measures);
 * counts are independent of the chunk size for a fixed seed —

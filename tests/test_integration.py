@@ -15,7 +15,7 @@ from repro.revlib import benchmark_circuit, parse_real, write_real
 from repro.simulator import (
     circuit_unitary,
     equal_up_to_global_phase,
-    run_counts_batched,
+    run_counts,
 )
 from repro.synth import simulate_reversible
 from repro.transpiler import routed_equivalent, transpile
@@ -57,7 +57,7 @@ class TestCompileAndSimulateFlows:
         measured.num_clbits = circuit.num_qubits
         for v in range(circuit.num_qubits):
             measured.measure(result.final_layout.physical(v), v)
-        counts = run_counts_batched(measured, shots=300, seed=2)
+        counts = run_counts(measured, shots=300, seed=2)
         expected = format(
             simulate_reversible(circuit)(0), f"0{circuit.num_qubits}b"
         )
@@ -77,7 +77,7 @@ class TestCompileAndSimulateFlows:
         plain_measured.num_clbits = circuit.num_qubits
         for v in range(circuit.num_qubits):
             plain_measured.measure(plain.final_layout.physical(v), v)
-        plain_counts = run_counts_batched(
+        plain_counts = run_counts(
             plain_measured, shots=1500, noise_model=noise, seed=3
         )
 
@@ -86,7 +86,7 @@ class TestCompileAndSimulateFlows:
             backend, obfuscator=TetrisLockObfuscator(seed=4), seed=4
         )
         compiled = flow.run(circuit)
-        protected_counts = run_counts_batched(
+        protected_counts = run_counts(
             compiled.measured_circuit(), shots=1500,
             noise_model=noise, seed=5,
         )
