@@ -3,7 +3,7 @@
 Quantifies the design choice DESIGN.md calls out: TetrisLock's
 empty-slot pair insertion has *zero* depth overhead on every RevLib
 benchmark, while the random-block insertion baseline (Das & Ghosh)
-always pays depth.  Full table: ``python -m repro.experiments.ablation_insertion``.
+always pays depth.  Full table: ``repro experiment run ablation_insertion``.
 """
 
 from repro.experiments import run_ablation

@@ -21,11 +21,12 @@ from repro.attacks import (
     SearchOptions,
     find_mismatched_split,
     get_attack,
+    problem_from_saki,
     problem_from_split,
+    subset_matching_count,
 )
 from repro.baselines import saki_split
 from repro.core import (
-    BruteForceCollusionAttack,
     insert_random_pairs,
     interlocking_split,
     saki_attack_complexity,
@@ -56,16 +57,14 @@ def test_bench_bruteforce_straight_split(benchmark):
 
     def attack_once():
         split = saki_split(circuit, seed=1)
-        attack = BruteForceCollusionAttack(
-            split.segment1, split.segment2
+        return get_attack("same-width").search(
+            problem_from_saki(split),
+            SearchOptions(prefilter=False, record_all=True),
         )
-        return attack.run(circuit)
 
-    results, matches = benchmark.pedantic(
-        attack_once, rounds=1, iterations=1
-    )
-    assert len(results) == math.factorial(4)
-    assert matches >= 1  # prior-work split falls to brute force
+    outcome = benchmark.pedantic(attack_once, rounds=1, iterations=1)
+    assert outcome.candidates_tried == math.factorial(4)
+    assert outcome.matches >= 1  # prior-work split falls to brute force
 
 
 def test_bench_bruteforce_cost_interlocking(benchmark):
@@ -76,10 +75,7 @@ def test_bench_bruteforce_cost_interlocking(benchmark):
         best = 0
         for seed in range(10):
             split = interlocking_split(insertion, seed=seed)
-            attack = BruteForceCollusionAttack(
-                split.segment1.compact, split.segment2.compact
-            )
-            best = max(best, attack.candidate_count())
+            best = max(best, subset_matching_count(*split.qubit_counts))
         return best
 
     space = benchmark.pedantic(candidate_space, rounds=1, iterations=1)

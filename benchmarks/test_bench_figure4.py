@@ -5,25 +5,21 @@ pair and asserts the figure's shape: obfuscated TVD is large (the
 random circuit corrupts the function; near 1 for the bigger rd
 circuits), restored TVD is small (only hardware noise remains).
 
-Full-scale series: ``python -m repro.experiments.figure4``.
+Full-scale series: ``repro experiment run figure4``.
 """
 
 import pytest
 
-from repro.experiments.runner import run_benchmark
-from repro.revlib import load_benchmark
+from repro.experiments import generate_table1
 
 _SMALL = ["4gt13", "one_bit_adder", "4mod5"]
 _LARGE = ["rd53"]
 
 
 def _tvd_pair(name: str, iterations: int, shots: int):
-    aggregate = run_benchmark(
-        load_benchmark(name),
-        iterations=iterations,
-        shots=shots,
-        seed=9,
-    )
+    aggregate = generate_table1(
+        iterations=iterations, shots=shots, seed=9, benchmarks=[name]
+    )[name]
     obfuscated = aggregate.tvd_obfuscated_values
     restored = aggregate.tvd_restored_values
     return obfuscated, restored

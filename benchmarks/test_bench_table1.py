@@ -10,7 +10,7 @@ paper's structural claims for that row:
 * restored accuracy within a few points of the original.
 
 Full-scale numbers (20 iterations x 1000 shots) are produced by
-``python -m repro.experiments.table1``; the benches use 1 iteration at
+``repro experiment run table1``; the benches use 1 iteration at
 reduced shots so the suite stays fast.  EXPERIMENTS.md records the
 full-scale outputs.
 """

@@ -5,7 +5,7 @@ runs (Table I / Figure 4) re-compile identical circuits every
 iteration, so a cache keyed on circuit structure + device + layout pin
 + schedule turns the repeated compiles into lookups.  The benches pin
 the per-compile speedup; ``test_cached_suite_pass_faster`` shows it
-end-to-end: a second ``run_suite`` pass over paper benchmarks (warm
+end-to-end: a second ``generate_table1`` pass over paper benchmarks (warm
 cache) beats the first (cold cache) while producing bit-identical
 aggregates.
 
@@ -17,19 +17,15 @@ minimum-over-trials, which is robust to machine noise; set
 import os
 import time
 
-from repro.experiments.runner import run_suite
+from repro.experiments import generate_table1
 from repro.noise import valencia_like_backend
-from repro.revlib.benchmarks import benchmark_circuit, paper_suite
+from repro.revlib.benchmarks import benchmark_circuit
 from repro.transpiler import get_transpile_cache, transpile
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 _SUITE_NAMES = ("rd53", "4gt11") if _SMOKE else ("rd53", "4gt11", "mini_alu")
 _TRIALS = 2 if _SMOKE else 3
 _ITERATIONS = 2 if _SMOKE else 3
-
-
-def _suite_records():
-    return [r for r in paper_suite() if r.name in _SUITE_NAMES]
 
 
 def test_bench_transpile_uncached(benchmark):
@@ -89,11 +85,12 @@ def test_cached_suite_pass_faster():
     hit.  Minimum CPU time over a few trials keeps the comparison
     stable; the aggregates must not change at all.
     """
-    records = _suite_records()
-    kwargs = dict(iterations=_ITERATIONS, shots=8, seed=11, jobs=1)
+    kwargs = dict(
+        iterations=_ITERATIONS, shots=8, seed=11, benchmarks=_SUITE_NAMES
+    )
     cache = get_transpile_cache()
 
-    run_suite(records, **kwargs)  # one warmup pass (imports, pools)
+    generate_table1(**kwargs)  # one warmup pass (imports, pools)
 
     cold_best = warm_best = float("inf")
     cold_results = warm_results = None
@@ -103,11 +100,11 @@ def test_cached_suite_pass_faster():
     for trial in range(_TRIALS + 3):
         cache.clear()
         start = time.process_time()
-        cold_results = run_suite(records, **kwargs)
+        cold_results = generate_table1(**kwargs)
         cold_best = min(cold_best, time.process_time() - start)
 
         start = time.process_time()
-        warm_results = run_suite(records, **kwargs)
+        warm_results = generate_table1(**kwargs)
         warm_best = min(warm_best, time.process_time() - start)
         if trial + 1 >= _TRIALS and warm_best < cold_best:
             break
@@ -130,26 +127,26 @@ def test_cached_suite_pass_faster():
 
 def test_bench_suite_pass_cold(benchmark):
     """End-to-end suite pass with a cold cache each round."""
-    records = _suite_records()[:1]
-
     def cold_pass():
         get_transpile_cache().clear()
-        return run_suite(records, iterations=2, shots=8, seed=11)
+        return generate_table1(
+            iterations=2, shots=8, seed=11, benchmarks=_SUITE_NAMES[:1]
+        )
 
     results = benchmark(cold_pass)
-    assert set(results) == {records[0].name}
+    assert set(results) == {_SUITE_NAMES[0]}
 
 
 def test_bench_suite_pass_warm(benchmark):
     """End-to-end suite pass against a fully warmed cache."""
-    records = _suite_records()[:1]
-    get_transpile_cache().clear()
-    run_suite(records, iterations=2, shots=8, seed=11)
-
-    results = benchmark(
-        run_suite, records, iterations=2, shots=8, seed=11
+    kwargs = dict(
+        iterations=2, shots=8, seed=11, benchmarks=_SUITE_NAMES[:1]
     )
-    assert set(results) == {records[0].name}
+    get_transpile_cache().clear()
+    generate_table1(**kwargs)
+
+    results = benchmark(generate_table1, **kwargs)
+    assert set(results) == {_SUITE_NAMES[0]}
 
 
 def test_pass_timings_cover_schedule():

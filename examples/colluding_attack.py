@@ -5,7 +5,8 @@ Reproduces the security argument of the paper's Sec. IV-C:
 
 * against a *straight* cascading split (Saki et al., ICCAD'21), two
   colluding compilers enumerate all n! qubit matchings and recover the
-  original circuit — we run that attack and watch it succeed;
+  original circuit — we run that same-width attack (repro.attacks)
+  and watch it succeed;
 * against TetrisLock's interlocking split the segments expose
   different qubit counts and hold half of every random pair, so the
   candidate space explodes (Eq. 1) and even a correct matching of the
@@ -19,7 +20,6 @@ Run:  python examples/colluding_attack.py
 import math
 
 from repro import (
-    BruteForceCollusionAttack,
     insert_random_pairs,
     interlocking_split,
     saki_attack_complexity,
@@ -29,7 +29,9 @@ from repro.attacks import (
     SearchOptions,
     find_mismatched_split,
     get_attack,
+    problem_from_saki,
     problem_from_split,
+    subset_matching_count,
 )
 from repro.baselines import saki_split
 from repro.revlib import benchmark_circuit
@@ -40,11 +42,14 @@ def attack_straight_split(name: str) -> None:
     print(f"=== Straight split of {name} (prior work) ===")
     circuit = benchmark_circuit(name)
     split = saki_split(circuit, seed=1)
-    attack = BruteForceCollusionAttack(split.segment1, split.segment2)
-    results, matches = attack.run(circuit)
-    print(f"candidates tried: {len(results)} "
+    outcome = get_attack("same-width").search(
+        problem_from_saki(split), SearchOptions(prefilter=False)
+    )
+    print(f"candidates tried: {outcome.candidates_tried} "
           f"(= {circuit.num_qubits}! qubit matchings)")
-    print(f"functional matches found: {matches} -> attack SUCCEEDS\n")
+    verdict = "SUCCEEDS" if outcome.success else "fails"
+    print(f"functional matches found: {outcome.matches} "
+          f"-> attack {verdict}\n")
 
 
 def attack_interlocking_split(name: str) -> None:
@@ -58,11 +63,8 @@ def attack_interlocking_split(name: str) -> None:
     print(f"segment qubit counts: {n1} vs {n2} "
           f"(mismatched: {split.mismatched_qubits})")
 
-    attack = BruteForceCollusionAttack(
-        split.segment1.compact, split.segment2.compact
-    )
     print(f"qubit-matching candidates for this pair alone: "
-          f"{attack.candidate_count()} "
+          f"{subset_matching_count(n1, n2)} "
           f"(straight split: {math.factorial(circuit.num_qubits)})")
 
     # actually run Eq. 1's subset-matching search on this pair: the

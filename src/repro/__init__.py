@@ -68,7 +68,6 @@ from .execution import (
     select_engine,
 )
 from .core import (
-    BruteForceCollusionAttack,
     EvaluationResult,
     SplitCompilationFlow,
     SplitResult,
@@ -99,7 +98,6 @@ __all__ = [
     "SplitCompilationFlow",
     "saki_attack_complexity",
     "tetrislock_attack_complexity",
-    "BruteForceCollusionAttack",
     "available_attacks",
     "get_attack",
     "register_attack",

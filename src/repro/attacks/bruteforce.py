@@ -2,9 +2,7 @@
 
 * :class:`SameWidthBruteForce` — the Saki-scenario adversary: both
   segments expose the same qubit count, the attacker tries every
-  bijection (``n!`` candidates).  Bit-identical in candidate order and
-  per-candidate verdicts to the legacy
-  :class:`repro.core.attack.BruteForceCollusionAttack`.
+  bijection (``n!`` candidates), in ``itertools.permutations`` order.
 * :class:`MismatchedWidthBruteForce` — the adversary TetrisLock's
   interlocking boundary actually faces (Eq. 1): segments may expose
   different qubit counts and not every qubit crosses the cut, so the

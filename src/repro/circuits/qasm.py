@@ -11,7 +11,7 @@ import ast
 import math
 import operator
 import re
-from typing import List, Optional
+from typing import Dict, List, Tuple
 
 from .circuit import QuantumCircuit
 from .gates import Barrier, MCXGate, Measure, UnitaryGate, gate_from_name
@@ -136,20 +136,27 @@ def _eval_node(node: ast.AST, text: str) -> float:
     raise QasmError(f"unsupported parameter expression: {text!r}")
 
 
+# register name -> (offset into the flat register, size)
+_Registers = Dict[str, Tuple[int, int]]
+
+
 def from_qasm(text: str) -> QuantumCircuit:
     """Parse an OpenQASM 2.0 program into a :class:`QuantumCircuit`.
 
-    Supports a single quantum and a single classical register, the
-    qelib1 gates registered in :data:`repro.circuits.gates.GATE_REGISTRY`,
-    measure and barrier statements.
+    Supports any number of quantum and classical registers, the qelib1
+    gates registered in :data:`repro.circuits.gates.GATE_REGISTRY`,
+    measure and barrier statements.  Registers are laid out flat in
+    declaration order: with ``qreg a[2]; qreg b[2];``, ``b[0]`` is
+    qubit 2.  Every operand must name a declared register and an index
+    inside it, else :class:`QasmError` is raised; broadcast operands
+    (a register without an index) are not supported.
     """
     # strip comments and normalise whitespace
     body = re.sub(r"//[^\n]*", "", text)
     statements = [s.strip() for s in body.split(";") if s.strip()]
 
-    circuit: Optional[QuantumCircuit] = None
-    num_qubits = 0
-    num_clbits = 0
+    qregs: _Registers = {}
+    cregs: _Registers = {}
     pending: List[str] = []
 
     for stmt in statements:
@@ -158,33 +165,67 @@ def from_qasm(text: str) -> QuantumCircuit:
             continue
         match = _QREG_RE.match(stmt)
         if match:
-            num_qubits += int(match.group(2))
+            _declare(qregs, cregs, match.group(1), int(match.group(2)))
             continue
         match = _CREG_RE.match(stmt)
         if match:
-            num_clbits += int(match.group(2))
+            _declare(cregs, qregs, match.group(1), int(match.group(2)))
             continue
         pending.append(stmt)
 
+    num_qubits = sum(size for _, size in qregs.values())
     if num_qubits == 0:
         raise QasmError("program declares no qubits")
-    circuit = QuantumCircuit(num_qubits, num_clbits)
+    circuit = QuantumCircuit(
+        num_qubits, sum(size for _, size in cregs.values())
+    )
 
     for stmt in pending:
-        _parse_statement(stmt, circuit)
+        _parse_statement(stmt, circuit, qregs, cregs)
     return circuit
 
 
-def _parse_statement(stmt: str, circuit: QuantumCircuit) -> None:
+def _declare(
+    table: _Registers, other: _Registers, name: str, size: int
+) -> None:
+    if name in table or name in other:
+        raise QasmError(f"register {name!r} declared twice")
+    offset = sum(width for _, width in table.values())
+    table[name] = (offset, size)
+
+
+def _resolve(registers: _Registers, name: str, index: str) -> int:
+    """Flat bit index of operand ``name[index]``."""
+    try:
+        offset, size = registers[name]
+    except KeyError:
+        raise QasmError(f"undeclared register {name!r}") from None
+    if int(index) >= size:
+        raise QasmError(
+            f"index {name}[{index}] out of range for a register of "
+            f"size {size}"
+        )
+    return offset + int(index)
+
+
+def _parse_statement(
+    stmt: str, circuit: QuantumCircuit, qregs: _Registers, cregs: _Registers
+) -> None:
     match = _MEASURE_RE.match(stmt)
     if match:
-        circuit.measure(int(match.group(2)), int(match.group(4)))
+        qreg, qubit, creg, clbit = match.groups()
+        circuit.measure(
+            _resolve(qregs, qreg, qubit), _resolve(cregs, creg, clbit)
+        )
         return
     match = _GATE_RE.match(stmt)
     if not match:
         raise QasmError(f"cannot parse statement: {stmt!r}")
     name, param_text, operand_text = match.groups()
-    qubits = [int(m.group(2)) for m in _OPERAND_RE.finditer(operand_text)]
+    qubits = [
+        _resolve(qregs, *m.groups())
+        for m in _OPERAND_RE.finditer(operand_text)
+    ]
     if name == "barrier":
         circuit.append(Barrier(len(qubits)), qubits)
         return

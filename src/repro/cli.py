@@ -42,10 +42,10 @@ design before sending it to third-party compilers:
   experiment grid with persistent JSONL checkpoints under
   ``results/``, exact resume after an interruption, ``--shard i/n``
   splitting for multi-machine runs, and uniform ``--jobs`` /
-  ``--split-jobs`` / ``--no-transpile-cache`` knobs.
-* ``table1`` / ``figure4`` / ``attack-complexity`` — shortcut to the
-  experiment harnesses (extra flags such as ``--jobs`` pass straight
-  through).
+  ``--split-jobs`` / ``--no-transpile-cache`` knobs.  It is the one
+  way to run the paper's experiments: ``repro experiment run table1``
+  (or ``figure4``, ``attack_complexity``, ...); ``repro experiment
+  list`` shows every spec and its parameters.
 """
 
 from __future__ import annotations
@@ -828,7 +828,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="declarative experiment framework: list|run|resume|report "
         "(checkpointed, resumable, shardable grids)",
     )
-    experiment.set_defaults(func=None, harness=None)
+    experiment.set_defaults(func=None, forward="experiment")
 
     lint = sub.add_parser(
         "lint",
@@ -836,38 +836,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="determinism linter over library code "
         "(flags pass through to python -m repro.lint)",
     )
-    lint.set_defaults(func=None, harness=None, forward="lint")
+    lint.set_defaults(func=None, forward="lint")
 
-    for name, module in [
-        ("table1", "table1"),
-        ("figure4", "figure4"),
-        ("attack-complexity", "attack_complexity"),
-    ]:
-        shortcut = sub.add_parser(
-            name, add_help=False,
-            help=f"run the {name} experiment harness "
-            "(flags pass through, e.g. --jobs N)"
-        )
-        shortcut.set_defaults(func=None, harness=module)
-
-    # parse_known_args forwards harness flags (--jobs, --iterations,
-    # ...) to the experiment's own parser instead of rejecting them
+    # parse_known_args forwards the experiment and lint flags to their
+    # own parsers instead of rejecting them
     args, extra = parser.parse_known_args(argv)
-    if getattr(args, "func", None) is None:
-        if getattr(args, "forward", None) == "lint":
+    if args.func is None:
+        if args.forward == "lint":
             from .lint.cli import main as lint_main
 
             return lint_main(extra)
-        if args.harness is None:
-            from .experiments.framework.cli import main as experiment_main
+        from .experiments.framework.cli import main as experiment_main
 
-            return experiment_main(extra)
-        import importlib
-
-        harness = importlib.import_module(
-            f"repro.experiments.{args.harness}"
-        )
-        return harness.main(extra)
+        return experiment_main(extra)
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     return args.func(args)

@@ -6,8 +6,6 @@ analysis (Eq. 1) and the end-to-end evaluation pipeline.
 """
 
 from .attack import (
-    BruteForceCollusionAttack,
-    MatchingResult,
     complexity_ratio,
     saki_attack_complexity,
     tetrislock_attack_complexity,
@@ -55,6 +53,4 @@ __all__ = [
     "saki_attack_complexity",
     "tetrislock_attack_complexity",
     "complexity_ratio",
-    "BruteForceCollusionAttack",
-    "MatchingResult",
 ]

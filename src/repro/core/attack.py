@@ -1,4 +1,4 @@
-"""Attack-complexity analysis and a concrete collusion attack.
+"""Attack-complexity analysis (paper Sec. IV-C, Eq. 1).
 
 Sec. IV-C of the paper compares the qubit-matching search space a pair
 of colluding compilers faces:
@@ -19,44 +19,23 @@ of colluding compilers faces:
          \\binom{n}{j} \\binom{i}{j} \\; j!
 
 Everything uses exact integer arithmetic (these numbers overflow
-floats quickly).  :class:`BruteForceCollusionAttack` additionally
-*executes* the Saki-style attack on small circuits: enumerate all qubit
-matchings between two segments, recombine, and count functional
-matches — the experiment behind the paper's claim that same-width
-splits are brute-forceable on NISQ-sized devices.
+floats quickly).
 
-This module is the *counting* side of Sec. IV-C plus the legacy
-same-width executor.  The full adversary subsystem — the registry, the
-mismatched-width Eq. 1 search, prefilters and parallel streaming —
-lives in :mod:`repro.attacks`.
+This module is the *counting* side of Sec. IV-C.  The executed
+attacks — the same-width ``n!`` search that breaks a straight split,
+the mismatched-width Eq. 1 search, prefilters and parallel streaming —
+live in :mod:`repro.attacks`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import permutations
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
-
-from ..circuits.circuit import QuantumCircuit
-from ..simulator.unitary import circuit_unitary, equal_up_to_global_phase
-from ..synth.truthtable import simulate_reversible
+from typing import Callable, Sequence, Union
 
 __all__ = [
     "saki_attack_complexity",
     "tetrislock_attack_complexity",
     "complexity_ratio",
-    "MatchingResult",
-    "BruteForceCollusionAttack",
 ]
 
 
@@ -123,163 +102,3 @@ def complexity_ratio(n: int, nmax: int, k: int = 1) -> float:
     if saki == 0:
         return float("inf")
     return ours / saki
-
-
-# ---------------------------------------------------------------------------
-# concrete brute-force attack
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MatchingResult:
-    """Outcome of one candidate qubit matching."""
-
-    mapping: Dict[int, int]  # segment-2 qubit -> segment-1 qubit
-    functional_match: bool
-
-
-class BruteForceCollusionAttack:
-    """Exhaustive qubit-matching attack on a pair of split segments.
-
-    Models the Saki-scenario adversary: two colluding compilers hold
-    ``segment1`` and ``segment2`` (compact forms, as submitted) and try
-    every bijection between the segments' qubits, checking each
-    recombined candidate against an oracle for the original function.
-
-    The oracle in our evaluation is generous to the attacker — exact
-    functional equivalence with the true original — so the reported
-    success statistics *upper-bound* a real attacker who lacks it.
-    """
-
-    def __init__(
-        self,
-        segment1: QuantumCircuit,
-        segment2: QuantumCircuit,
-        max_candidates: int = 500_000,
-    ) -> None:
-        self.segment1 = segment1
-        self.segment2 = segment2
-        self.max_candidates = max_candidates
-
-    # ------------------------------------------------------------------
-    def candidate_count(self) -> int:
-        """Size of the attacker's search space for this pair."""
-        n1, n2 = self.segment1.num_qubits, self.segment2.num_qubits
-        if n1 == n2:
-            return math.factorial(n1)
-        # mismatched: choose which seg-2 qubits attach to which seg-1
-        # qubits (Eq. 1 inner sum for a single candidate segment)
-        total = 0
-        for j in range(0, min(n1, n2) + 1):
-            total += (
-                math.comb(n1, j) * math.comb(n2, j) * math.factorial(j)
-            )
-        return total
-
-    def iter_matchings(self) -> Iterator[Dict[int, int]]:
-        """Lazily yield bijections seg2-qubit -> seg1-qubit.
-
-        The ``n!``-sized mapping list is never materialised;
-        ``max_candidates`` is enforced during iteration, so even a
-        hand-rolled loop over this stream fails loudly instead of
-        silently over-searching.
-        """
-        n1, n2 = self.segment1.num_qubits, self.segment2.num_qubits
-        if n1 != n2:
-            raise ValueError(
-                "exhaustive enumeration implemented for equal widths; "
-                "use repro.attacks' 'mismatched' attack to search the "
-                "Eq. 1 space, or candidate_count() to size it"
-            )
-        for count, perm in enumerate(permutations(range(n1))):
-            if count >= self.max_candidates:
-                raise ValueError(
-                    f"{math.factorial(n1)} candidates exceed the cap "
-                    f"{self.max_candidates}"
-                )
-            yield {src: dst for src, dst in enumerate(perm)}
-
-    def enumerate_matchings(self) -> List[Dict[int, int]]:
-        """All bijections as an eager list (back-compat; prefer
-        :meth:`iter_matchings` — this materialises all ``n!`` dicts)."""
-        self._check_cap()
-        return list(self.iter_matchings())
-
-    def _check_cap(self) -> None:
-        n1 = self.segment1.num_qubits
-        if (
-            self.segment1.num_qubits == self.segment2.num_qubits
-            and math.factorial(n1) > self.max_candidates
-        ):
-            raise ValueError(
-                f"{math.factorial(n1)} candidates exceed the cap "
-                f"{self.max_candidates}"
-            )
-
-    def recombine(self, mapping: Dict[int, int]) -> QuantumCircuit:
-        """Candidate circuit: segment 1, then remapped segment 2."""
-        remapped = self.segment2.remap_qubits(
-            mapping, num_qubits=self.segment1.num_qubits
-        )
-        return self.segment1.compose(remapped)
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        original: QuantumCircuit,
-        use_truth_table: Optional[bool] = None,
-    ) -> Tuple[List[MatchingResult], int]:
-        """Try every matching; return per-candidate results and #matches.
-
-        *use_truth_table* forces the cheap reversible-function check;
-        by default it is used when every gate is classical-reversible,
-        falling back to unitary comparison otherwise.
-        """
-        n1, n2 = self.segment1.num_qubits, self.segment2.num_qubits
-        if max(n1, n2) > original.num_qubits:
-            # the padding branch below only ever widens candidates to
-            # the original register; a segment wider than the register
-            # can only produce a nonsense comparison
-            raise ValueError(
-                f"segments ({n1} and {n2} qubits) do not fit inside "
-                f"the {original.num_qubits}-qubit original register"
-            )
-        self._check_cap()
-        if use_truth_table is None:
-            use_truth_table = _is_reversible(
-                original
-            ) and _is_reversible(self.segment1) and _is_reversible(
-                self.segment2
-            )
-        reference_table = (
-            simulate_reversible(original) if use_truth_table else None
-        )
-        reference_unitary = (
-            None if use_truth_table else circuit_unitary(original)
-        )
-        results: List[MatchingResult] = []
-        matches = 0
-        for mapping in self.iter_matchings():
-            candidate = self.recombine(mapping)
-            if candidate.num_qubits != original.num_qubits:
-                padded = QuantumCircuit(original.num_qubits)
-                padded.extend(candidate.instructions)
-                candidate = padded
-            if use_truth_table:
-                ok = simulate_reversible(candidate) == reference_table
-            else:
-                ok = equal_up_to_global_phase(
-                    circuit_unitary(candidate), reference_unitary
-                )
-            results.append(MatchingResult(mapping, ok))
-            matches += int(ok)
-        return results, matches
-
-
-def _is_reversible(circuit: QuantumCircuit) -> bool:
-    allowed = {"x", "cx", "ccx"}
-    return all(
-        inst.name in allowed or inst.name.startswith("mcx")
-        for inst in circuit
-        if inst.is_gate
-    )

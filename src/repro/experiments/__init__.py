@@ -4,13 +4,14 @@ Every harness is a registered :mod:`repro.experiments.framework` spec
 — a declarative (parameter grid, per-cell task, aggregator, renderer)
 bundle executed by one shared grid runner with persistent JSONL
 checkpoints, ``--shard i/n`` splitting, process-pool parallelism and
-exact resume.  The classic module-level functions remain as thin
-wrappers.
+exact resume.  ``repro experiment run <name>`` runs any of them from
+the command line; the module-level ``generate_*``/``run_*`` functions
+are the library entry points over the same runner.
 
 * :mod:`repro.experiments.table1` — Table I (overhead + accuracy).
 * :mod:`repro.experiments.figure4` — Figure 4 (TVD distributions).
 * :mod:`repro.experiments.attack_complexity` — Eq. 1 comparison and
-  the concrete brute-force collusion attack.
+  a same-width brute-force demo on a straight split.
 * :mod:`repro.experiments.attack_bruteforce` — the executed collusion
   attack: real split pairs searched end to end by the registered
   adversary models of :mod:`repro.attacks`.
@@ -48,12 +49,10 @@ from .framework import (
     register,
     run_experiment,
 )
-from .runner import AggregateResult, run_benchmark, run_suite
+from .runner import AggregateResult
 from .table1 import generate_table1, render_table1
 
 __all__ = [
-    "run_suite",
-    "run_benchmark",
     "AggregateResult",
     "generate_table1",
     "render_table1",

@@ -18,15 +18,11 @@ RNG through every benchmark sequentially; per-cell seeding changes the
 drawn samples for a given root seed, but makes parallel, sharded and
 resumed runs bit-identical to the sequential one).
 
-Run as a script (thin wrapper over
-``repro experiment run ablation_insertion``)::
-
-    python -m repro.experiments.ablation_insertion
+Run with ``repro experiment run ablation_insertion``.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -37,8 +33,7 @@ from ..core.insertion import insert_random_pairs
 from ..revlib.benchmarks import load_benchmark, paper_suite
 from .framework import Cell, ExecOptions, ExperimentSpec, register, run_experiment
 
-__all__ = ["AblationRow", "run_ablation", "render_ablation", "main",
-           "ABLATION_SPEC"]
+__all__ = ["AblationRow", "run_ablation", "render_ablation", "ABLATION_SPEC"]
 
 
 @dataclass
@@ -192,29 +187,3 @@ def render_ablation(rows: List[AblationRow]) -> str:
             f"{'yes' if row.needs_trusted_compiler else 'no':>9}"
         )
     return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Insertion-strategy ablation",
-        epilog="thin wrapper over `repro experiment run "
-        "ablation_insertion` — use that for checkpointed runs",
-    )
-    parser.add_argument("--iterations", type=int, default=10)
-    parser.add_argument("--gates", type=int, default=4)
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel workers (deterministic for a fixed seed)",
-    )
-    args = parser.parse_args(argv)
-    rows = run_ablation(
-        iterations=args.iterations,
-        num_random_gates=args.gates,
-        jobs=args.jobs,
-    )
-    print(render_ablation(rows))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -16,17 +16,13 @@ measured ``search_space`` column is exactly the quantity Eq. 1 sums
 over candidate segments — run both harnesses on the same benchmark to
 see the counted space and the executed space agree.
 
-Run as a script (thin wrapper over
-``repro experiment run attack_bruteforce``)::
-
-    python -m repro.experiments.attack_bruteforce
+Run with ``repro experiment run attack_bruteforce``.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,12 +36,11 @@ from ..baselines.saki_split import saki_split
 from ..core.insertion import insert_random_pairs
 from ..core.split import interlocking_split
 from ..revlib.benchmarks import benchmark_circuit
-from .framework import Cell, ExecOptions, ExperimentSpec, register, run_experiment
+from .framework import Cell, ExecOptions, ExperimentSpec, register
 
 __all__ = [
     "ATTACK_BRUTEFORCE_SPEC",
     "AttackRow",
-    "main",
     "render_attack_bruteforce",
     "run_attack_cell",
 ]
@@ -230,25 +225,3 @@ ATTACK_BRUTEFORCE_SPEC = register(
         seeded=False,
     )
 )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Execute the brute-force collusion attack grid",
-        epilog="thin wrapper over `repro experiment run "
-        "attack_bruteforce` — use that for checkpointed runs",
-    )
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--no-prefilter", action="store_true")
-    args = parser.parse_args(argv)
-    report = run_experiment(
-        "attack_bruteforce",
-        {"prefilter": not args.no_prefilter},
-        jobs=args.jobs,
-    )
-    print(render_attack_bruteforce(report.result))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

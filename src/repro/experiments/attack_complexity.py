@@ -13,28 +13,21 @@ grid cell and the brute-force demo a final cell — all deterministic
 unseeded and any shard/resume/jobs combination is trivially
 bit-identical.
 
-Run as a script (thin wrapper over
-``repro experiment run attack_complexity``)::
-
-    python -m repro.experiments.attack_complexity
+Run with ``repro experiment run attack_complexity``.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..attacks import SearchOptions, get_attack, problem_from_saki
 from ..baselines.saki_split import saki_split
-from ..core.attack import (
-    BruteForceCollusionAttack,
-    saki_attack_complexity,
-    tetrislock_attack_complexity,
-)
+from ..core.attack import saki_attack_complexity, tetrislock_attack_complexity
 from ..revlib.benchmarks import benchmark_circuit
-from .framework import Cell, ExecOptions, ExperimentSpec, register, run_experiment
+from .framework import Cell, ExecOptions, ExperimentSpec, register
 
 __all__ = [
     "ComplexityRow",
@@ -42,7 +35,6 @@ __all__ = [
     "render_complexity_table",
     "demo_bruteforce_attack",
     "render_attack_report",
-    "main",
     "ATTACK_SPEC",
 ]
 
@@ -106,12 +98,14 @@ def demo_bruteforce_attack(
     The attack recovers the original function (matches >= 1): with
     same-width segments the adversary only needs n! trials.
     """
-    circuit = benchmark_circuit(benchmark)
-    split = saki_split(circuit, seed=seed)
-    attack = BruteForceCollusionAttack(split.segment1, split.segment2)
-    results, matches = attack.run(circuit)
+    split = saki_split(benchmark_circuit(benchmark), seed=seed)
+    outcome = get_attack("same-width").search(
+        problem_from_saki(split), SearchOptions(prefilter=False)
+    )
     return BruteForceDemo(
-        benchmark=benchmark, candidates=len(results), matches=matches
+        benchmark=benchmark,
+        candidates=outcome.candidates_tried,
+        matches=outcome.matches,
     )
 
 
@@ -209,20 +203,3 @@ def render_complexity_table(rows: List[ComplexityRow]) -> str:
             f"{row.tetrislock:>20.3e} {row.ratio:>12.1f}"
         )
     return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Attack-complexity comparison (Eq. 1)",
-        epilog="thin wrapper over `repro experiment run "
-        "attack_complexity` — use that for checkpointed runs",
-    )
-    parser.add_argument("--k", type=int, default=2)
-    args = parser.parse_args(argv)
-    report = run_experiment("attack_complexity", {"k": args.k})
-    print(render_attack_report(report.result))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -13,14 +13,11 @@ boxplot.  As a framework spec it shares Table I's cell grid and task —
 same (benchmark, iteration) cells, same seeding — with its own
 aggregator building the TVD series.
 
-Run as a script (thin wrapper over ``repro experiment run figure4``)::
-
-    python -m repro.experiments.figure4 [--iterations N] [--shots S]
+Run with ``repro experiment run figure4``.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -31,8 +28,7 @@ from .framework import ExperimentSpec, register, run_experiment
 from .runner import AggregateResult
 from .table1 import TABLE1_SPEC, aggregate_table, table_cells, table_task
 
-__all__ = ["TvdSeries", "generate_figure4", "render_figure4", "main",
-           "FIGURE4_SPEC"]
+__all__ = ["TvdSeries", "generate_figure4", "render_figure4", "FIGURE4_SPEC"]
 
 
 @dataclass
@@ -165,43 +161,3 @@ def render_figure4(figure: Dict[str, Dict[str, TvdSeries]]) -> str:
                 f"[{s.ascii_box(width)}] med={s.median:.3f}"
             )
     return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Regenerate Figure 4",
-        epilog="thin wrapper over `repro experiment run figure4` — use "
-        "that for checkpointed / resumable / sharded runs",
-    )
-    parser.add_argument("--iterations", type=int, default=20)
-    parser.add_argument("--shots", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=2025)
-    parser.add_argument("--benchmarks", nargs="*")
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel workers (deterministic for a fixed seed)",
-    )
-    parser.add_argument(
-        "--split-jobs", type=int, default=1,
-        help="pipelined split-compilation threads per iteration",
-    )
-    parser.add_argument(
-        "--no-transpile-cache", action="store_true",
-        help="recompile every iteration instead of reusing results",
-    )
-    args = parser.parse_args(argv)
-    figure = generate_figure4(
-        iterations=args.iterations,
-        shots=args.shots,
-        seed=args.seed,
-        benchmarks=args.benchmarks,
-        jobs=args.jobs,
-        split_jobs=args.split_jobs,
-        transpile_cache=not args.no_transpile_cache,
-    )
-    print(render_figure4(figure))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

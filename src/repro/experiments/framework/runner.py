@@ -6,8 +6,7 @@ Execution model
 ``make_cells(config)`` expands the spec's parameter grid into an
 ordered cell list.  Every cell gets an independent seed spawned
 positionally from the root seed — ``SeedSequence(seed).spawn(n)[i]``
-for cell *i* — exactly the scheme :func:`repro.experiments.runner.run_suite`
-introduced.  Because a cell's seed depends only on the root seed and
+for cell *i*.  Because a cell's seed depends only on the root seed and
 the cell's position in the full grid (never on which cells run, in
 what order, or on which machine), the following are all bit-identical
 for a fixed seed:

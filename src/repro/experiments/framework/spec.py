@@ -111,7 +111,8 @@ class ExperimentSpec:
         """Merge *overrides* into the spec defaults.
 
         Unknown keys are rejected so a typo'd parameter fails loudly
-        instead of silently running the default grid.
+        instead of silently running the default grid, and so is a
+        non-positive ``iterations``, which would aggregate empty cells.
         """
         config = dict(self.defaults)
         for key, value in (overrides or {}).items():
@@ -121,6 +122,10 @@ class ExperimentSpec:
                     f"{self.name!r} (known: {', '.join(sorted(config))})"
                 )
             config[key] = value
+        if "iterations" in config and int(config["iterations"]) <= 0:
+            raise ValueError(
+                f"iterations must be positive, got {config['iterations']!r}"
+            )
         return config
 
 

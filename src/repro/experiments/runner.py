@@ -1,28 +1,24 @@
-"""Shared experiment runner: iterate the pipeline over benchmarks.
+"""One Table I cell and the iteration average over a benchmark's cells.
 
-Every (benchmark, iteration) cell is an independent task seeded from
-its own :class:`numpy.random.SeedSequence` child, so a suite run is
-deterministic for a fixed seed **regardless of how many workers
-execute it** — ``run_suite(..., jobs=4)`` returns bit-identical
-aggregates to the sequential run.  Parallelism uses
-``concurrent.futures``; tasks are pure functions of
-``(record, shots, gate_limit, seed)``, which keeps them picklable for
-the process pool.
+:func:`_evaluate_record` runs one pipeline iteration as a pure function
+of ``(record, shots, gate_limit, seed)`` — the task behind the
+``table1`` and ``figure4`` framework specs, which spawn one
+:class:`numpy.random.SeedSequence` child per (benchmark, iteration)
+cell.  :class:`AggregateResult` averages a benchmark's cells into one
+Table I row and one set of Figure 4 series.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
 from ..core.pipeline import EvaluationResult, TetrisLockPipeline
-from ..revlib.benchmarks import BenchmarkRecord, paper_suite
+from ..revlib.benchmarks import BenchmarkRecord
 
-__all__ = ["AggregateResult", "run_suite", "run_benchmark"]
+__all__ = ["AggregateResult"]
 
 
 @dataclass
@@ -98,7 +94,7 @@ def _evaluate_record(
 ) -> EvaluationResult:
     """One pipeline iteration — a pure function of its arguments.
 
-    Module-level (not a closure) so the process pool can pickle it.
+    Module-level (not a closure) so process-pool workers can pickle it.
     """
     pipeline = TetrisLockPipeline(
         shots=shots,
@@ -113,107 +109,3 @@ def _evaluate_record(
         name=record.name,
         output_qubits=record.output_qubits,
     )
-
-
-def run_suite(
-    records: Optional[Sequence[BenchmarkRecord]] = None,
-    iterations: int = 20,
-    shots: int = 1000,
-    seed: Optional[int] = None,
-    gate_limit: int = 4,
-    jobs: int = 1,
-    split_jobs: int = 1,
-    transpile_cache: bool = True,
-    chunk_size: Optional[int] = None,
-) -> Dict[str, AggregateResult]:
-    """Run the pipeline over a benchmark suite (defaults to Table I).
-
-    *jobs* > 1 fans the (benchmark, iteration) grid out over a process
-    pool.  Per-task seeds come from ``SeedSequence(seed).spawn``, so
-    the aggregates are identical for any *jobs* value.
-
-    *split_jobs* > 1 additionally pipelines each iteration's split
-    compilation (segment 1 compiles on a worker thread while the
-    obfuscated-circuit simulation runs); *transpile_cache* toggles the
-    per-process transpile cache that lets repeated iterations over the
-    same benchmark skip recompilation.  Neither affects any result —
-    compilation is deterministic and RNG-free.
-
-    *chunk_size* caps the shots per tensor chunk of the noisy
-    trajectory ensemble (see :func:`repro.execution.run`).
-    """
-    if iterations <= 0:
-        raise ValueError("iterations must be positive")
-    if jobs <= 0:
-        raise ValueError("jobs must be positive")
-    if records is None:
-        records = paper_suite()
-    records = list(records)
-    # one independent seed per grid cell, derived only from the root
-    # seed and the cell's position — never from execution order
-    children = np.random.SeedSequence(seed).spawn(
-        len(records) * iterations
-    )
-    task_records = [r for r in records for _ in range(iterations)]
-    if jobs == 1 or len(task_records) <= 1:
-        evaluations = [
-            _evaluate_record(
-                r,
-                shots,
-                gate_limit,
-                s,
-                split_jobs,
-                transpile_cache,
-                chunk_size,
-            )
-            for r, s in zip(task_records, children)
-        ]
-    else:
-        workers = min(jobs, len(task_records))
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers
-        ) as pool:
-            evaluations = list(
-                pool.map(
-                    _evaluate_record,
-                    task_records,
-                    repeat(shots),
-                    repeat(gate_limit),
-                    children,
-                    repeat(split_jobs),
-                    repeat(transpile_cache),
-                    repeat(chunk_size),
-                )
-            )
-    results: Dict[str, AggregateResult] = {}
-    for index, record in enumerate(records):
-        results[record.name] = AggregateResult(
-            record.name,
-            evaluations[index * iterations : (index + 1) * iterations],
-        )
-    return results
-
-
-def run_benchmark(
-    record: BenchmarkRecord,
-    iterations: int = 20,
-    shots: int = 1000,
-    seed: Optional[int] = None,
-    gate_limit: int = 4,
-    jobs: int = 1,
-    split_jobs: int = 1,
-    transpile_cache: bool = True,
-    chunk_size: Optional[int] = None,
-) -> AggregateResult:
-    """Run the full pipeline *iterations* times on one benchmark."""
-    return run_suite(
-        [record],
-        iterations=iterations,
-        shots=shots,
-        seed=seed,
-        gate_limit=gate_limit,
-        jobs=jobs,
-        split_jobs=split_jobs,
-        transpile_cache=transpile_cache,
-        chunk_size=chunk_size,
-    )[record.name]

@@ -17,15 +17,11 @@ parallelise or resume without changing results — per-cell seeding
 changes the drawn samples for a given root seed, but makes every
 execution strategy bit-identical to the sequential run).
 
-Run as a script (thin wrapper over
-``repro experiment run sweep_gate_limit``)::
-
-    python -m repro.experiments.sweep_gate_limit
+Run with ``repro experiment run sweep_gate_limit``.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -37,8 +33,7 @@ from ..metrics.tvd import tvd_to_reference
 from ..revlib.benchmarks import load_benchmark, paper_suite
 from .framework import Cell, ExecOptions, ExperimentSpec, register, run_experiment
 
-__all__ = ["SweepPoint", "run_gate_limit_sweep", "render_sweep", "main",
-           "SWEEP_SPEC"]
+__all__ = ["SweepPoint", "run_gate_limit_sweep", "render_sweep", "SWEEP_SPEC"]
 
 
 @dataclass
@@ -177,29 +172,3 @@ def render_sweep(points: List[SweepPoint]) -> str:
             f"{point.mean_tvd_obfuscated:>9.3f}"
         )
     return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Obfuscation strength vs insertion budget",
-        epilog="thin wrapper over `repro experiment run "
-        "sweep_gate_limit` — use that for checkpointed runs",
-    )
-    parser.add_argument("--iterations", type=int, default=10)
-    parser.add_argument("--benchmarks", nargs="*")
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel workers (deterministic for a fixed seed)",
-    )
-    args = parser.parse_args(argv)
-    points = run_gate_limit_sweep(
-        benchmarks=args.benchmarks,
-        iterations=args.iterations,
-        jobs=args.jobs,
-    )
-    print(render_sweep(points))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -8,14 +8,12 @@ averages of 20 iterations at 1000 shots, exactly the procedure of
 Sec. V.
 
 The experiment is a registered :mod:`repro.experiments.framework`
-spec: one grid cell per (benchmark, iteration), seeded exactly like
-:func:`repro.experiments.runner.run_suite`, so checkpointed, resumed,
-sharded and parallel runs are all bit-identical to the historical
-sequential harness for a fixed seed.
+spec: one grid cell per (benchmark, iteration), each with its own
+positionally spawned seed, so checkpointed, resumed, sharded and
+parallel runs are all bit-identical to a sequential run for a fixed
+seed.
 
-Run as a script (thin wrapper over ``repro experiment run table1``)::
-
-    python -m repro.experiments.table1 [--iterations N] [--shots S]
+Run with ``repro experiment run table1``.
 
 Absolute accuracies depend on the noise calibration (ours is
 representative rather than the authors' 2021 snapshot — see DESIGN.md);
@@ -26,7 +24,6 @@ gates, and accuracy change below ~1–2%.
 
 from __future__ import annotations
 
-import argparse
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -36,7 +33,7 @@ from ..revlib.benchmarks import TABLE1_PAPER_VALUES, load_benchmark, paper_suite
 from .framework import Cell, ExecOptions, ExperimentSpec, register, run_experiment
 from .runner import AggregateResult, _evaluate_record
 
-__all__ = ["generate_table1", "render_table1", "main", "TABLE1_SPEC"]
+__all__ = ["generate_table1", "render_table1", "TABLE1_SPEC"]
 
 _COLUMNS = [
     ("Circuit", "name", "s"),
@@ -70,11 +67,12 @@ def _suite_names(config: Dict[str, Any]) -> List[str]:
 
 
 def table_cells(config: Dict[str, Any]) -> List[Cell]:
-    """(benchmark, iteration) grid in ``run_suite``'s historical order.
+    """(benchmark, iteration) grid, benchmark-major in suite order.
 
-    Benchmark-major, iteration-minor — the positional seed spawned for
-    cell *i* matches what ``run_suite`` hands that same evaluation, so
-    framework results are bit-identical to the legacy path.
+    The order decides which positional seed each evaluation gets, so
+    it is part of the results: a benchmark subset is always expanded
+    in :func:`~repro.revlib.benchmarks.paper_suite` order, whatever
+    order the caller listed it in.
     """
     return [
         Cell(f"{name}/{iteration}",
@@ -140,7 +138,7 @@ TABLE1_SPEC = register(
 
 
 # ---------------------------------------------------------------------------
-# back-compat wrappers
+# library entry points
 # ---------------------------------------------------------------------------
 
 def generate_table1(
@@ -199,45 +197,3 @@ def render_table1(
             )
             lines.append(ref)
     return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Regenerate Table I",
-        epilog="thin wrapper over `repro experiment run table1` — use "
-        "that for checkpointed / resumable / sharded runs",
-    )
-    parser.add_argument("--iterations", type=int, default=20)
-    parser.add_argument("--shots", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=2025)
-    parser.add_argument(
-        "--benchmarks", nargs="*", help="subset of benchmark names"
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel workers (deterministic for a fixed seed)",
-    )
-    parser.add_argument(
-        "--split-jobs", type=int, default=1,
-        help="pipelined split-compilation threads per iteration",
-    )
-    parser.add_argument(
-        "--no-transpile-cache", action="store_true",
-        help="recompile every iteration instead of reusing results",
-    )
-    args = parser.parse_args(argv)
-    results = generate_table1(
-        iterations=args.iterations,
-        shots=args.shots,
-        seed=args.seed,
-        benchmarks=args.benchmarks,
-        jobs=args.jobs,
-        split_jobs=args.split_jobs,
-        transpile_cache=not args.no_transpile_cache,
-    )
-    print(render_table1(results))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

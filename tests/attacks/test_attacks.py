@@ -31,13 +31,10 @@ from repro.attacks import (
 from repro.attacks.oracle import pad_table
 from repro.baselines import saki_split
 from repro.circuits import QuantumCircuit
-from repro.core import (
-    BruteForceCollusionAttack,
-    insert_random_pairs,
-    interlocking_split,
-)
+from repro.core import insert_random_pairs, interlocking_split
 from repro.revlib import benchmark_circuit
 from repro.synth import simulate_reversible
+from reference_attack import same_width_verdicts
 
 
 def mismatched_split(benchmark="4gt13", insertion_seed=3):
@@ -287,11 +284,6 @@ class TestMismatchedAttack:
         n1, n2 = problem.widths
         assert outcome.candidates_tried == attack.search_space(problem)
         assert outcome.candidates_tried == subset_matching_count(n1, n2)
-        # ... which is the legacy counting API's number too
-        legacy = BruteForceCollusionAttack(
-            problem.segment1, problem.segment2
-        )
-        assert outcome.candidates_tried == legacy.candidate_count()
 
     def test_oracle_reference_computes_original_function(self):
         """The generous oracle's frame is the original circuit
@@ -364,24 +356,61 @@ class TestMismatchedAttack:
         assert outcome.success
 
 
+# Saki splits the same-width attack is pinned on: (benchmark, split
+# seed) -> (candidates, indices of the matching candidates), captured
+# from the retired per-candidate executor.
+SAKI_VERDICT_PINS = {
+    ("4gt13", 1): (24, [0, 6]),
+    ("4gt13", 2): (24, [0, 6]),
+    ("4gt13", 3): (24, [0, 6]),
+    ("4mod5", 1): (120, [0, 2]),
+    ("4mod5", 2): (120, [0, 2, 24, 26]),
+    ("4mod5", 3): (120, [0, 2, 24, 26]),
+    ("one_bit_adder", 1): (24, [0]),
+    ("one_bit_adder", 2): (24, [0, 1]),
+    ("one_bit_adder", 3): (24, [0, 1]),
+    ("ham3", 1): (6, [0]),
+    ("ham3", 2): (6, [0]),
+    ("ham3", 3): (6, [0]),
+}
+
+
+def _same_width_search(benchmark, seed):
+    circuit = benchmark_circuit(benchmark)
+    split = saki_split(circuit, seed=seed)
+    outcome = get_attack("same-width").search(
+        problem_from_saki(split),
+        SearchOptions(prefilter=False, record_all=True),
+    )
+    return circuit, split, outcome
+
+
 class TestSameWidthAttack:
     def test_bit_identical_to_legacy_attack(self):
-        """The registered attack reproduces the legacy executor's
-        per-candidate verdicts in the same canonical order."""
-        circuit = benchmark_circuit("4gt13")
-        split = saki_split(circuit, seed=1)
-        legacy_results, legacy_matches = BruteForceCollusionAttack(
-            split.segment1, split.segment2
-        ).run(circuit)
-        outcome = get_attack("same-width").search(
-            problem_from_saki(split),
-            SearchOptions(prefilter=False, record_all=True),
-        )
-        assert outcome.matches == legacy_matches
-        assert outcome.candidates_tried == len(legacy_results)
-        for record, legacy in zip(outcome.results, legacy_results):
-            assert record.mapping_dict() == legacy.mapping
-            assert record.functional_match == legacy.functional_match
+        """The registered attack reproduces the plain permutation loop
+        of ``tests/reference_attack.py``: same candidate order, same
+        per-candidate verdicts, on every pinned Saki split."""
+        for benchmark, seed in SAKI_VERDICT_PINS:
+            circuit, split, outcome = _same_width_search(benchmark, seed)
+            reference = same_width_verdicts(
+                split.segment1, split.segment2, circuit
+            )
+            assert outcome.candidates_tried == len(reference)
+            assert outcome.matches == sum(ok for _, ok in reference)
+            assert [
+                (record.mapping_dict(), record.functional_match)
+                for record in outcome.results
+            ] == reference, (benchmark, seed)
+
+    def test_verdict_sequence_pinned(self):
+        for (benchmark, seed), (space, winners) in SAKI_VERDICT_PINS.items():
+            _, _, outcome = _same_width_search(benchmark, seed)
+            assert outcome.candidates_tried == space
+            assert [
+                record.index
+                for record in outcome.results
+                if record.functional_match
+            ] == winners, (benchmark, seed)
 
     def test_regression_pinned_counts(self):
         """Same-width results pinned: 4gt13 / saki seed 1 has exactly

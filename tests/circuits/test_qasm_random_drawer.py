@@ -96,6 +96,29 @@ class TestQasmReader:
         with pytest.raises(QasmError):
             from_qasm("OPENQASM 2.0; qreg q[1]; frob q[0];")
 
+    def test_registers_resolve_in_declaration_order(self):
+        qc = from_qasm(
+            "OPENQASM 2.0; qreg a[2]; qreg b[2]; creg m[1]; creg n[2]; "
+            "x b[0]; cx a[1],b[1]; measure b[1] -> n[1];"
+        )
+        assert (qc.num_qubits, qc.num_clbits) == (4, 3)
+        assert [(inst.name, inst.qubits, inst.clbits) for inst in qc] == [
+            ("x", (2,), ()),
+            ("cx", (1, 3), ()),
+            ("measure", (3,), (2,)),
+        ]
+
+    @pytest.mark.parametrize("program, message", [
+        ("qreg q[2]; x r[1];", "undeclared register 'r'"),
+        ("qreg q[2]; x q[5];", "out of range"),
+        ("qreg q[2]; creg c[1]; measure q[0] -> c[1];", "out of range"),
+        ("qreg q[2]; creg c[1]; measure q[0] -> d[0];", "undeclared"),
+        ("qreg q[2]; qreg q[1];", "declared twice"),
+    ])
+    def test_bad_register_operand_rejected(self, program, message):
+        with pytest.raises(QasmError, match=message):
+            from_qasm("OPENQASM 2.0; " + program)
+
     def test_malicious_parameter_rejected(self):
         with pytest.raises(QasmError):
             from_qasm(

@@ -4,9 +4,18 @@ import math
 
 import pytest
 
+from repro.attacks import (
+    CollusionProblem,
+    SearchOptions,
+    get_attack,
+    iter_same_width_matchings,
+    problem_from_saki,
+    problem_from_split,
+    same_width_matching_count,
+    subset_matching_count,
+)
 from repro.baselines import saki_split
 from repro.core import (
-    BruteForceCollusionAttack,
     insert_random_pairs,
     interlocking_split,
     saki_attack_complexity,
@@ -96,25 +105,31 @@ class TestEquation1:
 
 
 class TestBruteForceAttack:
+    """The executed side of Sec. IV-C, through the registered
+    same-width and mismatched adversaries of :mod:`repro.attacks`."""
+
     def test_straight_split_is_recoverable(self):
         """Saki-style same-width splits fall to n! enumeration."""
         circuit = benchmark_circuit("4gt13")
         split = saki_split(circuit, seed=1)
-        attack = BruteForceCollusionAttack(split.segment1, split.segment2)
-        results, matches = attack.run(circuit)
-        assert len(results) == math.factorial(4)
-        assert matches >= 1
+        outcome = get_attack("same-width").search(
+            problem_from_saki(split),
+            SearchOptions(prefilter=False, record_all=True),
+        )
+        assert outcome.candidates_tried == math.factorial(4)
+        assert outcome.matches >= 1
         # the identity matching must be among the winners
         identity = {q: q for q in range(4)}
         assert any(
-            r.mapping == identity and r.functional_match for r in results
+            r.mapping_dict() == identity and r.functional_match
+            for r in outcome.results
         )
 
     def test_candidate_count_same_width(self):
         circuit = benchmark_circuit("4gt13")
-        split = saki_split(circuit, seed=2)
-        attack = BruteForceCollusionAttack(split.segment1, split.segment2)
-        assert attack.candidate_count() == 24
+        problem = problem_from_saki(saki_split(circuit, seed=2))
+        assert get_attack("same-width").search_space(problem) == 24
+        assert same_width_matching_count(circuit.num_qubits) == 24
 
     def test_candidate_count_mismatched_matches_eq1_inner(self):
         """Interlocking splits expose the larger Eq. 1 inner space."""
@@ -127,66 +142,39 @@ class TestBruteForceAttack:
                 break
         else:
             pytest.skip("no mismatched split found")
-        attack = BruteForceCollusionAttack(
-            split.segment1.compact, split.segment2.compact
-        )
         n1, n2 = split.qubit_counts
         expected = sum(
             math.comb(n1, j) * math.comb(n2, j) * math.factorial(j)
             for j in range(min(n1, n2) + 1)
         )
-        assert attack.candidate_count() == expected
-        assert attack.candidate_count() > math.factorial(min(n1, n2))
+        space = get_attack("mismatched").search_space(
+            problem_from_split(split)
+        )
+        assert space == subset_matching_count(n1, n2) == expected
+        assert space > math.factorial(min(n1, n2))
 
     def test_mismatched_enumeration_rejected(self):
         a = benchmark_circuit("4gt13")  # 4 qubits
         b = benchmark_circuit("4mod5")  # 5 qubits
-        attack = BruteForceCollusionAttack(a, b)
-        with pytest.raises(ValueError):
-            attack.enumerate_matchings()
+        problem = CollusionProblem(a, b, b)
+        with pytest.raises(ValueError, match="equal segment widths"):
+            get_attack("same-width").search(problem)
 
     def test_candidate_cap_enforced(self):
         wide = benchmark_circuit("rd73")
-        attack = BruteForceCollusionAttack(wide, wide, max_candidates=100)
-        with pytest.raises(ValueError):
-            attack.enumerate_matchings()
+        problem = CollusionProblem(wide, wide, wide)
+        with pytest.raises(ValueError, match="exceed the cap"):
+            get_attack("same-width").search(
+                problem, SearchOptions(max_candidates=100)
+            )
 
     def test_iter_matchings_is_lazy(self):
-        """The n!-sized mapping list is no longer materialised: the
-        stream yields immediately even when the full space is huge."""
+        """The n!-sized mapping list is never materialised: the stream
+        yields immediately even when the full space is huge."""
         wide = benchmark_circuit("rd73")  # 10 qubits -> 10! bijections
-        attack = BruteForceCollusionAttack(wide, wide)
-        stream = attack.iter_matchings()
+        stream = iter_same_width_matchings(wide.num_qubits)
         first = next(stream)
-        assert first == {q: q for q in range(wide.num_qubits)}
-
-    def test_iter_matchings_enforces_cap_during_iteration(self):
-        circuit = benchmark_circuit("4gt13")
-        attack = BruteForceCollusionAttack(
-            circuit, circuit, max_candidates=5
-        )
-        stream = attack.iter_matchings()
-        yielded = []
-        with pytest.raises(ValueError, match="exceed the cap"):
-            for mapping in stream:
-                yielded.append(mapping)
-        assert len(yielded) == 5
-
-    def test_enumerate_matchings_still_eager_list(self):
-        circuit = benchmark_circuit("4gt13")
-        attack = BruteForceCollusionAttack(circuit, circuit)
-        matchings = attack.enumerate_matchings()
-        assert isinstance(matchings, list)
-        assert len(matchings) == math.factorial(4)
-
-    def test_run_rejects_segments_wider_than_original(self):
-        """The padding branch used to silently widen candidates; a
-        segment that cannot fit the register now fails loudly."""
-        original = benchmark_circuit("4gt13")  # 4 qubits
-        wide = benchmark_circuit("4mod5")  # 5 qubits
-        attack = BruteForceCollusionAttack(wide, wide)
-        with pytest.raises(ValueError, match="do not fit"):
-            attack.run(original)
+        assert first.mapping_dict() == {q: q for q in range(wide.num_qubits)}
 
     def test_interlocked_rc_hides_function_from_seg2(self):
         """Even knowing the matching, segment 2 alone (holding R but

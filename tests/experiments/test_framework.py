@@ -333,6 +333,16 @@ class TestBenchmarkValidation:
             with pytest.raises(ValueError, match="unknown benchmark"):
                 spec.make_cells(spec.config({"benchmarks": ["nope"]}))
 
+    @pytest.mark.parametrize(
+        "spec_name",
+        ["table1", "figure4", "sweep_gate_limit", "ablation_insertion"],
+    )
+    def test_non_positive_iterations_rejected(self, spec_name):
+        spec = get_spec(spec_name)
+        for iterations in (0, -1):
+            with pytest.raises(ValueError, match="iterations"):
+                spec.config({"iterations": iterations})
+
 
 class TestKnobUniformity:
     """jobs / split_jobs / transpile_cache exist on every harness."""

@@ -92,7 +92,9 @@ class TestAttackComplexityHarness:
     def test_bruteforce_demo_succeeds(self):
         demo = demo_bruteforce_attack("4gt13", seed=3)
         assert demo.success
-        assert demo.candidates == 24
+        # pinned payload of the spec's demo cell: 4! matchings, two of
+        # which recover the function
+        assert (demo.candidates, demo.matches) == (24, 2)
 
 
 class TestAblationHarness:

@@ -1,14 +1,11 @@
-"""Parallel suite mode: jobs-independent, bit-identical aggregates."""
+"""The Table I grid: jobs-independent, seed-determined, bit-identical."""
 
-import numpy as np
 import pytest
 
-from repro.experiments.runner import run_benchmark, run_suite
-from repro.revlib.benchmarks import load_benchmark
+from repro.experiments import generate_table1
 
-
-def _records():
-    return [load_benchmark("4gt13"), load_benchmark("one_bit_adder")]
+# paper_suite() order: cell order decides the positional seeds
+PAIR = ["one_bit_adder", "4gt13"]
 
 
 def _fingerprint(results):
@@ -29,65 +26,79 @@ def _fingerprint(results):
     return out
 
 
+# generate_table1(iterations=2, shots=150, seed=13, benchmarks=PAIR),
+# captured from the retired process-pool suite runner over the same
+# records in suite order
+SUITE_ORDER_PIN = [
+    ("4gt13", [("0", 10), ("1", 140)], [("0", 13), ("1", 137)],
+     [("0", 11), ("1", 139)], "1", 1),
+    ("4gt13", [("0", 13), ("1", 137)], [("0", 138), ("1", 12)],
+     [("0", 12), ("1", 138)], "1", 1),
+    ("one_bit_adder", [("0", 21), ("1", 129)], [("0", 15), ("1", 135)],
+     [("0", 16), ("1", 134)], "1", 1),
+    ("one_bit_adder", [("0", 16), ("1", 134)], [("0", 136), ("1", 14)],
+     [("0", 19), ("1", 131)], "1", 1),
+]
+
+
 class TestParallelSuite:
-    def test_jobs_do_not_change_results(self):
-        sequential = run_suite(
-            _records(), iterations=2, shots=150, seed=13, jobs=1
+    def test_suite_order_fingerprint_pinned(self):
+        results = generate_table1(
+            iterations=2, shots=150, seed=13, benchmarks=PAIR, jobs=2
         )
-        parallel = run_suite(
-            _records(), iterations=2, shots=150, seed=13, jobs=2
+        assert _fingerprint(results) == SUITE_ORDER_PIN
+
+    def test_jobs_do_not_change_results(self):
+        sequential = generate_table1(
+            iterations=2, shots=150, seed=13, benchmarks=PAIR, jobs=1
+        )
+        parallel = generate_table1(
+            iterations=2, shots=150, seed=13, benchmarks=PAIR, jobs=2
         )
         assert _fingerprint(sequential) == _fingerprint(parallel)
 
     def test_fixed_seed_is_reproducible(self):
-        one = run_suite(_records()[:1], iterations=2, shots=100, seed=3)
-        two = run_suite(_records()[:1], iterations=2, shots=100, seed=3)
+        one = generate_table1(
+            iterations=2, shots=100, seed=3, benchmarks=["4gt13"]
+        )
+        two = generate_table1(
+            iterations=2, shots=100, seed=3, benchmarks=["4gt13"]
+        )
         assert _fingerprint(one) == _fingerprint(two)
 
     def test_different_seeds_differ(self):
-        one = run_suite(_records()[:1], iterations=2, shots=100, seed=3)
-        two = run_suite(_records()[:1], iterations=2, shots=100, seed=4)
+        one = generate_table1(
+            iterations=2, shots=100, seed=3, benchmarks=["4gt13"]
+        )
+        two = generate_table1(
+            iterations=2, shots=100, seed=4, benchmarks=["4gt13"]
+        )
         assert _fingerprint(one) != _fingerprint(two)
 
     def test_iteration_count_and_names(self):
-        results = run_suite(
-            _records(), iterations=3, shots=50, seed=1, jobs=2
+        results = generate_table1(
+            iterations=3, shots=50, seed=1, benchmarks=PAIR, jobs=2
         )
-        assert set(results) == {"4gt13", "one_bit_adder"}
+        assert list(results) == PAIR
         for aggregate in results.values():
             assert len(aggregate.iterations) == 3
 
-    def test_run_benchmark_delegates(self):
-        record = _records()[0]
-        aggregate = run_benchmark(
-            record, iterations=2, shots=100, seed=9, jobs=2
-        )
-        assert aggregate.name == "4gt13"
-        assert len(aggregate.iterations) == 2
-        # matches the suite path with the same parameters
-        via_suite = run_suite(
-            [record], iterations=2, shots=100, seed=9, jobs=1
-        )["4gt13"]
-        assert _fingerprint({"4gt13": aggregate}) == _fingerprint(
-            {"4gt13": via_suite}
-        )
-
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            run_suite(_records(), iterations=0)
-        with pytest.raises(ValueError):
-            run_suite(_records(), jobs=0)
+        with pytest.raises(ValueError, match="iterations"):
+            generate_table1(iterations=0, benchmarks=["4gt13"])
+        with pytest.raises(ValueError, match="jobs"):
+            generate_table1(iterations=1, benchmarks=["4gt13"], jobs=0)
 
 
 class TestCompilationKnobs:
     """split_jobs and the transpile cache never change any result."""
 
     def test_split_jobs_do_not_change_results(self):
-        baseline = run_suite(
-            _records(), iterations=2, shots=100, seed=21, split_jobs=1
+        baseline = generate_table1(
+            iterations=2, shots=100, seed=21, benchmarks=PAIR, split_jobs=1
         )
-        pipelined = run_suite(
-            _records(), iterations=2, shots=100, seed=21, split_jobs=2
+        pipelined = generate_table1(
+            iterations=2, shots=100, seed=21, benchmarks=PAIR, split_jobs=2
         )
         assert _fingerprint(baseline) == _fingerprint(pipelined)
 
@@ -95,13 +106,13 @@ class TestCompilationKnobs:
         from repro.transpiler import get_transpile_cache
 
         get_transpile_cache().clear()
-        cached = run_suite(
-            _records(), iterations=2, shots=100, seed=21,
+        cached = generate_table1(
+            iterations=2, shots=100, seed=21, benchmarks=PAIR,
             transpile_cache=True,
         )
         assert get_transpile_cache().stats().hits > 0
-        uncached = run_suite(
-            _records(), iterations=2, shots=100, seed=21,
+        uncached = generate_table1(
+            iterations=2, shots=100, seed=21, benchmarks=PAIR,
             transpile_cache=False,
         )
         assert _fingerprint(cached) == _fingerprint(uncached)

@@ -89,9 +89,15 @@ class TestErrors:
         assert err.value.status == 400
 
     def test_bad_qasm_is_400(self, http_client):
-        with pytest.raises(ServiceError) as err:
-            http_client.submit("simulate", {"qasm": "garbage"})
-        assert err.value.status == 400
+        refused = [
+            "garbage",
+            # index past the register: must not escape as an IndexError
+            'OPENQASM 2.0; include "qelib1.inc"; qreg q[2]; x q[5];',
+        ]
+        for qasm in refused:
+            with pytest.raises(ServiceError) as err:
+                http_client.submit("simulate", {"qasm": qasm})
+            assert err.value.status == 400, qasm
 
     def test_incompatible_method_is_400(self, http_client):
         refused = [

@@ -202,14 +202,6 @@ class TestAttackCommand:
         assert "verdict" in capsys.readouterr().out
 
 
-class TestExperimentShortcuts:
-    def test_attack_complexity_shortcut(self, capsys):
-        code = main(["attack-complexity"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Saki" in out
-
-
 class TestExperimentCommand:
     def test_list(self, capsys):
         code = main(["experiment", "list"])
