@@ -1,10 +1,12 @@
 """Noisy-path benchmark: the trajectory ensemble through the noise-plan cache.
 
-A table1-style workload (12 qubits, depolarizing + readout noise, 1000
-shots) through the default noisy dispatch with a warm noise-plan
-cache: tracing, channel classification and branch pre-scaling happen
-once per (circuit, model) pair and whole shot-chunks evolve as one
-``(W, 2, ..., 2)`` tensor.
+A table1-style workload (12 qubits, 1000 shots) under the noise model
+Table I cells run — the Valencia-like device's depolarizing∘thermal-
+relaxation channels and readout errors, so the general-Kraus path is
+on the clock — through the default noisy dispatch with a warm
+noise-plan cache: tracing, channel classification and branch
+pre-scaling happen once per (circuit, model) pair and whole
+shot-chunks evolve as one ``(W, 2, ..., 2)`` tensor.
 
 ``test_batched_no_retrace`` pins that warm runs hit the cache and never
 re-trace.  Set ``REPRO_BENCH_SMOKE=1`` (the CI smoke job does) to
@@ -15,7 +17,7 @@ import os
 
 from repro.circuits import QuantumCircuit
 from repro.execution import get_noise_plan_cache, run
-from repro.noise import NoiseModel, ReadoutError, depolarizing
+from repro.noise import valencia_like_backend
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -41,14 +43,7 @@ def _workload():
 
 
 def _model():
-    model = NoiseModel()
-    model.add_all_qubit_quantum_error(depolarizing(0.01), ["h", "rz"])
-    model.add_all_qubit_quantum_error(
-        depolarizing(0.02, num_qubits=2), ["cx"]
-    )
-    for q in range(_QUBITS):
-        model.add_readout_error(ReadoutError(0.02, 0.03), q)
-    return model
+    return valencia_like_backend(_QUBITS).noise_model()
 
 
 def test_bench_noisy_batched_warm(benchmark):

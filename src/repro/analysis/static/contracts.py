@@ -17,7 +17,9 @@ on.  This module states them as executable contracts:
 * noise plans: random sites numbered ``0..num_sites-1`` in program
   order, spans never adjacent (an anchor sits between any two), every
   :class:`~repro.execution.noise_plan.ChannelBinding` CPTP with a
-  monotone cumulative table summing to 1, monomial classifications
+  monotone cumulative table summing to 1, every Kraus binding's
+  operator stack, Gram-diagonal classification and off-diagonal
+  branch flags agreeing with its operators, monomial classifications
   exact, and — when the source circuit and model are supplied — fusion
   provably never crossing a noise anchor (each span re-derived and
   justified from its own segment only, via
@@ -54,6 +56,7 @@ from ...execution.plan import (
     _is_diagonal,
 )
 from ...simulator.kernels import matrix_is_identity
+from ...simulator.noisy import ENSEMBLE_DTYPE
 from ...simulator.trajectory import measures_are_terminal
 from .base import Report
 
@@ -70,6 +73,7 @@ __all__ = [
 # tolerance for unitarity / channel algebra on fused float products
 _ATOL = 1e-8
 _CPTP_ATOL = 1e-6  # matches QuantumChannel's own completeness check
+_STACK_ATOL = 1e-6  # Kraus stacks are stored in single precision
 
 _STATS_LOCK = threading.Lock()
 _STATS = {"plans_checked": 0, "noise_plans_checked": 0, "violations": 0}
@@ -439,6 +443,7 @@ def _check_channel_binding(
                     f"branch {b} cached Gram matrix does not equal K^†K",
                     loc,
                 )
+        _check_kraus_tables(report, binding, dim, loc)
     if report.check(
         len(binding.identity_flags) == len(operators),
         "identity-flags",
@@ -459,6 +464,59 @@ def _check_channel_binding(
                 "operator",
                 loc,
             )
+
+
+def _check_kraus_tables(
+    report: Report, binding: ChannelBinding, dim: int, loc: str
+) -> None:
+    """The tables the elementwise Kraus kernel routes on."""
+    operators = np.array(binding.operators)
+    stack = binding.stack
+    report.check(
+        stack is not None
+        and stack.dtype == ENSEMBLE_DTYPE
+        and stack.shape == operators.shape
+        and bool(np.allclose(stack, operators, atol=_STACK_ATOL)),
+        "operator-stack",
+        "kraus channel operator stack does not equal its operators",
+        loc,
+    )
+    off = ~np.eye(dim, dtype=bool)
+    grams = np.array([op.conj().T @ op for op in operators])
+    diagonals = binding.gram_diagonals
+    if diagonals is None:
+        report.check(
+            bool(grams[:, off].any()),
+            "gram-diagonal",
+            "every Gram matrix is diagonal but the channel takes the "
+            "density-matrix norm route",
+            loc,
+        )
+    else:
+        report.check(
+            not grams[:, off].any()
+            and diagonals.shape == operators.shape[:2]
+            and bool(
+                np.allclose(
+                    diagonals,
+                    np.diagonal(grams, axis1=1, axis2=2).real,
+                    atol=_ATOL,
+                )
+            ),
+            "gram-diagonal",
+            "channel takes the marginal norm route but its Gram matrices "
+            "are not diagonal with the cached diagonals",
+            loc,
+        )
+    flags = binding.offdiagonal
+    report.check(
+        flags is not None
+        and [bool(flag) for flag in flags]
+        == [bool(op[off].any()) for op in operators],
+        "offdiagonal-flags",
+        "off-diagonal branch flags disagree with the operators",
+        loc,
+    )
 
 
 def _check_readout(report: Report, readout, loc: str) -> None:

@@ -9,8 +9,14 @@ that to trace time:
 * every gate's bound channels are resolved to physical qubits once
   (:class:`ChannelBinding`), classified once (unitary-only /
   mixed-unitary / general Kraus), with branch matrices pre-scaled
-  (``K_i / sqrt(p_i)``), cumulative probability tables precomputed and
-  Gram matrices cached for the batched norm pass;
+  (``K_i / sqrt(p_i)``), cumulative probability tables precomputed,
+  Kraus operators stacked in the ensemble dtype and their Gram
+  structure (diagonal or not, per-branch off-diagonal flags) decided
+  for the elementwise norm and apply passes.  Bindings are shared per
+  (channel, physical qubits) — :meth:`ChannelBinding.bind` memoises
+  them on the channel — so every anchor of every cached plan that
+  binds one channel to the same qubits holds one set of read-only
+  arrays;
 * readout errors are bound per measured qubit, for mid-circuit measure
   steps and for the terminal report entries alike;
 * the noiseless spans *between* channel anchors are fused with the
@@ -31,6 +37,7 @@ in :mod:`repro.execution.plan_cache`.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from typing import List, Optional, Sequence, Tuple
@@ -38,6 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
+from ..noise.channels import _read_only
 from ..noise.model import NoiseModel
 from ..simulator.kernels import matrix_is_identity
 from ..simulator.noisy import ENSEMBLE_DTYPE
@@ -73,20 +81,43 @@ def _monomial_decomposition(matrix: np.ndarray):
     return rows, phases
 
 
+@functools.lru_cache(maxsize=4096)
 def _basis_selector(
-    index: int, qubits: Sequence[int], num_qubits: int
+    index: int, qubits: Tuple[int, ...], num_qubits: int
 ) -> Tuple:
     """Batch-tensor selector fixing *qubits* to the bits of *index*.
 
     Axis 0 is the shot axis; qubit ``q`` lives on axis ``q + 1``.  Bit
     ordering follows the gate-matrix convention: the first listed
-    qubit is the most significant bit of *index*.
+    qubit is the most significant bit of *index*.  Memoised, so every
+    compiled perm span on the same qubits shares its selectors.
     """
     sel: List = [slice(None)] * (num_qubits + 1)
     k = len(qubits)
     for t, qubit in enumerate(qubits):
         sel[qubit + 1] = (index >> (k - 1 - t)) & 1
     return tuple(sel)
+
+
+@functools.lru_cache(maxsize=4096)
+def _perm_moves(
+    rows: Tuple[int, ...],
+    phases: Tuple[complex, ...],
+    qubits: Tuple[int, ...],
+    num_qubits: int,
+    dtype: np.dtype,
+) -> Tuple:
+    """The ``(out_sel, in_sel, phase)`` slice copies of a monomial gate
+    (phase ``None`` means exactly 1); memoised, so every compiled span
+    applying the same permutation on the same qubits shares one."""
+    return tuple(
+        (
+            _basis_selector(row, qubits, num_qubits),
+            _basis_selector(j, qubits, num_qubits),
+            None if phase == 1 else dtype.type(phase),
+        )
+        for j, (row, phase) in enumerate(zip(rows, phases))
+    )
 
 
 def _compile_span(
@@ -123,13 +154,12 @@ def _compile_span(
         monomial = _monomial_decomposition(matrix)
         if monomial is not None:
             rows, phases = monomial
-            moves = tuple(
-                (
-                    _basis_selector(int(rows[j]), op.qubits, num_qubits),
-                    _basis_selector(j, op.qubits, num_qubits),
-                    None if phases[j] == 1 else dtype.type(phases[j]),
-                )
-                for j in range(matrix.shape[0])
+            moves = _perm_moves(
+                tuple(rows.tolist()),
+                tuple(phases.tolist()),
+                tuple(op.qubits),
+                num_qubits,
+                dtype,
             )
             compiled.append(("perm", moves))
         elif len(op.qubits) == 1:
@@ -157,9 +187,20 @@ class ChannelBinding:
     ``kind`` is ``"mixed"`` (every Kraus operator is ``sqrt(p) x
     unitary`` — branch probabilities are state-independent) or
     ``"kraus"`` (branch probabilities are ``Tr(K^† K rho)``).  All the
-    per-application work of a per-shot sampler — cumulative tables,
-    ``op / sqrt(p)`` scaling, Gram matrices, no-op branch flags — is
-    resolved here, once per plan.
+    per-application work of a per-shot sampler is resolved here, once
+    per (channel, qubits):
+
+    * mixed channels carry the cumulative table, the pre-scaled
+      branches ``op / sqrt(p)`` and the no-op branch flags;
+    * Kraus channels carry the operator ``stack`` in
+      :data:`~repro.simulator.noisy.ENSEMBLE_DTYPE`, the Gram matrices
+      ``K^† K``, their diagonals when every Gram is diagonal
+      (``gram_diagonals``; branch norms then need only the |amp|^2
+      marginals) and per-branch ``offdiagonal`` flags (a chunk whose
+      shots all drew diagonal branches is scaled in place).
+
+    Every array is read-only.  Use :meth:`bind`: it shares one binding
+    per (channel, qubits) across every anchor of every plan.
     """
 
     __slots__ = (
@@ -171,51 +212,47 @@ class ChannelBinding:
         "scaled_ops",
         "identity_flags",
         "grams",
+        "stack",
+        "gram_diagonals",
+        "offdiagonal",
     )
 
     def __init__(self, channel, qubits: Sequence[int]) -> None:
         self.channel = channel
         self.qubits = tuple(qubits)
-        operators = tuple(
-            np.asarray(op) for op in channel.kraus_operators
-        )
-        self.operators = operators
-        mixed = getattr(channel, "mixed_unitary_probs", None)
-        if mixed is not None:
+        # the channel's own tables are frozen and shared: no copies here
+        self.operators = tuple(channel.kraus_operators)
+        self.identity_flags = tuple(channel.scalar_identity_flags)
+        self.cumulative = self.scaled_ops = None
+        self.grams = self.stack = None
+        self.gram_diagonals = self.offdiagonal = None
+        if channel.mixed_unitary_probs is not None:
             self.kind = "mixed"
-            cumulative = getattr(channel, "mixed_unitary_cumulative", None)
-            if cumulative is None:
-                cumulative = np.cumsum(mixed)
-            self.cumulative = np.asarray(cumulative)
-            scaled = getattr(channel, "mixed_unitary_scaled", None)
-            if scaled is None:
-                scaled = tuple(
-                    op / np.sqrt(p) if p > 0 else None
-                    for op, p in zip(operators, mixed)
-                )
-            self.scaled_ops = tuple(scaled)
-            self.grams = None
-        else:
-            self.kind = "kraus"
-            self.cumulative = None
-            self.scaled_ops = None
-            grams = getattr(channel, "kraus_grams", None)
-            if grams is None:
-                grams = tuple(op.conj().T @ op for op in operators)
-            self.grams = tuple(grams)
-        flags = getattr(channel, "scalar_identity_flags", None)
-        if flags is None:
-            dim = operators[0].shape[0]
-            flags = tuple(
-                bool(
-                    abs(op[0, 0]) > 1e-12
-                    and np.allclose(
-                        op, op[0, 0] * np.eye(dim), atol=1e-12
-                    )
-                )
-                for op in operators
+            self.cumulative = channel.mixed_unitary_cumulative
+            self.scaled_ops = channel.mixed_unitary_scaled
+            return
+        self.kind = "kraus"
+        operators = np.array(self.operators)
+        off = ~np.eye(operators.shape[1], dtype=bool)
+        self.stack = _read_only(operators, ENSEMBLE_DTYPE)
+        self.grams = _read_only(channel.kraus_grams)
+        if not self.grams[:, off].any():
+            self.gram_diagonals = _read_only(
+                np.diagonal(self.grams, axis1=1, axis2=2).real, float
             )
-        self.identity_flags = tuple(flags)
+        self.offdiagonal = _read_only(operators[:, off].any(axis=1), bool)
+
+    @classmethod
+    def bind(cls, channel, qubits: Sequence[int]) -> "ChannelBinding":
+        """The one binding of *channel* on *qubits*, memoised on the
+        channel like its Gram matrices."""
+        qubits = tuple(qubits)
+        binding = channel.bindings.get(qubits)
+        if binding is None:
+            binding = channel.bindings.setdefault(
+                qubits, cls(channel, qubits)
+            )
+        return binding
 
     @property
     def num_branches(self) -> int:
@@ -288,11 +325,10 @@ class NoisePlan:
         """The step stream with spans lowered to layout-bound op lists
         of :data:`~repro.simulator.noisy.ENSEMBLE_DTYPE` amplitudes.
 
-        Channel and measure steps pass through unchanged (their
-        matrices are cast inside the batch kernels, which memoize
-        nothing state-dependent).  Span op routes are chosen by matrix
-        structure only — never by batch size — so counts stay
-        bit-identical across chunk widths.
+        Channel and measure steps pass through unchanged (bindings
+        carry their own trace-time tables).  Span op routes are chosen
+        by matrix structure only — never by batch size — so counts
+        stay bit-identical across chunk widths.
         """
         if self._compiled is not None:
             return self._compiled
@@ -405,7 +441,9 @@ def build_noise_plan(
                 )
                 continue
             _flush_span()
-            steps.append(("channel", ChannelBinding(channel, qubits), site))
+            steps.append(
+                ("channel", ChannelBinding.bind(channel, qubits), site)
+            )
             site += 1
     _flush_span()
 

@@ -9,7 +9,7 @@ a list of Kraus operators satisfying ``sum K_i^† K_i = I``.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +28,15 @@ __all__ = [
 
 _ATOL = 1e-8
 
+
+def _read_only(array, dtype=complex) -> np.ndarray:
+    """A frozen copy: channel tables are shared by every plan bound to
+    the channel, and frozen matrices memoise identity checks."""
+    array = np.array(array, dtype=dtype)
+    array.setflags(write=False)
+    return array
+
+
 _PAULIS = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -45,7 +54,7 @@ class QuantumChannel:
         name: str = "channel",
         validate: bool = True,
     ) -> None:
-        ops = [np.asarray(op, dtype=complex) for op in kraus_operators]
+        ops = [_read_only(op) for op in kraus_operators]
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         dim = ops[0].shape[0]
@@ -68,6 +77,10 @@ class QuantumChannel:
         self._mixed_unitary_cumulative: Optional[np.ndarray] = None
         self._mixed_unitary_scaled: Optional[tuple] = None
         self._kraus_grams: Optional[tuple] = None
+        # trace-time bindings keyed by physical qubits, filled by
+        # repro.execution.noise_plan.ChannelBinding.bind so that every
+        # plan anchoring this channel on the same qubits shares one
+        self.bindings: Dict[Tuple[int, ...], object] = {}
         dim = 2 ** self.num_qubits
         # per-operator "proportional to identity" flags: lets simulators
         # skip whole-batch applications of no-op branches
@@ -119,8 +132,8 @@ class QuantumChannel:
         if self._mixed_unitary_probs is None:
             return None
         if self._mixed_unitary_cumulative is None:
-            self._mixed_unitary_cumulative = np.cumsum(
-                self._mixed_unitary_probs
+            self._mixed_unitary_cumulative = _read_only(
+                np.cumsum(self._mixed_unitary_probs), float
             )
         return self._mixed_unitary_cumulative
 
@@ -135,7 +148,7 @@ class QuantumChannel:
                 self.kraus_operators, self._mixed_unitary_probs
             ):
                 scaled.append(
-                    op / np.sqrt(weight) if weight > 0 else None
+                    _read_only(op / np.sqrt(weight)) if weight > 0 else None
                 )
             self._mixed_unitary_scaled = tuple(scaled)
         return self._mixed_unitary_scaled
@@ -151,8 +164,7 @@ class QuantumChannel:
         """
         if self._kraus_grams is None:
             self._kraus_grams = tuple(
-                np.ascontiguousarray(op.conj().T @ op)
-                for op in self.kraus_operators
+                _read_only(op.conj().T @ op) for op in self.kraus_operators
             )
         return self._kraus_grams
 

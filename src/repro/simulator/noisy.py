@@ -13,9 +13,13 @@ trajectories, evolving the shots in chunks of ``W`` as one
   ``searchsorted`` against the precomputed cumulative table, then apply
   each distinct branch matrix to its grouped sub-batch (no-op branches
   skipped via the channel's identity flags);
-* general Kraus channels evaluate every branch norm on the whole chunk
-  via the cached Gram matrices and one reduced-density pass, sample,
-  then apply each chosen branch with the precomputed renormalisation;
+* general Kraus channels are elementwise at every width: every branch
+  norm of every shot comes from the |amp|^2 mass of the target
+  sub-lattices when all Gram matrices ``K^† K`` are diagonal (the
+  reduced density matrix otherwise), one draw per shot picks a branch,
+  and the per-shot stack ``K[b_s] / sqrt(norm_s)`` is applied as
+  multiply-adds over the sub-lattices — or as in-place multiplies when
+  no shot in the chunk drew a branch with off-diagonal entries;
 * measurements collapse the chunk with vectorised probability gathers;
   terminal measurement is one joint sample of the final distribution
   (deferred-measurement equivalence: nothing touches a terminally
@@ -28,19 +32,25 @@ Randomness is drawn per *site*, not per chunk: the executor spawns one
 anchor, measurement and readout entry) and pre-draws that site's full
 ``(shots,)`` uniform array; a chunk consumes ``[lo:hi)`` slices.  The
 draws are therefore exactly independent of the chunk size.  Span op
-routes are chosen by matrix structure, never by batch size, and all of
-them are elementwise or slice-wise — so span arithmetic is bit-exact
+routes are chosen by matrix structure, never by batch size, and the
+Kraus kernel's only by which branches a chunk drew — a zero
+coefficient contributes an exact zero, so both Kraus routes give a
+shot the same amplitudes up to the sign of a zero.  All of these are
+elementwise or slice-wise per shot, so their arithmetic is bit-exact
 across chunk widths too.  The only size-dependent arithmetic left is
-the kernel route inside channel-branch applications: above the GEMM
-crossover the BLAS blocking is equal only to ~1 ulp, so a count can
-differ across chunk sizes iff a *later* draw lands within ~1e-16 of a
-branch boundary.  Below that crossover ``chunk_size=1`` and
+the GEMM route of
+:func:`~repro.simulator.kernels.apply_matrix_batch`, which mixed-unitary
+branches and ``gen`` span ops (dense gates on 2+ qubits) still take:
+above its crossover the BLAS blocking is equal only to ~1 ulp, so a
+count can differ across chunk sizes iff a *later* draw lands within
+~1e-16 of a branch boundary.  Below that crossover ``chunk_size=1`` and
 ``chunk_size=64`` are bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import functools
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -55,6 +65,12 @@ __all__ = ["ENSEMBLE_DTYPE", "default_chunk_size", "run_noise_plan"]
 # identical counts in 20/20 cells; a 5-qubit mid-circuit noisy circuit
 # at 4000 shots took 0.92-0.97 s against 1.05-1.08 s, counts identical.
 ENSEMBLE_DTYPE = np.dtype(np.complex64)
+_REAL_DTYPE = np.finfo(ENSEMBLE_DTYPE).dtype
+
+# Kraus kernels keep a sub-lattice's contiguous tail as the inner loop
+# when it holds at least this many amplitudes; shorter tails give way
+# to the longest group (see _sub_lattices)
+_CONTIGUOUS_ROW = 8
 
 # chunk sizing: cap the working tensor near 2^21 complex entries
 # (~16 MB at complex64) so deep circuits stay cache-friendly while
@@ -202,72 +218,108 @@ def _apply_channel_chunk(
             else:
                 batch[mask] = apply_matrix_batch(batch[mask], op, qubits)
         return batch
-    # general Kraus: ||K psi||^2 = Tr(gram rho) for every branch in one
-    # reduced-density pass, then categorical sampling per shot
+    return _apply_kraus_chunk(batch, binding, uniforms)
+
+
+@functools.lru_cache(maxsize=4096)
+def _sub_lattices(qubits: Tuple[int, ...], num_qubits: int) -> Tuple:
+    """How elementwise kernels slice a chunk into *qubits*' sub-lattices.
+
+    Returns ``(shape, selectors, axes)``.  A C-contiguous ``(W, 2, ...,
+    2)`` chunk reshapes for free to ``(W,) + shape``, which groups the
+    qubits between consecutive targets into one axis each:
+    ``(A_0, 2, A_1, ..., 2, A_k)`` over the targets in ascending order.
+    ``selectors[j]`` fixes the targets to the bits of gate index ``j``
+    (first listed qubit most significant), leaving a ``(W, A_0, ...,
+    A_k)`` view, and ``axes`` transposes that view so a long group runs
+    innermost: ufuncs called with ``order="C"`` then iterate over long
+    rows instead of a short contiguous tail.
+    """
+    order = sorted(qubits)
+    shape: List[int] = []
+    prev = -1
+    for qubit in order:
+        shape += [1 << (qubit - prev - 1), 2]
+        prev = qubit
+    shape.append(1 << (num_qubits - 1 - prev))
+    k = len(qubits)
+    selectors = []
+    for index in range(1 << k):
+        sel: List = [slice(None)] * (len(shape) + 1)
+        for t, qubit in enumerate(qubits):
+            sel[2 + 2 * order.index(qubit)] = (index >> (k - 1 - t)) & 1
+        selectors.append(tuple(sel))
+    groups = shape[::2]
+    inner = k
+    if groups[-1] < _CONTIGUOUS_ROW:
+        inner = max(range(k + 1), key=groups.__getitem__)
+    axes = [0] + [1 + g for g in range(k + 1) if g != inner] + [1 + inner]
+    return tuple(shape), tuple(selectors), tuple(axes)
+
+
+def _apply_kraus_chunk(
+    batch: np.ndarray, binding, uniforms: np.ndarray
+) -> np.ndarray:
+    """A general Kraus channel on a whole chunk, elementwise.
+
+    Every branch norm ``||K psi||^2 = Tr(K^† K rho)`` of every shot,
+    then one categorical draw per shot, then the per-shot operator
+    ``K[b_s] / sqrt(norm_s)`` applied as multiply-adds over the target
+    sub-lattices — in place when no shot drew an off-diagonal branch.
+    """
     shots = batch.shape[0]
-    rho = _reduced_density_batch(batch, qubits)
-    norms = np.empty((binding.num_branches, shots))
-    for i, gram in enumerate(binding.grams):
-        norms[i] = np.einsum("ij,sji->s", gram, rho).real
+    shape, selectors, axes = _sub_lattices(binding.qubits, batch.ndim - 1)
+    batch = np.ascontiguousarray(batch)
+    grouped = batch.reshape((shots,) + shape)
+    views = [grouped[sel].transpose(axes) for sel in selectors]
+    subscripts = list(range(len(axes)))
+    if binding.gram_diagonals is not None:
+        # diagonal Grams weigh only each sub-lattice's |amp|^2 mass
+        floats = grouped.view(_REAL_DTYPE)
+        norms = 0.0
+        for j, sel in enumerate(selectors):
+            part = floats[sel].transpose(axes)
+            mass = np.einsum(
+                part, subscripts, part, subscripts, [0], order="C"
+            )
+            norms = norms + binding.gram_diagonals[:, j, None] * mass
+    else:
+        # rho[i, j] = <i|rho|j> per shot, from sub-lattice overlaps
+        conjugates = [view.conj() for view in views]
+        rho = np.array(
+            [
+                [
+                    np.einsum(vi, subscripts, vj, subscripts, [0], order="C")
+                    for vj in conjugates
+                ]
+                for vi in views
+            ]
+        )
+        norms = np.einsum("bij,jis->bs", binding.grams, rho).real
     norms = np.maximum(norms, 0.0)
     totals = np.maximum(norms.sum(axis=0), 1e-300)
     cumulative = np.cumsum(norms / totals, axis=0)
     branches = (uniforms[None, :] > cumulative).sum(axis=0)
     branches = np.minimum(branches, binding.num_branches - 1)
-    chosen = np.sqrt(
-        np.maximum(norms[branches, np.arange(shots)], 1e-300)
-    )
-    scale = (1.0 / chosen).reshape((-1,) + (1,) * (batch.ndim - 1))
-    unique_branches = np.unique(branches)
-    if len(unique_branches) == 1:
-        index = int(unique_branches[0])
-        out = apply_matrix_batch(batch, binding.operators[index], qubits)
-        if out is batch:
-            out = batch * scale
-        else:
-            out *= scale
-        return out
+    chosen = np.sqrt(np.maximum(norms[branches, np.arange(shots)], 1e-300))
+    ops = binding.stack[branches]
+    ops *= (1.0 / chosen)[:, None, None]
+    # per-shot coefficients broadcast over one sub-lattice view
+    coef = ops.reshape(ops.shape + (1,) * (len(axes) - 1))
+    if not binding.offdiagonal[branches].any():
+        for j, view in enumerate(views):
+            np.multiply(view, coef[:, j, j], out=view, order="C")
+        return batch
     out = np.empty_like(batch)
-    for index in unique_branches:
-        mask = branches == index
-        out[mask] = apply_matrix_batch(
-            batch[mask], binding.operators[index], qubits
-        )
-    out *= scale
+    grouped_out = out.reshape(grouped.shape)
+    product = np.empty(views[0].shape, dtype=batch.dtype)
+    for i, sel in enumerate(selectors):
+        target = grouped_out[sel].transpose(axes)
+        np.multiply(views[0], coef[:, i, 0], out=target, order="C")
+        for j in range(1, len(views)):
+            np.multiply(views[j], coef[:, i, j], out=product, order="C")
+            np.add(target, product, out=target, order="C")
     return out
-
-
-def _reduced_density_batch(
-    batch: np.ndarray, qubits: Sequence[int]
-) -> np.ndarray:
-    """Per-shot reduced density matrix on *qubits*: shape (shots, d, d).
-
-    Index ordering matches the gate-matrix convention (first listed
-    qubit most significant).  The single-qubit case uses a zero-copy
-    reshape view of the contiguous batch.
-    """
-    shots = batch.shape[0]
-    n = batch.ndim - 1
-    if len(qubits) == 1 and batch.flags.c_contiguous:
-        q = qubits[0]
-        left = 2 ** q
-        right = 2 ** (n - 1 - q)
-        view = batch.reshape(shots, left, 2, right)
-        # rho entries via three real reductions — no per-shot matmuls
-        amp0 = view[:, :, 0, :].reshape(shots, -1)
-        amp1 = view[:, :, 1, :].reshape(shots, -1)
-        rho = np.empty((shots, 2, 2), dtype=np.complex128)
-        rho[:, 0, 0] = np.einsum("sk,sk->s", amp0, amp0.conj()).real
-        rho[:, 1, 1] = np.einsum("sk,sk->s", amp1, amp1.conj()).real
-        cross = np.einsum("sk,sk->s", amp0, amp1.conj())
-        rho[:, 0, 1] = cross
-        rho[:, 1, 0] = cross.conj()
-        return rho
-    k = len(qubits)
-    target_axes = [q + 1 for q in qubits]
-    moved = np.moveaxis(batch, target_axes, range(1, k + 1))
-    flat = moved.reshape(shots, 2 ** k, -1)
-    return np.einsum("sir,sjr->sij", flat, flat.conj())
 
 
 def _collapse_measure(

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from kraus_models import rotated_damping
+
 from repro.analysis.static import (
     PlanContractError,
     check_noise_plan,
@@ -21,7 +23,12 @@ from repro.circuits import (
 from repro.execution.noise_plan import build_noise_plan
 from repro.execution.plan import FUSION_LEVELS, PlanOp, build_plan
 from repro.execution.plan_cache import PlanCache, get_plan
-from repro.noise import fake_valencia, valencia_like_backend
+from repro.noise import (
+    NoiseModel,
+    amplitude_damping,
+    fake_valencia,
+    valencia_like_backend,
+)
 from repro.revlib import benchmark_circuit
 from repro.revlib.benchmarks import benchmark_names
 
@@ -131,6 +138,43 @@ class TestPlanContracts:
         assert any(
             v.rule == "cumulative-table" for v in report.violations
         )
+
+    @pytest.mark.parametrize(
+        "table,rule",
+        [
+            ("stack", "operator-stack"),
+            ("offdiagonal", "offdiagonal-flags"),
+            ("gram_diagonals", "gram-diagonal"),
+        ],
+    )
+    def test_kraus_table_corruption_rejected(self, table, rule):
+        model = NoiseModel()
+        model.add_all_qubit_quantum_error(rotated_damping(0.2), ["h"])
+        model.add_all_qubit_quantum_error(amplitude_damping(0.1), ["cx"])
+        circuit = ghz_circuit(3)
+        plan = build_noise_plan(circuit, model, "full")
+        assert check_noise_plan(plan, circuit, model).ok
+        bindings = {
+            step[1].channel.name: step[1]
+            for step in plan.steps
+            if step[0] == "channel"
+        }
+        damping = bindings[amplitude_damping(0.1).name]
+        if table == "stack":
+            stack = damping.stack.copy()
+            stack[1, 0, 1] *= 0.5
+            damping.stack = stack
+        elif table == "offdiagonal":
+            # the jump branch would be applied as a diagonal scaling
+            damping.offdiagonal = np.zeros_like(damping.offdiagonal)
+        else:
+            # a non-diagonal Gram must never take the marginal route
+            rotated = bindings[rotated_damping(0.2).name]
+            rotated.gram_diagonals = np.diagonal(
+                rotated.grams, axis1=1, axis2=2
+            ).real
+        report = check_noise_plan(plan)
+        assert rule in {v.rule for v in report.violations}
 
     def test_anchor_crossing_detected(self):
         """Fusing two gates across a channel anchor is rejected."""

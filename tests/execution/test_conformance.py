@@ -18,6 +18,11 @@ shot moves ``||p_hat - p||_1`` by at most ``2 / N``, so McDiarmid gives
 
 which is 0.033 for ``n = 4`` at ``N = 20000``.  The noise itself moves
 these distributions by well over that, so a dropped channel fails.
+
+Every Kraus channel of the device model is a 1-qubit channel with
+diagonal Gram matrices.  Two synthetic models cover the ensemble's other
+general-Kraus routes under the same bound: a 2-qubit channel, and a
+1-qubit channel whose Grams are not diagonal.
 """
 
 import math
@@ -25,6 +30,9 @@ import math
 import numpy as np
 import pytest
 
+from kraus_models import kraus_route_models
+
+from repro.circuits import QuantumCircuit
 from repro.execution import run
 from repro.execution.plan import FUSION_LEVELS
 from repro.noise import valencia_like_backend
@@ -77,4 +85,30 @@ def test_trajectory_matches_density(name, fusion):
     distance = 0.5 * np.abs(empirical - exact).sum()
     assert distance <= _tvd_bound(circuit.num_qubits), (
         f"{name}@{fusion}: TVD {distance:.4f} to the density engine"
+    )
+
+
+def _route_circuit():
+    qc = QuantumCircuit(3, 3)
+    qc.h(0).cx(0, 1).ry(0.9, 2).cx(1, 2).h(1).cx(2, 0).x(2).rz(0.4, 0)
+    for qubit in range(3):
+        qc.measure(qubit, qubit)
+    return qc
+
+
+@pytest.mark.parametrize("fusion", FUSION_LEVELS)
+@pytest.mark.parametrize("route", sorted(kraus_route_models()))
+def test_kraus_routes_match_density(route, fusion):
+    circuit = _route_circuit()
+    model = kraus_route_models()[route]
+    exact = DensityMatrixSimulator(model).output_distribution(circuit)
+
+    counts = run(circuit, SHOTS, noise_model=model, seed=2025, fuse=fusion)
+    empirical = np.zeros_like(exact)
+    for bitstring, count in counts.items():
+        empirical[int(bitstring, 2)] = count / SHOTS
+
+    distance = 0.5 * np.abs(empirical - exact).sum()
+    assert distance <= _tvd_bound(circuit.num_qubits), (
+        f"{route}@{fusion}: TVD {distance:.4f} to the density engine"
     )

@@ -2,9 +2,12 @@
 
 The contract under test (see ``repro/execution/noise_plan.py``):
 
-* channels are resolved and classified once per plan — mixed-unitary
-  channels carry precomputed cumulative tables and pre-scaled branch
-  matrices, general Kraus channels carry Gram matrices;
+* channels are resolved and classified once per (channel, qubits) —
+  mixed-unitary channels carry precomputed cumulative tables and
+  pre-scaled branch matrices, general Kraus channels carry an operator
+  stack, Gram matrices, their diagonals when all are diagonal and
+  per-branch off-diagonal flags; every table is read-only and every
+  anchor of one channel on one set of qubits shares one binding;
 * single-operator (unitary) channels fold into the surrounding span
   instead of anchoring a stochastic step;
 * the cache key is structural hash x noise fingerprint x fusion — two
@@ -14,6 +17,8 @@ The contract under test (see ``repro/execution/noise_plan.py``):
 
 import numpy as np
 import pytest
+
+from kraus_models import rotated_damping
 
 from repro.circuits import QuantumCircuit
 from repro.execution import build_noise_plan, get_noise_plan
@@ -26,7 +31,9 @@ from repro.noise import (
     amplitude_damping,
     bit_flip,
     depolarizing,
+    valencia_like_backend,
 )
+from repro.simulator.noisy import ENSEMBLE_DTYPE
 
 
 def _circuit():
@@ -78,10 +85,44 @@ class TestChannelPrecompute:
         mixed = ChannelBinding(depolarizing(0.1), (0,))
         assert mixed.kind == "mixed"
         assert mixed.cumulative is not None and mixed.grams is None
+        assert mixed.stack is None and mixed.offdiagonal is None
         kraus = ChannelBinding(amplitude_damping(0.2), (1,))
         assert kraus.kind == "kraus"
         assert kraus.cumulative is None and kraus.grams is not None
         assert kraus.qubits == (1,)
+
+    def test_kraus_tables(self):
+        channel = amplitude_damping(0.2)
+        binding = ChannelBinding(channel, (0,))
+        assert binding.stack.dtype == ENSEMBLE_DTYPE
+        np.testing.assert_allclose(
+            binding.stack, np.array(channel.kraus_operators), atol=1e-7
+        )
+        # K0 = diag(1, sqrt(1-g)), K1 = sqrt(g)|0><1|: diagonal Grams
+        np.testing.assert_allclose(
+            binding.gram_diagonals, [[1.0, 0.8], [0.0, 0.2]]
+        )
+        assert binding.offdiagonal.tolist() == [False, True]
+        rotated = ChannelBinding(rotated_damping(0.2), (0,))
+        assert rotated.gram_diagonals is None  # norms need rho
+        assert rotated.offdiagonal.tolist() == [True, True]
+
+    def test_trace_time_arrays_are_frozen(self):
+        for channel in (depolarizing(0.1), amplitude_damping(0.2)):
+            binding = ChannelBinding(channel, (0,))
+            tables = [*binding.operators, binding.cumulative, binding.stack]
+            tables += [binding.grams, binding.gram_diagonals]
+            tables += [binding.offdiagonal, *(binding.scaled_ops or ())]
+            for table in tables:
+                if table is not None:
+                    assert not table.flags.writeable
+
+    def test_bind_shares_one_binding_per_channel_and_qubits(self):
+        channel = amplitude_damping(0.2)
+        first = ChannelBinding.bind(channel, [1])
+        assert ChannelBinding.bind(channel, (1,)) is first
+        assert ChannelBinding.bind(channel, (0,)) is not first
+        assert ChannelBinding.bind(amplitude_damping(0.2), (1,)) is not first
 
 
 class TestErrorsForMemo:
@@ -171,6 +212,23 @@ class TestBuildNoisePlan:
         assert measures[0][5] is not None
         # qubit 1 has no readout error bound
         assert measures[1][4] is None
+
+    def test_anchors_share_bindings_across_plans(self):
+        model = valencia_like_backend(3).noise_model()
+        plans = [
+            build_noise_plan(_circuit(), model, fusion)
+            for fusion in ("full", "none")
+        ]
+        shared = {}
+        for plan in plans:
+            for step in plan.steps:
+                if step[0] != "channel":
+                    continue
+                binding = step[1]
+                key = (id(binding.channel), binding.qubits)
+                assert shared.setdefault(key, binding) is binding
+        # h, x and both cx gates anchor channels on repeated qubits
+        assert sum(p.num_channels for p in plans) > len(shared)
 
     def test_unknown_fusion_rejected(self):
         with pytest.raises(ValueError, match="fusion"):

@@ -9,8 +9,13 @@ The contract under test (see ``repro/simulator/noisy.py``):
 * the ensemble is statistically equivalent to the oracle for
   every channel family (single-operator, mixed-unitary, general Kraus,
   readout, mid-circuit measures);
+* the elementwise general-Kraus kernel reproduces a per-shot
+  complex128 loop (same draws, same branches, complex64 tolerance) on
+  its in-place and multiply-add routes;
 * counts are independent of the chunk size for a fixed seed —
-  ``chunk_size=1`` and ``chunk_size=64`` are bit-identical;
+  ``chunk_size=1``, ``7`` and ``64`` are bit-identical, on every
+  general-Kraus route (1- and 2-qubit, diagonal and non-diagonal
+  Grams) and on the Valencia-like device model;
 * knobs validate: a bad chunk size is refused, and the retired
   ``trajectories`` option is gone from ``run()``.
 """
@@ -18,11 +23,13 @@ The contract under test (see ``repro/simulator/noisy.py``):
 import numpy as np
 import pytest
 
+from kraus_models import kraus_route_models, rotated_damping, two_qubit_kraus
 from reference_sim import PerShotSampler
 
 from repro.circuits import QuantumCircuit
 from repro.circuits.gates import gate_from_name
 from repro.execution import get_noise_plan_cache, run
+from repro.execution.noise_plan import ChannelBinding
 from repro.metrics import tvd_counts
 from repro.noise import (
     NoiseModel,
@@ -33,8 +40,14 @@ from repro.noise import (
     depolarizing,
     fake_valencia,
     thermal_relaxation,
+    valencia_like_backend,
 )
-from repro.simulator.noisy import default_chunk_size
+from repro.simulator.kernels import apply_matrix_state
+from repro.simulator.noisy import (
+    ENSEMBLE_DTYPE,
+    _apply_channel_chunk,
+    default_chunk_size,
+)
 from repro.simulator.trajectory import TrajectorySimulator
 
 
@@ -181,18 +194,81 @@ class TestChunkInvariance:
             assert counts == reference, f"chunk_size={chunk} diverged"
 
     def test_kraus_chunk_invariance(self):
-        reference = None
-        for chunk in (1, 64):
-            sim = TrajectorySimulator(_kraus_model(), 3, chunk_size=chunk)
-            counts = dict(sim.run(_circuit(), 300))
-            if reference is None:
-                reference = counts
-            assert counts == reference
+        models = {
+            "kraus": _kraus_model(),
+            "valencia": valencia_like_backend(3).noise_model(),
+            **kraus_route_models(),
+        }
+        for name, model in models.items():
+            reference = None
+            for chunk in (1, 7, 64):
+                sim = TrajectorySimulator(model, 3, chunk_size=chunk)
+                counts = dict(sim.run(_circuit(), 300))
+                if reference is None:
+                    reference = counts
+                assert counts == reference, f"{name}: chunk_size={chunk}"
 
     def test_default_chunk_size_caps_memory(self):
         assert default_chunk_size(100, 2) == 100  # whole batch
         assert default_chunk_size(10 ** 9, 21) == 1
         assert default_chunk_size(4096, 12) == min(4096, 1 << 9)
+
+
+def _per_shot_kraus(states, binding, uniforms):
+    """Reference: each shot evolved through every branch in complex128,
+    the same cumulative draw, the chosen image renormalised."""
+    results = []
+    for psi, u in zip(states, uniforms):
+        images = [
+            apply_matrix_state(psi, op, binding.qubits)
+            for op in binding.operators
+        ]
+        norms = np.array([np.vdot(phi, phi).real for phi in images])
+        cumulative = np.cumsum(norms / norms.sum())
+        branch = min(int((u > cumulative).sum()), len(norms) - 1)
+        results.append((branch, images[branch] / np.sqrt(norms[branch])))
+    return results
+
+
+class TestKrausKernel:
+    """The elementwise general-Kraus kernel against a per-shot loop."""
+
+    @pytest.mark.parametrize(
+        "channel,qubits",
+        [
+            (amplitude_damping(0.3), (2,)),
+            (depolarizing(0.3).compose(thermal_relaxation(50, 70, 10)), (0,)),
+            (rotated_damping(0.3), (1,)),
+            (two_qubit_kraus(), (3, 1)),
+        ],
+        ids=["damping", "depolarizing-thermal", "non-diagonal-gram", "2q"],
+    )
+    @pytest.mark.parametrize("jumps", [False, True], ids=["no-jump", "jump"])
+    def test_matches_per_shot_reference(self, channel, qubits, jumps):
+        rng = np.random.default_rng(5)
+        shots, n = 16, 4
+        shape = (shots,) + (2,) * n
+        states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        states /= np.linalg.norm(states.reshape(shots, -1), axis=1).reshape(
+            (shots,) + (1,) * n
+        )
+        # tiny draws pick branch 0, the no-jump branch of every channel;
+        # draws spread over [0, 1) reach the jump branches too
+        if jumps:
+            uniforms = np.linspace(0.01, 0.99, shots)
+        else:
+            uniforms = np.full(shots, 1e-3)
+        binding = ChannelBinding(channel, qubits)
+        batch = states.astype(ENSEMBLE_DTYPE)
+        out = _apply_channel_chunk(batch, binding, uniforms)
+        expected = _per_shot_kraus(states, binding, uniforms)
+        branches = [branch for branch, _ in expected]
+        # the in-place route runs iff no shot drew an off-diagonal branch
+        assert (out is batch) == (not binding.offdiagonal[branches].any())
+        assert jumps == any(branches)
+        for s, (_, image) in enumerate(expected):
+            # complex64 rounding on unit-norm states
+            np.testing.assert_allclose(out[s], image, atol=1e-5)
 
 
 class TestKnobsAndRouting:
