@@ -18,8 +18,8 @@ on.  This module states them as executable contracts:
   order, spans never adjacent (an anchor sits between any two), every
   :class:`~repro.execution.noise_plan.ChannelBinding` CPTP with a
   monotone cumulative table summing to 1, every Kraus binding's
-  operator stack, Gram-diagonal classification and off-diagonal
-  branch flags agreeing with its operators, monomial classifications
+  operator stack, Gram-diagonal classification and lead-branch tables
+  agreeing with its operators, monomial classifications
   exact, and — when the source circuit and model are supplied — fusion
   provably never crossing a noise anchor (each span re-derived and
   justified from its own segment only, via
@@ -56,7 +56,7 @@ from ...execution.plan import (
     _is_diagonal,
 )
 from ...simulator.kernels import matrix_is_identity
-from ...simulator.noisy import ENSEMBLE_DTYPE
+from ...simulator.noisy import _LEAD_MIN, ENSEMBLE_DTYPE
 from ...simulator.trajectory import measures_are_terminal
 from .base import Report
 
@@ -508,13 +508,28 @@ def _check_kraus_tables(
             "are not diagonal with the cached diagonals",
             loc,
         )
-    flags = binding.offdiagonal
+    # lead branches: diagonal with |K[0, 0]| clear of zero scale in
+    # place relative to K[0, 0]; every other row is ones
+    leads = operators[:, 0, 0]
+    cheap = ~operators[:, off].any(axis=1) & (np.abs(leads) > _LEAD_MIN)
+    diagonals = np.diagonal(operators, axis1=1, axis2=2)
+    ratios = np.ones_like(diagonals)
+    ratios[cheap] = diagonals[cheap] / leads[cheap, None]
     report.check(
-        flags is not None
-        and [bool(flag) for flag in flags]
-        == [bool(op[off].any()) for op in operators],
-        "offdiagonal-flags",
-        "off-diagonal branch flags disagree with the operators",
+        binding.cheap is not None
+        and np.array_equal(binding.cheap, cheap)
+        and binding.lead_ratios.shape == ratios.shape
+        and binding.lead_scales.shape == cheap.shape
+        and bool(np.allclose(binding.lead_ratios, ratios, atol=_STACK_ATOL))
+        and bool(
+            np.allclose(
+                binding.lead_scales,
+                np.where(cheap, np.abs(leads) ** 2, 1.0),
+                atol=_ATOL,
+            )
+        ),
+        "lead-branches",
+        "lead-branch flags, ratios or scales disagree with the operators",
         loc,
     )
 

@@ -10,13 +10,13 @@ that to trace time:
   (:class:`ChannelBinding`), classified once (unitary-only /
   mixed-unitary / general Kraus), with branch matrices pre-scaled
   (``K_i / sqrt(p_i)``), cumulative probability tables precomputed,
-  Kraus operators stacked in the ensemble dtype and their Gram
-  structure (diagonal or not, per-branch off-diagonal flags) decided
-  for the elementwise norm and apply passes.  Bindings are shared per
-  (channel, physical qubits) — :meth:`ChannelBinding.bind` memoises
-  them on the channel — so every anchor of every cached plan that
-  binds one channel to the same qubits holds one set of read-only
-  arrays;
+  Kraus operators stacked in the ensemble dtype, their Gram
+  structure (diagonal or not) decided for the norm pass and the
+  lead-branch tables built for the in-place scaling route.  Bindings
+  are shared per (channel, physical qubits) —
+  :meth:`ChannelBinding.bind` memoises them on the channel — so every
+  anchor of every cached plan that binds one channel to the same
+  qubits holds one set of read-only arrays;
 * readout errors are bound per measured qubit, for mid-circuit measure
   steps and for the terminal report entries alike;
 * the noiseless spans *between* channel anchors are fused with the
@@ -48,7 +48,7 @@ from ..circuits.circuit import QuantumCircuit
 from ..noise.channels import _read_only
 from ..noise.model import NoiseModel
 from ..simulator.kernels import matrix_is_identity
-from ..simulator.noisy import ENSEMBLE_DTYPE
+from ..simulator.noisy import _LEAD_MIN, ENSEMBLE_DTYPE
 from ..simulator.trajectory import measures_are_terminal
 from .plan import (
     FUSION_LEVELS,
@@ -196,8 +196,11 @@ class ChannelBinding:
       :data:`~repro.simulator.noisy.ENSEMBLE_DTYPE`, the Gram matrices
       ``K^† K``, their diagonals when every Gram is diagonal
       (``gram_diagonals``; branch norms then need only the |amp|^2
-      marginals) and per-branch ``offdiagonal`` flags (a chunk whose
-      shots all drew diagonal branches is scaled in place).
+      marginals) and the lead-branch tables: per-branch ``cheap`` flags
+      (diagonal with ``|K[0, 0]|`` above ``_LEAD_MIN``), ``lead_ratios``
+      ``K[j, j] / K[0, 0]`` (ones on other branches) and ``lead_scales``
+      ``|K[0, 0]|^2`` (one on other branches).  A shot that drew a cheap
+      branch is scaled in place and never touches sub-lattice 0.
 
     Every array is read-only.  Use :meth:`bind`: it shares one binding
     per (channel, qubits) across every anchor of every plan.
@@ -214,7 +217,9 @@ class ChannelBinding:
         "grams",
         "stack",
         "gram_diagonals",
-        "offdiagonal",
+        "cheap",
+        "lead_ratios",
+        "lead_scales",
     )
 
     def __init__(self, channel, qubits: Sequence[int]) -> None:
@@ -224,8 +229,8 @@ class ChannelBinding:
         self.operators = tuple(channel.kraus_operators)
         self.identity_flags = tuple(channel.scalar_identity_flags)
         self.cumulative = self.scaled_ops = None
-        self.grams = self.stack = None
-        self.gram_diagonals = self.offdiagonal = None
+        self.grams = self.stack = self.gram_diagonals = None
+        self.cheap = self.lead_ratios = self.lead_scales = None
         if channel.mixed_unitary_probs is not None:
             self.kind = "mixed"
             self.cumulative = channel.mixed_unitary_cumulative
@@ -240,7 +245,16 @@ class ChannelBinding:
             self.gram_diagonals = _read_only(
                 np.diagonal(self.grams, axis1=1, axis2=2).real, float
             )
-        self.offdiagonal = _read_only(operators[:, off].any(axis=1), bool)
+        diagonals = np.diagonal(operators, axis1=1, axis2=2)
+        leads = diagonals[:, 0]
+        cheap = ~operators[:, off].any(axis=1) & (np.abs(leads) > _LEAD_MIN)
+        ratios = np.ones_like(diagonals)
+        ratios[cheap] = diagonals[cheap] / leads[cheap, None]
+        self.cheap = _read_only(cheap, bool)
+        self.lead_ratios = _read_only(ratios, ENSEMBLE_DTYPE)
+        self.lead_scales = _read_only(
+            np.where(cheap, np.abs(leads) ** 2, 1.0), float
+        )
 
     @classmethod
     def bind(cls, channel, qubits: Sequence[int]) -> "ChannelBinding":

@@ -13,14 +13,22 @@ trajectories, evolving the shots in chunks of ``W`` as one
   ``searchsorted`` against the precomputed cumulative table, then apply
   each distinct branch matrix to its grouped sub-batch (no-op branches
   skipped via the channel's identity flags);
-* general Kraus channels are elementwise at every width: every branch
-  norm of every shot comes from the |amp|^2 mass of the target
-  sub-lattices when all Gram matrices ``K^† K`` are diagonal (the
-  reduced density matrix otherwise), one draw per shot picks a branch,
-  and the per-shot stack ``K[b_s] / sqrt(norm_s)`` is applied as
-  multiply-adds over the sub-lattices — or as in-place multiplies when
-  no shot in the chunk drew a branch with off-diagonal entries;
-* measurements collapse the chunk with vectorised probability gathers;
+* general Kraus channels touch only the shots and amplitudes that
+  change.  Kraus states are stored unnormalised, with each shot's
+  ``||psi||^2`` carried in a ``mass`` vector (spans and mixed-unitary
+  channels leave it unchanged), as quantum-jump samplers carry the norm
+  of the no-jump evolution.  When all Gram matrices ``K^† K`` are
+  diagonal every branch norm comes from the |amp|^2 masses of target
+  sub-lattices ``1..`` (sub-lattice 0 holds the rest of ``mass``); the
+  reduced density matrix gives them otherwise.  One draw per shot picks
+  a branch.  A shot that drew a diagonal branch with ``K[0, 0] != 0``
+  keeps ``K psi / K[0, 0]``: sub-lattices ``1..`` scale in place,
+  sub-lattice 0 is never touched and no renormalisation pass runs.
+  Shots that drew any other branch are gathered, get ``K[b_s] /
+  sqrt(norm_s)`` as multiply-adds over the sub-lattices and are
+  scattered back with mass 1;
+* measurements collapse the chunk with vectorised probability gathers
+  and renormalise by the true kept mass;
   terminal measurement is one joint sample of the final distribution
   (deferred-measurement equivalence: nothing touches a terminally
   measured qubit afterwards, so the statistics are identical).
@@ -33,11 +41,12 @@ anchor, measurement and readout entry) and pre-draws that site's full
 ``(shots,)`` uniform array; a chunk consumes ``[lo:hi)`` slices.  The
 draws are therefore exactly independent of the chunk size.  Span op
 routes are chosen by matrix structure, never by batch size, and the
-Kraus kernel's only by which branches a chunk drew — a zero
-coefficient contributes an exact zero, so both Kraus routes give a
-shot the same amplitudes up to the sign of a zero.  All of these are
-elementwise or slice-wise per shot, so their arithmetic is bit-exact
-across chunk widths too.  The only size-dependent arithmetic left is
+Kraus kernel's per shot, by the branch that shot drew; a shot is
+renormalised whenever its mass leaves ``[0.1, 10]``, which keeps the
+tracked mass within ~1e-5 of ``||psi||^2`` (relative) and complex64
+amplitudes far from underflow.  All of these are elementwise or
+slice-wise per shot, so their arithmetic is bit-exact across chunk
+widths too.  The only size-dependent arithmetic left is
 the GEMM route of
 :func:`~repro.simulator.kernels.apply_matrix_batch`, which mixed-unitary
 branches and ``gen`` span ops (dense gates on 2+ qubits) still take:
@@ -66,6 +75,15 @@ __all__ = ["ENSEMBLE_DTYPE", "default_chunk_size", "run_noise_plan"]
 # at 4000 shots took 0.92-0.97 s against 1.05-1.08 s, counts identical.
 ENSEMBLE_DTYPE = np.dtype(np.complex64)
 _REAL_DTYPE = np.finfo(ENSEMBLE_DTYPE).dtype
+
+# A shot's sub-lattice-0 mass is a difference, ``mass - sum``, whose
+# absolute error is set at the scale of the shot's last normalisation;
+# renormalising (by the true norm) once the mass leaves [_MASS_FLOOR,
+# 1 / _MASS_FLOOR] caps its relative error at ten times that.  Cheap
+# branches need |K[0, 0]| > _LEAD_MIN, so one anchor moves a mass by at
+# most 1e12 and complex64 |amp|^2 stays finite.
+_MASS_FLOOR = 0.1
+_LEAD_MIN = 1e-6
 
 # Kraus kernels keep a sub-lattice's contiguous tail as the inner loop
 # when it holds at least this many amplitudes; shorter tails give way
@@ -116,6 +134,7 @@ def _run_chunk(plan, draws: List[np.ndarray], lo: int, hi: int) -> np.ndarray:
     n = plan.num_qubits
     batch = np.zeros((width,) + (2,) * n, dtype=ENSEMBLE_DTYPE)
     batch[(slice(None),) + (0,) * n] = 1.0
+    mass = np.ones(width)
     steps = plan.compiled_steps()
 
     clbits = np.zeros(width, dtype=np.int64)
@@ -125,12 +144,12 @@ def _run_chunk(plan, draws: List[np.ndarray], lo: int, hi: int) -> np.ndarray:
             batch = _execute_span(batch, step[1])
         elif kind == "channel":
             batch = _apply_channel_chunk(
-                batch, step[1], draws[step[2]][lo:hi]
+                batch, mass, step[1], draws[step[2]][lo:hi]
             )
         else:  # "measure"
             _, qubit, clbit, site, readout, readout_site = step
             outcome = _collapse_measure(
-                batch, qubit, draws[site][lo:hi]
+                batch, mass, qubit, draws[site][lo:hi]
             )
             bits = outcome.astype(np.int64)
             if readout is not None:
@@ -198,9 +217,10 @@ def _execute_span(batch: np.ndarray, ops) -> np.ndarray:
 
 
 def _apply_channel_chunk(
-    batch: np.ndarray, binding, uniforms: np.ndarray
+    batch: np.ndarray, mass: np.ndarray, binding, uniforms: np.ndarray
 ) -> np.ndarray:
-    """One stochastic channel on a whole chunk."""
+    """One stochastic channel on a whole chunk; Kraus channels update
+    the per-shot *mass* in place."""
     qubits = binding.qubits
     if binding.kind == "mixed":
         last = binding.num_branches - 1
@@ -218,7 +238,7 @@ def _apply_channel_chunk(
             else:
                 batch[mask] = apply_matrix_batch(batch[mask], op, qubits)
         return batch
-    return _apply_kraus_chunk(batch, binding, uniforms)
+    return _apply_kraus_chunk(batch, mass, binding, uniforms)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -258,14 +278,16 @@ def _sub_lattices(qubits: Tuple[int, ...], num_qubits: int) -> Tuple:
 
 
 def _apply_kraus_chunk(
-    batch: np.ndarray, binding, uniforms: np.ndarray
+    batch: np.ndarray, mass: np.ndarray, binding, uniforms: np.ndarray
 ) -> np.ndarray:
-    """A general Kraus channel on a whole chunk, elementwise.
+    """A general Kraus channel on a whole chunk of unnormalised shots.
 
     Every branch norm ``||K psi||^2 = Tr(K^† K rho)`` of every shot,
-    then one categorical draw per shot, then the per-shot operator
-    ``K[b_s] / sqrt(norm_s)`` applied as multiply-adds over the target
-    sub-lattices — in place when no shot drew an off-diagonal branch.
+    then one categorical draw per shot.  Shots that drew a cheap branch
+    (diagonal, ``K[0, 0] != 0``) are scaled in place by ``K[j, j] /
+    K[0, 0]`` on sub-lattices ``1..``, with mass ``norm / |K[0, 0]|^2``;
+    the others are gathered, get ``K[b_s] / sqrt(norm_s)`` as
+    multiply-adds and are scattered back with mass 1.
     """
     shots = batch.shape[0]
     shape, selectors, axes = _sub_lattices(binding.qubits, batch.ndim - 1)
@@ -274,15 +296,19 @@ def _apply_kraus_chunk(
     views = [grouped[sel].transpose(axes) for sel in selectors]
     subscripts = list(range(len(axes)))
     if binding.gram_diagonals is not None:
-        # diagonal Grams weigh only each sub-lattice's |amp|^2 mass
+        # diagonal Grams weigh only each sub-lattice's |amp|^2 mass;
+        # sub-lattice 0 holds what the others leave of the shot's mass
         floats = grouped.view(_REAL_DTYPE)
-        norms = 0.0
-        for j, sel in enumerate(selectors):
+        masses = []
+        for sel in selectors[1:]:
             part = floats[sel].transpose(axes)
-            mass = np.einsum(
-                part, subscripts, part, subscripts, [0], order="C"
+            masses.append(
+                np.einsum(part, subscripts, part, subscripts, [0], order="C")
             )
-            norms = norms + binding.gram_diagonals[:, j, None] * mass
+        masses.insert(0, mass - sum(masses))
+        norms = 0.0
+        for j, sub_mass in enumerate(masses):
+            norms = norms + binding.gram_diagonals[:, j, None] * sub_mass
     else:
         # rho[i, j] = <i|rho|j> per shot, from sub-lattice overlaps
         conjugates = [view.conj() for view in views]
@@ -301,49 +327,70 @@ def _apply_kraus_chunk(
     cumulative = np.cumsum(norms / totals, axis=0)
     branches = (uniforms[None, :] > cumulative).sum(axis=0)
     branches = np.minimum(branches, binding.num_branches - 1)
-    chosen = np.sqrt(np.maximum(norms[branches, np.arange(shots)], 1e-300))
-    ops = binding.stack[branches]
-    ops *= (1.0 / chosen)[:, None, None]
-    # per-shot coefficients broadcast over one sub-lattice view
-    coef = ops.reshape(ops.shape + (1,) * (len(axes) - 1))
-    if not binding.offdiagonal[branches].any():
-        for j, view in enumerate(views):
-            np.multiply(view, coef[:, j, j], out=view, order="C")
-        return batch
-    out = np.empty_like(batch)
-    grouped_out = out.reshape(grouped.shape)
-    product = np.empty(views[0].shape, dtype=batch.dtype)
-    for i, sel in enumerate(selectors):
-        target = grouped_out[sel].transpose(axes)
-        np.multiply(views[0], coef[:, i, 0], out=target, order="C")
+    chosen = np.maximum(norms[branches, np.arange(shots)], 1e-300)
+    jumps = np.flatnonzero(~binding.cheap[branches])
+    # gathered before the in-place pass, which scales their rows by one
+    sources = grouped[jumps]
+    if jumps.size < shots:
+        ratios = binding.lead_ratios[branches]
+        ratios = ratios.reshape(ratios.shape + (1,) * (len(axes) - 1))
         for j in range(1, len(views)):
-            np.multiply(views[j], coef[:, i, j], out=product, order="C")
-            np.add(target, product, out=target, order="C")
-    return out
+            np.multiply(views[j], ratios[:, j], out=views[j], order="C")
+    np.divide(chosen, binding.lead_scales[branches], out=mass)
+    if jumps.size:
+        ops = binding.stack[branches[jumps]]
+        ops *= (1.0 / np.sqrt(chosen[jumps]))[:, None, None]
+        # per-shot coefficients broadcast over one sub-lattice view
+        coef = ops.reshape(ops.shape + (1,) * (len(axes) - 1))
+        parts = [sources[sel].transpose(axes) for sel in selectors]
+        out = np.empty_like(sources)
+        product = np.empty(parts[0].shape, dtype=batch.dtype)
+        for i, sel in enumerate(selectors):
+            target = out[sel].transpose(axes)
+            np.multiply(parts[0], coef[:, i, 0], out=target, order="C")
+            for j in range(1, len(parts)):
+                np.multiply(parts[j], coef[:, i, j], out=product, order="C")
+                np.add(target, product, out=target, order="C")
+        grouped[jumps] = out
+        mass[jumps] = 1.0
+    drifted = np.flatnonzero((mass < _MASS_FLOOR) | (mass > 1 / _MASS_FLOOR))
+    if drifted.size:
+        # renormalise by the true norm, which also drops the error the
+        # tracked mass gathered since the shot was last normalised
+        part = grouped[drifted].reshape(drifted.size, -1)
+        floats = part.view(_REAL_DTYPE)
+        true = np.einsum("si,si->s", floats, floats, order="C")
+        part /= np.sqrt(np.maximum(true, 1e-300))[:, None]
+        grouped[drifted] = part.reshape((-1,) + shape)
+        mass[drifted] = 1.0
+    return batch
 
 
 def _collapse_measure(
-    batch: np.ndarray, qubit: int, uniforms: np.ndarray
+    batch: np.ndarray, mass: np.ndarray, qubit: int, uniforms: np.ndarray
 ) -> np.ndarray:
     """Measure *qubit* on every shot of the chunk, collapsing in place.
 
     Returns the boolean outcome array.  Convention matches
     :meth:`Statevector.measure_qubit`: outcome 1 iff ``u < P(1)``.
+    Shots may arrive unnormalised; each leaves with unit *mass*.
     """
     shots = batch.shape[0]
     view = np.moveaxis(batch, qubit + 1, 1)
-    prob1 = (
-        (np.abs(view[:, 1]) ** 2).reshape(shots, -1).sum(axis=1)
+    weight0, weight1 = (
+        (np.abs(view[:, b]) ** 2).reshape(shots, -1).sum(axis=1)
+        for b in (0, 1)
     )
-    outcome = uniforms < prob1
+    outcome = uniforms < weight1 / np.maximum(weight0 + weight1, 1e-300)
     ones = np.nonzero(outcome)[0]
     zeros = np.nonzero(~outcome)[0]
     view[ones, 0] = 0
     view[zeros, 1] = 0
-    kept = np.where(outcome, prob1, 1.0 - prob1)
+    kept = np.where(outcome, weight1, weight0)
     batch /= np.sqrt(np.maximum(kept, 1e-300)).reshape(
         (-1,) + (1,) * (batch.ndim - 1)
     )
+    mass[:] = 1.0
     return outcome
 
 

@@ -143,7 +143,9 @@ class TestPlanContracts:
         "table,rule",
         [
             ("stack", "operator-stack"),
-            ("offdiagonal", "offdiagonal-flags"),
+            ("cheap", "lead-branches"),
+            ("lead_ratios", "lead-branches"),
+            ("lead_scales", "lead-branches"),
             ("gram_diagonals", "gram-diagonal"),
         ],
     )
@@ -164,9 +166,18 @@ class TestPlanContracts:
             stack = damping.stack.copy()
             stack[1, 0, 1] *= 0.5
             damping.stack = stack
-        elif table == "offdiagonal":
-            # the jump branch would be applied as a diagonal scaling
-            damping.offdiagonal = np.zeros_like(damping.offdiagonal)
+        elif table == "cheap":
+            # the jump branch would be applied as an in-place scaling
+            damping.cheap = np.ones_like(damping.cheap)
+        elif table == "lead_ratios":
+            ratios = damping.lead_ratios.copy()
+            ratios[0, 1] *= 0.5
+            damping.lead_ratios = ratios
+        elif table == "lead_scales":
+            # the no-jump branch would leave a wrong per-shot mass
+            scales = damping.lead_scales.copy()
+            scales[0] *= 2.0
+            damping.lead_scales = scales
         else:
             # a non-diagonal Gram must never take the marginal route
             rotated = bindings[rotated_damping(0.2).name]

@@ -85,7 +85,7 @@ class TestChannelPrecompute:
         mixed = ChannelBinding(depolarizing(0.1), (0,))
         assert mixed.kind == "mixed"
         assert mixed.cumulative is not None and mixed.grams is None
-        assert mixed.stack is None and mixed.offdiagonal is None
+        assert mixed.stack is None and mixed.cheap is None
         kraus = ChannelBinding(amplitude_damping(0.2), (1,))
         assert kraus.kind == "kraus"
         assert kraus.cumulative is None and kraus.grams is not None
@@ -102,17 +102,23 @@ class TestChannelPrecompute:
         np.testing.assert_allclose(
             binding.gram_diagonals, [[1.0, 0.8], [0.0, 0.2]]
         )
-        assert binding.offdiagonal.tolist() == [False, True]
+        # K0 scales |1> by K0[1,1] / K0[0,0] in place; K1 is a jump
+        assert binding.cheap.tolist() == [True, False]
+        np.testing.assert_allclose(
+            binding.lead_ratios, [[1.0, np.sqrt(0.8)], [1.0, 1.0]], atol=1e-7
+        )
+        np.testing.assert_allclose(binding.lead_scales, [1.0, 1.0])
         rotated = ChannelBinding(rotated_damping(0.2), (0,))
         assert rotated.gram_diagonals is None  # norms need rho
-        assert rotated.offdiagonal.tolist() == [True, True]
+        assert rotated.cheap.tolist() == [False, False]
 
     def test_trace_time_arrays_are_frozen(self):
         for channel in (depolarizing(0.1), amplitude_damping(0.2)):
             binding = ChannelBinding(channel, (0,))
             tables = [*binding.operators, binding.cumulative, binding.stack]
             tables += [binding.grams, binding.gram_diagonals]
-            tables += [binding.offdiagonal, *(binding.scaled_ops or ())]
+            tables += [binding.cheap, binding.lead_ratios, binding.lead_scales]
+            tables += list(binding.scaled_ops or ())
             for table in tables:
                 if table is not None:
                     assert not table.flags.writeable

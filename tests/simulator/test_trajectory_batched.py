@@ -9,9 +9,12 @@ The contract under test (see ``repro/simulator/noisy.py``):
 * the ensemble is statistically equivalent to the oracle for
   every channel family (single-operator, mixed-unitary, general Kraus,
   readout, mid-circuit measures);
-* the elementwise general-Kraus kernel reproduces a per-shot
-  complex128 loop (same draws, same branches, complex64 tolerance) on
-  its in-place and multiply-add routes;
+* the general-Kraus kernel reproduces a per-shot complex128 loop (same
+  draws, same branches) up to its state contract: each shot stores the
+  chosen image as a ray (a positive scale and a global phase apart)
+  with its ``||psi||^2`` in ``mass``; cheap branches never touch
+  sub-lattice 0, other branches leave the shot renormalised, and the
+  mass floor and mid-circuit collapses renormalise too;
 * counts are independent of the chunk size for a fixed seed —
   ``chunk_size=1``, ``7`` and ``64`` are bit-identical, on every
   general-Kraus route (1- and 2-qubit, diagonal and non-diagonal
@@ -44,8 +47,11 @@ from repro.noise import (
 )
 from repro.simulator.kernels import apply_matrix_state
 from repro.simulator.noisy import (
+    _MASS_FLOOR,
     ENSEMBLE_DTYPE,
     _apply_channel_chunk,
+    _collapse_measure,
+    _sub_lattices,
     default_chunk_size,
 )
 from repro.simulator.trajectory import TrajectorySimulator
@@ -96,6 +102,21 @@ def _mid_circuit():
     qc.x(0)
     qc.cx(0, 1)
     qc.measure(1, 1)
+    return qc
+
+
+def _anchored_mid_circuit():
+    """Kraus anchors leave qubit 1 superposed and unnormalised when it is
+    measured mid-circuit; more anchors follow the collapse."""
+    qc = QuantumCircuit(3, 3)
+    qc.h(0).h(1)
+    for _ in range(4):
+        qc.x(1)
+    qc.cx(0, 1).h(2)
+    qc.measure(1, 1)
+    qc.h(1).cx(1, 2).x(0).h(0)
+    qc.measure(0, 0)
+    qc.measure(2, 2)
     return qc
 
 
@@ -161,6 +182,7 @@ class TestBatchedEquivalence:
             (_mid_circuit(), _mid_model()),
             (_circuit(), _unitary_model()),
             (_mid_circuit(), _kraus_model()),
+            (_anchored_mid_circuit(), _kraus_model()),
         ],
         ids=[
             "mixed-readout",
@@ -168,6 +190,7 @@ class TestBatchedEquivalence:
             "mid-circuit",
             "single-operator",
             "mid-circuit-kraus",
+            "collapse-after-anchors",
         ],
     )
     def test_distributions_agree(self, circuit, model):
@@ -230,8 +253,73 @@ def _per_shot_kraus(states, binding, uniforms):
     return results
 
 
+def _uniforms_for(states, binding, targets):
+    """Draws that pick branch ``targets[s]`` for shot ``s``: the midpoint
+    of that branch's cumulative interval."""
+    uniforms = []
+    for psi, branch in zip(states, targets):
+        norms = [
+            np.vdot(phi, phi).real
+            for phi in (
+                apply_matrix_state(psi, op, binding.qubits)
+                for op in binding.operators
+            )
+        ]
+        edges = np.concatenate([[0.0], np.cumsum(norms) / np.sum(norms)])
+        uniforms.append(0.5 * (edges[branch] + edges[branch + 1]))
+    return np.array(uniforms)
+
+
 class TestKrausKernel:
-    """The elementwise general-Kraus kernel against a per-shot loop."""
+    """The general-Kraus kernel against a per-shot loop.
+
+    State contract: a shot stores ``K[b] psi`` up to a positive scale
+    and a global phase (the phase of ``K[0, 0]`` on a cheap branch), and
+    ``mass`` is the stored state's ``||psi||^2``.  Routing: the kernel
+    works in place; shots that drew a cheap branch keep sub-lattice 0
+    bit-for-bit, every other shot leaves with mass 1.
+    """
+
+    @staticmethod
+    def _states(shots=16, n=4):
+        rng = np.random.default_rng(5)
+        shape = (shots,) + (2,) * n
+        states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        states /= np.linalg.norm(states.reshape(shots, -1), axis=1).reshape(
+            (shots,) + (1,) * n
+        )
+        return states
+
+    @staticmethod
+    def _check(states, binding, uniforms):
+        """Run the kernel once; return the branch each shot drew."""
+        shots, n = states.shape[0], states.ndim - 1
+        batch = states.astype(ENSEMBLE_DTYPE)
+        before = batch.copy()
+        mass = np.ones(shots)
+        out = _apply_channel_chunk(batch, mass, binding, uniforms)
+        assert out is batch
+        expected = _per_shot_kraus(states, binding, uniforms)
+        shape, selectors, _ = _sub_lattices(binding.qubits, n)
+        lead = selectors[0][1:]
+        for s, (branch, image) in enumerate(expected):
+            ray = out[s].astype(complex).ravel()
+            norm2 = np.vdot(ray, ray).real
+            # the same ray as the renormalised image, up to a global phase
+            overlap = np.vdot(ray / np.sqrt(norm2), image.ravel())
+            assert 1.0 - abs(overlap) <= 1e-6
+            # phase-aligned, amplitude by amplitude (complex64 rounding)
+            aligned = ray / np.sqrt(norm2) * overlap / abs(overlap)
+            np.testing.assert_allclose(aligned, image.ravel(), atol=1e-5)
+            # complex64 rounding on unit-scale states
+            assert mass[s] == pytest.approx(norm2, rel=1e-5)
+            if binding.cheap[branch]:
+                np.testing.assert_array_equal(
+                    out[s].reshape(shape)[lead], before[s].reshape(shape)[lead]
+                )
+            else:
+                assert mass[s] == 1.0
+        return np.array([branch for branch, _ in expected])
 
     @pytest.mark.parametrize(
         "channel,qubits",
@@ -245,30 +333,78 @@ class TestKrausKernel:
     )
     @pytest.mark.parametrize("jumps", [False, True], ids=["no-jump", "jump"])
     def test_matches_per_shot_reference(self, channel, qubits, jumps):
-        rng = np.random.default_rng(5)
-        shots, n = 16, 4
-        shape = (shots,) + (2,) * n
-        states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        states /= np.linalg.norm(states.reshape(shots, -1), axis=1).reshape(
-            (shots,) + (1,) * n
-        )
+        states = self._states()
         # tiny draws pick branch 0, the no-jump branch of every channel;
         # draws spread over [0, 1) reach the jump branches too
         if jumps:
-            uniforms = np.linspace(0.01, 0.99, shots)
+            uniforms = np.linspace(0.01, 0.99, len(states))
         else:
-            uniforms = np.full(shots, 1e-3)
+            uniforms = np.full(len(states), 1e-3)
         binding = ChannelBinding(channel, qubits)
-        batch = states.astype(ENSEMBLE_DTYPE)
-        out = _apply_channel_chunk(batch, binding, uniforms)
-        expected = _per_shot_kraus(states, binding, uniforms)
-        branches = [branch for branch, _ in expected]
-        # the in-place route runs iff no shot drew an off-diagonal branch
-        assert (out is batch) == (not binding.offdiagonal[branches].any())
+        branches = self._check(states, binding, uniforms)
         assert jumps == any(branches)
-        for s, (_, image) in enumerate(expected):
-            # complex64 rounding on unit-norm states
-            np.testing.assert_allclose(out[s], image, atol=1e-5)
+
+    def test_one_jump_in_sixteen(self):
+        states = self._states()
+        binding = ChannelBinding(thermal_relaxation(50, 70, 10), (2,))
+        # the amplitude-damping jump |0><1|
+        jump = int(np.flatnonzero(binding.stack[:, 0, 1])[0])
+        targets = np.zeros(len(states), dtype=int)
+        targets[7] = jump
+        branches = self._check(
+            states, binding, _uniforms_for(states, binding, targets)
+        )
+        np.testing.assert_array_equal(branches, targets)
+
+    def test_complex_lead_branch(self):
+        # depolarizing∘thermal's T·Y branches are diagonal with an
+        # imaginary K[0, 0]: the shot keeps K psi / K[0, 0]
+        states = self._states()
+        channel = depolarizing(0.3).compose(thermal_relaxation(50, 70, 10))
+        binding = ChannelBinding(channel, (1,))
+        complex_leads = np.flatnonzero(
+            binding.cheap & (binding.stack[:, 0, 0].imag != 0)
+        )
+        assert complex_leads.size
+        targets = np.resize(complex_leads, len(states))
+        targets[::4] = 0
+        branches = self._check(
+            states, binding, _uniforms_for(states, binding, targets)
+        )
+        np.testing.assert_array_equal(branches, targets)
+
+    def test_mass_floor_renormalises(self):
+        # |1> under amplitude damping: the no-jump branch (P = 0.9) only
+        # shrinks the mass, to 0.9**300 ~ 2e-14 without the floor
+        binding = ChannelBinding(amplitude_damping(0.1), (1,))
+        batch = np.zeros((3, 2, 2), dtype=ENSEMBLE_DTYPE)
+        batch[:, 0, 1] = 1.0
+        mass = np.ones(3)
+        uniforms = np.full(3, 1e-3)
+        lowest = 1.0
+        for _ in range(300):
+            batch = _apply_channel_chunk(batch, mass, binding, uniforms)
+            lowest = min(lowest, mass.min())
+        assert 0.9 ** 300 < _MASS_FLOOR <= lowest
+        assert np.isfinite(batch).all()
+        norm2 = (np.abs(batch) ** 2).reshape(3, -1).sum(axis=1)
+        np.testing.assert_allclose(mass, norm2, rtol=1e-5)
+        expected = np.zeros((3, 2, 2))
+        expected[:, 0, 1] = 1.0
+        np.testing.assert_allclose(
+            batch / np.sqrt(mass)[:, None, None], expected, atol=1e-6
+        )
+
+    def test_collapse_of_unnormalised_shots(self):
+        # |amp|^2 of 0.2 on each outcome: P(1) = 0.5 of the true total
+        batch = np.full((2, 2, 2), np.sqrt(0.1), dtype=ENSEMBLE_DTYPE)
+        mass = np.full(2, 0.4)
+        outcome = _collapse_measure(batch, mass, 0, np.array([0.45, 0.55]))
+        np.testing.assert_array_equal(outcome, [True, False])
+        np.testing.assert_array_equal(mass, 1.0)
+        norm2 = (np.abs(batch) ** 2).reshape(2, -1).sum(axis=1)
+        np.testing.assert_allclose(norm2, 1.0, rtol=1e-6)
+        assert not batch[0, 0].any() and not batch[1, 1].any()
 
 
 class TestKnobsAndRouting:
