@@ -19,7 +19,8 @@ on.  This module states them as executable contracts:
   :class:`~repro.execution.noise_plan.ChannelBinding` CPTP with a
   monotone cumulative table summing to 1, every Kraus binding's
   operator stack, Gram-diagonal classification and lead-branch tables
-  agreeing with its operators, monomial classifications
+  agreeing with its operators, every mixed binding's per-branch
+  monomial table rebuilding its branches, monomial classifications
   exact, and — when the source circuit and model are supplied — fusion
   provably never crossing a noise anchor (each span re-derived and
   justified from its own segment only, via
@@ -428,6 +429,7 @@ def _check_channel_binding(
                         "K / sqrt(p)",
                         loc,
                     )
+        _check_branch_monomials(report, binding, loc)
     else:
         grams = binding.grams
         if report.check(
@@ -464,6 +466,41 @@ def _check_channel_binding(
                 "operator",
                 loc,
             )
+
+
+def _check_branch_monomials(
+    report: Report, binding: ChannelBinding, loc: str
+) -> None:
+    """The ``(rows, phases)`` tables mixed branches run as slice copies.
+
+    A monomial entry must rebuild its pre-scaled branch exactly; a
+    branch that is not monomial (or has ``p = 0``) must be marked
+    ``None``, so it takes the dense route.
+    """
+    monomials = binding.monomials
+    if not report.check(
+        monomials is not None and len(monomials) == len(binding.operators),
+        "branch-monomials",
+        "mixed channel monomial table missing or mis-sized",
+        loc,
+    ):
+        return
+    for b, (scaled, entry) in enumerate(zip(binding.scaled_ops, monomials)):
+        monomial = None if scaled is None else _monomial_decomposition(scaled)
+        if monomial is None or entry is None:
+            ok = monomial is None and entry is None
+        else:
+            rows, phases = entry
+            rebuilt = np.zeros_like(scaled)
+            rebuilt[list(rows), np.arange(len(rows))] = phases
+            ok = len(rows) == len(scaled) and np.array_equal(rebuilt, scaled)
+        report.check(
+            ok,
+            "branch-monomials",
+            f"branch {b} monomial entry does not rebuild its pre-scaled "
+            "operator exactly, or marks a monomial branch as dense",
+            loc,
+        )
 
 
 def _check_kraus_tables(

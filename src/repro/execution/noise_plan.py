@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,6 +81,57 @@ def _monomial_decomposition(matrix: np.ndarray):
     return rows, phases
 
 
+def _monomial_table(matrix: np.ndarray):
+    """:func:`_monomial_decomposition` as hashable ``(rows, phases)``
+    tuples (the :func:`_perm_moves` key), or ``None``."""
+    monomial = _monomial_decomposition(matrix)
+    if monomial is None:
+        return None
+    rows, phases = monomial
+    return tuple(rows.tolist()), tuple(phases.tolist())
+
+
+@functools.lru_cache(maxsize=1024)
+def _shared_table(table: Tuple) -> Tuple:
+    """The first-seen copy of an equal monomial table: every binding of
+    a same-shaped Pauli channel holds one, whatever plan it is in."""
+    return table
+
+
+@functools.lru_cache(maxsize=1024)
+def _mixed_program(
+    monomials: Tuple,
+    noops: Tuple[bool, ...],
+    qubits: Tuple[int, ...],
+    num_qubits: int,
+) -> Tuple[np.ndarray, Tuple]:
+    """A mixed-unitary binding's per-branch programs for the executor.
+
+    Returns ``(columns, programs)``: ``columns[b]`` is branch ``b``'s
+    column in the executor's row-split table, with every no-op branch
+    (``None`` or a scalar identity) sharing the first one's, so they
+    never split a row; ``programs[b]`` is ``None`` for a no-op,
+    ``("perm", moves)`` for a monomial (Pauli) branch — the span
+    kernels' slice copies — and ``("gen", b)`` for a dense one, applied
+    from the binding's ``scaled_ops[b]``.  Keyed by value, so equal
+    channels on equal qubits share one program.
+    """
+    columns: List[int] = []
+    programs: List = []
+    for b, (monomial, noop) in enumerate(zip(monomials, noops)):
+        if noop:
+            columns.append(noops.index(True))
+            programs.append(None)
+            continue
+        columns.append(b)
+        if monomial is None:
+            programs.append(("gen", b))
+        else:
+            moves = _perm_moves(*monomial, qubits, num_qubits, ENSEMBLE_DTYPE)
+            programs.append(("perm", moves))
+    return _read_only(columns, np.intp), tuple(programs)
+
+
 @functools.lru_cache(maxsize=4096)
 def _basis_selector(
     index: int, qubits: Tuple[int, ...], num_qubits: int
@@ -109,12 +160,17 @@ def _perm_moves(
 ) -> Tuple:
     """The ``(out_sel, in_sel, phase)`` slice copies of a monomial gate
     (phase ``None`` means exactly 1); memoised, so every compiled span
-    applying the same permutation on the same qubits shares one."""
+    applying the same permutation on the same qubits shares one.
+
+    Phases are tested after the cast to *dtype*: a Pauli channel's
+    ``K / sqrt(p)`` has complex128 entries one ulp off 1 that are
+    exactly 1 in complex64.
+    """
     return tuple(
         (
             _basis_selector(row, qubits, num_qubits),
             _basis_selector(j, qubits, num_qubits),
-            None if phase == 1 else dtype.type(phase),
+            None if (cast := dtype.type(phase)) == 1 else cast,
         )
         for j, (row, phase) in enumerate(zip(rows, phases))
     )
@@ -151,16 +207,9 @@ def _compile_span(
             )
             continue
         matrix = np.ascontiguousarray(op.matrix.astype(dtype))
-        monomial = _monomial_decomposition(matrix)
+        monomial = _monomial_table(matrix)
         if monomial is not None:
-            rows, phases = monomial
-            moves = _perm_moves(
-                tuple(rows.tolist()),
-                tuple(phases.tolist()),
-                tuple(op.qubits),
-                num_qubits,
-                dtype,
-            )
+            moves = _perm_moves(*monomial, tuple(op.qubits), num_qubits, dtype)
             compiled.append(("perm", moves))
         elif len(op.qubits) == 1:
             compiled.append(("mul1", matrix, op.qubits[0]))
@@ -191,7 +240,13 @@ class ChannelBinding:
     per (channel, qubits):
 
     * mixed channels carry the cumulative table, the pre-scaled
-      branches ``op / sqrt(p)`` and the no-op branch flags;
+      branches ``op / sqrt(p)``, the no-op branch flags and each
+      branch's ``monomials`` entry: its :func:`_monomial_decomposition`
+      as ``(rows, phases)`` tuples, ``None`` when the branch is not
+      monomial (or has ``p = 0``) — Pauli branches then run as slice
+      copies with phases — and, per chunk layout, the executor's
+      branch programs (:meth:`mixed_program`; both tables are shared
+      by value across bindings);
     * Kraus channels carry the operator ``stack`` in
       :data:`~repro.simulator.noisy.ENSEMBLE_DTYPE`, the Gram matrices
       ``K^† K``, their diagonals when every Gram is diagonal
@@ -213,6 +268,8 @@ class ChannelBinding:
         "operators",
         "cumulative",
         "scaled_ops",
+        "monomials",
+        "programs",
         "identity_flags",
         "grams",
         "stack",
@@ -228,13 +285,20 @@ class ChannelBinding:
         # the channel's own tables are frozen and shared: no copies here
         self.operators = tuple(channel.kraus_operators)
         self.identity_flags = tuple(channel.scalar_identity_flags)
-        self.cumulative = self.scaled_ops = None
+        self.cumulative = self.scaled_ops = self.monomials = None
+        self.programs: Dict[int, Tuple] = {}
         self.grams = self.stack = self.gram_diagonals = None
         self.cheap = self.lead_ratios = self.lead_scales = None
         if channel.mixed_unitary_probs is not None:
             self.kind = "mixed"
             self.cumulative = channel.mixed_unitary_cumulative
             self.scaled_ops = channel.mixed_unitary_scaled
+            self.monomials = _shared_table(
+                tuple(
+                    None if op is None else _monomial_table(op)
+                    for op in self.scaled_ops
+                )
+            )
             return
         self.kind = "kraus"
         operators = np.array(self.operators)
@@ -267,6 +331,21 @@ class ChannelBinding:
                 qubits, cls(channel, qubits)
             )
         return binding
+
+    def mixed_program(self, num_qubits: int) -> Tuple[np.ndarray, Tuple]:
+        """This mixed-unitary binding's executor programs on a
+        *num_qubits* chunk layout (see :func:`_mixed_program`)."""
+        program = self.programs.get(num_qubits)
+        if program is None:
+            noops = tuple(
+                op is None or identity
+                for op, identity in zip(self.scaled_ops, self.identity_flags)
+            )
+            program = self.programs.setdefault(
+                num_qubits,
+                _mixed_program(self.monomials, noops, self.qubits, num_qubits),
+            )
+        return program
 
     @property
     def num_branches(self) -> int:
@@ -340,9 +419,11 @@ class NoisePlan:
         of :data:`~repro.simulator.noisy.ENSEMBLE_DTYPE` amplitudes.
 
         Channel and measure steps pass through unchanged (bindings
-        carry their own trace-time tables).  Span op routes are chosen
-        by matrix structure only — never by batch size — so counts
-        stay bit-identical across chunk widths.
+        carry their own trace-time tables and memoise their
+        layout-bound branch programs, see
+        :meth:`ChannelBinding.mixed_program`).
+        Op routes are chosen by matrix structure only — never by batch
+        size — so counts stay bit-identical across chunk widths.
         """
         if self._compiled is not None:
             return self._compiled

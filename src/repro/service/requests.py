@@ -44,10 +44,33 @@ __all__ = [
     "request_from_wire",
     "prepare_circuit",
     "simulate_noise_model",
+    "MAX_ITERATIONS",
+    "MAX_QUBITS",
+    "MAX_SHOTS",
 ]
 
 _COUPLINGS = ("valencia", "line", "ring", "full")
 _FINGERPRINT_SIZE = 16  # bytes; 32 hex chars
+
+# Size caps on simulate/evaluate inputs, checked at submit (ValueError,
+# so HTTP 400) instead of inside a worker: far above the paper's
+# workload (<= 12 qubits, 1000 shots, 20 iterations), far below a
+# request that would hold a worker for hours or exhaust its memory.
+MAX_QUBITS = 16
+MAX_SHOTS = 100_000
+MAX_ITERATIONS = 100
+
+
+def _check_caps(shots: int, iterations: int = 1, circuit=None) -> None:
+    if not 0 < shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in 1..{MAX_SHOTS}")
+    if not 0 < iterations <= MAX_ITERATIONS:
+        raise ValueError(f"iterations must be in 1..{MAX_ITERATIONS}")
+    if circuit is not None and circuit.num_qubits > MAX_QUBITS:
+        raise ValueError(
+            f"circuit has {circuit.num_qubits} qubits; the service runs "
+            f"at most {MAX_QUBITS}"
+        )
 
 
 def prepare_circuit(qasm: str) -> QuantumCircuit:
@@ -141,11 +164,10 @@ class SimulateRequest(ServiceRequest):
     def __post_init__(self) -> None:
         if not self.qasm:
             raise ValueError("simulate request needs a 'qasm' circuit")
-        if self.shots <= 0:
-            raise ValueError("shots must be positive")
         if self.chunk_size is not None and int(self.chunk_size) <= 0:
             raise ValueError("chunk_size must be positive")
         circuit = self._circuit()  # malformed QASM fails at submit
+        _check_caps(self.shots, circuit=circuit)
         if self.method != "auto":
             self._check_method(circuit)
 
@@ -327,10 +349,8 @@ class EvaluateRequest(ServiceRequest):
 
     def __post_init__(self) -> None:
         _validate_target(self)
-        if self.shots <= 0:
-            raise ValueError("shots must be positive")
-        if self.iterations <= 0:
-            raise ValueError("iterations must be positive")
+        circuit = self._circuit() if self.qasm is not None else None
+        _check_caps(self.shots, self.iterations, circuit)
         if self.chunk_size is not None and int(self.chunk_size) <= 0:
             raise ValueError("chunk_size must be positive")
 

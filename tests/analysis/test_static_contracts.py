@@ -25,7 +25,9 @@ from repro.execution.plan import FUSION_LEVELS, PlanOp, build_plan
 from repro.execution.plan_cache import PlanCache, get_plan
 from repro.noise import (
     NoiseModel,
+    QuantumChannel,
     amplitude_damping,
+    depolarizing,
     fake_valencia,
     valencia_like_backend,
 )
@@ -186,6 +188,49 @@ class TestPlanContracts:
             ).real
         report = check_noise_plan(plan)
         assert rule in {v.rule for v in report.violations}
+
+    @pytest.mark.parametrize(
+        "corruption", ["phase", "fake-monomial", "dropped-monomial"]
+    )
+    def test_branch_monomial_corruption_rejected(self, corruption):
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        model = NoiseModel()
+        model.add_all_qubit_quantum_error(
+            depolarizing(0.1, num_qubits=2), ["cx"]
+        )
+        # mixed-unitary but not monomial: its H branch stays dense
+        model.add_all_qubit_quantum_error(
+            QuantumChannel(
+                [np.sqrt(0.9) * np.eye(2), np.sqrt(0.1) * hadamard]
+            ),
+            ["h"],
+        )
+        circuit = ghz_circuit(3)
+        plan = build_noise_plan(circuit, model, "full")
+        assert check_noise_plan(plan, circuit, model).ok
+        mixed = [
+            step[1]
+            for step in plan.steps
+            if step[0] == "channel" and step[1].kind == "mixed"
+        ]
+        pauli = next(b for b in mixed if len(b.qubits) == 2)
+        dense = next(b for b in mixed if len(b.qubits) == 1)
+        assert dense.monomials[1] is None
+        if corruption == "phase":
+            # X⊗X's phases flipped: the slice copies would apply -X⊗X
+            rows, phases = pauli.monomials[5]
+            table = list(pauli.monomials)
+            table[5] = (rows, tuple(-p for p in phases))
+            pauli.monomials = tuple(table)
+        elif corruption == "fake-monomial":
+            # the H branch would run as an identity slice copy
+            dense.monomials = (dense.monomials[0], ((0, 1), (1, 1)))
+        else:
+            table = list(pauli.monomials)
+            table[5] = None
+            pauli.monomials = tuple(table)
+        report = check_noise_plan(plan)
+        assert {v.rule for v in report.violations} == {"branch-monomials"}
 
     def test_anchor_crossing_detected(self):
         """Fusing two gates across a channel anchor is rejected."""

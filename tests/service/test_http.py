@@ -110,6 +110,18 @@ class TestErrors:
                 http_client.submit("simulate", {"qasm": BELL_QASM, **extra})
             assert err.value.status == 400, extra
 
+    def test_oversized_inputs_are_400(self, http_client):
+        wide = 'OPENQASM 2.0; include "qelib1.inc"; qreg q[40]; h q[0];'
+        refused = [
+            ("simulate", {"qasm": wide}),
+            ("simulate", {"qasm": BELL_QASM, "shots": 10**12}),
+            ("evaluate", {"benchmark": "4gt13", "shots": 10**12}),
+        ]
+        for kind, params in refused:
+            with pytest.raises(ServiceError) as err:
+                http_client.submit(kind, params)
+            assert err.value.status == 400, params
+
     def test_unknown_job_is_404(self, http_client):
         with pytest.raises(ServiceError) as err:
             http_client.status("j424242")

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.service.requests import (
+    MAX_ITERATIONS,
+    MAX_QUBITS,
+    MAX_SHOTS,
     AttackRequest,
     EvaluateRequest,
     ProtectRequest,
@@ -117,6 +120,34 @@ class TestValidation:
     def test_evaluate_rejects_unknown_benchmark(self):
         with pytest.raises(ValueError, match="unknown benchmark"):
             EvaluateRequest(benchmark="not_a_benchmark")
+
+    def test_oversized_inputs_refused_at_submit(self):
+        wide = 'OPENQASM 2.0; include "qelib1.inc"; qreg q[40]; h q[0];'
+        with pytest.raises(ValueError, match="40 qubits"):
+            SimulateRequest(qasm=wide)
+        with pytest.raises(ValueError, match="40 qubits"):
+            EvaluateRequest(qasm=wide)
+        with pytest.raises(ValueError, match="shots"):
+            SimulateRequest(qasm=BELL_QASM, shots=10**12)
+        with pytest.raises(ValueError, match="shots"):
+            EvaluateRequest(benchmark="4gt13", shots=10**12)
+        with pytest.raises(ValueError, match="iterations"):
+            EvaluateRequest(benchmark="4gt13", iterations=MAX_ITERATIONS + 1)
+        with pytest.raises(ValueError, match="iterations"):
+            EvaluateRequest(benchmark="4gt13", iterations=0)
+
+    def test_benchmark_sizes_accepted(self):
+        # the service benchmark's largest jobs: a 10-qubit noiseless
+        # simulate at 1000 shots, 200-shot noisy simulates and evaluates
+        ten = (
+            'OPENQASM 2.0; include "qelib1.inc"; qreg q[10]; '
+            + " ".join(f"h q[{q}];" for q in range(10))
+        )
+        SimulateRequest(qasm=ten, shots=1000, seed=1)
+        SimulateRequest(qasm=ten, shots=200, seed=1, noisy=True)
+        EvaluateRequest(benchmark="rd73", shots=1000, iterations=20)
+        at_caps = "OPENQASM 2.0; qreg q[%d];" % MAX_QUBITS
+        SimulateRequest(qasm=at_caps, shots=MAX_SHOTS)
 
     def test_attack_rejects_unknown_adversary(self):
         with pytest.raises(ValueError, match="adversary"):

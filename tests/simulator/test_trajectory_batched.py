@@ -18,7 +18,12 @@ The contract under test (see ``repro/simulator/noisy.py``):
 * counts are independent of the chunk size for a fixed seed —
   ``chunk_size=1``, ``7`` and ``64`` are bit-identical, on every
   general-Kraus route (1- and 2-qubit, diagonal and non-diagonal
-  Grams) and on the Valencia-like device model;
+  Grams) and on the Valencia-like device model, and ``chunk_size=1``
+  (one row per shot) matches the default chunk (shots sharing rows)
+  on paper circuits;
+* rows split only where their shots draw different branches or
+  outcomes: the first branch present keeps the row, each other one is
+  appended;
 * knobs validate: a bad chunk size is refused, and the retired
   ``trajectories`` option is gone from ``run()``.
 """
@@ -45,16 +50,19 @@ from repro.noise import (
     thermal_relaxation,
     valencia_like_backend,
 )
+from repro.revlib import benchmark_circuit
 from repro.simulator.kernels import apply_matrix_state
 from repro.simulator.noisy import (
     _MASS_FLOOR,
     ENSEMBLE_DTYPE,
-    _apply_channel_chunk,
+    _apply_kraus,
     _collapse_measure,
+    _Rows,
     _sub_lattices,
     default_chunk_size,
 )
 from repro.simulator.trajectory import TrajectorySimulator
+from repro.transpiler.transpile import transpile
 
 
 def _circuit():
@@ -81,6 +89,18 @@ def _kraus_model():
     model.add_all_qubit_quantum_error(amplitude_damping(0.08), ["h", "x"])
     model.add_all_qubit_quantum_error(
         thermal_relaxation(50.0, 70.0, 2.0), ["cx"]
+    )
+    return model
+
+
+def _dense_mixed_model():
+    """A mixed-unitary channel whose second branch (H) is not monomial,
+    so it runs through the dense route on the rows that drew it."""
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    model = NoiseModel()
+    model.add_all_qubit_quantum_error(
+        QuantumChannel([np.sqrt(0.9) * np.eye(2), np.sqrt(0.1) * hadamard]),
+        ["h", "x", "rz"],
     )
     return model
 
@@ -183,6 +203,7 @@ class TestBatchedEquivalence:
             (_circuit(), _unitary_model()),
             (_mid_circuit(), _kraus_model()),
             (_anchored_mid_circuit(), _kraus_model()),
+            (_circuit(), _dense_mixed_model()),
         ],
         ids=[
             "mixed-readout",
@@ -191,6 +212,7 @@ class TestBatchedEquivalence:
             "single-operator",
             "mid-circuit-kraus",
             "collapse-after-anchors",
+            "dense-mixed-branch",
         ],
     )
     def test_distributions_agree(self, circuit, model):
@@ -216,6 +238,18 @@ class TestChunkInvariance:
                 reference = counts
             assert counts == reference, f"chunk_size={chunk} diverged"
 
+    def test_dense_mixed_branch_chunk_invariance(self):
+        # below the GEMM crossover the dense route is bit-exact on any
+        # subset of rows
+        model = _dense_mixed_model()
+        reference = None
+        for chunk in (1, 7, None):
+            sim = TrajectorySimulator(model, 8, chunk_size=chunk)
+            counts = dict(sim.run(_circuit(), 400))
+            if reference is None:
+                reference = counts
+            assert counts == reference, f"chunk_size={chunk} diverged"
+
     def test_kraus_chunk_invariance(self):
         models = {
             "kraus": _kraus_model(),
@@ -230,6 +264,21 @@ class TestChunkInvariance:
                 if reference is None:
                     reference = counts
                 assert counts == reference, f"{name}: chunk_size={chunk}"
+
+    @pytest.mark.parametrize("name,shots", [("4mod5", 200), ("rd53", 64)])
+    def test_shared_rows_match_one_row_per_shot(self, name, shots):
+        # chunk_size=1 leaves one row per shot; the default chunk runs
+        # every shot in one chunk, where shots share rows
+        circuit = benchmark_circuit(name)
+        backend = valencia_like_backend(circuit.num_qubits)
+        compiled = transpile(circuit, backend=backend).circuit.copy()
+        compiled.measure_all()
+        model = backend.noise_model()
+        per_shot = run(
+            compiled, shots, noise_model=model, seed=5, chunk_size=1
+        )
+        shared = run(compiled, shots, noise_model=model, seed=5)
+        assert dict(shared) == dict(per_shot)
 
     def test_default_chunk_size_caps_memory(self):
         assert default_chunk_size(100, 2) == 100  # whole batch
@@ -291,19 +340,27 @@ class TestKrausKernel:
         return states
 
     @staticmethod
-    def _check(states, binding, uniforms):
-        """Run the kernel once; return the branch each shot drew."""
-        shots, n = states.shape[0], states.ndim - 1
-        batch = states.astype(ENSEMBLE_DTYPE)
+    def _check(states, binding, uniforms, row_of=None):
+        """Run the kernel once on *states* as rows (shot ``s`` holding
+        row ``row_of[s]``, one row per shot by default); return the
+        branch each shot drew."""
+        if row_of is None:
+            row_of = np.arange(states.shape[0])
+        n = states.ndim - 1
+        batch = np.zeros((len(row_of),) + states.shape[1:], ENSEMBLE_DTYPE)
+        batch[: states.shape[0]] = states
         before = batch.copy()
-        mass = np.ones(shots)
-        out = _apply_channel_chunk(batch, mass, binding, uniforms)
-        assert out is batch
-        expected = _per_shot_kraus(states, binding, uniforms)
+        rows = _Rows(batch, row_of.copy(), count=states.shape[0])
+        _apply_kraus(rows, binding, uniforms)
+        # in place, in the chunk's own buffer
+        assert rows.buffer is batch
+        shot_states = states[row_of]
+        expected = _per_shot_kraus(shot_states, binding, uniforms)
         shape, selectors, _ = _sub_lattices(binding.qubits, n)
         lead = selectors[0][1:]
         for s, (branch, image) in enumerate(expected):
-            ray = out[s].astype(complex).ravel()
+            row = rows.row_of[s]
+            ray = batch[row].astype(complex).ravel()
             norm2 = np.vdot(ray, ray).real
             # the same ray as the renormalised image, up to a global phase
             overlap = np.vdot(ray / np.sqrt(norm2), image.ravel())
@@ -312,13 +369,14 @@ class TestKrausKernel:
             aligned = ray / np.sqrt(norm2) * overlap / abs(overlap)
             np.testing.assert_allclose(aligned, image.ravel(), atol=1e-5)
             # complex64 rounding on unit-scale states
-            assert mass[s] == pytest.approx(norm2, rel=1e-5)
+            assert rows.mass[row] == pytest.approx(norm2, rel=1e-5)
             if binding.cheap[branch]:
                 np.testing.assert_array_equal(
-                    out[s].reshape(shape)[lead], before[s].reshape(shape)[lead]
+                    batch[row].reshape(shape)[lead],
+                    before[row_of[s]].reshape(shape)[lead],
                 )
             else:
-                assert mass[s] == 1.0
+                assert rows.mass[row] == 1.0
         return np.array([branch for branch, _ in expected])
 
     @pytest.mark.parametrize(
@@ -379,12 +437,14 @@ class TestKrausKernel:
         binding = ChannelBinding(amplitude_damping(0.1), (1,))
         batch = np.zeros((3, 2, 2), dtype=ENSEMBLE_DTYPE)
         batch[:, 0, 1] = 1.0
-        mass = np.ones(3)
+        rows = _Rows(batch, np.arange(3))
+        mass = rows.mass
         uniforms = np.full(3, 1e-3)
         lowest = 1.0
         for _ in range(300):
-            batch = _apply_channel_chunk(batch, mass, binding, uniforms)
+            _apply_kraus(rows, binding, uniforms)
             lowest = min(lowest, mass.min())
+        assert rows.count == 3 and rows.buffer is batch
         assert 0.9 ** 300 < _MASS_FLOOR <= lowest
         assert np.isfinite(batch).all()
         norm2 = (np.abs(batch) ** 2).reshape(3, -1).sum(axis=1)
@@ -398,13 +458,77 @@ class TestKrausKernel:
     def test_collapse_of_unnormalised_shots(self):
         # |amp|^2 of 0.2 on each outcome: P(1) = 0.5 of the true total
         batch = np.full((2, 2, 2), np.sqrt(0.1), dtype=ENSEMBLE_DTYPE)
-        mass = np.full(2, 0.4)
-        outcome = _collapse_measure(batch, mass, 0, np.array([0.45, 0.55]))
+        rows = _Rows(batch, np.arange(2))
+        rows.mass[:] = 0.4
+        outcome = _collapse_measure(rows, 0, np.array([0.45, 0.55]))
         np.testing.assert_array_equal(outcome, [True, False])
-        np.testing.assert_array_equal(mass, 1.0)
+        np.testing.assert_array_equal(rows.mass, 1.0)
+        assert rows.count == 2 and rows.buffer is batch
         norm2 = (np.abs(batch) ** 2).reshape(2, -1).sum(axis=1)
         np.testing.assert_allclose(norm2, 1.0, rtol=1e-6)
         assert not batch[0, 0].any() and not batch[1, 1].any()
+
+
+class TestRowSplit:
+    """Shots share a row until they draw different branches."""
+
+    @staticmethod
+    def _one_row(n=3, shots=9):
+        rng = np.random.default_rng(3)
+        state = rng.standard_normal((2,) * n) + 1j * rng.standard_normal(
+            (2,) * n
+        )
+        return (state / np.linalg.norm(state))[None], np.zeros(
+            shots, dtype=np.intp
+        )
+
+    def test_one_branch_keeps_the_row(self):
+        states, row_of = self._one_row()
+        binding = ChannelBinding(thermal_relaxation(50, 70, 10), (1,))
+        uniforms = np.full(len(row_of), 1e-3)  # every shot: branch 0
+        rows = _Rows(np.zeros((len(row_of),) + states.shape[1:],
+                              ENSEMBLE_DTYPE), row_of.copy(), count=1)
+        rows.buffer[0] = states[0]
+        _apply_kraus(rows, binding, uniforms)
+        assert rows.count == 1
+        np.testing.assert_array_equal(rows.row_of, 0)
+        # and the kernel's per-shot contract holds on the shared row
+        TestKrausKernel._check(states, binding, uniforms, row_of)
+
+    def test_three_branches_append_two_rows(self):
+        states, row_of = self._one_row()
+        channel = depolarizing(0.3).compose(thermal_relaxation(50, 70, 10))
+        binding = ChannelBinding(channel, (2,))
+        # branch 2 is a jump (gathered), branch 12 a cheap diagonal
+        drawn = [0, 12, 0, 2, 12, 0, 2, 2, 0]
+        uniforms = _uniforms_for(states[row_of], binding, drawn)
+        branches = TestKrausKernel._check(states, binding, uniforms, row_of)
+        np.testing.assert_array_equal(branches, drawn)
+        # replay to read the split: branch 0 keeps row 0, then the
+        # other present branches are appended in ascending order
+        rows = _Rows(np.zeros((len(row_of),) + states.shape[1:],
+                              ENSEMBLE_DTYPE), row_of.copy(), count=1)
+        rows.buffer[0] = states[0]
+        _apply_kraus(rows, binding, uniforms)
+        assert rows.count == 3
+        np.testing.assert_array_equal(
+            rows.row_of, [{0: 0, 2: 1, 12: 2}[b] for b in drawn]
+        )
+
+    def test_collapse_splits_a_superposed_row(self):
+        # |+> on qubit 0, |0> on qubit 1: P(1) = 0.5 on the one row
+        batch = np.zeros((5, 2, 2), dtype=ENSEMBLE_DTYPE)
+        batch[0, :, 0] = np.sqrt(0.5)
+        rows = _Rows(batch, np.zeros(5, dtype=np.intp), count=1)
+        uniforms = np.array([0.7, 0.2, 0.9, 0.4, 0.6])
+        outcome = _collapse_measure(rows, 0, uniforms)
+        np.testing.assert_array_equal(outcome, uniforms < 0.5)
+        assert rows.count == 2
+        # outcome 0 keeps row 0; outcome 1 moved to the appended row
+        np.testing.assert_array_equal(rows.row_of, outcome.astype(int))
+        np.testing.assert_allclose(abs(batch[0]), [[1, 0], [0, 0]])
+        np.testing.assert_allclose(abs(batch[1]), [[0, 0], [1, 0]])
+        np.testing.assert_array_equal(rows.mass[:2], 1.0)
 
 
 class TestKnobsAndRouting:
