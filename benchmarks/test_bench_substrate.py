@@ -7,9 +7,10 @@ Figure 4 harness runtimes.
 """
 
 from repro.circuits import QuantumCircuit, random_circuit
+from repro.execution import run
 from repro.noise import valencia_like_backend
 from repro.revlib import benchmark_circuit
-from repro.simulator import Statevector, run_counts
+from repro.simulator import Statevector
 from repro.transpiler import transpile
 
 
@@ -37,7 +38,7 @@ def test_bench_batched_noisy_sampler(benchmark):
     noise = backend.noise_model()
 
     def sample():
-        return run_counts(circuit, shots=500, noise_model=noise, seed=3)
+        return run(circuit, shots=500, noise_model=noise, seed=3)
 
     counts = benchmark(sample)
     assert counts.shots == 500
@@ -59,7 +60,7 @@ def test_bench_noiseless_bell_sampling(benchmark):
     qc.h(0).cx(0, 1).measure_all()
 
     def sample():
-        return run_counts(qc, shots=4000, seed=1)
+        return run(qc, shots=4000, seed=1)
 
     counts = benchmark(sample)
     assert set(counts) <= {"00", "11"}

@@ -4,10 +4,10 @@ interlocking patterns (Wang et al., DAC 2025).
 Public API tour
 ---------------
 * :mod:`repro.circuits` — circuit IR, gates, DAG/layers, QASM, drawer.
-* :mod:`repro.execution` — **the unified execution layer**: the
-  engine registry and :func:`repro.execution.run`, the single entry
-  point that auto-dispatches every simulation request to the fastest
-  valid engine.
+* :mod:`repro.execution` — **the unified execution layer**:
+  :func:`repro.execution.run`, the single entry point that dispatches
+  every simulation request to the fastest valid engine, and the
+  cached execution plans it runs.
 * :mod:`repro.simulator` — statevector / unitary / density /
   trajectory engines plus the shared gate kernels
   (:mod:`repro.simulator.kernels`) they are all built on.
@@ -60,13 +60,7 @@ from .attacks import (
     select_attack,
 )
 from .circuits import QuantumCircuit
-from .execution import (
-    available_engines,
-    get_engine,
-    register_engine,
-    run,
-    select_engine,
-)
+from .execution import run, select_engine
 from .core import (
     EvaluationResult,
     SplitCompilationFlow,
@@ -81,7 +75,6 @@ from .core import (
 )
 from .noise import fake_valencia, valencia_like_backend
 from .revlib import benchmark_circuit, benchmark_names, paper_suite
-from .simulator import run_counts
 from .transpiler import transpile
 
 __version__ = "1.0.0"
@@ -111,10 +104,6 @@ __all__ = [
     "paper_suite",
     "run",
     "select_engine",
-    "available_engines",
-    "get_engine",
-    "register_engine",
-    "run_counts",
     "transpile",
     "__version__",
 ]

@@ -2,8 +2,7 @@
 
 TetrisLock's security headline is the size of the colluding-compiler
 search space (Eq. 1).  This package makes that adversary *real*: a
-registry of attack models (mirroring the engine registry of
-:mod:`repro.execution`), lazy candidate-matching streams that never
+registry of attack models, lazy candidate-matching streams that never
 materialise the factorial-sized space, structural prefilters, a
 generous equivalence oracle and a deterministic process-pool search —
 so the mismatched-width scenario the paper argues about can be

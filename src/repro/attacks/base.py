@@ -1,7 +1,6 @@
 """Attack protocol and registry for the adversary subsystem.
 
-Mirrors the engine registry of :mod:`repro.execution.registry`:
-adversary models are registered under a short name ("same-width",
+Adversary models are registered under a short name ("same-width",
 "mismatched", ...) and looked up explicitly (``get_attack("mismatched")``)
 or via :func:`select_attack` auto-dispatch.  Third-party adversaries —
 SAT-based matchers, ML-guided search, partial-knowledge attackers —

@@ -17,8 +17,8 @@ Two check paths, chosen automatically:
   orders of magnitude cheaper than any statevector;
 * **unitary** — otherwise the full matrix is built through the shared
   batched gate kernels (:func:`repro.simulator.unitary.circuit_unitary`
-  evolves all ``2^n`` basis states as one
-  :func:`repro.simulator.kernels.apply_matrix_batch` batch per gate)
+  evolves all ``2^n`` basis states as one batch, one
+  :mod:`repro.simulator.kernels` call per fused plan op)
   and compared up to global phase.
 
 Candidates of different widths are compared after padding the narrower

@@ -59,7 +59,7 @@ from typing import List, Optional, Sequence
 from .circuits import QuantumCircuit, draw_circuit, from_qasm, to_qasm
 from .circuits.grid import OccupancyGrid
 from .execution import (
-    available_engines,
+    ENGINES,
     get_noise_plan_cache,
     get_plan_cache,
     run as execute,
@@ -265,7 +265,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             fuse=args.fuse,
             chunk_size=args.chunk_size,
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         # unknown engine name / invalid engine request -> clean error
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
@@ -584,7 +584,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     simulate.add_argument(
         "--method", default="auto",
         help="engine name or 'auto' (available: "
-        + ", ".join(available_engines()) + ")",
+        + ", ".join(ENGINES) + ")",
     )
     simulate.add_argument("--seed", type=int, default=None)
     simulate.add_argument(

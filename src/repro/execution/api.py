@@ -1,7 +1,7 @@
 """The single entry point every caller simulates through.
 
-``run(circuit, shots)`` auto-dispatches to the fastest registered
-engine that is valid for the request:
+``run(circuit, shots)`` dispatches each request straight to the
+simulator that serves it:
 
 * noiseless circuit, terminal measurements -> ``statevector`` (one
   evolution + multinomial sampling, independent of the shot count);
@@ -10,7 +10,9 @@ engine that is valid for the request:
   shots evolved in chunked tensors);
 * ``method="density"`` on request -> exact mixed-state evolution.
 
-Pass ``method=<engine name>`` to bypass dispatch.
+Pass ``method=<engine name>`` (one of :data:`ENGINES`) to bypass
+dispatch; :func:`refusal` is the one rule deciding whether a forced
+engine can run a request, shared with the service's submit-time check.
 """
 
 from __future__ import annotations
@@ -21,14 +23,55 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..noise.model import NoiseModel
+from ..simulator import noisy
 from ..simulator.counts import Counts
-from ..simulator.trajectory import measures_are_terminal
+from ..simulator.density import DensityMatrixSimulator
+from ..simulator.trajectory import (
+    measures_are_terminal,
+    sample_terminal_counts,
+    terminal_distribution,
+)
+from . import plan_cache
 from .plan import FUSION_LEVELS
-from .registry import get_engine
 
-__all__ = ["run", "select_engine"]
+__all__ = ["ENGINES", "refusal", "run", "select_engine"]
 
 Seed = Optional[Union[int, np.random.Generator]]
+
+ENGINES = ("density", "statevector", "trajectory")
+
+
+def _is_noisy(noise_model: Optional[NoiseModel]) -> bool:
+    return noise_model is not None and not noise_model.is_trivial()
+
+
+def refusal(
+    method: str,
+    circuit: QuantumCircuit,
+    noise_model: Optional[NoiseModel] = None,
+) -> Optional[str]:
+    """Why engine *method* cannot run this request, or ``None``.
+
+    ``trajectory`` runs everything.  ``statevector`` is noiseless, and
+    both it and ``density`` sample one final distribution, so neither
+    runs a circuit with mid-circuit measurement.
+    """
+    if method not in ENGINES:
+        return (
+            f"unknown method {method!r}; expected 'auto' or one of "
+            f"{', '.join(ENGINES)}"
+        )
+    if method == "statevector" and _is_noisy(noise_model):
+        return (
+            "method 'statevector' cannot run a noisy circuit: the engine "
+            "is noiseless; use 'trajectory' or 'density'"
+        )
+    if method != "trajectory" and not measures_are_terminal(circuit):
+        return (
+            f"method {method!r} cannot run mid-circuit measurement: it "
+            "needs terminal measurements; use 'trajectory'"
+        )
+    return None
 
 
 def select_engine(
@@ -37,8 +80,7 @@ def select_engine(
     noise_model: Optional[NoiseModel] = None,
 ) -> str:
     """Name of the engine auto-dispatch would pick for this request."""
-    noisy = noise_model is not None and not noise_model.is_trivial()
-    if noisy or not measures_are_terminal(circuit):
+    if _is_noisy(noise_model) or not measures_are_terminal(circuit):
         return "trajectory"
     return "statevector"
 
@@ -67,44 +109,61 @@ def run(
         trivial model selects the noiseless fast path.
     method:
         ``"auto"`` (default) picks the fastest valid engine; any name
-        from :func:`~repro.execution.available_engines` forces that
-        engine.
+        in :data:`ENGINES` forces that engine, and a request it cannot
+        run (see :func:`refusal`) raises :class:`ValueError`.
     seed:
         Integer seed or a shared :class:`numpy.random.Generator`.
     fuse:
-        Fusion level for the plan tier: ``"full"`` (engine default),
-        ``"1q"``, or ``"none"`` (one op per gate).  See
+        Fusion level for the plan tier: ``"full"`` (default), ``"1q"``,
+        or ``"none"`` (one op per gate).  See
         :mod:`repro.execution.plan` for the determinism contract.
     chunk_size:
         Shots evolved per tensor chunk in the trajectory ensemble
         (default: whole batch, memory-capped).  Counts are independent
         of the chunk size for a fixed seed.
-
-    ``fuse``/``chunk_size`` are forwarded to the engine only when set,
-    so externally registered engines whose ``run`` takes neither keep
-    working under default dispatch.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    if fuse is not None and fuse not in FUSION_LEVELS:
+    if fuse is None:
+        fuse = "full"
+    elif fuse not in FUSION_LEVELS:
         raise ValueError(
             f"unknown fusion level {fuse!r}; expected one of "
             f"{', '.join(FUSION_LEVELS)}"
         )
-    if chunk_size is not None and int(chunk_size) <= 0:
-        raise ValueError("chunk_size must be positive")
+    if chunk_size is not None:
+        chunk_size = int(chunk_size)
+        if chunk_size <= 0:
+            raise ValueError("chunk_size must be positive")
     if method == "auto":
         method = select_engine(circuit, noise_model=noise_model)
-    engine = get_engine(method)
-    extra = {}
-    if fuse is not None:
-        extra["fuse"] = fuse
-    if chunk_size is not None:
-        extra["chunk_size"] = chunk_size
-    return engine.run(
-        circuit,
-        shots,
-        noise_model=noise_model,
-        seed=seed,
-        **extra,
+    else:
+        reason = refusal(method, circuit, noise_model)
+        if reason is not None:
+            raise ValueError(reason)
+    if method == "density":
+        return DensityMatrixSimulator(noise_model, fuse=fuse).run(
+            circuit, shots, seed=seed
+        )
+    rng = (
+        seed
+        if isinstance(seed, np.random.Generator)
+        else np.random.default_rng(seed)
+    )
+    if not _is_noisy(noise_model) and measures_are_terminal(circuit):
+        probs, measured = terminal_distribution(circuit, fuse=fuse)
+        return sample_terminal_counts(
+            probs,
+            measured,
+            circuit.num_qubits,
+            circuit.num_clbits,
+            shots,
+            rng,
+        )
+    # called through their modules so instrumentation that patches
+    # ``plan_cache.get_noise_plan`` / ``noisy.run_noise_plan`` sees them
+    noise_plan = plan_cache.get_noise_plan(circuit, noise_model, fuse)
+    entropy = int(rng.integers(0, 2 ** 63))
+    return noisy.run_noise_plan(
+        noise_plan, shots, entropy=entropy, chunk_size=chunk_size
     )

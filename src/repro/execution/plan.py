@@ -21,15 +21,14 @@ applied to gate streams):
    ``"1q"`` (1q-run merging only) and ``"none"`` (one op per
    non-identity gate — arithmetic bit-identical to a plain
    instruction-by-instruction loop over the same kernels).
-3. **compile & cache** — :meth:`ExecutionPlan.compiled` lazily lowers
-   the op stream to a per-(dtype, tensor layout) instruction list with
-   every per-call decision of :func:`repro.simulator.kernels` already
-   taken: reshape factors (left/mid/right), SWAP-conjugated 2q
-   matrices, dtype-cast matrices, GEMM-vs-tensordot route.  Whole
-   plans are cached by :mod:`repro.execution.plan_cache` keyed on the
-   circuit's structural hash x fusion level, so resimulating a circuit
-   across shots, experiment cells, coalesced service batches and
-   oracle equivalence checks never re-traces.
+3. **execute & cache** — plans execute through the shared kernels of
+   :mod:`repro.simulator.kernels` (:func:`~repro.simulator.kernels.contract_batch`
+   for matrix ops, :func:`~repro.simulator.kernels.multiply_diagonal`
+   for diagonals), which choose the GEMM or ``tensordot`` route per
+   op.  Whole plans are cached by :mod:`repro.execution.plan_cache`
+   keyed on the circuit's structural hash x fusion level, so
+   resimulating a circuit across shots, experiment cells, coalesced
+   service batches and oracle equivalence checks never re-traces.
 
 Determinism contract
 --------------------
@@ -48,7 +47,6 @@ anchor would change which states the channels see.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,10 +55,10 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.instruction import Instruction
 from ..simulator.kernels import (
-    _FAST_PATH_MIN_SIZE,
-    _SWAP2,
     apply_matrix_generic,
+    contract_batch,
     matrix_is_identity,
+    multiply_diagonal,
 )
 
 __all__ = [
@@ -406,140 +404,32 @@ def lower_trace(trace: Trace, fusion: str = "full") -> List[PlanOp]:
 
 
 # ---------------------------------------------------------------------------
-# stage 3: compiled layouts + execution
+# stage 3: execution through the shared kernels
 # ---------------------------------------------------------------------------
 
-# compiled op tags: ("g1", matrix, left, right) / ("g2", matrix, left,
-# mid, right) — the GEMM fast paths; ("nd", reshaped, axes, k) — the
-# tensordot route; ("diag", broadcast_tensor) — elementwise multiply
 
+def _apply_op(
+    batch: np.ndarray, op: PlanOp, offset: int = 0, conjugate: bool = False
+) -> np.ndarray:
+    """Apply one plan op to a ``(batch, 2, ..., 2)`` tensor.
 
-def _compile_ops(
-    ops: Sequence[PlanOp],
-    dtype: np.dtype,
-    num_axes: int,
-    offset: int,
-    conjugate: bool,
-    gemm: bool,
-) -> List[Tuple]:
-    """Lower plan ops to a layout-bound instruction list.
-
-    *num_axes* is the number of qubit axes of the target tensor (``n``
-    for states and shot batches, ``2n`` for a density tensor), with
-    qubit ``q`` living on tensor axis ``q + offset + 1`` (axis 0 is the
-    batch axis).  *conjugate* compiles the adjoint-side stream the
-    density engine applies to the column axes.  *gemm* selects the
-    axis-move + GEMM route; both routes reproduce the corresponding
-    :func:`~repro.simulator.kernels.apply_matrix_batch` arithmetic
-    exactly (same cast order, same SWAP conjugation).
+    Qubit ``q`` of the op acts on tensor axis ``q + offset + 1``;
+    *conjugate* applies the complex-conjugate op (the column side of a
+    density tensor).
     """
-    compiled: List[Tuple] = []
-    for op in ops:
-        qubits = tuple(q + offset for q in op.qubits)
-        if op.kind == "diagonal":
-            diag = np.conj(op.diag) if conjugate else op.diag
-            diag = diag.astype(dtype, copy=False)
-            shape = [1] * (num_axes + 1)
-            for q in qubits:
-                shape[q + 1] = 2
-            compiled.append(
-                ("diag", np.ascontiguousarray(diag).reshape(shape))
-            )
-            continue
-        matrix = np.conj(op.matrix) if conjugate else op.matrix
-        k = len(qubits)
-        if gemm and k == 1:
-            q = qubits[0]
-            compiled.append(
-                (
-                    "g1",
-                    np.ascontiguousarray(matrix.astype(dtype, copy=False)),
-                    1 << q,
-                    1 << (num_axes - 1 - q),
-                )
-            )
-        elif gemm and k == 2:
-            qa, qb = qubits
-            cast = matrix.astype(dtype, copy=False)
-            if qa > qb:
-                # same normalisation (and cast order) as the kernel
-                cast = (_SWAP2 @ cast @ _SWAP2).astype(dtype, copy=False)
-                qa, qb = qb, qa
-            compiled.append(
-                (
-                    "g2",
-                    np.ascontiguousarray(cast),
-                    1 << qa,
-                    1 << (qb - qa - 1),
-                    1 << (num_axes - 1 - qb),
-                )
-            )
-        else:
-            cast = matrix.astype(dtype, copy=False)
-            compiled.append(
-                (
-                    "nd",
-                    np.ascontiguousarray(cast.reshape((2,) * (2 * k))),
-                    [q + 1 for q in qubits],
-                    k,
-                )
-            )
-    return compiled
-
-
-def execute_compiled(batch: np.ndarray, compiled: Sequence[Tuple]) -> np.ndarray:
-    """Run a compiled op list over a ``(batch, 2, ..., 2)`` tensor.
-
-    The loop body mirrors the kernel fast paths with every per-call
-    decision (identity check, dtype cast, stride arithmetic, route
-    selection) already taken at compile time.
-    """
-    for op in compiled:
-        tag = op[0]
-        if tag == "g1":
-            _, matrix, left, right = op
-            shots = batch.shape[0]
-            shape = batch.shape
-            view = batch.reshape(shots * left, 2, right)
-            stacked = np.ascontiguousarray(
-                view.transpose(1, 0, 2)
-            ).reshape(2, -1)
-            out = (matrix @ stacked).reshape(2, shots * left, right)
-            batch = np.ascontiguousarray(
-                out.transpose(1, 0, 2)
-            ).reshape(shape)
-        elif tag == "g2":
-            _, matrix, left, mid, right = op
-            shots = batch.shape[0]
-            shape = batch.shape
-            view = batch.reshape(shots * left, 2, mid, 2, right)
-            stacked = np.ascontiguousarray(
-                view.transpose(1, 3, 0, 2, 4)
-            ).reshape(4, -1)
-            out = (matrix @ stacked).reshape(2, 2, shots * left, mid, right)
-            batch = np.ascontiguousarray(
-                out.transpose(2, 0, 3, 1, 4)
-            ).reshape(shape)
-        elif tag == "diag":
-            batch = batch * op[1]
-        else:  # "nd"
-            _, reshaped, target_axes, k = op
-            moved = np.tensordot(
-                reshaped, batch, axes=(list(range(k, 2 * k)), target_axes)
-            )
-            moved = np.moveaxis(moved, k, 0)
-            batch = np.ascontiguousarray(
-                np.moveaxis(moved, range(1, k + 1), target_axes)
-            )
-    return batch
+    qubits = tuple(q + offset for q in op.qubits)
+    if op.kind == "diagonal":
+        diag = np.conj(op.diag) if conjugate else op.diag
+        return multiply_diagonal(batch, diag, qubits)
+    matrix = np.conj(op.matrix) if conjugate else op.matrix
+    return contract_batch(batch, matrix, qubits)
 
 
 class ExecutionPlan:
-    """A traced, lowered, layout-compilable execution plan.
+    """A traced and lowered execution plan.
 
     Immutable once built (safe to share across threads and cache
-    without copying); the lazily-built compiled layouts are guarded by
-    a per-plan lock.  Carries ``TranspileResult``-style timing fields
+    without copying).  Carries ``TranspileResult``-style timing fields
     (:attr:`trace_seconds`, :attr:`lower_seconds`) from the original
     build.
     """
@@ -564,8 +454,6 @@ class ExecutionPlan:
         self.measured: Tuple[Tuple[int, int], ...] = tuple(measured)
         self.trace_seconds = trace_seconds
         self.lower_seconds = lower_seconds
-        self._compiled: Dict[Tuple, List[Tuple]] = {}
-        self._lock = threading.Lock()
 
     # -- TranspileResult-style summary fields ---------------------------
     @property
@@ -582,73 +470,17 @@ class ExecutionPlan:
     def compile_seconds(self) -> float:
         return self.trace_seconds + self.lower_seconds
 
-    def has_mid_circuit_measurement(self) -> bool:
-        """True when a gate follows a measurement on the same qubit.
-
-        Mirrors :func:`repro.simulator.trajectory.measures_are_terminal`
-        without another circuit pass — the trace already interleaves
-        gates and measures in program order... it is answered from the
-        recorded measure map instead (all built-in callers check it
-        before executing a plan).
-        """
-        measured = {q for q, _ in self.measured}
-        for op in self.source_ops:
-            if measured.intersection(op.qubits):
-                return True
-        return False
-
-    # -- layout compilation ---------------------------------------------
-    def compiled(
-        self,
-        dtype,
-        *,
-        num_axes: Optional[int] = None,
-        offset: int = 0,
-        conjugate: bool = False,
-        gemm: bool = False,
-        stream: str = "fused",
-    ) -> List[Tuple]:
-        """Layout-bound instruction list (cached per parameter set).
-
-        *stream* is ``"fused"`` (the lowered ops) or ``"source"`` (one
-        op per non-identity traced gate — the noisy engines' stream,
-        aligned with :meth:`source_indices`).
-        """
-        dtype = np.dtype(dtype)
-        if num_axes is None:
-            num_axes = self.num_qubits
-        key = (dtype, num_axes, offset, conjugate, gemm, stream)
-        cached = self._compiled.get(key)
-        if cached is not None:
-            return cached
-        if stream == "fused":
-            ops: Sequence[PlanOp] = self.ops
-        else:
-            ops = [
-                PlanOp("matrix", op.qubits, matrix=op.matrix)
-                for op in self.source_ops
-                if not op.identity
-            ]
-        compiled = _compile_ops(ops, dtype, num_axes, offset, conjugate, gemm)
-        with self._lock:
-            return self._compiled.setdefault(key, compiled)
-
-    def execute(self, batch: np.ndarray, *, gemm: Optional[bool] = None) -> np.ndarray:
+    # -- execution ------------------------------------------------------
+    def execute(self, batch: np.ndarray) -> np.ndarray:
         """Apply the fused op stream to a ``(batch, 2, ..., 2)`` tensor.
 
-        Route selection matches the kernels: GEMM only for large,
-        C-contiguous tensors (the decision is made once here instead of
-        per gate).
+        Each op goes through :func:`~repro.simulator.kernels.contract_batch`
+        or :func:`~repro.simulator.kernels.multiply_diagonal`, which pick
+        the GEMM or ``tensordot`` route per op.
         """
-        if gemm is None:
-            gemm = (
-                batch.size >= _FAST_PATH_MIN_SIZE
-                and batch.flags.c_contiguous
-            )
-        compiled = self.compiled(
-            batch.dtype, num_axes=batch.ndim - 1, gemm=gemm
-        )
-        return execute_compiled(batch, compiled)
+        for op in self.ops:
+            batch = _apply_op(batch, op)
+        return batch
 
     def execute_density(self, tensor: np.ndarray) -> np.ndarray:
         """Apply the fused stream to a ``(2,)*2n`` density tensor.
@@ -660,15 +492,9 @@ class ExecutionPlan:
         """
         n = self.num_qubits
         batch = tensor.reshape((1,) + tensor.shape)
-        gemm = (
-            batch.size >= _FAST_PATH_MIN_SIZE and batch.flags.c_contiguous
-        )
-        rows = self.compiled(batch.dtype, num_axes=2 * n, gemm=gemm)
-        cols = self.compiled(
-            batch.dtype, num_axes=2 * n, offset=n, conjugate=True, gemm=gemm
-        )
-        for row_op, col_op in zip(rows, cols):
-            batch = execute_compiled(batch, (row_op, col_op))
+        for op in self.ops:
+            batch = _apply_op(batch, op)
+            batch = _apply_op(batch, op, offset=n, conjugate=True)
         return batch.reshape(tensor.shape)
 
     def __repr__(self) -> str:

@@ -9,9 +9,9 @@ Every rule encodes a contract the codebase already relies on:
 * ``stdlib-random`` — the stdlib ``random`` module has global hidden
   state; library paths must thread explicit ``numpy`` Generators.
 * ``nonpicklable-registration`` — handlers/tasks registered with
-  ``register_handler``/``register_attack``/``register_engine``/
-  ``register`` (and ``ExperimentSpec(task=...)``) cross process-pool
-  boundaries, so lambdas and nested functions break the worker tier.
+  ``register_handler``/``register_attack``/``register`` (and
+  ``ExperimentSpec(task=...)``) cross process-pool boundaries, so
+  lambdas and nested functions break the worker tier.
 * ``raw-hashlib`` — fingerprints must route through
   :mod:`repro._hashing` so every cache key shares one canonical digest
   construction (and can be upgraded in one place).
@@ -33,7 +33,6 @@ __all__ = ["LintViolation", "RULES", "lint_file", "lint_source"]
 _REGISTER_CALLS = {
     "register_handler",
     "register_attack",
-    "register_engine",
     "register",
 }
 # keyword names carrying a callable that crosses a pickle boundary

@@ -2,9 +2,8 @@
 
 A handler is a pure, picklable, module-level function from a params
 dict (the request's canonical wire form) to a JSON-safe result dict.
-The registry mirrors the execution-engine and attack registries
-(:mod:`repro.execution.registry`, :mod:`repro.attacks.base`): built-in
-kinds register at import, new workloads slot in through
+The registry mirrors the attack registry (:mod:`repro.attacks.base`):
+built-in kinds register at import, new workloads slot in through
 :func:`register_handler` without touching the queue or the workers.
 
 Determinism contract: every built-in handler is a pure function of its

@@ -44,6 +44,8 @@ __all__ = [
     "request_from_wire",
     "prepare_circuit",
     "simulate_noise_model",
+    "MAX_DEVICE_QUBITS",
+    "MAX_GATES",
     "MAX_ITERATIONS",
     "MAX_QUBITS",
     "MAX_SHOTS",
@@ -52,24 +54,37 @@ __all__ = [
 _COUPLINGS = ("valencia", "line", "ring", "full")
 _FINGERPRINT_SIZE = 16  # bytes; 32 hex chars
 
-# Size caps on simulate/evaluate inputs, checked at submit (ValueError,
-# so HTTP 400) instead of inside a worker: far above the paper's
-# workload (<= 12 qubits, 1000 shots, 20 iterations), far below a
-# request that would hold a worker for hours or exhaust its memory.
+# Size caps on request inputs, checked at submit (ValueError, so HTTP
+# 400) instead of inside a worker: far above the paper's workload
+# (<= 12 qubits, rd84 transpiled is 682 gates, 1000 shots, 20
+# iterations), far below a request that would hold a worker for hours
+# or exhaust its memory.  Every QASM circuit is held to MAX_QUBITS and
+# MAX_GATES operations (gates, measures and barriers); a transpile
+# target device to MAX_DEVICE_QUBITS.
 MAX_QUBITS = 16
+MAX_GATES = 10_000
+MAX_DEVICE_QUBITS = 32
 MAX_SHOTS = 100_000
 MAX_ITERATIONS = 100
 
 
-def _check_caps(shots: int, iterations: int = 1, circuit=None) -> None:
+def _check_caps(shots: int, iterations: int = 1) -> None:
     if not 0 < shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in 1..{MAX_SHOTS}")
     if not 0 < iterations <= MAX_ITERATIONS:
         raise ValueError(f"iterations must be in 1..{MAX_ITERATIONS}")
-    if circuit is not None and circuit.num_qubits > MAX_QUBITS:
+
+
+def _check_circuit(circuit: QuantumCircuit) -> None:
+    if circuit.num_qubits > MAX_QUBITS:
         raise ValueError(
             f"circuit has {circuit.num_qubits} qubits; the service runs "
             f"at most {MAX_QUBITS}"
+        )
+    if len(circuit) > MAX_GATES:
+        raise ValueError(
+            f"circuit has {len(circuit)} operations; the service runs "
+            f"at most {MAX_GATES}"
         )
 
 
@@ -118,6 +133,7 @@ class ServiceRequest:
 
     # -- circuit plumbing (qasm-bearing requests) ----------------------
     def _circuit(self) -> QuantumCircuit:
+        """The parsed circuit, held to the size caps on first parse."""
         cached = getattr(self, "_prepared", None)
         if cached is None:
             cached = (
@@ -125,6 +141,7 @@ class ServiceRequest:
                 if self.NORMALISE_MEASUREMENTS
                 else from_qasm(self.qasm)
             )
+            _check_circuit(cached)
             self._prepared = cached
         return cached
 
@@ -167,32 +184,19 @@ class SimulateRequest(ServiceRequest):
         if self.chunk_size is not None and int(self.chunk_size) <= 0:
             raise ValueError("chunk_size must be positive")
         circuit = self._circuit()  # malformed QASM fails at submit
-        _check_caps(self.shots, circuit=circuit)
+        _check_caps(self.shots)
         if self.method != "auto":
             self._check_method(circuit)
 
     def _check_method(self, circuit: QuantumCircuit) -> None:
         """A forced engine must exist and accept this circuit's noise
         and measurement layout — refused here, not inside a worker."""
-        from ..execution import available_engines, get_engine
+        from ..execution import refusal
 
-        if self.method not in available_engines():
-            raise ValueError(
-                f"unknown method {self.method!r}; expected 'auto' or one "
-                f"of {', '.join(available_engines())}"
-            )
         noise_model = simulate_noise_model(circuit) if self.noisy else None
-        if not get_engine(self.method).supports(circuit, noise_model):
-            needs = "noisy" if self.noisy else "noiseless"
-            layout = (
-                "terminal"
-                if measures_are_terminal(circuit)
-                else "mid-circuit"
-            )
-            raise ValueError(
-                f"method {self.method!r} cannot run this {needs} circuit "
-                f"with {layout} measurements; use 'auto'"
-            )
+        reason = refusal(self.method, circuit, noise_model)
+        if reason is not None:
+            raise ValueError(reason)
 
     def fingerprint(self) -> Optional[str]:
         if self.seed is None:
@@ -281,7 +285,13 @@ class TranspileRequest(ServiceRequest):
             raise ValueError("layout must be 'greedy' or 'trivial'")
         if not 0 <= self.level <= 3:
             raise ValueError("optimization level must be 0-3")
-        self._circuit()  # malformed QASM fails at submit
+        circuit = self._circuit()  # malformed QASM fails at submit
+        if self.size is not None and not (
+            circuit.num_qubits <= self.size <= MAX_DEVICE_QUBITS
+        ):
+            raise ValueError(
+                f"size must be in {circuit.num_qubits}..{MAX_DEVICE_QUBITS}"
+            )
 
     def fingerprint(self) -> Optional[str]:
         # compilation is RNG-free: always cacheable
@@ -349,8 +359,7 @@ class EvaluateRequest(ServiceRequest):
 
     def __post_init__(self) -> None:
         _validate_target(self)
-        circuit = self._circuit() if self.qasm is not None else None
-        _check_caps(self.shots, self.iterations, circuit)
+        _check_caps(self.shots, self.iterations)
         if self.chunk_size is not None and int(self.chunk_size) <= 0:
             raise ValueError("chunk_size must be positive")
 

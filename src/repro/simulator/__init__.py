@@ -21,9 +21,7 @@ from .observables import (
 from .density import DensityMatrix, DensityMatrixSimulator
 from .statevector import Statevector, bitstring_to_index, format_bitstring
 from .trajectory import (
-    TrajectorySimulator,
     measures_are_terminal,
-    run_counts,
     sample_terminal_counts,
     terminal_distribution,
 )
@@ -44,9 +42,7 @@ __all__ = [
     "apply_matrix_batch",
     "apply_matrix_generic",
     "apply_matrix_state",
-    "TrajectorySimulator",
     "measures_are_terminal",
-    "run_counts",
     "sample_terminal_counts",
     "terminal_distribution",
     "DensityMatrix",

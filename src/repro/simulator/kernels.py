@@ -15,6 +15,10 @@ Two layouts are supported:
   target axes are given directly (statevector tensors, and both the
   row- and column-axis groups of a density-matrix tensor).
 
+Execution plans (:mod:`repro.execution.plan`) run their fused op
+streams through :func:`contract_batch` (the batch contraction without
+the identity check) and :func:`multiply_diagonal`.
+
 Fast paths
 ----------
 1- and 2-qubit gates — the overwhelming majority after transpilation —
@@ -47,8 +51,10 @@ __all__ = [
     "apply_matrix_batch",
     "apply_matrix_generic",
     "apply_matrix_state",
+    "contract_batch",
     "is_identity",
     "matrix_is_identity",
+    "multiply_diagonal",
 ]
 
 _SWAP2 = np.array(
@@ -116,7 +122,19 @@ def apply_matrix_batch(
     matrix = np.asarray(matrix)
     if matrix_is_identity(matrix):
         return batch
-    matrix = matrix.astype(batch.dtype, copy=False)
+    return contract_batch(batch, matrix, qubits)
+
+
+def contract_batch(
+    batch: np.ndarray, matrix: np.ndarray, qubits: Sequence[int]
+) -> np.ndarray:
+    """:func:`apply_matrix_batch` without the identity skip.
+
+    Always returns a new array.  Execution plans call this directly:
+    their ops never hold an exact identity gate, and a fused block that
+    happens to multiply out to one is applied like any other matrix.
+    """
+    matrix = np.asarray(matrix).astype(batch.dtype, copy=False)
     if batch.size < _FAST_PATH_MIN_SIZE:
         return apply_matrix_generic(batch, matrix, qubits)
     shots = batch.shape[0]
@@ -155,6 +173,21 @@ def apply_matrix_batch(
         out = np.ascontiguousarray(out.transpose(2, 0, 3, 1, 4))
         return out.reshape(batch.shape)
     return apply_matrix_generic(batch, matrix, qubits)
+
+
+def multiply_diagonal(
+    batch: np.ndarray, diag: np.ndarray, qubits: Sequence[int]
+) -> np.ndarray:
+    """Multiply a length-``2^k`` diagonal into a shot batch.
+
+    *qubits* are ascending and the first is the most significant bit of
+    the diagonal's index (the convention of a matrix listed on the same
+    qubits).  Returns a new array.
+    """
+    shape = [1] * batch.ndim
+    for q in qubits:
+        shape[q + 1] = 2
+    return batch * diag.astype(batch.dtype, copy=False).reshape(shape)
 
 
 def apply_matrix_generic(

@@ -152,7 +152,7 @@ class Statevector:
 
         The circuit is traced once into a cached, fused
         :class:`~repro.execution.plan.ExecutionPlan` and executed in
-        one compiled pass; ``fuse="none"`` applies one op per gate.
+        one pass; ``fuse="none"`` applies one op per gate.
         Validation is per-circuit (circuits validate their instructions
         at construction), not per-instruction as :meth:`apply_matrix`
         does for ad-hoc matrices.

@@ -139,14 +139,14 @@ class TestFidelityEstimate:
         estimate = estimate_success_probability(
             compiled.circuit, backend
         )
-        from repro.simulator import run_counts
+        from repro.execution import run
         from repro.synth import simulate_reversible
 
         circuit = compiled.circuit.copy()
         circuit.num_clbits = 4
         for v in range(4):
             circuit.measure(compiled.final_layout.physical(v), v)
-        counts = run_counts(
+        counts = run(
             circuit, shots=2000, noise_model=backend.noise_model(), seed=5
         )
         expected = format(

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import (
     QasmError,
@@ -15,7 +17,67 @@ from repro.circuits import (
     random_reversible_circuit,
     to_qasm,
 )
+from repro.circuits.gates import GATE_REGISTRY, gate_from_name
 from repro.simulator import circuit_unitary, equal_up_to_global_phase
+
+
+def _param_count(name):
+    for count in range(4):
+        try:
+            gate_from_name(name, [0.0] * count)
+            return count
+        except ValueError:
+            continue
+    raise AssertionError(name)
+
+
+# every registered gate: name -> (parameter count, qubit count)
+_GATES = {
+    name: (_param_count(name), GATE_REGISTRY[name].num_qubits)
+    for name in sorted(GATE_REGISTRY)
+}
+_ANGLES = st.floats(
+    -8 * math.pi, 8 * math.pi, allow_nan=False, allow_infinity=False
+) | st.sampled_from(
+    [0.0, -0.0, math.pi, -math.pi / 2, math.pi / 3, 1e-300, 2.5e-13]
+)
+
+
+@st.composite
+def _circuits(draw):
+    """Random circuits of 1-6 qubits over the full gate pool, with
+    barriers and (mid-circuit) measures interleaved."""
+    num_qubits = draw(st.integers(1, 6))
+    num_clbits = draw(st.integers(0, 6))
+    qc = QuantumCircuit(num_qubits, num_clbits)
+    names = [n for n, (_, k) in _GATES.items() if k <= num_qubits]
+    ops = names + ["barrier"] + (["measure"] if num_clbits else [])
+    for _ in range(draw(st.integers(0, 25))):
+        name = draw(st.sampled_from(ops))
+        if name == "measure":
+            qc.measure(
+                draw(st.integers(0, num_qubits - 1)),
+                draw(st.integers(0, num_clbits - 1)),
+            )
+            continue
+        width = (
+            draw(st.integers(1, num_qubits))
+            if name == "barrier"
+            else _GATES[name][1]
+        )
+        qubits = draw(st.permutations(range(num_qubits)))[:width]
+        if name == "barrier":
+            qc.barrier(*qubits)
+            continue
+        params = [draw(_ANGLES) for _ in range(_GATES[name][0])]
+        qc.append(gate_from_name(name, params), qubits)
+    return qc
+
+
+def _bell():
+    qc = QuantumCircuit(2, 2)
+    qc.h(0).cx(0, 1).measure(0, 0).measure(1, 1)
+    return qc
 
 
 class TestQasmWriter:
@@ -63,9 +125,10 @@ class TestQasmReader:
             circuit_unitary(qc), circuit_unitary(restored)
         )
 
-    def test_roundtrip_structural_equality(self):
-        qc = QuantumCircuit(2, 2)
-        qc.h(0).cx(0, 1).measure(0, 0).measure(1, 1)
+    @settings(max_examples=300, deadline=None)
+    @given(qc=_circuits())
+    @example(qc=_bell())
+    def test_roundtrip_structural_equality(self, qc):
         assert from_qasm(to_qasm(qc)) == qc
 
     def test_comments_ignored(self):

@@ -149,9 +149,9 @@ class TestSplitCompilation:
         backend = valencia_like_backend(circuit.num_qubits)
         compiled = SplitCompilationFlow(backend, seed=33).run(circuit)
         measured = compiled.measured_circuit()
-        from repro.simulator import run_counts
+        from repro.execution import run
 
-        counts = run_counts(measured, shots=200, seed=1)
+        counts = run(measured, shots=200, seed=1)
         expected = format(
             simulate_reversible(circuit)(0), f"0{circuit.num_qubits}b"
         )

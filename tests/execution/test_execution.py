@@ -1,16 +1,9 @@
-"""The unified execution layer: registry, dispatch, cross-engine agreement."""
+"""The unified execution layer: engine names, dispatch, cross-engine agreement."""
 
 import pytest
 
 from repro.circuits import QuantumCircuit, random_circuit
-from repro.execution import (
-    available_engines,
-    get_engine,
-    register_engine,
-    run,
-    select_engine,
-    unregister_engine,
-)
+from repro.execution import ENGINES, run, select_engine
 from repro.metrics import tvd
 from repro.core.pipeline import TetrisLockPipeline
 from repro.noise import depolarizing, fake_valencia, valencia_like_backend
@@ -40,44 +33,11 @@ def _noise():
 
 class TestRegistry:
     def test_builtin_engines_present(self):
-        assert available_engines() == ("density", "statevector", "trajectory")
+        assert ENGINES == ("density", "statevector", "trajectory")
 
     def test_get_engine_unknown_name(self):
-        with pytest.raises(KeyError, match="unknown engine"):
-            get_engine("stabilizer")
-
-    def test_register_and_unregister_custom_engine(self):
-        class FakeEngine:
-            name = "fake"
-
-            def supports(self, circuit, noise_model=None):
-                return True
-
-            def run(self, circuit, shots, *, noise_model=None, seed=None):
-                from repro.simulator import Counts
-
-                return Counts({"0" * circuit.num_qubits: shots},
-                              shots=shots)
-
-        try:
-            register_engine(FakeEngine())
-            assert "fake" in available_engines()
-            counts = run(_terminal_circuit(), 10, method="fake")
-            assert counts == {"00": 10}
-        finally:
-            unregister_engine("fake")
-        assert "fake" not in available_engines()
-
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_engine(get_engine("trajectory"), name="trajectory")
-
-    def test_register_requires_name(self):
-        class Nameless:
-            pass
-
-        with pytest.raises(ValueError, match="name"):
-            register_engine(Nameless())
+        with pytest.raises(ValueError, match="unknown method 'stabilizer'"):
+            run(_terminal_circuit(), 10, method="stabilizer")
 
 
 class TestDispatch:
@@ -114,14 +74,24 @@ class TestDispatch:
             run(_terminal_circuit(), 0)
 
     def test_statevector_rejects_noise(self):
-        engine = get_engine("statevector")
         with pytest.raises(ValueError, match="noiseless"):
-            engine.run(_terminal_circuit(), 10, noise_model=_noise())
+            run(
+                _terminal_circuit(), 10, method="statevector",
+                noise_model=_noise(),
+            )
 
     def test_statevector_rejects_mid_circuit(self):
-        engine = get_engine("statevector")
         with pytest.raises(ValueError, match="terminal"):
-            engine.run(_mid_circuit(), 10)
+            run(_mid_circuit(), 10, method="statevector")
+
+    def test_density_rejects_mid_circuit(self):
+        # the density engine samples one final distribution, so it
+        # would report measure-all counts ({00, 01} here) where the
+        # circuit's outcomes are {01, 10}
+        with pytest.raises(ValueError, match="terminal"):
+            run(_mid_circuit(), 10, method="density")
+        counts = run(_mid_circuit(), 200, seed=3)
+        assert set(counts) == {"01", "10"}
 
 
 class TestCrossEngineAgreement:

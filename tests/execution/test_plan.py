@@ -22,9 +22,7 @@ from repro.execution import (
     build_plan,
     get_plan,
     get_plan_cache,
-    register_engine,
     run,
-    unregister_engine,
 )
 from repro.execution.plan import lower_trace, trace_circuit
 from repro.execution.plan_cache import PlanCache
@@ -34,7 +32,6 @@ from repro.revlib import benchmark_circuit
 from repro.simulator import DensityMatrixSimulator, Statevector
 from repro.simulator.kernels import matrix_is_identity
 from repro.simulator.trajectory import (
-    TrajectorySimulator,
     sample_terminal_counts,
     terminal_distribution,
 )
@@ -187,9 +184,9 @@ class TestNoisyAnchoring:
     def test_batched_noisy_bit_identical(self):
         qc = _mixed_circuit()
         model = _noise()
-        b = TrajectorySimulator(model, seed=5, fuse="none").run(qc, 400)
+        b = run(qc, 400, noise_model=model, seed=5, fuse="none")
         for fusion in FUSIONS:
-            a = TrajectorySimulator(model, seed=5, fuse=fusion).run(qc, 400)
+            a = run(qc, 400, noise_model=model, seed=5, fuse=fusion)
             assert dict(a) == dict(b)
 
     def test_density_noisy_bit_identical(self):
@@ -292,14 +289,6 @@ class TestPlanCache:
         assert after.misses == before  # zero re-traces on cache hits
         assert after.hits >= 2
 
-    def test_compiled_streams_cached_on_plan(self):
-        plan = get_plan(_random(3, 20, seed=4))
-        a = plan.compiled(np.complex128)
-        b = plan.compiled(np.complex128)
-        assert a is b
-        c = plan.compiled(np.complex64)
-        assert c is not a
-
 
 class TestPaperBenchmarks:
     """PR-3-style re-verification: pinned-seed counts are unchanged."""
@@ -328,27 +317,6 @@ class TestApiKnobs:
     def test_invalid_fuse_rejected(self):
         with pytest.raises(ValueError, match="fusion"):
             run(_mixed_circuit(), 10, fuse="max")
-
-    def test_legacy_signature_engines_still_dispatch(self):
-        # engines registered before the plan tier existed take no
-        # fuse/chunk_size kwargs; default dispatch must not pass them
-        class LegacyEngine:
-            name = "legacy-sig"
-
-            def supports(self, circuit, noise_model=None):
-                return True
-
-            def run(self, circuit, shots, *, noise_model=None, seed=None):
-                from repro.simulator.counts import Counts
-
-                return Counts({"0": shots}, shots=shots)
-
-        register_engine(LegacyEngine)
-        try:
-            counts = run(QuantumCircuit(1), 10, method="legacy-sig")
-            assert dict(counts) == {"0": 10}
-        finally:
-            unregister_engine("legacy-sig")
 
 
 class TestKernelSatellites:

@@ -116,6 +116,16 @@ class TestErrors:
             ("simulate", {"qasm": wide}),
             ("simulate", {"qasm": BELL_QASM, "shots": 10**12}),
             ("evaluate", {"benchmark": "4gt13", "shots": 10**12}),
+            ("protect", {"qasm": wide}),
+            ("transpile", {"qasm": wide}),
+            ("attack", {"qasm": wide}),
+            (
+                "transpile",
+                {"qasm": BELL_QASM, "size": 10**6, "coupling": "full"},
+            ),
+            ("simulate", {"qasm": BELL_QASM.replace(
+                "measure", "h q[0]; " * 20_000 + "measure", 1
+            )}),
         ]
         for kind, params in refused:
             with pytest.raises(ServiceError) as err:

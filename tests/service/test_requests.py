@@ -3,6 +3,8 @@
 import pytest
 
 from repro.service.requests import (
+    MAX_DEVICE_QUBITS,
+    MAX_GATES,
     MAX_ITERATIONS,
     MAX_QUBITS,
     MAX_SHOTS,
@@ -127,6 +129,25 @@ class TestValidation:
             SimulateRequest(qasm=wide)
         with pytest.raises(ValueError, match="40 qubits"):
             EvaluateRequest(qasm=wide)
+        # every QASM-carrying request is held to the same circuit caps
+        with pytest.raises(ValueError, match="40 qubits"):
+            ProtectRequest(qasm=wide)
+        with pytest.raises(ValueError, match="40 qubits"):
+            TranspileRequest(qasm=wide)
+        with pytest.raises(ValueError, match="40 qubits"):
+            AttackRequest(qasm=wide)
+        long = (
+            'OPENQASM 2.0; include "qelib1.inc"; qreg q[1]; '
+            + "x q[0]; " * (MAX_GATES + 1)
+        )
+        for cls in (SimulateRequest, ProtectRequest, TranspileRequest):
+            with pytest.raises(ValueError, match="operations"):
+                cls(qasm=long)
+        # a transpile device between the circuit width and the cap
+        with pytest.raises(ValueError, match="size"):
+            TranspileRequest(qasm=BELL_QASM, size=10**6, coupling="full")
+        with pytest.raises(ValueError, match="size"):
+            TranspileRequest(qasm=BELL_QASM, size=1)
         with pytest.raises(ValueError, match="shots"):
             SimulateRequest(qasm=BELL_QASM, shots=10**12)
         with pytest.raises(ValueError, match="shots"):
@@ -148,6 +169,25 @@ class TestValidation:
         EvaluateRequest(benchmark="rd73", shots=1000, iterations=20)
         at_caps = "OPENQASM 2.0; qreg q[%d];" % MAX_QUBITS
         SimulateRequest(qasm=at_caps, shots=MAX_SHOTS)
+        # the service benchmark's transpiles: up to 11 spare device
+        # qubits on the 7-qubit rd53, on any coupling
+        seven = (
+            'OPENQASM 2.0; include "qelib1.inc"; qreg q[7]; '
+            + " ".join(f"cx q[{q}],q[{q + 1}];" for q in range(6))
+        )
+        for coupling in ("valencia", "line", "ring", "full"):
+            TranspileRequest(qasm=seven, coupling=coupling, size=18)
+        TranspileRequest(qasm=seven, size=7)
+        TranspileRequest(qasm=at_caps, size=MAX_DEVICE_QUBITS)
+        ProtectRequest(qasm=ten, seed=1)
+        AttackRequest(qasm=ten)
+        # a circuit at the operation cap (measure-all included)
+        full = (
+            'OPENQASM 2.0; include "qelib1.inc"; qreg q[1]; creg c[1]; '
+            + "x q[0]; " * (MAX_GATES - 1)
+            + "measure q[0] -> c[0];"
+        )
+        SimulateRequest(qasm=full, seed=1)
 
     def test_attack_rejects_unknown_adversary(self):
         with pytest.raises(ValueError, match="adversary"):

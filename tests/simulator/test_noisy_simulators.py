@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
+from repro.execution import run
 from repro.metrics import tvd
 from repro.noise import (
     NoiseModel,
@@ -16,8 +17,6 @@ from repro.simulator import (
     DensityMatrix,
     DensityMatrixSimulator,
     Statevector,
-    TrajectorySimulator,
-    run_counts,
 )
 
 
@@ -31,23 +30,23 @@ def bell_circuit(measured=True):
 
 class TestNoiselessPaths:
     def test_trajectory_matches_statevector(self):
-        counts = run_counts(bell_circuit(), shots=2000, seed=1)
+        counts = run(bell_circuit(), shots=2000, seed=1)
         assert set(counts) == {"00", "11"}
         assert counts["00"] == pytest.approx(1000, abs=120)
 
     def test_unmeasured_circuit_measures_all(self):
-        counts = run_counts(bell_circuit(measured=False), shots=100, seed=2)
+        counts = run(bell_circuit(measured=False), shots=100, seed=2)
         assert set(counts) <= {"00", "11"}
         assert sum(counts.values()) == 100
 
     def test_seed_determinism(self):
-        a = run_counts(bell_circuit(), shots=500, seed=7)
-        b = run_counts(bell_circuit(), shots=500, seed=7)
+        a = run(bell_circuit(), shots=500, seed=7)
+        b = run(bell_circuit(), shots=500, seed=7)
         assert a == b
 
     def test_invalid_shots(self):
         with pytest.raises(ValueError):
-            run_counts(bell_circuit(), shots=0)
+            run(bell_circuit(), shots=0)
 
 
 class TestMidCircuitMeasurement:
@@ -55,7 +54,7 @@ class TestMidCircuitMeasurement:
         qc = QuantumCircuit(1, 1)
         qc.h(0).measure(0, 0)
         qc.x(0)  # gate after measurement forces per-shot path
-        counts = TrajectorySimulator(seed=5).run(qc, shots=300)
+        counts = run(qc, shots=300, method="trajectory", seed=5)
         assert set(counts) <= {"0", "1"}
 
 
@@ -65,7 +64,7 @@ class TestAgainstDensityMatrix:
         exact = DensityMatrixSimulator(noise_model).output_distribution(
             circuit
         )
-        sampled = run_counts(
+        sampled = run(
             bell_circuit(), shots=shots, noise_model=noise_model, seed=seed
         )
         sampled_probs = {
@@ -99,7 +98,7 @@ class TestAgainstDensityMatrix:
         )
         circuit = bell_circuit(measured=False)
         exact = DensityMatrixSimulator(model).output_distribution(circuit)
-        sampled = run_counts(
+        sampled = run(
             bell_circuit(), shots=6000, noise_model=model, seed=13
         )
         exact_probs = {
@@ -113,14 +112,14 @@ class TestReadoutErrors:
         model = NoiseModel().add_readout_error(ReadoutError(0.3, 0.0), 0)
         qc = QuantumCircuit(1, 1)
         qc.measure(0, 0)
-        counts = run_counts(qc, shots=5000, noise_model=model, seed=1)
+        counts = run(qc, shots=5000, noise_model=model, seed=1)
         assert counts.fraction("1") == pytest.approx(0.3, abs=0.03)
 
     def test_readout_asymmetry(self):
         model = NoiseModel().add_readout_error(ReadoutError(0.0, 0.4), 0)
         qc = QuantumCircuit(1, 1)
         qc.x(0).measure(0, 0)
-        counts = run_counts(qc, shots=5000, noise_model=model, seed=2)
+        counts = run(qc, shots=5000, noise_model=model, seed=2)
         assert counts.fraction("0") == pytest.approx(0.4, abs=0.03)
 
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit, ghz_circuit
+from repro.execution import run
 from repro.simulator import (
     Statevector,
     expectation_value,
     parity_expectation_from_counts,
     pauli_string_matrix,
-    run_counts,
     z_expectation_from_counts,
 )
 
@@ -84,7 +84,7 @@ class TestCountsExpectations:
 
     def test_parity_matches_statevector_on_ghz(self):
         circuit = ghz_circuit(3).measure_all()
-        counts = run_counts(circuit, shots=4000, seed=0)
+        counts = run(circuit, shots=4000, seed=0)
         estimated = parity_expectation_from_counts(counts, [0, 1])
         assert estimated == pytest.approx(1.0, abs=0.05)
 

@@ -61,7 +61,6 @@ from repro.simulator.noisy import (
     _sub_lattices,
     default_chunk_size,
 )
-from repro.simulator.trajectory import TrajectorySimulator
 from repro.transpiler.transpile import transpile
 
 
@@ -218,7 +217,9 @@ class TestBatchedEquivalence:
     def test_distributions_agree(self, circuit, model):
         shots = 8000
         oracle = PerShotSampler(model, 11).run(circuit, shots)
-        batched = TrajectorySimulator(model, 22).run(circuit, shots)
+        batched = run(
+            circuit, shots, noise_model=model, method="trajectory", seed=22
+        )
         assert tvd_counts(oracle, batched) < 0.035
 
     def test_trivial_model_matches_noiseless_exactly(self):
@@ -232,8 +233,12 @@ class TestChunkInvariance:
     def test_chunk_sizes_are_bit_identical(self):
         reference = None
         for chunk in (1, 7, 64, None):
-            sim = TrajectorySimulator(_mixed_model(), 123, chunk_size=chunk)
-            counts = dict(sim.run(_circuit(), 400))
+            counts = dict(
+                run(
+                    _circuit(), 400, noise_model=_mixed_model(), seed=123,
+                    chunk_size=chunk,
+                )
+            )
             if reference is None:
                 reference = counts
             assert counts == reference, f"chunk_size={chunk} diverged"
@@ -244,8 +249,12 @@ class TestChunkInvariance:
         model = _dense_mixed_model()
         reference = None
         for chunk in (1, 7, None):
-            sim = TrajectorySimulator(model, 8, chunk_size=chunk)
-            counts = dict(sim.run(_circuit(), 400))
+            counts = dict(
+                run(
+                    _circuit(), 400, noise_model=model, seed=8,
+                    chunk_size=chunk,
+                )
+            )
             if reference is None:
                 reference = counts
             assert counts == reference, f"chunk_size={chunk} diverged"
@@ -259,8 +268,12 @@ class TestChunkInvariance:
         for name, model in models.items():
             reference = None
             for chunk in (1, 7, 64):
-                sim = TrajectorySimulator(model, 3, chunk_size=chunk)
-                counts = dict(sim.run(_circuit(), 300))
+                counts = dict(
+                    run(
+                        _circuit(), 300, noise_model=model, seed=3,
+                        chunk_size=chunk,
+                    )
+                )
                 if reference is None:
                     reference = counts
                 assert counts == reference, f"{name}: chunk_size={chunk}"
@@ -536,13 +549,11 @@ class TestKnobsAndRouting:
         # the trajectories option is retired: every mode is unknown
         for mode in ("vectorised", "batched", "legacy"):
             with pytest.raises(TypeError, match="trajectories"):
-                TrajectorySimulator(None, 0, trajectories=mode)
-            with pytest.raises(TypeError, match="trajectories"):
                 run(_circuit(), 10, trajectories=mode)
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ValueError, match="chunk_size"):
-            TrajectorySimulator(None, 0, chunk_size=0)
+            run(_circuit(), 10, chunk_size=0)
         with pytest.raises(ValueError, match="chunk_size"):
             run(_circuit(), 10, chunk_size=-1)
 

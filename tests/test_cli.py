@@ -317,6 +317,20 @@ class TestCleanErrors:
         assert main(["restore", str(meta)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_simulate_density_mid_circuit(self, tmp_path, capsys):
+        # a gate after a measurement: the density engine cannot sample
+        # it, only the trajectory engine can
+        qasm = tmp_path / "mid.qasm"
+        qasm.write_text(
+            'OPENQASM 2.0; include "qelib1.inc"; qreg q[1]; creg c[2]; '
+            "h q[0]; measure q[0] -> c[0]; x q[0]; measure q[0] -> c[1];"
+        )
+        args = ["simulate", str(qasm), "--shots", "50", "--seed", "1"]
+        assert main(args + ["--method", "density"]) == 2
+        assert "terminal measurements" in capsys.readouterr().err
+        assert main(args + ["--method", "trajectory"]) == 0
+        assert "engine: trajectory" in capsys.readouterr().out
+
 
 class TestServeSubmitCLI:
     """`repro submit` against an in-process service HTTP endpoint."""

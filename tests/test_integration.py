@@ -10,13 +10,10 @@ from repro.core import (
     insert_random_pairs,
     interlocking_split,
 )
+from repro.execution import run
 from repro.noise import valencia_like_backend
 from repro.revlib import benchmark_circuit, parse_real, write_real
-from repro.simulator import (
-    circuit_unitary,
-    equal_up_to_global_phase,
-    run_counts,
-)
+from repro.simulator import circuit_unitary, equal_up_to_global_phase
 from repro.synth import simulate_reversible
 from repro.transpiler import routed_equivalent, transpile
 
@@ -57,7 +54,7 @@ class TestCompileAndSimulateFlows:
         measured.num_clbits = circuit.num_qubits
         for v in range(circuit.num_qubits):
             measured.measure(result.final_layout.physical(v), v)
-        counts = run_counts(measured, shots=300, seed=2)
+        counts = run(measured, shots=300, seed=2)
         expected = format(
             simulate_reversible(circuit)(0), f"0{circuit.num_qubits}b"
         )
@@ -77,7 +74,7 @@ class TestCompileAndSimulateFlows:
         plain_measured.num_clbits = circuit.num_qubits
         for v in range(circuit.num_qubits):
             plain_measured.measure(plain.final_layout.physical(v), v)
-        plain_counts = run_counts(
+        plain_counts = run(
             plain_measured, shots=1500, noise_model=noise, seed=3
         )
 
@@ -86,7 +83,7 @@ class TestCompileAndSimulateFlows:
             backend, obfuscator=TetrisLockObfuscator(seed=4), seed=4
         )
         compiled = flow.run(circuit)
-        protected_counts = run_counts(
+        protected_counts = run(
             compiled.measured_circuit(), shots=1500,
             noise_model=noise, seed=5,
         )

@@ -31,7 +31,7 @@ class TestTopLevelApi:
         backend = repro.fake_valencia()
         qc = repro.QuantumCircuit(2)
         qc.h(0).cx(0, 1).measure_all()
-        counts = repro.run_counts(
+        counts = repro.run(
             qc, shots=100, noise_model=backend.noise_model(), seed=0
         )
         assert counts.shots == 100
