@@ -60,8 +60,8 @@ def main() -> None:
     flow = SplitCompilationFlow(backend, obfuscator=obfuscator, seed=42)
     compiled = flow.compile_split(split)
     measured = compiled.measured_circuit()
-    # the execution layer auto-dispatches: noisy -> the trajectory
-    # ensemble
+    # the execution layer auto-dispatches by cost: a noisy 4-qubit
+    # run at 1000 shots goes to the exact density engine
     counts = execute(
         measured, shots=1000, noise_model=backend.noise_model(), seed=1
     )

@@ -44,6 +44,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ...execution.plan import PlanOp, _is_diagonal
+from ...simulator.kernels import embed
 from .base import Report
 
 __all__ = [
@@ -111,22 +112,6 @@ def dead_ops(ops: Sequence[PlanOp], *, atol: float = 1e-12) -> List[int]:
 # ---------------------------------------------------------------------------
 # lowering verification (replay-absorb)
 # ---------------------------------------------------------------------------
-
-
-def _embed(matrix: np.ndarray, qubits: Tuple[int, ...], support: Tuple[int, ...]) -> np.ndarray:
-    """Embed *matrix* (on *qubits*, first-listed = MSB) into *support*."""
-    if tuple(qubits) == tuple(support):
-        return matrix
-    s, k = len(support), len(qubits)
-    dim = 1 << s
-    wide = np.kron(matrix, np.eye(1 << (s - k), dtype=complex))
-    # wide's bit order: qubits first (MSB-first), then the remaining
-    # support qubits in support order — permute axes into support order
-    order_now = list(qubits) + [q for q in support if q not in qubits]
-    perm = [order_now.index(q) for q in support]
-    tensor = wide.reshape((2,) * (2 * s))
-    tensor = tensor.transpose(tuple(perm) + tuple(s + p for p in perm))
-    return np.ascontiguousarray(tensor.reshape(dim, dim))
 
 
 def _diag_vector(matrix: np.ndarray, qubits: Tuple[int, ...]) -> Tuple[Tuple[int, ...], np.ndarray]:
@@ -203,7 +188,7 @@ def verify_lowering(
                 dq, dvec = _diag_vector(sop.matrix, sop.qubits)
                 acc = acc * _embed_diag(dvec, dq, support)
             else:
-                acc = _embed(sop.matrix, sop.qubits, support) @ acc
+                acc = embed(sop.matrix, sop.qubits, support) @ acc
             absorbed.append((idx, sop))
             flat = acc.reshape(-1) if diagonal else acc
             if np.allclose(flat, target, atol=atol):

@@ -251,7 +251,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         noise_model = backend.noise_model()
     method = args.method
     engine = (
-        select_engine(circuit, noise_model=noise_model)
+        select_engine(circuit, shots=args.shots, noise_model=noise_model)
         if method == "auto"
         else method
     )

@@ -157,8 +157,8 @@ class TetrisLockPipeline:
         is RNG-free, so results are unchanged).  *use_transpile_cache*
         forces the transpile cache on/off (``None`` follows the global
         setting).  *chunk_size* caps the shots evolved per tensor chunk
-        in the noisy trajectory ensemble (see
-        :func:`repro.execution.run`)."""
+        in the noisy trajectory ensemble, for simulations that dispatch
+        to it (see :func:`repro.execution.run`)."""
         self.backend = backend
         self.shots = shots
         self.gate_limit = gate_limit
@@ -175,13 +175,6 @@ class TetrisLockPipeline:
             self._rng = seed
         else:
             self._rng = np.random.default_rng(seed)
-        # (backend, model) for the most recent backend — noise-model
-        # construction is deterministic and read-only in simulation, so
-        # the three simulations of one evaluation share a single build.
-        # One entry only: with backend=None every evaluation creates a
-        # fresh backend, and an unbounded map would leak one Kraus
-        # model per call.
-        self._noise_model_entry: Optional[tuple] = None
 
     @property
     def _executor(self) -> Optional[concurrent.futures.Executor]:
@@ -201,13 +194,6 @@ class TetrisLockPipeline:
             return self.backend
         return valencia_like_backend(max(circuit.num_qubits, 2))
 
-    def _noise_model_for(self, backend: Backend):
-        entry = self._noise_model_entry
-        if entry is None or entry[0] is not backend:
-            entry = (backend, backend.noise_model())
-            self._noise_model_entry = entry
-        return entry[1]
-
     def _simulate(
         self,
         result: TranspileResult,
@@ -222,7 +208,7 @@ class TetrisLockPipeline:
         return execute(
             circuit,
             self.shots,
-            noise_model=self._noise_model_for(backend),
+            noise_model=backend.noise_model(),
             seed=self._rng,
             chunk_size=self.chunk_size,
         )
@@ -233,7 +219,7 @@ class TetrisLockPipeline:
         return execute(
             compiled.measured_circuit(),
             self.shots,
-            noise_model=self._noise_model_for(backend),
+            noise_model=backend.noise_model(),
             seed=self._rng,
             chunk_size=self.chunk_size,
         )

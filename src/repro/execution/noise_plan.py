@@ -31,8 +31,10 @@ The result is a :class:`NoisePlan`: a flat step stream (span / channel
 decision in the plan a fixed index.  The trajectory ensemble
 (:func:`repro.simulator.noisy.run_noise_plan`) spawns one seed per
 site, which is what makes its output independent of the chunk size.
-Plans are cached by ``structural hash x noise fingerprint x fusion``
-in :mod:`repro.execution.plan_cache`.
+The exact engine (:func:`repro.simulator.density.run_density_plan`)
+runs terminal plans on the density tensor.  Plans are cached by
+``structural hash x noise fingerprint x fusion`` in
+:mod:`repro.execution.plan_cache`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..noise.channels import _read_only
 from ..noise.model import NoiseModel
-from ..simulator.kernels import matrix_is_identity
+from ..simulator.kernels import embed, matrix_is_identity
 from ..simulator.noisy import _LEAD_MIN, ENSEMBLE_DTYPE
 from ..simulator.trajectory import measures_are_terminal
 from .plan import (
@@ -255,7 +257,10 @@ class ChannelBinding:
       (diagonal with ``|K[0, 0]|`` above ``_LEAD_MIN``), ``lead_ratios``
       ``K[j, j] / K[0, 0]`` (ones on other branches) and ``lead_scales``
       ``|K[0, 0]|^2`` (one on other branches).  A shot that drew a cheap
-      branch is scaled in place and never touches sub-lattice 0.
+      branch is scaled in place and never touches sub-lattice 0;
+    * both kinds memoise their superoperator per block it is embedded
+      in (:meth:`superoperator`, the exact engine's form), so these
+      memos are bounded by the number of bindings, not of plans.
 
     Every array is read-only.  Use :meth:`bind`: it shares one binding
     per (channel, qubits) across every anchor of every plan.
@@ -270,6 +275,7 @@ class ChannelBinding:
         "scaled_ops",
         "monomials",
         "programs",
+        "superops",
         "identity_flags",
         "grams",
         "stack",
@@ -287,6 +293,7 @@ class ChannelBinding:
         self.identity_flags = tuple(channel.scalar_identity_flags)
         self.cumulative = self.scaled_ops = self.monomials = None
         self.programs: Dict[int, Tuple] = {}
+        self.superops: Dict[Tuple[int, ...], np.ndarray] = {}
         self.grams = self.stack = self.gram_diagonals = None
         self.cheap = self.lead_ratios = self.lead_scales = None
         if channel.mixed_unitary_probs is not None:
@@ -346,6 +353,18 @@ class ChannelBinding:
                 _mixed_program(self.monomials, noops, self.qubits, num_qubits),
             )
         return program
+
+    def superoperator(self, block: Tuple[int, ...]) -> np.ndarray:
+        """``sum_i K_i (x) conj(K_i)`` embedded in *block* (ascending
+        qubits, a superset of :attr:`qubits`), for the exact engine
+        (:func:`repro.simulator.density.evolve_plan`)."""
+        matrix = self.superops.get(block)
+        if matrix is None:
+            kraus = [embed(op, self.qubits, block) for op in self.operators]
+            matrix = self.superops.setdefault(
+                block, _read_only(sum(np.kron(k, k.conj()) for k in kraus))
+            )
+        return matrix
 
     @property
     def num_branches(self) -> int:

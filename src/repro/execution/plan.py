@@ -408,23 +408,6 @@ def lower_trace(trace: Trace, fusion: str = "full") -> List[PlanOp]:
 # ---------------------------------------------------------------------------
 
 
-def _apply_op(
-    batch: np.ndarray, op: PlanOp, offset: int = 0, conjugate: bool = False
-) -> np.ndarray:
-    """Apply one plan op to a ``(batch, 2, ..., 2)`` tensor.
-
-    Qubit ``q`` of the op acts on tensor axis ``q + offset + 1``;
-    *conjugate* applies the complex-conjugate op (the column side of a
-    density tensor).
-    """
-    qubits = tuple(q + offset for q in op.qubits)
-    if op.kind == "diagonal":
-        diag = np.conj(op.diag) if conjugate else op.diag
-        return multiply_diagonal(batch, diag, qubits)
-    matrix = np.conj(op.matrix) if conjugate else op.matrix
-    return contract_batch(batch, matrix, qubits)
-
-
 class ExecutionPlan:
     """A traced and lowered execution plan.
 
@@ -479,23 +462,11 @@ class ExecutionPlan:
         the GEMM or ``tensordot`` route per op.
         """
         for op in self.ops:
-            batch = _apply_op(batch, op)
+            if op.kind == "diagonal":
+                batch = multiply_diagonal(batch, op.diag, op.qubits)
+            else:
+                batch = contract_batch(batch, op.matrix, op.qubits)
         return batch
-
-    def execute_density(self, tensor: np.ndarray) -> np.ndarray:
-        """Apply the fused stream to a ``(2,)*2n`` density tensor.
-
-        Each op is conjugated in turn — ``U rho`` on the row axes,
-        then ``(conj U)`` on the mirrored column axes — before the next
-        op runs, so ``fusion="none"`` stays bit-identical to a
-        per-instruction density loop.
-        """
-        n = self.num_qubits
-        batch = tensor.reshape((1,) + tensor.shape)
-        for op in self.ops:
-            batch = _apply_op(batch, op)
-            batch = _apply_op(batch, op, offset=n, conjugate=True)
-        return batch.reshape(tensor.shape)
 
     def __repr__(self) -> str:
         return (

@@ -12,6 +12,7 @@ substitutions table).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -97,6 +98,9 @@ class Backend:
         default_factory=dict
     )
     max_shots: int = 8192
+    _noise_model: Optional[NoiseModel] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.qubits) != self.num_qubits:
@@ -124,12 +128,19 @@ class Backend:
 
     # ------------------------------------------------------------------
     def noise_model(self) -> NoiseModel:
-        """Build the Aer-style noise model from the calibration data.
+        """The Aer-style noise model of the calibration data.
 
         Each basis gate gets depolarizing error at its calibrated rate
         composed with thermal relaxation over its duration; measurement
-        qubits get classical readout errors.
+        qubits get classical readout errors.  Built once per backend and
+        shared (with the bindings memoised on its channels) by every
+        simulation on it, so callers must not mutate it.
         """
+        if self._noise_model is None:
+            self._noise_model = self._build_noise_model()
+        return self._noise_model
+
+    def _build_noise_model(self) -> NoiseModel:
         model = NoiseModel(name=f"{self.name}-noise")
         for q, cal in enumerate(self.qubits):
             sq = self.single_qubit_gates.get(
@@ -199,6 +210,7 @@ def fake_valencia() -> Backend:
     )
 
 
+@functools.lru_cache(maxsize=64)
 def valencia_like_backend(num_qubits: int) -> Backend:
     """Valencia-calibrated backend widened to *num_qubits* qubits.
 
@@ -206,7 +218,8 @@ def valencia_like_backend(num_qubits: int) -> Backend:
     although the device has 5 qubits; this constructor makes the
     implied enlargement explicit: a line topology with Valencia error
     rates cycled across qubits and edges.  For ``num_qubits <= 5`` the
-    genuine Valencia topology is returned.
+    genuine Valencia topology is returned.  One shared backend per
+    width (with its one noise model): treat it as read-only.
     """
     if num_qubits <= 5:
         backend = fake_valencia()

@@ -2,9 +2,10 @@
 
 Mirrors the structure of Qiskit Aer's ``NoiseModel``: quantum errors
 are attached to gate names, either for all qubits or for specific qubit
-tuples, and readout errors are attached per qubit.  The trajectory and
-density-matrix simulators query :meth:`NoiseModel.errors_for` after
-applying each gate.
+tuples, and readout errors are attached per qubit.  The noise-plan
+lowering (:func:`repro.execution.noise_plan.build_noise_plan`) queries
+:meth:`NoiseModel.errors_for` once per gate; both noisy engines then
+execute that plan.
 """
 
 from __future__ import annotations

@@ -87,15 +87,16 @@ def handle_simulate(params: Dict[str, Any]) -> Dict[str, Any]:
         simulate_noise_model(circuit) if params.get("noisy") else None
     )
     method = params.get("method", "auto")
+    shots = int(params.get("shots", 1000))
     engine = (
-        select_engine(circuit, noise_model=noise_model)
+        select_engine(circuit, shots=shots, noise_model=noise_model)
         if method == "auto"
         else method
     )
     chunk_size = params.get("chunk_size")
     counts = execute(
         circuit,
-        int(params.get("shots", 1000)),
+        shots,
         noise_model=noise_model,
         method=engine,  # already resolved; skip a second auto-dispatch
         seed=params.get("seed"),

@@ -422,6 +422,7 @@ class JobService:
         entry — anyone already blocked on the job's ``done_event`` owns
         a reference and completes normally.
         """
+        job.request = None  # dispatch-only: drop its parsed circuit
         self._history.append(job.id)
         while len(self._history) > self.max_history:
             self._jobs.pop(self._history.popleft(), None)

@@ -1,26 +1,39 @@
-"""Exact density-matrix simulation.
+"""The exact engine: a terminal noise plan evolved on the density tensor.
 
-Exponentially heavier than the statevector engine (``4^n`` memory), but
-exact under noise — no sampling error.  Used by the test suite to
-validate the trajectory sampler against closed-form channel action, and
-handy for the 4–5 qubit benchmarks where ``4^5 = 1024``-dimensional
-operators are trivial.
+The plan's span ops and channel anchors fold, in program order, into
+blocks on at most two qubits; each block is one superoperator on its
+row and column axes — ``U (x) conj(U)`` per run of gates, the binding's
+memoised ``sum_i K_i (x) conj(K_i)`` per channel (Wood, Biamonte & Cory,
+arXiv:1111.6950).  A wider span op (a fused diagonal run spans up to 12
+qubits) runs as ``U rho U^dagger`` instead.  The shots are one draw
+from the final distribution; :func:`repro.execution.select_engine` says
+when this beats trajectories.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+import functools
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
-from ..noise.channels import QuantumChannel
 from ..noise.model import NoiseModel
 from .counts import Counts, counts_from_outcomes
-from .kernels import apply_matrix_state
+from .kernels import _kron, embed
+from .noisy import report_outcomes
 from .statevector import Statevector
 
-__all__ = ["DensityMatrix", "DensityMatrixSimulator"]
+__all__ = [
+    "DensityMatrix",
+    "DensityMatrixSimulator",
+    "evolve_plan",
+    "run_density_plan",
+]
+
+# a block grows while its qubits stay within this bound (superoperators
+# of 16 x 16); a wider span op is a block alone, run as U rho U^dagger
+_MAX_BLOCK_QUBITS = 2
 
 
 class DensityMatrix:
@@ -69,37 +82,6 @@ class DensityMatrix:
         vec = state.to_vector()
         return cls(state.num_qubits, np.outer(vec, vec.conj()))
 
-    # -- evolution --------------------------------------------------------
-    def apply_matrix(
-        self, matrix: np.ndarray, qubits: Sequence[int]
-    ) -> "DensityMatrix":
-        """rho -> U rho U^dagger on *qubits*."""
-        n = self.num_qubits
-        mat = np.asarray(matrix, dtype=complex)
-        # the (2,)*2n tensor is treated as a 2n-axis state: left
-        # multiply on the row axes, conjugate on the column axes —
-        # both through the shared kernels
-        tensor = apply_matrix_state(self._tensor, mat, list(qubits))
-        col_axes = [n + q for q in qubits]
-        self._tensor = apply_matrix_state(tensor, mat.conj(), col_axes)
-        return self
-
-    def apply_channel(
-        self, channel: QuantumChannel, qubits: Sequence[int]
-    ) -> "DensityMatrix":
-        """rho -> sum_i K_i rho K_i^dagger on *qubits*."""
-        accumulator = None
-        original = self._tensor
-        for op in channel.kraus_operators:
-            self._tensor = original
-            self.apply_matrix(op, qubits)
-            if accumulator is None:
-                accumulator = self._tensor
-            else:
-                accumulator = accumulator + self._tensor
-        self._tensor = accumulator
-        return self
-
     # -- measurement --------------------------------------------------------
     def probabilities(self) -> np.ndarray:
         """Little-endian diagonal (measurement distribution)."""
@@ -119,81 +101,127 @@ class DensityMatrix:
 
 
 class DensityMatrixSimulator:
-    """Exact noisy simulator over density matrices."""
+    """Exact evolution of a circuit through its cached noise plan."""
 
     def __init__(
-        self,
-        noise_model: Optional[NoiseModel] = None,
-        *,
-        fuse: str = "full",
+        self, noise_model: Optional[NoiseModel] = None, *, fuse: str = "full"
     ) -> None:
-        """*fuse* sets the fusion level of noiseless evolution through
-        the compiled-plan tier (see :mod:`repro.execution.plan`); noisy
-        evolution executes the traced per-instruction stream so noise
-        channels keep their per-gate anchors."""
+        """*fuse* is the plan's fusion level (:mod:`repro.execution.plan`)."""
         self.noise_model = noise_model
         self.fuse = fuse
 
     def evolve(self, circuit: QuantumCircuit) -> DensityMatrix:
-        """Run all gates + channels; measurements are deferred to sampling."""
-        from ..execution.plan_cache import get_plan
+        """The final state; measurements must be terminal (deferred)."""
+        from ..execution import plan_cache
 
-        rho = DensityMatrix(circuit.num_qubits)
-        compiled = get_plan(circuit, self.fuse)
-        if self.noise_model is None:
-            rho._tensor = compiled.execute_density(rho._tensor)
-            return rho
-        for op in compiled.source_ops:
-            if not op.identity:
-                rho.apply_matrix(op.matrix, op.qubits)
-            for bound in self.noise_model.errors_for(op.instruction):
-                rho.apply_channel(bound.channel, bound.resolve(op.instruction))
+        plan = plan_cache.get_noise_plan(circuit, self.noise_model, self.fuse)
+        rho = DensityMatrix(plan.num_qubits)
+        rho._tensor = evolve_plan(plan)
         return rho
 
-    def output_distribution(self, circuit: QuantumCircuit) -> np.ndarray:
-        """Exact outcome distribution including readout errors.
 
-        Measurement mapping is ignored (measure-all semantics over all
-        qubits) — sufficient for the RevLib evaluation circuits, which
-        measure every qubit in order.
-        """
-        rho = self.evolve(circuit)
-        probs = rho.probabilities()
-        probs = probs / probs.sum()
-        if self.noise_model is None or not self.noise_model.has_readout_errors():
-            return probs
-        n = circuit.num_qubits
-        for qubit in range(n):
-            error = self.noise_model.readout_error(qubit)
-            if error is None:
-                continue
-            matrix = error.assignment_matrix()
-            probs = _apply_bit_stochastic(probs, matrix, qubit, n)
-        return probs
+def _blocks(plan) -> Iterator[Tuple[Tuple[int, ...], List[Tuple]]]:
+    """The plan's span ops and channel bindings in program order, as
+    ``(block qubits, [(kind, item), ...])`` groups of <= 2 qubits (a
+    wider op is a group alone)."""
+    block, items = (), []
+    for step in plan.steps:
+        kind = step[0]
+        if kind == "measure":
+            raise ValueError("the exact engine needs terminal measurements")
+        for item in step[1] if kind == "span" else (step[1],):
+            union = tuple(sorted(set(block).union(item.qubits)))
+            if items and len(union) > _MAX_BLOCK_QUBITS:
+                yield block, items
+                union, items = tuple(sorted(item.qubits)), []
+            block = union
+            items.append((kind, item))
+    if items:
+        yield block, items
 
-    def run(
-        self,
-        circuit: QuantumCircuit,
-        shots: int,
-        seed: Optional[Union[int, np.random.Generator]] = None,
-    ) -> Counts:
-        """Sample *shots* outcomes from the exact distribution."""
-        probs = self.output_distribution(circuit)
-        rng = np.random.default_rng(seed)
-        outcomes = rng.choice(len(probs), size=shots, p=probs)
-        return counts_from_outcomes(
-            outcomes, circuit.num_qubits, shots=shots
+
+def _block_matrix(block: Tuple[int, ...], items: List[Tuple]) -> np.ndarray:
+    """A block's superoperator.  Span ops multiply in the block's
+    Hilbert space and join as ``U (x) conj(U)`` before each channel (a
+    closing ``None`` channel flushes the last run)."""
+    factors, unitary = [], None
+    for kind, item in items + [("channel", None)]:
+        if kind == "span":
+            op = embed(item.to_matrix(), item.qubits, block)
+            unitary = op if unitary is None else op @ unitary
+            continue
+        if unitary is not None:
+            factors.append(_kron(unitary, unitary.conj()))
+            unitary = None
+        if item is not None:
+            factors.append(item.superoperator(block))
+    return functools.reduce(lambda acc, factor: factor @ acc, factors)
+
+
+def _conjugate(op, rho: np.ndarray) -> None:
+    """``U rho U^dagger`` in place in *rho*, ``(2^k, 2^k, rest)`` for a
+    k-qubit span op: a diagonal as two multiplies, a matrix as two GEMMs."""
+    if op.kind == "diagonal":
+        rho *= op.diag[:, None, None]
+        rho *= op.diag.conj()[None, :, None]
+    else:
+        product = op.matrix @ rho.reshape(len(rho), -1)
+        np.matmul(op.matrix.conj(), product.reshape(rho.shape), out=rho)
+
+
+def evolve_plan(plan) -> np.ndarray:
+    """The ``(2,)*2n`` density tensor (rows on axes ``0..n-1``, columns
+    on ``n..2n-1``) after every step of a terminal *plan*."""
+    n = plan.num_qubits
+    shape = (2,) * (2 * n)
+    tensor = np.zeros(1 << (2 * n), dtype=complex)
+    tensor[0] = 1.0
+    # tensor axis i holds density axis layout[i]: a block moves its axes
+    # to the front (one copy) and its product leaves them there
+    layout = list(range(2 * n))
+    for block, items in _blocks(plan):
+        kind, op = items[0]
+        wide = kind == "span" and len(block) > _MAX_BLOCK_QUBITS
+        if wide:
+            block = op.qubits  # in its own order: the first is the MSB
+        targets = list(block) + [n + q for q in block]
+        order = targets + [axis for axis in layout if axis not in targets]
+        moved = tensor.reshape(shape).transpose(
+            [layout.index(axis) for axis in order]
         )
+        if wide:
+            tensor = moved.reshape(1 << len(block), 1 << len(block), -1)
+            _conjugate(op, tensor)
+        else:
+            matrix = _block_matrix(block, items)
+            tensor = matrix @ moved.reshape(len(matrix), -1)
+        layout = order
+    return np.ascontiguousarray(
+        tensor.reshape(shape).transpose(np.argsort(layout))
+    )
 
 
-def _apply_bit_stochastic(
-    probs: np.ndarray, matrix: np.ndarray, qubit: int, num_qubits: int
-) -> np.ndarray:
-    """Apply a 2x2 stochastic matrix to one bit of a distribution."""
-    tensor = probs.reshape((2,) * num_qubits)
-    # flat little-endian -> axis 0 is the most significant = qubit n-1
-    axis = num_qubits - 1 - qubit
-    tensor = np.moveaxis(tensor, axis, 0)
-    flipped = np.tensordot(matrix, tensor, axes=(1, 0))
-    tensor = np.moveaxis(flipped, 0, axis)
-    return tensor.reshape(-1)
+def run_density_plan(plan, shots: int, *, entropy: int) -> Counts:
+    """Evolve a terminal *plan* exactly and report *shots* samples.
+
+    Site ``s`` draws from child ``s`` of ``SeedSequence(entropy)`` as in
+    :func:`~repro.simulator.noisy.run_noise_plan`, for the final-state
+    and readout sites only."""
+    if shots <= 0:
+        raise ValueError("shots must be positive")
+    rho = DensityMatrix(plan.num_qubits)
+    rho._tensor = evolve_plan(plan)
+    probs = rho.probabilities()
+    draws = {
+        site: np.random.default_rng(
+            np.random.SeedSequence(entropy, spawn_key=(site,))
+        ).random(shots)
+        for site in [plan.sample_site] + [entry[3] for entry in plan.entries]
+        if site is not None
+    }
+    cumulative = np.cumsum(probs / probs.sum())
+    outcomes = np.minimum(
+        np.searchsorted(cumulative, draws[plan.sample_site]), probs.size - 1
+    )
+    values = report_outcomes(plan, outcomes, draws, 0, shots)
+    return counts_from_outcomes(values, plan.width, shots=shots)

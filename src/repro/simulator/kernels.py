@@ -12,8 +12,7 @@ Two layouts are supported:
   qubit ``q`` lives on array axis ``q + 1`` (the batched sampler's
   shot tensor, or the basis-state batch used to build unitaries);
 * :func:`apply_matrix_state` — plain ``(2,)*m`` tensors where the
-  target axes are given directly (statevector tensors, and both the
-  row- and column-axis groups of a density-matrix tensor).
+  target axes are given directly (statevector tensors).
 
 Execution plans (:mod:`repro.execution.plan`) run their fused op
 streams through :func:`contract_batch` (the batch contraction without
@@ -52,6 +51,7 @@ __all__ = [
     "apply_matrix_generic",
     "apply_matrix_state",
     "contract_batch",
+    "embed",
     "is_identity",
     "matrix_is_identity",
     "multiply_diagonal",
@@ -75,6 +75,28 @@ _FAST_PATH_MIN_SIZE = 1 << 16
 # identity templates for the common gate sizes, so the check below does
 # not allocate a fresh eye on every gate application
 _EYES = {dim: np.eye(dim) for dim in (2, 4, 8, 16)}
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of square matrices without its per-call overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        len(a) * len(b), -1
+    )
+
+
+def embed(
+    matrix: np.ndarray, qubits: Sequence[int], block: Sequence[int]
+) -> np.ndarray:
+    """*matrix* on *qubits* as an operator on the superset *block* (for
+    both, the first listed qubit is the most significant bit)."""
+    if tuple(qubits) == tuple(block):
+        return matrix
+    m = len(block)
+    order = list(qubits) + [q for q in block if q not in qubits]
+    full = _kron(matrix, np.eye(1 << (m - len(qubits))))
+    perm = [order.index(q) for q in block]
+    tensor = full.reshape((2,) * (2 * m))
+    return tensor.transpose(perm + [m + p for p in perm]).reshape(1 << m, -1)
 
 
 def is_identity(matrix: np.ndarray, atol: float = 1e-12) -> bool:
@@ -217,10 +239,8 @@ def apply_matrix_state(
 ) -> np.ndarray:
     """Apply a k-qubit matrix to the given axes of a ``(2,)*m`` tensor.
 
-    Used by the statevector engine (axes = qubits) and the
-    density-matrix engine (row axes ``q`` for ``U rho``, column axes
-    ``n + q`` for the conjugate side).  Returns a new, C-contiguous
-    array unless the matrix is the identity.
+    Used by the statevector engine (axes = qubits).  Returns a new,
+    C-contiguous array unless the matrix is the identity.
     """
     # a length-1 leading batch axis reuses the batched fast paths; the
     # reshape is free for contiguous tensors and restores contiguity

@@ -173,7 +173,15 @@ def _run_chunk(plan, draws: List[np.ndarray], lo: int, hi: int) -> np.ndarray:
     if not plan.terminal:
         return clbits
     outcomes = _sample_joint(rows, draws[plan.sample_site][lo:hi])
-    values = np.zeros(width, dtype=np.int64)
+    return report_outcomes(plan, outcomes, draws, lo, hi)
+
+
+def report_outcomes(plan, outcomes: np.ndarray, draws, lo: int, hi: int):
+    """The clbit values a terminal *plan* reports for shots ``[lo, hi)``
+    from their basis-index *outcomes*: each entry copies its qubit's bit,
+    with the readout flips drawn at its site (``draws[site]`` is that
+    site's ``(shots,)`` uniform array).  Shared with the exact engine."""
+    values = np.zeros(hi - lo, dtype=np.int64)
     for qubit, clbit, readout, readout_site in plan.entries:
         bits = (outcomes >> qubit) & 1
         if readout is not None:

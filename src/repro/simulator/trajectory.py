@@ -4,9 +4,11 @@ A noiseless circuit whose measurements are all terminal is simulated
 by one statevector evolution (:func:`terminal_distribution`) plus
 multinomial sampling (:func:`sample_terminal_counts`), whatever the
 shot count.  Everything else — noise, mid-circuit measurement — runs
-through the trajectory ensemble (:mod:`repro.simulator.noisy`).
-:func:`repro.execution.run` picks between the two with
-:func:`measures_are_terminal`.
+through a noise plan: on the exact density engine
+(:mod:`repro.simulator.density`) or the trajectory ensemble
+(:mod:`repro.simulator.noisy`).  :func:`repro.execution.run` picks the
+engine with :func:`measures_are_terminal` and the width/shots cost
+rule of :func:`repro.execution.select_engine`.
 """
 
 from __future__ import annotations

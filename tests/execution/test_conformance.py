@@ -1,11 +1,15 @@
-"""Conformance: the default noisy ensemble against the exact density engine.
+"""Conformance: the trajectory ensemble against the exact density engine,
+and the exact engine against the per-instruction oracle.
 
 Paper circuits are compiled to the Valencia-like device, so every
 physical gate carries the backend's thermal-relaxation + depolarizing
 channel and every qubit its readout error.  The trajectory ensemble
-(default noisy dispatch) must reproduce the exact distribution that
-``method="density"`` samples from, at every fusion level, within shot
-noise.
+(``method="trajectory"``, forced: auto dispatch sends these small
+circuits to the exact engine) must reproduce the exact distribution
+that ``method="density"`` samples from, at every fusion level, within
+shot noise.  The exact engine in turn must match
+``reference_sim.evolve_density`` — one two-sided pass per gate and per
+Kraus operator — to 1e-12.
 
 The bound is fixed from the shot count alone.  For ``N`` shots over
 ``K = 2^n`` outcomes the empirical distribution ``p_hat`` satisfies
@@ -25,15 +29,17 @@ general-Kraus routes under the same bound: a 2-qubit channel, and a
 1-qubit channel whose Grams are not diagonal.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from kraus_models import kraus_route_models
+from reference_sim import apply_readout, evolve_density
 
 from repro.circuits import QuantumCircuit
-from repro.execution import run
+from repro.execution import plan_cache, run
 from repro.execution.plan import FUSION_LEVELS
 from repro.noise import valencia_like_backend
 from repro.revlib import benchmark_circuit
@@ -63,9 +69,25 @@ def _device_circuit(name):
     return compiled, backend.noise_model()
 
 
+def _exact_distribution(circuit, model):
+    """The exact engine's outcome distribution, readout included (every
+    circuit here measures qubit ``q`` into clbit ``q``)."""
+    probs = DensityMatrixSimulator(model).evolve(circuit).probabilities()
+    return apply_readout(probs / probs.sum(), model)
+
+
 @pytest.mark.parametrize("fusion", FUSION_LEVELS)
 @pytest.mark.parametrize(
-    "name", ["4gt13", "one_bit_adder", "ham3", "graycode6", "4mod5"]
+    "name",
+    [
+        "4gt13",
+        "one_bit_adder",
+        "ham3",
+        "graycode6",
+        "4mod5",
+        "mini_alu",
+        "4gt11",
+    ],
 )
 def test_trajectory_matches_density(name, fusion):
     circuit, model = _device_circuit(name)
@@ -75,9 +97,12 @@ def test_trajectory_matches_density(name, fusion):
         for inst in circuit
         if inst.is_gate and inst.operation.name != "u1"
     ), "every physical gate must carry a noise channel"
-    exact = DensityMatrixSimulator(model).output_distribution(circuit)
+    exact = _exact_distribution(circuit, model)
 
-    counts = run(circuit, SHOTS, noise_model=model, seed=2025, fuse=fusion)
+    counts = run(
+        circuit, SHOTS, noise_model=model, method="trajectory", seed=2025,
+        fuse=fusion,
+    )
     empirical = np.zeros_like(exact)
     for bitstring, count in counts.items():
         empirical[int(bitstring, 2)] = count / SHOTS
@@ -101,9 +126,12 @@ def _route_circuit():
 def test_kraus_routes_match_density(route, fusion):
     circuit = _route_circuit()
     model = kraus_route_models()[route]
-    exact = DensityMatrixSimulator(model).output_distribution(circuit)
+    exact = _exact_distribution(circuit, model)
 
-    counts = run(circuit, SHOTS, noise_model=model, seed=2025, fuse=fusion)
+    counts = run(
+        circuit, SHOTS, noise_model=model, method="trajectory", seed=2025,
+        fuse=fusion,
+    )
     empirical = np.zeros_like(exact)
     for bitstring, count in counts.items():
         empirical[int(bitstring, 2)] = count / SHOTS
@@ -111,4 +139,71 @@ def test_kraus_routes_match_density(route, fusion):
     distance = 0.5 * np.abs(empirical - exact).sum()
     assert distance <= _tvd_bound(circuit.num_qubits), (
         f"{route}@{fusion}: TVD {distance:.4f} to the density engine"
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(name):
+    circuit, model = _device_circuit(name)
+    return circuit, model, evolve_density(circuit, model).to_matrix()
+
+
+@pytest.mark.parametrize("fusion", FUSION_LEVELS)
+@pytest.mark.parametrize("name", ["4gt13", "mini_alu", "4gt11", "rd53"])
+def test_exact_engine_matches_oracle(name, fusion):
+    circuit, model, reference = _oracle(name)
+    exact = DensityMatrixSimulator(model, fuse=fusion).evolve(circuit)
+    np.testing.assert_allclose(
+        exact.to_matrix(), reference, rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("fusion", FUSION_LEVELS)
+@pytest.mark.parametrize("route", sorted(kraus_route_models()))
+def test_exact_engine_kraus_routes_match_oracle(route, fusion):
+    circuit = _route_circuit()
+    model = kraus_route_models()[route]
+    reference = evolve_density(circuit, model).to_matrix()
+    exact = DensityMatrixSimulator(model, fuse=fusion).evolve(circuit)
+    np.testing.assert_allclose(
+        exact.to_matrix(), reference, rtol=0, atol=1e-12
+    )
+
+
+def _wide_circuit():
+    """8 qubits whose t layers fuse (at ``"full"``) into one 8-qubit
+    diagonal, since the Valencia-like model puts no channel on t, around
+    a cx chain and a 3-qubit ccx."""
+    circuit = QuantumCircuit(8)
+    for qubit in range(8):
+        circuit.h(qubit).t(qubit)
+    for qubit in range(7):
+        circuit.cx(qubit, qubit + 1)
+    circuit.ccx(0, 3, 6)
+    for qubit in range(8):
+        circuit.tdg(qubit)
+    return circuit.h(7)
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("fusion", FUSION_LEVELS)
+def test_exact_engine_wide_ops_match_oracle(fusion, noisy):
+    """Ops wider than a block run as ``U rho U^dagger``; a 4^8 x 4^8
+    superoperator of the fused diagonal would not fit in memory."""
+    circuit = _wide_circuit()
+    model = valencia_like_backend(8).noise_model() if noisy else None
+    plan = plan_cache.get_noise_plan(circuit, model, fusion)
+    widest = max(
+        len(op.qubits)
+        for step in plan.steps
+        if step[0] == "span"
+        for op in step[1]
+    )
+    assert widest == (8 if fusion == "full" else 3)
+    exact = DensityMatrixSimulator(model, fuse=fusion).evolve(circuit)
+    np.testing.assert_allclose(
+        exact.to_matrix(),
+        evolve_density(circuit, model).to_matrix(),
+        rtol=0,
+        atol=1e-12,
     )

@@ -1,10 +1,13 @@
 """The unified execution layer: engine names, dispatch, cross-engine agreement."""
 
+import functools
+
 import pytest
 
 from repro.circuits import QuantumCircuit, random_circuit
 from repro.execution import ENGINES, run, select_engine
 from repro.metrics import tvd
+from repro.core import pipeline as pipeline_module
 from repro.core.pipeline import TetrisLockPipeline
 from repro.noise import depolarizing, fake_valencia, valencia_like_backend
 from repro.noise.model import NoiseModel
@@ -42,32 +45,81 @@ class TestRegistry:
 
 class TestDispatch:
     def test_noiseless_terminal_uses_statevector(self):
-        assert select_engine(_terminal_circuit()) == "statevector"
+        assert select_engine(_terminal_circuit(), shots=1000) == "statevector"
 
     def test_trivial_noise_model_counts_as_noiseless(self):
         assert (
-            select_engine(_terminal_circuit(), noise_model=NoiseModel())
+            select_engine(
+                _terminal_circuit(), shots=1000, noise_model=NoiseModel()
+            )
             == "statevector"
         )
 
     def test_noisy_terminal_uses_trajectory(self):
+        # 2^n amplitudes per shot against 4^n exact: one shot of a
+        # 2-qubit circuit is cheaper as a trajectory
         assert (
-            select_engine(_terminal_circuit(), noise_model=_noise())
+            select_engine(_terminal_circuit(), shots=1, noise_model=_noise())
+            == "trajectory"
+        )
+
+    def test_noisy_terminal_dispatch_weighs_width_against_shots(self):
+        assert (
+            select_engine(
+                _terminal_circuit(), shots=1000, noise_model=_noise()
+            )
+            == "density"
+        )
+        wide = QuantumCircuit(10)
+        wide.h(0).measure_all()
+        model = valencia_like_backend(10).noise_model()
+        assert (
+            select_engine(wide, shots=100, noise_model=model) == "trajectory"
+        )
+        assert select_engine(wide, shots=1000, noise_model=model) == "density"
+        # a 12-qubit density tensor would not fit the exact engine's
+        # memory bound, however many shots
+        wider = QuantumCircuit(12)
+        wider.h(0).measure_all()
+        model = valencia_like_backend(12).noise_model()
+        assert (
+            select_engine(wider, shots=100_000, noise_model=model)
             == "trajectory"
         )
 
     def test_mid_circuit_uses_trajectory(self):
-        assert select_engine(_mid_circuit()) == "trajectory"
+        assert select_engine(_mid_circuit(), shots=1000) == "trajectory"
         assert (
-            select_engine(_mid_circuit(), noise_model=_noise())
+            select_engine(_mid_circuit(), shots=1000, noise_model=_noise())
             == "trajectory"
         )
 
     def test_density_never_auto_selected_but_explicit(self):
+        # noiseless runs never dispatch to the exact engine on their own
+        assert select_engine(_terminal_circuit(), shots=200) == "statevector"
         counts = run(
             _terminal_circuit(), 200, method="density", seed=0
         )
         assert counts.shots == 200
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_engines_honour_the_clbit_map(self, noisy):
+        # qubit 0 reads into clbit 1 and qubit 2 into clbit 0 of a
+        # 2-bit register; qubit 1 is never reported
+        circuit = QuantumCircuit(3, 2)
+        circuit.x(0).measure(0, 1).measure(2, 0)
+        noise = _noise() if noisy else None
+        for method in ENGINES:
+            if noisy and method == "statevector":
+                continue
+            counts = run(
+                circuit, 100, method=method, noise_model=noise, seed=1
+            )
+            if noisy:
+                assert set(counts) <= {"00", "01", "10", "11"}, method
+                assert counts["10"] > 80, (method, dict(counts))
+            else:
+                assert dict(counts) == {"10": 100}, method
 
     def test_invalid_shots(self):
         with pytest.raises(ValueError, match="shots"):
@@ -101,9 +153,9 @@ class TestCrossEngineAgreement:
     SHOTS = 4000
 
     def _exact_reference(self, circuit, noise_model=None):
-        probs = DensityMatrixSimulator(noise_model).output_distribution(
+        probs = DensityMatrixSimulator(noise_model).evolve(
             circuit
-        )
+        ).probabilities()
         n = circuit.num_qubits
         return {format(i, f"0{n}b"): p for i, p in enumerate(probs)}
 
@@ -158,26 +210,53 @@ class TestCrossEngineAgreement:
                    ensemble.probabilities()) < 0.04
 
 
+# seeded counts of the auto route (the exact engine) on _device_4gt13
+AUTO_DEVICE_PIN = {
+    "0000": 40, "0001": 21, "0010": 22, "0100": 4, "0101": 6,
+    "1000": 26, "1010": 830, "1011": 33, "1110": 18,
+}
+
+
+def _device_4gt13():
+    circuit = benchmark_circuit("4gt13")
+    backend = valencia_like_backend(circuit.num_qubits)
+    compiled = transpile(circuit, backend=backend).circuit.copy()
+    compiled.num_clbits = max(compiled.num_clbits, compiled.num_qubits)
+    for qubit in range(compiled.num_qubits):
+        compiled.measure(qubit, qubit)
+    return compiled, backend.noise_model()
+
+
 class TestRegressionPins:
-    """Seeded counts of the default noisy paths, pinned bit for bit:
-    a change that moves them changes what every noisy caller gets."""
+    """Seeded counts of the noisy engines, pinned bit for bit: a change
+    that moves them changes what every noisy caller gets.  The
+    trajectory pins force ``method="trajectory"``; the auto pins follow
+    dispatch, which sends these small circuits to the exact engine."""
 
     def test_device_circuit_counts(self):
-        circuit = benchmark_circuit("4gt13")
-        backend = valencia_like_backend(circuit.num_qubits)
-        compiled = transpile(circuit, backend=backend).circuit.copy()
-        compiled.num_clbits = max(compiled.num_clbits, compiled.num_qubits)
-        for qubit in range(compiled.num_qubits):
-            compiled.measure(qubit, qubit)
+        compiled, model = _device_4gt13()
         counts = run(
-            compiled, 1000, noise_model=backend.noise_model(), seed=7
+            compiled, 1000, noise_model=model, method="trajectory", seed=7
         )
         assert dict(counts) == {
             "0000": 40, "0001": 16, "0010": 21, "0100": 3, "0101": 5,
             "0110": 1, "1000": 31, "1010": 842, "1011": 24, "1110": 17,
         }
 
-    def test_pipeline_counts(self):
+    def test_device_circuit_counts_auto(self):
+        compiled, model = _device_4gt13()
+        assert select_engine(compiled, shots=1000, noise_model=model) == (
+            "density"
+        )
+        counts = run(compiled, 1000, noise_model=model, seed=7)
+        assert dict(counts) == AUTO_DEVICE_PIN
+
+    def test_pipeline_counts(self, monkeypatch):
+        monkeypatch.setattr(
+            pipeline_module,
+            "execute",
+            functools.partial(run, method="trajectory"),
+        )
         result = TetrisLockPipeline(shots=200, seed=3).evaluate(
             benchmark_circuit("4gt13")
         )
@@ -194,13 +273,36 @@ class TestRegressionPins:
             "1101": 2, "1110": 3, "1111": 1,
         }
 
+    def test_pipeline_counts_auto(self):
+        # the exact engine draws one entropy integer per simulation, as
+        # the ensemble does: the insertion and split are unchanged
+        result = TetrisLockPipeline(shots=200, seed=3).evaluate(
+            benchmark_circuit("4gt13")
+        )
+        assert (result.inserted_gates, result.split_qubits) == (2, (4, 3))
+        assert dict(result.counts_original) == {
+            "0000": 5, "0001": 1, "0010": 2, "0100": 6, "1000": 6,
+            "1010": 1, "1100": 172, "1101": 3, "1110": 4,
+        }
+        assert dict(result.counts_obfuscated) == {
+            "0001": 5, "0101": 6, "0110": 1, "0111": 4, "1000": 8,
+            "1001": 168, "1011": 4, "1101": 4,
+        }
+        assert dict(result.counts_restored) == {
+            "0000": 13, "0001": 1, "0010": 3, "0100": 4, "1000": 4,
+            "1100": 170, "1101": 2, "1110": 3,
+        }
+
     def test_mid_circuit_counts(self):
         circuit = QuantumCircuit(3, 3)
         circuit.u3(1.1, 0.3, 0.2, 0).cx(0, 1).measure(0, 0)
         circuit.u3(0.7, 0.1, 0.4, 0).cx(0, 2).cx(1, 2)
         circuit.measure(0, 1).measure(2, 2)
         model = valencia_like_backend(3).noise_model()
-        assert select_engine(circuit, noise_model=model) == "trajectory"
+        assert (
+            select_engine(circuit, shots=1000, noise_model=model)
+            == "trajectory"
+        )
         counts = run(circuit, 1000, noise_model=model, seed=7)
         assert dict(counts) == {
             "000": 635, "001": 15, "010": 13, "011": 228, "100": 12,

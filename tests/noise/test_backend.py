@@ -69,6 +69,14 @@ class TestValenciaLike:
         assert backend.coupling_edges == [(q, q + 1) for q in range(11)]
         assert len(backend.qubits) == 12
 
+    def test_one_backend_and_noise_model_per_width(self):
+        assert valencia_like_backend(5) is valencia_like_backend(5)
+        model = valencia_like_backend(5).noise_model()
+        assert valencia_like_backend(5).noise_model() is model
+        assert valencia_like_backend(4).noise_model() is not model
+        # the memo is not part of a backend's value
+        assert fake_valencia() == valencia_like_backend(5)
+
     def test_widened_noise_model_builds(self):
         model = valencia_like_backend(8).noise_model()
         assert model.readout_error(7) is not None

@@ -4,7 +4,9 @@ Two kinds of reference live here, outside the package:
 
 * per-instruction loops — one kernel call per gate, no plan, no fusion.
   The plan tier promises that ``fuse="none"`` is bit-identical to them
-  (``tests/execution/test_plan.py``);
+  (``tests/execution/test_plan.py``).  :func:`evolve_density` applies
+  every Kraus operator as its own two-sided pass; it is the oracle the
+  exact engine (``repro.simulator.density``) is held to within 1e-12;
 * :class:`PerShotSampler` — one statevector per shot, every noise
   channel sampled after its gate, measurements collapsing the state.
   It is the statistical oracle for the trajectory ensemble
@@ -70,15 +72,61 @@ def circuit_unitary(circuit):
     return np.ascontiguousarray(batch.transpose(axes).reshape(dim, dim).T)
 
 
+def apply_matrix(rho, matrix, qubits):
+    """rho -> U rho U^dagger on *qubits*: ``U`` on the row axes, then
+    ``conj(U)`` on the mirrored column axes."""
+    n = rho.num_qubits
+    matrix = np.asarray(matrix, dtype=complex)
+    tensor = apply_matrix_state(rho._tensor, matrix, list(qubits))
+    rho._tensor = apply_matrix_state(
+        tensor, matrix.conj(), [n + q for q in qubits]
+    )
+    return rho
+
+
+def apply_channel(rho, channel, qubits):
+    """rho -> sum_i K_i rho K_i^dagger on *qubits*, one pass per K_i."""
+    original = rho._tensor
+    accumulator = None
+    for op in channel.kraus_operators:
+        rho._tensor = original
+        apply_matrix(rho, op, qubits)
+        if accumulator is None:
+            accumulator = rho._tensor
+        else:
+            accumulator = accumulator + rho._tensor
+    rho._tensor = accumulator
+    return rho
+
+
 def evolve_density(circuit, noise_model=None):
     """Density matrix after every gate and its bound noise channels."""
     rho = DensityMatrix(circuit.num_qubits)
     for inst in _gates(circuit):
-        rho.apply_matrix(inst.operation.matrix, inst.qubits)
+        apply_matrix(rho, inst.operation.matrix, inst.qubits)
         if noise_model is not None:
             for bound in noise_model.errors_for(inst):
-                rho.apply_channel(bound.channel, bound.resolve(inst))
+                apply_channel(rho, bound.channel, bound.resolve(inst))
     return rho
+
+
+def apply_readout(probs, noise_model):
+    """A little-endian outcome distribution after every qubit's readout
+    error (a 2x2 stochastic matrix on that qubit's bit)."""
+    n = int(np.log2(len(probs)))
+    tensor = np.asarray(probs, dtype=float).reshape((2,) * n)
+    for qubit in range(n):
+        error = noise_model.readout_error(qubit)
+        if error is None:
+            continue
+        # flat little-endian -> axis 0 is the most significant = qubit n-1
+        axis = n - 1 - qubit
+        flipped = np.tensordot(
+            error.assignment_matrix(), np.moveaxis(tensor, axis, 0),
+            axes=(1, 0),
+        )
+        tensor = np.moveaxis(flipped, 0, axis)
+    return tensor.reshape(-1)
 
 
 class PerShotSampler:

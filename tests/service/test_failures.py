@@ -84,6 +84,17 @@ class TestHistoryBound:
                 svc.status(jobs[0])
 
 
+    def test_terminal_jobs_drop_their_request(self, bench_qasm):
+        # a pollable finished job keeps its result, not its parsed
+        # circuit: history memory must not scale with circuit size
+        with JobService(workers=1, cache_size=0) as svc:
+            job_id = svc.submit(
+                "simulate", {"qasm": bench_qasm, "seed": 1, "shots": 20}
+            )
+            assert svc.result(job_id, timeout=60)["state"] == "done"
+            assert svc._job(job_id).request is None
+
+
 class TestCancellation:
     def test_cancel_queued_job(self):
         with JobService(workers=1, cache_size=0) as svc:

@@ -63,7 +63,8 @@ class TestSubmitAndResult:
         model = valencia_like_backend(circuit.num_qubits).noise_model()
         direct = execute(circuit, 60, noise_model=model, seed=11)
         assert payload["counts"] == direct.to_dict()
-        assert payload["engine"] == "trajectory"
+        # 4 qubits at 60 shots: 2^4 < 2 * 60, the exact engine
+        assert payload["engine"] == "density"
 
     def test_protect_matches_library_call(self, service, bench_qasm):
         client = ServiceClient(service)

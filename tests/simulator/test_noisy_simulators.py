@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from reference_sim import apply_readout
+
 from repro.circuits import QuantumCircuit
-from repro.execution import run
+from repro.execution import plan_cache, run
 from repro.metrics import tvd
 from repro.noise import (
     NoiseModel,
@@ -18,6 +20,8 @@ from repro.simulator import (
     DensityMatrixSimulator,
     Statevector,
 )
+from repro.simulator.density import evolve_plan
+from repro.simulator.noisy import report_outcomes
 
 
 def bell_circuit(measured=True):
@@ -58,14 +62,27 @@ class TestMidCircuitMeasurement:
         assert set(counts) <= {"0", "1"}
 
 
+def _exact_distribution(circuit, noise_model):
+    """The exact engine's measure-all distribution, readout included."""
+    probs = DensityMatrixSimulator(noise_model).evolve(circuit).probabilities()
+    return apply_readout(probs / probs.sum(), noise_model)
+
+
+def _one_gate_noise(channel):
+    """A 1-qubit circuit whose one ``id`` gate carries *channel*."""
+    qc = QuantumCircuit(1)
+    qc.i(0)
+    model = NoiseModel().add_all_qubit_quantum_error(channel, ["id"])
+    return DensityMatrixSimulator(model).evolve(qc)
+
+
 class TestAgainstDensityMatrix:
     def _exact_vs_sampled(self, noise_model, shots=20000, seed=11):
         circuit = bell_circuit(measured=False)
-        exact = DensityMatrixSimulator(noise_model).output_distribution(
-            circuit
-        )
+        exact = _exact_distribution(circuit, noise_model)
         sampled = run(
-            bell_circuit(), shots=shots, noise_model=noise_model, seed=seed
+            bell_circuit(), shots=shots, noise_model=noise_model,
+            method="trajectory", seed=seed,
         )
         sampled_probs = {
             format(i, "02b"): 0.0 for i in range(4)
@@ -97,9 +114,10 @@ class TestAgainstDensityMatrix:
             bit_flip(0.1), ["h"]
         )
         circuit = bell_circuit(measured=False)
-        exact = DensityMatrixSimulator(model).output_distribution(circuit)
+        exact = _exact_distribution(circuit, model)
         sampled = run(
-            bell_circuit(), shots=6000, noise_model=model, seed=13
+            bell_circuit(), shots=6000, noise_model=model,
+            method="trajectory", seed=13,
         )
         exact_probs = {
             format(i, "02b"): float(p) for i, p in enumerate(exact)
@@ -130,8 +148,7 @@ class TestDensityMatrix:
         assert rho.trace() == pytest.approx(1.0)
 
     def test_depolarizing_reduces_purity(self):
-        rho = DensityMatrix(1)
-        rho.apply_channel(depolarizing(0.5), [0])
+        rho = _one_gate_noise(depolarizing(0.5))
         assert rho.purity() < 1.0
         assert rho.trace() == pytest.approx(1.0)
 
@@ -144,14 +161,20 @@ class TestDensityMatrix:
 
     def test_bit_flip_analytic(self):
         """rho after p-bit-flip on |0> has exactly p weight on |1>."""
-        rho = DensityMatrix(1)
-        rho.apply_channel(bit_flip(0.2), [0])
+        rho = _one_gate_noise(bit_flip(0.2))
         assert rho.probabilities() == pytest.approx([0.8, 0.2])
 
     def test_output_distribution_with_readout(self):
+        # P(read 1 | qubit 1 in 0) = 0.25: the exact state is |00>, and
+        # evenly spaced readout draws flip exactly a quarter of the shots
         model = NoiseModel().add_readout_error(ReadoutError(0.25, 0.0), 1)
-        probs = DensityMatrixSimulator(model).output_distribution(
-            QuantumCircuit(2)
+        plan = plan_cache.get_noise_plan(QuantumCircuit(2), model)
+        diagonal = np.diagonal(evolve_plan(plan).reshape(4, 4)).real
+        np.testing.assert_array_equal(diagonal, [1, 0, 0, 0])
+        shots = 1000
+        even = (np.arange(shots) + 0.5) / shots
+        draws = {e[3]: even for e in plan.entries if e[3] is not None}
+        values = report_outcomes(
+            plan, np.zeros(shots, dtype=np.int64), draws, 0, shots
         )
-        assert probs[0] == pytest.approx(0.75)
-        assert probs[2] == pytest.approx(0.25)
+        assert np.bincount(values, minlength=4).tolist() == [750, 0, 250, 0]
