@@ -13,8 +13,9 @@
 
 Both stream their candidate space lazily through
 :func:`repro.attacks.parallel.run_streaming_search` — structural
-prefilters, batched oracle checks, optional process-pool parallelism
-and early exit, all bit-identical to a sequential run.
+prefilters, one oracle check per matching (no candidate circuit for
+reversible segments), optional process-pool parallelism and early
+exit, all bit-identical to a sequential run.
 """
 
 from __future__ import annotations

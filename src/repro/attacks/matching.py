@@ -231,15 +231,10 @@ def iter_matchings(
 
 def matching_count(kind: str, n1: int, n2: int) -> int:
     """Exact size of the stream :func:`iter_matchings` would yield."""
+    iter_matchings(kind, n1, n2)  # validates the kind and widths
     if kind == "same-width":
-        if n1 != n2:
-            raise ValueError(
-                f"same-width stream needs equal widths, got {n1} != {n2}"
-            )
         return same_width_matching_count(n1)
-    if kind == "subset":
-        return subset_matching_count(n1, n2)
-    raise ValueError(f"unknown matching stream {kind!r}")
+    return subset_matching_count(n1, n2)
 
 
 def matching_slice(

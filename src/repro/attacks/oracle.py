@@ -13,13 +13,12 @@ Two check paths, chosen automatically:
 * **truth table** — when both reference and candidate are classical
   reversible (NOT/CNOT/Toffoli/MCT/SWAP/Fredkin, i.e. every RevLib
   benchmark and the default obfuscation gate pool), the function is a
-  permutation of ``2^n`` bitstrings simulated with integer ops —
-  orders of magnitude cheaper than any statevector;
+  permutation of ``2^n`` bitstrings.  A matching's table is composed
+  from the segments' tables, simulated once per search: no circuit;
 * **unitary** — otherwise the full matrix is built through the shared
-  batched gate kernels (:func:`repro.simulator.unitary.circuit_unitary`
-  evolves all ``2^n`` basis states as one batch, one
-  :mod:`repro.simulator.kernels` call per fused plan op)
-  and compared up to global phase.
+  batched gate kernels (:func:`repro.simulator.unitary.circuit_unitary`)
+  and compared up to global phase, a matching recombined first.
+  Searches refuse candidates over :data:`MAX_UNITARY_QUBITS` here.
 
 Candidates of different widths are compared after padding the narrower
 side with idle qubits: a candidate that computes ``original (x)
@@ -30,17 +29,24 @@ thousands of candidates re-derives nothing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..simulator.unitary import circuit_unitary, equal_up_to_global_phase
 from ..synth.truthtable import simulate_reversible
+from .matching import Matching, recombine_candidate
 
-__all__ = ["EquivalenceOracle", "is_reversible", "pad_table"]
+__all__ = [
+    "MAX_UNITARY_QUBITS", "EquivalenceOracle", "is_reversible", "pad_table"
+]
 
 _REVERSIBLE_NAMES = {"x", "cx", "ccx", "swap", "cswap"}
+
+# Widest candidate the unitary path may check: a 2^12 x 2^12 complex
+# matrix is 256 MB, and each further qubit quadruples it.
+MAX_UNITARY_QUBITS = 12
 
 
 def is_reversible(circuit: QuantumCircuit) -> bool:
@@ -78,14 +84,21 @@ def _pad_unitary(matrix: np.ndarray, num_qubits: int, width: int) -> np.ndarray:
     return np.kron(np.eye(2 ** (width - num_qubits)), matrix)
 
 
+def _bits(values: np.ndarray, count: int) -> np.ndarray:
+    """``count x len(values)`` 0/1 matrix: row ``b`` holds bit ``b``."""
+    return (values >> np.arange(count)[:, None]) & 1
+
+
 class EquivalenceOracle:
-    """Checks candidate circuits against a fixed reference function."""
+    """Checks candidate circuits, or matchings of the given *segments*,
+    against a fixed reference function."""
 
     def __init__(
         self,
         reference: QuantumCircuit,
         use_truth_table: Optional[bool] = None,
         atol: float = 1e-7,
+        segments: Optional[Tuple[QuantumCircuit, QuantumCircuit]] = None,
     ) -> None:
         if reference.has_measurements():
             raise ValueError("oracle reference must be measurement-free")
@@ -99,34 +112,72 @@ class EquivalenceOracle:
                 "reference circuit"
             )
         self.use_truth_table = use_truth_table
-        self._tables: Dict[int, List[int]] = {}
+        self.segments = segments
+        self._tables: Dict[int, np.ndarray] = {}
         self._unitaries: Dict[int, np.ndarray] = {}
+        # composes: matchings are checked on the segments' truth tables
+        self.composes = bool(use_truth_table and segments) and all(
+            map(is_reversible, segments)
+        )
+        if self.composes:
+            self._table1, table2 = (
+                np.asarray(simulate_reversible(s).table) for s in segments
+            )
+            self._planes1 = _bits(self._table1, segments[0].num_qubits)
+            self._planes2 = _bits(table2, segments[1].num_qubits)
 
     # ------------------------------------------------------------------
-    def _table(self, width: int) -> List[int]:
+    def _table(self, width: int) -> np.ndarray:
         if width not in self._tables:
-            n = self.reference.num_qubits
-            base = self._tables.get(n)
-            if base is None:
-                base = simulate_reversible(self.reference).table
-                self._tables[n] = base
-            self._tables[width] = pad_table(base, n, width)
+            self._tables[width] = np.asarray(pad_table(
+                simulate_reversible(self.reference).table,
+                self.reference.num_qubits,
+                width,
+            ))
         return self._tables[width]
 
     def _unitary(self, width: int) -> np.ndarray:
         if width not in self._unitaries:
             n = self.reference.num_qubits
-            base = self._unitaries.get(n)
-            if base is None:
-                base = circuit_unitary(self.reference)
-                self._unitaries[n] = base
-            self._unitaries[width] = _pad_unitary(base, n, width)
+            if n not in self._unitaries:
+                self._unitaries[n] = circuit_unitary(self.reference)
+            self._unitaries[width] = _pad_unitary(self._unitaries[n], n, width)
         return self._unitaries[width]
 
+    def _check_matching(self, matching: Matching) -> bool:
+        """Segment 1's table, then segment 2's on the matched slots;
+        each ``2^width`` table is an outer OR over an input's low ``n1``
+        bits (segment 1's) and its ancilla bits above them."""
+        n1 = len(self._planes1)
+        width = max(matching.num_qubits, self.reference.num_qubits)
+        high = np.arange(1 << (width - n1))
+        # slot bit -> segment 2's input bit q2; its output bit q2 -> slot
+        read = np.zeros(width, dtype=np.int64)
+        write = np.zeros(len(self._planes2), dtype=np.int64)
+        for q2, slot in matching.mapping:
+            read[slot], write[q2] = 1 << q2, 1 << slot
+        inputs = (read[n1:] @ _bits(high, width - n1))[:, None] | (
+            read[:n1] @ self._planes1
+        )
+        written = int(write.sum())
+        kept = ((high & ~(written >> n1)) << n1)[:, None] | (
+            self._table1 & ~written
+        )
+        outputs = (write @ self._planes2)[inputs] | kept
+        return np.array_equal(outputs.ravel(), self._table(width))
+
     # ------------------------------------------------------------------
-    def check(self, candidate: QuantumCircuit) -> bool:
+    def check(self, candidate: Union[QuantumCircuit, Matching]) -> bool:
         """True when *candidate* computes the reference function
         (idle-qubit padding applied to the narrower side)."""
+        if isinstance(candidate, Matching):
+            if self.composes:
+                return self._check_matching(candidate)
+            if self.segments is None:
+                raise ValueError("checking a matching needs segments")
+            candidate = recombine_candidate(
+                *self.segments, candidate.mapping_dict(), candidate.num_qubits
+            )
         width = max(candidate.num_qubits, self.reference.num_qubits)
         if self.use_truth_table and is_reversible(candidate):
             table = pad_table(
@@ -134,7 +185,7 @@ class EquivalenceOracle:
                 candidate.num_qubits,
                 width,
             )
-            return table == self._table(width)
+            return np.array_equal(table, self._table(width))
         return equal_up_to_global_phase(
             _pad_unitary(
                 circuit_unitary(candidate), candidate.num_qubits, width

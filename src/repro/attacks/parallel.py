@@ -3,8 +3,9 @@
 The candidate space is sliced into fixed-size chunks of the canonical
 enumeration (``[0, chunk), [chunk, 2*chunk), ...``).  Each chunk is an
 independent, picklable unit of work: a worker re-derives the lazy
-stream, skips to its slice, and evaluates it — prefilter, recombine,
-oracle check — returning per-candidate records.  Nothing the size of
+stream, skips to its slice, and evaluates it — prefilter, then the
+oracle's check of the matching itself, no candidate circuit —
+returning per-candidate records.  Nothing the size of
 the full space is ever materialised, in the parent or in any worker.
 
 Determinism contract (the part the tests pin):
@@ -35,8 +36,8 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from .base import AttackOutcome, CandidateOutcome, SearchOptions
-from .matching import matching_count, matching_slice, recombine_candidate
-from .oracle import EquivalenceOracle
+from .matching import matching_count, matching_slice
+from .oracle import MAX_UNITARY_QUBITS, EquivalenceOracle
 from .prefilter import StructuralPrefilter
 from .problem import CollusionProblem
 
@@ -74,7 +75,9 @@ def _chunk_context(
 ) -> Tuple[EquivalenceOracle, Optional[StructuralPrefilter]]:
     """Build the per-problem state a chunk evaluation needs."""
     oracle = EquivalenceOracle(
-        task.oracle, use_truth_table=task.use_truth_table
+        task.oracle,
+        use_truth_table=task.use_truth_table,
+        segments=(task.segment1, task.segment2),
     )
     prefilter = (
         StructuralPrefilter(task.segment1, task.segment2, task.oracle)
@@ -109,13 +112,7 @@ def _evaluate_chunk(
         if prefilter is not None and not prefilter.admits(matching):
             pruned += 1
             continue
-        candidate = recombine_candidate(
-            task.segment1,
-            task.segment2,
-            matching.mapping_dict(),
-            matching.num_qubits,
-        )
-        ok = oracle.check(candidate)
+        ok = oracle.check(matching)
         tried += 1
         if ok or task.record_all:
             records.append(
@@ -199,10 +196,16 @@ def run_streaming_search(
         )
         for start, stop in ranges
     ]
+    context = _chunk_context(tasks[0])
+    widest = max(n1 + n2 * (kind != "same-width"), problem.oracle.num_qubits)
+    if not context[0].composes and widest > MAX_UNITARY_QUBITS:
+        raise ValueError(
+            f"candidates up to {widest} qubits exceed the unitary "
+            f"oracle's {MAX_UNITARY_QUBITS}"
+        )
     order = _dispatch_order(len(tasks), options.seed)
 
     if options.jobs == 1 or len(tasks) <= 1:
-        context = _chunk_context(tasks[0]) if tasks else None
         reports: List[_ChunkReport] = []
         for position in order:
             report = _evaluate_chunk(tasks[position], context)

@@ -1,7 +1,7 @@
 """Cheap structural prefilters for the candidate-matching search.
 
-Building and checking a candidate costs ``O(gates * 2^n)`` at best
-(truth table) and ``O(4^n)`` at worst (unitary).  Most matchings can
+Checking a candidate costs ``O(2^n)`` numpy work at best (composed
+truth tables) and ``O(4^n)`` at worst (unitary).  Most matchings can
 be rejected far cheaper from structure alone: a matching is only worth
 simulating when the candidate it induces *looks like* the reference —
 same per-qubit gate histogram, same interaction-graph edge multiset.
@@ -18,10 +18,11 @@ instruction for instruction — so attack *success* is never filtered
 away.  Disable prefiltering (``SearchOptions(prefilter=False)``) for
 exact per-candidate accounting.
 
-Neither filter ever builds a circuit: segment histograms are profiled
-once, and each matching is checked by combining precomputed per-qubit
-signatures through the proposed slot assignment — ``O(n + edges)``
-dictionary work per candidate, no simulation.
+Neither filter ever builds a circuit or adds a histogram per
+candidate: the histogram stage is tabulated once per search, so a
+matching costs one set-containment test over its ``(segment-2 qubit,
+slot)`` pairs, and only matchings that pass it pay the ``O(edges)``
+edge-multiset test.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class StructuralPrefilter:
     1. **gate-histogram compatibility** — every candidate slot's
        combined per-qubit histogram (segment 1's plus the mapped
        segment-2 qubit's) must equal the reference's histogram for
-       that slot;
+       that slot (tabulated per slot and segment-2 qubit);
     2. **interaction-graph compatibility** — the candidate's labelled
        edge multiset (segment-1 edges plus segment-2 edges pushed
        through the mapping) must equal the reference's.
@@ -84,12 +85,21 @@ class StructuralPrefilter:
         segment2: QuantumCircuit,
         reference: QuantumCircuit,
     ) -> None:
-        self._h1 = qubit_histograms(segment1)
-        self._h2 = qubit_histograms(segment2)
-        self._n1 = segment1.num_qubits
+        h1 = qubit_histograms(segment1)
+        h2 = qubit_histograms(segment2)
+        ref = qubit_histograms(reference)
         self._reference_width = reference.num_qubits
-        self._ref_hist = qubit_histograms(reference)
-        self._empty: Counter = Counter()
+        slots = range(max(len(h1) + len(h2), len(ref)))
+        h1 += [Counter()] * (len(slots) - len(h1))
+        ref += [Counter()] * (len(slots) - len(ref))
+        # counts are positive: adding an empty histogram changes nothing
+        self._fits = frozenset(
+            (q2, slot)
+            for slot in slots
+            for q2, h in enumerate(h2)
+            if h1[slot] + h == ref[slot]
+        )
+        self._misfits_alone = [s for s in slots if h1[s] != ref[s]]
         self._e1 = edge_histogram(segment1)
         self._seg2_edges: List[Tuple[str, Tuple[int, ...]]] = [
             (inst.name, inst.qubits)
@@ -99,31 +109,15 @@ class StructuralPrefilter:
         self._ref_edges = edge_histogram(reference)
 
     # ------------------------------------------------------------------
-    def _reference_histogram(self, slot: int) -> Counter:
-        if slot < self._reference_width:
-            return self._ref_hist[slot]
-        return self._empty
-
     def admits(self, matching: Matching) -> bool:
         """True when the matching survives both structural filters."""
+        if not self._fits.issuperset(matching.mapping):
+            return False
         lookup: Dict[int, int] = dict(matching.mapping)
         width = max(matching.num_qubits, self._reference_width)
-
-        seg2_at: Dict[int, Counter] = {
-            slot: self._h2[q2] for q2, slot in matching.mapping
-        }
-        for slot in range(width):
-            h1 = self._h1[slot] if slot < self._n1 else self._empty
-            h2 = seg2_at.get(slot, self._empty)
-            expected = self._reference_histogram(slot)
-            if not h2:
-                if h1 != expected:
-                    return False
-            elif not h1:
-                if h2 != expected:
-                    return False
-            elif h1 + h2 != expected:
-                return False
+        taken = set(lookup.values())
+        if any(s < width and s not in taken for s in self._misfits_alone):
+            return False
 
         if self._seg2_edges or self._e1 or self._ref_edges:
             candidate_edges = Counter(self._e1)

@@ -185,14 +185,6 @@ class QuantumChannel:
         ]
         return QuantumChannel(ops, name=f"{self.name};{other.name}")
 
-    def expand_identity(self) -> bool:
-        """True when the channel is (numerically) the identity map."""
-        dim = 2 ** self.num_qubits
-        if len(self.kraus_operators) != 1:
-            return False
-        op = self.kraus_operators[0]
-        return bool(np.allclose(op @ op.conj().T, np.eye(dim), atol=_ATOL))
-
     def __repr__(self) -> str:
         return (
             f"QuantumChannel(name={self.name!r}, qubits={self.num_qubits}, "

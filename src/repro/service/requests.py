@@ -44,6 +44,7 @@ __all__ = [
     "request_from_wire",
     "prepare_circuit",
     "simulate_noise_model",
+    "MAX_CANDIDATES",
     "MAX_DEVICE_QUBITS",
     "MAX_GATES",
     "MAX_ITERATIONS",
@@ -60,12 +61,13 @@ _FINGERPRINT_SIZE = 16  # bytes; 32 hex chars
 # iterations), far below a request that would hold a worker for hours
 # or exhaust its memory.  Every QASM circuit is held to MAX_QUBITS and
 # MAX_GATES operations (gates, measures and barriers); a transpile
-# target device to MAX_DEVICE_QUBITS.
+# target device to MAX_DEVICE_QUBITS, an attack to MAX_CANDIDATES.
 MAX_QUBITS = 16
 MAX_GATES = 10_000
 MAX_DEVICE_QUBITS = 32
 MAX_SHOTS = 100_000
 MAX_ITERATIONS = 100
+MAX_CANDIDATES = 500_000
 
 
 def _check_caps(shots: int, iterations: int = 1) -> None:
@@ -389,7 +391,7 @@ class AttackRequest(ServiceRequest):
     adversary: str = "auto"
     seed: int = 0
     gate_limit: int = 4
-    max_candidates: int = 500_000
+    max_candidates: int = MAX_CANDIDATES
     prefilter: bool = True
     early_exit: bool = False
     _prepared: Optional[QuantumCircuit] = field(
@@ -403,8 +405,8 @@ class AttackRequest(ServiceRequest):
                 f"unknown adversary {self.adversary!r}; expected "
                 "'auto', 'same-width' or 'mismatched'"
             )
-        if self.max_candidates <= 0:
-            raise ValueError("max_candidates must be positive")
+        if not 0 < self.max_candidates <= MAX_CANDIDATES:
+            raise ValueError(f"max_candidates must be in 1..{MAX_CANDIDATES}")
 
     def fingerprint(self) -> Optional[str]:
         # the search is canonical-order deterministic for a fixed seed

@@ -66,6 +66,23 @@ class TestWorkerCrash:
         for job in queued:
             assert svc.status(job)["state"] == "done"
 
+    def test_too_wide_unitary_attack_fails_the_job(self):
+        """An 8-qubit h/cx/t target splits (8, 7): its candidates would
+        need unitaries up to 15 qubits wide, so the search refuses."""
+        qasm = (
+            'OPENQASM 2.0; include "qelib1.inc"; qreg q[8]; '
+            + " ".join(f"h q[{q}];" for q in range(8))
+            + " ".join(f"cx q[{q}],q[{q + 1}];" for q in range(7))
+            + " ".join(f"t q[{q}];" for q in range(8))
+        )
+        with JobService(workers=1, cache_size=0) as svc:
+            job = svc.submit(
+                "attack", {"qasm": qasm, "adversary": "mismatched"}
+            )
+            view = svc.result(job, timeout=60)
+            assert view["state"] == "failed"
+            assert "unitary oracle" in view["error"]
+
 
 class TestHistoryBound:
     def test_old_terminal_jobs_evicted(self):

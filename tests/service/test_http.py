@@ -119,6 +119,7 @@ class TestErrors:
             ("protect", {"qasm": wide}),
             ("transpile", {"qasm": wide}),
             ("attack", {"qasm": wide}),
+            ("attack", {"benchmark": "4gt13", "max_candidates": 10**12}),
             (
                 "transpile",
                 {"qasm": BELL_QASM, "size": 10**6, "coupling": "full"},

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.service.requests import (
+    MAX_CANDIDATES,
     MAX_DEVICE_QUBITS,
     MAX_GATES,
     MAX_ITERATIONS,
@@ -188,6 +189,16 @@ class TestValidation:
             + "measure q[0] -> c[0];"
         )
         SimulateRequest(qasm=full, seed=1)
+
+    def test_attack_candidate_cap_refused_at_submit(self):
+        AttackRequest(benchmark="4gt13", max_candidates=MAX_CANDIDATES)
+        for refused in (0, MAX_CANDIDATES + 1, 10**12):
+            with pytest.raises(ValueError, match="max_candidates"):
+                AttackRequest(benchmark="4gt13", max_candidates=refused)
+        with pytest.raises(ValueError, match="max_candidates"):
+            request_from_wire(
+                "attack", {"benchmark": "4gt13", "max_candidates": 10**12}
+            )
 
     def test_attack_rejects_unknown_adversary(self):
         with pytest.raises(ValueError, match="adversary"):
