@@ -222,10 +222,15 @@ def _parse_statement(
     if not match:
         raise QasmError(f"cannot parse statement: {stmt!r}")
     name, param_text, operand_text = match.groups()
-    qubits = [
-        _resolve(qregs, *m.groups())
-        for m in _OPERAND_RE.finditer(operand_text)
-    ]
+    qubits = []
+    for item in operand_text.split(","):
+        operand = _OPERAND_RE.fullmatch(item.strip())
+        if operand is None:
+            raise QasmError(
+                f"bad operand {item.strip()!r} in statement {stmt!r}: "
+                f"expected reg[index] (broadcast operands are unsupported)"
+            )
+        qubits.append(_resolve(qregs, *operand.groups()))
     if name == "barrier":
         circuit.append(Barrier(len(qubits)), qubits)
         return

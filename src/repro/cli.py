@@ -15,7 +15,7 @@ design before sending it to third-party compilers:
   noise model, with engine selection.
 * ``transpile`` — compile a circuit for a device through the preset
   pass schedule and report per-pass wall times plus transpile-cache
-  statistics (``--no-transpile-cache`` forces a fresh compile).
+  statistics.
 * ``attack`` — run a registered adversary model from
   :mod:`repro.attacks` against a real split pair (straight Saki cut
   or obfuscate+interlocking cut) of a benchmark or circuit file, with
@@ -41,11 +41,11 @@ design before sending it to third-party compilers:
   ``repro experiment list|run|resume|report`` runs any registered
   experiment grid with persistent JSONL checkpoints under
   ``results/``, exact resume after an interruption, ``--shard i/n``
-  splitting for multi-machine runs, and uniform ``--jobs`` /
-  ``--split-jobs`` / ``--no-transpile-cache`` knobs.  It is the one
-  way to run the paper's experiments: ``repro experiment run table1``
-  (or ``figure4``, ``attack_complexity``, ...); ``repro experiment
-  list`` shows every spec and its parameters.
+  splitting for multi-machine runs, and a uniform ``--jobs`` knob.
+  It is the one way to run the paper's experiments: ``repro
+  experiment run table1`` (or ``figure4``, ``attack_complexity``,
+  ...); ``repro experiment list`` shows every spec and its
+  parameters.
 """
 
 from __future__ import annotations
@@ -263,7 +263,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             method=method,
             seed=args.seed,
             fuse=args.fuse,
-            chunk_size=args.chunk_size,
         )
     except (ValueError, TypeError) as exc:
         # unknown engine name / invalid engine request -> clean error
@@ -300,7 +299,6 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
         coupling = CouplingMap.ring(size)
     else:
         coupling = CouplingMap.full(size)
-    use_cache = None if not args.no_transpile_cache else False
     try:
         result = transpile(
             circuit,
@@ -308,7 +306,6 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
             coupling=coupling,
             layout_method=args.layout,
             optimization_level=args.level,
-            use_cache=use_cache,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -464,7 +461,6 @@ def _submit_build_simulate(args: argparse.Namespace) -> tuple:
         "seed": args.seed,
         "noisy": args.noisy,
         "method": args.method,
-        "chunk_size": args.chunk_size,
     }
 
 
@@ -597,11 +593,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--fuse", default=None, choices=["full", "1q", "none"],
         help="plan fusion level ('none' = one op per gate)",
     )
-    simulate.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="shots per tensor chunk in the trajectory ensemble "
-        "(counts are chunk-size independent)",
-    )
     simulate.set_defaults(func=_cmd_simulate)
 
     transpile_cmd = sub.add_parser(
@@ -623,10 +614,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     transpile_cmd.add_argument("--level", type=int, default=1,
                                help="optimization level 0-3")
-    transpile_cmd.add_argument(
-        "--no-transpile-cache", action="store_true",
-        help="bypass the transpile cache for this compile",
-    )
     transpile_cmd.set_defaults(func=_cmd_transpile)
 
     attack = sub.add_parser(
@@ -755,7 +742,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sim_job.add_argument("--seed", type=int, default=None)
     sim_job.add_argument("--noisy", action="store_true")
     sim_job.add_argument("--method", default="auto")
-    sim_job.add_argument("--chunk-size", type=int, default=None)
     sim_job.set_defaults(func=_cmd_submit, build=_submit_build_simulate)
 
     protect_job = actions.add_parser(

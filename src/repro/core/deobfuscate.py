@@ -20,9 +20,8 @@ Two paths are provided:
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from ..circuits.circuit import QuantumCircuit
 from ..noise.backend import Backend
 from ..transpiler.layout import Layout
 from ..transpiler.transpile import TranspileResult, transpile
-from .insertion import InsertionResult
 from .obfuscate import TetrisLockObfuscator
 from .split import SplitResult, interlocking_split
 
@@ -103,17 +101,6 @@ class SplitCompilationFlow:
         Optimisation levels of the two untrusted compilers — they are
         deliberately independent; neither can cancel the inserted
         random gates because each holds only half of every pair.
-    executor:
-        Optional :class:`concurrent.futures.Executor` the flow uses to
-        compile segment 1 concurrently (:meth:`submit_segment1`,
-        :meth:`compile_splits`).  Segment 2 always waits on segment 1's
-        final layout — that data dependency is the layout pin itself —
-        so the exploitable parallelism is *across* splits: segment 1 of
-        the next split compiles while segment 2 of the current one is
-        still pinned-compiling.
-    use_transpile_cache:
-        Forwarded to every ``transpile`` call (``None`` follows the
-        global cache setting).
     """
 
     def __init__(
@@ -123,8 +110,6 @@ class SplitCompilationFlow:
         compiler1_level: int = 2,
         compiler2_level: int = 1,
         seed: Optional[Union[int, np.random.Generator]] = None,
-        executor: Optional[concurrent.futures.Executor] = None,
-        use_transpile_cache: Optional[bool] = None,
     ) -> None:
         self.backend = backend
         if isinstance(seed, np.random.Generator):
@@ -134,8 +119,6 @@ class SplitCompilationFlow:
         self.obfuscator = obfuscator or TetrisLockObfuscator(seed=self._rng)
         self.compiler1_level = compiler1_level
         self.compiler2_level = compiler2_level
-        self.executor = executor
-        self.use_transpile_cache = use_transpile_cache
 
     # ------------------------------------------------------------------
     def run(self, circuit: QuantumCircuit) -> CompiledSplit:
@@ -144,60 +127,13 @@ class SplitCompilationFlow:
         split = interlocking_split(insertion, seed=self._rng)
         return self.compile_split(split)
 
-    def run_many(self, circuits: Iterable[QuantumCircuit]) -> List[CompiledSplit]:
-        """Protect and split-compile a batch of circuits.
-
-        Obfuscation and splitting stay sequential (they consume the
-        flow's RNG, so their draw order must not depend on scheduling);
-        compilation is pipelined via :meth:`compile_splits`.
-        """
-        splits = []
-        for circuit in circuits:
-            insertion = self.obfuscator.obfuscate(circuit)
-            splits.append(interlocking_split(insertion, seed=self._rng))
-        return self.compile_splits(splits)
-
-    def _compile_segment1(self, split: SplitResult) -> TranspileResult:
-        return transpile(
+    def compile_split(self, split: SplitResult) -> CompiledSplit:
+        """Compile an existing split and stitch the results."""
+        compiled1 = transpile(
             split.segment1.full,
             backend=self.backend,
             optimization_level=self.compiler1_level,
-            use_cache=self.use_transpile_cache,
         )
-
-    def submit_segment1(
-        self, split: SplitResult
-    ) -> "concurrent.futures.Future[TranspileResult]":
-        """Start compiling segment 1 on the flow's executor.
-
-        Compilation is RNG-free and deterministic, so running it
-        concurrently with other work cannot change any result.  Without
-        an executor the compile runs inline and a resolved future is
-        returned.
-        """
-        if self.executor is not None:
-            return self.executor.submit(self._compile_segment1, split)
-        future: concurrent.futures.Future = concurrent.futures.Future()
-        future.set_result(self._compile_segment1(split))
-        return future
-
-    def compile_split(
-        self,
-        split: SplitResult,
-        compiled1: Optional[
-            Union[TranspileResult, "concurrent.futures.Future[TranspileResult]"]
-        ] = None,
-    ) -> CompiledSplit:
-        """Compile an existing split and stitch the results.
-
-        *compiled1* accepts a pre-compiled (or still-compiling) segment
-        1 from :meth:`submit_segment1`; segment 2 waits on it for the
-        layout pin.
-        """
-        if compiled1 is None:
-            compiled1 = self._compile_segment1(split)
-        elif isinstance(compiled1, concurrent.futures.Future):
-            compiled1 = compiled1.result()
         # the user pins segment 2's placement to where segment 1 left
         # the wires; the pinned layout leaks no circuit content
         compiled2 = transpile(
@@ -205,7 +141,6 @@ class SplitCompilationFlow:
             backend=self.backend,
             initial_layout=compiled1.final_layout,
             optimization_level=self.compiler2_level,
-            use_cache=self.use_transpile_cache,
         )
         restored, output_layout = recombine_physical(compiled1, compiled2)
         return CompiledSplit(
@@ -215,35 +150,3 @@ class SplitCompilationFlow:
             restored=restored,
             output_layout=output_layout,
         )
-
-    def compile_splits(
-        self, splits: Sequence[SplitResult], jobs: Optional[int] = None
-    ) -> List[CompiledSplit]:
-        """Pipelined batch compile of many splits.
-
-        Every segment 1 is submitted to the executor up front; segment
-        2 compiles (pinned) on the calling thread as each segment-1
-        result arrives — so segment 1 of split ``k+1`` overlaps segment
-        2 of split ``k``.  With neither an executor nor ``jobs > 1``
-        the batch degrades to the sequential loop.  Results are in
-        input order and identical to sequential compilation.
-        """
-        splits = list(splits)
-        if self.executor is not None:
-            futures = [self.submit_segment1(s) for s in splits]
-            return [
-                self.compile_split(s, compiled1=f)
-                for s, f in zip(splits, futures)
-            ]
-        if jobs is not None and jobs > 1 and len(splits) > 1:
-            with concurrent.futures.ThreadPoolExecutor(
-                max_workers=jobs
-            ) as pool:
-                futures = [
-                    pool.submit(self._compile_segment1, s) for s in splits
-                ]
-                return [
-                    self.compile_split(s, compiled1=f)
-                    for s, f in zip(splits, futures)
-                ]
-        return [self.compile_split(s) for s in splits]

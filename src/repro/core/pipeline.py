@@ -20,7 +20,6 @@ DESIGN.md substitutions).
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -148,45 +147,15 @@ class TetrisLockPipeline:
         gate_limit: int = 4,
         gate_pool: Sequence[str] = ("x", "cx"),
         seed: Optional[Union[int, np.random.Generator]] = None,
-        split_jobs: int = 1,
-        use_transpile_cache: Optional[bool] = None,
-        chunk_size: Optional[int] = None,
     ) -> None:
-        """*split_jobs* > 1 compiles split segment 1 on a worker thread,
-        overlapped with the obfuscated-circuit simulation (compilation
-        is RNG-free, so results are unchanged).  *use_transpile_cache*
-        forces the transpile cache on/off (``None`` follows the global
-        setting).  *chunk_size* caps the shots evolved per tensor chunk
-        in the noisy trajectory ensemble, for simulations that dispatch
-        to it (see :func:`repro.execution.run`)."""
         self.backend = backend
         self.shots = shots
         self.gate_limit = gate_limit
         self.gate_pool = tuple(gate_pool)
-        self.chunk_size = chunk_size
-        if split_jobs <= 0:
-            raise ValueError("split_jobs must be positive")
-        self.split_jobs = split_jobs
-        self.use_transpile_cache = use_transpile_cache
-        self._split_executor: Optional[
-            concurrent.futures.ThreadPoolExecutor
-        ] = None
         if isinstance(seed, np.random.Generator):
             self._rng = seed
         else:
             self._rng = np.random.default_rng(seed)
-
-    @property
-    def _executor(self) -> Optional[concurrent.futures.Executor]:
-        """Lazy worker pool for pipelined segment-1 compilation."""
-        if self.split_jobs <= 1:
-            return None
-        if self._split_executor is None:
-            self._split_executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.split_jobs,
-                thread_name_prefix="split-compile",
-            )
-        return self._split_executor
 
     # ------------------------------------------------------------------
     def _backend_for(self, circuit: QuantumCircuit) -> Backend:
@@ -210,7 +179,6 @@ class TetrisLockPipeline:
             self.shots,
             noise_model=backend.noise_model(),
             seed=self._rng,
-            chunk_size=self.chunk_size,
         )
 
     def _simulate_restored(
@@ -221,7 +189,6 @@ class TetrisLockPipeline:
             self.shots,
             noise_model=backend.noise_model(),
             seed=self._rng,
-            chunk_size=self.chunk_size,
         )
 
     # ------------------------------------------------------------------
@@ -252,7 +219,6 @@ class TetrisLockPipeline:
             circuit,
             backend=backend,
             optimization_level=2,
-            use_cache=self.use_transpile_cache,
         )
         counts_original = self._simulate(
             compiled_original, backend, circuit.num_qubits
@@ -271,28 +237,18 @@ class TetrisLockPipeline:
             rc,
             backend=backend,
             optimization_level=2,
-            use_cache=self.use_transpile_cache,
         )
 
         flow = SplitCompilationFlow(
             backend,
             obfuscator=obfuscator,
             seed=self._rng,
-            executor=self._executor,
-            use_transpile_cache=self.use_transpile_cache,
         )
-        # segment 1 of the split compiles on the flow's executor (when
-        # split_jobs > 1) while the noisy RC simulation below runs;
-        # segment 2 then waits on segment 1's layout pin inside
-        # compile_split.  Compilation draws no randomness, so the
-        # overlap cannot change any counts.
-        segment1 = flow.submit_segment1(split) if self._executor else None
-
         counts_obfuscated = self._simulate(
             compiled_rc, backend, circuit.num_qubits
         )
 
-        compiled_split = flow.compile_split(split, compiled1=segment1)
+        compiled_split = flow.compile_split(split)
         counts_restored = self._simulate_restored(compiled_split, backend)
 
         return EvaluationResult(

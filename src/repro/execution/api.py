@@ -113,7 +113,6 @@ def run(
     method: str = "auto",
     seed: Seed = None,
     fuse: Optional[str] = None,
-    chunk_size: Optional[int] = None,
 ) -> Counts:
     """Simulate *circuit* for *shots* and return its :class:`Counts`.
 
@@ -137,10 +136,6 @@ def run(
         Fusion level for the plan tier: ``"full"`` (default), ``"1q"``,
         or ``"none"`` (one op per gate).  See
         :mod:`repro.execution.plan` for the determinism contract.
-    chunk_size:
-        Shots evolved per tensor chunk in the trajectory ensemble
-        (default: whole batch, memory-capped).  Counts are independent
-        of the chunk size for a fixed seed.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
@@ -151,10 +146,6 @@ def run(
             f"unknown fusion level {fuse!r}; expected one of "
             f"{', '.join(FUSION_LEVELS)}"
         )
-    if chunk_size is not None:
-        chunk_size = int(chunk_size)
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
     if method == "auto":
         method = select_engine(circuit, shots=shots, noise_model=noise_model)
     else:
@@ -186,6 +177,4 @@ def run(
     entropy = int(rng.integers(0, 2 ** 63))
     if method == "density":
         return density.run_density_plan(noise_plan, shots, entropy=entropy)
-    return noisy.run_noise_plan(
-        noise_plan, shots, entropy=entropy, chunk_size=chunk_size
-    )
+    return noisy.run_noise_plan(noise_plan, shots, entropy=entropy)

@@ -39,7 +39,6 @@ from .attack_complexity import (
 from .figure4 import generate_figure4, render_figure4
 from .framework import (
     Cell,
-    ExecOptions,
     ExperimentSpec,
     ResultStore,
     RunReport,
@@ -70,7 +69,6 @@ __all__ = [
     "render_sweep",
     # framework
     "Cell",
-    "ExecOptions",
     "ExperimentSpec",
     "ResultStore",
     "RunReport",

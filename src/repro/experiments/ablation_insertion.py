@@ -31,7 +31,7 @@ import numpy as np
 from ..baselines.das_insertion import das_insertion
 from ..core.insertion import insert_random_pairs
 from ..revlib.benchmarks import load_benchmark, paper_suite
-from .framework import Cell, ExecOptions, ExperimentSpec, register, run_experiment
+from .framework import Cell, ExperimentSpec, register, run_experiment
 
 __all__ = ["AblationRow", "run_ablation", "render_ablation", "ABLATION_SPEC"]
 
@@ -70,7 +70,6 @@ def _ablation_task(
     config: Dict[str, Any],
     cell: Cell,
     seed: Optional[np.random.SeedSequence],
-    options: ExecOptions,
 ) -> List[AblationRow]:
     """All three schemes on one benchmark (three rows)."""
     record = load_benchmark(cell.params["benchmark"])
@@ -150,14 +149,11 @@ def run_ablation(
     num_random_gates: int = 4,
     benchmarks: Optional[Sequence[str]] = None,
     jobs: int = 1,
-    split_jobs: int = 1,
-    transpile_cache: bool = True,
 ) -> List[AblationRow]:
     """Average structural overhead per benchmark and scheme.
 
     *jobs* fans the per-benchmark grid over a process pool with
-    bit-identical results; *split_jobs* and *transpile_cache* are
-    accepted for knob uniformity (the ablation never transpiles).
+    bit-identical results.
     """
     report = run_experiment(
         "ablation_insertion",
@@ -168,8 +164,6 @@ def run_ablation(
             "benchmarks": list(benchmarks) if benchmarks else None,
         },
         jobs=jobs,
-        split_jobs=split_jobs,
-        transpile_cache=transpile_cache,
     )
     return report.result
 

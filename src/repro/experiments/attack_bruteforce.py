@@ -36,7 +36,7 @@ from ..baselines.saki_split import saki_split
 from ..core.insertion import insert_random_pairs
 from ..core.split import interlocking_split
 from ..revlib.benchmarks import benchmark_circuit
-from .framework import Cell, ExecOptions, ExperimentSpec, register
+from .framework import Cell, ExperimentSpec, register
 
 __all__ = [
     "ATTACK_BRUTEFORCE_SPEC",
@@ -149,7 +149,6 @@ def _bruteforce_task(
     config: Dict[str, Any],
     cell: Cell,
     seed: Optional[np.random.SeedSequence],
-    options: ExecOptions,
 ) -> Dict[str, Any]:
     row = run_attack_cell(
         cell.params["adversary"],

@@ -27,7 +27,7 @@ from ..attacks import SearchOptions, get_attack, problem_from_saki
 from ..baselines.saki_split import saki_split
 from ..core.attack import saki_attack_complexity, tetrislock_attack_complexity
 from ..revlib.benchmarks import benchmark_circuit
-from .framework import Cell, ExecOptions, ExperimentSpec, register
+from .framework import Cell, ExperimentSpec, register
 
 __all__ = [
     "ComplexityRow",
@@ -128,7 +128,6 @@ def _attack_task(
     config: Dict[str, Any],
     cell: Cell,
     seed: Optional[np.random.SeedSequence],
-    options: ExecOptions,
 ) -> Dict[str, Any]:
     if cell.id == "demo":
         demo = demo_bruteforce_attack(

@@ -125,8 +125,6 @@ def generate_figure4(
     benchmarks: Optional[Sequence[str]] = None,
     results: Optional[Dict[str, AggregateResult]] = None,
     jobs: int = 1,
-    split_jobs: int = 1,
-    transpile_cache: bool = True,
 ) -> Dict[str, Dict[str, TvdSeries]]:
     """Compute TVD distributions; reuses Table I results when given."""
     if results is not None:
@@ -140,8 +138,6 @@ def generate_figure4(
             "benchmarks": list(benchmarks) if benchmarks else None,
         },
         jobs=jobs,
-        split_jobs=split_jobs,
-        transpile_cache=transpile_cache,
     )
     return report.result
 

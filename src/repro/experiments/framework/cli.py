@@ -11,8 +11,8 @@ Config flags: ``--iterations``, ``--shots``, ``--seed`` and
 ``--benchmarks`` map onto the spec's config when the spec defines that
 parameter; any other parameter is reachable as ``--set key=value``
 (values parse as JSON, falling back to a plain string).  Execution
-flags (``--jobs``, ``--split-jobs``, ``--no-transpile-cache``,
-``--shard i/n``) never change results or the checkpoint identity.
+flags (``--jobs``, ``--shard i/n``, ``--resume``) never change results
+or the checkpoint identity.
 
 Runs checkpoint into ``results/<spec>/<config-hash>.jsonl`` (override
 the root with ``--store``, disable with ``--no-store``); ``report``
@@ -87,19 +87,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         help="parallel workers over grid cells (bit-identical to jobs=1)",
     )
     parser.add_argument(
-        "--split-jobs", type=int, default=1,
-        help="pipelined split-compilation threads per evaluation",
-    )
-    parser.add_argument(
-        "--no-transpile-cache", action="store_true",
-        help="recompile every cell instead of reusing compiled circuits",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="shots per tensor chunk in the trajectory ensemble "
-        "(results are chunk-size independent)",
-    )
-    parser.add_argument(
         "--shard", default=None, metavar="I/N",
         help="run only cells with index %% N == I (for multi-machine runs)",
     )
@@ -138,9 +125,6 @@ def _cmd_run(args: argparse.Namespace, resume: bool = False) -> int:
         args.name,
         overrides,
         jobs=args.jobs,
-        split_jobs=args.split_jobs,
-        transpile_cache=not args.no_transpile_cache,
-        chunk_size=args.chunk_size,
         shard=parse_shard(args.shard),
         resume=resume,
         store=store,

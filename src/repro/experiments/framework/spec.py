@@ -5,9 +5,9 @@ to execute an experiment end to end:
 
 * a **config** — plain JSON-able dict of scientific parameters
   (iterations, shots, seed, benchmark subset, ...) with per-spec
-  defaults.  Execution knobs (``jobs``, ``split_jobs``, transpile
-  cache, sharding) are *not* part of the config: they never change a
-  result, so they never change the config hash either.
+  defaults.  Execution knobs (``jobs``, sharding, resume) are *not*
+  part of the config: they never change a result, so they never change
+  the config hash either.
 * a **parameter grid** — ``make_cells(config)`` expands the config
   into an ordered list of :class:`Cell`\\ s, the atomic units of work.
   Cell order is part of the contract: per-cell seeds are spawned
@@ -35,7 +35,6 @@ import numpy as np
 
 __all__ = [
     "Cell",
-    "ExecOptions",
     "ExperimentSpec",
     "register",
     "unregister",
@@ -56,25 +55,8 @@ class Cell:
     params: Mapping[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ExecOptions:
-    """Execution knobs threaded to every task — never affect results.
-
-    *split_jobs* pipelines each evaluation's split compilation on a
-    worker thread; *transpile_cache* toggles compile reuse.  Specs that
-    do not transpile simply ignore them.  *chunk_size* caps the noisy
-    trajectory ensemble's shots-per-chunk, which leaves counts
-    unchanged (see :func:`repro.execution.run`).
-    """
-
-    split_jobs: int = 1
-    transpile_cache: bool = True
-    chunk_size: Optional[int] = None
-
-
 TaskFn = Callable[
-    [Dict[str, Any], Cell, Optional[np.random.SeedSequence], ExecOptions],
-    Any,
+    [Dict[str, Any], Cell, Optional[np.random.SeedSequence]], Any
 ]
 
 

@@ -88,9 +88,6 @@ def _evaluate_record(
     shots: int,
     gate_limit: int,
     seed: np.random.SeedSequence,
-    split_jobs: int = 1,
-    transpile_cache: bool = True,
-    chunk_size=None,
 ) -> EvaluationResult:
     """One pipeline iteration — a pure function of its arguments.
 
@@ -100,9 +97,6 @@ def _evaluate_record(
         shots=shots,
         gate_limit=gate_limit,
         seed=np.random.default_rng(seed),
-        split_jobs=split_jobs,
-        use_transpile_cache=transpile_cache,
-        chunk_size=chunk_size,
     )
     return pipeline.evaluate(
         record.circuit(),

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..core.pipeline import EvaluationResult
 from ..revlib.benchmarks import TABLE1_PAPER_VALUES, load_benchmark, paper_suite
-from .framework import Cell, ExecOptions, ExperimentSpec, register, run_experiment
+from .framework import Cell, ExperimentSpec, register, run_experiment
 from .runner import AggregateResult, _evaluate_record
 
 __all__ = ["generate_table1", "render_table1", "TABLE1_SPEC"]
@@ -86,7 +86,6 @@ def table_task(
     config: Dict[str, Any],
     cell: Cell,
     seed: Optional[np.random.SeedSequence],
-    options: ExecOptions,
 ) -> EvaluationResult:
     """One pipeline evaluation — pure and picklable."""
     record = load_benchmark(cell.params["benchmark"])
@@ -95,9 +94,6 @@ def table_task(
         shots=int(config["shots"]),
         gate_limit=int(config["gate_limit"]),
         seed=seed,
-        split_jobs=options.split_jobs,
-        transpile_cache=options.transpile_cache,
-        chunk_size=options.chunk_size,
     )
 
 
@@ -147,15 +143,11 @@ def generate_table1(
     seed: Optional[int] = 2025,
     benchmarks: Optional[Sequence[str]] = None,
     jobs: int = 1,
-    split_jobs: int = 1,
-    transpile_cache: bool = True,
 ) -> Dict[str, AggregateResult]:
     """Compute all Table I rows; returns name -> aggregate.
 
-    *jobs* parallelises the (benchmark, iteration) grid; *split_jobs*
-    pipelines each iteration's split compilation; *transpile_cache*
-    toggles compile reuse across iterations.  Results are identical for
-    a fixed seed whatever the settings.
+    *jobs* parallelises the (benchmark, iteration) grid; results are
+    identical for a fixed seed whatever its value.
     """
     report = run_experiment(
         "table1",
@@ -166,8 +158,6 @@ def generate_table1(
             "benchmarks": list(benchmarks) if benchmarks else None,
         },
         jobs=jobs,
-        split_jobs=split_jobs,
-        transpile_cache=transpile_cache,
     )
     return report.result
 

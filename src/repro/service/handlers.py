@@ -93,14 +93,12 @@ def handle_simulate(params: Dict[str, Any]) -> Dict[str, Any]:
         if method == "auto"
         else method
     )
-    chunk_size = params.get("chunk_size")
     counts = execute(
         circuit,
         shots,
         noise_model=noise_model,
         method=engine,  # already resolved; skip a second auto-dispatch
         seed=params.get("seed"),
-        chunk_size=None if chunk_size is None else int(chunk_size),
     )
     return {
         "counts": counts.to_dict(),
@@ -185,13 +183,11 @@ def handle_evaluate(params: Dict[str, Any]) -> Dict[str, Any]:
     seed = params.get("seed")
     children = np.random.SeedSequence(seed).spawn(iterations)
     results = []
-    chunk_size = params.get("chunk_size")
     for child in children:
         pipeline = TetrisLockPipeline(
             shots=int(params.get("shots", 1000)),
             gate_limit=int(params.get("gate_limit", 4)),
             seed=np.random.default_rng(child),
-            chunk_size=None if chunk_size is None else int(chunk_size),
         )
         evaluation = pipeline.evaluate(
             circuit,

@@ -175,7 +175,6 @@ class SimulateRequest(ServiceRequest):
     seed: Optional[int] = None
     noisy: bool = False
     method: str = "auto"
-    chunk_size: Optional[int] = None
     _prepared: Optional[QuantumCircuit] = field(
         default=None, repr=False, compare=False
     )
@@ -183,8 +182,6 @@ class SimulateRequest(ServiceRequest):
     def __post_init__(self) -> None:
         if not self.qasm:
             raise ValueError("simulate request needs a 'qasm' circuit")
-        if self.chunk_size is not None and int(self.chunk_size) <= 0:
-            raise ValueError("chunk_size must be positive")
         circuit = self._circuit()  # malformed QASM fails at submit
         _check_caps(self.shots)
         if self.method != "auto":
@@ -210,9 +207,6 @@ class SimulateRequest(ServiceRequest):
                 "seed": self.seed,
                 "noisy": self.noisy,
                 "method": self.method,
-                # chunk_size is deliberately absent: counts are
-                # chunk-size independent, so requests differing only
-                # in chunking share a cache entry
             }
         )
 
@@ -354,7 +348,6 @@ class EvaluateRequest(ServiceRequest):
     gate_limit: int = 4
     iterations: int = 1
     seed: Optional[int] = None
-    chunk_size: Optional[int] = None
     _prepared: Optional[QuantumCircuit] = field(
         default=None, repr=False, compare=False
     )
@@ -362,8 +355,6 @@ class EvaluateRequest(ServiceRequest):
     def __post_init__(self) -> None:
         _validate_target(self)
         _check_caps(self.shots, self.iterations)
-        if self.chunk_size is not None and int(self.chunk_size) <= 0:
-            raise ValueError("chunk_size must be positive")
 
     def fingerprint(self) -> Optional[str]:
         if self.seed is None:
@@ -375,7 +366,6 @@ class EvaluateRequest(ServiceRequest):
                 "gate_limit": self.gate_limit,
                 "iterations": self.iterations,
                 "seed": self.seed,
-                # chunk_size omitted: counts are chunk-size independent
             }
         )
 

@@ -177,6 +177,10 @@ class TestQasmReader:
         ("qreg q[2]; creg c[1]; measure q[0] -> c[1];", "out of range"),
         ("qreg q[2]; creg c[1]; measure q[0] -> d[0];", "undeclared"),
         ("qreg q[2]; qreg q[1];", "declared twice"),
+        ("qreg q[2]; barrier q;", "broadcast operands are unsupported"),
+        ("qreg q[2]; cx q[0] q[1];", "broadcast operands are unsupported"),
+        ("qreg q[2]; creg c[2]; measure q -> c;",
+         "broadcast operands are unsupported"),
     ])
     def test_bad_register_operand_rejected(self, program, message):
         with pytest.raises(QasmError, match=message):

@@ -87,6 +87,7 @@ def _exact_distribution(circuit, model):
         "4mod5",
         "mini_alu",
         "4gt11",
+        "rd53",
     ],
 )
 def test_trajectory_matches_density(name, fusion):

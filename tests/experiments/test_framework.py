@@ -37,7 +37,7 @@ def _toy_cells(config):
     ]
 
 
-def _toy_task(config, cell, seed, options):
+def _toy_task(config, cell, seed):
     if config.get("bomb_file"):
         import os
 
@@ -105,12 +105,11 @@ class TestConfigHash:
         assert config_hash({"grid": (1, 2)}) == config_hash({"grid": [1, 2]})
 
     def test_execution_knobs_share_a_run_file(self, toy_spec, tmp_path):
-        """jobs/split_jobs/shard never enter the checkpoint identity."""
+        """jobs/shard never enter the checkpoint identity."""
         store = ResultStore(tmp_path)
         one = run_experiment("_toy", store=store)
         two = run_experiment(
-            "_toy", jobs=2, split_jobs=2, transpile_cache=False,
-            resume=True, store=store,
+            "_toy", jobs=2, shard=(0, 1), resume=True, store=store,
         )
         assert one.config_hash == two.config_hash
         assert two.reused == one.total_cells and two.computed == 0
@@ -227,7 +226,7 @@ class TestInvalidArguments:
                 description="duplicate cells",
                 defaults={},
                 make_cells=lambda config: [Cell("a"), Cell("a")],
-                task=lambda config, cell, seed, options: 0,
+                task=lambda config, cell, seed: 0,
                 aggregate=lambda config, results: results,
                 render=str,
             )
@@ -249,9 +248,7 @@ class TestRealSpecsRoundTrip:
         cells = spec.make_cells(config)
         assert [cell.id for cell in cells] == ["4gt13/0"]
         seed = np.random.SeedSequence(5).spawn(1)[0]
-        from repro.experiments.framework.spec import ExecOptions
-
-        result = spec.task(config, cells[0], seed, ExecOptions())
+        result = spec.task(config, cells[0], seed)
         decoded = spec.decode(json.loads(json.dumps(spec.encode(result))))
         assert decoded.counts_original == result.counts_original
         assert decoded.counts_obfuscated == result.counts_obfuscated
@@ -291,9 +288,7 @@ class TestRealSpecsRoundTrip:
                               "iterations": 2, "shots": 64, "seed": 3})
         cells = spec.make_cells(config)
         seed = np.random.SeedSequence(3).spawn(1)[0]
-        from repro.experiments.framework.spec import ExecOptions
-
-        point = spec.task(config, cells[0], seed, ExecOptions())
+        point = spec.task(config, cells[0], seed)
         decoded = spec.decode(json.loads(json.dumps(spec.encode(point))))
         assert decoded == point  # float repr round-trip is exact
 
@@ -345,7 +340,7 @@ class TestBenchmarkValidation:
 
 
 class TestKnobUniformity:
-    """jobs / split_jobs / transpile_cache exist on every harness."""
+    """jobs exists on every harness and never changes a result."""
 
     def test_sweep_jobs_bit_identical(self):
         from repro.experiments import run_gate_limit_sweep
@@ -361,12 +356,3 @@ class TestKnobUniformity:
 
         kwargs = dict(iterations=2, seed=5, benchmarks=["4gt13", "4mod5"])
         assert run_ablation(**kwargs) == run_ablation(**kwargs, jobs=2)
-
-    def test_ablation_knobs_accepted(self):
-        from repro.experiments import run_ablation
-
-        rows = run_ablation(iterations=1, seed=5, benchmarks=["4gt13"],
-                            split_jobs=2, transpile_cache=False)
-        assert {row.scheme for row in rows} == {
-            "tetrislock", "das-front", "das-middle"
-        }

@@ -93,6 +93,8 @@ class TestErrors:
             "garbage",
             # index past the register: must not escape as an IndexError
             'OPENQASM 2.0; include "qelib1.inc"; qreg q[2]; x q[5];',
+            # broadcast operand: refused, not read as a 0-qubit barrier
+            'OPENQASM 2.0; include "qelib1.inc"; qreg q[2]; barrier q;',
         ]
         for qasm in refused:
             with pytest.raises(ServiceError) as err:
@@ -115,7 +117,10 @@ class TestErrors:
         refused = [
             ("simulate", {"qasm": wide}),
             ("simulate", {"qasm": BELL_QASM, "shots": 10**12}),
+            # chunk_size is a retired parameter
+            ("simulate", {"qasm": BELL_QASM, "chunk_size": 10**5}),
             ("evaluate", {"benchmark": "4gt13", "shots": 10**12}),
+            ("evaluate", {"benchmark": "4gt13", "chunk_size": 10**5}),
             ("protect", {"qasm": wide}),
             ("transpile", {"qasm": wide}),
             ("attack", {"qasm": wide}),

@@ -44,6 +44,12 @@ class TestWireParsing:
         with pytest.raises(ValueError, match="unknown parameter.*trajectories"):
             request_from_wire(kind, {**target, "trajectories": "batched"})
 
+    @pytest.mark.parametrize("kind", ["simulate", "evaluate"])
+    def test_retired_chunk_size_key_rejected(self, kind):
+        target = {"qasm": BELL_QASM}
+        with pytest.raises(ValueError, match="unknown parameter.*chunk_size"):
+            request_from_wire(kind, {**target, "chunk_size": 1000})
+
     def test_bad_qasm_fails_at_submit(self):
         with pytest.raises(ValueError):
             request_from_wire("simulate", {"qasm": "garbage"})

@@ -24,8 +24,7 @@ The contract under test (see ``repro/simulator/noisy.py``):
 * rows split only where their shots draw different branches or
   outcomes: the first branch present keeps the row, each other one is
   appended;
-* knobs validate: a bad chunk size is refused, and the retired
-  ``trajectories`` option is gone from ``run()``.
+* the retired ``trajectories`` option is gone from ``run()``.
 """
 
 import numpy as np
@@ -36,7 +35,7 @@ from reference_sim import PerShotSampler
 
 from repro.circuits import QuantumCircuit
 from repro.circuits.gates import gate_from_name
-from repro.execution import get_noise_plan_cache, run
+from repro.execution import get_noise_plan_cache, plan_cache, run
 from repro.execution.noise_plan import ChannelBinding
 from repro.metrics import tvd_counts
 from repro.noise import (
@@ -51,6 +50,7 @@ from repro.noise import (
     valencia_like_backend,
 )
 from repro.revlib import benchmark_circuit
+from repro.simulator import noisy
 from repro.simulator.kernels import apply_matrix_state
 from repro.simulator.noisy import (
     _MASS_FLOOR,
@@ -229,15 +229,21 @@ class TestBatchedEquivalence:
         assert trivial == noiseless
 
 
+def _ensemble(circuit, shots, model, seed, chunk_size=None):
+    """Counts of the trajectory ensemble at one chunk size."""
+    plan = plan_cache.get_noise_plan(circuit, model)
+    entropy = int(np.random.default_rng(seed).integers(0, 2 ** 63))
+    return noisy.run_noise_plan(
+        plan, shots, entropy=entropy, chunk_size=chunk_size
+    )
+
+
 class TestChunkInvariance:
     def test_chunk_sizes_are_bit_identical(self):
         reference = None
         for chunk in (1, 7, 64, None):
             counts = dict(
-                run(
-                    _circuit(), 400, noise_model=_mixed_model(), seed=123,
-                    chunk_size=chunk,
-                )
+                _ensemble(_circuit(), 400, _mixed_model(), 123, chunk)
             )
             if reference is None:
                 reference = counts
@@ -249,12 +255,7 @@ class TestChunkInvariance:
         model = _dense_mixed_model()
         reference = None
         for chunk in (1, 7, None):
-            counts = dict(
-                run(
-                    _circuit(), 400, noise_model=model, seed=8,
-                    chunk_size=chunk,
-                )
-            )
+            counts = dict(_ensemble(_circuit(), 400, model, 8, chunk))
             if reference is None:
                 reference = counts
             assert counts == reference, f"chunk_size={chunk} diverged"
@@ -268,12 +269,7 @@ class TestChunkInvariance:
         for name, model in models.items():
             reference = None
             for chunk in (1, 7, 64):
-                counts = dict(
-                    run(
-                        _circuit(), 300, noise_model=model, seed=3,
-                        chunk_size=chunk,
-                    )
-                )
+                counts = dict(_ensemble(_circuit(), 300, model, 3, chunk))
                 if reference is None:
                     reference = counts
                 assert counts == reference, f"{name}: chunk_size={chunk}"
@@ -287,10 +283,8 @@ class TestChunkInvariance:
         compiled = transpile(circuit, backend=backend).circuit.copy()
         compiled.measure_all()
         model = backend.noise_model()
-        per_shot = run(
-            compiled, shots, noise_model=model, seed=5, chunk_size=1
-        )
-        shared = run(compiled, shots, noise_model=model, seed=5)
+        per_shot = _ensemble(compiled, shots, model, 5, chunk_size=1)
+        shared = _ensemble(compiled, shots, model, 5)
         assert dict(shared) == dict(per_shot)
 
     def test_default_chunk_size_caps_memory(self):
@@ -551,12 +545,6 @@ class TestKnobsAndRouting:
             with pytest.raises(TypeError, match="trajectories"):
                 run(_circuit(), 10, trajectories=mode)
 
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            run(_circuit(), 10, chunk_size=0)
-        with pytest.raises(ValueError, match="chunk_size"):
-            run(_circuit(), 10, chunk_size=-1)
-
     def test_default_noisy_dispatch_is_batched(self):
         # every noisy terminal run looks up one noise-bound plan
         cache = get_noise_plan_cache()
@@ -574,16 +562,3 @@ class TestKnobsAndRouting:
             _circuit(), 300, noise_model=_mixed_model(), seed=17
         )
         assert a == b
-
-    def test_chunk_size_invariant_through_run(self):
-        base = run(
-            _circuit(), 300, noise_model=_mixed_model(), seed=17
-        )
-        chunked = run(
-            _circuit(),
-            300,
-            noise_model=_mixed_model(),
-            seed=17,
-            chunk_size=13,
-        )
-        assert chunked == base

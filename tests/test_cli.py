@@ -111,22 +111,10 @@ class TestTranspileCommand:
         assert "from cache" in out
         assert "1 hit(s)" in out
 
-    def test_no_transpile_cache_flag(self, real_file, capsys):
-        from repro.transpiler import get_transpile_cache
-
-        get_transpile_cache().clear()
-        main(["transpile", str(real_file), "--no-transpile-cache"])
-        code = main(["transpile", str(real_file), "--no-transpile-cache"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "from cache" not in out
-        assert "0 hit(s)" in out
-
     def test_line_coupling_and_trivial_layout(self, real_file, capsys):
         code = main(
             ["transpile", str(real_file), "--coupling", "line",
-             "--layout", "trivial", "--size", "6",
-             "--no-transpile-cache"]
+             "--layout", "trivial", "--size", "6"]
         )
         assert code == 0
         out = capsys.readouterr().out
