@@ -18,15 +18,21 @@ on.  This module states them as executable contracts:
   order, spans never adjacent (an anchor sits between any two), every
   :class:`~repro.execution.noise_plan.ChannelBinding` CPTP with a
   monotone cumulative table summing to 1, every Kraus binding's
-  operator stack, Gram-diagonal classification and lead-branch tables
+  operator stack, jump bound ``sum ||K_j||_2^2`` and no-jump fold
   agreeing with its operators, every mixed binding's per-branch
   monomial table rebuilding its branches, monomial classifications
   exact, and — when the source circuit and model are supplied — fusion
   provably never crossing a noise anchor (each span re-derived and
   justified from its own segment only, via
-  :func:`repro.analysis.static.dataflow.verify_lowering`).
+  :func:`repro.analysis.static.dataflow.verify_lowering`);
+* the trajectory ensemble's compiled stream: every span op equal to
+  its source op times the no-jump factors it absorbs, every Kraus
+  anchor's pending factors matching the folds re-derived from the
+  operators, flushes and renormalisations where the fold rule puts
+  them.
 
-Checking never mutates or executes a plan.  :func:`check_plan` /
+Checking never executes a plan (it builds the plan's lazily compiled
+stream to check it).  :func:`check_plan` /
 :func:`check_noise_plan` return a :class:`~.base.Report`;
 :func:`validate_plan` / :func:`validate_noise_plan` raise
 :class:`PlanContractError` instead — that is what the opt-in
@@ -37,6 +43,7 @@ endpoint.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Optional, Sequence
 
@@ -44,8 +51,12 @@ import numpy as np
 
 from ...circuits.circuit import QuantumCircuit
 from ...execution.noise_plan import (
+    _DRAW_MARGIN,
+    _NORM_FLOOR,
     ChannelBinding,
     NoisePlan,
+    _compile_span,
+    _diagonal_tensor,
     _monomial_decomposition,
     _SpanGate,
 )
@@ -57,7 +68,7 @@ from ...execution.plan import (
     _is_diagonal,
 )
 from ...simulator.kernels import matrix_is_identity
-from ...simulator.noisy import _LEAD_MIN, ENSEMBLE_DTYPE
+from ...simulator.noisy import ENSEMBLE_DTYPE
 from ...simulator.trajectory import measures_are_terminal
 from .base import Report
 
@@ -506,7 +517,9 @@ def _check_branch_monomials(
 def _check_kraus_tables(
     report: Report, binding: ChannelBinding, dim: int, loc: str
 ) -> None:
-    """The tables the elementwise Kraus kernel routes on."""
+    """The tables the Kraus kernel reads: the operator stack, the jump
+    bound ``B = sum_{j>=1} ||K_j||_2^2`` and the no-jump fold with its
+    candidate threshold."""
     operators = np.array(binding.operators)
     stack = binding.stack
     report.check(
@@ -518,55 +531,39 @@ def _check_kraus_tables(
         "kraus channel operator stack does not equal its operators",
         loc,
     )
-    off = ~np.eye(dim, dtype=bool)
-    grams = np.array([op.conj().T @ op for op in operators])
-    diagonals = binding.gram_diagonals
-    if diagonals is None:
-        report.check(
-            bool(grams[:, off].any()),
-            "gram-diagonal",
-            "every Gram matrix is diagonal but the channel takes the "
-            "density-matrix norm route",
-            loc,
+    bound = float(
+        sum(
+            np.linalg.svd(op, compute_uv=False).max() ** 2
+            for op in operators[1:]
+        )
+    )
+    if not report.check(
+        binding.jump_bound is not None
+        and abs(binding.jump_bound - bound) <= _ATOL,
+        "jump-bound",
+        f"jump bound {binding.jump_bound} is not sum ||K_j||_2^2 = "
+        f"{bound:.12g}",
+        loc,
+    ):
+        return
+    lead = operators[0]
+    if dim == 2 and lead[0, 1] == 0 and lead[1, 0] == 0 and bound < 1:
+        ok = (
+            binding.fold is not None
+            and bool(
+                np.allclose(binding.fold, np.diagonal(lead) / lead[0, 0])
+            )
+            and binding.threshold == 1.0 - binding.jump_bound - _DRAW_MARGIN
         )
     else:
-        report.check(
-            not grams[:, off].any()
-            and diagonals.shape == operators.shape[:2]
-            and bool(
-                np.allclose(
-                    diagonals,
-                    np.diagonal(grams, axis1=1, axis2=2).real,
-                    atol=_ATOL,
-                )
-            ),
-            "gram-diagonal",
-            "channel takes the marginal norm route but its Gram matrices "
-            "are not diagonal with the cached diagonals",
-            loc,
-        )
-    # lead branches: diagonal with |K[0, 0]| clear of zero scale in
-    # place relative to K[0, 0]; every other row is ones
-    leads = operators[:, 0, 0]
-    cheap = ~operators[:, off].any(axis=1) & (np.abs(leads) > _LEAD_MIN)
-    diagonals = np.diagonal(operators, axis1=1, axis2=2)
-    ratios = np.ones_like(diagonals)
-    ratios[cheap] = diagonals[cheap] / leads[cheap, None]
+        ok = binding.fold is None and binding.threshold == -np.inf
     report.check(
-        binding.cheap is not None
-        and np.array_equal(binding.cheap, cheap)
-        and binding.lead_ratios.shape == ratios.shape
-        and binding.lead_scales.shape == cheap.shape
-        and bool(np.allclose(binding.lead_ratios, ratios, atol=_STACK_ATOL))
-        and bool(
-            np.allclose(
-                binding.lead_scales,
-                np.where(cheap, np.abs(leads) ** 2, 1.0),
-                atol=_ATOL,
-            )
-        ),
-        "lead-branches",
-        "lead-branch flags, ratios or scales disagree with the operators",
+        ok,
+        "no-jump-fold",
+        "fold or threshold disagrees with the leading operator: a "
+        "1-qubit diagonal K_0 with B < 1 folds as its diagonal over "
+        "K_0[0, 0], with threshold 1 - B - margin; any other anchor has "
+        "none and threshold -inf",
         loc,
     )
 
@@ -726,11 +723,168 @@ def check_noise_plan(
         f"(got {sites}, expected 0..{plan.num_sites - 1})",
     )
 
+    _check_folds(report, plan)
     if circuit is not None:
         _check_anchor_structure(
             report, plan, circuit, noise_model, verify_lowering, atol
         )
     return _count("noise_plans_checked", report)
+
+
+def _same_compiled_op(got, want) -> bool:
+    """Two compiled span ops (``_compile_span`` forms) agree: the same
+    form and qubits, entries within the stack tolerance."""
+    if got[0] != want[0] or len(got) != len(want):
+        return False
+    if got[0] == "perm":
+        return len(got[1]) == len(want[1]) and all(
+            g[:2] == w[:2]
+            and abs((g[2] or 1) - (w[2] or 1)) <= _STACK_ATOL
+            for g, w in zip(got[1], want[1])
+        )
+    return (
+        got[2:] == want[2:]
+        and got[1].shape == want[1].shape
+        and bool(np.allclose(got[1], want[1], atol=_STACK_ATOL))
+    )
+
+
+def _check_folds(report: Report, plan: NoisePlan) -> None:
+    """The trajectory ensemble's stream (:meth:`NoisePlan.compiled_steps`)
+    against the plan's own steps.
+
+    Re-derives from each Kraus anchor's ``K_0`` which no-jump factors
+    are pending where (normalised to a leading 1), and tracks them from
+    the stream the way the executor does: every compiled span op must
+    equal its source op times the factors on its qubits and name the
+    qubits it absorbs, the factors tracked at and after every Kraus
+    anchor must be the derived ones (``D`` and ``D'``), and
+    flushes and renormalisations must sit where the fold rule puts
+    them.
+    """
+    n = plan.num_qubits
+    stream = iter(plan.compiled_steps())
+    pending: dict = {}  # derived: qubit -> diagonal
+    tracked: dict = {}  # from the stream, as the executor tracks it
+    shrink = 1.0
+
+    def agree() -> bool:
+        return tracked.keys() == pending.keys() and all(
+            np.allclose(tracked[q], pending[q], atol=_STACK_ATOL)
+            for q in pending
+        )
+
+    def flush(qubits, loc) -> bool:
+        owed = {q: pending.pop(q) for q in qubits if q in pending}
+        if not owed:
+            return True
+        step = next(stream, None)
+        want = _diagonal_tensor(owed, n)
+        for q in owed:
+            tracked.pop(q, None)
+        return report.check(
+            step is not None
+            and step[0] == "span"
+            and [op[0] for op in step[1]] == ["diag"]
+            and set(step[2]) == set(owed)
+            and step[1][0][1].shape == want.shape
+            and bool(np.allclose(step[1][0][1], want, atol=_STACK_ATOL)),
+            "fold-flush",
+            f"expected a flush of the factors pending on qubits "
+            f"{sorted(owed)} here",
+            loc,
+        )
+
+    for s, step in enumerate(plan.steps):
+        loc = f"steps[{s}]"
+        kind = step[0]
+        binding = step[1] if kind == "channel" else None
+        if kind == "measure" or binding is not None and binding.kind == "mixed":
+            qubits = list(pending) if kind == "measure" else binding.qubits
+            if not flush(qubits, loc):
+                return
+            shrink = 1.0 if kind == "measure" else shrink
+        want = absorbed = None
+        if kind == "span":
+            absorbed = pending.keys() & {q for op in step[1] for q in op.qubits}
+            want = []
+            for op in step[1]:
+                if not pending.keys().isdisjoint(op.qubits):
+                    owed = [pending.pop(q, np.ones(2)) for q in op.qubits]
+                    scale = functools.reduce(np.kron, owed, np.ones(1))
+                    op = (
+                        PlanOp("diagonal", op.qubits, diag=op.diag * scale)
+                        if op.diag is not None
+                        else PlanOp(
+                            "matrix",
+                            op.qubits,
+                            matrix=op.matrix @ np.diag(scale),
+                        )
+                    )
+                want.append(op)
+            want = _compile_span(want, ENSEMBLE_DTYPE, n)
+        compiled = next(stream, None)
+        if not report.check(
+            compiled is not None
+            and (
+                compiled[0] == "span"
+                and len(compiled[1]) == len(want)
+                and set(compiled[2]) == absorbed
+                if kind == "span"
+                else compiled[:3] == step
+                if binding is not None and binding.kind == "kraus"
+                else compiled is step
+            ),
+            "fold-stream",
+            f"compiled stream does not carry this {kind} step here (with "
+            "the qubits whose pending factors a span absorbs)",
+            loc,
+        ):
+            return
+        if kind == "span":
+            for q in absorbed:
+                tracked.pop(q, None)
+            for j, (g, w) in enumerate(zip(compiled[1], want)):
+                report.check(
+                    _same_compiled_op(g, w),
+                    "fold-op",
+                    "compiled span op is not its source op times the "
+                    "no-jump factors pending on its qubits",
+                    f"{loc}.ops[{j}]",
+                )
+        if binding is None or binding.kind != "kraus":
+            continue
+        ok = agree()
+        if binding.fold is not None:
+            qubit = binding.qubits[0]
+            factor = np.diagonal(binding.operators[0]) * pending.get(qubit, 1)
+            pending[qubit] = factor / factor[0]
+            shrink *= 1.0 - binding.jump_bound
+            tracked[qubit] = compiled[3] if len(compiled) > 3 else binding.fold
+        report.check(
+            ok and agree(),
+            "fold-anchor",
+            "the no-jump factors pending at this anchor, or after it, "
+            "disagree with the folds pending there",
+            loc,
+        )
+        if shrink < _NORM_FLOOR:
+            if not flush(list(pending), loc):
+                return
+            report.check(
+                next(stream, None) == ("normalise",),
+                "fold-flush",
+                "expected a renormalisation after the shrink floor",
+                loc,
+            )
+            shrink = 1.0
+    if plan.terminal and not flush(list(pending), "end"):
+        return
+    report.check(
+        next(stream, None) is None,
+        "fold-stream",
+        "compiled stream has steps past the plan's end",
+    )
 
 
 def _check_monomial_classification(

@@ -10,9 +10,8 @@ that to trace time:
   (:class:`ChannelBinding`), classified once (unitary-only /
   mixed-unitary / general Kraus), with branch matrices pre-scaled
   (``K_i / sqrt(p_i)``), cumulative probability tables precomputed,
-  Kraus operators stacked in the ensemble dtype, their Gram
-  structure (diagonal or not) decided for the norm pass and the
-  lead-branch tables built for the in-place scaling route.  Bindings
+  Kraus operators stacked in the ensemble dtype with their Gram
+  matrices, jump bound and no-jump fold.  Bindings
   are shared per (channel, physical qubits) —
   :meth:`ChannelBinding.bind` memoises them on the channel — so every
   anchor of every cached plan that binds one channel to the same
@@ -24,7 +23,11 @@ that to trace time:
 lower_ops`), so a weakly-noisy circuit still gets 1q-run merging,
   diagonal fusion and blocking inside each span;
 * single-operator channels are CPTP, hence unitary — they fold into
-  the surrounding span instead of anchoring a stochastic step.
+  the surrounding span instead of anchoring a stochastic step;
+* for the trajectory ensemble only, :meth:`NoisePlan.compiled_steps`
+  folds each Kraus anchor's diagonal no-jump operator ``K_0`` forward
+  into the next span op on its qubit (the rare-jump form of the
+  quantum-jump method: Dalibard, Castin & Mølmer, PRL 68, 580 (1992)).
 
 The result is a :class:`NoisePlan`: a flat step stream (span / channel
 / measure) plus a random-site numbering that assigns every stochastic
@@ -50,7 +53,7 @@ from ..circuits.circuit import QuantumCircuit
 from ..noise.channels import _read_only
 from ..noise.model import NoiseModel
 from ..simulator.kernels import embed, matrix_is_identity
-from ..simulator.noisy import _LEAD_MIN, ENSEMBLE_DTYPE
+from ..simulator.noisy import ENSEMBLE_DTYPE
 from ..simulator.trajectory import measures_are_terminal
 from .plan import (
     FUSION_LEVELS,
@@ -61,6 +64,18 @@ from .plan import (
 )
 
 __all__ = ["ChannelBinding", "NoisePlan", "build_noise_plan"]
+
+# A shot whose uniform is at most ``1 - B - _DRAW_MARGIN`` takes branch
+# 0 unseen: the margin covers the rounding of the branch norms it would
+# have been drawn against, so thinning never changes a draw.
+_DRAW_MARGIN = 1e-6
+
+# Each folded anchor shrinks a row's norm^2 by at least ``1 - B``, and
+# its pending factor spans the same range.  Once the product since the
+# rows were last normalised falls below this floor, the compiled stream
+# flushes every pending factor and renormalises the rows, which keeps
+# complex64 amplitudes far from underflow and overflow.
+_NORM_FLOOR = 1e-8
 
 
 def _monomial_decomposition(matrix: np.ndarray):
@@ -94,9 +109,11 @@ def _monomial_table(matrix: np.ndarray):
 
 
 @functools.lru_cache(maxsize=1024)
-def _shared_table(table: Tuple) -> Tuple:
-    """The first-seen copy of an equal monomial table: every binding of
-    a same-shaped Pauli channel holds one, whatever plan it is in."""
+def _shared(table: Tuple) -> Tuple:
+    """The first-seen copy of an equal tuple: every binding of a
+    same-shaped Pauli channel holds one monomial table, and every span
+    that absorbs the same qubits one tuple of them, whatever plan it is
+    in."""
     return table
 
 
@@ -166,13 +183,17 @@ def _perm_moves(
 
     Phases are tested after the cast to *dtype*: a Pauli channel's
     ``K / sqrt(p)`` has complex128 entries one ulp off 1 that are
-    exactly 1 in complex64.
+    exactly 1 in complex64.  A gate on the last qubit keeps its unit
+    phases: its selectors fix the innermost axis, and numpy copies such
+    unit-stride-free views ~3x slower than it multiplies them by one
+    (measured on 10-qubit, 50-row chunks).
     """
+    inner = num_qubits - 1 in qubits
     return tuple(
         (
             _basis_selector(row, qubits, num_qubits),
             _basis_selector(j, qubits, num_qubits),
-            None if (cast := dtype.type(phase)) == 1 else cast,
+            None if (cast := dtype.type(phase)) == 1 and not inner else cast,
         )
         for j, (row, phase) in enumerate(zip(rows, phases))
     )
@@ -251,13 +272,18 @@ class ChannelBinding:
       by value across bindings);
     * Kraus channels carry the operator ``stack`` in
       :data:`~repro.simulator.noisy.ENSEMBLE_DTYPE`, the Gram matrices
-      ``K^† K``, their diagonals when every Gram is diagonal
-      (``gram_diagonals``; branch norms then need only the |amp|^2
-      marginals) and the lead-branch tables: per-branch ``cheap`` flags
-      (diagonal with ``|K[0, 0]|`` above ``_LEAD_MIN``), ``lead_ratios``
-      ``K[j, j] / K[0, 0]`` (ones on other branches) and ``lead_scales``
-      ``|K[0, 0]|^2`` (one on other branches).  A shot that drew a cheap
-      branch is scaled in place and never touches sub-lattice 0;
+      ``K^† K`` (candidate rows' branch norms come from their reduced
+      density matrices), the jump bound ``jump_bound = B = sum_{j>=1}
+      ||K_j||_2^2`` (squared spectral norms) and the no-jump ``fold``:
+      the diagonal of ``K_0`` when the channel is on one qubit, ``K_0``
+      is diagonal and ``B < 1`` (so ``|K_0[i, i]|^2 >= 1 - B > 0``),
+      else ``None``.  Any state has ``p_0 >= 1 - B``, so a shot whose
+      uniform is at most ``threshold = 1 - B - _DRAW_MARGIN`` takes
+      branch 0 without a norm; an anchor without a fold has threshold
+      ``-inf`` (every shot is a candidate and branch 0 applies
+      ``K_0``).  ``fold`` is scaled to ``fold[0] = 1`` (a row's scale
+      is free), and :meth:`NoisePlan.compiled_steps` folds it into the
+      span ops, so a row that does not jump is never touched;
     * both kinds memoise their superoperator per block it is embedded
       in (:meth:`superoperator`, the exact engine's form), so these
       memos are bounded by the number of bindings, not of plans.
@@ -279,10 +305,9 @@ class ChannelBinding:
         "identity_flags",
         "grams",
         "stack",
-        "gram_diagonals",
-        "cheap",
-        "lead_ratios",
-        "lead_scales",
+        "jump_bound",
+        "fold",
+        "threshold",
     )
 
     def __init__(self, channel, qubits: Sequence[int]) -> None:
@@ -294,13 +319,13 @@ class ChannelBinding:
         self.cumulative = self.scaled_ops = self.monomials = None
         self.programs: Dict[int, Tuple] = {}
         self.superops: Dict[Tuple[int, ...], np.ndarray] = {}
-        self.grams = self.stack = self.gram_diagonals = None
-        self.cheap = self.lead_ratios = self.lead_scales = None
+        self.grams = self.stack = self.jump_bound = self.fold = None
+        self.threshold = None
         if channel.mixed_unitary_probs is not None:
             self.kind = "mixed"
             self.cumulative = channel.mixed_unitary_cumulative
             self.scaled_ops = channel.mixed_unitary_scaled
-            self.monomials = _shared_table(
+            self.monomials = _shared(
                 tuple(
                     None if op is None else _monomial_table(op)
                     for op in self.scaled_ops
@@ -309,23 +334,21 @@ class ChannelBinding:
             return
         self.kind = "kraus"
         operators = np.array(self.operators)
-        off = ~np.eye(operators.shape[1], dtype=bool)
         self.stack = _read_only(operators, ENSEMBLE_DTYPE)
         self.grams = _read_only(channel.kraus_grams)
-        if not self.grams[:, off].any():
-            self.gram_diagonals = _read_only(
-                np.diagonal(self.grams, axis1=1, axis2=2).real, float
-            )
-        diagonals = np.diagonal(operators, axis1=1, axis2=2)
-        leads = diagonals[:, 0]
-        cheap = ~operators[:, off].any(axis=1) & (np.abs(leads) > _LEAD_MIN)
-        ratios = np.ones_like(diagonals)
-        ratios[cheap] = diagonals[cheap] / leads[cheap, None]
-        self.cheap = _read_only(cheap, bool)
-        self.lead_ratios = _read_only(ratios, ENSEMBLE_DTYPE)
-        self.lead_scales = _read_only(
-            np.where(cheap, np.abs(leads) ** 2, 1.0), float
+        self.jump_bound = float(
+            sum(np.linalg.norm(op, 2) ** 2 for op in operators[1:])
         )
+        lead = operators[0]
+        self.threshold = -np.inf
+        if (
+            lead.shape == (2, 2)
+            and not lead[0, 1]
+            and not lead[1, 0]
+            and self.jump_bound < 1.0
+        ):
+            self.fold = _read_only(np.diagonal(lead) / lead[0, 0])
+            self.threshold = 1.0 - self.jump_bound - _DRAW_MARGIN
 
     @classmethod
     def bind(cls, channel, qubits: Sequence[int]) -> "ChannelBinding":
@@ -375,6 +398,120 @@ class ChannelBinding:
             f"ChannelBinding({self.kind!r}, qubits={self.qubits}, "
             f"branches={self.num_branches})"
         )
+
+
+def _diagonal_tensor(factors: Dict[int, np.ndarray], num_qubits: int):
+    """Per-qubit diagonals ``{qubit: f}`` as one ``diag`` span op tensor,
+    broadcasting over a ``(W, 2, ..., 2)`` chunk."""
+    tensor = np.ones((1,) * (num_qubits + 1))
+    for qubit, factor in factors.items():
+        shape = [1] * (num_qubits + 1)
+        shape[qubit + 1] = 2
+        tensor = tensor * np.reshape(factor, shape)
+    return _read_only(tensor, ENSEMBLE_DTYPE)
+
+
+def _absorb(op: PlanOp, pending: Dict[int, np.ndarray]) -> PlanOp:
+    """*op* with the pending factors on its qubits applied first (``op ·
+    diag(factors)``, still diagonal or monomial if *op* was); those
+    factors leave *pending*."""
+    if pending.keys().isdisjoint(op.qubits):
+        return op
+    # diagonal ops keep their qubits ascending, which is also their
+    # index order; matrices index their first listed qubit highest
+    scale = _ONE
+    for qubit in op.qubits:
+        scale = np.multiply.outer(scale, pending.pop(qubit, _PAIR)).ravel()
+    if op.diag is not None:
+        return PlanOp("diagonal", op.qubits, diag=op.diag * scale)
+    return PlanOp("matrix", op.qubits, matrix=op.matrix * scale)
+
+
+_ONE = np.ones(1)
+_PAIR = np.ones(2)
+
+
+def _fold_steps(
+    steps: Sequence[Tuple], num_qubits: int, terminal: bool
+) -> List[Tuple]:
+    """Lower a plan's steps for the trajectory ensemble.
+
+    Spans become layout-bound op lists of
+    :data:`~repro.simulator.noisy.ENSEMBLE_DTYPE` amplitudes
+    (:func:`_compile_span`), and each folded Kraus anchor's no-jump
+    diagonal ``K_0`` is deferred: it stays *pending* on its qubit until
+    the next span op on that qubit applies it first.  A row that does
+    not jump is then never touched at the anchor; the executor keeps
+    ``stored row = D^-1 · true state`` (up to a scalar), ``D`` the
+    product of every qubit's pending factor, and rewrites a row that
+    jumps as ``D'^-1 K_j D ·`` its copy, ``D'`` the product after the
+    anchor.
+
+    A pending factor is the diagonal ``f`` (``f[0] = 1``).  The executor
+    tracks which are pending from the stream: span steps become
+    ``("span", ops, absorbed)``, where the qubits in *absorbed* leave
+    pending, and a folded Kraus anchor makes its binding's ``fold``
+    pending on its qubit — or, where one was pending there already, the
+    product, carried as ``("channel", binding, site, factor)``.
+
+    Pending factors are flushed — applied as one ``diag`` span — before
+    a mixed-unitary anchor on their qubit (its branches do not commute
+    with them), before a mid-circuit measurement and before the final
+    sample.  Where the product of ``1 - B`` over folded anchors since
+    the rows were last normalised falls below :data:`_NORM_FLOOR`, a
+    flush of every pending factor and a ``("normalise",)`` step follow
+    the anchor.  Other steps pass through unchanged.
+    """
+    compiled: List[Tuple] = []
+    pending: Dict[int, np.ndarray] = {}  # qubit -> diagonal still owed
+    shrink = 1.0
+
+    def flush(qubits) -> None:
+        owed = {q: pending.pop(q) for q in qubits if q in pending}
+        if owed:
+            tensor = _diagonal_tensor(owed, num_qubits)
+            compiled.append(
+                ("span", (("diag", tensor),), _shared(tuple(owed)))
+            )
+
+    for step in steps:
+        kind = step[0]
+        if kind == "span":
+            before = set(pending)
+            ops = [_absorb(op, pending) for op in step[1]]
+            compiled.append(
+                (
+                    "span",
+                    _compile_span(ops, ENSEMBLE_DTYPE, num_qubits),
+                    _shared(tuple(sorted(before - set(pending)))),
+                )
+            )
+            continue
+        if kind == "measure":
+            flush(list(pending))
+            shrink = 1.0  # the collapse renormalises every row
+            compiled.append(step)
+            continue
+        binding = step[1]
+        if binding.kind == "mixed":
+            flush(binding.qubits)
+        elif binding.fold is not None:
+            qubit = binding.qubits[0]
+            if qubit in pending:
+                factor = binding.fold * pending[qubit]
+                pending[qubit] = _read_only(factor / factor[0])
+                step = step + (pending[qubit],)
+            else:
+                pending[qubit] = binding.fold
+            shrink *= 1.0 - binding.jump_bound
+        compiled.append(step)
+        if shrink < _NORM_FLOOR:
+            flush(list(pending))
+            compiled.append(("normalise",))
+            shrink = 1.0
+    if terminal:
+        flush(list(pending))
+    return compiled
 
 
 class NoisePlan:
@@ -434,24 +571,11 @@ class NoisePlan:
         return sum(1 for step in self.steps if step[0] == "span")
 
     def compiled_steps(self) -> List[Tuple]:
-        """The step stream with spans lowered to layout-bound op lists
-        of :data:`~repro.simulator.noisy.ENSEMBLE_DTYPE` amplitudes.
-
-        Channel and measure steps pass through unchanged (bindings
-        carry their own trace-time tables and memoise their
-        layout-bound branch programs, see
-        :meth:`ChannelBinding.mixed_program`).
-        Op routes are chosen by matrix structure only — never by batch
-        size — so counts stay bit-identical across chunk widths.
-        """
+        """The step stream the trajectory ensemble runs (see
+        :func:`_fold_steps`); the exact engine reads :attr:`steps`."""
         if self._compiled is not None:
             return self._compiled
-        compiled = [
-            ("span", _compile_span(step[1], ENSEMBLE_DTYPE, self.num_qubits))
-            if step[0] == "span"
-            else step
-            for step in self.steps
-        ]
+        compiled = _fold_steps(self.steps, self.num_qubits, self.terminal)
         with self._lock:
             if self._compiled is None:
                 self._compiled = compiled

@@ -104,7 +104,8 @@ def is_identity(matrix: np.ndarray, atol: float = 1e-12) -> bool:
     eye = _EYES.get(matrix.shape[0])
     if eye is None:
         eye = np.eye(matrix.shape[0])
-    return bool(np.allclose(matrix, eye, atol=atol))
+    # np.allclose's test (rtol 1e-5) without its per-call overhead
+    return bool((np.abs(matrix - eye) <= atol + 1e-5 * eye).all())
 
 
 # Verdicts memoized per matrix *object*: gate matrices are built once

@@ -19,23 +19,22 @@ distinct jump record, the quantum-jump view).  Per step:
   split a row — and each branch runs on its rows: monomial (Pauli)
   branches as the span kernels' slice copies with phases, others
   through :func:`~repro.simulator.kernels.apply_matrix_batch`;
-* general Kraus channels touch only the rows and amplitudes that
-  change.  Kraus states are stored unnormalised, with each row's
-  ``||psi||^2`` carried in a ``mass`` vector (spans and mixed-unitary
-  channels leave it unchanged), as quantum-jump samplers carry the norm
-  of the no-jump evolution.  When all Gram matrices ``K^† K`` are
-  diagonal every branch norm comes from the |amp|^2 masses of target
-  sub-lattices ``1..`` (sub-lattice 0 holds the rest of ``mass``); the
-  reduced density matrix gives them otherwise.  Each shot draws a
-  branch against its row's cumulative table and rows split by branch.
-  A row on a diagonal branch with ``K[0, 0] != 0`` keeps ``K psi /
-  K[0, 0]``: sub-lattices ``1..`` scale in place, sub-lattice 0 is
-  never touched and no renormalisation pass runs.  Rows on any other
-  branch are gathered, get ``K[b_r] / sqrt(norm_r)`` as multiply-adds
-  and are scattered back with mass 1;
+* general Kraus channels touch only the shots that might jump — the
+  no-jump evolution of the quantum-jump method (Dalibard, Castin &
+  Mølmer, PRL 68, 580 (1992); Plenio & Knight, RMP 70, 101 (1998)).
+  Any state takes branch 0 with ``p_0 >= 1 - B``, ``B = sum_{j>=1}
+  ||K_j||_2^2``, so only shots whose uniform exceeds ``1 - B`` are
+  candidates.  Their rows are gathered, their exact branch norms taken
+  from the reduced density matrix, and each candidate draws against
+  its row's cumulative table.  The plan folds a diagonal ``K_0`` into
+  the span ops (:meth:`~repro.execution.noise_plan.NoisePlan.\
+compiled_steps`), so a row on branch 0 is never touched; rows that
+  jump split off and are rewritten, renormalised.  An anchor whose
+  ``K_0`` cannot fold makes every shot a candidate and rewrites every
+  row;
 * measurements weigh each row's outcomes, draw each shot's outcome
   against its row's weights, split rows by outcome and collapse them
-  in place, renormalised by the true kept mass;
+  in place, renormalised by the kept weight;
   terminal measurement is one joint sample of the final distribution
   — one cumulative table per row, each shot's draw against its row's
   (deferred-measurement equivalence: nothing touches a terminally
@@ -52,14 +51,16 @@ draws with its own uniform against its row's table, by the same rule
 as if it held the row alone, and a split copies the row bit for bit,
 so a shot's arithmetic does not depend on which shots share its row.
 Span op routes are chosen by matrix structure, never by the number of
-rows, and the Kraus kernel's per row, by the branch that row drew; a
-row is renormalised whenever its mass leaves ``[0.1, 10]``, which
-keeps the tracked mass within ~1e-5 of ``||psi||^2`` (relative) and
-complex64 amplitudes far from underflow.  All of these are elementwise
-or slice-wise per row, so their arithmetic is bit-exact across chunk
-widths and row sharing: ``chunk_size=1`` (one row per shot) and the
-default chunk give the same counts.  The only size-dependent
-arithmetic left is the GEMM route of
+rows, and the Kraus kernel's per row, by the branch that row drew; its
+norms and images are one small matrix product per gathered row.  Rows
+are stored unnormalised and scaled by the plan's pending no-jump
+factors; the plan renormalises them at a fixed place wherever the
+shrink it allows since the last normalisation falls below its floor,
+which keeps complex64 amplitudes far from underflow.  All of these are
+elementwise, slice-wise or matrix-wise per row, so their arithmetic is
+bit-exact across chunk widths and row sharing: ``chunk_size=1`` (one
+row per shot) and the default chunk give the same counts.  The only
+size-dependent arithmetic left is the GEMM route of
 :func:`~repro.simulator.kernels.apply_matrix_batch`, which non-monomial
 mixed-unitary branches and ``gen`` span ops (dense gates on 2+ qubits)
 take: above its crossover the BLAS blocking depends on the number of
@@ -87,20 +88,6 @@ __all__ = ["ENSEMBLE_DTYPE", "default_chunk_size", "run_noise_plan"]
 # at 4000 shots took 0.92-0.97 s against 1.05-1.08 s, counts identical.
 ENSEMBLE_DTYPE = np.dtype(np.complex64)
 _REAL_DTYPE = np.finfo(ENSEMBLE_DTYPE).dtype
-
-# A shot's sub-lattice-0 mass is a difference, ``mass - sum``, whose
-# absolute error is set at the scale of the shot's last normalisation;
-# renormalising (by the true norm) once the mass leaves [_MASS_FLOOR,
-# 1 / _MASS_FLOOR] caps its relative error at ten times that.  Cheap
-# branches need |K[0, 0]| > _LEAD_MIN, so one anchor moves a mass by at
-# most 1e12 and complex64 |amp|^2 stays finite.
-_MASS_FLOOR = 0.1
-_LEAD_MIN = 1e-6
-
-# Kraus kernels keep a sub-lattice's contiguous tail as the inner loop
-# when it holds at least this many amplitudes; shorter tails give way
-# to the longest group (see _sub_lattices)
-_CONTIGUOUS_ROW = 8
 
 # chunk sizing: cap the working tensor near 2^21 complex entries
 # (~16 MB at complex64) so deep circuits stay cache-friendly while
@@ -142,6 +129,18 @@ def run_noise_plan(
 
 
 def _run_chunk(plan, draws: List[np.ndarray], lo: int, hi: int) -> np.ndarray:
+    rows, clbits = _evolve(plan, draws, lo, hi)
+    if not plan.terminal:
+        return clbits
+    outcomes = _sample_joint(rows, draws[plan.sample_site][lo:hi])
+    return report_outcomes(plan, outcomes, draws, lo, hi)
+
+
+def _evolve(
+    plan, draws: List[np.ndarray], lo: int, hi: int
+) -> Tuple["_Rows", np.ndarray]:
+    """Run shots ``[lo, hi)`` through the compiled steps; returns the
+    final rows and the mid-circuit clbit values."""
     width = hi - lo
     n = plan.num_qubits
     buffer = np.empty((width,) + (2,) * n, dtype=ENSEMBLE_DTYPE)
@@ -150,16 +149,30 @@ def _run_chunk(plan, draws: List[np.ndarray], lo: int, hi: int) -> np.ndarray:
     rows = _Rows(buffer, np.zeros(width, dtype=np.intp), count=1)
 
     clbits = np.zeros(width, dtype=np.int64)
+    # qubit -> diagonal: no-jump factors the plan has folded into a
+    # later span op (see noise_plan._fold_steps)
+    pending = {}
     for step in plan.compiled_steps():
         kind = step[0]
         if kind == "span":
             _execute_span(rows, step[1])
+            for qubit in step[2]:
+                del pending[qubit]
         elif kind == "channel":
             binding = step[1]
+            uniforms = draws[step[2]][lo:hi]
             if binding.kind == "mixed":
-                _apply_mixed(rows, binding, draws[step[2]][lo:hi])
-            else:
-                _apply_kraus(rows, binding, draws[step[2]][lo:hi])
+                _apply_mixed(rows, binding, uniforms)
+                continue
+            folded = None
+            if binding.fold is not None:
+                folded = step[3] if len(step) > 3 else binding.fold
+                folded = folded.astype(ENSEMBLE_DTYPE)
+            _apply_kraus(rows, binding, uniforms, pending, folded)
+            if folded is not None:
+                pending[binding.qubits[0]] = folded
+        elif kind == "normalise":
+            _normalise(rows)
         else:  # "measure"
             _, qubit, clbit, site, readout, readout_site = step
             outcome = _collapse_measure(rows, qubit, draws[site][lo:hi])
@@ -170,10 +183,7 @@ def _run_chunk(plan, draws: List[np.ndarray], lo: int, hi: int) -> np.ndarray:
                 )
                 bits ^= flips.astype(np.int64)
             clbits = (clbits & ~(1 << clbit)) | (bits << clbit)
-    if not plan.terminal:
-        return clbits
-    outcomes = _sample_joint(rows, draws[plan.sample_site][lo:hi])
-    return report_outcomes(plan, outcomes, draws, lo, hi)
+    return rows, clbits
 
 
 def report_outcomes(plan, outcomes: np.ndarray, draws, lo: int, hi: int):
@@ -197,15 +207,14 @@ class _Rows:
     """A chunk's distinct states and the row each shot holds.
 
     ``buffer[:count]`` are the live rows of a ``(W, 2, ..., 2)`` buffer,
-    ``mass[:count]`` their stored ``||psi||^2``, and shot ``s`` holds
-    row ``row_of[s]``.  An op that cannot run in place writes into
-    :meth:`output`, and :meth:`swap` makes that the buffer;
-    :meth:`split` appends rows into the buffer's free tail.  Every row
-    is held by at least one shot, so ``count <= W`` and no step
-    reallocates the chunk.
+    and shot ``s`` holds row ``row_of[s]``.  An op that cannot run in
+    place writes into :meth:`output`, and :meth:`swap` makes that the
+    buffer; :meth:`split` appends rows into the buffer's free tail.
+    Every row is held by at least one shot, so ``count <= W`` and no
+    step reallocates the chunk.
     """
 
-    __slots__ = ("buffer", "spare", "mass", "row_of", "count")
+    __slots__ = ("buffer", "spare", "row_of", "count")
 
     def __init__(
         self,
@@ -215,17 +224,12 @@ class _Rows:
     ) -> None:
         self.buffer = buffer
         self.spare = np.empty_like(buffer)
-        self.mass = np.ones(buffer.shape[0])
         self.row_of = row_of
         self.count = buffer.shape[0] if count is None else count
 
     @property
     def states(self) -> np.ndarray:
         return self.buffer[: self.count]
-
-    @property
-    def masses(self) -> np.ndarray:
-        return self.mass[: self.count]
 
     def output(self) -> np.ndarray:
         """The spare buffer's live prefix, to receive an op's result."""
@@ -241,8 +245,8 @@ class _Rows:
 
         *choice* is each shot's column in ``range(columns)``.  The first
         column present on a row keeps the row in place; every other
-        present pair copies its source row (and its mass) into an
-        appended row, and its shots move there.  Returns each row's
+        present pair copies its source row into an appended row, and its
+        shots move there.  Returns each row's
         column and the source row of each appended row.
         """
         count = self.count
@@ -266,7 +270,6 @@ class _Rows:
         index[pairs] = np.arange(count, end)
         self.row_of = index[key]
         self.buffer[count:end] = self.buffer[sources]
-        self.mass[count:end] = self.mass[sources]
         self.count = end
         return np.concatenate([kept, extra]), sources
 
@@ -343,141 +346,134 @@ def _apply_mixed(rows: _Rows, binding, uniforms: np.ndarray) -> None:
         batch[targets] = out
 
 
-@functools.lru_cache(maxsize=4096)
-def _sub_lattices(qubits: Tuple[int, ...], num_qubits: int) -> Tuple:
-    """How elementwise kernels slice a chunk into *qubits*' sub-lattices.
+def _scale(rows: np.ndarray, factors) -> None:
+    """Multiply flat ``(R, 2^n)`` *rows* in place by per-qubit diagonals
+    ``{qubit: f}``, qubit 0 most significant."""
+    for qubit, factor in factors.items():
+        view = rows.reshape(rows.shape[0] << qubit, 2, -1)
+        view *= factor[:, None]
 
-    Returns ``(shape, selectors, axes)``.  A C-contiguous ``(W, 2, ...,
-    2)`` chunk reshapes for free to ``(W,) + shape``, which groups the
-    qubits between consecutive targets into one axis each:
-    ``(A_0, 2, A_1, ..., 2, A_k)`` over the targets in ascending order.
-    ``selectors[j]`` fixes the targets to the bits of gate index ``j``
-    (first listed qubit most significant), leaving a ``(W, A_0, ...,
-    A_k)`` view, and ``axes`` transposes that view so a long group runs
-    innermost: ufuncs called with ``order="C"`` then iterate over long
-    rows instead of a short contiguous tail.
+
+def _local(factors, qubits: Tuple[int, ...]) -> np.ndarray:
+    """The diagonals ``{qubit: f}`` on *qubits* as one ``2^k`` vector
+    over a gate's index (first listed qubit most significant)."""
+    vector = _ONE
+    for qubit in qubits:
+        vector = np.multiply.outer(vector, factors.get(qubit, _PAIR)).ravel()
+    return vector
+
+
+_ONE = np.ones(1, dtype=ENSEMBLE_DTYPE)
+_PAIR = np.ones(2, dtype=ENSEMBLE_DTYPE)
+
+
+@functools.lru_cache(maxsize=1024)
+def _target_axes(qubits: Tuple[int, ...], num_qubits: int) -> Tuple:
+    """The transpose of a ``(R, 2, ..., 2)`` batch that puts *qubits*
+    first, in the listed order, and its inverse."""
+    order = [1 + q for q in qubits]
+    order = [0] + order + [a for a in range(1, num_qubits + 1) if a not in order]
+    return tuple(order), tuple(np.argsort(order))
+
+
+def _apply_kraus(
+    rows: _Rows, binding, uniforms: np.ndarray, pending=None, folded=None
+) -> np.ndarray:
+    """A general Kraus channel on a chunk; returns each shot's branch.
+
+    *pending* maps each qubit whose no-jump factor the plan applies in a
+    later span op to that diagonal, so a row's true state is its stored
+    copy times every pending factor; *folded* is this anchor's own
+    pending factor after it, ``None`` when the anchor does not fold.
+    Only *candidate* shots, whose uniform exceeds ``binding.threshold``,
+    can leave branch 0 (any state has ``p_0 >= 1 - B``).  Their rows
+    are gathered and scaled to the true state, and each candidate draws
+    against its row's cumulative table of exact branch norms ``Tr(K^†
+    K rho)``.  Rows split by branch; a row on branch 0 of a folded
+    anchor stays as it is, every other row becomes ``K_j`` times its
+    true copy over ``sqrt(norm_j)``, divided by every factor pending
+    after the anchor.
     """
-    order = sorted(qubits)
-    shape: List[int] = []
-    prev = -1
-    for qubit in order:
-        shape += [1 << (qubit - prev - 1), 2]
-        prev = qubit
-    shape.append(1 << (num_qubits - 1 - prev))
-    k = len(qubits)
-    selectors = []
-    for index in range(1 << k):
-        sel: List = [slice(None)] * (len(shape) + 1)
-        for t, qubit in enumerate(qubits):
-            sel[2 + 2 * order.index(qubit)] = (index >> (k - 1 - t)) & 1
-        selectors.append(tuple(sel))
-    groups = shape[::2]
-    inner = k
-    if groups[-1] < _CONTIGUOUS_ROW:
-        inner = max(range(k + 1), key=groups.__getitem__)
-    axes = [0] + [1 + g for g in range(k + 1) if g != inner] + [1 + inner]
-    return tuple(shape), tuple(selectors), tuple(axes)
-
-
-def _apply_kraus(rows: _Rows, binding, uniforms: np.ndarray) -> None:
-    """A general Kraus channel on a chunk of unnormalised rows.
-
-    Every branch norm ``||K psi||^2 = Tr(K^† K rho)`` of every row, then
-    one categorical draw per shot against its row's cumulative table;
-    rows split by branch.  Rows on a cheap branch (diagonal, ``K[0, 0]
-    != 0``) are scaled in place by ``K[j, j] / K[0, 0]`` on sub-lattices
-    ``1..``, with mass ``norm / |K[0, 0]|^2``; the others are gathered,
-    get ``K[b_r] / sqrt(norm_r)`` as multiply-adds and are scattered
-    back with mass 1.
-    """
-    shape, selectors, axes = _sub_lattices(
-        binding.qubits, rows.buffer.ndim - 1
-    )
-    subscripts = list(range(len(axes)))
-    grouped = rows.states.reshape((rows.count,) + shape)
-    if binding.gram_diagonals is not None:
-        # diagonal Grams weigh only each sub-lattice's |amp|^2 mass;
-        # sub-lattice 0 holds what the others leave of the row's mass
-        floats = grouped.view(_REAL_DTYPE)
-        masses = []
-        for sel in selectors[1:]:
-            part = floats[sel].transpose(axes)
-            masses.append(
-                np.einsum(part, subscripts, part, subscripts, [0], order="C")
-            )
-        masses.insert(0, rows.masses - sum(masses))
-        norms = 0.0
-        for j, sub_mass in enumerate(masses):
-            norms = norms + binding.gram_diagonals[:, j, None] * sub_mass
-    else:
-        # rho[i, j] = <i|rho|j> per row, from sub-lattice overlaps
-        views = [grouped[sel].transpose(axes) for sel in selectors]
-        conjugates = [view.conj() for view in views]
-        rho = np.array(
-            [
-                [
-                    np.einsum(vi, subscripts, vj, subscripts, [0], order="C")
-                    for vj in conjugates
-                ]
-                for vi in views
-            ]
-        )
-        norms = np.einsum("bij,jis->bs", binding.grams, rho).real
-    norms = np.maximum(norms, 0.0)
-    totals = np.maximum(norms.sum(axis=0), 1e-300)
-    cumulative = np.cumsum(norms / totals, axis=0)
-    # a shot draws the number of its row's cumulative entries below its
-    # uniform; the table is monotone, so only the few shots past entry
-    # 0 need the rest of it
     row_of = rows.row_of
-    past = np.flatnonzero(uniforms > cumulative[0][row_of])
     choice = np.zeros(row_of.size, dtype=np.intp)
-    if past.size:
-        above = uniforms[past, None] > cumulative.T[row_of[past]]
-        choice[past] = np.minimum(above.sum(axis=1), binding.num_branches - 1)
-    branches, copied = rows.split(choice, binding.num_branches)
-    if copied.size:
-        norms = np.concatenate([norms, norms[:, copied]], axis=1)
+    candidates = np.flatnonzero(uniforms > binding.threshold)
+    if not candidates.size:
+        return choice
+    sources = row_of[candidates]
+    if sources.size > 1:
+        sources = np.unique(sources)
+    n = rows.buffer.ndim - 1
+    k = len(binding.qubits)
+    forward, inverse = _target_axes(binding.qubits, n)
+    layout = (sources.size,) + (2,) * n
+
+    def targets_first(batch):
+        # (row, target index, rest), the first listed target most
+        # significant
+        return batch.reshape(layout).transpose(forward).reshape(
+            sources.size, 1 << k, -1
+        )
+
+    pending = pending or {}
+    stored = rows.states.reshape(rows.count, -1)[sources]
+    true = stored
+    if pending:
+        true = stored.copy()
+        _scale(true, pending)
+    psi = targets_first(true)
+    rho = psi @ psi.conj().transpose(0, 2, 1)
+    norms = np.einsum("bij,sji->bs", binding.grams, rho).real
+    cumulative = np.cumsum(np.maximum(norms, 0.0, out=norms), axis=0)
+    cumulative /= np.maximum(cumulative[-1], 1e-300)
+    # a shot draws the number of its row's cumulative entries below its
+    # uniform
+    at = np.searchsorted(sources, row_of[candidates])
+    drawn = np.minimum(
+        (uniforms[candidates, None] > cumulative.T[at]).sum(axis=1),
+        binding.num_branches - 1,
+    )
+    stay = 0 if binding.fold is not None else -1
+    if (drawn == stay).all():
+        return choice
+    choice[candidates] = drawn
     count = rows.count
-    mass = rows.masses
-    grouped = rows.states.reshape((count,) + shape)
-    views = [grouped[sel].transpose(axes) for sel in selectors]
-    chosen = np.maximum(norms[branches, np.arange(count)], 1e-300)
-    jumps = np.flatnonzero(~binding.cheap[branches])
-    # gathered before the in-place pass, which scales their rows by one
-    sources = grouped[jumps]
-    if jumps.size < count:
-        ratios = binding.lead_ratios[branches]
-        ratios = ratios.reshape(ratios.shape + (1,) * (len(axes) - 1))
-        for j in range(1, len(views)):
-            np.multiply(views[j], ratios[:, j], out=views[j], order="C")
-    np.divide(chosen, binding.lead_scales[branches], out=mass)
-    if jumps.size:
-        ops = binding.stack[branches[jumps]]
-        ops *= (1.0 / np.sqrt(chosen[jumps]))[:, None, None]
-        # per-row coefficients broadcast over one sub-lattice view
-        coef = ops.reshape(ops.shape + (1,) * (len(axes) - 1))
-        parts = [sources[sel].transpose(axes) for sel in selectors]
-        out = np.empty_like(sources)
-        product = np.empty(parts[0].shape, dtype=grouped.dtype)
-        for i, sel in enumerate(selectors):
-            target = out[sel].transpose(axes)
-            np.multiply(parts[0], coef[:, i, 0], out=target, order="C")
-            for j in range(1, len(parts)):
-                np.multiply(parts[j], coef[:, i, j], out=product, order="C")
-                np.add(target, product, out=target, order="C")
-        grouped[jumps] = out
-        mass[jumps] = 1.0
-    drifted = np.flatnonzero((mass < _MASS_FLOOR) | (mass > 1 / _MASS_FLOOR))
-    if drifted.size:
-        # renormalise by the true norm, which also drops the error the
-        # tracked mass gathered since the row was last normalised
-        part = grouped[drifted].reshape(drifted.size, -1)
-        floats = part.view(_REAL_DTYPE)
-        true = np.einsum("si,si->s", floats, floats, order="C")
-        part /= np.sqrt(np.maximum(true, 1e-300))[:, None]
-        grouped[drifted] = part.reshape((-1,) + shape)
-        mass[drifted] = 1.0
+    branches, copied = rows.split(choice, binding.num_branches)
+    moved = np.flatnonzero(branches != stay)
+    origins = moved.copy()
+    appended = moved >= count
+    origins[appended] = copied[moved[appended] - count]
+    at = np.searchsorted(sources, origins)
+    drawn = branches[moved]
+    ops = binding.stack[drawn]
+    ops *= (1.0 / np.sqrt(np.maximum(norms[drawn, at], 1e-300)))[
+        :, None, None
+    ]
+    # pending factors on other qubits commute with K_j, so a jumped row
+    # is d'^-1 K_j d times its stored copy, d and d' the factors pending
+    # on the anchor's qubits before and after it
+    after = dict(pending)
+    if folded is not None:
+        after[binding.qubits[0]] = folded
+    ops *= _local(pending, binding.qubits)
+    ops /= _local(after, binding.qubits)[:, None]
+    images = (ops @ targets_first(stored)[at]).reshape(
+        (moved.size,) + layout[1:]
+    )
+    rows.states.reshape(rows.count, -1)[moved] = images.transpose(
+        inverse
+    ).reshape(moved.size, -1)
+    return choice
+
+
+def _normalise(rows: _Rows) -> None:
+    """Scale every row to unit norm (rows shrink under folded
+    anchors; the plan places these steps, see ``_NORM_FLOOR``)."""
+    batch = rows.states
+    floats = batch.reshape(rows.count, -1).view(_REAL_DTYPE)
+    norm2 = np.einsum("si,si->s", floats, floats, order="C")
+    batch /= np.sqrt(np.maximum(norm2, 1e-300)).reshape(
+        (-1,) + (1,) * (batch.ndim - 1)
+    ).astype(_REAL_DTYPE)
 
 
 def _collapse_measure(
@@ -488,7 +484,7 @@ def _collapse_measure(
     Returns the boolean outcome array.  Convention matches
     :meth:`Statevector.measure_qubit`: outcome 1 iff ``u < P(1)``, with
     ``P(1)`` from the shot's row; rows split by outcome.  Rows may
-    arrive unnormalised; each leaves with unit mass.
+    arrive unnormalised; each leaves normalised.
     """
     count = rows.count
     view = np.moveaxis(rows.states, qubit + 1, 1)
@@ -510,7 +506,6 @@ def _collapse_measure(
     batch /= np.sqrt(np.maximum(kept, 1e-300)).reshape(
         (-1,) + (1,) * (batch.ndim - 1)
     )
-    rows.masses[:] = 1.0
     return outcome
 
 

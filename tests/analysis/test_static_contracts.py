@@ -145,10 +145,12 @@ class TestPlanContracts:
         "table,rule",
         [
             ("stack", "operator-stack"),
-            ("cheap", "lead-branches"),
-            ("lead_ratios", "lead-branches"),
-            ("lead_scales", "lead-branches"),
-            ("gram_diagonals", "gram-diagonal"),
+            ("jump_bound", "jump-bound"),
+            ("fold", "no-jump-fold"),
+            ("threshold", "no-jump-fold"),
+            ("span_op", "fold-op"),
+            ("absorbed", "fold-stream"),
+            ("flush", "fold-flush"),
         ],
     )
     def test_kraus_table_corruption_rejected(self, table, rule):
@@ -164,28 +166,38 @@ class TestPlanContracts:
             if step[0] == "channel"
         }
         damping = bindings[amplitude_damping(0.1).name]
+        compiled = plan.compiled_steps()
+        # the second CX takes the K_0 pending on qubit 1 as perm scalars
+        absorbing = next(
+            i for i, step in enumerate(compiled)
+            if step[0] == "span" and step[1][0][0] == "perm" and step[2]
+        )
         if table == "stack":
             stack = damping.stack.copy()
             stack[1, 0, 1] *= 0.5
             damping.stack = stack
-        elif table == "cheap":
-            # the jump branch would be applied as an in-place scaling
-            damping.cheap = np.ones_like(damping.cheap)
-        elif table == "lead_ratios":
-            ratios = damping.lead_ratios.copy()
-            ratios[0, 1] *= 0.5
-            damping.lead_ratios = ratios
-        elif table == "lead_scales":
-            # the no-jump branch would leave a wrong per-shot mass
-            scales = damping.lead_scales.copy()
-            scales[0] *= 2.0
-            damping.lead_scales = scales
+        elif table == "jump_bound":
+            # thinning would skip shots that can jump
+            damping.jump_bound *= 0.5
+        elif table == "fold":
+            damping.fold = damping.fold * np.array([1.0, 0.9])
+        elif table == "threshold":
+            damping.threshold = 0.99
+        elif table == "span_op":
+            # the op that should apply a pending K_0 does not
+            moves = tuple(
+                (out, src, None) for out, src, _ in compiled[absorbing][1][0][1]
+            )
+            compiled[absorbing] = (
+                "span", (("perm", moves),), compiled[absorbing][2]
+            )
+        elif table == "absorbed":
+            # the executor would keep a factor pending that was applied
+            compiled[absorbing] = compiled[absorbing][:2] + ((),)
         else:
-            # a non-diagonal Gram must never take the marginal route
-            rotated = bindings[rotated_damping(0.2).name]
-            rotated.gram_diagonals = np.diagonal(
-                rotated.grams, axis1=1, axis2=2
-            ).real
+            # the final sample would see the stored, not the true, state
+            assert compiled[-1][0] == "span" and compiled[-1][2]
+            compiled.pop()
         report = check_noise_plan(plan)
         assert rule in {v.rule for v in report.violations}
 

@@ -1,6 +1,9 @@
 """Process-pool search: bit-identity with sequential, early exit,
 dispatch-order shuffling."""
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.attacks import (
@@ -10,6 +13,7 @@ from repro.attacks import (
     problem_from_saki,
     problem_from_split,
 )
+from repro.attacks import parallel
 from repro.baselines import saki_split
 from repro.core import insert_random_pairs
 from repro.revlib import benchmark_circuit
@@ -50,6 +54,33 @@ class TestParallelBitIdentity:
         )
         assert outcome_key(sequential) == outcome_key(parallel)
         assert sequential.candidates_tried == sequential.search_space
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers see the counting wrapper only when forked",
+    )
+    def test_one_context_per_worker(
+        self, mismatched_problem, monkeypatch, tmp_path
+    ):
+        # every chunk a worker evaluates shares the context it built
+        log = tmp_path / "builds"
+        build = parallel._chunk_context
+
+        def counted(task):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return build(task)
+
+        monkeypatch.setattr(parallel, "_chunk_context", counted)
+        outcome = get_attack("mismatched").search(
+            mismatched_problem, SearchOptions(chunk_size=4, jobs=2)
+        )
+        assert outcome.search_space > 8 * 4  # many chunks per worker
+        pids = log.read_text().split()
+        # the parent builds one for its up-front checks
+        assert pids.count(str(os.getpid())) == 1
+        workers = [pid for pid in pids if pid != str(os.getpid())]
+        assert 1 <= len(workers) <= 2 and len(set(workers)) == len(workers)
 
     def test_jobs_equal_sequential_with_prefilter_and_recording(
         self, mismatched_problem

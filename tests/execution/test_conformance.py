@@ -23,10 +23,14 @@ shot moves ``||p_hat - p||_1`` by at most ``2 / N``, so McDiarmid gives
 which is 0.033 for ``n = 4`` at ``N = 20000``.  The noise itself moves
 these distributions by well over that, so a dropped channel fails.
 
-Every Kraus channel of the device model is a 1-qubit channel with
-diagonal Gram matrices.  Two synthetic models cover the ensemble's other
-general-Kraus routes under the same bound: a 2-qubit channel, and a
-1-qubit channel whose Grams are not diagonal.
+Every Kraus channel of the device model is a 1-qubit channel with a
+diagonal leading operator, which the trajectory ensemble folds into the
+span ops; at the device's rates a shot jumps at ~1% of anchors.  Two
+synthetic models cover the ensemble's unfolded general-Kraus anchors
+under the same bound (a 2-qubit channel, and a 1-qubit channel whose
+leading operator is not diagonal), and the device's channel layout at
+exaggerated rates makes jumps and Pauli branches between a fold and its
+span op common.
 """
 
 import functools
@@ -35,7 +39,7 @@ import math
 import numpy as np
 import pytest
 
-from kraus_models import kraus_route_models
+from kraus_models import exaggerated_model, kraus_route_models
 from reference_sim import apply_readout, evolve_density
 
 from repro.circuits import QuantumCircuit
@@ -140,6 +144,40 @@ def test_kraus_routes_match_density(route, fusion):
     distance = 0.5 * np.abs(empirical - exact).sum()
     assert distance <= _tvd_bound(circuit.num_qubits), (
         f"{route}@{fusion}: TVD {distance:.4f} to the density engine"
+    )
+
+
+def _chain_circuit():
+    """A CX chain between h, ry and x layers on 4 qubits."""
+    qc = QuantumCircuit(4, 4)
+    for qubit in range(4):
+        qc.h(qubit).ry(0.3 * qubit, qubit)
+    qc.cx(0, 1).cx(1, 2).ry(0.7, 1).cx(2, 3).cx(3, 2).cx(1, 0)
+    for qubit in range(4):
+        qc.x(qubit).ry(0.9, qubit)
+    qc.cx(2, 1).h(2).cx(0, 3)
+    for qubit in range(4):
+        qc.measure(qubit, qubit)
+    return qc
+
+
+@pytest.mark.parametrize("fusion", FUSION_LEVELS)
+def test_exaggerated_rates_match_density(fusion):
+    circuit = _chain_circuit()
+    model = exaggerated_model()
+    exact = _exact_distribution(circuit, model)
+
+    counts = run(
+        circuit, SHOTS, noise_model=model, method="trajectory", seed=2025,
+        fuse=fusion,
+    )
+    empirical = np.zeros_like(exact)
+    for bitstring, count in counts.items():
+        empirical[int(bitstring, 2)] = count / SHOTS
+
+    distance = 0.5 * np.abs(empirical - exact).sum()
+    assert distance <= _tvd_bound(circuit.num_qubits), (
+        f"exaggerated@{fusion}: TVD {distance:.4f} to the density engine"
     )
 
 

@@ -85,7 +85,8 @@ class TestChannelPrecompute:
         mixed = ChannelBinding(depolarizing(0.1), (0,))
         assert mixed.kind == "mixed"
         assert mixed.cumulative is not None and mixed.grams is None
-        assert mixed.stack is None and mixed.cheap is None
+        assert mixed.stack is None and mixed.fold is None
+        assert mixed.jump_bound is None
         kraus = ChannelBinding(amplitude_damping(0.2), (1,))
         assert kraus.kind == "kraus"
         assert kraus.cumulative is None and kraus.grams is not None
@@ -98,26 +99,43 @@ class TestChannelPrecompute:
         np.testing.assert_allclose(
             binding.stack, np.array(channel.kraus_operators), atol=1e-7
         )
-        # K0 = diag(1, sqrt(1-g)), K1 = sqrt(g)|0><1|: diagonal Grams
-        np.testing.assert_allclose(
-            binding.gram_diagonals, [[1.0, 0.8], [0.0, 0.2]]
-        )
-        # K0 scales |1> by K0[1,1] / K0[0,0] in place; K1 is a jump
-        assert binding.cheap.tolist() == [True, False]
-        np.testing.assert_allclose(
-            binding.lead_ratios, [[1.0, np.sqrt(0.8)], [1.0, 1.0]], atol=1e-7
-        )
-        np.testing.assert_allclose(binding.lead_scales, [1.0, 1.0])
+        # K0 = diag(1, sqrt(1-g)), K1 = sqrt(g)|0><1|: B = ||K1||^2 = g,
+        # and the diagonal K0 folds
+        assert binding.jump_bound == pytest.approx(0.2)
+        np.testing.assert_allclose(binding.fold, [1.0, np.sqrt(0.8)])
+        assert binding.threshold == pytest.approx(0.8 - 1e-6, abs=1e-12)
+        # a rotated K0 is not diagonal: no fold, every shot a candidate
         rotated = ChannelBinding(rotated_damping(0.2), (0,))
-        assert rotated.gram_diagonals is None  # norms need rho
-        assert rotated.cheap.tolist() == [False, False]
+        assert rotated.fold is None and rotated.threshold == -np.inf
+
+    def test_fold_lives_in_the_compiled_stream_only(self):
+        model = NoiseModel()
+        model.add_all_qubit_quantum_error(amplitude_damping(0.2), ["h"])
+        circuit = QuantumCircuit(2)
+        circuit.h(0).cx(0, 1).h(1)
+        plan = build_noise_plan(circuit, model, "none")
+        steps = [step for step in plan.steps]
+        compiled = plan.compiled_steps()
+        # the exact engine's steps are untouched
+        assert list(plan.steps) == steps
+        assert [s[0] for s in steps] == ["span", "channel", "span",
+                                         "channel"]
+        # K0 on qubit 0 is pending after the first anchor; the CX takes
+        # it as its moves' scalars and the final sample flushes qubit 1
+        span, absorbed = compiled[2][1], compiled[2][2]
+        assert absorbed == (0,)
+        phases = [1 if p is None else p for _, _, p in span[0][1]]
+        np.testing.assert_allclose(
+            sorted(np.abs(phases)), [np.sqrt(0.8)] * 2 + [1.0] * 2,
+            atol=1e-6,
+        )
+        assert compiled[-1][0] == "span" and compiled[-1][2] == (1,)
 
     def test_trace_time_arrays_are_frozen(self):
         for channel in (depolarizing(0.1), amplitude_damping(0.2)):
             binding = ChannelBinding(channel, (0,))
             tables = [*binding.operators, binding.cumulative, binding.stack]
-            tables += [binding.grams, binding.gram_diagonals]
-            tables += [binding.cheap, binding.lead_ratios, binding.lead_scales]
+            tables += [binding.grams, binding.fold]
             tables += list(binding.scaled_ops or ())
             for table in tables:
                 if table is not None:

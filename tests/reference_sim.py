@@ -10,7 +10,9 @@ Two kinds of reference live here, outside the package:
 * :class:`PerShotSampler` — one statevector per shot, every noise
   channel sampled after its gate, measurements collapsing the state.
   It is the statistical oracle for the trajectory ensemble
-  (``tests/simulator/test_trajectory_batched.py``).
+  (``tests/simulator/test_trajectory_batched.py``), and
+  :func:`kraus_draws` its general-Kraus draw on given states and
+  uniforms, the per-decision oracle of the ensemble's Kraus kernel.
 """
 
 from collections import Counter
@@ -213,3 +215,24 @@ class PerShotSampler:
                 state._tensor = saved if norm < 1e-12 else state._tensor / norm
                 return
             state._tensor = saved.copy()
+
+
+def kraus_draws(states, operators, qubits, uniforms):
+    """The per-shot general-Kraus draw, in complex128.
+
+    Shot ``s`` holds the ``(2,) * n`` tensor ``states[s]`` (any norm)
+    and draws branch ``j``: the number of cumulative probabilities
+    ``||K_i psi||^2 / ||psi||^2`` below ``uniforms[s]``, capped at the
+    last branch.  Returns ``(j, K_j psi / ||K_j psi||, edge)`` per shot,
+    ``edge`` the distance from the uniform to the nearest cumulative
+    entry (a draw that close can go either way under rounding).
+    """
+    results = []
+    for psi, uniform in zip(states, uniforms):
+        images = [apply_matrix_state(psi, op, qubits) for op in operators]
+        norms = np.array([np.vdot(phi, phi).real for phi in images])
+        cumulative = np.cumsum(norms / norms.sum())
+        branch = min(int((uniform > cumulative).sum()), len(norms) - 1)
+        image = images[branch] / np.sqrt(norms[branch])
+        results.append((branch, image, np.abs(cumulative - uniform).min()))
+    return results
