@@ -29,11 +29,10 @@ from repro.attacks import (
     SearchOptions,
     find_mismatched_split,
     get_attack,
-    problem_from_saki,
+    problem_for,
     problem_from_split,
     subset_matching_count,
 )
-from repro.baselines import saki_split
 from repro.revlib import benchmark_circuit
 from repro.synth import simulate_reversible
 
@@ -41,9 +40,9 @@ from repro.synth import simulate_reversible
 def attack_straight_split(name: str) -> None:
     print(f"=== Straight split of {name} (prior work) ===")
     circuit = benchmark_circuit(name)
-    split = saki_split(circuit, seed=1)
     outcome = get_attack("same-width").search(
-        problem_from_saki(split), SearchOptions(prefilter=False)
+        problem_for(circuit, "same-width", seed=1),
+        SearchOptions(prefilter=False),
     )
     print(f"candidates tried: {outcome.candidates_tried} "
           f"(= {circuit.num_qubits}! qubit matchings)")

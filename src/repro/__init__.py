@@ -20,9 +20,10 @@ Public API tour
 * :mod:`repro.core` — **TetrisLock itself**: Algorithm 1 insertion,
   interlocking split, split compilation, de-obfuscation, Eq. 1
   attack complexity.
-* :mod:`repro.attacks` — **the adversary subsystem**: the attack
-  registry and the executable brute-force collusion attacks (same
-  width and Eq. 1 mismatched width), with streaming parallel search.
+* :mod:`repro.attacks` — **the adversary subsystem**: the paper's two
+  executable brute-force collusion attacks (same width and Eq. 1
+  mismatched width) in one fixed table, the scenario each faces, and
+  a streaming parallel search.
 * :mod:`repro.baselines` — Saki cascading split and Das random
   insertion, for comparison.
 * :mod:`repro.metrics` — TVD (Eq. 2), accuracy, overhead.
@@ -52,11 +53,11 @@ automatic (see :func:`repro.execution.run`):
 """
 
 from .attacks import (
-    available_attacks,
+    ATTACKS,
     get_attack,
+    problem_for,
     problem_from_saki,
     problem_from_split,
-    register_attack,
     select_attack,
 )
 from .circuits import QuantumCircuit
@@ -91,10 +92,10 @@ __all__ = [
     "SplitCompilationFlow",
     "saki_attack_complexity",
     "tetrislock_attack_complexity",
-    "available_attacks",
+    "ATTACKS",
     "get_attack",
-    "register_attack",
     "select_attack",
+    "problem_for",
     "problem_from_saki",
     "problem_from_split",
     "fake_valencia",

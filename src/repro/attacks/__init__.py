@@ -1,17 +1,19 @@
-"""The pluggable adversary subsystem (paper Sec. IV-C).
+"""The adversary subsystem (paper Sec. IV-C).
 
 TetrisLock's security headline is the size of the colluding-compiler
-search space (Eq. 1).  This package makes that adversary *real*: a
-registry of attack models, lazy candidate-matching streams that never
-materialise the factorial-sized space, structural prefilters, a
-generous equivalence oracle and a deterministic process-pool search —
-so the mismatched-width scenario the paper argues about can be
-executed end to end, not just counted.
+search space (Eq. 1).  This package makes that adversary *real*: the
+paper's two attack models in one fixed table (``ATTACKS``: the
+same-width ``n!`` matcher and the mismatched-width Eq. 1 matcher), the
+scenario each one faces (``problem_for``), lazy candidate-matching
+streams that never materialise the factorial-sized space, structural
+prefilters, a generous equivalence oracle and a deterministic
+process-pool search — so the mismatched-width scenario the paper
+argues about can be executed end to end, not just counted.
 
 Quickstart::
 
-    from repro.attacks import get_attack, problem_from_split, SearchOptions
-    problem = problem_from_split(split)          # an interlocking split
+    from repro.attacks import get_attack, problem_for, SearchOptions
+    problem = problem_for(circuit, "mismatched", seed=0)
     outcome = get_attack("mismatched").search(
         problem, SearchOptions(jobs=4, early_exit=True)
     )
@@ -27,18 +29,14 @@ from ..core.attack import (
     saki_attack_complexity,
     tetrislock_attack_complexity,
 )
-from .base import (
-    Attack,
-    AttackOutcome,
-    CandidateOutcome,
-    SearchOptions,
-    available_attacks,
+from .base import AttackOutcome, CandidateOutcome, SearchOptions
+from .bruteforce import (
+    ATTACKS,
+    MismatchedWidthBruteForce,
+    SameWidthBruteForce,
     get_attack,
-    register_attack,
     select_attack,
-    unregister_attack,
 )
-from .bruteforce import MismatchedWidthBruteForce, SameWidthBruteForce
 from .matching import (
     Matching,
     iter_same_width_matchings,
@@ -52,12 +50,13 @@ from .prefilter import StructuralPrefilter
 from .problem import (
     CollusionProblem,
     find_mismatched_split,
+    problem_for,
     problem_from_saki,
     problem_from_split,
 )
 
 __all__ = [
-    "Attack",
+    "ATTACKS",
     "AttackOutcome",
     "CandidateOutcome",
     "CollusionProblem",
@@ -67,21 +66,19 @@ __all__ = [
     "SameWidthBruteForce",
     "SearchOptions",
     "StructuralPrefilter",
-    "available_attacks",
     "complexity_ratio",
     "find_mismatched_split",
     "get_attack",
     "is_reversible",
     "iter_same_width_matchings",
     "iter_subset_matchings",
+    "problem_for",
     "problem_from_saki",
     "problem_from_split",
     "recombine_candidate",
-    "register_attack",
     "saki_attack_complexity",
     "same_width_matching_count",
     "select_attack",
     "subset_matching_count",
     "tetrislock_attack_complexity",
-    "unregister_attack",
 ]

@@ -16,25 +16,31 @@ Both stream their candidate space lazily through
 prefilters, one oracle check per matching (no candidate circuit for
 reversible segments), optional process-pool parallelism and early
 exit, all bit-identical to a sequential run.
+
+:data:`ATTACKS` is the fixed name table every caller reads: the CLI's
+``--adversary`` choices, the service's ``attack`` requests and the
+``attack_bruteforce`` grid.  :func:`select_attack` picks from it by
+search-space size.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Union
 
-from .base import (
-    AttackOutcome,
-    SearchOptions,
-    register_attack,
-)
+from .base import AttackOutcome, SearchOptions
 from .matching import same_width_matching_count, subset_matching_count
 from .parallel import run_streaming_search
 from .problem import CollusionProblem
 
-__all__ = ["MismatchedWidthBruteForce", "SameWidthBruteForce"]
+__all__ = [
+    "ATTACKS",
+    "MismatchedWidthBruteForce",
+    "SameWidthBruteForce",
+    "get_attack",
+    "select_attack",
+]
 
 
-@register_attack
 class SameWidthBruteForce:
     """Exhaustive bijection matching between equal-width segments."""
 
@@ -85,15 +91,13 @@ class SameWidthBruteForce:
         )
 
 
-@register_attack
 class MismatchedWidthBruteForce:
     """Eq. 1's subset-injection matching attack.
 
     Handles any width pair (for equal widths its space strictly
     contains the bijection space, since partial overlaps are also
-    enumerated), which is why :func:`repro.attacks.base.select_attack`
-    ranks attacks by search-space size instead of hard-coding a width
-    rule.
+    enumerated), which is why :func:`select_attack` ranks attacks by
+    search-space size instead of hard-coding a width rule.
     """
 
     name = "mismatched"
@@ -117,3 +121,35 @@ class MismatchedWidthBruteForce:
             attack_name=self.name,
             options=options or SearchOptions(),
         )
+
+
+_Model = Union[SameWidthBruteForce, MismatchedWidthBruteForce]
+
+ATTACKS: Dict[str, _Model] = {
+    "same-width": SameWidthBruteForce(),
+    "mismatched": MismatchedWidthBruteForce(),
+}
+
+
+def get_attack(name: str) -> _Model:
+    """The adversary model called *name* in :data:`ATTACKS`."""
+    try:
+        return ATTACKS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown attack {name!r} (available: {', '.join(ATTACKS)})"
+        ) from None
+
+
+def select_attack(problem: CollusionProblem) -> _Model:
+    """Pick the cheapest attack in :data:`ATTACKS` that supports *problem*.
+
+    Candidates are ranked by their exact search-space size for this
+    problem — for equal-width segments the ``n!`` bijection attack
+    beats the Eq. 1 subset matcher, for mismatched widths only the
+    subset matcher applies (and it supports every problem).
+    """
+    return min(
+        (attack for attack in ATTACKS.values() if attack.supports(problem)),
+        key=lambda attack: (attack.search_space(problem), attack.name),
+    )

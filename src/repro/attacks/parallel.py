@@ -55,7 +55,6 @@ class _ChunkTask:
     start: int
     stop: int
     prefilter: bool
-    use_truth_table: Optional[bool]
     record_all: bool
 
 
@@ -75,9 +74,7 @@ def _chunk_context(
 ) -> Tuple[EquivalenceOracle, Optional[StructuralPrefilter]]:
     """Build the per-problem state a chunk evaluation needs."""
     oracle = EquivalenceOracle(
-        task.oracle,
-        use_truth_table=task.use_truth_table,
-        segments=(task.segment1, task.segment2),
+        task.oracle, segments=(task.segment1, task.segment2)
     )
     prefilter = (
         StructuralPrefilter(task.segment1, task.segment2, task.oracle)
@@ -200,7 +197,6 @@ def run_streaming_search(
             start=start,
             stop=stop,
             prefilter=options.prefilter,
-            use_truth_table=options.use_truth_table,
             record_all=options.record_all,
         )
         for start, stop in ranges

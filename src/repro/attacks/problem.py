@@ -20,6 +20,10 @@ Builders:
   same-width :func:`~repro.baselines.saki_split.saki_split`, where
   the segments keep the full register and the original circuit itself
   is the reference.
+
+:func:`problem_for` is the one place a circuit becomes the scenario an
+adversary faces; the CLI, the service and the experiment specs all
+build their problems through it.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 __all__ = [
     "CollusionProblem",
     "find_mismatched_split",
+    "problem_for",
     "problem_from_saki",
     "problem_from_split",
 ]
@@ -139,3 +144,31 @@ def problem_from_saki(
         or f"straight split of {split.original.name} "
         f"(cut layer {split.cut_layer})",
     )
+
+
+def problem_for(
+    circuit: QuantumCircuit,
+    adversary: str,
+    *,
+    seed: int,
+    gate_limit: int = 4,
+) -> CollusionProblem:
+    """The split pair *adversary* attacks, built from *circuit*.
+
+    ``"same-width"`` faces the prior-work scenario: a straight Saki
+    split whose segments keep the full register.  Every other
+    adversary (``"mismatched"``, or ``"auto"`` dispatch) faces
+    TetrisLock's: *gate_limit* random R/R-dagger pairs are inserted and
+    the result is cut along an interlocking boundary.  *seed* drives
+    both the insertion and the cut; final measurements are dropped
+    first, since attack segments must be measurement-free.
+    """
+    from ..baselines.saki_split import saki_split
+    from ..core.insertion import insert_random_pairs
+    from ..core.split import interlocking_split
+
+    circuit = circuit.remove_final_measurements()
+    if adversary == "same-width":
+        return problem_from_saki(saki_split(circuit, seed=seed))
+    insertion = insert_random_pairs(circuit, gate_limit=gate_limit, seed=seed)
+    return problem_from_split(interlocking_split(insertion, seed=seed))

@@ -16,7 +16,7 @@ design before sending it to third-party compilers:
 * ``transpile`` — compile a circuit for a device through the preset
   pass schedule and report per-pass wall times plus transpile-cache
   statistics.
-* ``attack`` — run a registered adversary model from
+* ``attack`` — run one of the paper's adversary models from
   :mod:`repro.attacks` against a real split pair (straight Saki cut
   or obfuscate+interlocking cut) of a benchmark or circuit file, with
   ``--jobs`` parallel search, prefilter and early-exit knobs.
@@ -56,6 +56,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from .attacks import ATTACKS
 from .circuits import QuantumCircuit, draw_circuit, from_qasm, to_qasm
 from .circuits.grid import OccupancyGrid
 from .execution import (
@@ -330,20 +331,11 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
 def _cmd_attack(args: argparse.Namespace) -> int:
     import time
 
-    from .attacks import (
-        SearchOptions,
-        available_attacks,
-        get_attack,
-        problem_from_saki,
-        problem_from_split,
-        select_attack,
-    )
-    from .baselines.saki_split import saki_split
-    from .core import insert_random_pairs, interlocking_split
+    from .attacks import SearchOptions, get_attack, problem_for, select_attack
     from .revlib.benchmarks import benchmark_circuit
 
     if args.list_adversaries:
-        for name in available_attacks():
+        for name in sorted(ATTACKS):
             print(name)
         return 0
     try:
@@ -351,19 +343,10 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             circuit = _load_circuit(args.circuit)
         else:
             circuit = benchmark_circuit(args.benchmark)
-        circuit = circuit.remove_final_measurements()
-        if args.adversary == "same-width":
-            # the prior-work scenario: straight cut, full-width segments
-            split = saki_split(circuit, seed=args.seed)
-            problem = problem_from_saki(split)
-        else:
-            # the TetrisLock scenario: obfuscate, then interlocking cut
-            insertion = insert_random_pairs(
-                circuit, gate_limit=args.gate_limit, seed=args.seed
-            )
-            problem = problem_from_split(
-                interlocking_split(insertion, seed=args.seed)
-            )
+        problem = problem_for(
+            circuit, args.adversary, seed=args.seed,
+            gate_limit=args.gate_limit,
+        )
         attack = (
             select_attack(problem)
             if args.adversary == "auto"
@@ -618,7 +601,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     attack = sub.add_parser(
         "attack",
-        help="run a registered adversary model against a split pair",
+        help="run one of the paper's adversary models against a "
+        "split pair",
     )
     target = attack.add_mutually_exclusive_group()
     target.add_argument(
@@ -630,9 +614,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help=".qasm or .real input instead of a named benchmark",
     )
     attack.add_argument(
-        "--adversary", default="auto",
-        choices=("auto", "same-width", "mismatched"),
-        help="attack registry entry: 'same-width' brute-forces a "
+        "--adversary", default="auto", choices=("auto", *ATTACKS),
+        help="adversary model: 'same-width' brute-forces a "
         "straight Saki split, 'mismatched' the obfuscated "
         "interlocking split (Eq. 1); 'auto' picks the cheapest "
         "supporting attack for the interlocking split",
@@ -661,7 +644,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     attack.add_argument(
         "--list-adversaries", action="store_true",
-        help="print registered attack names and exit",
+        help="print the adversary model names and exit",
     )
     attack.set_defaults(func=_cmd_attack)
 
@@ -786,8 +769,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     _submit_target_args(attack_job)
     attack_job.add_argument(
-        "--adversary", default="auto",
-        choices=("auto", "same-width", "mismatched"),
+        "--adversary", default="auto", choices=("auto", *ATTACKS)
     )
     attack_job.add_argument("--seed", type=int, default=0)
     attack_job.add_argument("--gate-limit", type=int, default=4)

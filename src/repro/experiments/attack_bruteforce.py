@@ -4,11 +4,13 @@ Where :mod:`repro.experiments.attack_complexity` *counts* the
 colluding-compiler search space, this harness *runs* it: every cell
 builds a real split pair — a straight Saki-style cut for the
 ``same-width`` adversary, an obfuscate-then-interlocking-split pair
-for the ``mismatched`` adversary — and lets the registered attack
-search the full matching space against the generous oracle, reporting
-candidates tried, structurally pruned and functionally matched.
+for the ``mismatched`` adversary, both built by
+:func:`repro.attacks.problem_for` — and lets that attack search the
+full matching space against the generous oracle, reporting candidates
+tried, structurally pruned and functionally matched.
 
-The grid is benchmark x split seed x adversary model.  Every cell is
+The grid is benchmark x split seed x adversary model (every key of
+:data:`repro.attacks.ATTACKS` by default).  Every cell is
 deterministic (splits are seeded explicitly from the config, the
 attack search is exhaustive), so the spec is unseeded and any
 shard/resume/jobs combination is trivially bit-identical.  The
@@ -26,15 +28,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..attacks import (
-    SearchOptions,
-    get_attack,
-    problem_from_saki,
-    problem_from_split,
-)
-from ..baselines.saki_split import saki_split
-from ..core.insertion import insert_random_pairs
-from ..core.split import interlocking_split
+from ..attacks import ATTACKS, SearchOptions, problem_for
 from ..revlib.benchmarks import benchmark_circuit
 from .framework import Cell, ExperimentSpec, register
 
@@ -44,8 +38,6 @@ __all__ = [
     "render_attack_bruteforce",
     "run_attack_cell",
 ]
-
-_ADVERSARIES = ("same-width", "mismatched")
 
 
 @dataclass
@@ -83,24 +75,18 @@ def run_attack_cell(
     jobs: int = 1,
 ) -> AttackRow:
     """Build the split pair for one adversary model and attack it."""
-    circuit = benchmark_circuit(benchmark)
-    if adversary == "same-width":
-        split = saki_split(circuit, seed=split_seed)
-        problem = problem_from_saki(split)
-    elif adversary == "mismatched":
-        insertion = insert_random_pairs(
-            circuit, gate_limit=gate_limit, seed=split_seed
-        )
-        problem = problem_from_split(
-            interlocking_split(insertion, seed=split_seed)
-        )
-    else:
+    if adversary not in ATTACKS:
         raise ValueError(
             f"unknown adversary {adversary!r} "
-            f"(known: {', '.join(_ADVERSARIES)})"
+            f"(known: {', '.join(ATTACKS)})"
         )
-    attack = get_attack(adversary)
-    outcome = attack.search(
+    problem = problem_for(
+        benchmark_circuit(benchmark),
+        adversary,
+        seed=split_seed,
+        gate_limit=gate_limit,
+    )
+    outcome = ATTACKS[adversary].search(
         problem,
         SearchOptions(
             max_candidates=max_candidates,
@@ -189,7 +175,7 @@ def render_attack_bruteforce(report: Dict[str, Any]) -> str:
             f"{row.pruned:>7} {row.matches:>7} "
             f"{'yes' if row.success else 'no':>7}"
         )
-    for adversary in _ADVERSARIES:
+    for adversary in ATTACKS:
         subset = [row for row in rows if row.adversary == adversary]
         if not subset:
             continue
@@ -211,7 +197,7 @@ ATTACK_BRUTEFORCE_SPEC = register(
         defaults={
             "benchmarks": ["4gt13", "4mod5"],
             "split_seeds": [0, 1, 2],
-            "adversaries": list(_ADVERSARIES),
+            "adversaries": list(ATTACKS),
             "gate_limit": 4,
             "max_candidates": 200_000,
             "prefilter": True,

@@ -23,8 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..attacks import SearchOptions, get_attack, problem_from_saki
-from ..baselines.saki_split import saki_split
+from ..attacks import SearchOptions, get_attack, problem_for
 from ..core.attack import saki_attack_complexity, tetrislock_attack_complexity
 from ..revlib.benchmarks import benchmark_circuit
 from .framework import Cell, ExperimentSpec, register
@@ -98,9 +97,11 @@ def demo_bruteforce_attack(
     The attack recovers the original function (matches >= 1): with
     same-width segments the adversary only needs n! trials.
     """
-    split = saki_split(benchmark_circuit(benchmark), seed=seed)
+    problem = problem_for(
+        benchmark_circuit(benchmark), "same-width", seed=seed
+    )
     outcome = get_attack("same-width").search(
-        problem_from_saki(split), SearchOptions(prefilter=False)
+        problem, SearchOptions(prefilter=False)
     )
     return BruteForceDemo(
         benchmark=benchmark,

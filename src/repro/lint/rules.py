@@ -8,10 +8,10 @@ Every rule encodes a contract the codebase already relies on:
   depends on.
 * ``stdlib-random`` — the stdlib ``random`` module has global hidden
   state; library paths must thread explicit ``numpy`` Generators.
-* ``nonpicklable-registration`` — handlers/tasks registered with
-  ``register_handler``/``register_attack``/``register`` (and
-  ``ExperimentSpec(task=...)``) cross process-pool boundaries, so
-  lambdas and nested functions break the worker tier.
+* ``nonpicklable-registration`` — callables passed to ``register(...)``
+  or as ``ExperimentSpec(task=...)`` (or a ``handler=``/``runner=``
+  keyword) cross process-pool boundaries, so lambdas and nested
+  functions break the worker tier.
 * ``raw-hashlib`` — fingerprints must route through
   :mod:`repro._hashing` so every cache key shares one canonical digest
   construction (and can be upgraded in one place).
@@ -29,12 +29,6 @@ from typing import Any, Callable, Dict, List
 
 __all__ = ["LintViolation", "RULES", "lint_file", "lint_source"]
 
-# call names whose function-valued argument must be module-level
-_REGISTER_CALLS = {
-    "register_handler",
-    "register_attack",
-    "register",
-}
 # keyword names carrying a callable that crosses a pickle boundary
 _TASK_KEYWORDS = {"task", "handler", "runner"}
 
@@ -180,7 +174,7 @@ def _rule_nonpicklable_registration(tree: ast.AST, ctx: _Context) -> None:
         if not isinstance(node, ast.Call):
             continue
         name = _call_name(node)
-        if name in _REGISTER_CALLS:
+        if name == "register":
             for arg in node.args:
                 _check_value(node, arg, f"argument of {name}()")
             for kw in node.keywords:

@@ -28,11 +28,6 @@ coalesced or alone, computed or replayed from the cache.
 
 from .cache import ResultCache
 from .client import HTTPServiceClient, ServiceClient, ServiceError
-from .handlers import (
-    available_handlers,
-    register_handler,
-    unregister_handler,
-)
 from .job import Job, JobState
 from .requests import (
     AttackRequest,
@@ -63,7 +58,4 @@ __all__ = [
     "AttackRequest",
     "RawRequest",
     "request_from_wire",
-    "register_handler",
-    "unregister_handler",
-    "available_handlers",
 ]

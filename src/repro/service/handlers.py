@@ -2,12 +2,13 @@
 
 A handler is a pure, picklable, module-level function from a params
 dict (the request's canonical wire form) to a JSON-safe result dict.
-The registry mirrors the attack registry (:mod:`repro.attacks.base`):
-built-in kinds register at import, new workloads slot in through
-:func:`register_handler` without touching the queue or the workers.
+:data:`HANDLERS` maps each request kind to its handler: the five typed
+kinds of :mod:`repro.service.requests`, plus the internal ``_sleep``
+and ``_crash`` kinds that only in-process callers (failure-path tests,
+benchmark warm-ups) can submit.
 
-Determinism contract: every built-in handler is a pure function of its
-params.  Requests carry explicit seeds, multi-iteration work spawns
+Determinism contract: every typed kind's handler is a pure function of
+its params.  Requests carry explicit seeds, multi-iteration work spawns
 per-iteration seeds positionally (``SeedSequence(seed).spawn(n)[i]``,
 the experiment framework's scheme), and nothing reads ambient state —
 so any job's result is reproducible regardless of worker count, queue
@@ -18,62 +19,17 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict
 
 import numpy as np
 
-__all__ = [
-    "register_handler",
-    "unregister_handler",
-    "has_handler",
-    "get_handler",
-    "available_handlers",
-    "execute_request",
-]
+__all__ = ["HANDLERS", "execute_request"]
 
 Handler = Callable[[Dict[str, Any]], Dict[str, Any]]
 
-_HANDLERS: Dict[str, Handler] = {}
-
-
-def register_handler(kind: str, handler: Handler) -> Handler:
-    """Register *handler* for request *kind* (last registration wins)."""
-    if not kind:
-        raise ValueError("handler kind must be non-empty")
-    _HANDLERS[kind] = handler
-    return handler
-
-
-def unregister_handler(kind: str) -> None:
-    _HANDLERS.pop(kind, None)
-
-
-def has_handler(kind: str) -> bool:
-    return kind in _HANDLERS
-
-
-def get_handler(kind: str) -> Handler:
-    try:
-        return _HANDLERS[kind]
-    except KeyError:
-        raise KeyError(
-            f"no handler registered for request kind {kind!r}; "
-            f"available: {', '.join(available_handlers())}"
-        ) from None
-
-
-def available_handlers() -> List[str]:
-    """Registered kinds, internal (``_``-prefixed) ones last."""
-    return sorted(_HANDLERS, key=lambda k: (k.startswith("_"), k))
-
-
-def execute_request(kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker-side entry point: look up and run one handler."""
-    return get_handler(kind)(params)
-
 
 # ---------------------------------------------------------------------------
-# built-in handlers
+# typed kinds
 # ---------------------------------------------------------------------------
 
 
@@ -208,31 +164,16 @@ def handle_evaluate(params: Dict[str, Any]) -> Dict[str, Any]:
 
 def handle_attack(params: Dict[str, Any]) -> Dict[str, Any]:
     """One adversary search against a protected split (sequential)."""
-    from ..attacks import (
-        SearchOptions,
-        get_attack,
-        problem_from_saki,
-        problem_from_split,
-        select_attack,
-    )
-    from ..baselines.saki_split import saki_split
-    from ..core import insert_random_pairs, interlocking_split
+    from ..attacks import SearchOptions, get_attack, problem_for, select_attack
 
     circuit, _ = _target_circuit(params)
-    circuit = circuit.remove_final_measurements()
-    seed = int(params.get("seed", 0))
     adversary = params.get("adversary", "auto")
-    if adversary == "same-width":
-        problem = problem_from_saki(saki_split(circuit, seed=seed))
-    else:
-        insertion = insert_random_pairs(
-            circuit,
-            gate_limit=int(params.get("gate_limit", 4)),
-            seed=seed,
-        )
-        problem = problem_from_split(
-            interlocking_split(insertion, seed=seed)
-        )
+    problem = problem_for(
+        circuit,
+        adversary,
+        seed=int(params.get("seed", 0)),
+        gate_limit=int(params.get("gate_limit", 4)),
+    )
     attack = (
         select_attack(problem)
         if adversary == "auto"
@@ -279,10 +220,17 @@ def _handle_crash(params: Dict[str, Any]) -> Dict[str, Any]:
     os._exit(int(params.get("code", 1)))
 
 
-register_handler("simulate", handle_simulate)
-register_handler("protect", handle_protect)
-register_handler("transpile", handle_transpile)
-register_handler("evaluate", handle_evaluate)
-register_handler("attack", handle_attack)
-register_handler("_sleep", _handle_sleep)
-register_handler("_crash", _handle_crash)
+HANDLERS: Dict[str, Handler] = {
+    "simulate": handle_simulate,
+    "protect": handle_protect,
+    "transpile": handle_transpile,
+    "evaluate": handle_evaluate,
+    "attack": handle_attack,
+    "_sleep": _handle_sleep,
+    "_crash": _handle_crash,
+}
+
+
+def execute_request(kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
+    """Worker-side entry point: run the handler for *kind*."""
+    return HANDLERS[kind](params)

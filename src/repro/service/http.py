@@ -5,7 +5,7 @@ handler threads call straight into the thread-safe
 :class:`~repro.service.service.JobService` API.  The surface is a
 minimal JSON REST shape::
 
-    GET  /health            liveness + registered request kinds
+    GET  /health            liveness + the typed request kinds
     GET  /stats             queue / worker / cache / coalescing counters
     POST /jobs              {"kind", "params", "priority"} -> job view
     GET  /jobs/<id>         job view; ?wait=SECONDS long-polls until
@@ -18,6 +18,8 @@ Bodies and replies are JSON; errors are ``{"error": message}`` with
 400 (bad request), 404 (unknown job), 405 (bad method) or 503
 (shutting down).  Circuits travel inside ``params`` as OpenQASM 2
 text, so any HTTP client in any language can drive the service.
+Only the typed kinds of :data:`~repro.service.requests.REQUEST_TYPES`
+are accepted; the internal ``_sleep``/``_crash`` kinds get a 400.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
-from .handlers import available_handlers
+from .requests import REQUEST_TYPES
 from .service import JobService, ServiceUnavailable
 
 __all__ = ["ServiceHTTPServer", "make_server"]
@@ -118,15 +120,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         parts = [p for p in parsed.path.split("/") if p]
         if parts == ["health"]:
             self._reply(
-                200,
-                {
-                    "status": "ok",
-                    "kinds": [
-                        k
-                        for k in available_handlers()
-                        if not k.startswith("_")
-                    ],
-                },
+                200, {"status": "ok", "kinds": sorted(REQUEST_TYPES)}
             )
         elif parts == ["stats"]:
             self._reply(200, self.server.service.stats())
@@ -182,6 +176,11 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         kind = body.get("kind")
         if not isinstance(kind, str) or not kind:
             raise ValueError("submission needs a string 'kind'")
+        if kind not in REQUEST_TYPES:
+            raise ValueError(
+                f"unknown request kind {kind!r}; "
+                f"expected one of {', '.join(sorted(REQUEST_TYPES))}"
+            )
         priority = body.get("priority", 0)
         if not isinstance(priority, int):
             raise ValueError("priority must be an integer")

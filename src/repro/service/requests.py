@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Dict, Optional, Tuple
 
 from .._hashing import json_digest
+from ..attacks.bruteforce import ATTACKS
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.qasm import from_qasm
 from ..simulator.trajectory import measures_are_terminal
@@ -372,7 +373,9 @@ class EvaluateRequest(ServiceRequest):
 
 @dataclass
 class AttackRequest(ServiceRequest):
-    """Run a registered adversary model against a protected split."""
+    """Run one of the paper's adversary models against a protected
+    split (``adversary`` is ``"auto"`` or a key of
+    :data:`repro.attacks.ATTACKS`)."""
 
     KIND: ClassVar[str] = "attack"
 
@@ -390,10 +393,10 @@ class AttackRequest(ServiceRequest):
 
     def __post_init__(self) -> None:
         _validate_target(self)
-        if self.adversary not in ("auto", "same-width", "mismatched"):
+        if self.adversary != "auto" and self.adversary not in ATTACKS:
             raise ValueError(
-                f"unknown adversary {self.adversary!r}; expected "
-                "'auto', 'same-width' or 'mismatched'"
+                f"unknown adversary {self.adversary!r}; expected 'auto' "
+                f"or one of {', '.join(ATTACKS)}"
             )
         if not 0 < self.max_candidates <= MAX_CANDIDATES:
             raise ValueError(f"max_candidates must be in 1..{MAX_CANDIDATES}")
@@ -415,11 +418,11 @@ class AttackRequest(ServiceRequest):
 
 @dataclass
 class RawRequest(ServiceRequest):
-    """Escape hatch for custom registered handlers.
+    """An internal kind (``_sleep``, ``_crash``) with plain params.
 
-    Any kind registered through
-    :func:`repro.service.handlers.register_handler` can be submitted
-    with plain params; raw jobs are never cached or coalesced.
+    Only in-process callers submit these (failure-path tests, benchmark
+    warm-ups); the HTTP front-end accepts the typed kinds of
+    :data:`REQUEST_TYPES` only.  Raw jobs are never cached or coalesced.
     """
 
     kind: str = ""
@@ -448,17 +451,17 @@ def request_from_wire(kind: str, params: Dict[str, Any]) -> ServiceRequest:
     """Build a typed request from its wire form.
 
     Unknown parameter names and invalid values raise
-    :class:`ValueError` with a message fit for clients; kinds without a
-    dataclass fall back to :class:`RawRequest` when a handler is
-    registered for them.
+    :class:`ValueError` with a message fit for clients; the internal
+    kinds of :data:`repro.service.handlers.HANDLERS` become a
+    :class:`RawRequest`.
     """
     if not isinstance(params, dict):
         raise ValueError("request params must be a JSON object")
     cls = REQUEST_TYPES.get(kind)
     if cls is None:
-        from .handlers import has_handler
+        from .handlers import HANDLERS
 
-        if has_handler(kind):
+        if kind in HANDLERS:
             return RawRequest(kind=kind, raw_params=params)
         raise ValueError(
             f"unknown request kind {kind!r}; "

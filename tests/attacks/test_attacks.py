@@ -1,5 +1,5 @@
-"""The adversary subsystem: registry, matching streams, oracle,
-prefilters, and the two brute-force attacks."""
+"""The adversary subsystem: the attack table, matching streams,
+oracle, prefilters, and the two brute-force attacks."""
 
 import math
 from itertools import islice
@@ -7,26 +7,24 @@ from itertools import islice
 import pytest
 
 from repro.attacks import (
-    Attack,
+    ATTACKS,
     CollusionProblem,
     EquivalenceOracle,
     MismatchedWidthBruteForce,
     SameWidthBruteForce,
     SearchOptions,
     StructuralPrefilter,
-    available_attacks,
     find_mismatched_split,
     get_attack,
     iter_same_width_matchings,
     iter_subset_matchings,
+    problem_for,
     problem_from_saki,
     problem_from_split,
     recombine_candidate,
-    register_attack,
     same_width_matching_count,
     select_attack,
     subset_matching_count,
-    unregister_attack,
 )
 from repro.attacks.oracle import pad_table
 from repro.baselines import saki_split
@@ -50,44 +48,22 @@ def mismatched_split(benchmark="4gt13", insertion_seed=3):
 
 class TestRegistry:
     def test_builtin_attacks_present(self):
-        assert set(available_attacks()) >= {"same-width", "mismatched"}
+        assert list(ATTACKS) == ["same-width", "mismatched"]
+        assert isinstance(ATTACKS["same-width"], SameWidthBruteForce)
+        assert isinstance(ATTACKS["mismatched"], MismatchedWidthBruteForce)
 
     def test_builtins_satisfy_protocol(self):
-        for name in available_attacks():
-            assert isinstance(get_attack(name), Attack)
+        """Each entry answers to its key (outcomes report ``name``) and
+        offers what ``select_attack`` and the callers use."""
+        for name, attack in ATTACKS.items():
+            assert get_attack(name) is attack
+            assert attack.name == name
+            for method in ("supports", "search_space", "search"):
+                assert callable(getattr(attack, method))
 
     def test_get_unknown_name(self):
         with pytest.raises(KeyError, match="unknown attack"):
             get_attack("sat-solver")
-
-    def test_register_and_unregister(self):
-        @register_attack
-        class FakeAttack:
-            name = "fake"
-
-            def supports(self, problem):
-                return False
-
-            def search_space(self, problem):
-                return 0
-
-            def search(self, problem, options=None):
-                raise NotImplementedError
-
-        try:
-            assert "fake" in available_attacks()
-            with pytest.raises(ValueError, match="already registered"):
-                register_attack(FakeAttack())
-        finally:
-            unregister_attack("fake")
-        assert "fake" not in available_attacks()
-
-    def test_register_requires_name(self):
-        class Nameless:
-            pass
-
-        with pytest.raises(ValueError, match="name"):
-            register_attack(Nameless())
 
     def test_select_prefers_smaller_space(self):
         circuit = benchmark_circuit("4gt13")
@@ -116,8 +92,8 @@ class TestRegistry:
         assert chosen.search(
             problem, SearchOptions(prefilter=False)
         ).success
-        # direct registry use fails loudly instead of reporting a
-        # false "attack fails"
+        # asking for the bijection attack directly fails loudly instead
+        # of reporting a false "attack fails"
         with pytest.raises(ValueError, match="ancillas"):
             get_attack("same-width").search(problem)
 
@@ -387,7 +363,7 @@ def _same_width_search(benchmark, seed):
 
 class TestSameWidthAttack:
     def test_bit_identical_to_legacy_attack(self):
-        """The registered attack reproduces the plain permutation loop
+        """The same-width attack reproduces the plain permutation loop
         of ``tests/reference_attack.py``: same candidate order, same
         per-candidate verdicts, on every pinned Saki split."""
         for benchmark, seed in SAKI_VERDICT_PINS:
@@ -440,6 +416,24 @@ class TestSameWidthAttack:
 
 
 class TestCollusionProblem:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_problem_for_matches_explicit_composition(self, seed):
+        """``problem_for`` builds exactly the scenario the callers used
+        to compose by hand: same segments, same oracle reference."""
+        circuit = benchmark_circuit("4mod5")
+        measured = circuit.copy().measure_all()
+        saki = problem_from_saki(saki_split(circuit, seed=seed))
+        insertion = insert_random_pairs(circuit, gate_limit=3, seed=seed)
+        interlocking = problem_from_split(
+            interlocking_split(insertion, seed=seed)
+        )
+        for target in (circuit, measured):
+            assert problem_for(target, "same-width", seed=seed) == saki
+            for adversary in ("mismatched", "auto"):
+                assert problem_for(
+                    target, adversary, seed=seed, gate_limit=3
+                ) == interlocking
+
     def test_measured_segments_rejected(self):
         qc = QuantumCircuit(2).measure_all()
         with pytest.raises(ValueError, match="measurement-free"):

@@ -59,7 +59,7 @@ class TestRules:
         assert lint_source("import secrets\nimport numpy\n") == []
 
     def test_lambda_registration_flagged(self):
-        src = "register_handler('x', lambda job: job)\n"
+        src = "register(lambda job: job)\n"
         assert _rules_of(lint_source(src)) == [
             "nonpicklable-registration"
         ]
@@ -69,7 +69,7 @@ class TestRules:
             "def setup():\n"
             "    def handler(job):\n"
             "        return job\n"
-            "    register_handler('x', handler)\n"
+            "    register(handler)\n"
         )
         assert _rules_of(lint_source(src)) == [
             "nonpicklable-registration"
@@ -79,7 +79,7 @@ class TestRules:
         src = (
             "def handler(job):\n"
             "    return job\n"
-            "register_handler('x', handler)\n"
+            "register(handler)\n"
         )
         assert lint_source(src) == []
 

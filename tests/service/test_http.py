@@ -11,19 +11,25 @@ from service_qasm import BELL_QASM
 
 
 @pytest.fixture()
-def http_client():
+def served():
+    """A running service and an HTTP client of its front-end."""
     service = JobService(workers=2).start()
     httpd = make_server(service, port=0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     port = httpd.server_address[1]
     try:
-        yield HTTPServiceClient(f"http://127.0.0.1:{port}")
+        yield service, HTTPServiceClient(f"http://127.0.0.1:{port}")
     finally:
         httpd.shutdown()
         httpd.server_close()
         thread.join(timeout=10)
         service.shutdown(drain=False)
+
+
+@pytest.fixture()
+def http_client(served):
+    return served[1]
 
 
 class TestRoutes:
@@ -69,13 +75,14 @@ class TestRoutes:
         assert stats["total_jobs"] >= 1
         assert stats["workers"] == 2
 
-    def test_cancel_round_trip(self, http_client):
-        # saturate both workers, then cancel a queued job
+    def test_cancel_round_trip(self, served):
+        service, http_client = served
+        # saturate both workers in-process (internal kinds are not
+        # accepted over HTTP), then cancel a queued job over HTTP
         blockers = [
-            http_client.submit("_sleep", {"seconds": 0.4})
-            for _ in range(2)
+            service.submit("_sleep", {"seconds": 0.4}) for _ in range(2)
         ]
-        queued = http_client.submit("_sleep", {"seconds": 0.2})
+        queued = service.submit("_sleep", {"seconds": 0.2})
         assert http_client.cancel(queued) is True
         with pytest.raises(ServiceError, match="cancelled"):
             http_client.result(queued, timeout=10)
@@ -87,6 +94,24 @@ class TestErrors:
         with pytest.raises(ServiceError) as err:
             http_client.submit("frobnicate", {})
         assert err.value.status == 400
+
+    def test_internal_kinds_are_400(self, served, bench_qasm):
+        service, http_client = served
+        for kind, params in [
+            ("_crash", {}),
+            ("_sleep", {"seconds": 1e6}),
+            ("_echo", {}),
+        ]:
+            with pytest.raises(ServiceError, match="unknown request") as err:
+                http_client.submit(kind, params)
+            assert err.value.status == 400, kind
+        assert service.stats()["total_jobs"] == 0
+        assert http_client.health()["status"] == "ok"
+        # no worker died: a real job still runs on the pool
+        job = http_client.submit(
+            "simulate", {"qasm": bench_qasm, "seed": 2, "shots": 10}
+        )
+        assert http_client.result(job, timeout=60)["shots"] == 10
 
     def test_bad_qasm_is_400(self, http_client):
         refused = [

@@ -11,8 +11,6 @@ from repro.service import (
     ServiceError,
     ServiceUnavailable,
     SimulateRequest,
-    register_handler,
-    unregister_handler,
 )
 from repro.service.requests import prepare_circuit
 
@@ -195,19 +193,6 @@ class TestResultCache:
             assert svc.result(second, timeout=60)["cached"] is False
 
 
-class TestCustomHandlers:
-    def test_registered_kind_round_trip(self, bench_qasm):
-        register_handler("echo", _echo_handler)
-        try:
-            # register BEFORE start(): workers inherit the registry
-            with JobService(workers=1) as svc:
-                client = ServiceClient(svc)
-                job = client.submit("echo", {"value": 42})
-                assert client.result(job, timeout=60) == {"value": 42}
-        finally:
-            unregister_handler("echo")
-
-
 class TestLifecycleGuards:
     def test_submit_after_shutdown_raises(self, bench_qasm):
         svc = JobService(workers=1)
@@ -244,6 +229,3 @@ class TestLifecycleGuards:
         assert stats["workers"] == 2
         assert stats["cache"]["maxsize"] == 256
 
-
-def _echo_handler(params):
-    return dict(params)
