@@ -1,10 +1,12 @@
 """Compiled-execution-tier benchmarks: cold trace vs warm cache vs unfused.
 
 Re-simulating one circuit (new shots / new seeds — the suite-runner and
-service-coalescer workload) through a warm, fused plan beats the
-unfused ``fuse="none"`` stream (one op per gate, the arithmetic of a
-plain per-instruction loop) by >=2x, because fusion shrinks the op
-stream itself.
+service-coalescer workload) through a warm, fused plan beats an unfused
+per-instruction loop by >=2x, because fusion shrinks the op stream
+itself.  The loop does the work an unfused plan would cache and run:
+gate matrices resolved once, outside the timed region, then one
+``contract_batch`` per non-identity gate and the same
+``sample_terminal_counts`` as :func:`repro.execution.run`.
 
 ``test_warm_plan_speedup_and_no_retrace`` pins that directly (>=2x,
 zero re-traces on cache hits); the ``benchmark`` fixtures put the three
@@ -15,9 +17,14 @@ paths side by side in the comparison table.  Set ``REPRO_BENCH_SMOKE=1``
 import os
 import time
 
+import numpy as np
+
 from repro.circuits import random_circuit
 from repro.execution import build_plan, get_plan_cache, run
+from repro.execution.plan import trace_circuit
 from repro.execution.plan_cache import PlanCache
+from repro.simulator.kernels import contract_batch
+from repro.simulator.trajectory import sample_terminal_counts
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -34,10 +41,38 @@ def _workload():
     ).measure_all()
 
 
-def _repeat_run(circuit, **kwargs):
+def _repeat_run(circuit):
     counts = None
     for i in range(_REPS):
-        counts = run(circuit, _SHOTS, seed=i, **kwargs)
+        counts = run(circuit, _SHOTS, seed=i)
+    return counts
+
+
+def _unfused_ops(circuit):
+    """``(matrix, qubits)`` per non-identity gate, and the measure map."""
+    trace = trace_circuit(circuit)
+    ops = [(op.matrix, op.qubits) for op in trace.ops if not op.identity]
+    return ops, list(trace.measured)
+
+
+def _unfused_run(circuit, ops, measured, seed):
+    """One op per gate, then the sampling :func:`run` does."""
+    n = circuit.num_qubits
+    batch = np.zeros((1,) + (2,) * n, dtype=complex)
+    batch[(0,) * (n + 1)] = 1.0
+    for matrix, qubits in ops:
+        batch = contract_batch(batch, matrix, qubits)
+    vec = batch[0].transpose(tuple(reversed(range(n)))).reshape(-1)
+    return sample_terminal_counts(
+        (vec.conj() * vec).real, measured, n, circuit.num_clbits, _SHOTS,
+        np.random.default_rng(seed),
+    )
+
+
+def _repeat_unfused(circuit, ops, measured):
+    counts = None
+    for i in range(_REPS):
+        counts = _unfused_run(circuit, ops, measured, i)
     return counts
 
 
@@ -46,7 +81,7 @@ def test_bench_plan_cold_trace(benchmark):
     circuit = _workload()
 
     def cold():
-        return build_plan(circuit, "full")
+        return build_plan(circuit)
 
     plan = benchmark(cold)
     assert plan.num_ops < plan.source_gates
@@ -62,20 +97,20 @@ def test_bench_plan_warm_cache(benchmark):
 
 
 def test_bench_plan_unfused(benchmark):
-    """One op per gate (``fuse="none"``) through a warm plan cache."""
+    """One op per gate, gate matrices resolved up front."""
     circuit = _workload()
-    run(circuit, _SHOTS, seed=0, fuse="none")  # warm the cache
+    ops, measured = _unfused_ops(circuit)
 
-    counts = benchmark(_repeat_run, circuit, fuse="none")
+    counts = benchmark(_repeat_unfused, circuit, ops, measured)
     assert counts.shots == _SHOTS
 
 
 def test_warm_plan_speedup_and_no_retrace():
-    """>=2x warm fused over warm unfused, zero re-traces."""
+    """>=2x warm fused over the unfused loop, zero re-traces."""
     circuit = _workload()
     cache = get_plan_cache()
-    run(circuit, _SHOTS, seed=0)  # ensure both plans are cached
-    run(circuit, _SHOTS, seed=0, fuse="none")
+    run(circuit, _SHOTS, seed=0)  # ensure the plan is cached
+    ops, measured = _unfused_ops(circuit)
 
     missed_before = cache.stats().misses
     start = time.perf_counter()
@@ -86,14 +121,14 @@ def test_warm_plan_speedup_and_no_retrace():
     assert stats.hits > 0
 
     start = time.perf_counter()
-    unfused_counts = _repeat_run(circuit, fuse="none")
+    unfused_counts = _repeat_unfused(circuit, ops, measured)
     unfused = time.perf_counter() - start
 
     # same distribution underneath: identical counts at pinned seeds
     assert dict(warm_counts) == dict(unfused_counts)
     assert unfused >= 2.0 * warm, (
         f"warm fused plan only {unfused / warm:.2f}x over the unfused "
-        f"stream (warm {warm * 1e3:.1f}ms vs unfused "
+        f"loop (warm {warm * 1e3:.1f}ms vs unfused "
         f"{unfused * 1e3:.1f}ms for {_REPS} run(s))"
     )
 
@@ -105,7 +140,7 @@ def test_cold_trace_amortised_by_first_run():
     # The very first trace in a process pays one-time warmup (gate-matrix
     # resolution, numpy first-touch) that no second circuit ever sees;
     # warm that up on a *different* circuit so we measure per-circuit cost.
-    build_plan(random_circuit(3, 8, gate_pool=_POOL, seed=7), "full")
+    build_plan(random_circuit(3, 8, gate_pool=_POOL, seed=7))
 
     def best_of(fn, rounds=3):
         times = []
@@ -116,13 +151,10 @@ def test_cold_trace_amortised_by_first_run():
         return min(times)
 
     cold = best_of(lambda: PlanCache(maxsize=4).plan_for(circuit))
-    # a cold unfused run: trace at fuse="none" plus one execution
-    cache = get_plan_cache()
-    cache.enabled = False
-    try:
-        one_run = best_of(lambda: run(circuit, _SHOTS, seed=0, fuse="none"))
-    finally:
-        cache.enabled = True
+    # a cold unfused run: resolve the gate matrices, then one execution
+    one_run = best_of(
+        lambda: _unfused_run(circuit, *_unfused_ops(circuit), 0)
+    )
 
     assert cold < one_run, (
         f"tracing ({cold * 1e3:.1f}ms) costs more than a cold unfused "

@@ -11,8 +11,6 @@ on.  This module states them as executable contracts:
   convention :func:`repro.execution.plan._gate_diag` establishes);
 * the fused stream's qubit support equals the union of the non-identity
   source ops' support — fusion neither invents nor loses qubits;
-* ``fusion="none"`` streams are 1:1 with the non-identity source gates
-  (the bit-identity contract);
 * measure ordering preserved against the source circuit;
 * noise plans: random sites numbered ``0..num_sites-1`` in program
   order, spans never adjacent (an anchor sits between any two), every
@@ -60,13 +58,7 @@ from ...execution.noise_plan import (
     _monomial_decomposition,
     _SpanGate,
 )
-from ...execution.plan import (
-    FUSION_LEVELS,
-    ExecutionPlan,
-    PlanOp,
-    TracedOp,
-    _is_diagonal,
-)
+from ...execution.plan import ExecutionPlan, PlanOp, TracedOp, _is_diagonal
 from ...simulator.kernels import matrix_is_identity
 from ...simulator.noisy import ENSEMBLE_DTYPE
 from ...simulator.trajectory import measures_are_terminal
@@ -251,19 +243,13 @@ def check_plan(
     source op stream matches the circuit's gates one-for-one and the
     measure map preserves the circuit's measure ordering.
     """
-    report = Report(f"plan(fusion={plan.fusion!r})")
+    report = Report("plan")
     report.metadata.update(
         {
-            "fusion": plan.fusion,
             "num_qubits": plan.num_qubits,
             "num_ops": plan.num_ops,
             "source_gates": plan.source_gates,
         }
-    )
-    report.check(
-        plan.fusion in FUSION_LEVELS,
-        "fusion-level",
-        f"unknown fusion level {plan.fusion!r}",
     )
     n = plan.num_qubits
     for i, op in enumerate(plan.source_ops):
@@ -281,25 +267,6 @@ def check_plan(
         f"{sorted(fused_support)} but the non-identity source ops touch "
         f"{sorted(source_support)}",
     )
-
-    if plan.fusion == "none":
-        # bit-identity contract: one op per non-identity source gate,
-        # same qubit order, same matrix object values
-        if report.check(
-            len(plan.ops) == len(live),
-            "none-level-identity",
-            f"fusion='none' stream has {len(plan.ops)} op(s) for "
-            f"{len(live)} non-identity source gate(s)",
-        ):
-            for j, (op, src) in enumerate(zip(plan.ops, live)):
-                report.check(
-                    op.kind == "matrix"
-                    and op.qubits == src.qubits
-                    and np.array_equal(op.matrix, src.matrix),
-                    "none-level-identity",
-                    "fusion='none' op differs from its source gate",
-                    f"ops[{j}]",
-                )
 
     for i, (qubit, clbit) in enumerate(plan.measured):
         report.check(
@@ -596,21 +563,15 @@ def check_noise_plan(
     """
     from .dataflow import verify_lowering
 
-    report = Report(f"noise_plan(fusion={plan.fusion!r})")
+    report = Report("noise_plan")
     report.metadata.update(
         {
-            "fusion": plan.fusion,
             "num_qubits": plan.num_qubits,
             "spans": plan.num_spans,
             "channels": plan.num_channels,
             "terminal": plan.terminal,
             "num_sites": plan.num_sites,
         }
-    )
-    report.check(
-        plan.fusion in FUSION_LEVELS,
-        "fusion-level",
-        f"unknown fusion level {plan.fusion!r}",
     )
     report.check(plan.width >= 1, "width", f"width {plan.width} < 1")
     n = plan.num_qubits

@@ -1,6 +1,6 @@
 """One-call plan verification: contracts + dataflow + tableau.
 
-:func:`verify_plan` builds fresh plans for a circuit (never through the
+:func:`verify_plan` builds a fresh plan for a circuit (never through the
 shared caches — verification must see exactly what the lowering
 produces) and runs every static pass:
 
@@ -35,9 +35,8 @@ __all__ = ["PlanVerification", "verify_plan"]
 
 @dataclass
 class PlanVerification:
-    """All static findings for one (circuit, fusion[, noise]) triple."""
+    """All static findings for one circuit (and noise model)."""
 
-    fusion: str
     contract: Report
     lowering: Report
     tableau: TableauCertificate
@@ -61,7 +60,6 @@ class PlanVerification:
 
     def to_dict(self) -> dict[str, Any]:
         out = {
-            "fusion": self.fusion,
             "ok": self.ok,
             "contract": self.contract.to_dict(),
             "lowering": self.lowering.to_dict(),
@@ -73,8 +71,7 @@ class PlanVerification:
 
     def summary_lines(self) -> list:
         lines = [
-            f"fusion={self.fusion}: "
-            + ("ok" if self.ok else "VIOLATIONS"),
+            "plan: " + ("ok" if self.ok else "VIOLATIONS"),
             f"  contract: {self.contract.summary()}",
             f"  lowering: {self.lowering.summary()}"
             + (
@@ -93,13 +90,9 @@ class PlanVerification:
         return lines
 
 
-def verify_plan(
-    circuit: QuantumCircuit,
-    fusion: str = "full",
-    noise_model=None,
-) -> PlanVerification:
-    """Statically verify the plan(s) a circuit lowers to at *fusion*."""
-    plan = build_plan(circuit, fusion)
+def verify_plan(circuit: QuantumCircuit, noise_model=None) -> PlanVerification:
+    """Statically verify the plan(s) *circuit* lowers to."""
+    plan = build_plan(circuit)
     contract = check_plan(plan, circuit)
     lowering = verify_lowering(
         plan.source_ops, plan.ops, plan.num_qubits
@@ -109,10 +102,9 @@ def verify_plan(
     )
     noise = None
     if noise_model is not None:
-        noise_plan = build_noise_plan(circuit, noise_model, fusion)
+        noise_plan = build_noise_plan(circuit, noise_model)
         noise = check_noise_plan(noise_plan, circuit, noise_model)
     return PlanVerification(
-        fusion=fusion,
         contract=contract,
         lowering=lowering,
         tableau=tableau,

@@ -138,7 +138,6 @@ def _cmd_protect(args: argparse.Namespace) -> int:
 
 def _cmd_verify_plan(args: argparse.Namespace) -> int:
     from .analysis.static import verify_plan
-    from .execution.plan import FUSION_LEVELS
     from .revlib.benchmarks import benchmark_circuit
 
     try:
@@ -153,15 +152,9 @@ def _cmd_verify_plan(args: argparse.Namespace) -> int:
             noise_model = valencia_like_backend(
                 circuit.num_qubits
             ).noise_model()
-        levels = (
-            list(FUSION_LEVELS) if args.fuse == "all" else [args.fuse]
-        )
-        results = [
-            verify_plan(circuit, fusion, noise_model) for fusion in levels
-        ]
+        result = verify_plan(circuit, noise_model)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(exc)
-    ok = all(result.ok for result in results)
     if args.format == "json":
         print(
             json.dumps(
@@ -169,23 +162,21 @@ def _cmd_verify_plan(args: argparse.Namespace) -> int:
                     "circuit": name,
                     "num_qubits": circuit.num_qubits,
                     "noisy": bool(args.noisy),
-                    "ok": ok,
-                    "results": [result.to_dict() for result in results],
+                    **result.to_dict(),
                 },
                 indent=2,
             )
         )
-        return 0 if ok else 2
+        return 0 if result.ok else 2
     print(f"verify-plan: {name} ({circuit.num_qubits} qubits)")
-    for result in results:
-        for line in result.summary_lines():
-            print(f"  {line}")
+    for line in result.summary_lines():
+        print(f"  {line}")
     print(
         "result: all plans verified"
-        if ok
+        if result.ok
         else "result: VIOLATIONS found"
     )
-    return 0 if ok else 2
+    return 0 if result.ok else 2
 
 
 def _cmd_restore(args: argparse.Namespace) -> int:
@@ -263,7 +254,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             noise_model=noise_model,
             method=method,
             seed=args.seed,
-            fuse=args.fuse,
         )
     except (ValueError, TypeError) as exc:
         # unknown engine name / invalid engine request -> clean error
@@ -572,10 +562,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     simulate.add_argument("--top", type=int, default=5,
                           help="outcomes to print")
-    simulate.add_argument(
-        "--fuse", default=None, choices=["full", "1q", "none"],
-        help="plan fusion level ('none' = one op per gate)",
-    )
     simulate.set_defaults(func=_cmd_simulate)
 
     transpile_cmd = sub.add_parser(
@@ -661,11 +647,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     verify_target.add_argument(
         "--circuit", default=None,
         help=".qasm or .real input instead of a named benchmark",
-    )
-    verify.add_argument(
-        "--fuse", default="all",
-        choices=("all", "none", "1q", "full"),
-        help="fusion level(s) to verify (default: all three)",
     )
     verify.add_argument(
         "--noisy", action="store_true",

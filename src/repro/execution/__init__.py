@@ -16,7 +16,7 @@ noise-bound plans (:mod:`repro.execution.noise_plan`).
 from ..simulator.counts import Counts
 from .api import ENGINES, refusal, run, select_engine
 from .noise_plan import ChannelBinding, NoisePlan, build_noise_plan
-from .plan import ExecutionPlan, FUSION_LEVELS, build_plan
+from .plan import ExecutionPlan, build_plan
 from .plan_cache import (
     PlanCache,
     get_noise_plan,
@@ -30,7 +30,6 @@ __all__ = [
     "Counts",
     "ENGINES",
     "ExecutionPlan",
-    "FUSION_LEVELS",
     "NoisePlan",
     "PlanCache",
     "build_noise_plan",

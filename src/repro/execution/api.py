@@ -35,7 +35,6 @@ from ..simulator.trajectory import (
     terminal_distribution,
 )
 from . import plan_cache
-from .plan import FUSION_LEVELS
 
 __all__ = ["ENGINES", "refusal", "run", "select_engine"]
 
@@ -112,7 +111,6 @@ def run(
     noise_model: Optional[NoiseModel] = None,
     method: str = "auto",
     seed: Seed = None,
-    fuse: Optional[str] = None,
 ) -> Counts:
     """Simulate *circuit* for *shots* and return its :class:`Counts`.
 
@@ -132,20 +130,9 @@ def run(
         it cannot run (see :func:`refusal`) raises :class:`ValueError`.
     seed:
         Integer seed or a shared :class:`numpy.random.Generator`.
-    fuse:
-        Fusion level for the plan tier: ``"full"`` (default), ``"1q"``,
-        or ``"none"`` (one op per gate).  See
-        :mod:`repro.execution.plan` for the determinism contract.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    if fuse is None:
-        fuse = "full"
-    elif fuse not in FUSION_LEVELS:
-        raise ValueError(
-            f"unknown fusion level {fuse!r}; expected one of "
-            f"{', '.join(FUSION_LEVELS)}"
-        )
     if method == "auto":
         method = select_engine(circuit, shots=shots, noise_model=noise_model)
     else:
@@ -162,7 +149,7 @@ def run(
         and not _is_noisy(noise_model)
         and measures_are_terminal(circuit)
     ):
-        probs, measured = terminal_distribution(circuit, fuse=fuse)
+        probs, measured = terminal_distribution(circuit)
         return sample_terminal_counts(
             probs,
             measured,
@@ -173,7 +160,7 @@ def run(
         )
     # called through their modules so instrumentation that patches
     # ``plan_cache.get_noise_plan`` / ``noisy.run_noise_plan`` sees them
-    noise_plan = plan_cache.get_noise_plan(circuit, noise_model, fuse)
+    noise_plan = plan_cache.get_noise_plan(circuit, noise_model)
     entropy = int(rng.integers(0, 2 ** 63))
     if method == "density":
         return density.run_density_plan(noise_plan, shots, entropy=entropy)

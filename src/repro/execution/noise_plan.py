@@ -36,7 +36,7 @@ decision in the plan a fixed index.  The trajectory ensemble
 site, which is what makes its output independent of the chunk size.
 The exact engine (:func:`repro.simulator.density.run_density_plan`)
 runs terminal plans on the density tensor.  Plans are cached by
-``structural hash x noise fingerprint x fusion`` in
+``structural hash x noise fingerprint`` in
 :mod:`repro.execution.plan_cache`.
 """
 
@@ -55,13 +55,7 @@ from ..noise.model import NoiseModel
 from ..simulator.kernels import embed, matrix_is_identity
 from ..simulator.noisy import ENSEMBLE_DTYPE
 from ..simulator.trajectory import measures_are_terminal
-from .plan import (
-    FUSION_LEVELS,
-    PlanOp,
-    TracedOp,
-    _is_diagonal,
-    lower_ops,
-)
+from .plan import PlanOp, TracedOp, _is_diagonal, lower_ops
 
 __all__ = ["ChannelBinding", "NoisePlan", "build_noise_plan"]
 
@@ -540,7 +534,6 @@ class NoisePlan:
         *,
         num_qubits: int,
         width: int,
-        fusion: str,
         terminal: bool,
         steps: Sequence[Tuple],
         entries: Sequence[Tuple],
@@ -551,7 +544,6 @@ class NoisePlan:
     ) -> None:
         self.num_qubits = num_qubits
         self.width = width
-        self.fusion = fusion
         self.terminal = terminal
         self.steps: Tuple[Tuple, ...] = tuple(steps)
         self.entries: Tuple[Tuple, ...] = tuple(entries)
@@ -583,7 +575,7 @@ class NoisePlan:
 
     def __repr__(self) -> str:
         return (
-            f"NoisePlan(qubits={self.num_qubits}, fusion={self.fusion!r}, "
+            f"NoisePlan(qubits={self.num_qubits}, "
             f"spans={self.num_spans}, channels={self.num_channels}, "
             f"terminal={self.terminal}, sites={self.num_sites})"
         )
@@ -592,7 +584,6 @@ class NoisePlan:
 def build_noise_plan(
     circuit: QuantumCircuit,
     noise_model: Optional[NoiseModel] = None,
-    fusion: str = "full",
 ) -> NoisePlan:
     """Trace *circuit* against *noise_model* into a :class:`NoisePlan`.
 
@@ -602,11 +593,6 @@ def build_noise_plan(
     plan whose steps are pure spans — the executor then degenerates to
     a noiseless ensemble evolution.
     """
-    if fusion not in FUSION_LEVELS:
-        raise ValueError(
-            f"unknown fusion level {fusion!r}; expected one of "
-            f"{', '.join(FUSION_LEVELS)}"
-        )
     t0 = time.perf_counter()
     noisy = noise_model is not None and not noise_model.is_trivial()
     terminal = measures_are_terminal(circuit)
@@ -623,7 +609,7 @@ def build_noise_plan(
 
     def _flush_span() -> None:
         if span:
-            ops = lower_ops(span, fusion)
+            ops = lower_ops(span)
             if ops:
                 steps.append(("span", tuple(ops)))
             span.clear()
@@ -710,7 +696,6 @@ def build_noise_plan(
     return NoisePlan(
         num_qubits=circuit.num_qubits,
         width=width,
-        fusion=fusion,
         terminal=terminal,
         steps=steps,
         entries=entries,

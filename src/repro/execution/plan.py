@@ -13,35 +13,32 @@ applied to gate streams):
    diagonal gates classified, and measures/barriers split out.
    Validation happens here, once per circuit, never per gate
    application.
-2. **lower & fuse** (:func:`lower_trace`) — merge runs of adjacent
-   1-qubit gates on the same qubit into one 2x2 product, fuse runs of
-   commuting diagonal gates into a single elementwise multiply, and
-   group overlapping gates into <=3-qubit blocks with precomputed
-   matrices.  Fusion levels: ``"full"`` (all of the above, default),
-   ``"1q"`` (1q-run merging only) and ``"none"`` (one op per
-   non-identity gate — arithmetic bit-identical to a plain
-   instruction-by-instruction loop over the same kernels).
+2. **lower & fuse** (:func:`lower_ops`) — drop identity gates, merge
+   runs of adjacent 1-qubit gates on the same qubit into one 2x2
+   product, fuse runs of commuting diagonal gates into a single
+   elementwise multiply, and group overlapping gates into <=3-qubit
+   blocks with precomputed matrices.  There is one lowering per
+   circuit; the per-instruction loops it is checked against live in
+   the test suite (``tests/reference_sim.py``).
 3. **execute & cache** — plans execute through the shared kernels of
    :mod:`repro.simulator.kernels` (:func:`~repro.simulator.kernels.contract_batch`
    for matrix ops, :func:`~repro.simulator.kernels.multiply_diagonal`
    for diagonals), which choose the GEMM or ``tensordot`` route per
    op.  Whole plans are cached by :mod:`repro.execution.plan_cache`
-   keyed on the circuit's structural hash x fusion level, so
-   resimulating a circuit across shots, experiment cells, coalesced
-   service batches and oracle equivalence checks never re-traces.
+   keyed on the circuit's structural hash, so resimulating a circuit
+   across shots, experiment cells, coalesced service batches and
+   oracle equivalence checks never re-traces.
 
 Determinism contract
 --------------------
-``fusion="none"`` performs exactly the per-instruction arithmetic
-(same kernels, same cast order, same route selection) — results are
-bit-identical to the reference loop the test suite keeps
-(``tests/reference_sim.py``).  ``"1q"``/``"full"``
-reassociate floating-point products and agree with the unfused result
-to ~1e-12 (relative to unit-norm states); sampled counts at fixed
-seeds are unchanged unless a random draw lands within that margin of a
-probability boundary.  Noisy simulation always executes the unfused
-per-instruction stream (:attr:`ExecutionPlan.source_ops`): noise
-channels are anchored to individual gates, and fusing across an
+Fusion reassociates floating-point products, so a plan agrees with the
+per-instruction reference loops to ~1e-12 (relative to unit-norm
+states), not bit for bit; sampled counts at fixed seeds are unchanged
+unless a random draw lands within that margin of a probability
+boundary.  Noisy simulation runs a
+:class:`~repro.execution.noise_plan.NoisePlan`: every noise channel
+stays anchored to its gate, and only the noiseless spans *between*
+anchors are fused (through :func:`lower_ops`), since fusing across an
 anchor would change which states the channels see.
 """
 
@@ -63,16 +60,12 @@ from ..simulator.kernels import (
 
 __all__ = [
     "ExecutionPlan",
-    "FUSION_LEVELS",
     "PlanOp",
     "TracedOp",
     "build_plan",
     "lower_ops",
-    "lower_trace",
     "trace_circuit",
 ]
-
-FUSION_LEVELS = ("none", "1q", "full")
 
 # fusion caps: blocks stay GEMM-friendly (<= 8x8 matrices); a fused
 # diagonal is one elementwise multiply whatever its width, but capping
@@ -116,9 +109,9 @@ class PlanOp:
     ``kind`` is ``"matrix"`` (dense ``2^k x 2^k`` on ``qubits``, first
     listed qubit = most significant bit, the project-wide convention)
     or ``"diagonal"`` (a length-``2^k`` diagonal applied as an
-    elementwise multiply).  Fused ops carry ``qubits`` sorted
-    ascending; ``"none"``-level ops keep the instruction's qubit order
-    so the arithmetic matches the per-instruction loop exactly.
+    elementwise multiply).  Diagonals and composed blocks carry
+    ``qubits`` sorted ascending; a matrix op left as a single gate
+    keeps the instruction's qubit order.
     """
 
     __slots__ = ("kind", "matrix", "diag", "qubits")
@@ -364,43 +357,28 @@ def _fuse_blocks(ops: List[PlanOp]) -> List[PlanOp]:
     return out
 
 
-def lower_ops(ops: Sequence[TracedOp], fusion: str) -> List[PlanOp]:
-    """Lower one span of traced ops into a fused :class:`PlanOp` stream.
+def lower_ops(ops: Sequence[TracedOp]) -> List[PlanOp]:
+    """Stage 2: lower one span of traced ops into a fused
+    :class:`PlanOp` stream.
 
-    The span-level core of :func:`lower_trace`, shared with the
-    noise-bound lowering (:mod:`repro.execution.noise_plan`), which
-    fuses the noiseless spans *between* channel anchors with exactly
-    these passes.  Accepts any objects exposing the
+    Shared with the noise-bound lowering
+    (:mod:`repro.execution.noise_plan`), which fuses the noiseless
+    spans *between* channel anchors with exactly these passes.
+    Accepts any objects exposing the
     ``matrix``/``qubits``/``identity``/``diagonal`` attributes of
-    :class:`TracedOp`.  Identity gates are dropped at every level (the
-    kernels skip them too, so even ``"none"`` stays bit-identical).
+    :class:`TracedOp`.  Identity gates are dropped (the kernels skip
+    them too).
     """
-    live = [op for op in ops if not op.identity]
-    if fusion == "none":
-        return [
-            PlanOp("matrix", op.qubits, matrix=op.matrix) for op in live
-        ]
     lowered = [
         _gate_diag(op.matrix, op.qubits)
         if op.diagonal
         else PlanOp("matrix", op.qubits, matrix=op.matrix)
-        for op in live
+        for op in ops
+        if not op.identity
     ]
     lowered = _fuse_1q_runs(lowered)
-    if fusion == "full":
-        lowered = _fuse_diagonal_runs(lowered)
-        lowered = _fuse_blocks(lowered)
-    return lowered
-
-
-def lower_trace(trace: Trace, fusion: str = "full") -> List[PlanOp]:
-    """Stage 2: traced ops -> fused :class:`PlanOp` stream."""
-    if fusion not in FUSION_LEVELS:
-        raise ValueError(
-            f"unknown fusion level {fusion!r}; expected one of "
-            f"{', '.join(FUSION_LEVELS)}"
-        )
-    return lower_ops(trace.ops, fusion)
+    lowered = _fuse_diagonal_runs(lowered)
+    return _fuse_blocks(lowered)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +400,6 @@ class ExecutionPlan:
         *,
         num_qubits: int,
         num_clbits: int,
-        fusion: str,
         ops: Sequence[PlanOp],
         source_ops: Sequence[TracedOp],
         measured: Sequence[Tuple[int, int]],
@@ -431,7 +408,6 @@ class ExecutionPlan:
     ) -> None:
         self.num_qubits = num_qubits
         self.num_clbits = num_clbits
-        self.fusion = fusion
         self.ops: Tuple[PlanOp, ...] = tuple(ops)
         self.source_ops: Tuple[TracedOp, ...] = tuple(source_ops)
         self.measured: Tuple[Tuple[int, int], ...] = tuple(measured)
@@ -470,23 +446,21 @@ class ExecutionPlan:
 
     def __repr__(self) -> str:
         return (
-            f"ExecutionPlan(qubits={self.num_qubits}, "
-            f"fusion={self.fusion!r}, ops={self.num_ops} "
+            f"ExecutionPlan(qubits={self.num_qubits}, ops={self.num_ops} "
             f"from {self.source_gates} gate(s))"
         )
 
 
-def build_plan(circuit: QuantumCircuit, fusion: str = "full") -> ExecutionPlan:
+def build_plan(circuit: QuantumCircuit) -> ExecutionPlan:
     """Trace + lower *circuit* into a fresh :class:`ExecutionPlan`."""
     t0 = time.perf_counter()
     trace = trace_circuit(circuit)
     t1 = time.perf_counter()
-    ops = lower_trace(trace, fusion)
+    ops = lower_ops(trace.ops)
     t2 = time.perf_counter()
     return ExecutionPlan(
         num_qubits=trace.num_qubits,
         num_clbits=trace.num_clbits,
-        fusion=fusion,
         ops=ops,
         source_ops=trace.ops,
         measured=trace.measured,

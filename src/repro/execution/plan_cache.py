@@ -6,7 +6,7 @@ shots in a benchmark suite, experiment grid cells, coalesced service
 batches and attack-oracle equivalence checks.  The cache is built on
 the shared :class:`~repro._lru.LRUCache` core and keyed by the
 circuit's structural hash (:func:`~repro.transpiler.cache.\
-circuit_structural_hash`) x fusion level.  Plans are immutable once
+circuit_structural_hash`).  Plans are immutable once
 built (their lazily-compiled per-dtype/layout streams are guarded by a
 per-plan lock), so the copy hooks are identity — a hit costs one dict
 lookup.
@@ -31,7 +31,7 @@ from ..circuits.circuit import QuantumCircuit
 from ..noise.model import NoiseModel
 from ..transpiler.cache import circuit_structural_hash
 from .noise_plan import NoisePlan, build_noise_plan
-from .plan import ExecutionPlan, FUSION_LEVELS, build_plan
+from .plan import ExecutionPlan, build_plan
 
 __all__ = [
     "CacheStats",
@@ -70,14 +70,9 @@ class PlanCache(LRUCache):
 
     def __init__(self, maxsize: int = 256) -> None:
         super().__init__(maxsize)
-        self.enabled = True
 
     def plan_for(
-        self,
-        circuit: QuantumCircuit,
-        fusion: str = "full",
-        *,
-        validate: bool = False,
+        self, circuit: QuantumCircuit, *, validate: bool = False
     ) -> ExecutionPlan:
         """The cached plan for *circuit*, tracing it on first sight.
 
@@ -86,18 +81,10 @@ class PlanCache(LRUCache):
         :class:`~repro.analysis.static.PlanContractError` carries the
         full violation report.
         """
-        if fusion not in FUSION_LEVELS:
-            raise ValueError(
-                f"unknown fusion level {fusion!r}; expected one of "
-                f"{', '.join(FUSION_LEVELS)}"
-            )
-        if not self.enabled:
-            plan = build_plan(circuit, fusion)
-            return _validate_plan(plan, circuit) if validate else plan
-        key = (circuit_structural_hash(circuit), fusion)
+        key = circuit_structural_hash(circuit)
         plan = self.lookup(key)
         if plan is None:
-            plan = build_plan(circuit, fusion)
+            plan = build_plan(circuit)
             if validate:
                 _validate_plan(plan, circuit)
             self.store(key, plan)
@@ -107,38 +94,27 @@ class PlanCache(LRUCache):
         self,
         circuit: QuantumCircuit,
         noise_model: Optional[NoiseModel] = None,
-        fusion: str = "full",
         *,
         validate: bool = False,
     ) -> NoisePlan:
         """The cached noise-bound plan for (*circuit*, *noise_model*).
 
         Keyed by the circuit's structural hash x the model's content
-        fingerprint x fusion level, so two different models on one
-        circuit never collide and mutating a model (through its
-        ``add_*`` methods) re-keys it.  ``None`` (and trivial models,
+        fingerprint, so two different models on one circuit never
+        collide and mutating a model (through its ``add_*`` methods)
+        re-keys it.  ``None`` (and trivial models,
         which fingerprint identically regardless of name) gets a
         noiseless key slot of its own.  ``validate=True`` behaves as in
         :meth:`plan_for` (including the anchor-structure proof against
         the circuit and model).
         """
-        if fusion not in FUSION_LEVELS:
-            raise ValueError(
-                f"unknown fusion level {fusion!r}; expected one of "
-                f"{', '.join(FUSION_LEVELS)}"
-            )
-        if not self.enabled:
-            plan = build_noise_plan(circuit, noise_model, fusion)
-            if validate:
-                _validate_noise_plan(plan, circuit, noise_model)
-            return plan
         fingerprint = (
             noise_model.fingerprint() if noise_model is not None else None
         )
-        key = (circuit_structural_hash(circuit), fingerprint, fusion)
+        key = (circuit_structural_hash(circuit), fingerprint)
         plan = self.lookup(key)
         if plan is None:
-            plan = build_noise_plan(circuit, noise_model, fusion)
+            plan = build_noise_plan(circuit, noise_model)
             if validate:
                 _validate_noise_plan(plan, circuit, noise_model)
             self.store(key, plan)
@@ -148,7 +124,7 @@ class PlanCache(LRUCache):
         s = self.stats()
         return (
             f"PlanCache(size={s.size}/{s.maxsize}, hits={s.hits}, "
-            f"misses={s.misses}, enabled={self.enabled})"
+            f"misses={s.misses})"
         )
 
 
@@ -171,27 +147,19 @@ def get_noise_plan_cache() -> PlanCache:
 
 
 def get_plan(
-    circuit: QuantumCircuit,
-    fusion: str = "full",
-    *,
-    cache: Optional[PlanCache] = None,
-    validate: bool = False,
+    circuit: QuantumCircuit, *, validate: bool = False
 ) -> ExecutionPlan:
-    """Cached trace + lower of *circuit* at the given fusion level."""
-    return (cache or _GLOBAL_CACHE).plan_for(
-        circuit, fusion, validate=validate
-    )
+    """Cached trace + lower of *circuit*."""
+    return _GLOBAL_CACHE.plan_for(circuit, validate=validate)
 
 
 def get_noise_plan(
     circuit: QuantumCircuit,
     noise_model: Optional[NoiseModel] = None,
-    fusion: str = "full",
     *,
-    cache: Optional[PlanCache] = None,
     validate: bool = False,
 ) -> NoisePlan:
     """Cached noise-bound trace of (*circuit*, *noise_model*)."""
-    return (cache or _GLOBAL_NOISE_CACHE).noise_plan_for(
-        circuit, noise_model, fusion, validate=validate
+    return _GLOBAL_NOISE_CACHE.noise_plan_for(
+        circuit, noise_model, validate=validate
     )

@@ -356,6 +356,8 @@ class EvaluateRequest(ServiceRequest):
     def __post_init__(self) -> None:
         _validate_target(self)
         _check_caps(self.shots, self.iterations)
+        if self.gate_limit < 0:
+            raise ValueError("gate_limit must be non-negative")
 
     def fingerprint(self) -> Optional[str]:
         if self.seed is None:
@@ -398,22 +400,26 @@ class AttackRequest(ServiceRequest):
                 f"unknown adversary {self.adversary!r}; expected 'auto' "
                 f"or one of {', '.join(ATTACKS)}"
             )
+        if self.gate_limit < 0:
+            raise ValueError("gate_limit must be non-negative")
         if not 0 < self.max_candidates <= MAX_CANDIDATES:
             raise ValueError(f"max_candidates must be in 1..{MAX_CANDIDATES}")
 
     def fingerprint(self) -> Optional[str]:
         # the search is canonical-order deterministic for a fixed seed
-        return self._fingerprint_of(
-            {
-                **_target_identity(self),
-                "adversary": self.adversary,
-                "seed": self.seed,
-                "gate_limit": self.gate_limit,
-                "max_candidates": self.max_candidates,
-                "prefilter": self.prefilter,
-                "early_exit": self.early_exit,
-            }
-        )
+        identity = {
+            **_target_identity(self),
+            "adversary": self.adversary,
+            "seed": self.seed,
+            "max_candidates": self.max_candidates,
+            "prefilter": self.prefilter,
+            "early_exit": self.early_exit,
+        }
+        # a same-width split is a plain Saki split: no pairs are
+        # inserted, so gate_limit never reaches the search
+        if self.adversary != "same-width":
+            identity["gate_limit"] = self.gate_limit
+        return self._fingerprint_of(identity)
 
 
 @dataclass

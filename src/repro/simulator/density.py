@@ -103,18 +103,14 @@ class DensityMatrix:
 class DensityMatrixSimulator:
     """Exact evolution of a circuit through its cached noise plan."""
 
-    def __init__(
-        self, noise_model: Optional[NoiseModel] = None, *, fuse: str = "full"
-    ) -> None:
-        """*fuse* is the plan's fusion level (:mod:`repro.execution.plan`)."""
+    def __init__(self, noise_model: Optional[NoiseModel] = None) -> None:
         self.noise_model = noise_model
-        self.fuse = fuse
 
     def evolve(self, circuit: QuantumCircuit) -> DensityMatrix:
         """The final state; measurements must be terminal (deferred)."""
         from ..execution import plan_cache
 
-        plan = plan_cache.get_noise_plan(circuit, self.noise_model, self.fuse)
+        plan = plan_cache.get_noise_plan(circuit, self.noise_model)
         rho = DensityMatrix(plan.num_qubits)
         rho._tensor = evolve_plan(plan)
         return rho

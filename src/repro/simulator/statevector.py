@@ -145,14 +145,12 @@ class Statevector:
     def apply_gate(self, gate: Gate, qubits: Sequence[int]) -> "Statevector":
         return self.apply_matrix(gate.matrix, qubits)
 
-    def evolve(
-        self, circuit: QuantumCircuit, *, fuse: str = "full"
-    ) -> "Statevector":
+    def evolve(self, circuit: QuantumCircuit) -> "Statevector":
         """Apply every unitary of *circuit* (measures/barriers skipped).
 
         The circuit is traced once into a cached, fused
         :class:`~repro.execution.plan.ExecutionPlan` and executed in
-        one pass; ``fuse="none"`` applies one op per gate.
+        one pass.
         Validation is per-circuit (circuits validate their instructions
         at construction), not per-instruction as :meth:`apply_matrix`
         does for ad-hoc matrices.
@@ -161,7 +159,7 @@ class Statevector:
 
         if circuit.num_qubits != self.num_qubits:
             raise ValueError("circuit width does not match state")
-        compiled = get_plan(circuit, fuse)
+        compiled = get_plan(circuit)
         batch = self._tensor.reshape((1,) + self._tensor.shape)
         self._tensor = compiled.execute(batch).reshape(self._tensor.shape)
         return self

@@ -29,8 +29,6 @@ __all__ = [
 
 def terminal_distribution(
     circuit: QuantumCircuit,
-    *,
-    fuse: str = "full",
 ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
     """Final-state outcome distribution of a noiseless circuit.
 
@@ -42,12 +40,11 @@ def terminal_distribution(
     the service layer's request coalescer relies on exactly that split.
 
     The circuit runs through the cached, fused execution plan (see
-    :mod:`repro.execution.plan`); ``fuse="none"`` applies one op per
-    gate.
+    :mod:`repro.execution.plan`).
     """
     from ..execution.plan_cache import get_plan
 
-    compiled = get_plan(circuit, fuse)
+    compiled = get_plan(circuit)
     n = circuit.num_qubits
     batch = np.zeros((1,) + (2,) * n, dtype=complex)
     batch[(0,) * (n + 1)] = 1.0

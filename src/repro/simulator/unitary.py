@@ -23,9 +23,7 @@ __all__ = [
 ]
 
 
-def circuit_unitary(
-    circuit: QuantumCircuit, *, fuse: str = "full"
-) -> np.ndarray:
+def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:
     """The little-endian unitary matrix of *circuit*.
 
     Column ``k`` is the state produced from basis input ``|k>``.
@@ -47,7 +45,7 @@ def circuit_unitary(
         # reshape of row k yields big-endian qubit axes; flip to the
         # batch layout (axis i+1 = qubit i)
         eye = eye.transpose((0,) + tuple(range(n, 0, -1)))
-    batch = get_plan(circuit, fuse).execute(np.ascontiguousarray(eye))
+    batch = get_plan(circuit).execute(np.ascontiguousarray(eye))
     if n:
         batch = batch.transpose((0,) + tuple(range(n, 0, -1)))
     # row k is the little-endian output vector for input |k>; the

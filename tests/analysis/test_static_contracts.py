@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kraus_models import rotated_damping
+from reference_sim import LOWERINGS, noise_plan_at, plan_at
 
 from repro.analysis.static import (
     PlanContractError,
@@ -21,8 +22,8 @@ from repro.circuits import (
     qft_circuit,
 )
 from repro.execution.noise_plan import build_noise_plan
-from repro.execution.plan import FUSION_LEVELS, PlanOp, build_plan
-from repro.execution.plan_cache import PlanCache, get_plan
+from repro.execution.plan import PlanOp, build_plan
+from repro.execution.plan_cache import PlanCache, get_plan, get_plan_cache
 from repro.noise import (
     NoiseModel,
     QuantumChannel,
@@ -45,19 +46,19 @@ def _library_circuits():
 
 
 class TestPlanContracts:
-    @pytest.mark.parametrize("fusion", FUSION_LEVELS)
+    @pytest.mark.parametrize("fusion", LOWERINGS)
     def test_every_benchmark_passes_every_level(self, fusion):
         for name, circuit in _library_circuits():
-            report = check_plan(build_plan(circuit, fusion), circuit)
+            report = check_plan(plan_at(circuit, fusion), circuit)
             assert report.ok, f"{name}@{fusion}: {report.violations}"
             assert report.checks > 0
 
-    @pytest.mark.parametrize("fusion", FUSION_LEVELS)
+    @pytest.mark.parametrize("fusion", LOWERINGS)
     def test_noisy_plan_path_fake_backend(self, fusion):
         model = fake_valencia().noise_model()
         for name in ("4gt13", "one_bit_adder"):
             circuit = benchmark_circuit(name)
-            plan = build_noise_plan(circuit, model, fusion)
+            plan = noise_plan_at(circuit, model, fusion)
             report = check_noise_plan(plan, circuit, model)
             assert report.ok, f"{name}@{fusion}: {report.violations}"
 
@@ -65,14 +66,14 @@ class TestPlanContracts:
         qc = QuantumCircuit(2, 2)
         qc.h(0).measure(0, 0).x(1).cx(0, 1).measure(1, 1)
         model = valencia_like_backend(2).noise_model()
-        plan = build_noise_plan(qc, model, "full")
+        plan = build_noise_plan(qc, model)
         assert not plan.terminal
         report = check_noise_plan(plan, qc, model)
         assert report.ok, report.violations
 
     def test_mutated_fused_matrix_rejected_precisely(self):
         circuit = benchmark_circuit("4gt13")
-        plan = build_plan(circuit, "full")
+        plan = build_plan(circuit)
         ops = list(plan.ops)
         idx = next(i for i, op in enumerate(ops) if op.kind == "matrix")
         bad = ops[idx].matrix.copy()
@@ -89,7 +90,7 @@ class TestPlanContracts:
 
     def test_out_of_range_qubit_rejected(self):
         circuit = ghz_circuit(3)
-        plan = build_plan(circuit, "none")
+        plan = plan_at(circuit, "none")
         ops = list(plan.ops)
         ops[0] = PlanOp("matrix", (7,), matrix=ops[0].matrix)
         plan.ops = tuple(ops)
@@ -100,7 +101,7 @@ class TestPlanContracts:
     def test_non_ascending_diagonal_rejected(self):
         circuit = QuantumCircuit(3)
         circuit.t(0).cz(0, 1).cp(0.3, 1, 2)
-        plan = build_plan(circuit, "full")
+        plan = build_plan(circuit)
         ops = list(plan.ops)
         idx = next(
             (i for i, op in enumerate(ops) if op.kind == "diagonal"), None
@@ -120,7 +121,7 @@ class TestPlanContracts:
     def test_measure_order_mismatch_rejected(self):
         qc = QuantumCircuit(2, 2)
         qc.h(0).cx(0, 1).measure(0, 0).measure(1, 1)
-        plan = build_plan(qc, "full")
+        plan = build_plan(qc)
         plan.measured = ((1, 1), (0, 0))  # swapped program order
         report = check_plan(plan, qc)
         assert any(v.rule == "measure-order" for v in report.violations)
@@ -128,7 +129,7 @@ class TestPlanContracts:
     def test_channel_binding_corruption_rejected(self):
         model = fake_valencia().noise_model()
         circuit = benchmark_circuit("4gt13")
-        plan = build_noise_plan(circuit, model, "full")
+        plan = build_noise_plan(circuit, model)
         steps = list(plan.steps)
         idx = next(
             i for i, step in enumerate(steps) if step[0] == "channel"
@@ -158,7 +159,7 @@ class TestPlanContracts:
         model.add_all_qubit_quantum_error(rotated_damping(0.2), ["h"])
         model.add_all_qubit_quantum_error(amplitude_damping(0.1), ["cx"])
         circuit = ghz_circuit(3)
-        plan = build_noise_plan(circuit, model, "full")
+        plan = build_noise_plan(circuit, model)
         assert check_noise_plan(plan, circuit, model).ok
         bindings = {
             step[1].channel.name: step[1]
@@ -218,7 +219,7 @@ class TestPlanContracts:
             ["h"],
         )
         circuit = ghz_circuit(3)
-        plan = build_noise_plan(circuit, model, "full")
+        plan = build_noise_plan(circuit, model)
         assert check_noise_plan(plan, circuit, model).ok
         mixed = [
             step[1]
@@ -249,7 +250,7 @@ class TestPlanContracts:
         model = valencia_like_backend(2).noise_model()
         qc = QuantumCircuit(2)
         qc.h(0).cx(0, 1)
-        plan = build_noise_plan(qc, model, "none")
+        plan = noise_plan_at(qc, model, "none")
         # corrupt: merge both spans' ops into the first span, emptying
         # the second — simulating a fusion pass that ignored the anchor
         steps = list(plan.steps)
@@ -271,33 +272,33 @@ class TestPlanContracts:
 class TestValidateKnob:
     def test_get_plan_validate_passes_clean(self):
         circuit = ghz_circuit(4)
-        cache = PlanCache()
-        plan = get_plan(circuit, "full", cache=cache, validate=True)
+        get_plan_cache().clear()
+        plan = get_plan(circuit, validate=True)
         assert plan.num_qubits == 4
 
     def test_cache_validate_noise_plan(self):
         model = fake_valencia().noise_model()
         circuit = benchmark_circuit("4gt13")
         cache = PlanCache()
-        plan = cache.noise_plan_for(circuit, model, "full", validate=True)
+        plan = cache.noise_plan_for(circuit, model, validate=True)
         assert plan.num_channels > 0
 
     def test_validate_raises_with_full_report(self, monkeypatch):
         import repro.execution.plan_cache as plan_cache_mod
 
         circuit = ghz_circuit(3)
-        good = build_plan(circuit, "full")
+        good = build_plan(circuit)
         ops = list(good.ops)
         bad = ops[0].to_matrix().copy()
         bad[0, 0] += 1.0
         ops[0] = PlanOp("matrix", ops[0].qubits, matrix=bad)
         good.ops = tuple(ops)
         monkeypatch.setattr(
-            plan_cache_mod, "build_plan", lambda c, f: good
+            plan_cache_mod, "build_plan", lambda c: good
         )
         cache = PlanCache()
         with pytest.raises(PlanContractError) as excinfo:
-            cache.plan_for(circuit, "full", validate=True)
+            cache.plan_for(circuit, validate=True)
         assert excinfo.value.report.violations
         assert "unitarity" in str(excinfo.value)
 
@@ -305,21 +306,21 @@ class TestValidateKnob:
         import repro.execution.plan_cache as plan_cache_mod
 
         circuit = ghz_circuit(3)
-        broken = build_plan(circuit, "full")
+        broken = build_plan(circuit)
         ops = list(broken.ops)
         bad = ops[0].to_matrix().copy()
         bad[0, 0] += 1.0
         ops[0] = PlanOp("matrix", ops[0].qubits, matrix=bad)
         broken.ops = tuple(ops)
         monkeypatch.setattr(
-            plan_cache_mod, "build_plan", lambda c, f: broken
+            plan_cache_mod, "build_plan", lambda c: broken
         )
         cache = PlanCache()
         with pytest.raises(PlanContractError):
-            cache.plan_for(circuit, "full", validate=True)
+            cache.plan_for(circuit, validate=True)
         monkeypatch.undo()
         # the poisoned plan must not have been stored
-        plan = cache.plan_for(circuit, "full", validate=True)
+        plan = cache.plan_for(circuit, validate=True)
         report = check_plan(plan, circuit)
         assert report.ok
 
@@ -328,8 +329,8 @@ class TestValidationCounters:
     def test_counters_track_checks_and_violations(self):
         reset_validation_stats()
         circuit = ghz_circuit(3)
-        check_plan(build_plan(circuit, "full"), circuit)
-        plan = build_plan(circuit, "full")
+        check_plan(build_plan(circuit), circuit)
+        plan = build_plan(circuit)
         ops = list(plan.ops)
         bad = ops[0].to_matrix().copy()
         bad[0, 0] += 1.0
@@ -359,7 +360,7 @@ class TestVerifyPlanOrchestrator:
     def test_verify_plan_noiseless_and_noisy(self):
         circuit = benchmark_circuit("4gt13")
         model = valencia_like_backend(circuit.num_qubits).noise_model()
-        result = verify_plan(circuit, "full", model)
+        result = verify_plan(circuit, model)
         assert result.ok
         assert result.noise is not None and result.noise.ok
         payload = result.to_dict()

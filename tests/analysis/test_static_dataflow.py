@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_sim import LOWERINGS, plan_at
 
 from repro.analysis.static import (
     dead_ops,
@@ -10,13 +11,13 @@ from repro.analysis.static import (
     verify_lowering,
 )
 from repro.circuits import QuantumCircuit, ghz_circuit
-from repro.execution.plan import FUSION_LEVELS, build_plan
+from repro.execution.plan import build_plan
 from repro.revlib import benchmark_circuit
 from repro.revlib.benchmarks import benchmark_names
 
 
 def _source_ops(circuit):
-    return build_plan(circuit, "none").source_ops
+    return build_plan(circuit).source_ops
 
 
 class TestChains:
@@ -44,29 +45,29 @@ class TestChains:
     def test_dead_ops_flags_identity_products(self):
         qc = QuantumCircuit(1)
         qc.x(0).x(0)
-        plan = build_plan(qc, "full")
+        plan = build_plan(qc)
         dead = dead_ops(plan.ops)
         # x·x == I: the fused op is dead
         assert dead == [0]
 
     def test_dead_ops_empty_on_real_work(self):
-        plan = build_plan(ghz_circuit(3), "full")
+        plan = build_plan(ghz_circuit(3))
         assert dead_ops(plan.ops) == []
 
 
 class TestVerifyLowering:
-    @pytest.mark.parametrize("fusion", FUSION_LEVELS)
+    @pytest.mark.parametrize("fusion", LOWERINGS)
     def test_all_benchmarks_verify(self, fusion):
         for name in benchmark_names():
             circuit = benchmark_circuit(name)
-            plan = build_plan(circuit, fusion)
+            plan = plan_at(circuit, fusion)
             report = verify_lowering(
                 plan.source_ops, plan.ops, plan.num_qubits
             )
             assert report.ok, f"{name}@{fusion}: {report.violations}"
 
     def test_provenance_recorded(self):
-        plan = build_plan(ghz_circuit(3), "full")
+        plan = build_plan(ghz_circuit(3))
         report = verify_lowering(plan.source_ops, plan.ops, 3)
         assert report.ok
         provenance = report.metadata["provenance"]
@@ -78,12 +79,12 @@ class TestVerifyLowering:
         """h,x,x fuses to h — last-match-wins must consume the x,x pair."""
         qc = QuantumCircuit(1)
         qc.h(0).x(0).x(0)
-        plan = build_plan(qc, "full")
+        plan = build_plan(qc)
         report = verify_lowering(plan.source_ops, plan.ops, 1)
         assert report.ok, report.violations
 
     def test_reordered_non_commuting_ops_rejected(self):
-        plan = build_plan(ghz_circuit(3), "none")
+        plan = plan_at(ghz_circuit(3), "none")
         ops = list(plan.ops)
         # swap h(0) and cx(0,1): they do not commute
         ops[0], ops[1] = ops[1], ops[0]
@@ -96,7 +97,7 @@ class TestVerifyLowering:
         assert "h" in violation.message or "cx" in violation.message
 
     def test_dropped_op_is_coverage_violation(self):
-        plan = build_plan(ghz_circuit(3), "none")
+        plan = plan_at(ghz_circuit(3), "none")
         report = verify_lowering(plan.source_ops, plan.ops[:-1], 3)
         assert not report.ok
         assert any(
@@ -104,7 +105,7 @@ class TestVerifyLowering:
         )
 
     def test_wrong_matrix_rejected(self):
-        plan = build_plan(ghz_circuit(3), "full")
+        plan = build_plan(ghz_circuit(3))
         ops = list(plan.ops)
         z = np.diag([1.0, -1.0]).astype(complex)
         first = ops[0]
@@ -123,6 +124,6 @@ class TestVerifyLowering:
 
     def test_empty_circuit_trivially_verifies(self):
         qc = QuantumCircuit(2)
-        plan = build_plan(qc, "full")
+        plan = build_plan(qc)
         report = verify_lowering(plan.source_ops, plan.ops, 2)
         assert report.ok

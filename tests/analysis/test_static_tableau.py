@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_sim import LOWERINGS, plan_at
 
 from repro.analysis.static import (
     NotCliffordError,
@@ -16,7 +17,7 @@ from repro.circuits import (
     bernstein_vazirani_circuit,
     ghz_circuit,
 )
-from repro.execution.plan import FUSION_LEVELS, build_plan
+from repro.execution.plan import build_plan
 from repro.revlib import benchmark_circuit
 
 _I = np.eye(2, dtype=complex)
@@ -116,7 +117,7 @@ class TestTableau:
 
 
 class TestCertificates:
-    @pytest.mark.parametrize("fusion", FUSION_LEVELS)
+    @pytest.mark.parametrize("fusion", LOWERINGS)
     @pytest.mark.parametrize(
         "circuit_factory",
         [
@@ -128,7 +129,7 @@ class TestCertificates:
     )
     def test_clifford_benchmarks_certified(self, circuit_factory, fusion):
         circuit = circuit_factory()
-        plan = build_plan(circuit, fusion)
+        plan = plan_at(circuit, fusion)
         cert = certify_equivalence(
             plan.source_ops, plan.ops, plan.num_qubits
         )
@@ -137,7 +138,7 @@ class TestCertificates:
 
     def test_non_clifford_reports_not_clifford(self):
         circuit = benchmark_circuit("4gt13")  # Toffoli-based
-        plan = build_plan(circuit, "full")
+        plan = build_plan(circuit)
         cert = certify_equivalence(
             plan.source_ops, plan.ops, plan.num_qubits
         )
@@ -145,7 +146,7 @@ class TestCertificates:
         assert cert.ok and not cert.certified
 
     def test_mismatch_detected_with_generator_diff(self):
-        plan = build_plan(ghz_circuit(3), "full")
+        plan = build_plan(ghz_circuit(3))
         ops = list(plan.ops)
         first = ops[0]
         k = len(first.qubits)
@@ -163,7 +164,7 @@ class TestCertificates:
         assert "differ" in cert.detail
 
     def test_certificate_to_dict(self):
-        plan = build_plan(ghz_circuit(3), "1q")
+        plan = plan_at(ghz_circuit(3), "1q")
         cert = certify_equivalence(plan.source_ops, plan.ops, 3)
         payload = cert.to_dict()
         assert payload["status"] == "certified"
@@ -172,7 +173,7 @@ class TestCertificates:
     def test_tableau_from_ops_wraps_op_index(self):
         qc = QuantumCircuit(1)
         qc.h(0).t(0)
-        plan = build_plan(qc, "none")
+        plan = plan_at(qc, "none")
         with pytest.raises(NotCliffordError) as excinfo:
             tableau_from_ops(plan.ops, 1)
         assert excinfo.value.op_index == 1

@@ -6,8 +6,9 @@ physical gate carries the backend's thermal-relaxation + depolarizing
 channel and every qubit its readout error.  The trajectory ensemble
 (``method="trajectory"``, forced: auto dispatch sends these small
 circuits to the exact engine) must reproduce the exact distribution
-that ``method="density"`` samples from, at every fusion level, within
-shot noise.  The exact engine in turn must match
+that ``method="density"`` samples from within shot noise, for the plan
+tier's lowering and for the reference lowerings (``reference_sim.\
+lowering``) alike.  The exact engine in turn must match
 ``reference_sim.evolve_density`` — one two-sided pass per gate and per
 Kraus operator — to 1e-12.
 
@@ -40,11 +41,10 @@ import numpy as np
 import pytest
 
 from kraus_models import exaggerated_model, kraus_route_models
-from reference_sim import apply_readout, evolve_density
+from reference_sim import LOWERINGS, apply_readout, evolve_density, lowering
 
 from repro.circuits import QuantumCircuit
 from repro.execution import plan_cache, run
-from repro.execution.plan import FUSION_LEVELS
 from repro.noise import valencia_like_backend
 from repro.revlib import benchmark_circuit
 from repro.simulator import DensityMatrixSimulator
@@ -80,7 +80,7 @@ def _exact_distribution(circuit, model):
     return apply_readout(probs / probs.sum(), model)
 
 
-@pytest.mark.parametrize("fusion", FUSION_LEVELS)
+@pytest.mark.parametrize("fusion", LOWERINGS)
 @pytest.mark.parametrize(
     "name",
     [
@@ -104,10 +104,11 @@ def test_trajectory_matches_density(name, fusion):
     ), "every physical gate must carry a noise channel"
     exact = _exact_distribution(circuit, model)
 
-    counts = run(
-        circuit, SHOTS, noise_model=model, method="trajectory", seed=2025,
-        fuse=fusion,
-    )
+    with lowering(fusion):
+        counts = run(
+            circuit, SHOTS, noise_model=model, method="trajectory",
+            seed=2025,
+        )
     empirical = np.zeros_like(exact)
     for bitstring, count in counts.items():
         empirical[int(bitstring, 2)] = count / SHOTS
@@ -126,17 +127,18 @@ def _route_circuit():
     return qc
 
 
-@pytest.mark.parametrize("fusion", FUSION_LEVELS)
+@pytest.mark.parametrize("fusion", LOWERINGS)
 @pytest.mark.parametrize("route", sorted(kraus_route_models()))
 def test_kraus_routes_match_density(route, fusion):
     circuit = _route_circuit()
     model = kraus_route_models()[route]
     exact = _exact_distribution(circuit, model)
 
-    counts = run(
-        circuit, SHOTS, noise_model=model, method="trajectory", seed=2025,
-        fuse=fusion,
-    )
+    with lowering(fusion):
+        counts = run(
+            circuit, SHOTS, noise_model=model, method="trajectory",
+            seed=2025,
+        )
     empirical = np.zeros_like(exact)
     for bitstring, count in counts.items():
         empirical[int(bitstring, 2)] = count / SHOTS
@@ -161,16 +163,17 @@ def _chain_circuit():
     return qc
 
 
-@pytest.mark.parametrize("fusion", FUSION_LEVELS)
+@pytest.mark.parametrize("fusion", LOWERINGS)
 def test_exaggerated_rates_match_density(fusion):
     circuit = _chain_circuit()
     model = exaggerated_model()
     exact = _exact_distribution(circuit, model)
 
-    counts = run(
-        circuit, SHOTS, noise_model=model, method="trajectory", seed=2025,
-        fuse=fusion,
-    )
+    with lowering(fusion):
+        counts = run(
+            circuit, SHOTS, noise_model=model, method="trajectory",
+            seed=2025,
+        )
     empirical = np.zeros_like(exact)
     for bitstring, count in counts.items():
         empirical[int(bitstring, 2)] = count / SHOTS
@@ -187,23 +190,25 @@ def _oracle(name):
     return circuit, model, evolve_density(circuit, model).to_matrix()
 
 
-@pytest.mark.parametrize("fusion", FUSION_LEVELS)
+@pytest.mark.parametrize("fusion", LOWERINGS)
 @pytest.mark.parametrize("name", ["4gt13", "mini_alu", "4gt11", "rd53"])
 def test_exact_engine_matches_oracle(name, fusion):
     circuit, model, reference = _oracle(name)
-    exact = DensityMatrixSimulator(model, fuse=fusion).evolve(circuit)
+    with lowering(fusion):
+        exact = DensityMatrixSimulator(model).evolve(circuit)
     np.testing.assert_allclose(
         exact.to_matrix(), reference, rtol=0, atol=1e-12
     )
 
 
-@pytest.mark.parametrize("fusion", FUSION_LEVELS)
+@pytest.mark.parametrize("fusion", LOWERINGS)
 @pytest.mark.parametrize("route", sorted(kraus_route_models()))
 def test_exact_engine_kraus_routes_match_oracle(route, fusion):
     circuit = _route_circuit()
     model = kraus_route_models()[route]
     reference = evolve_density(circuit, model).to_matrix()
-    exact = DensityMatrixSimulator(model, fuse=fusion).evolve(circuit)
+    with lowering(fusion):
+        exact = DensityMatrixSimulator(model).evolve(circuit)
     np.testing.assert_allclose(
         exact.to_matrix(), reference, rtol=0, atol=1e-12
     )
@@ -225,13 +230,15 @@ def _wide_circuit():
 
 
 @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
-@pytest.mark.parametrize("fusion", FUSION_LEVELS)
+@pytest.mark.parametrize("fusion", LOWERINGS)
 def test_exact_engine_wide_ops_match_oracle(fusion, noisy):
     """Ops wider than a block run as ``U rho U^dagger``; a 4^8 x 4^8
     superoperator of the fused diagonal would not fit in memory."""
     circuit = _wide_circuit()
     model = valencia_like_backend(8).noise_model() if noisy else None
-    plan = plan_cache.get_noise_plan(circuit, model, fusion)
+    with lowering(fusion):
+        plan = plan_cache.get_noise_plan(circuit, model)
+        exact = DensityMatrixSimulator(model).evolve(circuit)
     widest = max(
         len(op.qubits)
         for step in plan.steps
@@ -239,7 +246,6 @@ def test_exact_engine_wide_ops_match_oracle(fusion, noisy):
         for op in step[1]
     )
     assert widest == (8 if fusion == "full" else 3)
-    exact = DensityMatrixSimulator(model, fuse=fusion).evolve(circuit)
     np.testing.assert_allclose(
         exact.to_matrix(),
         evolve_density(circuit, model).to_matrix(),

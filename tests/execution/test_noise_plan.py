@@ -10,7 +10,7 @@ The contract under test (see ``repro/execution/noise_plan.py``):
   anchor of one channel on one set of qubits shares one binding;
 * single-operator (unitary) channels fold into the surrounding span
   instead of anchoring a stochastic step;
-* the cache key is structural hash x noise fingerprint x fusion — two
+* the cache key is structural hash x noise fingerprint — two
   models on one circuit never collide, and mutating a model re-keys it;
 * a cache hit does zero re-tracing (misses == traces).
 """
@@ -19,9 +19,14 @@ import numpy as np
 import pytest
 
 from kraus_models import rotated_damping
+from reference_sim import noise_plan_at
 
 from repro.circuits import QuantumCircuit
-from repro.execution import build_noise_plan, get_noise_plan
+from repro.execution import (
+    build_noise_plan,
+    get_noise_plan,
+    get_noise_plan_cache,
+)
 from repro.execution.noise_plan import ChannelBinding
 from repro.execution.plan_cache import PlanCache
 from repro.noise import (
@@ -113,7 +118,7 @@ class TestChannelPrecompute:
         model.add_all_qubit_quantum_error(amplitude_damping(0.2), ["h"])
         circuit = QuantumCircuit(2)
         circuit.h(0).cx(0, 1).h(1)
-        plan = build_noise_plan(circuit, model, "none")
+        plan = noise_plan_at(circuit, model, "none")
         steps = [step for step in plan.steps]
         compiled = plan.compiled_steps()
         # the exact engine's steps are untouched
@@ -239,10 +244,7 @@ class TestBuildNoisePlan:
 
     def test_anchors_share_bindings_across_plans(self):
         model = valencia_like_backend(3).noise_model()
-        plans = [
-            build_noise_plan(_circuit(), model, fusion)
-            for fusion in ("full", "none")
-        ]
+        plans = [build_noise_plan(_circuit(), model) for _ in range(2)]
         shared = {}
         for plan in plans:
             for step in plan.steps:
@@ -253,10 +255,6 @@ class TestBuildNoisePlan:
                 assert shared.setdefault(key, binding) is binding
         # h, x and both cx gates anchor channels on repeated qubits
         assert sum(p.num_channels for p in plans) > len(shared)
-
-    def test_unknown_fusion_rejected(self):
-        with pytest.raises(ValueError, match="fusion"):
-            build_noise_plan(_circuit(), NoiseModel(), fusion="mega")
 
 
 class TestNoisePlanCache:
@@ -291,27 +289,12 @@ class TestNoisePlanCache:
         assert second is not first
         assert second.num_channels == first.num_channels + 1
 
-    def test_fusion_levels_key_separately(self):
-        cache = PlanCache(maxsize=8)
-        qc = _circuit()
-        model = _mixed_model()
-        full = cache.noise_plan_for(qc, model, "full")
-        none = cache.noise_plan_for(qc, model, "none")
-        assert none is not full
-
-    def test_disabled_cache_bypasses(self):
-        cache = PlanCache(maxsize=8)
-        cache.enabled = False
-        qc = _circuit()
-        model = _mixed_model()
-        a = cache.noise_plan_for(qc, model)
-        b = cache.noise_plan_for(qc, model)
-        assert a is not b
-
     def test_global_helper_caches(self):
-        cache = PlanCache(maxsize=4)
+        cache = get_noise_plan_cache()
+        cache.clear()
         qc = _circuit()
         model = _mixed_model()
-        a = get_noise_plan(qc, model, cache=cache)
-        b = get_noise_plan(qc, model, cache=cache)
+        a = get_noise_plan(qc, model)
+        b = get_noise_plan(qc, model)
         assert a is b
+        assert (cache.stats().misses, cache.stats().hits) == (1, 1)

@@ -2,14 +2,15 @@
 
 The contract under test (see ``repro/execution/plan.py``):
 
-* ``fuse="none"`` is bit-identical to the per-instruction reference
-  loops (``tests/reference_sim.py``) on the statevector and unitary
-  paths; ``"1q"``/``"full"`` agree with the unfused result to 1e-12;
+* plans agree with the per-instruction reference loops
+  (``tests/reference_sim.py``) to 1e-12 on the statevector and unitary
+  paths, and so do the reference lowerings' plans (``ref.lowering``),
+  whose ``"none"`` stream is bit-identical to the loops;
 * the exact density engine composes every plan into <=2-qubit
-  superoperator blocks, so at every level it agrees with its reference
-  loop to 1e-12 (not bit for bit);
-* the plan cache traces a circuit exactly once per fusion level
-  (misses == traces), evicts LRU, and is safe to hit from threads;
+  superoperator blocks, so for every lowering it agrees with its
+  reference loop to 1e-12 (not bit for bit);
+* the plan cache traces a circuit exactly once (misses == traces),
+  evicts LRU, and is safe to hit from threads;
 * paper-benchmark counts at pinned seeds are unchanged by the default
   fused path.
 """
@@ -21,6 +22,7 @@ import pytest
 import reference_sim as ref
 
 from repro.circuits import QuantumCircuit, random_circuit
+from repro.cli import main
 from repro.execution import (
     build_plan,
     get_noise_plan_cache,
@@ -28,7 +30,7 @@ from repro.execution import (
     get_plan_cache,
     run,
 )
-from repro.execution.plan import lower_trace, trace_circuit
+from repro.execution.plan import trace_circuit
 from repro.execution.plan_cache import PlanCache
 from repro.noise import depolarizing
 from repro.noise.model import NoiseModel
@@ -41,7 +43,6 @@ from repro.simulator.trajectory import (
 )
 from repro.simulator.unitary import circuit_unitary
 
-FUSIONS = ("none", "1q", "full")
 POOL = ["x", "y", "z", "h", "s", "t", "rx", "ry", "rz", "cx", "cz", "swap"]
 
 
@@ -91,26 +92,22 @@ class TestTraceAndLower:
 
     def test_lowering_drops_identities_at_every_level(self):
         trace = trace_circuit(_mixed_circuit())
-        for fusion in FUSIONS:
-            ops = lower_trace(trace, fusion)
+        for fusion in ref.LOWERINGS:
+            ops = ref.lower(trace.ops, fusion)
             assert len(ops) < len(trace.ops)
 
     def test_fusion_reduces_op_count(self):
         qc = _random(4, 60, seed=11)
-        plan_none = build_plan(qc, "none")
-        plan_full = build_plan(qc, "full")
+        plan_none = ref.plan_at(qc, "none")
+        plan_full = build_plan(qc)
         assert plan_full.num_ops < plan_none.num_ops
 
     def test_blocks_capped_at_three_qubits(self):
-        plan = build_plan(_random(6, 80, seed=3), "full")
+        plan = build_plan(_random(6, 80, seed=3))
         assert all(len(op.qubits) <= 3 for op in plan.ops)
 
-    def test_unknown_fusion_level_rejected(self):
-        with pytest.raises(ValueError, match="fusion"):
-            build_plan(QuantumCircuit(1), "2q")
-
     def test_timing_and_summary_fields(self):
-        plan = build_plan(_mixed_circuit(), "full")
+        plan = build_plan(_mixed_circuit())
         assert plan.trace_seconds >= 0.0
         assert plan.lower_seconds >= 0.0
         assert plan.compile_seconds == pytest.approx(
@@ -121,76 +118,86 @@ class TestTraceAndLower:
 
 
 class TestFusedAgreement:
-    """Fused vs unfused to 1e-12; ``none`` bit-identical — per engine."""
+    """Every lowering vs the reference loops to 1e-12; ``none``
+    bit-identical — per engine."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize("fusion", FUSIONS)
+    @pytest.mark.parametrize("fusion", ref.LOWERINGS)
     def test_statevector_evolve(self, seed, fusion):
         qc = _random(5, 40, seed)
         reference = ref.evolve_state(qc)
-        fused = Statevector(5).evolve(qc, fuse=fusion)._tensor
+        with ref.lowering(fusion):
+            fused = Statevector(5).evolve(qc)._tensor
         if fusion == "none":
             assert np.array_equal(fused, reference)
         np.testing.assert_allclose(fused, reference, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("fusion", FUSIONS)
+    @pytest.mark.parametrize("fusion", ref.LOWERINGS)
     def test_terminal_distribution(self, seed, fusion):
         qc = _random(4, 30, seed)
         reference, measured_reference = ref.terminal_distribution(qc)
-        fused, measured = terminal_distribution(qc, fuse=fusion)
+        with ref.lowering(fusion):
+            fused, measured = terminal_distribution(qc)
         assert measured == measured_reference
         if fusion == "none":
             assert np.array_equal(fused, reference)
         np.testing.assert_allclose(fused, reference, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("fusion", FUSIONS)
+    @pytest.mark.parametrize("fusion", ref.LOWERINGS)
     def test_unitary(self, seed, fusion):
         qc = _random(4, 30, seed)
         reference = ref.circuit_unitary(qc)
-        fused = circuit_unitary(qc, fuse=fusion)
+        with ref.lowering(fusion):
+            fused = circuit_unitary(qc)
         if fusion == "none":
             assert np.array_equal(fused, reference)
         np.testing.assert_allclose(fused, reference, atol=1e-12)
 
-    @pytest.mark.parametrize("fusion", FUSIONS)
+    @pytest.mark.parametrize("fusion", ref.LOWERINGS)
     def test_density_noiseless(self, fusion):
         qc = _random(4, 30, seed=5)
         reference = ref.evolve_density(qc).to_matrix()
-        fused = DensityMatrixSimulator(fuse=fusion).evolve(qc).to_matrix()
+        with ref.lowering(fusion):
+            fused = DensityMatrixSimulator().evolve(qc).to_matrix()
         np.testing.assert_allclose(fused, reference, atol=1e-12)
 
     def test_mixed_circuit_all_engines_through_run(self):
-        # fused levels sample the same counts as the unfused stream,
+        # every lowering samples the same counts as the unfused stream,
         # which the tests above pin to the reference loops
         qc = _mixed_circuit()
         for method in ("statevector", "trajectory", "density"):
-            reference = run(qc, 500, method=method, seed=13, fuse="none")
-            for fusion in FUSIONS:
-                fused = run(qc, 500, method=method, seed=13, fuse=fusion)
+            with ref.lowering("none"):
+                reference = run(qc, 500, method=method, seed=13)
+            for fusion in ref.LOWERINGS:
+                with ref.lowering(fusion):
+                    fused = run(qc, 500, method=method, seed=13)
                 assert dict(fused) == dict(reference), (method, fusion)
 
     def test_large_batch_gemm_route(self):
         # force the GEMM fast paths: the unitary's 256 basis states
         # make a (256, 2, ..., 2) batch of 2^16 amplitudes
         qc = _random(8, 40, seed=7)
-        assert np.array_equal(
-            circuit_unitary(qc, fuse="none"), ref.circuit_unitary(qc)
-        )
+        reference = ref.circuit_unitary(qc)
+        np.testing.assert_allclose(circuit_unitary(qc), reference, atol=1e-12)
+        with ref.lowering("none"):
+            assert np.array_equal(circuit_unitary(qc), reference)
 
 
 class TestNoisyAnchoring:
     """Noisy runs keep every channel on its gate: the ensemble's counts
-    are bit-identical across fusion levels, and the exact engine matches
+    are bit-identical across lowerings, and the exact engine matches
     the per-instruction density loop to 1e-12."""
 
     def test_batched_noisy_bit_identical(self):
         qc = _mixed_circuit()
         model = _noise()
-        b = run(qc, 400, noise_model=model, seed=5, fuse="none")
-        for fusion in FUSIONS:
-            a = run(qc, 400, noise_model=model, seed=5, fuse=fusion)
+        with ref.lowering("none"):
+            b = run(qc, 400, noise_model=model, seed=5)
+        for fusion in ref.LOWERINGS:
+            with ref.lowering(fusion):
+                a = run(qc, 400, noise_model=model, seed=5)
             assert dict(a) == dict(b)
 
     def test_density_noisy_bit_identical(self):
@@ -230,13 +237,6 @@ class TestPlanCache:
         cache.plan_for(_mixed_circuit())
         assert cache.stats().misses == 1
 
-    def test_fusion_levels_are_distinct_keys(self):
-        cache = PlanCache(maxsize=8)
-        qc = _random(3, 20, seed=1)
-        for fusion in FUSIONS:
-            cache.plan_for(qc, fusion)
-        assert cache.stats().misses == 3
-
     def test_lru_eviction(self):
         cache = PlanCache(maxsize=2)
         circuits = [_random(3, 10, seed=s) for s in range(3)]
@@ -245,13 +245,6 @@ class TestPlanCache:
         assert len(cache) == 2
         cache.plan_for(circuits[0])  # evicted -> re-trace
         assert cache.stats().misses == 4
-
-    def test_disabled_cache_builds_fresh(self):
-        cache = PlanCache(maxsize=8)
-        cache.enabled = False
-        qc = _random(3, 10, seed=0)
-        assert cache.plan_for(qc) is not cache.plan_for(qc)
-        assert len(cache) == 0
 
     def test_thread_safety(self):
         cache = PlanCache(maxsize=32)
@@ -329,8 +322,13 @@ class TestPaperBenchmarks:
 
 class TestApiKnobs:
     def test_invalid_fuse_rejected(self):
-        with pytest.raises(ValueError, match="fusion"):
-            run(_mixed_circuit(), 10, fuse="max")
+        # one lowering per circuit: neither run() nor the CLI takes a
+        # fusion level any more, and passing one is an error
+        with pytest.raises(TypeError, match="fuse"):
+            run(_mixed_circuit(), 10, fuse="none")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "c.qasm", "--fuse", "none"])
+        assert exc.value.code == 2
 
 
 class TestKernelSatellites:

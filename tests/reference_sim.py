@@ -1,12 +1,18 @@
 """Reference simulators the test suite checks the engines against.
 
-Two kinds of reference live here, outside the package:
+Three kinds of reference live here, outside the package:
 
 * per-instruction loops — one kernel call per gate, no plan, no fusion.
-  The plan tier promises that ``fuse="none"`` is bit-identical to them
-  (``tests/execution/test_plan.py``).  :func:`evolve_density` applies
-  every Kraus operator as its own two-sided pass; it is the oracle the
-  exact engine (``repro.simulator.density``) is held to within 1e-12;
+  Plans agree with them to 1e-12 (``tests/execution/test_plan.py``).
+  :func:`evolve_density` applies every Kraus operator as its own
+  two-sided pass; it is the oracle the exact engine
+  (``repro.simulator.density``) is held to within 1e-12;
+* reference lowerings (:func:`lower`, :func:`lowering`) — the plan
+  tier lowers every circuit one way (``"full"``); ``"none"`` (one op
+  per non-identity gate, bit-identical to the loops above) and
+  ``"1q"`` (1-qubit runs merged, nothing else) are other correct op
+  streams for the same circuit, so the executors and the static
+  checkers are held to every one of them;
 * :class:`PerShotSampler` — one statevector per shot, every noise
   channel sampled after its gate, measurements collapsing the state.
   It is the statistical oracle for the trajectory ensemble
@@ -16,9 +22,20 @@ Two kinds of reference live here, outside the package:
 """
 
 from collections import Counter
+from contextlib import contextmanager
+from functools import partial
+from unittest import mock
 
 import numpy as np
 
+from repro.execution import (
+    build_noise_plan,
+    build_plan,
+    get_noise_plan_cache,
+    get_plan_cache,
+)
+from repro.execution import noise_plan as noise_plan_module
+from repro.execution import plan as plan_module
 from repro.simulator import (
     Counts,
     DensityMatrix,
@@ -129,6 +146,72 @@ def apply_readout(probs, noise_model):
         )
         tensor = np.moveaxis(flipped, 0, axis)
     return tensor.reshape(-1)
+
+
+LOWERINGS = ("none", "1q", "full")
+
+_lower_full = plan_module.lower_ops
+
+
+def lower(ops, level):
+    """Traced *ops* lowered at *level* (one of :data:`LOWERINGS`).
+
+    ``"full"`` is the plan tier's own :func:`~repro.execution.plan.\
+lower_ops`; ``"none"`` keeps one matrix op per non-identity gate, in
+    the gate's qubit order; ``"1q"`` only merges runs of 1-qubit gates.
+    """
+    if level == "full":
+        return _lower_full(ops)
+    live = [op for op in ops if not op.identity]
+    if level == "none":
+        return [
+            plan_module.PlanOp("matrix", op.qubits, matrix=op.matrix)
+            for op in live
+        ]
+    assert level == "1q", level
+    return plan_module._fuse_1q_runs(
+        [
+            plan_module._gate_diag(op.matrix, op.qubits)
+            if op.diagonal
+            else plan_module.PlanOp("matrix", op.qubits, matrix=op.matrix)
+            for op in live
+        ]
+    )
+
+
+@contextmanager
+def lowering(level):
+    """Build every plan and noise plan inside the block at *level*.
+
+    Both global plan caches are cleared on entry and on exit, so the
+    block never reads a plan lowered another way and never leaves one
+    behind for later callers.
+    """
+    if level == "full":
+        yield
+        return
+    lower_at = partial(lower, level=level)
+    get_plan_cache().clear()
+    get_noise_plan_cache().clear()
+    try:
+        with mock.patch.object(plan_module, "lower_ops", lower_at):
+            with mock.patch.object(noise_plan_module, "lower_ops", lower_at):
+                yield
+    finally:
+        get_plan_cache().clear()
+        get_noise_plan_cache().clear()
+
+
+def plan_at(circuit, level):
+    """A fresh :class:`~repro.execution.ExecutionPlan` at *level*."""
+    with lowering(level):
+        return build_plan(circuit)
+
+
+def noise_plan_at(circuit, noise_model, level):
+    """A fresh :class:`~repro.execution.NoisePlan` at *level*."""
+    with lowering(level):
+        return build_noise_plan(circuit, noise_model)
 
 
 class PerShotSampler:

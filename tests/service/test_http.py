@@ -150,6 +150,8 @@ class TestErrors:
             ("transpile", {"qasm": wide}),
             ("attack", {"qasm": wide}),
             ("attack", {"benchmark": "4gt13", "max_candidates": 10**12}),
+            ("evaluate", {"benchmark": "4gt13", "gate_limit": -1}),
+            ("attack", {"benchmark": "4gt13", "gate_limit": -1}),
             (
                 "transpile",
                 {"qasm": BELL_QASM, "size": 10**6, "coupling": "full"},

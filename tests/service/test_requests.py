@@ -210,6 +210,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="adversary"):
             AttackRequest(benchmark="4gt13", adversary="quantum")
 
+    def test_negative_gate_limit_refused_at_submit(self):
+        with pytest.raises(ValueError, match="gate_limit"):
+            ProtectRequest(qasm=BELL_QASM, gate_limit=-1)
+        with pytest.raises(ValueError, match="gate_limit"):
+            EvaluateRequest(benchmark="4gt13", gate_limit=-1)
+        for adversary in ("auto", "mismatched", "same-width"):
+            with pytest.raises(ValueError, match="gate_limit"):
+                AttackRequest(
+                    benchmark="4gt13", adversary=adversary, gate_limit=-1
+                )
+        EvaluateRequest(benchmark="4gt13", gate_limit=0)
+        AttackRequest(benchmark="4gt13", gate_limit=0)
+
 
 class TestFingerprints:
     def test_unseeded_stochastic_not_cacheable(self):
@@ -249,6 +262,18 @@ class TestFingerprints:
         reference = SimulateRequest(**base).fingerprint()
         changed = SimulateRequest(**{**base, **override}).fingerprint()
         assert changed != reference
+
+    def test_same_width_fingerprint_ignores_gate_limit(self):
+        # a same-width attack searches a plain Saki split: no pairs are
+        # inserted, so gate_limit cannot change its result
+        def fingerprint(adversary, gate_limit):
+            return AttackRequest(
+                benchmark="4gt13", adversary=adversary, gate_limit=gate_limit
+            ).fingerprint()
+
+        assert fingerprint("same-width", 3) == fingerprint("same-width", 4)
+        assert fingerprint("mismatched", 3) != fingerprint("mismatched", 4)
+        assert fingerprint("auto", 3) != fingerprint("auto", 4)
 
     def test_kind_in_fingerprint(self):
         sim = SimulateRequest(qasm=BELL_QASM, seed=1).fingerprint()

@@ -176,6 +176,16 @@ class TestResultCache:
         )
         assert service.result(second, timeout=60)["cached"] is True
 
+    def test_same_width_attack_hits_across_gate_limits(self, service):
+        client = ServiceClient(service)
+        params = {"benchmark": "4gt13", "adversary": "same-width"}
+        first = client.submit("attack", {**params, "gate_limit": 3})
+        cold = client.result(first, timeout=60)
+        second = client.submit("attack", {**params, "gate_limit": 4})
+        view = service.result(second, timeout=60)
+        assert view["cached"] is True
+        assert view["result"] == cold
+
     def test_unseeded_jobs_never_cached(self, service, bench_qasm):
         client = ServiceClient(service)
         params = {"qasm": bench_qasm, "shots": 50}

@@ -10,35 +10,27 @@ from repro.cli import main
 
 class TestVerifyPlan:
     def test_benchmark_all_levels_text(self, capsys):
+        # one lowering per circuit: the text report covers its one plan
         code = main(["verify-plan", "--benchmark", "4gt13"])
         assert code == 0
         out = capsys.readouterr().out
-        for fusion in ("none", "1q", "full"):
-            assert fusion in out
-        assert "ok" in out
+        assert "plan: ok" in out
+        assert "contract" in out and "lowering" in out
+        assert "result: all plans verified" in out
 
     def test_single_level_json(self, capsys):
         code = main(
-            [
-                "verify-plan",
-                "--benchmark",
-                "4gt13",
-                "--fuse",
-                "full",
-                "--format",
-                "json",
-            ]
+            ["verify-plan", "--benchmark", "4gt13", "--format", "json"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
-        results = payload["results"]
-        assert len(results) == 1 and results[0]["fusion"] == "full"
+        assert payload["circuit"] == "4gt13"
+        assert payload["contract"]["ok"] and payload["lowering"]["ok"]
+        assert "noise" not in payload
 
     def test_noisy_path(self, capsys):
-        code = main(
-            ["verify-plan", "--benchmark", "4gt13", "--fuse", "full", "--noisy"]
-        )
+        code = main(["verify-plan", "--benchmark", "4gt13", "--noisy"])
         assert code == 0
         assert "noise" in capsys.readouterr().out
 
@@ -50,10 +42,7 @@ class TestVerifyPlan:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        statuses = {
-            result["tableau"]["status"] for result in payload["results"]
-        }
-        assert statuses == {"certified"}
+        assert payload["tableau"]["status"] == "certified"
 
     def test_unknown_benchmark_exits_two(self, capsys):
         code = main(["verify-plan", "--benchmark", "nope"])
