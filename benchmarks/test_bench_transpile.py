@@ -28,15 +28,20 @@ _TRIALS = 2 if _SMOKE else 3
 _ITERATIONS = 2 if _SMOKE else 3
 
 
+def _cold_transpile(*args, **kwargs):
+    """A fresh compile: the cache is emptied first."""
+    get_transpile_cache().clear()
+    return transpile(*args, **kwargs)
+
+
 def test_bench_transpile_uncached(benchmark):
     qc = benchmark_circuit("rd53")
     backend = valencia_like_backend(qc.num_qubits)
 
     result = benchmark(
-        transpile, qc, backend=backend, optimization_level=2,
-        use_cache=False,
+        _cold_transpile, qc, backend=backend, optimization_level=2
     )
-    assert result.size > 0
+    assert result.size > 0 and not result.from_cache
 
 
 def test_bench_transpile_cached(benchmark):
@@ -66,9 +71,7 @@ def test_cache_hit_much_faster_than_compile():
         return best
 
     fresh = cpu_min(
-        lambda: transpile(
-            qc, backend=backend, optimization_level=2, use_cache=False
-        )
+        lambda: _cold_transpile(qc, backend=backend, optimization_level=2)
     )
     transpile(qc, backend=backend, optimization_level=2)
     hit = cpu_min(
@@ -153,9 +156,7 @@ def test_pass_timings_cover_schedule():
     """Every preset pass shows up in the timing report."""
     qc = benchmark_circuit("4mod5")
     backend = valencia_like_backend(qc.num_qubits)
-    result = transpile(
-        qc, backend=backend, optimization_level=2, use_cache=False
-    )
+    result = _cold_transpile(qc, backend=backend, optimization_level=2)
     assert list(result.pass_timings) == [
         "TranslateToBasis",
         "GreedyLayout",

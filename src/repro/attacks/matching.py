@@ -9,41 +9,51 @@ compact order.
 
 Two streams are provided:
 
-* :func:`iter_same_width_matchings` — the Saki-scenario space: every
-  bijection between two equal-width registers (``n!`` candidates, no
-  ancillas);
-* :func:`iter_subset_matchings` — Eq. 1's mismatched-width space: for
-  every overlap size ``j``, every ``j``-subset of segment-2 qubits,
-  every ``j``-subset of segment-1 attachment points and every
-  bijection between them — ``sum_j C(n2,j) C(n1,j) j!`` candidates.
+* ``"same-width"`` — the Saki-scenario space: every bijection between
+  two equal-width registers (``n!`` candidates, no ancillas);
+* ``"subset"`` — Eq. 1's mismatched-width space: for every overlap
+  size ``j``, every ``j``-subset of segment-2 qubits, every ``j``-subset
+  of segment-1 attachment points and every bijection between them —
+  ``sum_j C(n2,j) C(n1,j) j!`` candidates.
 
-Both are generators: the ``n!``-sized (or worse) candidate lists are
-**never materialised**.  Enumeration order is canonical and
-deterministic — ``j`` ascending, subsets in lexicographic
-:func:`itertools.combinations` order, bijections in
-:func:`itertools.permutations` order — so a candidate's position in
-the stream (its *index*) is stable across runs, worker counts and
-machines.  The parallel search relies on this to slice the stream into
-chunks that reassemble bit-identically.
+Enumeration order is canonical and deterministic — ``j`` ascending,
+subsets in lexicographic :func:`itertools.combinations` order,
+bijections in :func:`itertools.permutations` order — so a candidate's
+position in the stream (its *index*) is stable across runs, worker
+counts and machines.  The parallel search relies on this to slice the
+stream into chunks that reassemble bit-identically.
+
+The stream is walked one :class:`Block` at a time: the ``j!``
+bijections of one subset pair are consecutive indices and the rows of a
+cached ``j! x j`` permutation table, so a block is one integer array
+and the search checks it with array operations.  The same-width stream
+is the single block ``j = n``.  Nothing factorial-sized is ever
+materialised: blocks hold at most :data:`_BLOCK_ROWS` rows, and
+:func:`matching_slice` yields a :class:`Matching` per row only for the
+callers that want objects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations, islice, permutations
-from typing import Dict, Iterator, Tuple
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
+from itertools import combinations
+from typing import Dict, Iterator, Optional, Tuple
+
+import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 
 __all__ = [
+    "Block",
     "Matching",
     "iter_matchings",
     "iter_same_width_matchings",
     "iter_subset_matchings",
     "matching_count",
+    "matching_blocks",
     "matching_slice",
-    "permutations_from",
     "recombine_candidate",
     "same_width_matching_count",
     "subset_matching_count",
@@ -94,92 +104,118 @@ def subset_matching_count(n1: int, n2: int) -> int:
     )
 
 
-def permutations_from(
-    items: Tuple[int, ...], start: int
-) -> Iterator[Tuple[int, ...]]:
-    """Permutations of sorted *items* in lexicographic order, starting
-    at rank *start*.
+# Widest overlap whose whole permutation table is cached: 9! x 9 int8
+# is 3.3 MB, and any searchable j (j! <= SearchOptions.max_candidates'
+# default) fits; rows of wider tables are derived from it.
+_TABLE_MAX = 9
+# Most rows one block holds, so per-block arrays stay bounded whatever
+# the chunk size and a lazy stream never builds a factorial-sized table.
+_BLOCK_ROWS = 1 << 16
 
-    The first permutation is unranked directly (factorial number
-    system, ``O(k^2)``); successors come from the standard in-place
-    next-permutation step — so skipping a prefix costs nothing per
-    skipped element, unlike slicing :func:`itertools.permutations`.
+
+@lru_cache(maxsize=None)
+def _permutation_table(j: int) -> np.ndarray:
+    """The ``j! x j`` lexicographic permutation table of ``range(j)``:
+    row ``r`` is the ``r``-th tuple of ``itertools.permutations``."""
+    if j == 0:
+        return np.zeros((1, 0), dtype=np.int8)
+    tail = np.tile(_permutation_table(j - 1), (j, 1))
+    lead = np.repeat(np.arange(j, dtype=np.int8), len(tail) // j)
+    tail += tail >= lead[:, None]
+    return np.column_stack((lead, tail))
+
+
+def _permutation_rows(j: int, rows: np.ndarray) -> np.ndarray:
+    """Rows *rows* of the ``j``-table; beyond :data:`_TABLE_MAX` a row's
+    lead is its rank over ``(j-1)!`` and its tail a ``(j-1)``-row."""
+    if j <= _TABLE_MAX:
+        return _permutation_table(j)[rows]
+    lead, rank = np.divmod(rows, math.factorial(j - 1))
+    tail = _permutation_rows(j - 1, rank)
+    tail += tail >= lead[:, None]
+    return np.column_stack((lead.astype(np.int8), tail))
+
+
+@dataclass(frozen=True)
+class Block:
+    """Consecutive candidates of one (overlap ``j``, segment-2 subset,
+    segment-1 subset) group.
+
+    Row ``r`` is the group's bijection of rank ``ranks[r]``, candidate
+    ``first + ranks[r]``: segment-2 qubit ``matched[i]`` goes to slot
+    ``slots[r, i]``, a permutation of *targets*, and every other
+    segment-2 qubit to its fixed *ancillas* slot.  So across a block the
+    ancilla pairs and the set of taken slots are constant; only the
+    bijection varies, and ``slots`` is built only when asked for.
     """
-    k = len(items)
-    if start >= math.factorial(k):
-        return
-    if start == 0:
-        yield from permutations(items)
-        return
-    pool = list(items)
-    perm: list = []
-    rank = start
-    for i in range(k, 0, -1):
-        block = math.factorial(i - 1)
-        position, rank = divmod(rank, block)
-        perm.append(pool.pop(position))
-    while True:
-        yield tuple(perm)
-        # next lexicographic permutation (Narayana's algorithm)
-        i = k - 2
-        while i >= 0 and perm[i] >= perm[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = k - 1
-        while perm[j] <= perm[i]:
-            j -= 1
-        perm[i], perm[j] = perm[j], perm[i]
-        perm[i + 1:] = reversed(perm[i + 1:])
 
+    first: int  # canonical index of the group's first bijection
+    ranks: np.ndarray  # (B,) rows of the j! x j permutation table
+    matched: Tuple[int, ...]  # segment-2 qubits crossing the boundary
+    targets: Tuple[int, ...]  # the segment-1 slots they take
+    ancillas: Tuple[Tuple[int, int], ...]  # (segment-2 qubit, slot)
+    num_qubits: int
 
-def iter_same_width_matchings(n: int, start: int = 0) -> Iterator[Matching]:
-    """Lazily yield every bijection between two ``n``-qubit registers.
+    @classmethod
+    def of(cls, matching: Matching) -> "Block":
+        """The one-row block of *matching*."""
+        matched = tuple(q2 for q2, _ in matching.matched)
+        return cls(
+            first=matching.index,
+            ranks=np.zeros(1, dtype=np.int64),
+            matched=matched,
+            targets=tuple(slot for _, slot in matching.matched),
+            ancillas=tuple(
+                pair for pair in matching.mapping if pair[0] not in matched
+            ),
+            num_qubits=matching.num_qubits,
+        )
 
-    *start* fast-forwards by unranking the start-th permutation
-    directly — no enumeration of the skipped prefix — so chunked
-    workers pay nothing for the stream before their slice.
-    """
-    if n < 0:
-        raise ValueError("qubit count must be non-negative")
-    stream = permutations_from(tuple(range(n)), start)
-    for index, perm in enumerate(stream, start=start):
-        pairs = tuple((src, dst) for src, dst in enumerate(perm))
-        yield Matching(
-            index=index, mapping=pairs, matched=pairs, num_qubits=n
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """``(B, j)`` slot of each matched qubit, row by row."""
+        perms = _permutation_rows(len(self.targets), self.ranks)
+        return np.array(self.targets, dtype=np.int64)[perms]
+
+    def taken(self) -> set:
+        """The slots every row of the block occupies."""
+        return set(self.targets) | {slot for _, slot in self.ancillas}
+
+    def select(self, rows: np.ndarray) -> "Block":
+        """The block restricted to *rows* (positions or a mask)."""
+        return replace(self, ranks=self.ranks[rows])
+
+    def matching(self, row: int) -> Matching:
+        matched = tuple(zip(self.matched, self.slots[row].tolist()))
+        return Matching(
+            index=self.first + int(self.ranks[row]),
+            mapping=tuple(sorted(matched + self.ancillas)),
+            matched=matched,
+            num_qubits=self.num_qubits,
         )
 
 
-def iter_subset_matchings(
-    n1: int, n2: int, start: int = 0
-) -> Iterator[Matching]:
-    """Lazily yield Eq. 1's subset-injection matchings.
+def matching_blocks(
+    kind: str, n1: int, n2: int, start: int = 0, stop: Optional[int] = None
+) -> Iterator[Block]:
+    """The canonical stream's candidates ``start <= index < stop`` as
+    blocks, in order.
 
-    For each overlap size ``j``: choose the ``j`` segment-2 qubits
-    that cross the boundary, choose ``j`` segment-1 attachment points,
-    and try every bijection between the two subsets.  The remaining
-    segment-2 qubits (ascending) land on fresh ancillas ``n1, n1+1,
-    ...`` — the attacker's guess that they never met segment 1.
-
-    *start* fast-forwards to that candidate index arithmetically:
-    whole ``j`` blocks, segment-2-subset blocks and segment-1-subset
-    blocks before it are skipped by size, never enumerated, so a
-    worker's cost is ``O(skipped subsets)`` bookkeeping plus its own
-    slice — not a re-enumeration of the prefix.
+    Subsets before *start* are skipped by size, their bijections never
+    enumerated, so a worker's cost is ``O(skipped subsets)`` bookkeeping
+    plus its own slice.  The same-width stream is the single group
+    ``j = n``.
     """
-    if n1 < 0 or n2 < 0:
-        raise ValueError("qubit counts must be non-negative")
+    total = matching_count(kind, n1, n2)
+    stop = total if stop is None else min(stop, total)
+    overlaps = [n1] if kind == "same-width" else range(min(n1, n2) + 1)
     index = 0
-    width_base = n1 + n2
-    for j in range(min(n1, n2) + 1):
-        j_block = (
-            math.comb(n2, j) * math.comb(n1, j) * math.factorial(j)
-        )
-        if index + j_block <= start:
-            index += j_block
-            continue
-        subset_block = math.comb(n1, j) * math.factorial(j)
-        perm_block = math.factorial(j)
+    for j in overlaps:
+        perms = math.factorial(j)
+        subset_block = math.comb(n1, j) * perms
         for seg2_subset in combinations(range(n2), j):
             if index + subset_block <= start:
                 index += subset_block
@@ -192,59 +228,77 @@ def iter_subset_matchings(
                 )
             )
             for seg1_subset in combinations(range(n1), j):
-                if index + perm_block <= start:
-                    index += perm_block
+                if index >= stop:
+                    return
+                if index + perms <= start:
+                    index += perms
                     continue
-                offset = max(0, start - index)
-                index += offset
-                for perm in permutations_from(seg1_subset, offset):
-                    matched = tuple(zip(seg2_subset, perm))
-                    yield Matching(
-                        index=index,
-                        mapping=tuple(
-                            sorted(matched + ancillas)
-                        ),
-                        matched=matched,
-                        num_qubits=width_base - j,
+                last = min(stop - index, perms)
+                for lo in range(max(start - index, 0), last, _BLOCK_ROWS):
+                    yield Block(
+                        first=index,
+                        ranks=np.arange(lo, min(lo + _BLOCK_ROWS, last)),
+                        matched=seg2_subset,
+                        targets=seg1_subset,
+                        ancillas=ancillas,
+                        num_qubits=n1 + n2 - j,
                     )
-                    index += 1
+                index += perms
+
+
+def iter_same_width_matchings(n: int, start: int = 0) -> Iterator[Matching]:
+    """Lazily yield every bijection between two ``n``-qubit registers,
+    from candidate *start* on."""
+    return iter_matchings("same-width", n, n, start=start)
+
+
+def iter_subset_matchings(
+    n1: int, n2: int, start: int = 0
+) -> Iterator[Matching]:
+    """Lazily yield Eq. 1's subset-injection matchings, from candidate
+    *start* on.
+
+    For each overlap size ``j``: choose the ``j`` segment-2 qubits
+    that cross the boundary, choose ``j`` segment-1 attachment points,
+    and try every bijection between the two subsets.  The remaining
+    segment-2 qubits (ascending) land on fresh ancillas ``n1, n1+1,
+    ...`` — the attacker's guess that they never met segment 1.
+    """
+    return iter_matchings("subset", n1, n2, start=start)
 
 
 def iter_matchings(
     kind: str, n1: int, n2: int, start: int = 0
 ) -> Iterator[Matching]:
-    """Stream dispatcher used by the parallel search workers.
+    """The *kind* stream (``"same-width"`` or ``"subset"``; the former
+    requires ``n1 == n2``) from candidate *start* on."""
+    return matching_slice(kind, n1, n2, start, None)
 
-    *kind* is ``"same-width"`` or ``"subset"``; the former requires
-    ``n1 == n2``.
-    """
+
+def matching_count(kind: str, n1: int, n2: int) -> int:
+    """Exact size of the stream :func:`iter_matchings` would yield."""
     if kind == "same-width":
         if n1 != n2:
             raise ValueError(
                 f"same-width stream needs equal widths, got {n1} != {n2}"
             )
-        return iter_same_width_matchings(n1, start=start)
+        return same_width_matching_count(n1)
     if kind == "subset":
-        return iter_subset_matchings(n1, n2, start=start)
+        return subset_matching_count(n1, n2)
     raise ValueError(f"unknown matching stream {kind!r}")
 
 
-def matching_count(kind: str, n1: int, n2: int) -> int:
-    """Exact size of the stream :func:`iter_matchings` would yield."""
-    iter_matchings(kind, n1, n2)  # validates the kind and widths
-    if kind == "same-width":
-        return same_width_matching_count(n1)
-    return subset_matching_count(n1, n2)
-
-
 def matching_slice(
-    kind: str, n1: int, n2: int, start: int, stop: int
+    kind: str, n1: int, n2: int, start: int, stop: Optional[int]
 ) -> Iterator[Matching]:
-    """Candidates ``start <= index < stop`` of the canonical stream.
-
-    The prefix before *start* is skipped by the streams' own
-    fast-forward, not enumerated candidate by candidate."""
-    return islice(iter_matchings(kind, n1, n2, start=start), stop - start)
+    """Candidates ``start <= index < stop`` of the canonical stream, one
+    :class:`Matching` per row of :func:`matching_blocks`."""
+    matching_count(kind, n1, n2)  # validates before the first item
+    return (
+        block.matching(row)
+        for block in matching_blocks(kind, n1, n2, start, stop)
+        for row in range(len(block))
+    )
 
 
 def recombine_candidate(

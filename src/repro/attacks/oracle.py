@@ -14,10 +14,13 @@ Two check paths, chosen automatically:
   reversible (NOT/CNOT/Toffoli/MCT/SWAP/Fredkin, i.e. every RevLib
   benchmark and the default obfuscation gate pool), the function is a
   permutation of ``2^n`` bitstrings.  A matching's table is composed
-  from the segments' tables, simulated once per search: no circuit;
+  from the segments' tables, simulated once per search: no circuit.
+  :meth:`EquivalenceOracle.verdicts` composes a whole
+  :class:`~repro.attacks.matching.Block` of matchings at once — one
+  gather and one row-wise compare per bounded slice of rows;
 * **unitary** — otherwise the full matrix is built through the shared
   batched gate kernels (:func:`repro.simulator.unitary.circuit_unitary`)
-  and compared up to global phase, a matching recombined first.
+  and compared up to global phase, each matching recombined first.
   Searches refuse candidates over :data:`MAX_UNITARY_QUBITS` here.
 
 Candidates of different widths are compared after padding the narrower
@@ -36,7 +39,7 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..simulator.unitary import circuit_unitary, equal_up_to_global_phase
 from ..synth.truthtable import simulate_reversible
-from .matching import Matching, recombine_candidate
+from .matching import Block, Matching, recombine_candidate
 
 __all__ = [
     "MAX_UNITARY_QUBITS", "EquivalenceOracle", "is_reversible", "pad_table"
@@ -47,6 +50,10 @@ _REVERSIBLE_NAMES = {"x", "cx", "ccx", "swap", "cswap"}
 # Widest candidate the unitary path may check: a 2^12 x 2^12 complex
 # matrix is 256 MB, and each further qubit quadruples it.
 MAX_UNITARY_QUBITS = 12
+
+# Most table elements one slice of the composed check holds in an
+# array: 8 MB of int64 per array, whatever the block size.
+_GATHER_BUDGET = 1 << 20
 
 
 def is_reversible(circuit: QuantumCircuit) -> bool:
@@ -115,6 +122,7 @@ class EquivalenceOracle:
         self.segments = segments
         self._tables: Dict[int, np.ndarray] = {}
         self._unitaries: Dict[int, np.ndarray] = {}
+        self._padded_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         # composes: matchings are checked on the segments' truth tables
         self.composes = bool(use_truth_table and segments) and all(
             map(is_reversible, segments)
@@ -136,6 +144,17 @@ class EquivalenceOracle:
             ))
         return self._tables[width]
 
+    def _padded(self, width: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The ancilla bits of every ``2^width`` input and the reference
+        table shaped ``(2^(width - n1), 2^n1)``."""
+        if width not in self._padded_tables:
+            n1 = len(self._planes1)
+            self._padded_tables[width] = (
+                _bits(np.arange(1 << (width - n1)), width - n1),
+                self._table(width).reshape(-1, 1 << n1),
+            )
+        return self._padded_tables[width]
+
     def _unitary(self, width: int) -> np.ndarray:
         if width not in self._unitaries:
             n = self.reference.num_qubits
@@ -144,40 +163,70 @@ class EquivalenceOracle:
             self._unitaries[width] = _pad_unitary(self._unitaries[n], n, width)
         return self._unitaries[width]
 
-    def _check_matching(self, matching: Matching) -> bool:
-        """Segment 1's table, then segment 2's on the matched slots;
-        each ``2^width`` table is an outer OR over an input's low ``n1``
-        bits (segment 1's) and its ancilla bits above them."""
+    def _compose(self, block: Block) -> np.ndarray:
+        """Segment 1's table, then segment 2's on each row's slots.
+
+        Each ``2^width`` table is an outer OR over an input's low ``n1``
+        bits (segment 1's) and its ancilla bits above them.  The ancilla
+        reads, the written slots and the bits segment 2 leaves alone are
+        the same for every row; per row it is one gather of segment 2's
+        output planes and one compare, in slices of rows whose arrays
+        hold at most :data:`_GATHER_BUDGET` elements each.
+        """
         n1 = len(self._planes1)
-        width = max(matching.num_qubits, self.reference.num_qubits)
+        width = max(block.num_qubits, self.reference.num_qubits)
+        high_bits, reference = self._padded(width)
         high = np.arange(1 << (width - n1))
         # slot bit -> segment 2's input bit q2; its output bit q2 -> slot
-        read = np.zeros(width, dtype=np.int64)
-        write = np.zeros(len(self._planes2), dtype=np.int64)
-        for q2, slot in matching.mapping:
-            read[slot], write[q2] = 1 << q2, 1 << slot
-        inputs = (read[n1:] @ _bits(high, width - n1))[:, None] | (
-            read[:n1] @ self._planes1
-        )
-        written = int(write.sum())
+        pairs = np.array(block.ancillas, dtype=np.intp).reshape(-1, 2)
+        q2s, ancillas = pairs.T
+        read_high = np.zeros(width - n1, dtype=np.int64)
+        read_high[ancillas - n1] = np.left_shift(1, q2s)
+        high_inputs = (read_high @ high_bits)[:, None]
+        write_ancillas = np.left_shift(1, ancillas) @ self._planes2[q2s]
+        written = sum(1 << slot for slot in block.taken())
         kept = ((high & ~(written >> n1)) << n1)[:, None] | (
             self._table1 & ~written
         )
-        outputs = (write @ self._planes2)[inputs] | kept
-        return np.array_equal(outputs.ravel(), self._table(width))
+        matched = np.array(block.matched, dtype=np.intp)
+        reads = np.left_shift(1, matched)
+        planes2 = self._planes2[matched]
+        slots = block.slots
+        verdicts = np.empty(len(block), dtype=bool)
+        # rows x j x 2^n1 and rows x 2^width both stay within the budget
+        step = max(1, _GATHER_BUDGET // (len(matched) + 1 << width))
+        for lo in range(0, len(block), step):
+            rows = slots[lo:lo + step]
+            outputs = write_ancillas | (np.left_shift(1, rows) @ planes2)
+            inputs = high_inputs | (reads @ self._planes1[rows])[:, None, :]
+            inputs += (np.arange(len(rows)) * outputs.shape[1])[:, None, None]
+            verdicts[lo:lo + step] = (
+                (np.take(outputs, inputs) | kept) == reference
+            ).all(axis=(1, 2))
+        return verdicts
+
+    def verdicts(self, block: Block) -> np.ndarray:
+        """Boolean verdict of every row of *block* (a matching each)."""
+        if self.composes:
+            return self._compose(block)
+        if self.segments is None:
+            raise ValueError("checking a matching needs segments")
+        return np.array([
+            self._check_circuit(recombine_candidate(
+                *self.segments, matching.mapping_dict(), matching.num_qubits
+            ))
+            for matching in map(block.matching, range(len(block)))
+        ], dtype=bool)
 
     # ------------------------------------------------------------------
     def check(self, candidate: Union[QuantumCircuit, Matching]) -> bool:
         """True when *candidate* computes the reference function
         (idle-qubit padding applied to the narrower side)."""
         if isinstance(candidate, Matching):
-            if self.composes:
-                return self._check_matching(candidate)
-            if self.segments is None:
-                raise ValueError("checking a matching needs segments")
-            candidate = recombine_candidate(
-                *self.segments, candidate.mapping_dict(), candidate.num_qubits
-            )
+            return bool(self.verdicts(Block.of(candidate))[0])
+        return self._check_circuit(candidate)
+
+    def _check_circuit(self, candidate: QuantumCircuit) -> bool:
         width = max(candidate.num_qubits, self.reference.num_qubits)
         if self.use_truth_table and is_reversible(candidate):
             table = pad_table(

@@ -2,11 +2,13 @@
 
 The candidate space is sliced into fixed-size chunks of the canonical
 enumeration (``[0, chunk), [chunk, 2*chunk), ...``).  Each chunk is an
-independent, picklable unit of work: a worker re-derives the lazy
-stream, skips to its slice, and evaluates it — prefilter, then the
-oracle's check of the matching itself, no candidate circuit —
-returning per-candidate records.  Nothing the size of
-the full space is ever materialised, in the parent or in any worker.
+independent, picklable unit of work: a worker walks the candidate
+blocks (:class:`~repro.attacks.matching.Block`) that overlap its slice,
+rows clipped at the chunk edges, and evaluates each block at once — the
+prefilter's row mask, then the oracle's verdicts on the rows it
+passes, no candidate circuit — returning records for hits (or every
+checked row under ``record_all``).  Nothing the size of the full space
+is ever materialised, in the parent or in any worker.
 
 Determinism contract (the part the tests pin):
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from .base import AttackOutcome, CandidateOutcome, SearchOptions
-from .matching import matching_count, matching_slice
+from .matching import matching_blocks, matching_count
 from .oracle import MAX_UNITARY_QUBITS, EquivalenceOracle
 from .prefilter import StructuralPrefilter
 from .problem import CollusionProblem
@@ -112,21 +114,24 @@ def _evaluate_chunk(
     tried = 0
     pruned = 0
     records: List[CandidateOutcome] = []
-    for matching in matching_slice(
-        task.kind, n1, n2, task.start, task.stop
-    ):
-        if prefilter is not None and not prefilter.admits(matching):
-            pruned += 1
-            continue
-        ok = oracle.check(matching)
-        tried += 1
-        if ok or task.record_all:
+    for block in matching_blocks(task.kind, n1, n2, task.start, task.stop):
+        if prefilter is not None:
+            admitted = prefilter.admitted(block)
+            passed = int(np.count_nonzero(admitted))
+            pruned += len(block) - passed
+            if passed == 0:
+                continue
+            block = block.select(admitted)
+        verdicts = oracle.verdicts(block)
+        tried += len(block)
+        for row in np.flatnonzero(verdicts | task.record_all):
+            matching = block.matching(row)
             records.append(
                 CandidateOutcome(
                     index=matching.index,
                     mapping=matching.mapping,
                     num_qubits=matching.num_qubits,
-                    functional_match=ok,
+                    functional_match=bool(verdicts[row]),
                 )
             )
     return _ChunkReport(tried=tried, pruned=pruned, records=tuple(records))

@@ -19,19 +19,27 @@ away.  Disable prefiltering (``SearchOptions(prefilter=False)``) for
 exact per-candidate accounting.
 
 Neither filter ever builds a circuit or adds a histogram per
-candidate: the histogram stage is tabulated once per search, so a
-matching costs one set-containment test over its ``(segment-2 qubit,
-slot)`` pairs, and only matchings that pass it pay the ``O(edges)``
-edge-multiset test.
+candidate.  The histogram stage is tabulated once per search as a
+boolean ``(segment-2 qubit, slot)`` fit table plus the slots that fail
+when left to segment 1, and it runs on a whole
+:class:`~repro.attacks.matching.Block` of candidates at once
+(:meth:`StructuralPrefilter.admitted`): the ancilla pairs and the
+slots left to segment 1 are the same for every row, so they reject
+whole blocks with no per-row work, and one gather of the fit table
+masks the rest.  Only rows that pass the mask pay the ``O(edges)``
+edge-multiset test.  :meth:`StructuralPrefilter.admits` is the
+one-row case.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
-from .matching import Matching
+from .matching import Block, Matching
 
 __all__ = ["StructuralPrefilter", "edge_histogram", "qubit_histograms"]
 
@@ -93,12 +101,10 @@ class StructuralPrefilter:
         h1 += [Counter()] * (len(slots) - len(h1))
         ref += [Counter()] * (len(slots) - len(ref))
         # counts are positive: adding an empty histogram changes nothing
-        self._fits = frozenset(
-            (q2, slot)
-            for slot in slots
-            for q2, h in enumerate(h2)
-            if h1[slot] + h == ref[slot]
-        )
+        self._fits = np.array(
+            [[h1[slot] + h == ref[slot] for slot in slots] for h in h2],
+            dtype=bool,
+        ).reshape(len(h2), len(slots))
         self._misfits_alone = [s for s in slots if h1[s] != ref[s]]
         self._e1 = edge_histogram(segment1)
         self._seg2_edges: List[Tuple[str, Tuple[int, ...]]] = [
@@ -109,22 +115,31 @@ class StructuralPrefilter:
         self._ref_edges = edge_histogram(reference)
 
     # ------------------------------------------------------------------
+    def admitted(self, block: Block) -> np.ndarray:
+        """Boolean mask of the *block*'s rows that survive both filters.
+
+        The ancilla pairs and the slots left to segment 1 are the same
+        for every row, so they reject the whole block at once; one
+        gather of the fit table masks the rest, and only rows the mask
+        passes pay the edge-multiset test.
+        """
+        rows = np.zeros(len(block), dtype=bool)
+        if not all(self._fits[q2, slot] for q2, slot in block.ancillas):
+            return rows
+        width = max(block.num_qubits, self._reference_width)
+        taken = block.taken()
+        if any(s < width and s not in taken for s in self._misfits_alone):
+            return rows
+        matched = np.array(block.matched, dtype=np.intp)
+        rows[:] = self._fits[matched, block.slots].all(axis=1)
+        for row in np.flatnonzero(rows):
+            lookup = block.matching(row).mapping_dict()
+            edges = Counter(self._e1)
+            for name, qubits in self._seg2_edges:
+                edges[(name, tuple(lookup[q] for q in qubits))] += 1
+            rows[row] = edges == self._ref_edges
+        return rows
+
     def admits(self, matching: Matching) -> bool:
         """True when the matching survives both structural filters."""
-        if not self._fits.issuperset(matching.mapping):
-            return False
-        lookup: Dict[int, int] = dict(matching.mapping)
-        width = max(matching.num_qubits, self._reference_width)
-        taken = set(lookup.values())
-        if any(s < width and s not in taken for s in self._misfits_alone):
-            return False
-
-        if self._seg2_edges or self._e1 or self._ref_edges:
-            candidate_edges = Counter(self._e1)
-            for name, qubits in self._seg2_edges:
-                candidate_edges[
-                    (name, tuple(lookup[q] for q in qubits))
-                ] += 1
-            if candidate_edges != self._ref_edges:
-                return False
-        return True
+        return bool(self.admitted(Block.of(matching))[0])

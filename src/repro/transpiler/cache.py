@@ -114,7 +114,6 @@ class TranspileCache(LRUCache):
 
     def __init__(self, maxsize: int = 512) -> None:
         super().__init__(maxsize)
-        self.enabled = True
 
     def _copy_in(self, result: "TranspileResult") -> "TranspileResult":
         return _clone_result(result)
@@ -128,7 +127,7 @@ class TranspileCache(LRUCache):
         s = self.stats()
         return (
             f"TranspileCache(size={s.size}/{s.maxsize}, hits={s.hits}, "
-            f"misses={s.misses}, enabled={self.enabled})"
+            f"misses={s.misses})"
         )
 
 

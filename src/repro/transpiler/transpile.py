@@ -127,7 +127,6 @@ def transpile(
     initial_layout: Optional[Union[Layout, Sequence[int]]] = None,
     layout_method: str = "greedy",
     optimization_level: int = 1,
-    use_cache: Optional[bool] = None,
 ) -> TranspileResult:
     """Compile *circuit* for a device.
 
@@ -146,11 +145,11 @@ def transpile(
         *initial_layout* is given.
     optimization_level:
         0 (none) to 3 (aggressive 1-qubit fusion + cancellation).
-    use_cache:
-        ``True``/``False`` forces the transpile cache on/off for this
-        call; ``None`` (default) follows the global cache's ``enabled``
-        flag.  Compilation is deterministic, so a cache hit is
-        bit-identical to a fresh compile.
+
+    Every call goes through the per-process transpile cache
+    (:func:`~repro.transpiler.cache.get_transpile_cache`); compilation
+    is deterministic, so a hit is bit-identical to a fresh compile.
+    Clear that cache for a cold compile.
     """
     if coupling is None:
         if backend is not None:
@@ -173,22 +172,19 @@ def transpile(
         raise ValueError(f"unknown layout method {layout_method!r}")
 
     cache = get_transpile_cache()
-    cache_on = cache.enabled if use_cache is None else use_cache
-    key = None
-    if cache_on:
-        key = (
-            circuit_structural_hash(circuit),
-            coupling_cache_key(coupling),
-            layout_cache_key(pinned),
-            (layout_method, optimization_level),
-        )
-        cached = cache.lookup(key)
-        if cached is not None:
-            # the key is purely structural, so the hit may have been
-            # stored under a different circuit name; a fresh compile
-            # propagates the source name, so restore that here too
-            cached.circuit.name = circuit.name
-            return cached
+    key = (
+        circuit_structural_hash(circuit),
+        coupling_cache_key(coupling),
+        layout_cache_key(pinned),
+        (layout_method, optimization_level),
+    )
+    cached = cache.lookup(key)
+    if cached is not None:
+        # the key is purely structural, so the hit may have been
+        # stored under a different circuit name; a fresh compile
+        # propagates the source name, so restore that here too
+        cached.circuit.name = circuit.name
+        return cached
 
     schedule = preset_schedule(
         optimization_level=optimization_level,
@@ -207,8 +203,7 @@ def transpile(
         swap_count=properties["swap_count"],
         pass_timings=properties["pass_timings"],
     )
-    if key is not None:
-        cache.store(key, result)
+    cache.store(key, result)
     return result
 
 

@@ -4,6 +4,7 @@ oracle, prefilters, and the two brute-force attacks."""
 import math
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from repro.attacks import (
@@ -145,15 +146,25 @@ class TestMatchingStreams:
                 iter_same_width_matchings(4, start=start)
             ) == full[start:]
 
-    def test_permutation_unranking_matches_itertools(self):
+    def test_permutation_table_matches_itertools(self):
+        """Cached tables and the rows derived past them both list
+        permutations in ``itertools.permutations`` order."""
         from itertools import permutations as it_permutations
 
-        from repro.attacks.matching import permutations_from
+        from repro.attacks.matching import _TABLE_MAX, _permutation_rows
 
-        items = (0, 2, 5, 7)
-        full = list(it_permutations(items))
-        for start in range(len(full) + 1):
-            assert list(permutations_from(items, start)) == full[start:]
+        for j in range(6):
+            rows = np.arange(math.factorial(j))
+            assert [
+                tuple(row) for row in _permutation_rows(j, rows).tolist()
+            ] == list(it_permutations(range(j)))
+        j = _TABLE_MAX + 1
+        full = list(islice(it_permutations(range(j)), 2 * 10**5))
+        for j_rows in ([0, 1, 5039, 40320], [10**5, 2 * 10**5 - 1]):
+            got = _permutation_rows(j, np.array(j_rows)).tolist()
+            assert [tuple(row) for row in got] == [full[r] for r in j_rows]
+        assert _permutation_rows(j, np.array([math.factorial(j) - 1])
+                                 ).tolist() == [list(range(j))[::-1]]
 
     def test_unmatched_qubits_take_ascending_ancillas(self):
         # j = 0 candidate: every seg-2 qubit lands on a fresh ancilla

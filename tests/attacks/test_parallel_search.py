@@ -1,9 +1,12 @@
 """Process-pool search: bit-identity with sequential, early exit,
-dispatch-order shuffling."""
+dispatch-order shuffling, chunks that cut candidate blocks, and the
+composed check's memory bound."""
 
 import multiprocessing
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.attacks import (
@@ -14,7 +17,9 @@ from repro.attacks import (
     problem_from_split,
 )
 from repro.attacks import parallel
+from repro.attacks.problem import CollusionProblem
 from repro.baselines import saki_split
+from repro.circuits import QuantumCircuit
 from repro.core import insert_random_pairs
 from repro.revlib import benchmark_circuit
 
@@ -155,3 +160,85 @@ class TestParallelBitIdentity:
             attack.search(mismatched_problem, SearchOptions(jobs=0))
         with pytest.raises(ValueError, match="chunk_size"):
             attack.search(mismatched_problem, SearchOptions(chunk_size=0))
+
+
+class TestChunksCuttingBlocks:
+    """The (5, 3) fixture's overlap-3 blocks hold 3! = 6 candidates and
+    its overlap-2 blocks 2, so chunks of 1 and 7 candidates start and
+    end inside blocks."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [1, 7])
+    def test_full_search_equals_sequential_default(
+        self, mismatched_problem, chunk_size, jobs
+    ):
+        attack = get_attack("mismatched")
+        for prefilter in (True, False):
+            default = attack.search(
+                mismatched_problem,
+                SearchOptions(prefilter=prefilter, record_all=True),
+            )
+            for seed in (None, 11):
+                chunked = attack.search(
+                    mismatched_problem,
+                    SearchOptions(
+                        prefilter=prefilter, record_all=True, seed=seed,
+                        chunk_size=chunk_size, jobs=jobs,
+                    ),
+                )
+                assert outcome_key(chunked) == outcome_key(default)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7])
+    def test_early_exit_equals_sequential(
+        self, mismatched_problem, chunk_size
+    ):
+        attack = get_attack("mismatched")
+        first = attack.search(mismatched_problem).first_match
+        for prefilter in (True, False):
+            for seed in (None, 11):
+                outcomes = [
+                    attack.search(
+                        mismatched_problem,
+                        SearchOptions(
+                            prefilter=prefilter, early_exit=True, seed=seed,
+                            chunk_size=chunk_size, jobs=jobs,
+                        ),
+                    )
+                    for jobs in (1, 2)
+                ]
+                assert outcome_key(outcomes[0]) == outcome_key(outcomes[1])
+                assert first in outcomes[0].results
+                if seed is None:
+                    # the canonical prefix ends with the first match's chunk
+                    last = -(-(first.index + 1) // chunk_size) * chunk_size
+                    assert outcomes[0].enumerated == last
+
+
+def test_composed_search_memory_is_bounded():
+    """An 8-qubit same-width search in one chunk: one 8! = 40,320-row
+    block, 2^8 table entries a row.  Checking the whole block in one
+    gather would hold hundreds of MB; the composed check's slices keep
+    the peak at a few of its 8 MB arrays."""
+    rng = np.random.default_rng(5)
+    segments = []
+    for _ in range(2):
+        qc = QuantumCircuit(8)
+        for _ in range(24):
+            qubits = [int(q) for q in rng.choice(8, 3, replace=False)]
+            arity = int(rng.integers(1, 4))
+            (qc.x, qc.cx, qc.ccx)[arity - 1](*qubits[:arity])
+        segments.append(qc)
+    problem = CollusionProblem(
+        segments[0], segments[1], segments[0].compose(segments[1])
+    )
+    tracemalloc.start()
+    try:
+        outcome = get_attack("same-width").search(
+            problem, SearchOptions(prefilter=False, chunk_size=10**6)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.candidates_tried == 40_320
+    assert outcome.success
+    assert peak < 48 * 2**20

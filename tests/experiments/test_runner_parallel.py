@@ -94,8 +94,10 @@ class TestParallelSuite:
 class TestCompilationKnobs:
     """The transpile cache never changes any result."""
 
-    def test_transpile_cache_does_not_change_results(self):
-        from repro.transpiler import get_transpile_cache
+    def test_transpile_cache_does_not_change_results(self, monkeypatch):
+        import importlib
+
+        from repro.transpiler import TranspileCache, get_transpile_cache
 
         cache = get_transpile_cache()
         cache.clear()
@@ -104,12 +106,14 @@ class TestCompilationKnobs:
         )
         assert cache.stats().hits > 0
         cache.clear()
-        cache.enabled = False
-        try:
-            uncached = generate_table1(
-                iterations=2, shots=100, seed=21, benchmarks=PAIR
-            )
-        finally:
-            cache.enabled = True
-        assert cache.stats().hits == 0
+        # every compile gets a fresh private cache, so none is a hit
+        monkeypatch.setattr(
+            importlib.import_module("repro.transpiler.transpile"),
+            "get_transpile_cache",
+            TranspileCache,
+        )
+        uncached = generate_table1(
+            iterations=2, shots=100, seed=21, benchmarks=PAIR
+        )
+        assert cache.stats().hits == cache.stats().misses == 0
         assert _fingerprint(cached) == _fingerprint(uncached)

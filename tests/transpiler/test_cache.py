@@ -94,10 +94,9 @@ class TestTranspileCacheHits:
         backend = fake_valencia()
         fresh = transpile(_circuit(), backend=backend, optimization_level=2)
         cached = transpile(_circuit(), backend=backend, optimization_level=2)
-        uncached = transpile(
-            _circuit(), backend=backend, optimization_level=2,
-            use_cache=False,
-        )
+        get_transpile_cache().clear()
+        uncached = transpile(_circuit(), backend=backend, optimization_level=2)
+        assert not uncached.from_cache
         for other in (cached, uncached):
             assert other.circuit == fresh.circuit
             assert other.initial_layout == fresh.initial_layout
@@ -143,24 +142,6 @@ class TestTranspileCacheHits:
         ]
         assert not any(v.from_cache for v in variants)
 
-    def test_use_cache_false_bypasses(self):
-        backend = fake_valencia()
-        transpile(_circuit(), backend=backend)
-        again = transpile(_circuit(), backend=backend, use_cache=False)
-        assert not again.from_cache
-
-    def test_globally_disabled_cache(self):
-        cache = get_transpile_cache()
-        cache.enabled = False
-        try:
-            backend = fake_valencia()
-            transpile(_circuit(), backend=backend)
-            again = transpile(_circuit(), backend=backend)
-            assert not again.from_cache
-            assert len(cache) == 0
-        finally:
-            cache.enabled = True
-
 
 class TestTranspileCacheContainer:
     def test_lru_eviction(self):
@@ -170,7 +151,7 @@ class TestTranspileCacheContainer:
         for i in range(3):
             qc = QuantumCircuit(2)
             qc.rz(0.1 * (i + 1), 0)
-            results[i] = transpile(qc, backend=backend, use_cache=False)
+            results[i] = transpile(qc, backend=backend)
             cache.store(("k", i), results[i])
         assert cache.lookup(("k", 0)) is None  # evicted
         assert cache.lookup(("k", 2)).circuit == results[2].circuit

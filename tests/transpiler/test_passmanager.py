@@ -9,6 +9,7 @@ from repro.transpiler import (
     Layout,
     PassManager,
     PropertySet,
+    get_transpile_cache,
     optimization_passes,
     optimize_circuit,
     preset_schedule,
@@ -133,9 +134,7 @@ class TestPresetSchedule:
         circuit, props = PassManager(
             preset_schedule(optimization_level=2)
         ).run(qc, props)
-        result = transpile(
-            qc, backend=backend, optimization_level=2, use_cache=False
-        )
+        result = transpile(qc, backend=backend, optimization_level=2)
         assert circuit == result.circuit
         assert props["initial_layout"] == result.initial_layout
         assert props["final_layout"] == result.final_layout
@@ -157,7 +156,8 @@ class TestPresetSchedule:
 
 class TestTranspileResultTimings:
     def test_transpile_surfaces_pass_timings(self):
-        result = transpile(_bell_plus_junk(), use_cache=False)
+        get_transpile_cache().clear()
+        result = transpile(_bell_plus_junk())
         assert "TranslateToBasis" in result.pass_timings
         assert "Route" in result.pass_timings
         assert result.compile_seconds == pytest.approx(
@@ -166,13 +166,9 @@ class TestTranspileResultTimings:
         assert not result.from_cache
 
     def test_level_controls_optimization_passes(self):
-        level0 = transpile(
-            _bell_plus_junk(), optimization_level=0, use_cache=False
-        )
+        level0 = transpile(_bell_plus_junk(), optimization_level=0)
         assert "RemoveIdentities" not in level0.pass_timings
-        level2 = transpile(
-            _bell_plus_junk(), optimization_level=2, use_cache=False
-        )
+        level2 = transpile(_bell_plus_junk(), optimization_level=2)
         assert "FuseSingleQubitRuns" in level2.pass_timings
 
 
@@ -194,6 +190,5 @@ class TestOptimizeCircuitWrapper:
                 qc,
                 coupling=CouplingMap.line(3),
                 optimization_level=level,
-                use_cache=False,
             )
             assert routed_equivalent(qc, result)
