@@ -23,14 +23,15 @@ position in the stream (its *index*) is stable across runs, worker
 counts and machines.  The parallel search relies on this to slice the
 stream into chunks that reassemble bit-identically.
 
-The stream is walked one :class:`Block` at a time: the ``j!``
-bijections of one subset pair are consecutive indices and the rows of a
-cached ``j! x j`` permutation table, so a block is one integer array
-and the search checks it with array operations.  The same-width stream
-is the single block ``j = n``.  Nothing factorial-sized is ever
-materialised: blocks hold at most :data:`_BLOCK_ROWS` rows, and
-:func:`matching_slice` yields a :class:`Matching` per row only for the
-callers that want objects.
+The stream is walked as :class:`Rows`: a slice ``[start, stop)`` is
+unranked per overlap ``j`` with a few array operations — a candidate's
+offset within ``j`` splits by ``divmod`` into the rank of its segment-2
+subset, of its segment-1 subset and of its bijection — and the search
+checks all of an overlap's rows of a slice together.  The same-width
+stream is the single overlap ``j = n``.  Nothing factorial-sized is
+ever materialised: one :class:`Rows` holds at most :data:`_ROWS` rows,
+and :func:`matching_slice` yields a :class:`Matching` per row only for
+the callers that want objects.
 """
 
 from __future__ import annotations
@@ -46,13 +47,13 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 
 __all__ = [
-    "Block",
     "Matching",
+    "Rows",
     "iter_matchings",
     "iter_same_width_matchings",
     "iter_subset_matchings",
     "matching_count",
-    "matching_blocks",
+    "matching_rows",
     "matching_slice",
     "recombine_candidate",
     "same_width_matching_count",
@@ -108,9 +109,9 @@ def subset_matching_count(n1: int, n2: int) -> int:
 # is 3.3 MB, and any searchable j (j! <= SearchOptions.max_candidates'
 # default) fits; rows of wider tables are derived from it.
 _TABLE_MAX = 9
-# Most rows one block holds, so per-block arrays stay bounded whatever
-# the chunk size and a lazy stream never builds a factorial-sized table.
-_BLOCK_ROWS = 1 << 16
+# Most rows one :class:`Rows` holds: arrays stay bounded whatever the
+# chunk size, and a lazy stream never builds a factorial-sized table.
+_ROWS = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -136,114 +137,125 @@ def _permutation_rows(j: int, rows: np.ndarray) -> np.ndarray:
     return np.column_stack((lead.astype(np.int8), tail))
 
 
-@dataclass(frozen=True)
-class Block:
-    """Consecutive candidates of one (overlap ``j``, segment-2 subset,
-    segment-1 subset) group.
+@lru_cache(maxsize=None)
+def _subsets(n: int, j: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``j``-subsets of ``range(n)`` in ``combinations`` order, and
+    each one's complement (ascending), as ``C(n, j)``-row tables."""
+    chosen = list(combinations(range(n), j))
+    rest = [[q for q in range(n) if q not in subset] for subset in chosen]
+    return (
+        np.array(chosen, dtype=np.intp).reshape(len(chosen), j),
+        np.array(rest, dtype=np.intp).reshape(len(chosen), n - j),
+    )
 
-    Row ``r`` is the group's bijection of rank ``ranks[r]``, candidate
-    ``first + ranks[r]``: segment-2 qubit ``matched[i]`` goes to slot
-    ``slots[r, i]``, a permutation of *targets*, and every other
-    segment-2 qubit to its fixed *ancillas* slot.  So across a block the
-    ancilla pairs and the set of taken slots are constant; only the
-    bijection varies, and ``slots`` is built only when asked for.
+
+@dataclass(frozen=True)
+class Rows:
+    """Candidates of one overlap ``j``, one array entry per row.
+
+    Row ``r`` is candidate ``index[r]``: segment-2 subset ``seg2[r]``
+    (its rank in ``combinations(range(n2), j)``) crosses the boundary
+    onto segment-1 subset ``seg1[r]`` by bijection ``perm[r]`` (a row of
+    the ``j!`` permutation table), and every other segment-2 qubit takes
+    the next fresh ancilla.  :attr:`slots` expands the ranks into the
+    slot of every segment-2 qubit, only when asked for.
     """
 
-    first: int  # canonical index of the group's first bijection
-    ranks: np.ndarray  # (B,) rows of the j! x j permutation table
-    matched: Tuple[int, ...]  # segment-2 qubits crossing the boundary
-    targets: Tuple[int, ...]  # the segment-1 slots they take
-    ancillas: Tuple[Tuple[int, int], ...]  # (segment-2 qubit, slot)
-    num_qubits: int
+    n1: int
+    n2: int
+    overlap: int
+    index: np.ndarray  # (R,) canonical candidate indices
+    seg2: np.ndarray  # (R,) segment-2 subset ranks
+    seg1: np.ndarray  # (R,) segment-1 subset ranks
+    perm: np.ndarray  # (R,) bijection ranks
 
     @classmethod
-    def of(cls, matching: Matching) -> "Block":
-        """The one-row block of *matching*."""
-        matched = tuple(q2 for q2, _ in matching.matched)
-        return cls(
-            first=matching.index,
-            ranks=np.zeros(1, dtype=np.int64),
-            matched=matched,
-            targets=tuple(slot for _, slot in matching.matched),
-            ancillas=tuple(
-                pair for pair in matching.mapping if pair[0] not in matched
-            ),
-            num_qubits=matching.num_qubits,
-        )
+    def of(cls, matching: Matching) -> "Rows":
+        """The one-row case of *matching*, unranked from its index in
+        the stream it came from."""
+        n2, j = len(matching.mapping), matching.overlap
+        n1 = matching.num_qubits - n2 + j
+        index = matching.index
+        for kind in ["subset"] + ["same-width"] * (n1 == n2 == j):
+            for rows in matching_rows(kind, n1, n2, index, index + 1):
+                if rows.matching(0) == matching:
+                    return rows
+        raise ValueError(f"{matching} is in no candidate stream")
 
     def __len__(self) -> int:
-        return len(self.ranks)
+        return len(self.index)
+
+    @property
+    def num_qubits(self) -> int:
+        return self.n1 + self.n2 - self.overlap
+
+    def select(self, rows: np.ndarray) -> "Rows":
+        """The rows at *rows* (positions or a mask)."""
+        return replace(
+            self, index=self.index[rows], seg2=self.seg2[rows],
+            seg1=self.seg1[rows], perm=self.perm[rows],
+        )
 
     @cached_property
     def slots(self) -> np.ndarray:
-        """``(B, j)`` slot of each matched qubit, row by row."""
-        perms = _permutation_rows(len(self.targets), self.ranks)
-        return np.array(self.targets, dtype=np.int64)[perms]
-
-    def taken(self) -> set:
-        """The slots every row of the block occupies."""
-        return set(self.targets) | {slot for _, slot in self.ancillas}
-
-    def select(self, rows: np.ndarray) -> "Block":
-        """The block restricted to *rows* (positions or a mask)."""
-        return replace(self, ranks=self.ranks[rows])
+        """``(R, n2)`` slot of every segment-2 qubit, row by row."""
+        j = self.overlap
+        matched, unmatched = (t[self.seg2] for t in _subsets(self.n2, j))
+        targets = _subsets(self.n1, j)[0][self.seg1]
+        rows = np.arange(len(self))[:, None]
+        out = np.empty((len(self), self.n2), dtype=np.intp)
+        out[rows, matched] = targets[rows, _permutation_rows(j, self.perm)]
+        out[rows, unmatched] = self.n1 + np.arange(self.n2 - j)
+        return out
 
     def matching(self, row: int) -> Matching:
-        matched = tuple(zip(self.matched, self.slots[row].tolist()))
+        mapping = tuple(enumerate(self.slots[row].tolist()))
         return Matching(
-            index=self.first + int(self.ranks[row]),
-            mapping=tuple(sorted(matched + self.ancillas)),
-            matched=matched,
+            index=int(self.index[row]),
+            mapping=mapping,
+            matched=tuple(pair for pair in mapping if pair[1] < self.n1),
             num_qubits=self.num_qubits,
         )
 
 
-def matching_blocks(
-    kind: str, n1: int, n2: int, start: int = 0, stop: Optional[int] = None
-) -> Iterator[Block]:
-    """The canonical stream's candidates ``start <= index < stop`` as
-    blocks, in order.
+@lru_cache(maxsize=None)
+def _spans(kind: str, n1: int, n2: int) -> Tuple[Tuple[int, ...], ...]:
+    """``(j, first index, end, candidates per segment-2 subset, j!)``
+    of every overlap of the *kind* stream."""
+    matching_count(kind, n1, n2)  # validates
+    overlaps = [n1] if kind == "same-width" else range(min(n1, n2) + 1)
+    spans, offset = [], 0
+    for j in overlaps:
+        group = math.comb(n1, j) * math.factorial(j)
+        spans.append((j, offset, offset + math.comb(n2, j) * group, group,
+                      math.factorial(j)))
+        offset = spans[-1][2]
+    return tuple(spans)
 
-    Subsets before *start* are skipped by size, their bijections never
-    enumerated, so a worker's cost is ``O(skipped subsets)`` bookkeeping
-    plus its own slice.  The same-width stream is the single group
+
+def matching_rows(
+    kind: str, n1: int, n2: int, start: int = 0, stop: Optional[int] = None
+) -> Iterator[Rows]:
+    """The canonical stream's candidates ``start <= index < stop`` as
+    :class:`Rows`, overlap by overlap.
+
+    Every row is unranked from its index, so a slice costs its own rows
+    whatever its position; the same-width stream is the single overlap
     ``j = n``.
     """
-    total = matching_count(kind, n1, n2)
-    stop = total if stop is None else min(stop, total)
-    overlaps = [n1] if kind == "same-width" else range(min(n1, n2) + 1)
-    index = 0
-    for j in overlaps:
-        perms = math.factorial(j)
-        subset_block = math.comb(n1, j) * perms
-        for seg2_subset in combinations(range(n2), j):
-            if index + subset_block <= start:
-                index += subset_block
-                continue
-            chosen = set(seg2_subset)
-            ancillas = tuple(
-                (q2, n1 + rank)
-                for rank, q2 in enumerate(
-                    q for q in range(n2) if q not in chosen
-                )
-            )
-            for seg1_subset in combinations(range(n1), j):
-                if index >= stop:
-                    return
-                if index + perms <= start:
-                    index += perms
-                    continue
-                last = min(stop - index, perms)
-                for lo in range(max(start - index, 0), last, _BLOCK_ROWS):
-                    yield Block(
-                        first=index,
-                        ranks=np.arange(lo, min(lo + _BLOCK_ROWS, last)),
-                        matched=seg2_subset,
-                        targets=seg1_subset,
-                        ancillas=ancillas,
-                        num_qubits=n1 + n2 - j,
-                    )
-                index += perms
+    spans = _spans(kind, n1, n2)
+    stop = spans[-1][2] if stop is None else min(stop, spans[-1][2])
+    for j, offset, end, group, perms in spans:
+        if end <= start:
+            continue
+        if offset >= stop:
+            return
+        for lo in range(max(start, offset), min(stop, end), _ROWS):
+            hi = min(lo + _ROWS, stop, end)
+            local = np.arange(lo - offset, hi - offset)
+            seg2, rest = np.divmod(local, group)
+            seg1, perm = np.divmod(rest, perms)
+            yield Rows(n1, n2, j, local + offset, seg2, seg1, perm)
 
 
 def iter_same_width_matchings(n: int, start: int = 0) -> Iterator[Matching]:
@@ -256,14 +268,7 @@ def iter_subset_matchings(
     n1: int, n2: int, start: int = 0
 ) -> Iterator[Matching]:
     """Lazily yield Eq. 1's subset-injection matchings, from candidate
-    *start* on.
-
-    For each overlap size ``j``: choose the ``j`` segment-2 qubits
-    that cross the boundary, choose ``j`` segment-1 attachment points,
-    and try every bijection between the two subsets.  The remaining
-    segment-2 qubits (ascending) land on fresh ancillas ``n1, n1+1,
-    ...`` — the attacker's guess that they never met segment 1.
-    """
+    *start* on."""
     return iter_matchings("subset", n1, n2, start=start)
 
 
@@ -292,12 +297,12 @@ def matching_slice(
     kind: str, n1: int, n2: int, start: int, stop: Optional[int]
 ) -> Iterator[Matching]:
     """Candidates ``start <= index < stop`` of the canonical stream, one
-    :class:`Matching` per row of :func:`matching_blocks`."""
+    :class:`Matching` per row of :func:`matching_rows`."""
     matching_count(kind, n1, n2)  # validates before the first item
     return (
-        block.matching(row)
-        for block in matching_blocks(kind, n1, n2, start, stop)
-        for row in range(len(block))
+        rows.matching(row)
+        for rows in matching_rows(kind, n1, n2, start, stop)
+        for row in range(len(rows))
     )
 
 

@@ -15,9 +15,11 @@ Two check paths, chosen automatically:
   benchmark and the default obfuscation gate pool), the function is a
   permutation of ``2^n`` bitstrings.  A matching's table is composed
   from the segments' tables, simulated once per search: no circuit.
-  :meth:`EquivalenceOracle.verdicts` composes a whole
-  :class:`~repro.attacks.matching.Block` of matchings at once — one
-  gather and one row-wise compare per bounded slice of rows;
+  :meth:`EquivalenceOracle.verdicts` checks all
+  :class:`~repro.attacks.matching.Rows` of one overlap at once: every
+  row is first probed on the first few inputs, which rejects nearly
+  every wrong matching, and only the rows that pass are composed on all
+  ``2^width`` inputs, in slices of bounded size;
 * **unitary** — otherwise the full matrix is built through the shared
   batched gate kernels (:func:`repro.simulator.unitary.circuit_unitary`)
   and compared up to global phase, each matching recombined first.
@@ -39,7 +41,7 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..simulator.unitary import circuit_unitary, equal_up_to_global_phase
 from ..synth.truthtable import simulate_reversible
-from .matching import Block, Matching, recombine_candidate
+from .matching import Matching, Rows, recombine_candidate
 
 __all__ = [
     "MAX_UNITARY_QUBITS", "EquivalenceOracle", "is_reversible", "pad_table"
@@ -52,8 +54,10 @@ _REVERSIBLE_NAMES = {"x", "cx", "ccx", "swap", "cswap"}
 MAX_UNITARY_QUBITS = 12
 
 # Most table elements one slice of the composed check holds in an
-# array: 8 MB of int64 per array, whatever the block size.
+# array: 8 MB of int64 per array, whatever the number of rows.
 _GATHER_BUDGET = 1 << 20
+# Inputs every row is probed on before its full table is composed.
+_PROBE = 8
 
 
 def is_reversible(circuit: QuantumCircuit) -> bool:
@@ -65,6 +69,15 @@ def is_reversible(circuit: QuantumCircuit) -> bool:
     )
 
 
+def _pad(table: np.ndarray, num_qubits: int, width: int) -> np.ndarray:
+    """:func:`pad_table` as an array."""
+    if width < num_qubits:
+        raise ValueError("cannot pad a table to a narrower register")
+    inputs = np.arange(1 << width)
+    low = (1 << num_qubits) - 1
+    return table[inputs & low] | (inputs & ~low)
+
+
 def pad_table(table: List[int], num_qubits: int, width: int) -> List[int]:
     """Extend a truth table with pass-through high qubits.
 
@@ -72,14 +85,7 @@ def pad_table(table: List[int], num_qubits: int, width: int) -> List[int]:
     and leaves bits ``num_qubits .. width-1`` untouched — the function
     of the same circuit on a wider idle register.
     """
-    if width < num_qubits:
-        raise ValueError("cannot pad a table to a narrower register")
-    if width == num_qubits:
-        return table
-    mask = (1 << num_qubits) - 1
-    return [
-        table[x & mask] | (x & ~mask) for x in range(1 << width)
-    ]
+    return _pad(np.asarray(table), num_qubits, width).tolist()
 
 
 def _pad_unitary(matrix: np.ndarray, num_qubits: int, width: int) -> np.ndarray:
@@ -89,11 +95,6 @@ def _pad_unitary(matrix: np.ndarray, num_qubits: int, width: int) -> np.ndarray:
     if width == num_qubits:
         return matrix
     return np.kron(np.eye(2 ** (width - num_qubits)), matrix)
-
-
-def _bits(values: np.ndarray, count: int) -> np.ndarray:
-    """``count x len(values)`` 0/1 matrix: row ``b`` holds bit ``b``."""
-    return (values >> np.arange(count)[:, None]) & 1
 
 
 class EquivalenceOracle:
@@ -122,38 +123,25 @@ class EquivalenceOracle:
         self.segments = segments
         self._tables: Dict[int, np.ndarray] = {}
         self._unitaries: Dict[int, np.ndarray] = {}
-        self._padded_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         # composes: matchings are checked on the segments' truth tables
         self.composes = bool(use_truth_table and segments) and all(
             map(is_reversible, segments)
         )
         if self.composes:
-            self._table1, table2 = (
+            self._table1, self._table2 = (
                 np.asarray(simulate_reversible(s).table) for s in segments
             )
-            self._planes1 = _bits(self._table1, segments[0].num_qubits)
-            self._planes2 = _bits(table2, segments[1].num_qubits)
 
     # ------------------------------------------------------------------
     def _table(self, width: int) -> np.ndarray:
         if width not in self._tables:
-            self._tables[width] = np.asarray(pad_table(
-                simulate_reversible(self.reference).table,
-                self.reference.num_qubits,
-                width,
-            ))
+            n = self.reference.num_qubits
+            if n not in self._tables:
+                self._tables[n] = np.asarray(
+                    simulate_reversible(self.reference).table
+                )
+            self._tables[width] = _pad(self._tables[n], n, width)
         return self._tables[width]
-
-    def _padded(self, width: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The ancilla bits of every ``2^width`` input and the reference
-        table shaped ``(2^(width - n1), 2^n1)``."""
-        if width not in self._padded_tables:
-            n1 = len(self._planes1)
-            self._padded_tables[width] = (
-                _bits(np.arange(1 << (width - n1)), width - n1),
-                self._table(width).reshape(-1, 1 << n1),
-            )
-        return self._padded_tables[width]
 
     def _unitary(self, width: int) -> np.ndarray:
         if width not in self._unitaries:
@@ -163,59 +151,55 @@ class EquivalenceOracle:
             self._unitaries[width] = _pad_unitary(self._unitaries[n], n, width)
         return self._unitaries[width]
 
-    def _compose(self, block: Block) -> np.ndarray:
+    def _agree(
+        self, slots: np.ndarray, after1: np.ndarray, reference: np.ndarray
+    ) -> np.ndarray:
+        """Which rows of *slots* send every segment-1 output *after1* to
+        its *reference* entry: segment 2 reads its qubit ``q`` from slot
+        ``slots[r, q]`` and writes it back there; other slots keep
+        segment 1's bit."""
+        q = np.arange(slots.shape[1])[:, None]
+        slots = slots[:, :, None]
+        inputs = (((after1 >> slots) & 1) << q).sum(axis=1)
+        outputs = self._table2[inputs][:, None, :]
+        written = (((outputs >> q) & 1) << slots).sum(axis=1)
+        kept = after1 & ~np.left_shift(1, slots).sum(axis=1)
+        return ((kept | written) == reference).all(axis=1)
+
+    def _compose(self, rows: Rows) -> np.ndarray:
         """Segment 1's table, then segment 2's on each row's slots.
 
-        Each ``2^width`` table is an outer OR over an input's low ``n1``
-        bits (segment 1's) and its ancilla bits above them.  The ancilla
-        reads, the written slots and the bits segment 2 leaves alone are
-        the same for every row; per row it is one gather of segment 2's
-        output planes and one compare, in slices of rows whose arrays
-        hold at most :data:`_GATHER_BUDGET` elements each.
+        Every row is probed on the first :data:`_PROBE` inputs; the rows
+        that pass are checked on all ``2^width`` inputs.  Each pass runs
+        in slices of rows whose arrays hold at most
+        :data:`_GATHER_BUDGET` elements.
         """
-        n1 = len(self._planes1)
-        width = max(block.num_qubits, self.reference.num_qubits)
-        high_bits, reference = self._padded(width)
-        high = np.arange(1 << (width - n1))
-        # slot bit -> segment 2's input bit q2; its output bit q2 -> slot
-        pairs = np.array(block.ancillas, dtype=np.intp).reshape(-1, 2)
-        q2s, ancillas = pairs.T
-        read_high = np.zeros(width - n1, dtype=np.int64)
-        read_high[ancillas - n1] = np.left_shift(1, q2s)
-        high_inputs = (read_high @ high_bits)[:, None]
-        write_ancillas = np.left_shift(1, ancillas) @ self._planes2[q2s]
-        written = sum(1 << slot for slot in block.taken())
-        kept = ((high & ~(written >> n1)) << n1)[:, None] | (
-            self._table1 & ~written
-        )
-        matched = np.array(block.matched, dtype=np.intp)
-        reads = np.left_shift(1, matched)
-        planes2 = self._planes2[matched]
-        slots = block.slots
-        verdicts = np.empty(len(block), dtype=bool)
-        # rows x j x 2^n1 and rows x 2^width both stay within the budget
-        step = max(1, _GATHER_BUDGET // (len(matched) + 1 << width))
-        for lo in range(0, len(block), step):
-            rows = slots[lo:lo + step]
-            outputs = write_ancillas | (np.left_shift(1, rows) @ planes2)
-            inputs = high_inputs | (reads @ self._planes1[rows])[:, None, :]
-            inputs += (np.arange(len(rows)) * outputs.shape[1])[:, None, None]
-            verdicts[lo:lo + step] = (
-                (np.take(outputs, inputs) | kept) == reference
-            ).all(axis=(1, 2))
+        width = max(rows.num_qubits, self.reference.num_qubits)
+        # segment 1's output on every input; bits above its qubits pass
+        after1 = _pad(self._table1, rows.n1, width)
+        reference = self._table(width)
+        verdicts = np.ones(len(rows), dtype=bool)
+        for inputs in (min(_PROBE, len(reference)), len(reference)):
+            step = max(1, _GATHER_BUDGET // (inputs * (rows.n2 + 1)))
+            left = np.flatnonzero(verdicts)
+            for lo in range(0, len(left), step):
+                part = left[lo:lo + step]
+                verdicts[part] = self._agree(
+                    rows.slots[part], after1[:inputs], reference[:inputs]
+                )
         return verdicts
 
-    def verdicts(self, block: Block) -> np.ndarray:
-        """Boolean verdict of every row of *block* (a matching each)."""
+    def verdicts(self, rows: Rows) -> np.ndarray:
+        """Boolean verdict of every one of the *rows* (a matching each)."""
         if self.composes:
-            return self._compose(block)
+            return self._compose(rows)
         if self.segments is None:
             raise ValueError("checking a matching needs segments")
         return np.array([
             self._check_circuit(recombine_candidate(
-                *self.segments, matching.mapping_dict(), matching.num_qubits
+                *self.segments, dict(enumerate(slots)), rows.num_qubits
             ))
-            for matching in map(block.matching, range(len(block)))
+            for slots in rows.slots.tolist()
         ], dtype=bool)
 
     # ------------------------------------------------------------------
@@ -223,18 +207,16 @@ class EquivalenceOracle:
         """True when *candidate* computes the reference function
         (idle-qubit padding applied to the narrower side)."""
         if isinstance(candidate, Matching):
-            return bool(self.verdicts(Block.of(candidate))[0])
+            return bool(self.verdicts(Rows.of(candidate))[0])
         return self._check_circuit(candidate)
 
     def _check_circuit(self, candidate: QuantumCircuit) -> bool:
         width = max(candidate.num_qubits, self.reference.num_qubits)
         if self.use_truth_table and is_reversible(candidate):
-            table = pad_table(
-                simulate_reversible(candidate).table,
-                candidate.num_qubits,
-                width,
+            table = np.asarray(simulate_reversible(candidate).table)
+            return np.array_equal(
+                _pad(table, candidate.num_qubits, width), self._table(width)
             )
-            return np.array_equal(table, self._table(width))
         return equal_up_to_global_phase(
             _pad_unitary(
                 circuit_unitary(candidate), candidate.num_qubits, width

@@ -2,12 +2,12 @@
 
 The candidate space is sliced into fixed-size chunks of the canonical
 enumeration (``[0, chunk), [chunk, 2*chunk), ...``).  Each chunk is an
-independent, picklable unit of work: a worker walks the candidate
-blocks (:class:`~repro.attacks.matching.Block`) that overlap its slice,
-rows clipped at the chunk edges, and evaluates each block at once — the
-prefilter's row mask, then the oracle's verdicts on the rows it
-passes, no candidate circuit — returning records for hits (or every
-checked row under ``record_all``).  Nothing the size of the full space
+independent, picklable unit of work: a worker unranks its slice into
+:class:`~repro.attacks.matching.Rows`, one per overlap, and evaluates
+each at once — the prefilter's group tables and row mask, then the
+oracle's probe-then-verify verdicts on the rows they pass, no candidate
+circuit — returning records for hits (or every checked row under
+``record_all``).  Nothing the size of the full space
 is ever materialised, in the parent or in any worker.
 
 Determinism contract (the part the tests pin):
@@ -38,7 +38,7 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from .base import AttackOutcome, CandidateOutcome, SearchOptions
-from .matching import matching_blocks, matching_count
+from .matching import matching_count, matching_rows
 from .oracle import MAX_UNITARY_QUBITS, EquivalenceOracle
 from .prefilter import StructuralPrefilter
 from .problem import CollusionProblem
@@ -111,21 +111,20 @@ def _evaluate_chunk(
     n1 = task.segment1.num_qubits
     n2 = task.segment2.num_qubits
     oracle, prefilter = context or _WORKER_CONTEXT[0]
-    tried = 0
-    pruned = 0
+    tried = pruned = 0
     records: List[CandidateOutcome] = []
-    for block in matching_blocks(task.kind, n1, n2, task.start, task.stop):
+    for rows in matching_rows(task.kind, n1, n2, task.start, task.stop):
         if prefilter is not None:
-            admitted = prefilter.admitted(block)
+            admitted = prefilter.admitted(rows)
             passed = int(np.count_nonzero(admitted))
-            pruned += len(block) - passed
+            pruned += len(rows) - passed
             if passed == 0:
                 continue
-            block = block.select(admitted)
-        verdicts = oracle.verdicts(block)
-        tried += len(block)
+            rows = rows.select(admitted)
+        verdicts = oracle.verdicts(rows)
+        tried += len(rows)
         for row in np.flatnonzero(verdicts | task.record_all):
-            matching = block.matching(row)
+            matching = rows.matching(row)
             records.append(
                 CandidateOutcome(
                     index=matching.index,
@@ -188,11 +187,6 @@ def run_streaming_search(
             f"{options.max_candidates}; raise "
             f"SearchOptions.max_candidates to search anyway"
         )
-    chunk = options.chunk_size
-    ranges = [
-        (start, min(start + chunk, total))
-        for start in range(0, total, chunk)
-    ]
     tasks = [
         _ChunkTask(
             segment1=problem.segment1,
@@ -200,11 +194,11 @@ def run_streaming_search(
             oracle=problem.oracle,
             kind=kind,
             start=start,
-            stop=stop,
+            stop=min(start + options.chunk_size, total),
             prefilter=options.prefilter,
             record_all=options.record_all,
         )
-        for start, stop in ranges
+        for start in range(0, total, options.chunk_size)
     ]
     context = _chunk_context(tasks[0])
     widest = max(n1 + n2 * (kind != "same-width"), problem.oracle.num_qubits)
@@ -252,14 +246,12 @@ def run_streaming_search(
                 for other, other_position in futures.items():
                     if other_position > cutoff:
                         other.cancel()
-        if options.early_exit and cutoff is not None:
-            kept = [
-                completed[position]
-                for position in sorted(completed)
-                if position <= cutoff
-            ]
-        else:
-            kept = [completed[position] for position in sorted(completed)]
+        # cutoff is set by early exit alone
+        kept = [
+            completed[position]
+            for position in sorted(completed)
+            if cutoff is None or position <= cutoff
+        ]
     return _aggregate(
         attack_name, total, kept, early_exit=options.early_exit
     )

@@ -20,26 +20,26 @@ exact per-candidate accounting.
 
 Neither filter ever builds a circuit or adds a histogram per
 candidate.  The histogram stage is tabulated once per search as a
-boolean ``(segment-2 qubit, slot)`` fit table plus the slots that fail
-when left to segment 1, and it runs on a whole
-:class:`~repro.attacks.matching.Block` of candidates at once
-(:meth:`StructuralPrefilter.admitted`): the ancilla pairs and the
-slots left to segment 1 are the same for every row, so they reject
-whole blocks with no per-row work, and one gather of the fit table
-masks the rest.  Only rows that pass the mask pay the ``O(edges)``
-edge-multiset test.  :meth:`StructuralPrefilter.admits` is the
-one-row case.
+boolean ``(segment-2 qubit, slot)`` fit table, and it runs on
+:class:`~repro.attacks.matching.Rows` of candidates at once
+(:meth:`StructuralPrefilter.admitted`).  A row's ancilla pairs depend
+only on its segment-2 subset and the slots it leaves to segment 1 only
+on its segment-1 subset, so two per-overlap group tables reject whole
+subset groups before any row's slots are expanded; one gather of the
+fit table masks the survivors, and only rows that pass it pay the
+``O(edges)`` edge-multiset test.  :meth:`StructuralPrefilter.admits` is
+the one-row case.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
-from .matching import Block, Matching
+from .matching import Matching, Rows, _subsets
 
 __all__ = ["StructuralPrefilter", "edge_histogram", "qubit_histograms"]
 
@@ -93,19 +93,24 @@ class StructuralPrefilter:
         segment2: QuantumCircuit,
         reference: QuantumCircuit,
     ) -> None:
-        h1 = qubit_histograms(segment1)
-        h2 = qubit_histograms(segment2)
-        ref = qubit_histograms(reference)
+        circuits = (segment1, segment2, reference)
+        histograms = [qubit_histograms(circuit) for circuit in circuits]
+        keys = {k: i for i, k in enumerate(set().union(*sum(histograms, [])))}
+        width = max(segment1.num_qubits + segment2.num_qubits,
+                    reference.num_qubits)
+        # (qubit, gate role) count tables, zero rows past each circuit
+        h1, h2, ref = (np.zeros((rows, len(keys)), dtype=np.int64)
+                       for rows in (width, segment2.num_qubits, width))
+        for table, histogram in zip((h1, h2, ref), histograms):
+            for qubit, counts in enumerate(histogram):
+                for key, count in counts.items():
+                    table[qubit, keys[key]] = count
         self._reference_width = reference.num_qubits
-        slots = range(max(len(h1) + len(h2), len(ref)))
-        h1 += [Counter()] * (len(slots) - len(h1))
-        ref += [Counter()] * (len(slots) - len(ref))
-        # counts are positive: adding an empty histogram changes nothing
-        self._fits = np.array(
-            [[h1[slot] + h == ref[slot] for slot in slots] for h in h2],
-            dtype=bool,
-        ).reshape(len(h2), len(slots))
-        self._misfits_alone = [s for s in slots if h1[s] != ref[s]]
+        # (segment-2 qubit, slot): the two histograms add up to the slot's
+        self._fits = (h1 + h2[:, None] == ref).all(axis=2)
+        # slots that misfit when segment 1 keeps them alone
+        self._alone = (h1 != ref).any(axis=1)
+        self._groups: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._e1 = edge_histogram(segment1)
         self._seg2_edges: List[Tuple[str, Tuple[int, ...]]] = [
             (inst.name, inst.qubits)
@@ -115,31 +120,45 @@ class StructuralPrefilter:
         self._ref_edges = edge_histogram(reference)
 
     # ------------------------------------------------------------------
-    def admitted(self, block: Block) -> np.ndarray:
-        """Boolean mask of the *block*'s rows that survive both filters.
+    def _group_fits(
+        self, n1: int, n2: int, j: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Overlap *j*'s group tables: whether each segment-2 subset's
+        ancilla pairs fit, and whether each segment-1 subset leaves only
+        slots that fit alone (none does when a reference slot past the
+        candidate register misfits)."""
+        if j not in self._groups:
+            chosen1 = _subsets(n1, j)[0]
+            unmatched = _subsets(n2, j)[1]
+            fits1 = self._alone[chosen1].sum(axis=1) == self._alone[:n1].sum()
+            self._groups[j] = (
+                self._fits[unmatched, n1 + np.arange(n2 - j)].all(axis=1),
+                fits1 & ~self._alone[n1 + n2 - j:self._reference_width].any(),
+            )
+        return self._groups[j]
 
-        The ancilla pairs and the slots left to segment 1 are the same
-        for every row, so they reject the whole block at once; one
-        gather of the fit table masks the rest, and only rows the mask
-        passes pay the edge-multiset test.
+    def admitted(self, rows: Rows) -> np.ndarray:
+        """Boolean mask of the *rows* that survive both filters.
+
+        The group tables reject whole subset groups; one gather of the
+        fit table masks the rest, and only rows the mask passes pay the
+        edge-multiset test.
         """
-        rows = np.zeros(len(block), dtype=bool)
-        if not all(self._fits[q2, slot] for q2, slot in block.ancillas):
-            return rows
-        width = max(block.num_qubits, self._reference_width)
-        taken = block.taken()
-        if any(s < width and s not in taken for s in self._misfits_alone):
-            return rows
-        matched = np.array(block.matched, dtype=np.intp)
-        rows[:] = self._fits[matched, block.slots].all(axis=1)
-        for row in np.flatnonzero(rows):
-            lookup = block.matching(row).mapping_dict()
+        fits2, fits1 = self._group_fits(rows.n1, rows.n2, rows.overlap)
+        admitted = fits2[rows.seg2] & fits1[rows.seg1]
+        passed = np.flatnonzero(admitted)
+        if not len(passed):
+            return admitted
+        slots = rows.select(passed).slots
+        fit = self._fits[np.arange(rows.n2), slots].all(axis=1)
+        admitted[passed] = fit
+        for row, lookup in zip(passed[fit], slots[fit].tolist()):
             edges = Counter(self._e1)
             for name, qubits in self._seg2_edges:
                 edges[(name, tuple(lookup[q] for q in qubits))] += 1
-            rows[row] = edges == self._ref_edges
-        return rows
+            admitted[row] = edges == self._ref_edges
+        return admitted
 
     def admits(self, matching: Matching) -> bool:
         """True when the matching survives both structural filters."""
-        return bool(self.admitted(Block.of(matching))[0])
+        return bool(self.admitted(Rows.of(matching))[0])

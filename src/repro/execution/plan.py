@@ -45,6 +45,7 @@ anchor would change which states the channels see.
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,7 +53,6 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.instruction import Instruction
 from ..simulator.kernels import (
-    apply_matrix_generic,
     contract_batch,
     matrix_is_identity,
     multiply_diagonal,
@@ -288,36 +288,37 @@ def _fuse_diagonal_runs(ops: List[PlanOp]) -> List[PlanOp]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _embedding(positions: Tuple[int, ...], m: int) -> Tuple:
+    """``(select, same)`` embedding a gate on the local *positions*
+    (first listed = most significant) of an *m*-qubit block, local 0
+    the block's most significant bit: the embedded matrix is
+    ``matrix[select] * same``."""
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    rest = [p for p in range(m) if p not in positions]
+    gate, other = (
+        bits[:, list(chosen)] @ (1 << np.arange(len(chosen) - 1, -1, -1))
+        for chosen in (positions, rest)
+    )
+    return np.ix_(gate, gate), other[:, None] == other[None, :]
+
+
 def _compose_block(ops: Sequence[PlanOp], qubits: Tuple[int, ...]) -> np.ndarray:
     """Dense unitary of *ops* on the block register *qubits* (ascending).
 
     The result follows the project convention for a gate listed with
     ascending qubits: the smallest qubit is the most significant bit.
-    Built exactly like :func:`repro.simulator.unitary.circuit_unitary`,
-    just on the (<= 3-qubit) block space.
+    Each op's matrix is embedded in the block's ``2^m`` space and
+    multiplied on, one small matmul per op.
     """
-    m = len(qubits)
-    dim = 1 << m
     local = {q: j for j, q in enumerate(qubits)}
-    eye = np.eye(dim, dtype=complex).reshape((dim,) + (2,) * m)
-    # little-endian batch layout: axis j+1 = local qubit j
-    eye = eye.transpose((0,) + tuple(range(m, 0, -1)))
-    batch = np.ascontiguousarray(eye)
+    unitary = np.eye(1 << len(qubits), dtype=complex)
     for op in ops:
-        batch = apply_matrix_generic(
-            batch,
-            op.to_matrix(),
-            tuple(local[q] for q in op.qubits),
+        select, same = _embedding(
+            tuple(local[q] for q in op.qubits), len(qubits)
         )
-    batch = batch.transpose((0,) + tuple(range(m, 0, -1)))
-    unitary = batch.reshape(dim, dim).T  # little-endian: bit j = local j
-    # re-index so the smallest qubit (local 0) is the most significant
-    # bit, matching an ascending qubit listing under the project's
-    # first-listed-is-MSB convention
-    tensor = unitary.reshape((2,) * (2 * m))
-    rev = tuple(range(m - 1, -1, -1))
-    tensor = tensor.transpose(rev + tuple(m + j for j in rev))
-    return np.ascontiguousarray(tensor.reshape(dim, dim))
+        unitary = (op.to_matrix()[select] * same) @ unitary
+    return unitary
 
 
 def _fuse_blocks(ops: List[PlanOp]) -> List[PlanOp]:

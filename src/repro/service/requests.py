@@ -23,8 +23,9 @@ Each request knows three things about itself:
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Dict, Optional, Tuple
+from typing import Any, ClassVar, Dict, Optional, Tuple, Union
 
 from .._hashing import json_digest
 from ..attacks.bruteforce import ATTACKS
@@ -453,13 +454,36 @@ REQUEST_TYPES: Dict[str, type] = {
 }
 
 
+# each field's declared type, resolved once: the annotations are strings
+_WIRE_TYPES = {
+    kind: typing.get_type_hints(cls) for kind, cls in REQUEST_TYPES.items()
+}
+
+
+def _wire_fits(annotation: Any, value: Any) -> bool:
+    """Whether a wire *value* has a field's declared type: a ``bool``
+    field takes only a bool, an ``int`` field an int that is not a
+    bool, and an ``Optional`` field also ``None``."""
+    if typing.get_origin(annotation) is Union:
+        return any(_wire_fits(a, value) for a in typing.get_args(annotation))
+    if annotation is int and isinstance(value, bool):
+        return False
+    return isinstance(value, annotation)
+
+
+def _wire_name(annotation: Any) -> str:
+    if typing.get_origin(annotation) is Union:
+        return " or ".join(map(_wire_name, typing.get_args(annotation)))
+    return "null" if annotation is type(None) else annotation.__name__
+
+
 def request_from_wire(kind: str, params: Dict[str, Any]) -> ServiceRequest:
     """Build a typed request from its wire form.
 
-    Unknown parameter names and invalid values raise
-    :class:`ValueError` with a message fit for clients; the internal
-    kinds of :data:`repro.service.handlers.HANDLERS` become a
-    :class:`RawRequest`.
+    Unknown parameter names, values of the wrong type and invalid
+    values raise :class:`ValueError` with a message fit for clients
+    (HTTP 400 at submit); the internal kinds of
+    :data:`repro.service.handlers.HANDLERS` become a :class:`RawRequest`.
     """
     if not isinstance(params, dict):
         raise ValueError("request params must be a JSON object")
@@ -482,6 +506,13 @@ def request_from_wire(kind: str, params: Dict[str, Any]) -> ServiceRequest:
             f"unknown parameter(s) for {kind!r}: "
             f"{', '.join(sorted(unknown))}"
         )
+    types = _WIRE_TYPES[kind]
+    for name, value in params.items():
+        if not _wire_fits(types[name], value):
+            raise ValueError(
+                f"parameter {name!r} of {kind!r} must be "
+                f"{_wire_name(types[name])}, got {value!r}"
+            )
     try:
         return cls(**params)
     except TypeError as exc:

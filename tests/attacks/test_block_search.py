@@ -1,10 +1,13 @@
-"""The block search against the per-candidate reference search.
+"""The array search against the per-candidate reference search.
 
-Every problem below is searched twice, with and without the
-prefilter, under ``record_all``: the counters and every checked
+Every problem below is searched with and without the prefilter, under
+``record_all``, at the default chunk size and at chunk sizes 1 and 7
+(whose chunks cut subset groups): the counters and every checked
 candidate's ``(index, mapping, functional_match)`` must equal what
 :func:`reference_attack.per_candidate_search` finds by recombining and
-checking each candidate circuit on its own.  The problems are
+checking each candidate circuit on its own.  The rd53 (4, 7) problem
+is also searched on a process pool, and the same-width problems with
+early exit, against the reference's canonical prefix.  The problems are
 interlocking splits of 4gt13, 4mod5 and rd53 over several insertion
 and split seeds, Saki same-width splits, and splits of a
 non-reversible circuit (the oracle's unitary path); each has at most
@@ -61,19 +64,39 @@ def outcome_records(outcome):
     ]
 
 
-def assert_block_search_matches_reference(problem, kind, attack):
+def reference_prefix(reference, chunk_size):
+    """The reference search cut where an early-exit search in canonical
+    chunk order stops: after the chunk holding the first match."""
+    _, _, records = reference
+    first = min(index for index, _, match in records if match)
+    last = (first // chunk_size + 1) * chunk_size
+    kept = [record for record in records if record[0] < last]
+    total = sum(reference[:2])
+    return len(kept), min(last, total) - len(kept), kept
+
+
+def assert_search_matches_reference(
+    problem, kind, attack, chunk_sizes=(256, 1, 7), **options
+):
+    """Both prefilter settings at each chunk size (1 and 7 cut subset
+    groups) against :func:`per_candidate_search`; an early-exit search
+    against the reference's canonical prefix."""
     for prefilter in (False, True):
-        outcome = get_attack(attack).search(
-            problem, SearchOptions(prefilter=prefilter, record_all=True)
-        )
-        tried, pruned, records = per_candidate_search(
-            problem, kind, prefilter
-        )
-        assert outcome.candidates_tried == tried
-        assert outcome.pruned == pruned
-        assert outcome_records(outcome) == records
-        assert outcome.matches == sum(match for _, _, match in records)
-        assert outcome.success
+        reference = per_candidate_search(problem, kind, prefilter)
+        for chunk_size in chunk_sizes:
+            outcome = get_attack(attack).search(problem, SearchOptions(
+                prefilter=prefilter, record_all=True, chunk_size=chunk_size,
+                **options,
+            ))
+            tried, pruned, records = (
+                reference_prefix(reference, chunk_size)
+                if options.get("early_exit") else reference
+            )
+            assert outcome.candidates_tried == tried
+            assert outcome.pruned == pruned
+            assert outcome_records(outcome) == records
+            assert outcome.matches == sum(match for _, _, match in records)
+            assert outcome.success
 
 
 @pytest.mark.parametrize(
@@ -87,7 +110,18 @@ def test_interlocking_split(name, insertion_seed, split_seed):
     split = interlocking_split(insertion, seed=split_seed)
     problem = problem_from_split(split)
     assert subset_matching_count(*problem.widths) <= 2000
-    assert_block_search_matches_reference(problem, "subset", "mismatched")
+    assert_search_matches_reference(problem, "subset", "mismatched")
+
+
+def test_rd53_pool_search():
+    insertion = insert_random_pairs(
+        benchmark_circuit("rd53"), gate_limit=4, seed=3
+    )
+    problem = problem_from_split(interlocking_split(insertion, seed=3))
+    assert problem.widths == (4, 7)
+    assert_search_matches_reference(
+        problem, "subset", "mismatched", chunk_sizes=(256, 7), jobs=2
+    )
 
 
 @pytest.mark.parametrize(
@@ -95,4 +129,14 @@ def test_interlocking_split(name, insertion_seed, split_seed):
 )
 def test_saki_same_width_split(name, seed):
     problem = problem_from_saki(saki_split(benchmark_circuit(name), seed=seed))
-    assert_block_search_matches_reference(problem, "same-width", "same-width")
+    assert_search_matches_reference(problem, "same-width", "same-width")
+
+
+@pytest.mark.parametrize(
+    "name,seed", SAKI, ids=[f"{n}-s{s}" for n, s in SAKI]
+)
+def test_saki_same_width_early_exit(name, seed):
+    problem = problem_from_saki(saki_split(benchmark_circuit(name), seed=seed))
+    assert_search_matches_reference(
+        problem, "same-width", "same-width", early_exit=True
+    )

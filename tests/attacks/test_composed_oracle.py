@@ -5,6 +5,7 @@ refuses registers it cannot hold."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import repro.attacks.oracle as oracle_module
@@ -19,7 +20,12 @@ from repro.attacks import (
     problem_from_split,
     recombine_candidate,
 )
-from repro.attacks.matching import iter_matchings, matching_count
+from repro.attacks.matching import (
+    iter_matchings,
+    matching_count,
+    matching_rows,
+    matching_slice,
+)
 from repro.attacks.oracle import MAX_UNITARY_QUBITS
 from repro.baselines import saki_split
 from repro.circuits import QuantumCircuit
@@ -118,6 +124,30 @@ class TestComposedChecks:
         matching = next(iter_matchings(kind, *problem.widths))
         with pytest.raises(ValueError, match="segments"):
             EquivalenceOracle(problem.oracle).check(matching)
+
+
+class TestOneRowEntryPoints:
+    def test_one_row_cases_equal_the_array_path(self, problems):
+        """``matching_slice``, ``admits`` and ``check`` agree with
+        ``matching_rows``, ``admitted`` and ``verdicts`` on every row."""
+        problem, kind = problems["4gt13"]
+        widths = problem.widths
+        segments = (problem.segment1, problem.segment2)
+        oracle = EquivalenceOracle(problem.oracle, segments=segments)
+        prefilter = StructuralPrefilter(*segments, problem.oracle)
+        every = list(matching_rows(kind, *widths))
+        matchings = list(matching_slice(kind, *widths, 0, None))
+        assert matchings == [
+            rows.matching(row) for rows in every for row in range(len(rows))
+        ]
+        assert [m.index for m in matchings] == list(range(len(matchings)))
+        assert list(matching_slice(kind, *widths, 5, 40)) == matchings[5:40]
+        admitted = np.concatenate([prefilter.admitted(r) for r in every])
+        verdicts = np.concatenate([oracle.verdicts(r) for r in every])
+        assert [prefilter.admits(m) for m in matchings] == admitted.tolist()
+        assert [oracle.check(m) for m in matchings] == verdicts.tolist()
+        assert 0 < admitted.sum() < len(matchings)
+        assert 0 < verdicts.sum() < len(matchings)
 
 
 class TestTabulatedPrefilter:

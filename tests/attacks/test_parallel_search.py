@@ -1,5 +1,5 @@
 """Process-pool search: bit-identity with sequential, early exit,
-dispatch-order shuffling, chunks that cut candidate blocks, and the
+dispatch-order shuffling, chunks that cut subset groups, and the
 composed check's memory bound."""
 
 import multiprocessing
@@ -163,9 +163,9 @@ class TestParallelBitIdentity:
 
 
 class TestChunksCuttingBlocks:
-    """The (5, 3) fixture's overlap-3 blocks hold 3! = 6 candidates and
-    its overlap-2 blocks 2, so chunks of 1 and 7 candidates start and
-    end inside blocks."""
+    """The (5, 3) fixture's overlap-3 subset groups hold 3! = 6
+    candidates and its overlap-2 groups 2, so chunks of 1 and 7
+    candidates start and end inside groups."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("chunk_size", [1, 7])
@@ -215,8 +215,8 @@ class TestChunksCuttingBlocks:
 
 
 def test_composed_search_memory_is_bounded():
-    """An 8-qubit same-width search in one chunk: one 8! = 40,320-row
-    block, 2^8 table entries a row.  Checking the whole block in one
+    """An 8-qubit same-width search in one chunk: 8! = 40,320 rows of
+    one overlap, 2^8 table entries a row.  Checking them all in one
     gather would hold hundreds of MB; the composed check's slices keep
     the peak at a few of its 8 MB arrays."""
     rng = np.random.default_rng(5)

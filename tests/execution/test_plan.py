@@ -30,6 +30,7 @@ from repro.execution import (
     get_plan_cache,
     run,
 )
+from repro.execution import plan as plan_module
 from repro.execution.plan import trace_circuit
 from repro.execution.plan_cache import PlanCache
 from repro.noise import depolarizing
@@ -105,6 +106,45 @@ class TestTraceAndLower:
     def test_blocks_capped_at_three_qubits(self):
         plan = build_plan(_random(6, 80, seed=3))
         assert all(len(op.qubits) <= 3 for op in plan.ops)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_composed_block_equals_circuit_unitary(self, seed):
+        """A 1-3-qubit block, diagonal gates and descending operand
+        orders included, composes to the circuit's unitary (read with
+        the smallest qubit most significant)."""
+        rng = np.random.default_rng(seed)
+        m = seed % 3 + 1
+        qc = QuantumCircuit(m)
+        for _ in range(8):
+            qubits = [int(q) for q in rng.permutation(m)]
+            angle = float(rng.uniform(-np.pi, np.pi))
+            gates = [
+                lambda: qc.h(qubits[0]), lambda: qc.t(qubits[0]),
+                lambda: qc.rz(angle, qubits[0]),
+                lambda: qc.ry(angle, qubits[0]),
+            ]
+            if m >= 2:
+                gates += [
+                    lambda: qc.cx(*qubits[:2]), lambda: qc.cz(*qubits[:2]),
+                    lambda: qc.cp(angle, *qubits[:2]),
+                ]
+            if m == 3:
+                gates += [lambda: qc.ccx(*qubits)]
+            gates[int(rng.integers(len(gates)))]()
+        ops = [
+            plan_module._gate_diag(op.matrix, op.qubits)
+            if op.diagonal
+            else plan_module.PlanOp("matrix", op.qubits, matrix=op.matrix)
+            for op in trace_circuit(qc).ops
+        ]
+        block = plan_module._compose_block(ops, tuple(range(m)))
+        with ref.lowering("none"):  # a plan built without blocks
+            little_endian = circuit_unitary(qc)
+        flip = tuple(range(m - 1, -1, -1))
+        expected = little_endian.reshape((2,) * 2 * m).transpose(
+            flip + tuple(m + q for q in flip)
+        ).reshape(1 << m, 1 << m)
+        assert np.abs(block - expected).max() < 1e-12
 
     def test_timing_and_summary_fields(self):
         plan = build_plan(_mixed_circuit())

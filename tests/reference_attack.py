@@ -12,7 +12,7 @@ prefilter or truth-table shortcut.
 :class:`repro.attacks.StructuralPrefilter` tabulates, run on each
 candidate's circuit.
 
-:func:`per_candidate_search` is the whole search the block search
+:func:`per_candidate_search` is the whole search the array search
 evaluates, one candidate circuit at a time: every matching of the
 canonical stream, built by ``itertools``, recombined, filtered by
 :func:`structurally_admitted` and compared with the reference by a

@@ -152,6 +152,8 @@ class TestErrors:
             ("attack", {"benchmark": "4gt13", "max_candidates": 10**12}),
             ("evaluate", {"benchmark": "4gt13", "gate_limit": -1}),
             ("attack", {"benchmark": "4gt13", "gate_limit": -1}),
+            # a truthy string is not a bool
+            ("attack", {"benchmark": "4gt13", "early_exit": "false"}),
             (
                 "transpile",
                 {"qasm": BELL_QASM, "size": 10**6, "coupling": "full"},

@@ -1,5 +1,8 @@
 """Request validation, fingerprints, and coalesce keys."""
 
+import typing
+from dataclasses import fields
+
 import pytest
 
 from repro.service.requests import (
@@ -12,6 +15,7 @@ from repro.service.requests import (
     AttackRequest,
     EvaluateRequest,
     ProtectRequest,
+    REQUEST_TYPES,
     RawRequest,
     SimulateRequest,
     TranspileRequest,
@@ -68,6 +72,53 @@ class TestWireParsing:
         clone = request_from_wire("simulate", request.params())
         assert clone.params() == request.params()
         assert clone.fingerprint() == request.fingerprint()
+
+
+# a valid target per kind, and wrong-typed values per declared type
+WIRE_TARGETS = {
+    "simulate": {"qasm": BELL_QASM},
+    "protect": {"qasm": BELL_QASM},
+    "transpile": {"qasm": BELL_QASM},
+    "evaluate": {"benchmark": "4gt13"},
+    "attack": {"benchmark": "4gt13"},
+}
+WRONG_TYPED = {
+    bool: ["false", 0, 1, None],
+    int: [True, False, 2.5, "7", None],
+    str: [3, True, None],
+    typing.Optional[int]: [True, 1.5, "7"],
+    typing.Optional[str]: [3, False],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REQUEST_TYPES))
+def test_wire_values_must_have_the_declared_type(kind):
+    """Each public field refuses every value of another type at submit,
+    and the cases once accepted by truthiness or coercion are named."""
+    cls = REQUEST_TYPES[kind]
+    assert set(WIRE_TARGETS) == set(REQUEST_TYPES)
+    types = typing.get_type_hints(cls)
+    public = [f.name for f in fields(cls) if not f.name.startswith("_")]
+    for name in public:
+        for value in WRONG_TYPED[types[name]]:
+            params = {**WIRE_TARGETS[kind], name: value}
+            with pytest.raises(ValueError, match=f"{name}.*must be"):
+                request_from_wire(kind, params)
+    named = {
+        "attack": [("early_exit", "false"), ("prefilter", "no"),
+                   ("seed", "7"), ("max_candidates", 2.5),
+                   ("gate_limit", 2.5)],
+        "simulate": [("shots", True), ("seed", 1.5)],
+        "evaluate": [("iterations", True)],
+    }
+    for name, value in named.get(kind, []):
+        with pytest.raises(ValueError, match="must be"):
+            request_from_wire(kind, {**WIRE_TARGETS[kind], name: value})
+    # the declared types themselves still pass, None where Optional
+    request = request_from_wire(kind, dict(WIRE_TARGETS[kind]))
+    assert request_from_wire(kind, request.params()).params() == (
+        request.params()
+    )
 
 
 class TestValidation:
