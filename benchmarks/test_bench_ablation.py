@@ -6,16 +6,19 @@ benchmark, while the random-block insertion baseline (Das & Ghosh)
 always pays depth.  Full table: ``repro experiment run ablation_insertion``.
 """
 
-from repro.experiments import run_ablation
+from repro.experiments import run_experiment
 
 
 def test_bench_ablation_insertion(benchmark):
     rows = benchmark.pedantic(
-        run_ablation,
-        kwargs={"iterations": 3, "seed": 11, "num_random_gates": 4},
+        run_experiment,
+        args=(
+            "ablation_insertion",
+            {"iterations": 3, "seed": 11, "num_random_gates": 4},
+        ),
         rounds=1,
         iterations=1,
-    )
+    ).result
     tetris = [r for r in rows if r.scheme == "tetrislock"]
     block = [r for r in rows if r.scheme.startswith("das")]
     assert all(r.depth_overhead == 0.0 for r in tetris)

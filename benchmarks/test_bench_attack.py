@@ -32,14 +32,17 @@ from repro.core import (
     saki_attack_complexity,
     tetrislock_attack_complexity,
 )
-from repro.experiments import generate_complexity_table
+from repro.experiments import run_experiment
 from repro.revlib import benchmark_circuit
 
 
 def test_bench_eq1_sweep(benchmark):
     rows = benchmark(
-        generate_complexity_table, (4, 5, 7, 10, 12), (5, 27, 127), 2
-    )
+        run_experiment,
+        "attack_complexity",
+        {"qubit_counts": [4, 5, 7, 10, 12], "nmax_values": [5, 27, 127],
+         "k": 2},
+    ).result["rows"]
     assert len(rows) == 15
     for row in rows:
         # Eq. 1 dominates whenever the device actually fits the split

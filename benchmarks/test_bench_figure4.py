@@ -10,16 +10,18 @@ Full-scale series: ``repro experiment run figure4``.
 
 import pytest
 
-from repro.experiments import generate_table1
+from repro.experiments import run_experiment
 
 _SMALL = ["4gt13", "one_bit_adder", "4mod5"]
 _LARGE = ["rd53"]
 
 
 def _tvd_pair(name: str, iterations: int, shots: int):
-    aggregate = generate_table1(
-        iterations=iterations, shots=shots, seed=9, benchmarks=[name]
-    )[name]
+    aggregate = run_experiment(
+        "table1",
+        {"iterations": iterations, "shots": shots, "seed": 9,
+         "benchmarks": [name]},
+    ).result[name]
     obfuscated = aggregate.tvd_obfuscated_values
     restored = aggregate.tvd_restored_values
     return obfuscated, restored

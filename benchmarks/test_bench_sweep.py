@@ -6,22 +6,25 @@ strengthens) the functional corruption of the compiler-visible
 circuit, and a zero budget leaves the function intact.
 """
 
-from repro.experiments import run_gate_limit_sweep
+from repro.experiments import run_experiment
 
 
 def test_bench_gate_limit_sweep(benchmark):
     points = benchmark.pedantic(
-        run_gate_limit_sweep,
-        kwargs={
-            "benchmarks": ["4gt13", "rd53"],
-            "gate_limits": (0, 2, 4),
-            "iterations": 5,
-            "shots": 256,
-            "seed": 13,
-        },
+        run_experiment,
+        args=(
+            "sweep_gate_limit",
+            {
+                "benchmarks": ["4gt13", "rd53"],
+                "gate_limits": [0, 2, 4],
+                "iterations": 5,
+                "shots": 256,
+                "seed": 13,
+            },
+        ),
         rounds=1,
         iterations=1,
-    )
+    ).result
     by_benchmark = {}
     for point in points:
         by_benchmark.setdefault(point.benchmark, []).append(point)

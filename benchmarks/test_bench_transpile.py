@@ -5,7 +5,7 @@ runs (Table I / Figure 4) re-compile identical circuits every
 iteration, so a cache keyed on circuit structure + device + layout pin
 + schedule turns the repeated compiles into lookups.  The benches pin
 the per-compile speedup; ``test_cached_suite_pass_faster`` shows it
-end-to-end: a second ``generate_table1`` pass over paper benchmarks (warm
+end-to-end: a second ``table1`` run over paper benchmarks (warm
 cache) beats the first (cold cache) while producing bit-identical
 aggregates.
 
@@ -17,7 +17,7 @@ minimum-over-trials, which is robust to machine noise; set
 import os
 import time
 
-from repro.experiments import generate_table1
+from repro.experiments import run_experiment
 from repro.noise import valencia_like_backend
 from repro.revlib.benchmarks import benchmark_circuit
 from repro.transpiler import get_transpile_cache, transpile
@@ -26,6 +26,10 @@ _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 _SUITE_NAMES = ("rd53", "4gt11") if _SMOKE else ("rd53", "4gt11", "mini_alu")
 _TRIALS = 2 if _SMOKE else 3
 _ITERATIONS = 2 if _SMOKE else 3
+
+
+def _table1(**config):
+    return run_experiment("table1", config).result
 
 
 def _cold_transpile(*args, **kwargs):
@@ -93,7 +97,7 @@ def test_cached_suite_pass_faster():
     )
     cache = get_transpile_cache()
 
-    generate_table1(**kwargs)  # one warmup pass (imports, pools)
+    _table1(**kwargs)  # one warmup pass (imports, pools)
 
     cold_best = warm_best = float("inf")
     cold_results = warm_results = None
@@ -103,11 +107,11 @@ def test_cached_suite_pass_faster():
     for trial in range(_TRIALS + 3):
         cache.clear()
         start = time.process_time()
-        cold_results = generate_table1(**kwargs)
+        cold_results = _table1(**kwargs)
         cold_best = min(cold_best, time.process_time() - start)
 
         start = time.process_time()
-        warm_results = generate_table1(**kwargs)
+        warm_results = _table1(**kwargs)
         warm_best = min(warm_best, time.process_time() - start)
         if trial + 1 >= _TRIALS and warm_best < cold_best:
             break
@@ -132,7 +136,7 @@ def test_bench_suite_pass_cold(benchmark):
     """End-to-end suite pass with a cold cache each round."""
     def cold_pass():
         get_transpile_cache().clear()
-        return generate_table1(
+        return _table1(
             iterations=2, shots=8, seed=11, benchmarks=_SUITE_NAMES[:1]
         )
 
@@ -146,9 +150,9 @@ def test_bench_suite_pass_warm(benchmark):
         iterations=2, shots=8, seed=11, benchmarks=_SUITE_NAMES[:1]
     )
     get_transpile_cache().clear()
-    generate_table1(**kwargs)
+    _table1(**kwargs)
 
-    results = benchmark(generate_table1, **kwargs)
+    results = benchmark(_table1, **kwargs)
     assert set(results) == {_SUITE_NAMES[0]}
 
 

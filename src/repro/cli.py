@@ -68,6 +68,7 @@ from .execution import (
 )
 from .noise import valencia_like_backend
 from .revlib import parse_real, write_real
+from .transpiler import DEVICE_TARGETS
 
 __all__ = ["main"]
 
@@ -234,20 +235,20 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    circuit = _load_circuit(args.circuit)
-    if not circuit.has_measurements():
-        circuit = circuit.copy().measure_all()
-    noise_model = None
-    if args.noisy:
-        backend = valencia_like_backend(max(circuit.num_qubits, 2))
-        noise_model = backend.noise_model()
-    method = args.method
-    engine = (
-        select_engine(circuit, shots=args.shots, noise_model=noise_model)
-        if method == "auto"
-        else method
-    )
     try:
+        circuit = _load_circuit(args.circuit)
+        if not circuit.has_measurements():
+            circuit = circuit.copy().measure_all()
+        noise_model = None
+        if args.noisy:
+            backend = valencia_like_backend(max(circuit.num_qubits, 2))
+            noise_model = backend.noise_model()
+        method = args.method
+        engine = (
+            select_engine(circuit, shots=args.shots, noise_model=noise_model)
+            if method == "auto"
+            else method
+        )
         counts = execute(
             circuit,
             args.shots,
@@ -255,11 +256,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             method=method,
             seed=args.seed,
         )
-    except (ValueError, TypeError) as exc:
-        # unknown engine name / invalid engine request -> clean error
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+    except (OSError, ValueError, TypeError) as exc:
+        # missing/malformed input, or an engine that cannot run it
+        return _fail(exc)
     print(f"engine: {engine}  shots: {counts.shots}  "
           f"noise: {'valencia-like' if noise_model else 'none'}")
     for bitstring, count in counts.top(args.top):
@@ -276,31 +275,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_transpile(args: argparse.Namespace) -> int:
-    from .transpiler import CouplingMap, get_transpile_cache, transpile
+    from .transpiler import get_transpile_cache, transpile
 
-    circuit = _load_circuit(args.circuit)
-    backend = None
-    coupling = None
-    size = args.size or max(circuit.num_qubits, 2)
-    if args.coupling == "valencia":
-        backend = valencia_like_backend(size)
-    elif args.coupling == "line":
-        coupling = CouplingMap.line(size)
-    elif args.coupling == "ring":
-        coupling = CouplingMap.ring(size)
-    else:
-        coupling = CouplingMap.full(size)
     try:
+        circuit = _load_circuit(args.circuit)
+        size = args.size or max(circuit.num_qubits, 2)
         result = transpile(
             circuit,
-            backend=backend,
-            coupling=coupling,
+            **DEVICE_TARGETS[args.coupling](size),
             layout_method=args.layout,
             optimization_level=args.level,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (OSError, ValueError) as exc:
+        return _fail(exc)
     print(f"size:  {circuit.size()} -> {result.size}   "
           f"depth: {circuit.depth()} -> {result.depth}   "
           f"swaps: {result.swap_count}")
@@ -571,7 +558,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     transpile_cmd.add_argument("circuit", help=".qasm or .real input")
     transpile_cmd.add_argument(
         "--coupling", default="valencia",
-        choices=("valencia", "line", "ring", "full"),
+        choices=DEVICE_TARGETS,
         help="target topology (default: Valencia-style backend)",
     )
     transpile_cmd.add_argument(
@@ -723,7 +710,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _submit_circuit_arg(transpile_job)
     transpile_job.add_argument(
         "--coupling", default="valencia",
-        choices=("valencia", "line", "ring", "full"),
+        choices=DEVICE_TARGETS,
     )
     transpile_job.add_argument("--size", type=int, default=None)
     transpile_job.add_argument("--layout", default="greedy",

@@ -36,7 +36,7 @@ from .deobfuscate import CompiledSplit, SplitCompilationFlow
 from .obfuscate import TetrisLockObfuscator
 from .split import interlocking_split
 
-__all__ = ["EvaluationResult", "TetrisLockPipeline"]
+__all__ = ["EvaluationResult", "TetrisLockPipeline", "evaluate_iteration"]
 
 
 @dataclass
@@ -264,3 +264,23 @@ class TetrisLockPipeline:
             counts_restored=counts_restored.marginal(output_qubits),
             expected_bitstring=expected,
         )
+
+
+def evaluate_iteration(
+    circuit: QuantumCircuit,
+    name: Optional[str],
+    output_qubits: Optional[Sequence[int]],
+    shots: int,
+    gate_limit: int,
+    seed: np.random.SeedSequence,
+) -> EvaluationResult:
+    """One Sec. V iteration as a pure function of its arguments.
+
+    The per-iteration step of Table I / Figure 4 cells and of the
+    service's ``evaluate`` jobs, which both spawn one *seed* child per
+    iteration.
+    """
+    pipeline = TetrisLockPipeline(
+        shots=shots, gate_limit=gate_limit, seed=np.random.default_rng(seed)
+    )
+    return pipeline.evaluate(circuit, name=name, output_qubits=output_qubits)

@@ -1,42 +1,43 @@
 """Experiment harnesses regenerating the paper's tables and figures.
 
-Every harness is a registered :mod:`repro.experiments.framework` spec
-— a declarative (parameter grid, per-cell task, aggregator, renderer)
+Every harness is a :mod:`repro.experiments.framework` spec — a
+declarative (parameter grid, per-cell task, aggregator, renderer)
 bundle executed by one shared grid runner with persistent JSONL
 checkpoints, ``--shard i/n`` splitting, process-pool parallelism and
-exact resume.  ``repro experiment run <name>`` runs any of them from
-the command line; the module-level ``generate_*``/``run_*`` functions
-are the library entry points over the same runner.
+exact resume.  :data:`SPECS` is the fixed table of them, and
+:func:`run_experiment` (``repro experiment run <name>`` on the command
+line) is the one way to run any of them:
+``run_experiment("table1", {"iterations": 2}).result``.
 
 * :mod:`repro.experiments.table1` — Table I (overhead + accuracy).
 * :mod:`repro.experiments.figure4` — Figure 4 (TVD distributions).
 * :mod:`repro.experiments.attack_complexity` — Eq. 1 comparison and
   a same-width brute-force demo on a straight split.
 * :mod:`repro.experiments.attack_bruteforce` — the executed collusion
-  attack: real split pairs searched end to end by the registered
-  adversary models of :mod:`repro.attacks`.
+  attack: real split pairs searched end to end by the adversary models
+  of :mod:`repro.attacks`.
 * :mod:`repro.experiments.ablation_insertion` — insertion-strategy
   ablation (empty-slot vs block prepend).
 * :mod:`repro.experiments.sweep_gate_limit` — obfuscation strength vs
   insertion budget.
-
-Importing this package registers all built-in specs; use
-``repro experiment list`` (or :func:`list_specs`) to enumerate them.
 """
 
-from .ablation_insertion import render_ablation, run_ablation
-from .sweep_gate_limit import render_sweep, run_gate_limit_sweep
+from typing import Dict
+
+from .ablation_insertion import ABLATION_SPEC, render_ablation
+from .sweep_gate_limit import SWEEP_SPEC, render_sweep
 from .attack_bruteforce import (
+    ATTACK_BRUTEFORCE_SPEC,
     AttackRow,
     render_attack_bruteforce,
     run_attack_cell,
 )
 from .attack_complexity import (
+    ATTACK_SPEC,
     demo_bruteforce_attack,
-    generate_complexity_table,
     render_complexity_table,
 )
-from .figure4 import generate_figure4, render_figure4
+from .figure4 import FIGURE4_SPEC, render_figure4, tvd_series
 from .framework import (
     Cell,
     ExperimentSpec,
@@ -45,27 +46,31 @@ from .framework import (
     config_hash,
     get_spec,
     list_specs,
-    register,
     run_experiment,
 )
-from .runner import AggregateResult
-from .table1 import generate_table1, render_table1
+from .table1 import TABLE1_SPEC, AggregateResult, render_table1
+
+SPECS: Dict[str, ExperimentSpec] = {
+    "table1": TABLE1_SPEC,
+    "figure4": FIGURE4_SPEC,
+    "attack_complexity": ATTACK_SPEC,
+    "attack_bruteforce": ATTACK_BRUTEFORCE_SPEC,
+    "ablation_insertion": ABLATION_SPEC,
+    "sweep_gate_limit": SWEEP_SPEC,
+}
 
 __all__ = [
+    "SPECS",
     "AggregateResult",
-    "generate_table1",
     "render_table1",
-    "generate_figure4",
     "render_figure4",
-    "generate_complexity_table",
+    "tvd_series",
     "render_complexity_table",
     "demo_bruteforce_attack",
     "AttackRow",
     "render_attack_bruteforce",
     "run_attack_cell",
-    "run_ablation",
     "render_ablation",
-    "run_gate_limit_sweep",
     "render_sweep",
     # framework
     "Cell",
@@ -75,6 +80,5 @@ __all__ = [
     "config_hash",
     "get_spec",
     "list_specs",
-    "register",
     "run_experiment",
 ]

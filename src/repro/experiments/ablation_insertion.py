@@ -24,16 +24,16 @@ Run with ``repro experiment run ablation_insertion``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from ..baselines.das_insertion import das_insertion
 from ..core.insertion import insert_random_pairs
 from ..revlib.benchmarks import load_benchmark, paper_suite
-from .framework import Cell, ExperimentSpec, register, run_experiment
+from .framework import Cell, ExperimentSpec
 
-__all__ = ["AblationRow", "run_ablation", "render_ablation", "ABLATION_SPEC"]
+__all__ = ["AblationRow", "render_ablation", "ABLATION_SPEC"]
 
 
 @dataclass
@@ -122,50 +122,23 @@ def _aggregate_ablation(
     return rows
 
 
-ABLATION_SPEC = register(
-    ExperimentSpec(
-        name="ablation_insertion",
-        description="insertion-strategy ablation: empty-slot pairs vs "
-        "das block insertion (depth/gate overhead)",
-        defaults={
-            "iterations": 10,
-            "seed": 7,
-            "num_random_gates": 4,
-            "benchmarks": None,
-        },
-        make_cells=_ablation_cells,
-        task=_ablation_task,
-        aggregate=_aggregate_ablation,
-        render=lambda rows: render_ablation(rows),
-        encode=lambda rows: [asdict(row) for row in rows],
-        decode=lambda data: [AblationRow(**row) for row in data],
-    )
+ABLATION_SPEC = ExperimentSpec(
+    name="ablation_insertion",
+    description="insertion-strategy ablation: empty-slot pairs vs "
+    "das block insertion (depth/gate overhead)",
+    defaults={
+        "iterations": 10,
+        "seed": 7,
+        "num_random_gates": 4,
+        "benchmarks": None,
+    },
+    make_cells=_ablation_cells,
+    task=_ablation_task,
+    aggregate=_aggregate_ablation,
+    render=lambda rows: render_ablation(rows),
+    encode=lambda rows: [asdict(row) for row in rows],
+    decode=lambda data: [AblationRow(**row) for row in data],
 )
-
-
-def run_ablation(
-    iterations: int = 10,
-    seed: int = 7,
-    num_random_gates: int = 4,
-    benchmarks: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-) -> List[AblationRow]:
-    """Average structural overhead per benchmark and scheme.
-
-    *jobs* fans the per-benchmark grid over a process pool with
-    bit-identical results.
-    """
-    report = run_experiment(
-        "ablation_insertion",
-        {
-            "iterations": iterations,
-            "seed": seed,
-            "num_random_gates": num_random_gates,
-            "benchmarks": list(benchmarks) if benchmarks else None,
-        },
-        jobs=jobs,
-    )
-    return report.result
 
 
 def render_ablation(rows: List[AblationRow]) -> str:

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..attacks import ATTACKS, SearchOptions, problem_for
 from ..revlib.benchmarks import benchmark_circuit
-from .framework import Cell, ExperimentSpec, register
+from .framework import Cell, ExperimentSpec
 
 __all__ = [
     "ATTACK_BRUTEFORCE_SPEC",
@@ -188,25 +188,23 @@ def render_attack_bruteforce(report: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-ATTACK_BRUTEFORCE_SPEC = register(
-    ExperimentSpec(
-        name="attack_bruteforce",
-        description="execute the brute-force collusion attack on real "
-        "split pairs (same-width Saki cut vs mismatched interlocking "
-        "cut) and tabulate tried/pruned/matched candidates",
-        defaults={
-            "benchmarks": ["4gt13", "4mod5"],
-            "split_seeds": [0, 1, 2],
-            "adversaries": list(ATTACKS),
-            "gate_limit": 4,
-            "max_candidates": 200_000,
-            "prefilter": True,
-            "early_exit": False,
-        },
-        make_cells=_bruteforce_cells,
-        task=_bruteforce_task,
-        aggregate=_aggregate_bruteforce,
-        render=render_attack_bruteforce,
-        seeded=False,
-    )
+ATTACK_BRUTEFORCE_SPEC = ExperimentSpec(
+    name="attack_bruteforce",
+    description="execute the brute-force collusion attack on real "
+    "split pairs (same-width Saki cut vs mismatched interlocking "
+    "cut) and tabulate tried/pruned/matched candidates",
+    defaults={
+        "benchmarks": ["4gt13", "4mod5"],
+        "split_seeds": [0, 1, 2],
+        "adversaries": list(ATTACKS),
+        "gate_limit": 4,
+        "max_candidates": 200_000,
+        "prefilter": True,
+        "early_exit": False,
+    },
+    make_cells=_bruteforce_cells,
+    task=_bruteforce_task,
+    aggregate=_aggregate_bruteforce,
+    render=render_attack_bruteforce,
+    seeded=False,
 )

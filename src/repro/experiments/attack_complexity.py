@@ -19,18 +19,17 @@ Run with ``repro experiment run attack_complexity``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from ..attacks import SearchOptions, get_attack, problem_for
 from ..core.attack import saki_attack_complexity, tetrislock_attack_complexity
 from ..revlib.benchmarks import benchmark_circuit
-from .framework import Cell, ExperimentSpec, register
+from .framework import Cell, ExperimentSpec
 
 __all__ = [
     "ComplexityRow",
-    "generate_complexity_table",
     "render_complexity_table",
     "demo_bruteforce_attack",
     "render_attack_report",
@@ -62,31 +61,6 @@ class BruteForceDemo:
     @property
     def success(self) -> bool:
         return self.matches > 0
-
-
-def generate_complexity_table(
-    qubit_counts: Sequence[int] = (4, 5, 7, 10, 12),
-    nmax_values: Sequence[int] = (5, 27, 127),
-    k: int = 2,
-) -> List[ComplexityRow]:
-    """Search-space sizes over the paper's benchmark qubit counts.
-
-    *nmax* spans device generations (5-qubit Valencia up to a
-    127-qubit Eagle); *k* is the candidate-segment count per size.
-    """
-    rows: List[ComplexityRow] = []
-    for nmax in nmax_values:
-        for n in qubit_counts:
-            rows.append(
-                ComplexityRow(
-                    n=n,
-                    nmax=nmax,
-                    k=k,
-                    saki=saki_attack_complexity(n, k),
-                    tetrislock=tetrislock_attack_complexity(n, nmax, k),
-                )
-            )
-    return rows
 
 
 def demo_bruteforce_attack(
@@ -170,24 +144,23 @@ def render_attack_report(report: Dict[str, Any]) -> str:
     )
 
 
-ATTACK_SPEC = register(
-    ExperimentSpec(
-        name="attack_complexity",
-        description="Eq. 1 search-space comparison vs Saki k*n! plus "
-        "the concrete brute-force collusion attack",
-        defaults={
-            "qubit_counts": [4, 5, 7, 10, 12],
-            "nmax_values": [5, 27, 127],
-            "k": 2,
-            "demo_benchmark": "4gt13",
-            "demo_seed": 3,
-        },
-        make_cells=_attack_cells,
-        task=_attack_task,
-        aggregate=_aggregate_attack,
-        render=render_attack_report,
-        seeded=False,
-    )
+ATTACK_SPEC = ExperimentSpec(
+    name="attack_complexity",
+    description="Eq. 1 search-space comparison vs Saki k*n! plus "
+    "the concrete brute-force collusion attack",
+    defaults={
+        "qubit_counts": [4, 5, 7, 10, 12],
+        # device generations: 5-qubit Valencia up to a 127-qubit Eagle
+        "nmax_values": [5, 27, 127],
+        "k": 2,  # candidate-segment count per size
+        "demo_benchmark": "4gt13",
+        "demo_seed": 3,
+    },
+    make_cells=_attack_cells,
+    task=_attack_task,
+    aggregate=_aggregate_attack,
+    render=render_attack_report,
+    seeded=False,
 )
 
 

@@ -19,16 +19,21 @@ Run with ``repro experiment run figure4``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 import numpy as np
 
 from ..core.pipeline import EvaluationResult
-from .framework import ExperimentSpec, register, run_experiment
-from .runner import AggregateResult
-from .table1 import TABLE1_SPEC, aggregate_table, table_cells, table_task
+from .framework import ExperimentSpec
+from .table1 import (
+    TABLE1_SPEC,
+    AggregateResult,
+    aggregate_table,
+    table_cells,
+    table_task,
+)
 
-__all__ = ["TvdSeries", "generate_figure4", "render_figure4", "FIGURE4_SPEC"]
+__all__ = ["TvdSeries", "tvd_series", "render_figure4", "FIGURE4_SPEC"]
 
 
 @dataclass
@@ -77,9 +82,10 @@ class TvdSeries:
         return "".join(line)
 
 
-def _series_from_aggregates(
+def tvd_series(
     results: Dict[str, AggregateResult],
 ) -> Dict[str, Dict[str, TvdSeries]]:
+    """Figure 4's obfuscated/restored TVD series of Table I aggregates."""
     figure: Dict[str, Dict[str, TvdSeries]] = {}
     for name, aggregate in results.items():
         figure[name] = {
@@ -96,50 +102,24 @@ def _series_from_aggregates(
 def _aggregate_figure4(
     config: Dict[str, Any], results: Dict[str, Any]
 ) -> Dict[str, Dict[str, TvdSeries]]:
-    return _series_from_aggregates(aggregate_table(config, results))
+    return tvd_series(aggregate_table(config, results))
 
 
-FIGURE4_SPEC = register(
-    ExperimentSpec(
-        name="figure4",
-        description="Figure 4: TVD distributions of obfuscated vs "
-        "restored circuits (Sec. V)",
-        defaults=dict(TABLE1_SPEC.defaults),
-        make_cells=table_cells,
-        task=table_task,
-        aggregate=_aggregate_figure4,
-        render=lambda figure: render_figure4(figure),
-        encode=lambda result: result.to_dict(),
-        decode=EvaluationResult.from_dict,
-        # same cells, task, and defaults as table1 -> share its
-        # checkpoints: a finished table1 run renders figure4 for free
-        store_as="table1",
-    )
+FIGURE4_SPEC = ExperimentSpec(
+    name="figure4",
+    description="Figure 4: TVD distributions of obfuscated vs "
+    "restored circuits (Sec. V)",
+    defaults=dict(TABLE1_SPEC.defaults),
+    make_cells=table_cells,
+    task=table_task,
+    aggregate=_aggregate_figure4,
+    render=lambda figure: render_figure4(figure),
+    encode=lambda result: result.to_dict(),
+    decode=EvaluationResult.from_dict,
+    # same cells, task, and defaults as table1 -> share its
+    # checkpoints: a finished table1 run renders figure4 for free
+    store_as="table1",
 )
-
-
-def generate_figure4(
-    iterations: int = 20,
-    shots: int = 1000,
-    seed: Optional[int] = 2025,
-    benchmarks: Optional[Sequence[str]] = None,
-    results: Optional[Dict[str, AggregateResult]] = None,
-    jobs: int = 1,
-) -> Dict[str, Dict[str, TvdSeries]]:
-    """Compute TVD distributions; reuses Table I results when given."""
-    if results is not None:
-        return _series_from_aggregates(results)
-    report = run_experiment(
-        "figure4",
-        {
-            "iterations": iterations,
-            "shots": shots,
-            "seed": seed,
-            "benchmarks": list(benchmarks) if benchmarks else None,
-        },
-        jobs=jobs,
-    )
-    return report.result
 
 
 def render_figure4(figure: Dict[str, Dict[str, TvdSeries]]) -> str:

@@ -2,7 +2,8 @@
 
 * :mod:`~repro.experiments.framework.spec` — declarative
   :class:`ExperimentSpec` (parameter grid, per-cell task, aggregator,
-  renderer) and the registry every harness module registers into.
+  renderer) and its lookup in the fixed table
+  :data:`repro.experiments.SPECS`.
 * :mod:`~repro.experiments.framework.store` — persistent
   :class:`ResultStore`: one JSONL checkpoint per (spec, config hash)
   under ``results/``, crash-tolerant, shard-mergeable.
@@ -15,14 +16,7 @@
 """
 
 from .runner import RunReport, parse_shard, run_experiment
-from .spec import (
-    Cell,
-    ExperimentSpec,
-    get_spec,
-    list_specs,
-    register,
-    unregister,
-)
+from .spec import Cell, ExperimentSpec, get_spec, list_specs
 from .store import ResultStore, config_hash
 
 __all__ = [
@@ -34,7 +28,5 @@ __all__ = [
     "get_spec",
     "list_specs",
     "parse_shard",
-    "register",
     "run_experiment",
-    "unregister",
 ]

@@ -1,4 +1,4 @@
-"""``repro experiment`` — one CLI for every registered experiment.
+"""``repro experiment`` — one CLI for every experiment.
 
 Subcommands::
 

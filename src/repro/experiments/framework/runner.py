@@ -1,4 +1,4 @@
-"""One grid runner for every registered experiment.
+"""One grid runner for every experiment.
 
 Execution model
 ---------------
@@ -94,10 +94,10 @@ def run_experiment(
     store: Optional[ResultStore] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> RunReport:
-    """Run (or resume, or shard) one registered experiment.
+    """Run (or resume, or shard) the experiment ``SPECS[name]``.
 
     *store* enables checkpointing; without it the run is purely
-    in-memory (the library wrappers use that mode).  Existing cells are
+    in-memory.  Existing cells are
     reused when *resume* is set — and always for sharded runs, so
     repeated shard invocations accumulate instead of recomputing.
     """

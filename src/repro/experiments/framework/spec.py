@@ -1,4 +1,4 @@
-"""Declarative experiment specifications and their registry.
+"""Declarative experiment specifications and their lookup.
 
 An :class:`ExperimentSpec` captures everything the grid runner needs
 to execute an experiment end to end:
@@ -20,10 +20,10 @@ to execute an experiment end to end:
 * **encode/decode** hooks that round-trip one cell result through
   JSON for the persistent result store.
 
-Registration is by module import: each harness module registers its
-spec at import time, and :func:`get_spec` imports
-:mod:`repro.experiments` on first use so the built-in specs are always
-available — including inside process-pool workers.
+The spec set is the fixed table :data:`repro.experiments.SPECS`.
+:func:`get_spec` and :func:`list_specs` import it at call time (the
+harness modules import this one), so it is available in process-pool
+workers too.
 """
 
 from __future__ import annotations
@@ -33,14 +33,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
-__all__ = [
-    "Cell",
-    "ExperimentSpec",
-    "register",
-    "unregister",
-    "get_spec",
-    "list_specs",
-]
+__all__ = ["Cell", "ExperimentSpec", "get_spec", "list_specs"]
 
 
 @dataclass(frozen=True)
@@ -66,7 +59,7 @@ def _identity(value: Any) -> Any:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A registered experiment: grid + task + aggregation + rendering."""
+    """One experiment: grid + task + aggregation + rendering."""
 
     name: str
     description: str
@@ -111,40 +104,21 @@ class ExperimentSpec:
         return config
 
 
-_REGISTRY: Dict[str, ExperimentSpec] = {}
-
-
-def register(spec: ExperimentSpec) -> ExperimentSpec:
-    """Add *spec* to the registry (idempotent re-registration)."""
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def unregister(name: str) -> None:
-    """Remove a spec (used by tests registering throwaway specs)."""
-    _REGISTRY.pop(name, None)
-
-
-def _ensure_builtin_specs() -> None:
-    # importing the experiments package imports every harness module,
-    # each of which registers its spec — also inside pool workers
-    import repro.experiments  # noqa: F401
-
-
 def get_spec(name: str) -> ExperimentSpec:
-    """Look up a registered spec by name."""
-    if name not in _REGISTRY:
-        _ensure_builtin_specs()
+    """Look up a spec of :data:`repro.experiments.SPECS` by name."""
+    from .. import SPECS
+
     try:
-        return _REGISTRY[name]
+        return SPECS[name]
     except KeyError:
         raise KeyError(
             f"unknown experiment {name!r} "
-            f"(registered: {', '.join(sorted(_REGISTRY)) or 'none'})"
+            f"(registered: {', '.join(sorted(SPECS)) or 'none'})"
         ) from None
 
 
 def list_specs() -> List[ExperimentSpec]:
-    """All registered specs, sorted by name."""
-    _ensure_builtin_specs()
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
+    """All specs, sorted by name."""
+    from .. import SPECS
+
+    return [SPECS[name] for name in sorted(SPECS)]

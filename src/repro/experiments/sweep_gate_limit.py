@@ -23,7 +23,7 @@ Run with ``repro experiment run sweep_gate_limit``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -31,9 +31,9 @@ from ..core.insertion import insert_random_pairs
 from ..execution import run as execute
 from ..metrics.tvd import tvd_to_reference
 from ..revlib.benchmarks import load_benchmark, paper_suite
-from .framework import Cell, ExperimentSpec, register, run_experiment
+from .framework import Cell, ExperimentSpec
 
-__all__ = ["SweepPoint", "run_gate_limit_sweep", "render_sweep", "SWEEP_SPEC"]
+__all__ = ["SweepPoint", "render_sweep", "SWEEP_SPEC"]
 
 
 @dataclass
@@ -104,53 +104,24 @@ def _aggregate_sweep(
     return [results[cell.id] for cell in _sweep_cells(config)]
 
 
-SWEEP_SPEC = register(
-    ExperimentSpec(
-        name="sweep_gate_limit",
-        description="noiseless obfuscated-TVD curve vs random-gate "
-        "insertion budget (Sec. V-C extension)",
-        defaults={
-            "benchmarks": None,
-            "gate_limits": [0, 1, 2, 4, 8],
-            "iterations": 10,
-            "shots": 512,
-            "seed": 9,
-        },
-        make_cells=_sweep_cells,
-        task=_sweep_task,
-        aggregate=_aggregate_sweep,
-        render=lambda points: render_sweep(points),
-        encode=asdict,
-        decode=lambda data: SweepPoint(**data),
-    )
+SWEEP_SPEC = ExperimentSpec(
+    name="sweep_gate_limit",
+    description="noiseless obfuscated-TVD curve vs random-gate "
+    "insertion budget (Sec. V-C extension)",
+    defaults={
+        "benchmarks": None,
+        "gate_limits": [0, 1, 2, 4, 8],
+        "iterations": 10,
+        "shots": 512,
+        "seed": 9,
+    },
+    make_cells=_sweep_cells,
+    task=_sweep_task,
+    aggregate=_aggregate_sweep,
+    render=lambda points: render_sweep(points),
+    encode=asdict,
+    decode=lambda data: SweepPoint(**data),
 )
-
-
-def run_gate_limit_sweep(
-    benchmarks: Optional[Sequence[str]] = None,
-    gate_limits: Sequence[int] = (0, 1, 2, 4, 8),
-    iterations: int = 10,
-    shots: int = 512,
-    seed: int = 9,
-    jobs: int = 1,
-) -> List[SweepPoint]:
-    """Noiseless obfuscated-TVD curve over insertion budgets.
-
-    *jobs* fans the (benchmark, limit) grid over a process pool;
-    results are bit-identical for any *jobs* value.
-    """
-    report = run_experiment(
-        "sweep_gate_limit",
-        {
-            "benchmarks": list(benchmarks) if benchmarks else None,
-            "gate_limits": list(gate_limits),
-            "iterations": iterations,
-            "shots": shots,
-            "seed": seed,
-        },
-        jobs=jobs,
-    )
-    return report.result
 
 
 def render_sweep(points: List[SweepPoint]) -> str:

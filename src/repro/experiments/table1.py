@@ -7,8 +7,8 @@ after split compilation + restoration, and the accuracy change — the
 averages of 20 iterations at 1000 shots, exactly the procedure of
 Sec. V.
 
-The experiment is a registered :mod:`repro.experiments.framework`
-spec: one grid cell per (benchmark, iteration), each with its own
+The experiment is a :mod:`repro.experiments.framework` spec: one grid
+cell per (benchmark, iteration), each with its own
 positionally spawned seed, so checkpointed, resumed, sharded and
 parallel runs are all bit-identical to a sequential run for a fixed
 seed.
@@ -24,16 +24,16 @@ gates, and accuracy change below ~1–2%.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..core.pipeline import EvaluationResult
+from ..core.pipeline import EvaluationResult, evaluate_iteration
 from ..revlib.benchmarks import TABLE1_PAPER_VALUES, load_benchmark, paper_suite
-from .framework import Cell, ExperimentSpec, register, run_experiment
-from .runner import AggregateResult, _evaluate_record
+from .framework import Cell, ExperimentSpec
 
-__all__ = ["generate_table1", "render_table1", "TABLE1_SPEC"]
+__all__ = ["AggregateResult", "render_table1", "TABLE1_SPEC"]
 
 _COLUMNS = [
     ("Circuit", "name", "s"),
@@ -46,6 +46,68 @@ _COLUMNS = [
     ("AccRest", "accuracy_restored", ".3f"),
     ("AccΔ%", "accuracy_change_pct", ".2f"),
 ]
+
+
+@dataclass
+class AggregateResult:
+    """Iteration-averaged metrics for one benchmark (one Table I row)."""
+
+    name: str
+    iterations: List[EvaluationResult] = field(default_factory=list)
+
+    def _mean(self, attr: str) -> float:
+        return float(
+            np.mean([getattr(it, attr) for it in self.iterations])
+        )
+
+    def _values(self, attr: str) -> List[float]:
+        return [float(getattr(it, attr)) for it in self.iterations]
+
+    # -- Table I columns --------------------------------------------------
+    @property
+    def depth(self) -> float:
+        return self._mean("depth_original")
+
+    @property
+    def depth_obfuscated(self) -> float:
+        return self._mean("depth_obfuscated")
+
+    @property
+    def gates(self) -> float:
+        return self._mean("gates_original")
+
+    @property
+    def gates_obfuscated(self) -> float:
+        return self._mean("gates_obfuscated")
+
+    @property
+    def gate_change_pct(self) -> float:
+        return self._mean("gate_change_pct")
+
+    @property
+    def accuracy(self) -> float:
+        return self._mean("accuracy_original")
+
+    @property
+    def accuracy_restored(self) -> float:
+        return self._mean("accuracy_restored")
+
+    @property
+    def accuracy_change_pct(self) -> float:
+        return 100.0 * self._mean("accuracy_change")
+
+    # -- Figure 4 series ---------------------------------------------------
+    @property
+    def tvd_obfuscated_values(self) -> List[float]:
+        return self._values("tvd_obfuscated")
+
+    @property
+    def tvd_restored_values(self) -> List[float]:
+        return self._values("tvd_restored")
+
+    @property
+    def depth_always_preserved(self) -> bool:
+        return all(it.depth_preserved for it in self.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +151,10 @@ def table_task(
 ) -> EvaluationResult:
     """One pipeline evaluation — pure and picklable."""
     record = load_benchmark(cell.params["benchmark"])
-    return _evaluate_record(
-        record,
+    return evaluate_iteration(
+        record.circuit(),
+        record.name,
+        record.output_qubits,
         shots=int(config["shots"]),
         gate_limit=int(config["gate_limit"]),
         seed=seed,
@@ -111,55 +175,24 @@ def aggregate_table(
     }
 
 
-TABLE1_SPEC = register(
-    ExperimentSpec(
-        name="table1",
-        description="Table I: depth/gate overhead + noisy accuracy per "
-        "RevLib benchmark (Sec. V)",
-        defaults={
-            "iterations": 20,
-            "shots": 1000,
-            "seed": 2025,
-            "gate_limit": 4,
-            "benchmarks": None,
-        },
-        make_cells=table_cells,
-        task=table_task,
-        aggregate=aggregate_table,
-        render=lambda results: render_table1(results),
-        encode=lambda result: result.to_dict(),
-        decode=EvaluationResult.from_dict,
-    )
+TABLE1_SPEC = ExperimentSpec(
+    name="table1",
+    description="Table I: depth/gate overhead + noisy accuracy per "
+    "RevLib benchmark (Sec. V)",
+    defaults={
+        "iterations": 20,
+        "shots": 1000,
+        "seed": 2025,
+        "gate_limit": 4,
+        "benchmarks": None,
+    },
+    make_cells=table_cells,
+    task=table_task,
+    aggregate=aggregate_table,
+    render=lambda results: render_table1(results),
+    encode=lambda result: result.to_dict(),
+    decode=EvaluationResult.from_dict,
 )
-
-
-# ---------------------------------------------------------------------------
-# library entry points
-# ---------------------------------------------------------------------------
-
-def generate_table1(
-    iterations: int = 20,
-    shots: int = 1000,
-    seed: Optional[int] = 2025,
-    benchmarks: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-) -> Dict[str, AggregateResult]:
-    """Compute all Table I rows; returns name -> aggregate.
-
-    *jobs* parallelises the (benchmark, iteration) grid; results are
-    identical for a fixed seed whatever its value.
-    """
-    report = run_experiment(
-        "table1",
-        {
-            "iterations": iterations,
-            "shots": shots,
-            "seed": seed,
-            "benchmarks": list(benchmarks) if benchmarks else None,
-        },
-        jobs=jobs,
-    )
-    return report.result
 
 
 def render_table1(

@@ -85,26 +85,13 @@ def handle_protect(params: Dict[str, Any]) -> Dict[str, Any]:
 def handle_transpile(params: Dict[str, Any]) -> Dict[str, Any]:
     """Deterministic compile through the preset pass schedule."""
     from ..circuits.qasm import from_qasm, to_qasm
-    from ..noise.backend import valencia_like_backend
-    from ..transpiler import CouplingMap, transpile
+    from ..transpiler import DEVICE_TARGETS, transpile
 
     circuit = from_qasm(params["qasm"])
     size = params.get("size") or max(circuit.num_qubits, 2)
-    backend = None
-    coupling = None
-    kind = params.get("coupling", "valencia")
-    if kind == "valencia":
-        backend = valencia_like_backend(size)
-    elif kind == "line":
-        coupling = CouplingMap.line(size)
-    elif kind == "ring":
-        coupling = CouplingMap.ring(size)
-    else:
-        coupling = CouplingMap.full(size)
     result = transpile(
         circuit,
-        backend=backend,
-        coupling=coupling,
+        **DEVICE_TARGETS[params.get("coupling", "valencia")](size),
         layout_method=params.get("layout", "greedy"),
         optimization_level=int(params.get("level", 1)),
     )
@@ -131,24 +118,20 @@ def _target_circuit(params: Dict[str, Any]):
 
 def handle_evaluate(params: Dict[str, Any]) -> Dict[str, Any]:
     """Full pipeline evaluation (Sec. V) over *iterations* runs."""
-    from ..core.pipeline import TetrisLockPipeline
+    from ..core.pipeline import evaluate_iteration
 
     circuit, record = _target_circuit(params)
-    output_qubits = record.output_qubits if record is not None else None
     iterations = int(params.get("iterations", 1))
-    seed = params.get("seed")
-    children = np.random.SeedSequence(seed).spawn(iterations)
+    children = np.random.SeedSequence(params.get("seed")).spawn(iterations)
     results = []
     for child in children:
-        pipeline = TetrisLockPipeline(
+        evaluation = evaluate_iteration(
+            circuit,
+            record.name if record is not None else circuit.name,
+            record.output_qubits if record is not None else None,
             shots=int(params.get("shots", 1000)),
             gate_limit=int(params.get("gate_limit", 4)),
-            seed=np.random.default_rng(child),
-        )
-        evaluation = pipeline.evaluate(
-            circuit,
-            name=record.name if record is not None else circuit.name,
-            output_qubits=output_qubits,
+            seed=child,
         )
         results.append(
             {

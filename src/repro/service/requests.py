@@ -33,6 +33,7 @@ from ..circuits.circuit import QuantumCircuit
 from ..circuits.qasm import from_qasm
 from ..simulator.trajectory import measures_are_terminal
 from ..transpiler.cache import circuit_structural_hash
+from ..transpiler.transpile import DEVICE_TARGETS
 
 __all__ = [
     "ServiceRequest",
@@ -54,7 +55,6 @@ __all__ = [
     "MAX_SHOTS",
 ]
 
-_COUPLINGS = ("valencia", "line", "ring", "full")
 _FINGERPRINT_SIZE = 16  # bytes; 32 hex chars
 
 # Size caps on request inputs, checked at submit (ValueError, so HTTP
@@ -274,10 +274,10 @@ class TranspileRequest(ServiceRequest):
     def __post_init__(self) -> None:
         if not self.qasm:
             raise ValueError("transpile request needs a 'qasm' circuit")
-        if self.coupling not in _COUPLINGS:
+        if self.coupling not in DEVICE_TARGETS:
             raise ValueError(
                 f"unknown coupling {self.coupling!r}; "
-                f"expected one of {', '.join(_COUPLINGS)}"
+                f"expected one of {', '.join(DEVICE_TARGETS)}"
             )
         if self.layout not in ("greedy", "trivial"):
             raise ValueError("layout must be 'greedy' or 'trivial'")

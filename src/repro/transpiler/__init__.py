@@ -28,12 +28,18 @@ from .passmanager import (
     preset_schedule,
 )
 from .routing import RoutingResult, route_circuit
-from .transpile import TranspileResult, routed_equivalent, transpile
+from .transpile import (
+    DEVICE_TARGETS,
+    TranspileResult,
+    routed_equivalent,
+    transpile,
+)
 
 __all__ = [
     "transpile",
     "TranspileResult",
     "routed_equivalent",
+    "DEVICE_TARGETS",
     "PassManager",
     "PropertySet",
     "BasePass",

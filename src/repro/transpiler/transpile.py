@@ -18,10 +18,10 @@ preset pass schedule for the requested optimisation level
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Union
 
 from ..circuits.circuit import QuantumCircuit
-from ..noise.backend import Backend
+from ..noise.backend import Backend, valencia_like_backend
 from .cache import (
     circuit_structural_hash,
     coupling_cache_key,
@@ -32,7 +32,22 @@ from .coupling import CouplingMap
 from .layout import Layout
 from .passmanager import PassManager, PropertySet, preset_schedule
 
-__all__ = ["transpile", "TranspileResult", "routed_equivalent"]
+__all__ = [
+    "transpile",
+    "TranspileResult",
+    "routed_equivalent",
+    "DEVICE_TARGETS",
+]
+
+#: The named device targets of ``repro transpile`` and the service's
+#: transpile jobs: each maps a device size to the ``backend`` or
+#: ``coupling`` keyword of :func:`transpile`.
+DEVICE_TARGETS: Dict[str, Callable[[int], Dict[str, Any]]] = {
+    "valencia": lambda size: {"backend": valencia_like_backend(size)},
+    "line": lambda size: {"coupling": CouplingMap.line(size)},
+    "ring": lambda size: {"coupling": CouplingMap.ring(size)},
+    "full": lambda size: {"coupling": CouplingMap.full(size)},
+}
 
 
 class TranspileResult:

@@ -1,4 +1,4 @@
-"""Unified experiment framework: registry, store, resume, sharding."""
+"""Unified experiment framework: spec table, store, resume, sharding."""
 
 import json
 
@@ -13,10 +13,9 @@ from repro.experiments.framework import (
     get_spec,
     list_specs,
     parse_shard,
-    register,
     run_experiment,
-    unregister,
 )
+from repro.experiments import SPECS
 
 BUILTIN_SPECS = {
     "table1",
@@ -54,20 +53,18 @@ def _toy_aggregate(config, results):
 
 
 @pytest.fixture()
-def toy_spec():
-    spec = register(
-        ExperimentSpec(
-            name="_toy",
-            description="framework test spec",
-            defaults={"n": 6, "factor": 2, "seed": 0, "bomb_file": None},
-            make_cells=_toy_cells,
-            task=_toy_task,
-            aggregate=_toy_aggregate,
-            render=lambda rows: json.dumps(rows),
-        )
+def toy_spec(monkeypatch):
+    spec = ExperimentSpec(
+        name="_toy",
+        description="framework test spec",
+        defaults={"n": 6, "factor": 2, "seed": 0, "bomb_file": None},
+        make_cells=_toy_cells,
+        task=_toy_task,
+        aggregate=_toy_aggregate,
+        render=lambda rows: json.dumps(rows),
     )
-    yield spec
-    unregister("_toy")
+    monkeypatch.setitem(SPECS, spec.name, spec)
+    return spec
 
 
 class TestRegistry:
@@ -219,23 +216,18 @@ class TestInvalidArguments:
         with pytest.raises(ValueError):
             run_experiment("_toy", jobs=0)
 
-    def test_duplicate_cell_ids_rejected(self):
-        spec = register(
-            ExperimentSpec(
-                name="_dup",
-                description="duplicate cells",
-                defaults={},
-                make_cells=lambda config: [Cell("a"), Cell("a")],
-                task=lambda config, cell, seed: 0,
-                aggregate=lambda config, results: results,
-                render=str,
-            )
-        )
-        try:
-            with pytest.raises(ValueError, match="duplicate cell ids"):
-                run_experiment("_dup")
-        finally:
-            unregister("_dup")
+    def test_duplicate_cell_ids_rejected(self, monkeypatch):
+        monkeypatch.setitem(SPECS, "_dup", ExperimentSpec(
+            name="_dup",
+            description="duplicate cells",
+            defaults={},
+            make_cells=lambda config: [Cell("a"), Cell("a")],
+            task=lambda config, cell, seed: 0,
+            aggregate=lambda config, results: results,
+            render=str,
+        ))
+        with pytest.raises(ValueError, match="duplicate cell ids"):
+            run_experiment("_dup")
 
 
 class TestRealSpecsRoundTrip:
@@ -343,16 +335,14 @@ class TestKnobUniformity:
     """jobs exists on every harness and never changes a result."""
 
     def test_sweep_jobs_bit_identical(self):
-        from repro.experiments import run_gate_limit_sweep
-
-        kwargs = dict(benchmarks=["4gt13"], gate_limits=(0, 2),
+        config = dict(benchmarks=["4gt13"], gate_limits=[0, 2],
                       iterations=2, shots=64, seed=7)
-        assert run_gate_limit_sweep(**kwargs) == run_gate_limit_sweep(
-            **kwargs, jobs=2
+        assert run_experiment("sweep_gate_limit", config).result == (
+            run_experiment("sweep_gate_limit", config, jobs=2).result
         )
 
     def test_ablation_jobs_bit_identical(self):
-        from repro.experiments import run_ablation
-
-        kwargs = dict(iterations=2, seed=5, benchmarks=["4gt13", "4mod5"])
-        assert run_ablation(**kwargs) == run_ablation(**kwargs, jobs=2)
+        config = dict(iterations=2, seed=5, benchmarks=["4gt13", "4mod5"])
+        assert run_experiment("ablation_insertion", config).result == (
+            run_experiment("ablation_insertion", config, jobs=2).result
+        )

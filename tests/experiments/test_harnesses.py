@@ -4,25 +4,30 @@ import pytest
 
 from repro.experiments import (
     demo_bruteforce_attack,
-    generate_complexity_table,
-    generate_figure4,
-    generate_table1,
     render_ablation,
     render_complexity_table,
     render_figure4,
     render_table1,
-    run_ablation,
+    run_experiment,
+    tvd_series,
 )
 
 
 @pytest.fixture(scope="module")
 def small_results():
-    return generate_table1(
-        iterations=2,
-        shots=200,
-        seed=77,
-        benchmarks=["4gt13", "one_bit_adder"],
-    )
+    return run_experiment(
+        "table1",
+        {"iterations": 2, "shots": 200, "seed": 77,
+         "benchmarks": ["4gt13", "one_bit_adder"]},
+    ).result
+
+
+def _complexity_rows(**overrides):
+    return run_experiment("attack_complexity", overrides).result["rows"]
+
+
+def _ablation_rows(**overrides):
+    return run_experiment("ablation_insertion", overrides).result
 
 
 class TestTable1:
@@ -53,7 +58,7 @@ class TestTable1:
 
 class TestFigure4:
     def test_series_shapes(self, small_results):
-        figure = generate_figure4(results=small_results)
+        figure = tvd_series(small_results)
         for name, series in figure.items():
             obf = series["obfuscated"]
             restored = series["restored"]
@@ -63,13 +68,13 @@ class TestFigure4:
             assert 0.0 <= restored.median < 0.5
 
     def test_render(self, small_results):
-        figure = generate_figure4(results=small_results)
+        figure = tvd_series(small_results)
         text = render_figure4(figure)
         assert "obfuscated" in text and "restored" in text
         assert "med=" in text
 
     def test_ascii_box_bounds(self, small_results):
-        figure = generate_figure4(results=small_results)
+        figure = tvd_series(small_results)
         box = figure["4gt13"]["obfuscated"].ascii_box(20)
         assert len(box) == 20
         assert "#" in box
@@ -77,8 +82,8 @@ class TestFigure4:
 
 class TestAttackComplexityHarness:
     def test_table_rows(self):
-        rows = generate_complexity_table(
-            qubit_counts=(4, 5), nmax_values=(5, 27), k=2
+        rows = _complexity_rows(
+            qubit_counts=[4, 5], nmax_values=[5, 27], k=2
         )
         assert len(rows) == 4
         for row in rows:
@@ -86,7 +91,7 @@ class TestAttackComplexityHarness:
             assert row.ratio > 1.0
 
     def test_render(self):
-        rows = generate_complexity_table(qubit_counts=(4,), nmax_values=(5,))
+        rows = _complexity_rows(qubit_counts=[4], nmax_values=[5])
         assert "Saki" in render_complexity_table(rows)
 
     def test_bruteforce_demo_succeeds(self):
@@ -99,7 +104,7 @@ class TestAttackComplexityHarness:
 
 class TestAblationHarness:
     def test_rows_and_shape(self):
-        rows = run_ablation(iterations=2, seed=1)
+        rows = _ablation_rows(iterations=2, seed=1)
         schemes = {row.scheme for row in rows}
         assert schemes == {"tetrislock", "das-front", "das-middle"}
         tetris = [r for r in rows if r.scheme == "tetrislock"]
@@ -112,6 +117,6 @@ class TestAblationHarness:
         assert all(r.needs_trusted_compiler for r in das)
 
     def test_render(self):
-        rows = run_ablation(iterations=1, seed=2)
+        rows = _ablation_rows(iterations=1, seed=2)
         text = render_ablation(rows)
         assert "tetrislock" in text

@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.experiments import generate_table1
+from repro.experiments import run_experiment
 
 # paper_suite() order: cell order decides the positional seeds
 PAIR = ["one_bit_adder", "4gt13"]
+
+
+def _table1(jobs=1, **config):
+    return run_experiment("table1", config, jobs=jobs).result
 
 
 def _fingerprint(results):
@@ -26,7 +30,7 @@ def _fingerprint(results):
     return out
 
 
-# generate_table1(iterations=2, shots=150, seed=13, benchmarks=PAIR),
+# _table1(iterations=2, shots=150, seed=13, benchmarks=PAIR),
 # re-captured when auto dispatch sent these <=5-qubit simulations to the
 # exact density engine: the inserted gates (last field) are those of
 # the ensemble-era pin, only the counts moved
@@ -44,40 +48,40 @@ SUITE_ORDER_PIN = [
 
 class TestParallelSuite:
     def test_suite_order_fingerprint_pinned(self):
-        results = generate_table1(
+        results = _table1(
             iterations=2, shots=150, seed=13, benchmarks=PAIR, jobs=2
         )
         assert _fingerprint(results) == SUITE_ORDER_PIN
 
     def test_jobs_do_not_change_results(self):
-        sequential = generate_table1(
+        sequential = _table1(
             iterations=2, shots=150, seed=13, benchmarks=PAIR, jobs=1
         )
-        parallel = generate_table1(
+        parallel = _table1(
             iterations=2, shots=150, seed=13, benchmarks=PAIR, jobs=2
         )
         assert _fingerprint(sequential) == _fingerprint(parallel)
 
     def test_fixed_seed_is_reproducible(self):
-        one = generate_table1(
+        one = _table1(
             iterations=2, shots=100, seed=3, benchmarks=["4gt13"]
         )
-        two = generate_table1(
+        two = _table1(
             iterations=2, shots=100, seed=3, benchmarks=["4gt13"]
         )
         assert _fingerprint(one) == _fingerprint(two)
 
     def test_different_seeds_differ(self):
-        one = generate_table1(
+        one = _table1(
             iterations=2, shots=100, seed=3, benchmarks=["4gt13"]
         )
-        two = generate_table1(
+        two = _table1(
             iterations=2, shots=100, seed=4, benchmarks=["4gt13"]
         )
         assert _fingerprint(one) != _fingerprint(two)
 
     def test_iteration_count_and_names(self):
-        results = generate_table1(
+        results = _table1(
             iterations=3, shots=50, seed=1, benchmarks=PAIR, jobs=2
         )
         assert list(results) == PAIR
@@ -86,9 +90,9 @@ class TestParallelSuite:
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="iterations"):
-            generate_table1(iterations=0, benchmarks=["4gt13"])
+            _table1(iterations=0, benchmarks=["4gt13"])
         with pytest.raises(ValueError, match="jobs"):
-            generate_table1(iterations=1, benchmarks=["4gt13"], jobs=0)
+            _table1(iterations=1, benchmarks=["4gt13"], jobs=0)
 
 
 class TestCompilationKnobs:
@@ -101,7 +105,7 @@ class TestCompilationKnobs:
 
         cache = get_transpile_cache()
         cache.clear()
-        cached = generate_table1(
+        cached = _table1(
             iterations=2, shots=100, seed=21, benchmarks=PAIR
         )
         assert cache.stats().hits > 0
@@ -112,7 +116,7 @@ class TestCompilationKnobs:
             "get_transpile_cache",
             TranspileCache,
         )
-        uncached = generate_table1(
+        uncached = _table1(
             iterations=2, shots=100, seed=21, benchmarks=PAIR
         )
         assert cache.stats().hits == cache.stats().misses == 0

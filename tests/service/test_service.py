@@ -132,6 +132,26 @@ class TestDeterminism:
         assert first == second
         assert len(first["iterations"]) == 2
 
+    def test_evaluate_iterations_equal_table1_cells(self):
+        """An evaluate job and the table1 grid run one iteration alike."""
+        from repro.experiments import run_experiment
+        from repro.service.handlers import handle_evaluate
+
+        served = handle_evaluate(
+            {"benchmark": "4gt13", "iterations": 2, "shots": 100, "seed": 7}
+        )["iterations"]
+        cells = run_experiment(
+            "table1",
+            {"iterations": 2, "shots": 100, "seed": 7,
+             "benchmarks": ["4gt13"]},
+        ).result["4gt13"].iterations
+        assert len(served) == len(cells) == 2
+        for row, cell in zip(served, cells):
+            expected = cell.to_dict()
+            assert {key: row[key] for key in expected} == expected
+            assert row["accuracy_restored"] == cell.accuracy_restored
+            assert row["tvd_obfuscated"] == cell.tvd_obfuscated
+
 
 class TestPriorities:
     def test_lower_priority_value_runs_first(self, bench_qasm):

@@ -255,7 +255,7 @@ class TestExperimentCommand:
 
 
 class TestCleanErrors:
-    """protect/restore/inspect report bad input as exit-2, no traceback."""
+    """CLI commands report bad input as exit-2, no traceback."""
 
     def test_protect_missing_file(self, capsys):
         assert main(["protect", "/no/such/file.qasm"]) == 2
@@ -304,6 +304,18 @@ class TestCleanErrors:
         }))
         assert main(["restore", str(meta)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "transpile"])
+    @pytest.mark.parametrize("problem", ["missing", "malformed"])
+    def test_bad_input_file(self, tmp_path, capsys, command, problem):
+        path = tmp_path / "in.qasm"
+        if problem == "malformed":
+            path.write_text(
+                'OPENQASM 2.0; include "qelib1.inc"; qreg q[1]; foo q[0];'
+            )
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_simulate_density_mid_circuit(self, tmp_path, capsys):
         # a gate after a measurement: the density engine cannot sample
