@@ -8,9 +8,9 @@ gate matrices resolved once, outside the timed region, then one
 ``contract_batch`` per non-identity gate and the same
 ``sample_terminal_counts`` as :func:`repro.execution.run`.
 
-``test_warm_plan_speedup_and_no_retrace`` pins that directly (>=2x,
-zero re-traces on cache hits); the ``benchmark`` fixtures put the three
-paths side by side in the comparison table.  Set ``REPRO_BENCH_SMOKE=1``
+``test_warm_plan_speedup_and_no_retrace`` pins that directly (>=2x on
+best-of-3 timings, zero re-traces on cache hits); the ``benchmark``
+fixtures put the three paths side by side in the comparison table.  Set ``REPRO_BENCH_SMOKE=1``
 (the CI smoke job does) to shrink the workload.
 """
 
@@ -20,8 +20,8 @@ import time
 import numpy as np
 
 from repro.circuits import random_circuit
-from repro.execution import build_plan, get_plan_cache, run
-from repro.execution.plan import trace_circuit
+from repro.execution import build_noise_plan, get_plan_cache, run
+from repro.execution.plan import TracedOp
 from repro.execution.plan_cache import PlanCache
 from repro.simulator.kernels import contract_batch
 from repro.simulator.trajectory import sample_terminal_counts
@@ -50,9 +50,22 @@ def _repeat_run(circuit):
 
 def _unfused_ops(circuit):
     """``(matrix, qubits)`` per non-identity gate, and the measure map."""
-    trace = trace_circuit(circuit)
-    ops = [(op.matrix, op.qubits) for op in trace.ops if not op.identity]
-    return ops, list(trace.measured)
+    gates = [TracedOp(inst) for inst in circuit if inst.is_gate]
+    ops = [(op.matrix, op.qubits) for op in gates if not op.identity]
+    measured = [
+        (inst.qubits[0], inst.clbits[0]) for inst in circuit if inst.is_measure
+    ]
+    return ops, measured
+
+
+def _best_of(fn, rounds=3):
+    """``(fastest wall time, last result)`` over *rounds* calls."""
+    times = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - start)
+    return min(times), result
 
 
 def _unfused_run(circuit, ops, measured, seed):
@@ -81,10 +94,11 @@ def test_bench_plan_cold_trace(benchmark):
     circuit = _workload()
 
     def cold():
-        return build_plan(circuit)
+        return build_noise_plan(circuit)
 
     plan = benchmark(cold)
-    assert plan.num_ops < plan.source_gates
+    assert plan.num_spans == 1
+    assert len(plan.steps[0][1]) < plan.source_gates
 
 
 def test_bench_plan_warm_cache(benchmark):
@@ -113,16 +127,14 @@ def test_warm_plan_speedup_and_no_retrace():
     ops, measured = _unfused_ops(circuit)
 
     missed_before = cache.stats().misses
-    start = time.perf_counter()
-    warm_counts = _repeat_run(circuit)
-    warm = time.perf_counter() - start
+    warm, warm_counts = _best_of(lambda: _repeat_run(circuit))
     stats = cache.stats()
     assert stats.misses == missed_before, "warm runs must never re-trace"
     assert stats.hits > 0
 
-    start = time.perf_counter()
-    unfused_counts = _repeat_unfused(circuit, ops, measured)
-    unfused = time.perf_counter() - start
+    unfused, unfused_counts = _best_of(
+        lambda: _repeat_unfused(circuit, ops, measured)
+    )
 
     # same distribution underneath: identical counts at pinned seeds
     assert dict(warm_counts) == dict(unfused_counts)
@@ -140,19 +152,11 @@ def test_cold_trace_amortised_by_first_run():
     # The very first trace in a process pays one-time warmup (gate-matrix
     # resolution, numpy first-touch) that no second circuit ever sees;
     # warm that up on a *different* circuit so we measure per-circuit cost.
-    build_plan(random_circuit(3, 8, gate_pool=_POOL, seed=7))
+    build_noise_plan(random_circuit(3, 8, gate_pool=_POOL, seed=7))
 
-    def best_of(fn, rounds=3):
-        times = []
-        for _ in range(rounds):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    cold = best_of(lambda: PlanCache(maxsize=4).plan_for(circuit))
+    cold, _ = _best_of(lambda: PlanCache(maxsize=4).plan_for(circuit))
     # a cold unfused run: resolve the gate matrices, then one execution
-    one_run = best_of(
+    one_run, _ = _best_of(
         lambda: _unfused_run(circuit, *_unfused_ops(circuit), 0)
     )
 

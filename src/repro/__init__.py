@@ -15,7 +15,7 @@ Public API tour
 * :mod:`repro.transpiler` — the "untrusted compiler": basis
   translation, layout, routing, optimisation.
 * :mod:`repro.revlib` — RevLib benchmarks and the ``.real`` format.
-* :mod:`repro.synth` — reversible synthesis (MMD) and MCX
+* :mod:`repro.synth` — reversible truth tables and MCX
   decompositions.
 * :mod:`repro.core` — **TetrisLock itself**: Algorithm 1 insertion,
   interlocking split, split compilation, de-obfuscation, Eq. 1

@@ -4,10 +4,9 @@ Three passes over :mod:`repro.execution` plans, none of which executes
 a single shot:
 
 * :mod:`~repro.analysis.static.contracts` — structural contract
-  checking for :class:`~repro.execution.plan.ExecutionPlan` and
-  :class:`~repro.execution.noise_plan.NoisePlan` (index ranges,
-  unitarity, classification flags, CPTP channel bindings, site
-  numbering, anchor structure);
+  checking for :class:`~repro.execution.noise_plan.NoisePlan`, noisy
+  or noise-free (index ranges, unitarity, CPTP channel bindings, site
+  numbering, anchor structure, measure order);
 * :mod:`~repro.analysis.static.dataflow` — def-use/light-cone analysis
   and the replay proof that lowering never reorders non-commuting ops;
 * :mod:`~repro.analysis.static.tableau` — stabilizer-tableau symbolic
@@ -24,10 +23,8 @@ from .base import Report, Violation
 from .contracts import (
     PlanContractError,
     check_noise_plan,
-    check_plan,
     reset_validation_stats,
     validate_noise_plan,
-    validate_plan,
     validation_stats,
 )
 from .dataflow import dead_ops, def_use_chains, light_cone, verify_lowering
@@ -51,7 +48,6 @@ __all__ = [
     "Violation",
     "certify_equivalence",
     "check_noise_plan",
-    "check_plan",
     "clifford_images",
     "dead_ops",
     "def_use_chains",
@@ -59,7 +55,6 @@ __all__ = [
     "reset_validation_stats",
     "tableau_from_ops",
     "validate_noise_plan",
-    "validate_plan",
     "validation_stats",
     "verify_lowering",
     "verify_plan",

@@ -1,19 +1,17 @@
 """Plan contract checking: validate plan IR without executing it.
 
-The compiled-execution tier (:mod:`repro.execution.plan`,
-:mod:`repro.execution.noise_plan`) carries a set of structural
-invariants that every engine, codegen backend and cache consumer relies
-on.  This module states them as executable contracts:
+The compiled-execution tier's one plan IR
+(:class:`~repro.execution.noise_plan.NoisePlan`, noisy or noise-free,
+its spans lowered by :mod:`repro.execution.plan`) carries a set of
+structural invariants that every engine, codegen backend and cache
+consumer relies on.  This module states them as executable contracts:
 
 * every qubit/clbit index in range, no duplicate qubits per op;
 * every fused matrix unitary to tolerance, every diagonal op truly a
   unit-modulus diagonal with its qubits ascending (the storage
   convention :func:`repro.execution.plan._gate_diag` establishes);
-* the fused stream's qubit support equals the union of the non-identity
-  source ops' support — fusion neither invents nor loses qubits;
-* measure ordering preserved against the source circuit;
-* noise plans: random sites numbered ``0..num_sites-1`` in program
-  order, spans never adjacent (an anchor sits between any two), every
+* random sites numbered ``0..num_sites-1`` in program order, spans
+  never adjacent (an anchor sits between any two), every
   :class:`~repro.execution.noise_plan.ChannelBinding` CPTP with a
   monotone cumulative table summing to 1, every Kraus binding's
   operator stack, jump bound ``sum ||K_j||_2^2`` and no-jump fold
@@ -22,7 +20,8 @@ on.  This module states them as executable contracts:
   exact, and — when the source circuit and model are supplied — fusion
   provably never crossing a noise anchor (each span re-derived and
   justified from its own segment only, via
-  :func:`repro.analysis.static.dataflow.verify_lowering`);
+  :func:`repro.analysis.static.dataflow.verify_lowering`) and the
+  measure ordering preserved against the circuit;
 * the trajectory ensemble's compiled stream: every span op equal to
   its source op times the no-jump factors it absorbs, every Kraus
   anchor's pending factors matching the folds re-derived from the
@@ -30,9 +29,8 @@ on.  This module states them as executable contracts:
   them.
 
 Checking never executes a plan (it builds the plan's lazily compiled
-stream to check it).  :func:`check_plan` /
-:func:`check_noise_plan` return a :class:`~.base.Report`;
-:func:`validate_plan` / :func:`validate_noise_plan` raise
+stream to check it).  :func:`check_noise_plan` returns a
+:class:`~.base.Report`; :func:`validate_noise_plan` raises
 :class:`PlanContractError` instead — that is what the opt-in
 ``validate=`` knob on the plan caches calls at build time.  Module
 counters (:func:`validation_stats`) feed the service ``/stats``
@@ -58,8 +56,7 @@ from ...execution.noise_plan import (
     _monomial_decomposition,
     _SpanGate,
 )
-from ...execution.plan import ExecutionPlan, PlanOp, TracedOp, _is_diagonal
-from ...simulator.kernels import matrix_is_identity
+from ...execution.plan import PlanOp, TracedOp
 from ...simulator.noisy import ENSEMBLE_DTYPE
 from ...simulator.trajectory import measures_are_terminal
 from .base import Report
@@ -67,10 +64,8 @@ from .base import Report
 __all__ = [
     "PlanContractError",
     "check_noise_plan",
-    "check_plan",
     "reset_validation_stats",
     "validate_noise_plan",
-    "validate_plan",
     "validation_stats",
 ]
 
@@ -80,7 +75,7 @@ _CPTP_ATOL = 1e-6  # matches QuantumChannel's own completeness check
 _STACK_ATOL = 1e-6  # Kraus stacks are stored in single precision
 
 _STATS_LOCK = threading.Lock()
-_STATS = {"plans_checked": 0, "noise_plans_checked": 0, "violations": 0}
+_STATS = {"plans_checked": 0, "violations": 0}
 
 
 def validation_stats() -> dict:
@@ -95,9 +90,9 @@ def reset_validation_stats() -> None:
             _STATS[key] = 0
 
 
-def _count(kind: str, report: Report) -> Report:
+def _count(report: Report) -> Report:
     with _STATS_LOCK:
-        _STATS[kind] += 1
+        _STATS["plans_checked"] += 1
         _STATS["violations"] += len(report.violations)
     return report
 
@@ -117,7 +112,7 @@ class PlanContractError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# shared op-level checks
+# op-level checks
 # ---------------------------------------------------------------------------
 
 
@@ -195,140 +190,6 @@ def _check_plan_op(
             "significant bit)",
             loc,
         )
-
-
-def _check_source_op(
-    report: Report, op: TracedOp, num_qubits: int, loc: str
-) -> None:
-    if not _check_qubits(report, op.qubits, num_qubits, loc):
-        return
-    dim = 1 << len(op.qubits)
-    if not report.check(
-        op.matrix.shape == (dim, dim),
-        "matrix-shape",
-        f"source matrix shape {op.matrix.shape} does not match "
-        f"{len(op.qubits)} qubit(s)",
-        loc,
-    ):
-        return
-    report.check(
-        op.identity == matrix_is_identity(op.matrix),
-        "classification",
-        f"identity flag {op.identity} disagrees with the stored matrix",
-        loc,
-    )
-    expected_diag = False if op.identity else _is_diagonal(op.matrix)
-    report.check(
-        op.diagonal == expected_diag,
-        "classification",
-        f"diagonal flag {op.diagonal} disagrees with the stored matrix",
-        loc,
-    )
-
-
-# ---------------------------------------------------------------------------
-# ExecutionPlan contracts
-# ---------------------------------------------------------------------------
-
-
-def check_plan(
-    plan: ExecutionPlan,
-    circuit: Optional[QuantumCircuit] = None,
-    *,
-    atol: float = _ATOL,
-) -> Report:
-    """Contract-check one :class:`ExecutionPlan` without executing it.
-
-    With *circuit* supplied, additionally proves trace fidelity: the
-    source op stream matches the circuit's gates one-for-one and the
-    measure map preserves the circuit's measure ordering.
-    """
-    report = Report("plan")
-    report.metadata.update(
-        {
-            "num_qubits": plan.num_qubits,
-            "num_ops": plan.num_ops,
-            "source_gates": plan.source_gates,
-        }
-    )
-    n = plan.num_qubits
-    for i, op in enumerate(plan.source_ops):
-        _check_source_op(report, op, n, f"source_ops[{i}]")
-    for j, op in enumerate(plan.ops):
-        _check_plan_op(report, op, n, f"ops[{j}]", atol)
-
-    live = [op for op in plan.source_ops if not op.identity]
-    source_support = {q for op in live for q in op.qubits}
-    fused_support = {q for op in plan.ops for q in op.qubits}
-    report.check(
-        fused_support == source_support,
-        "support-union",
-        "fused stream touches qubits "
-        f"{sorted(fused_support)} but the non-identity source ops touch "
-        f"{sorted(source_support)}",
-    )
-
-    for i, (qubit, clbit) in enumerate(plan.measured):
-        report.check(
-            0 <= qubit < n,
-            "qubit-range",
-            f"measured qubit {qubit} out of range",
-            f"measured[{i}]",
-        )
-        report.check(
-            0 <= clbit < max(plan.num_clbits, 1),
-            "clbit-range",
-            f"measured clbit {clbit} out of range for "
-            f"{plan.num_clbits} clbit(s)",
-            f"measured[{i}]",
-        )
-
-    if circuit is not None:
-        _check_trace_fidelity(report, plan, circuit)
-    return _count("plans_checked", report)
-
-
-def _check_trace_fidelity(
-    report: Report, plan: ExecutionPlan, circuit: QuantumCircuit
-) -> None:
-    report.check(
-        plan.num_qubits == circuit.num_qubits
-        and plan.num_clbits == circuit.num_clbits,
-        "register-mismatch",
-        f"plan registers ({plan.num_qubits}q, {plan.num_clbits}c) differ "
-        f"from circuit ({circuit.num_qubits}q, {circuit.num_clbits}c)",
-    )
-    gates = [
-        inst
-        for inst in circuit
-        if not inst.is_barrier and not inst.is_measure
-    ]
-    measures = [
-        (inst.qubits[0], inst.clbits[0])
-        for inst in circuit
-        if inst.is_measure
-    ]
-    if report.check(
-        len(gates) == len(plan.source_ops),
-        "trace-fidelity",
-        f"plan traces {len(plan.source_ops)} gate(s) but the circuit "
-        f"has {len(gates)}",
-    ):
-        for i, (inst, op) in enumerate(zip(gates, plan.source_ops)):
-            report.check(
-                op.qubits == inst.qubits
-                and np.array_equal(op.matrix, inst.operation.matrix),
-                "trace-fidelity",
-                f"traced op differs from circuit gate {inst.name!r}",
-                f"source_ops[{i}]",
-            )
-    report.check(
-        tuple(plan.measured) == tuple(measures),
-        "measure-order",
-        "plan measure map does not preserve the circuit's measure "
-        f"ordering (plan {tuple(plan.measured)}, circuit "
-        f"{tuple(measures)})",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +420,12 @@ def check_noise_plan(
     With *circuit* (and optionally *noise_model*) supplied, the anchor
     structure is re-derived independently and each span is proven to be
     a correct lowering of its own segment only — i.e. fusion never
-    crossed a noise anchor.
+    crossed a noise anchor — and the measure map is held to the
+    circuit's measures.
     """
     from .dataflow import verify_lowering
 
-    report = Report("noise_plan")
+    report = Report("plan")
     report.metadata.update(
         {
             "num_qubits": plan.num_qubits,
@@ -689,7 +551,7 @@ def check_noise_plan(
         _check_anchor_structure(
             report, plan, circuit, noise_model, verify_lowering, atol
         )
-    return _count("noise_plans_checked", report)
+    return _count(report)
 
 
 def _same_compiled_op(got, want) -> bool:
@@ -888,8 +750,16 @@ def _check_anchor_structure(
     measures) and the gate segment between consecutive anchors.  The
     plan's step stream must interleave identically, and every span must
     be a provable lowering of *its own* segment — which is precisely the
-    statement that fusion never crossed a noise anchor.
+    statement that fusion never crossed a noise anchor.  A terminal
+    plan's report entries must name the circuit's measures in program
+    order — every qubit as ``(q, q)`` for an unmeasured circuit.
     """
+    report.check(
+        plan.num_qubits == circuit.num_qubits,
+        "register-mismatch",
+        f"plan has {plan.num_qubits} qubit(s), the circuit "
+        f"{circuit.num_qubits}",
+    )
     report.check(
         plan.terminal == measures_are_terminal(circuit),
         "terminal-structure",
@@ -901,6 +771,7 @@ def _check_anchor_structure(
     # operators) / ("measure", qubit, clbit) — segments may be empty
     segment: list = []
     expected: list = []
+    measures: list = []
 
     def _flush() -> None:
         live = [op for op in segment if not op.identity]
@@ -912,11 +783,10 @@ def _check_anchor_structure(
         if inst.is_barrier:
             continue
         if inst.is_measure:
+            measures.append((inst.qubits[0], inst.clbits[0]))
             if not plan.terminal:
                 _flush()
-                expected.append(
-                    ("measure", inst.qubits[0], inst.clbits[0])
-                )
+                expected.append(("measure",) + measures[-1])
             continue
         segment.append(TracedOp(inst))
         if not noisy:
@@ -932,6 +802,16 @@ def _check_anchor_structure(
             _flush()
             expected.append(("channel", tuple(qubits), channel))
     _flush()
+
+    if plan.terminal:
+        want = measures or [(q, q) for q in range(circuit.num_qubits)]
+        got = [entry[:2] for entry in plan.entries]
+        report.check(
+            got == want,
+            "measure-order",
+            f"terminal report entries {got} do not name the circuit's "
+            f"measures {want} in program order",
+        )
 
     steps = list(plan.steps)
     if not report.check(
@@ -999,17 +879,6 @@ def _check_anchor_structure(
 # ---------------------------------------------------------------------------
 # raising wrappers (the build-time ``validate=`` knob)
 # ---------------------------------------------------------------------------
-
-
-def validate_plan(
-    plan: ExecutionPlan,
-    circuit: Optional[QuantumCircuit] = None,
-) -> ExecutionPlan:
-    """:func:`check_plan`, raising :class:`PlanContractError` on failure."""
-    report = check_plan(plan, circuit)
-    if not report.ok:
-        raise PlanContractError(report)
-    return plan
 
 
 def validate_noise_plan(

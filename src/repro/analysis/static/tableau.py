@@ -4,9 +4,10 @@ For Clifford circuits, conjugation of the ``2n`` Pauli generators
 ``X_0..X_{n-1}, Z_0..Z_{n-1}`` determines the unitary up to global
 phase — so two op streams are equivalent iff they produce the same
 tableau, checkable in polynomial time (no ``2^n`` statevector).  This
-module symbolically executes both the traced source stream and the
-lowered plan stream of an :class:`~repro.execution.plan.ExecutionPlan`
-and issues an equivalence certificate, a direct stepping stone to the
+module symbolically executes both a circuit's traced gate stream and
+the span ops of its noise-free
+:class:`~repro.execution.noise_plan.NoisePlan` and issues an
+equivalence certificate, a direct stepping stone to the
 ROADMAP's stabilizer engine.
 
 Representation: a Pauli is ``i^phase · (∏_q X_q^{x_q}) (∏_q Z_q^{z_q})``

@@ -4,8 +4,10 @@
 shared caches — verification must see exactly what the lowering
 produces) and runs every static pass:
 
-* contract check of the :class:`~repro.execution.plan.ExecutionPlan`
-  against the circuit;
+* contract check of the noise-free
+  :class:`~repro.execution.noise_plan.NoisePlan` against the circuit,
+  whose anchor-structure walk re-derives the segment, proves the span
+  a lowering of it and holds the measure map to the circuit's;
 * dataflow replay proving the lowering never reordered non-commuting
   ops;
 * a tableau equivalence certificate when the circuit is Clifford-only;
@@ -24,9 +26,9 @@ from typing import Any, Optional
 
 from ...circuits.circuit import QuantumCircuit
 from ...execution.noise_plan import build_noise_plan
-from ...execution.plan import build_plan
+from ...execution.plan import TracedOp
 from .base import Report
-from .contracts import check_noise_plan, check_plan
+from .contracts import check_noise_plan
 from .dataflow import verify_lowering
 from .tableau import TableauCertificate, certify_equivalence
 
@@ -92,14 +94,12 @@ class PlanVerification:
 
 def verify_plan(circuit: QuantumCircuit, noise_model=None) -> PlanVerification:
     """Statically verify the plan(s) *circuit* lowers to."""
-    plan = build_plan(circuit)
-    contract = check_plan(plan, circuit)
-    lowering = verify_lowering(
-        plan.source_ops, plan.ops, plan.num_qubits
-    )
-    tableau = certify_equivalence(
-        plan.source_ops, plan.ops, plan.num_qubits
-    )
+    plan = build_noise_plan(circuit, None)
+    contract = check_noise_plan(plan, circuit)
+    gates = [TracedOp(inst) for inst in circuit if inst.is_gate]
+    ops = [op for step in plan.steps if step[0] == "span" for op in step[1]]
+    lowering = verify_lowering(gates, ops, plan.num_qubits)
+    tableau = certify_equivalence(gates, ops, plan.num_qubits)
     noise = None
     if noise_model is not None:
         noise_plan = build_noise_plan(circuit, noise_model)

@@ -8,15 +8,15 @@ the statevector, trajectory or density simulator::
     >>> counts = run(circuit, shots=1000, noise_model=model, seed=7)
 
 The engine names are :data:`ENGINES`; :func:`refusal` is the one rule
-for whether a forced engine can run a request.  Circuits run through
-cached execution plans (:mod:`repro.execution.plan`, noiseless) and
-noise-bound plans (:mod:`repro.execution.noise_plan`).
+for whether a forced engine can run a request.  Every circuit runs
+through a cached :class:`NoisePlan` (:mod:`repro.execution.noise_plan`,
+lowered by :mod:`repro.execution.plan`); noiseless runs use the
+noise-free plan.
 """
 
 from ..simulator.counts import Counts
 from .api import ENGINES, refusal, run, select_engine
 from .noise_plan import ChannelBinding, NoisePlan, build_noise_plan
-from .plan import ExecutionPlan, build_plan
 from .plan_cache import (
     PlanCache,
     get_noise_plan,
@@ -29,11 +29,9 @@ __all__ = [
     "ChannelBinding",
     "Counts",
     "ENGINES",
-    "ExecutionPlan",
     "NoisePlan",
     "PlanCache",
     "build_noise_plan",
-    "build_plan",
     "get_noise_plan",
     "get_noise_plan_cache",
     "get_plan",

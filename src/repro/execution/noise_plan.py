@@ -1,10 +1,10 @@
 """Noise-bound lowering: compile a (circuit, noise model) pair once.
 
-The plan tier (:mod:`repro.execution.plan`) removed per-shot tracing
-from the *noiseless* path, but noisy trajectory simulation still walked
-the instruction list re-resolving ``NoiseModel.errors_for`` and
-re-classifying channels on every application.  This module lifts all of
-that to trace time:
+This is the one plan IR of the execution tier: noisy runs and
+noiseless ones (the noise-free plan, ``noise_model=None``) alike.
+Walking the instruction list on every application would re-resolve
+``NoiseModel.errors_for`` and re-classify channels each time; this
+module lifts all of that to trace time:
 
 * every gate's bound channels are resolved to physical qubits once
   (:class:`ChannelBinding`), classified once (unitary-only /
@@ -18,10 +18,11 @@ that to trace time:
   qubits holds one set of read-only arrays;
 * readout errors are bound per measured qubit, for mid-circuit measure
   steps and for the terminal report entries alike;
-* the noiseless spans *between* channel anchors are fused with the
-  same passes the noiseless plans use (:func:`~repro.execution.plan.\
-lower_ops`), so a weakly-noisy circuit still gets 1q-run merging,
-  diagonal fusion and blocking inside each span;
+* the noiseless spans *between* channel anchors are fused by
+  :func:`~repro.execution.plan.lower_ops`, so a weakly-noisy circuit
+  still gets 1q-run merging, diagonal fusion and blocking inside each
+  span, and a noise-free plan is a single fused span per measure-free
+  stretch (:meth:`NoisePlan.execute` runs it);
 * single-operator channels are CPTP, hence unitary — they fold into
   the surrounding span instead of anchoring a stochastic step;
 * for the trajectory ensemble only, :meth:`NoisePlan.compiled_steps`
@@ -35,8 +36,7 @@ decision in the plan a fixed index.  The trajectory ensemble
 (:func:`repro.simulator.noisy.run_noise_plan`) spawns one seed per
 site, which is what makes its output independent of the chunk size.
 The exact engine (:func:`repro.simulator.density.run_density_plan`)
-runs terminal plans on the density tensor.  Plans are cached by
-``structural hash x noise fingerprint`` in
+runs terminal plans on the density tensor.  Plans are cached in
 :mod:`repro.execution.plan_cache`.
 """
 
@@ -52,7 +52,12 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..noise.channels import _read_only
 from ..noise.model import NoiseModel
-from ..simulator.kernels import embed, matrix_is_identity
+from ..simulator.kernels import (
+    contract_batch,
+    embed,
+    matrix_is_identity,
+    multiply_diagonal,
+)
 from ..simulator.noisy import ENSEMBLE_DTYPE
 from ..simulator.trajectory import measures_are_terminal
 from .plan import PlanOp, TracedOp, _is_diagonal, lower_ops
@@ -526,7 +531,7 @@ class NoisePlan:
     order; the executor derives one independent seed stream per site.
 
     Immutable once built; the compiled span stream is lazily built
-    under a lock, like :class:`ExecutionPlan`.
+    under a lock.
     """
 
     def __init__(
@@ -561,6 +566,26 @@ class NoisePlan:
     @property
     def num_spans(self) -> int:
         return sum(1 for step in self.steps if step[0] == "span")
+
+    def execute(self, batch: np.ndarray) -> np.ndarray:
+        """Apply a noise-free plan's span ops to a ``(batch, 2, ..., 2)``
+        tensor in its own dtype, skipping measure steps.
+
+        Each op goes through :func:`~repro.simulator.kernels.contract_batch`
+        or :func:`~repro.simulator.kernels.multiply_diagonal`, which pick
+        the GEMM or ``tensordot`` route per op.
+        """
+        for step in self.steps:
+            if step[0] == "channel":
+                raise ValueError("execute() runs noise-free plans only")
+            if step[0] != "span":
+                continue
+            for op in step[1]:
+                if op.kind == "diagonal":
+                    batch = multiply_diagonal(batch, op.diag, op.qubits)
+                else:
+                    batch = contract_batch(batch, op.matrix, op.qubits)
+        return batch
 
     def compiled_steps(self) -> List[Tuple]:
         """The step stream the trajectory ensemble runs (see

@@ -1,18 +1,17 @@
-"""Compiled-execution tier: trace a circuit once into a fused plan.
+"""Plan lowering: the op IR every noise plan's spans are made of.
 
 Every engine used to walk ``circuit`` instruction-by-instruction in a
 Python loop, re-checking ``is_identity``, re-casting dtypes and
 re-deriving reshape strides for the *same* gate of the *same* circuit
-on every shot batch, experiment cell and service job.  This module
-lifts that work out of the hot loop with a three-stage, staged
-compilation (the JaCe trace -> lower -> compile -> cache design,
-applied to gate streams):
+on every shot batch, experiment cell and service job.  A circuit is
+now traced once into a :class:`~repro.execution.noise_plan.NoisePlan`
+(noiseless runs use the noise-free plan, whose steps are pure spans),
+and this module holds the two stages that plan is made of:
 
-1. **trace** (:func:`trace_circuit`) — one pass over the circuit
-   producing a flat op list with gate matrices resolved, identity and
-   diagonal gates classified, and measures/barriers split out.
-   Validation happens here, once per circuit, never per gate
-   application.
+1. **trace** — :class:`TracedOp`, one resolved gate: matrix looked up,
+   identity and diagonal gates classified.  The noise-plan builder
+   makes one per gate, validating its arity once per circuit, never
+   per gate application.
 2. **lower & fuse** (:func:`lower_ops`) — drop identity gates, merge
    runs of adjacent 1-qubit gates on the same qubit into one 2x2
    product, fuse runs of commuting diagonal gates into a single
@@ -20,14 +19,14 @@ applied to gate streams):
    blocks with precomputed matrices.  There is one lowering per
    circuit; the per-instruction loops it is checked against live in
    the test suite (``tests/reference_sim.py``).
-3. **execute & cache** — plans execute through the shared kernels of
-   :mod:`repro.simulator.kernels` (:func:`~repro.simulator.kernels.contract_batch`
-   for matrix ops, :func:`~repro.simulator.kernels.multiply_diagonal`
-   for diagonals), which choose the GEMM or ``tensordot`` route per
-   op.  Whole plans are cached by :mod:`repro.execution.plan_cache`
-   keyed on the circuit's structural hash, so resimulating a circuit
-   across shots, experiment cells, coalesced service batches and
-   oracle equivalence checks never re-traces.
+
+Span ops execute through the shared kernels of
+:mod:`repro.simulator.kernels` (:func:`~repro.simulator.kernels.contract_batch`
+for matrix ops, :func:`~repro.simulator.kernels.multiply_diagonal`
+for diagonals), which choose the GEMM or ``tensordot`` route per op.
+Whole plans are cached by :mod:`repro.execution.plan_cache`, so
+resimulating a circuit across shots, experiment cells, coalesced
+service batches and oracle equivalence checks never re-traces.
 
 Determinism contract
 --------------------
@@ -35,37 +34,23 @@ Fusion reassociates floating-point products, so a plan agrees with the
 per-instruction reference loops to ~1e-12 (relative to unit-norm
 states), not bit for bit; sampled counts at fixed seeds are unchanged
 unless a random draw lands within that margin of a probability
-boundary.  Noisy simulation runs a
-:class:`~repro.execution.noise_plan.NoisePlan`: every noise channel
-stays anchored to its gate, and only the noiseless spans *between*
-anchors are fused (through :func:`lower_ops`), since fusing across an
-anchor would change which states the channels see.
+boundary.  Noisy plans keep every noise channel anchored to its gate,
+and only the noiseless spans *between* anchors are fused (through
+:func:`lower_ops`), since fusing across an anchor would change which
+states the channels see.
 """
 
 from __future__ import annotations
 
-import time
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.circuit import QuantumCircuit
 from ..circuits.instruction import Instruction
-from ..simulator.kernels import (
-    contract_batch,
-    matrix_is_identity,
-    multiply_diagonal,
-)
+from ..simulator.kernels import matrix_is_identity
 
-__all__ = [
-    "ExecutionPlan",
-    "PlanOp",
-    "TracedOp",
-    "build_plan",
-    "lower_ops",
-    "trace_circuit",
-]
+__all__ = ["PlanOp", "TracedOp", "lower_ops"]
 
 # fusion caps: blocks stay GEMM-friendly (<= 8x8 matrices); a fused
 # diagonal is one elementwise multiply whatever its width, but capping
@@ -88,9 +73,8 @@ def _is_diagonal(matrix: np.ndarray) -> bool:
 class TracedOp:
     """One resolved gate from the trace pass.
 
-    Keeps the source :class:`Instruction` so noisy engines can anchor
-    ``noise_model.errors_for`` lookups, plus the classification flags
-    the lowering stage and the per-instruction executors need.
+    Keeps the source :class:`Instruction`, plus the classification
+    flags the lowering stage and the static checkers need.
     """
 
     __slots__ = ("matrix", "qubits", "instruction", "identity", "diagonal")
@@ -136,55 +120,6 @@ class PlanOp:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PlanOp({self.kind!r}, qubits={self.qubits})"
-
-
-class Trace:
-    """Flat result of the trace pass over one circuit."""
-
-    __slots__ = ("ops", "measured", "num_qubits", "num_clbits")
-
-    def __init__(
-        self,
-        ops: List[TracedOp],
-        measured: List[Tuple[int, int]],
-        num_qubits: int,
-        num_clbits: int,
-    ) -> None:
-        self.ops = ops
-        self.measured = measured
-        self.num_qubits = num_qubits
-        self.num_clbits = num_clbits
-
-
-def trace_circuit(circuit: QuantumCircuit) -> Trace:
-    """Stage 1: one pass over *circuit* -> flat op list + measure map.
-
-    Gate matrices are resolved (and validated against the arity) here,
-    identity/diagonal classification happens here, and barriers are
-    dropped — the executors never see anything but gates again.
-    """
-    ops: List[TracedOp] = []
-    measured: List[Tuple[int, int]] = []
-    for inst in circuit:
-        if inst.is_barrier:
-            continue
-        if inst.is_measure:
-            measured.append((inst.qubits[0], inst.clbits[0]))
-            continue
-        op = TracedOp(inst)
-        dim = 1 << len(op.qubits)
-        if op.matrix.shape != (dim, dim):
-            raise ValueError(
-                f"gate {inst.name!r} matrix shape {op.matrix.shape} does "
-                f"not match its {len(op.qubits)} qubit(s)"
-            )
-        ops.append(op)
-    return Trace(ops, measured, circuit.num_qubits, circuit.num_clbits)
-
-
-# ---------------------------------------------------------------------------
-# stage 2: lower & fuse
-# ---------------------------------------------------------------------------
 
 
 def _gate_diag(matrix: np.ndarray, qubits: Tuple[int, ...]) -> PlanOp:
@@ -359,12 +294,10 @@ def _fuse_blocks(ops: List[PlanOp]) -> List[PlanOp]:
 
 
 def lower_ops(ops: Sequence[TracedOp]) -> List[PlanOp]:
-    """Stage 2: lower one span of traced ops into a fused
-    :class:`PlanOp` stream.
+    """Lower one span of traced ops into a fused :class:`PlanOp` stream.
 
-    Shared with the noise-bound lowering
-    (:mod:`repro.execution.noise_plan`), which fuses the noiseless
-    spans *between* channel anchors with exactly these passes.
+    :func:`~repro.execution.noise_plan.build_noise_plan` fuses every
+    noiseless span *between* channel anchors with exactly these passes.
     Accepts any objects exposing the
     ``matrix``/``qubits``/``identity``/``diagonal`` attributes of
     :class:`TracedOp`.  Identity gates are dropped (the kernels skip
@@ -380,91 +313,3 @@ def lower_ops(ops: Sequence[TracedOp]) -> List[PlanOp]:
     lowered = _fuse_1q_runs(lowered)
     lowered = _fuse_diagonal_runs(lowered)
     return _fuse_blocks(lowered)
-
-
-# ---------------------------------------------------------------------------
-# stage 3: execution through the shared kernels
-# ---------------------------------------------------------------------------
-
-
-class ExecutionPlan:
-    """A traced and lowered execution plan.
-
-    Immutable once built (safe to share across threads and cache
-    without copying).  Carries ``TranspileResult``-style timing fields
-    (:attr:`trace_seconds`, :attr:`lower_seconds`) from the original
-    build.
-    """
-
-    def __init__(
-        self,
-        *,
-        num_qubits: int,
-        num_clbits: int,
-        ops: Sequence[PlanOp],
-        source_ops: Sequence[TracedOp],
-        measured: Sequence[Tuple[int, int]],
-        trace_seconds: float,
-        lower_seconds: float,
-    ) -> None:
-        self.num_qubits = num_qubits
-        self.num_clbits = num_clbits
-        self.ops: Tuple[PlanOp, ...] = tuple(ops)
-        self.source_ops: Tuple[TracedOp, ...] = tuple(source_ops)
-        self.measured: Tuple[Tuple[int, int], ...] = tuple(measured)
-        self.trace_seconds = trace_seconds
-        self.lower_seconds = lower_seconds
-
-    # -- TranspileResult-style summary fields ---------------------------
-    @property
-    def source_gates(self) -> int:
-        """Gates in the traced circuit (identities included)."""
-        return len(self.source_ops)
-
-    @property
-    def num_ops(self) -> int:
-        """Ops in the fused stream."""
-        return len(self.ops)
-
-    @property
-    def compile_seconds(self) -> float:
-        return self.trace_seconds + self.lower_seconds
-
-    # -- execution ------------------------------------------------------
-    def execute(self, batch: np.ndarray) -> np.ndarray:
-        """Apply the fused op stream to a ``(batch, 2, ..., 2)`` tensor.
-
-        Each op goes through :func:`~repro.simulator.kernels.contract_batch`
-        or :func:`~repro.simulator.kernels.multiply_diagonal`, which pick
-        the GEMM or ``tensordot`` route per op.
-        """
-        for op in self.ops:
-            if op.kind == "diagonal":
-                batch = multiply_diagonal(batch, op.diag, op.qubits)
-            else:
-                batch = contract_batch(batch, op.matrix, op.qubits)
-        return batch
-
-    def __repr__(self) -> str:
-        return (
-            f"ExecutionPlan(qubits={self.num_qubits}, ops={self.num_ops} "
-            f"from {self.source_gates} gate(s))"
-        )
-
-
-def build_plan(circuit: QuantumCircuit) -> ExecutionPlan:
-    """Trace + lower *circuit* into a fresh :class:`ExecutionPlan`."""
-    t0 = time.perf_counter()
-    trace = trace_circuit(circuit)
-    t1 = time.perf_counter()
-    ops = lower_ops(trace.ops)
-    t2 = time.perf_counter()
-    return ExecutionPlan(
-        num_qubits=trace.num_qubits,
-        num_clbits=trace.num_clbits,
-        ops=ops,
-        source_ops=trace.ops,
-        measured=trace.measured,
-        trace_seconds=t1 - t0,
-        lower_seconds=t2 - t1,
-    )

@@ -1,19 +1,23 @@
-"""Per-process cache of compiled :class:`~repro.execution.plan.ExecutionPlan`.
+"""Per-process caches of compiled :class:`~repro.execution.noise_plan.NoisePlan`.
 
 Tracing and fusing a circuit is deterministic, so a plan can be shared
 by every caller that simulates a structurally equal circuit: repeated
 shots in a benchmark suite, experiment grid cells, coalesced service
-batches and attack-oracle equivalence checks.  The cache is built on
+batches and attack-oracle equivalence checks.  The caches are built on
 the shared :class:`~repro._lru.LRUCache` core and keyed by the
 circuit's structural hash (:func:`~repro.transpiler.cache.\
-circuit_structural_hash`).  Plans are immutable once
-built (their lazily-compiled per-dtype/layout streams are guarded by a
-per-plan lock), so the copy hooks are identity — a hit costs one dict
-lookup.
+circuit_structural_hash`), times the noise model's fingerprint for a
+noisy plan.  Plans are immutable once built (their lazily-compiled
+ensemble stream is guarded by a per-plan lock), so the copy hooks are
+identity — a hit costs one dict lookup.
 
-Cache stats follow the transpile-cache discipline: ``misses`` counts
-exactly the circuits that had to be traced, which is what the bench
-smoke asserts ("zero re-traces on cache hits").
+Two instances: :func:`get_plan` serves the noiseless runs (terminal
+sampling, :meth:`~repro.simulator.Statevector.evolve`,
+:func:`~repro.simulator.unitary.circuit_unitary`) and
+:func:`get_noise_plan` the noise-plan engines.  Cache stats follow the
+transpile-cache discipline: ``misses`` counts exactly the circuits that
+had to be traced, which is what the bench smoke asserts ("zero
+re-traces on cache hits").
 
 The opt-in ``validate=`` knob contract-checks every freshly built plan
 (:mod:`repro.analysis.static.contracts`) before it enters the cache —
@@ -31,7 +35,6 @@ from ..circuits.circuit import QuantumCircuit
 from ..noise.model import NoiseModel
 from ..transpiler.cache import circuit_structural_hash
 from .noise_plan import NoisePlan, build_noise_plan
-from .plan import ExecutionPlan, build_plan
 
 __all__ = [
     "CacheStats",
@@ -41,23 +44,6 @@ __all__ = [
     "get_plan",
     "get_plan_cache",
 ]
-
-
-def _validate_plan(plan: ExecutionPlan, circuit: QuantumCircuit) -> ExecutionPlan:
-    # late import: analysis.static imports the plan IR from this package
-    from ..analysis.static.contracts import validate_plan
-
-    return validate_plan(plan, circuit)
-
-
-def _validate_noise_plan(
-    plan: NoisePlan,
-    circuit: QuantumCircuit,
-    noise_model: Optional[NoiseModel],
-) -> NoisePlan:
-    from ..analysis.static.contracts import validate_noise_plan
-
-    return validate_noise_plan(plan, circuit, noise_model)
 
 
 class PlanCache(LRUCache):
@@ -72,51 +58,35 @@ class PlanCache(LRUCache):
         super().__init__(maxsize)
 
     def plan_for(
-        self, circuit: QuantumCircuit, *, validate: bool = False
-    ) -> ExecutionPlan:
-        """The cached plan for *circuit*, tracing it on first sight.
-
-        With ``validate=True`` every freshly built plan is
-        contract-checked before it is stored;
-        :class:`~repro.analysis.static.PlanContractError` carries the
-        full violation report.
-        """
-        key = circuit_structural_hash(circuit)
-        plan = self.lookup(key)
-        if plan is None:
-            plan = build_plan(circuit)
-            if validate:
-                _validate_plan(plan, circuit)
-            self.store(key, plan)
-        return plan
-
-    def noise_plan_for(
         self,
         circuit: QuantumCircuit,
         noise_model: Optional[NoiseModel] = None,
         *,
         validate: bool = False,
     ) -> NoisePlan:
-        """The cached noise-bound plan for (*circuit*, *noise_model*).
+        """The cached plan for (*circuit*, *noise_model*), tracing it on
+        first sight.
 
-        Keyed by the circuit's structural hash x the model's content
-        fingerprint, so two different models on one circuit never
-        collide and mutating a model (through its ``add_*`` methods)
-        re-keys it.  ``None`` (and trivial models,
-        which fingerprint identically regardless of name) gets a
-        noiseless key slot of its own.  ``validate=True`` behaves as in
-        :meth:`plan_for` (including the anchor-structure proof against
-        the circuit and model).
+        A noiseless lookup (``None``) is keyed by the circuit's
+        structural hash alone; a model adds its content fingerprint, so
+        two different models on one circuit never collide and mutating
+        a model (through its ``add_*`` methods) re-keys it.  With
+        ``validate=True`` every freshly built plan is contract-checked
+        against the circuit and model before it is stored;
+        :class:`~repro.analysis.static.PlanContractError` carries the
+        full violation report.
         """
-        fingerprint = (
-            noise_model.fingerprint() if noise_model is not None else None
-        )
-        key = (circuit_structural_hash(circuit), fingerprint)
+        key = circuit_structural_hash(circuit)
+        if noise_model is not None:
+            key = (key, noise_model.fingerprint())
         plan = self.lookup(key)
         if plan is None:
             plan = build_noise_plan(circuit, noise_model)
             if validate:
-                _validate_noise_plan(plan, circuit, noise_model)
+                # late import: analysis.static imports the plan IR
+                from ..analysis.static.contracts import validate_noise_plan
+
+                validate_noise_plan(plan, circuit, noise_model)
             self.store(key, plan)
         return plan
 
@@ -137,7 +107,7 @@ _GLOBAL_NOISE_CACHE = PlanCache()
 
 
 def get_plan_cache() -> PlanCache:
-    """The per-process cache every engine consults."""
+    """The per-process cache of noiseless plans."""
     return _GLOBAL_CACHE
 
 
@@ -148,8 +118,8 @@ def get_noise_plan_cache() -> PlanCache:
 
 def get_plan(
     circuit: QuantumCircuit, *, validate: bool = False
-) -> ExecutionPlan:
-    """Cached trace + lower of *circuit*."""
+) -> NoisePlan:
+    """Cached noise-free plan of *circuit*."""
     return _GLOBAL_CACHE.plan_for(circuit, validate=validate)
 
 
@@ -160,6 +130,6 @@ def get_noise_plan(
     validate: bool = False,
 ) -> NoisePlan:
     """Cached noise-bound trace of (*circuit*, *noise_model*)."""
-    return _GLOBAL_NOISE_CACHE.noise_plan_for(
+    return _GLOBAL_NOISE_CACHE.plan_for(
         circuit, noise_model, validate=validate
     )

@@ -148,8 +148,8 @@ class Statevector:
     def evolve(self, circuit: QuantumCircuit) -> "Statevector":
         """Apply every unitary of *circuit* (measures/barriers skipped).
 
-        The circuit is traced once into a cached, fused
-        :class:`~repro.execution.plan.ExecutionPlan` and executed in
+        The circuit is traced once into a cached, fused noise-free
+        :class:`~repro.execution.noise_plan.NoisePlan` and executed in
         one pass.
         Validation is per-circuit (circuits validate their instructions
         at construction), not per-instruction as :meth:`apply_matrix`

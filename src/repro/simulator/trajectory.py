@@ -34,25 +34,33 @@ def terminal_distribution(
 
     Evolves the statevector once (measures and barriers skipped) and
     returns the little-endian probability vector together with the
-    ``(qubit, clbit)`` map of the terminal measurements.  This is the
+    ``(qubit, clbit)`` map of the circuit's measurements in program
+    order — empty for an unmeasured circuit, which
+    :func:`sample_terminal_counts` reads as measure-all.  This is the
     expensive half of the noiseless fast path; :func:`sample_terminal_counts`
     is the cheap half, so one evolution can serve many samplings —
     the service layer's request coalescer relies on exactly that split.
 
-    The circuit runs through the cached, fused execution plan (see
-    :mod:`repro.execution.plan`).
+    The circuit runs through its cached, fused noise-free plan (see
+    :mod:`repro.execution.noise_plan`).
     """
     from ..execution.plan_cache import get_plan
 
-    compiled = get_plan(circuit)
+    plan = get_plan(circuit)
     n = circuit.num_qubits
     batch = np.zeros((1,) + (2,) * n, dtype=complex)
     batch[(0,) * (n + 1)] = 1.0
-    tensor = compiled.execute(batch)[0]
+    tensor = plan.execute(batch)[0]
     # same little-endian flatten + |amp|^2 as
     # ``Statevector.probabilities``
     vec = tensor.transpose(tuple(reversed(range(n)))).reshape(-1)
-    return (vec.conj() * vec).real.copy(), list(compiled.measured)
+    measured = []
+    if circuit.has_measurements():
+        # the plan reports an unmeasured circuit's qubits as (q, q)
+        measured = [
+            step[1:3] for step in plan.steps if step[0] == "measure"
+        ] + [entry[:2] for entry in plan.entries]
+    return (vec.conj() * vec).real.copy(), measured
 
 
 def sample_terminal_counts(

@@ -28,9 +28,9 @@ def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:
 
     Column ``k`` is the state produced from basis input ``|k>``.
     Raises :class:`ValueError` when the circuit contains measurements.
-    The circuit runs through the cached, fused execution plan (see
-    :mod:`repro.execution.plan`) — the attack oracles call this on the
-    same circuits the engines simulate, sharing one trace.
+    The circuit runs through its cached, fused noise-free plan (see
+    :mod:`repro.execution.noise_plan`) — the attack oracles call this
+    on the same circuits the engines simulate, sharing one trace.
     """
     from ..execution.plan_cache import get_plan
 

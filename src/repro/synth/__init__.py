@@ -1,4 +1,4 @@
-"""Reversible-logic synthesis and gate decomposition."""
+"""Reversible truth tables and gate decomposition."""
 
 from .decompose import (
     ccx_decomposition,
@@ -6,14 +6,11 @@ from .decompose import (
     mcx_decomposition,
     mcz_parity_network,
 )
-from .mmd import synthesis_gate_count, synthesize_mmd
 from .truthtable import TruthTable, simulate_reversible
 
 __all__ = [
     "TruthTable",
     "simulate_reversible",
-    "synthesize_mmd",
-    "synthesis_gate_count",
     "ccx_decomposition",
     "mcx_decomposition",
     "mcz_parity_network",

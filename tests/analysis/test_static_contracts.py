@@ -9,7 +9,6 @@ from reference_sim import LOWERINGS, noise_plan_at, plan_at
 from repro.analysis.static import (
     PlanContractError,
     check_noise_plan,
-    check_plan,
     reset_validation_stats,
     validation_stats,
     verify_plan,
@@ -22,7 +21,7 @@ from repro.circuits import (
     qft_circuit,
 )
 from repro.execution.noise_plan import build_noise_plan
-from repro.execution.plan import PlanOp, build_plan
+from repro.execution.plan import PlanOp
 from repro.execution.plan_cache import PlanCache, get_plan, get_plan_cache
 from repro.noise import (
     NoiseModel,
@@ -34,6 +33,12 @@ from repro.noise import (
 )
 from repro.revlib import benchmark_circuit
 from repro.revlib.benchmarks import benchmark_names
+
+
+def _with_span_ops(plan, ops):
+    """*plan* (noise-free, one span) with its span ops replaced."""
+    plan.steps = (("span", tuple(ops)),)
+    return plan
 
 
 def _library_circuits():
@@ -49,7 +54,7 @@ class TestPlanContracts:
     @pytest.mark.parametrize("fusion", LOWERINGS)
     def test_every_benchmark_passes_every_level(self, fusion):
         for name, circuit in _library_circuits():
-            report = check_plan(plan_at(circuit, fusion), circuit)
+            report = check_noise_plan(plan_at(circuit, fusion), circuit)
             assert report.ok, f"{name}@{fusion}: {report.violations}"
             assert report.checks > 0
 
@@ -73,36 +78,34 @@ class TestPlanContracts:
 
     def test_mutated_fused_matrix_rejected_precisely(self):
         circuit = benchmark_circuit("4gt13")
-        plan = build_plan(circuit)
-        ops = list(plan.ops)
+        plan = build_noise_plan(circuit)
+        ops = list(plan.steps[0][1])
         idx = next(i for i, op in enumerate(ops) if op.kind == "matrix")
         bad = ops[idx].matrix.copy()
         bad[0, 0] += 0.5
         ops[idx] = PlanOp("matrix", ops[idx].qubits, matrix=bad)
-        plan.ops = tuple(ops)
-        report = check_plan(plan)
+        report = check_noise_plan(_with_span_ops(plan, ops))
         assert not report.ok
         rules = {v.rule for v in report.violations}
         assert "unitarity" in rules
         # the report names the exact op
         locations = {v.location for v in report.violations}
-        assert f"ops[{idx}]" in locations
+        assert f"steps[0].ops[{idx}]" in locations
 
     def test_out_of_range_qubit_rejected(self):
         circuit = ghz_circuit(3)
         plan = plan_at(circuit, "none")
-        ops = list(plan.ops)
+        ops = list(plan.steps[0][1])
         ops[0] = PlanOp("matrix", (7,), matrix=ops[0].matrix)
-        plan.ops = tuple(ops)
-        report = check_plan(plan)
+        report = check_noise_plan(_with_span_ops(plan, ops))
         rules = {v.rule for v in report.violations}
         assert "qubit-range" in rules
 
     def test_non_ascending_diagonal_rejected(self):
         circuit = QuantumCircuit(3)
         circuit.t(0).cz(0, 1).cp(0.3, 1, 2)
-        plan = build_plan(circuit)
-        ops = list(plan.ops)
+        plan = build_noise_plan(circuit)
+        ops = list(plan.steps[0][1])
         idx = next(
             (i for i, op in enumerate(ops) if op.kind == "diagonal"), None
         )
@@ -112,8 +115,7 @@ class TestPlanContracts:
         ops[idx] = PlanOp(
             "diagonal", tuple(reversed(op.qubits)), diag=op.diag
         )
-        plan.ops = tuple(ops)
-        report = check_plan(plan)
+        report = check_noise_plan(_with_span_ops(plan, ops))
         assert any(
             v.rule == "diagonal-structure" for v in report.violations
         )
@@ -121,10 +123,35 @@ class TestPlanContracts:
     def test_measure_order_mismatch_rejected(self):
         qc = QuantumCircuit(2, 2)
         qc.h(0).cx(0, 1).measure(0, 0).measure(1, 1)
-        plan = build_plan(qc)
-        plan.measured = ((1, 1), (0, 0))  # swapped program order
-        report = check_plan(plan, qc)
+        plan = build_noise_plan(qc)
+        plan.entries = plan.entries[::-1]  # swapped program order
+        report = check_noise_plan(plan, qc)
         assert any(v.rule == "measure-order" for v in report.violations)
+
+    @pytest.mark.parametrize("model", [None, "valencia"])
+    def test_permuted_terminal_clbits_rejected(self, model):
+        # entries that report qubit 0's bit as clbit 1 and vice versa
+        qc = QuantumCircuit(2, 2)
+        qc.h(0).cx(0, 1).measure(0, 0).measure(1, 1)
+        if model is not None:
+            model = fake_valencia().noise_model()
+        plan = build_noise_plan(qc, model)
+        assert check_noise_plan(plan, qc, model).ok
+        first, second = plan.entries
+        plan.entries = (
+            first[:1] + second[1:2] + first[2:],
+            second[:1] + first[1:2] + second[2:],
+        )
+        report = check_noise_plan(plan, qc, model)
+        assert "measure-order" in {v.rule for v in report.violations}
+
+    def test_unmeasured_entries_report_every_qubit_in_place(self):
+        qc = ghz_circuit(3)
+        plan = build_noise_plan(qc)
+        assert [e[:2] for e in plan.entries] == [(0, 0), (1, 1), (2, 2)]
+        plan.entries = plan.entries[:2]  # qubit 2 never reported
+        report = check_noise_plan(plan, qc)
+        assert {v.rule for v in report.violations} == {"measure-order"}
 
     def test_channel_binding_corruption_rejected(self):
         model = fake_valencia().noise_model()
@@ -280,21 +307,21 @@ class TestValidateKnob:
         model = fake_valencia().noise_model()
         circuit = benchmark_circuit("4gt13")
         cache = PlanCache()
-        plan = cache.noise_plan_for(circuit, model, validate=True)
+        plan = cache.plan_for(circuit, model, validate=True)
         assert plan.num_channels > 0
 
     def test_validate_raises_with_full_report(self, monkeypatch):
         import repro.execution.plan_cache as plan_cache_mod
 
         circuit = ghz_circuit(3)
-        good = build_plan(circuit)
-        ops = list(good.ops)
+        good = build_noise_plan(circuit)
+        ops = list(good.steps[0][1])
         bad = ops[0].to_matrix().copy()
         bad[0, 0] += 1.0
         ops[0] = PlanOp("matrix", ops[0].qubits, matrix=bad)
-        good.ops = tuple(ops)
+        _with_span_ops(good, ops)
         monkeypatch.setattr(
-            plan_cache_mod, "build_plan", lambda c: good
+            plan_cache_mod, "build_noise_plan", lambda c, m: good
         )
         cache = PlanCache()
         with pytest.raises(PlanContractError) as excinfo:
@@ -306,14 +333,14 @@ class TestValidateKnob:
         import repro.execution.plan_cache as plan_cache_mod
 
         circuit = ghz_circuit(3)
-        broken = build_plan(circuit)
-        ops = list(broken.ops)
+        broken = build_noise_plan(circuit)
+        ops = list(broken.steps[0][1])
         bad = ops[0].to_matrix().copy()
         bad[0, 0] += 1.0
         ops[0] = PlanOp("matrix", ops[0].qubits, matrix=bad)
-        broken.ops = tuple(ops)
+        _with_span_ops(broken, ops)
         monkeypatch.setattr(
-            plan_cache_mod, "build_plan", lambda c: broken
+            plan_cache_mod, "build_noise_plan", lambda c, m: broken
         )
         cache = PlanCache()
         with pytest.raises(PlanContractError):
@@ -321,7 +348,7 @@ class TestValidateKnob:
         monkeypatch.undo()
         # the poisoned plan must not have been stored
         plan = cache.plan_for(circuit, validate=True)
-        report = check_plan(plan, circuit)
+        report = check_noise_plan(plan, circuit)
         assert report.ok
 
 
@@ -329,14 +356,13 @@ class TestValidationCounters:
     def test_counters_track_checks_and_violations(self):
         reset_validation_stats()
         circuit = ghz_circuit(3)
-        check_plan(build_plan(circuit), circuit)
-        plan = build_plan(circuit)
-        ops = list(plan.ops)
+        check_noise_plan(build_noise_plan(circuit), circuit)
+        plan = build_noise_plan(circuit)
+        ops = list(plan.steps[0][1])
         bad = ops[0].to_matrix().copy()
         bad[0, 0] += 1.0
         ops[0] = PlanOp("matrix", ops[0].qubits, matrix=bad)
-        plan.ops = tuple(ops)
-        check_plan(plan)
+        check_noise_plan(_with_span_ops(plan, ops))
         stats = validation_stats()
         assert stats["plans_checked"] == 2
         assert stats["violations"] >= 1
@@ -351,7 +377,6 @@ class TestValidationCounters:
         assert "plan_validation" in stats
         assert set(stats["plan_validation"]) == {
             "plans_checked",
-            "noise_plans_checked",
             "violations",
         }
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from reference_sim import LOWERINGS, plan_at
+from reference_sim import LOWERINGS, plan_at, span_ops, traced_gates
 
 from repro.analysis.static import (
     dead_ops,
@@ -11,26 +11,22 @@ from repro.analysis.static import (
     verify_lowering,
 )
 from repro.circuits import QuantumCircuit, ghz_circuit
-from repro.execution.plan import build_plan
+from repro.execution.noise_plan import build_noise_plan
 from repro.revlib import benchmark_circuit
 from repro.revlib.benchmarks import benchmark_names
-
-
-def _source_ops(circuit):
-    return build_plan(circuit).source_ops
 
 
 class TestChains:
     def test_def_use_chains_ghz(self):
         # ghz(3): h q0; cx q0,q1; cx q1,q2
-        ops = _source_ops(ghz_circuit(3))
+        ops = traced_gates(ghz_circuit(3))
         chains = def_use_chains(ops)
         assert chains[0] == [0, 1]
         assert chains[1] == [1, 2]
         assert chains[2] == [2]
 
     def test_light_cone_backward(self):
-        ops = _source_ops(ghz_circuit(3))
+        ops = traced_gates(ghz_circuit(3))
         # the cone of q2 is everything: cx(1,2) <- cx(0,1) <- h(0)
         assert light_cone(ops, [2]) == [0, 1, 2]
         # the cone of q0 alone stops at ops touching q0
@@ -39,20 +35,18 @@ class TestChains:
     def test_light_cone_disjoint_qubit(self):
         qc = QuantumCircuit(3)
         qc.h(0).cx(0, 1).x(2)
-        ops = _source_ops(qc)
+        ops = traced_gates(qc)
         assert light_cone(ops, [2]) == [2]
 
     def test_dead_ops_flags_identity_products(self):
         qc = QuantumCircuit(1)
         qc.x(0).x(0)
-        plan = build_plan(qc)
-        dead = dead_ops(plan.ops)
+        dead = dead_ops(span_ops(build_noise_plan(qc)))
         # x·x == I: the fused op is dead
         assert dead == [0]
 
     def test_dead_ops_empty_on_real_work(self):
-        plan = build_plan(ghz_circuit(3))
-        assert dead_ops(plan.ops) == []
+        assert dead_ops(span_ops(build_noise_plan(ghz_circuit(3)))) == []
 
 
 class TestVerifyLowering:
@@ -62,16 +56,17 @@ class TestVerifyLowering:
             circuit = benchmark_circuit(name)
             plan = plan_at(circuit, fusion)
             report = verify_lowering(
-                plan.source_ops, plan.ops, plan.num_qubits
+                traced_gates(circuit), span_ops(plan), plan.num_qubits
             )
             assert report.ok, f"{name}@{fusion}: {report.violations}"
 
     def test_provenance_recorded(self):
-        plan = build_plan(ghz_circuit(3))
-        report = verify_lowering(plan.source_ops, plan.ops, 3)
+        qc = ghz_circuit(3)
+        ops = span_ops(build_noise_plan(qc))
+        report = verify_lowering(traced_gates(qc), ops, 3)
         assert report.ok
         provenance = report.metadata["provenance"]
-        assert len(provenance) == len(plan.ops)
+        assert len(provenance) == len(ops)
         consumed = [i for group in provenance for i in group]
         assert consumed == sorted(consumed)
 
@@ -79,16 +74,16 @@ class TestVerifyLowering:
         """h,x,x fuses to h — last-match-wins must consume the x,x pair."""
         qc = QuantumCircuit(1)
         qc.h(0).x(0).x(0)
-        plan = build_plan(qc)
-        report = verify_lowering(plan.source_ops, plan.ops, 1)
+        ops = span_ops(build_noise_plan(qc))
+        report = verify_lowering(traced_gates(qc), ops, 1)
         assert report.ok, report.violations
 
     def test_reordered_non_commuting_ops_rejected(self):
-        plan = plan_at(ghz_circuit(3), "none")
-        ops = list(plan.ops)
+        qc = ghz_circuit(3)
+        ops = list(span_ops(plan_at(qc, "none")))
         # swap h(0) and cx(0,1): they do not commute
         ops[0], ops[1] = ops[1], ops[0]
-        report = verify_lowering(plan.source_ops, tuple(ops), 3)
+        report = verify_lowering(traced_gates(qc), tuple(ops), 3)
         assert not report.ok
         violation = report.violations[0]
         assert violation.rule == "lowering-order"
@@ -97,16 +92,17 @@ class TestVerifyLowering:
         assert "h" in violation.message or "cx" in violation.message
 
     def test_dropped_op_is_coverage_violation(self):
-        plan = plan_at(ghz_circuit(3), "none")
-        report = verify_lowering(plan.source_ops, plan.ops[:-1], 3)
+        qc = ghz_circuit(3)
+        ops = span_ops(plan_at(qc, "none"))
+        report = verify_lowering(traced_gates(qc), ops[:-1], 3)
         assert not report.ok
         assert any(
             v.rule == "lowering-coverage" for v in report.violations
         )
 
     def test_wrong_matrix_rejected(self):
-        plan = build_plan(ghz_circuit(3))
-        ops = list(plan.ops)
+        qc = ghz_circuit(3)
+        ops = list(span_ops(build_noise_plan(qc)))
         z = np.diag([1.0, -1.0]).astype(complex)
         first = ops[0]
         k = len(first.qubits)
@@ -119,11 +115,11 @@ class TestVerifyLowering:
         ops[0] = PlanOp(
             "matrix", first.qubits, matrix=full_z @ corrupted
         )
-        report = verify_lowering(plan.source_ops, tuple(ops), 3)
+        report = verify_lowering(traced_gates(qc), tuple(ops), 3)
         assert not report.ok
 
     def test_empty_circuit_trivially_verifies(self):
         qc = QuantumCircuit(2)
-        plan = build_plan(qc)
-        report = verify_lowering(plan.source_ops, plan.ops, 2)
+        ops = span_ops(build_noise_plan(qc))
+        report = verify_lowering(traced_gates(qc), ops, 2)
         assert report.ok

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from reference_sim import LOWERINGS, plan_at
+from reference_sim import LOWERINGS, plan_at, span_ops, traced_gates
 
 from repro.analysis.static import (
     NotCliffordError,
@@ -17,7 +17,7 @@ from repro.circuits import (
     bernstein_vazirani_circuit,
     ghz_circuit,
 )
-from repro.execution.plan import build_plan
+from repro.execution.noise_plan import build_noise_plan
 from repro.revlib import benchmark_circuit
 
 _I = np.eye(2, dtype=complex)
@@ -131,23 +131,23 @@ class TestCertificates:
         circuit = circuit_factory()
         plan = plan_at(circuit, fusion)
         cert = certify_equivalence(
-            plan.source_ops, plan.ops, plan.num_qubits
+            traced_gates(circuit), span_ops(plan), plan.num_qubits
         )
         assert cert.status == "certified", cert.detail
         assert cert.certified and cert.ok
 
     def test_non_clifford_reports_not_clifford(self):
         circuit = benchmark_circuit("4gt13")  # Toffoli-based
-        plan = build_plan(circuit)
+        plan = build_noise_plan(circuit)
         cert = certify_equivalence(
-            plan.source_ops, plan.ops, plan.num_qubits
+            traced_gates(circuit), span_ops(plan), plan.num_qubits
         )
         assert cert.status == "not_clifford"
         assert cert.ok and not cert.certified
 
     def test_mismatch_detected_with_generator_diff(self):
-        plan = build_plan(ghz_circuit(3))
-        ops = list(plan.ops)
+        qc = ghz_circuit(3)
+        ops = list(span_ops(build_noise_plan(qc)))
         first = ops[0]
         k = len(first.qubits)
         z_embed = _Z
@@ -158,14 +158,16 @@ class TestCertificates:
         ops[0] = PlanOp(
             "matrix", first.qubits, matrix=z_embed @ first.to_matrix()
         )
-        cert = certify_equivalence(plan.source_ops, tuple(ops), 3)
+        cert = certify_equivalence(traced_gates(qc), tuple(ops), 3)
         assert cert.status == "mismatch"
         assert not cert.ok
         assert "differ" in cert.detail
 
     def test_certificate_to_dict(self):
-        plan = plan_at(ghz_circuit(3), "1q")
-        cert = certify_equivalence(plan.source_ops, plan.ops, 3)
+        qc = ghz_circuit(3)
+        cert = certify_equivalence(
+            traced_gates(qc), span_ops(plan_at(qc, "1q")), 3
+        )
         payload = cert.to_dict()
         assert payload["status"] == "certified"
         assert payload["num_qubits"] == 3
@@ -175,5 +177,5 @@ class TestCertificates:
         qc.h(0).t(0)
         plan = plan_at(qc, "none")
         with pytest.raises(NotCliffordError) as excinfo:
-            tableau_from_ops(plan.ops, 1)
+            tableau_from_ops(span_ops(plan), 1)
         assert excinfo.value.op_index == 1

@@ -262,8 +262,8 @@ class TestNoisePlanCache:
         cache = PlanCache(maxsize=8)
         qc = _circuit()
         model = _mixed_model()
-        first = cache.noise_plan_for(qc, model)
-        again = cache.noise_plan_for(qc, model)
+        first = cache.plan_for(qc, model)
+        again = cache.plan_for(qc, model)
         assert again is first  # hit: zero re-trace
         stats = cache.stats()
         assert stats.misses == 1 and stats.hits == 1
@@ -271,10 +271,10 @@ class TestNoisePlanCache:
     def test_two_models_never_collide(self):
         cache = PlanCache(maxsize=8)
         qc = _circuit()
-        a = cache.noise_plan_for(qc, _mixed_model())
+        a = cache.plan_for(qc, _mixed_model())
         other = NoiseModel()
         other.add_all_qubit_quantum_error(amplitude_damping(0.1), ["h"])
-        b = cache.noise_plan_for(qc, other)
+        b = cache.plan_for(qc, other)
         assert b is not a
         assert cache.stats().misses == 2
         assert b.num_channels != a.num_channels
@@ -283,9 +283,9 @@ class TestNoisePlanCache:
         cache = PlanCache(maxsize=8)
         qc = _circuit()
         model = _mixed_model()
-        first = cache.noise_plan_for(qc, model)
+        first = cache.plan_for(qc, model)
         model.add_all_qubit_quantum_error(bit_flip(0.01), ["rz"])
-        second = cache.noise_plan_for(qc, model)
+        second = cache.plan_for(qc, model)
         assert second is not first
         assert second.num_channels == first.num_channels + 1
 

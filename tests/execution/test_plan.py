@@ -1,6 +1,7 @@
 """Compiled-execution tier: trace/lower/fuse, the plan cache, engines.
 
-The contract under test (see ``repro/execution/plan.py``):
+Noiseless runs execute the noise-free noise plan.  The contract under
+test (see ``repro/execution/plan.py``):
 
 * plans agree with the per-instruction reference loops
   (``tests/reference_sim.py``) to 1e-12 on the statevector and unitary
@@ -24,14 +25,12 @@ import reference_sim as ref
 from repro.circuits import QuantumCircuit, random_circuit
 from repro.cli import main
 from repro.execution import (
-    build_plan,
+    build_noise_plan,
     get_noise_plan_cache,
-    get_plan,
     get_plan_cache,
     run,
 )
 from repro.execution import plan as plan_module
-from repro.execution.plan import trace_circuit
 from repro.execution.plan_cache import PlanCache
 from repro.noise import depolarizing
 from repro.noise.model import NoiseModel
@@ -72,40 +71,44 @@ def _noise():
 
 class TestTraceAndLower:
     def test_trace_splits_measures_and_drops_barriers(self):
-        trace = trace_circuit(_mixed_circuit())
-        assert trace.measured == [(q, q) for q in range(4)]
-        assert all(op.instruction.is_gate for op in trace.ops)
+        # terminal measures become the report entries; the barrier and
+        # the measures leave one fused span behind
+        plan = build_noise_plan(_mixed_circuit())
+        assert [entry[:2] for entry in plan.entries] == [
+            (q, q) for q in range(4)
+        ]
+        assert [step[0] for step in plan.steps] == ["span"]
 
     def test_trace_keeps_identity_gates_with_flags(self):
-        # noise models bind errors to identity gates too, so the traced
-        # stream must keep them (flagged) for the per-instruction mode
-        trace = trace_circuit(_mixed_circuit())
-        identity_ops = [op for op in trace.ops if op.identity]
+        # noise models bind errors to identity gates too, so tracing
+        # keeps them (flagged) and counts them as source gates
+        gates = ref.traced_gates(_mixed_circuit())
+        identity_ops = [op for op in gates if op.identity]
         assert len(identity_ops) == 2
+        assert build_noise_plan(_mixed_circuit()).source_gates == len(gates)
 
     def test_diagonal_classification(self):
         qc = QuantumCircuit(2)
         qc.rz(0.5, 0).cz(0, 1).cp(0.2, 0, 1).t(1).h(0)
-        trace = trace_circuit(qc)
-        assert [op.diagonal for op in trace.ops] == [
+        assert [op.diagonal for op in ref.traced_gates(qc)] == [
             True, True, True, True, False,
         ]
 
     def test_lowering_drops_identities_at_every_level(self):
-        trace = trace_circuit(_mixed_circuit())
+        gates = ref.traced_gates(_mixed_circuit())
         for fusion in ref.LOWERINGS:
-            ops = ref.lower(trace.ops, fusion)
-            assert len(ops) < len(trace.ops)
+            ops = ref.lower(gates, fusion)
+            assert len(ops) < len(gates)
 
     def test_fusion_reduces_op_count(self):
         qc = _random(4, 60, seed=11)
         plan_none = ref.plan_at(qc, "none")
-        plan_full = build_plan(qc)
-        assert plan_full.num_ops < plan_none.num_ops
+        plan_full = build_noise_plan(qc)
+        assert len(ref.span_ops(plan_full)) < len(ref.span_ops(plan_none))
 
     def test_blocks_capped_at_three_qubits(self):
-        plan = build_plan(_random(6, 80, seed=3))
-        assert all(len(op.qubits) <= 3 for op in plan.ops)
+        plan = build_noise_plan(_random(6, 80, seed=3))
+        assert all(len(op.qubits) <= 3 for op in ref.span_ops(plan))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_composed_block_equals_circuit_unitary(self, seed):
@@ -135,7 +138,7 @@ class TestTraceAndLower:
             plan_module._gate_diag(op.matrix, op.qubits)
             if op.diagonal
             else plan_module.PlanOp("matrix", op.qubits, matrix=op.matrix)
-            for op in trace_circuit(qc).ops
+            for op in ref.traced_gates(qc)
         ]
         block = plan_module._compose_block(ops, tuple(range(m)))
         with ref.lowering("none"):  # a plan built without blocks
@@ -146,15 +149,27 @@ class TestTraceAndLower:
         ).reshape(1 << m, 1 << m)
         assert np.abs(block - expected).max() < 1e-12
 
-    def test_timing_and_summary_fields(self):
-        plan = build_plan(_mixed_circuit())
-        assert plan.trace_seconds >= 0.0
-        assert plan.lower_seconds >= 0.0
-        assert plan.compile_seconds == pytest.approx(
-            plan.trace_seconds + plan.lower_seconds
+    def test_execute_skips_measures_and_refuses_channels(self):
+        # a mid-circuit measure splits the noise-free plan's spans;
+        # execute() applies both and skips the measure step
+        qc = QuantumCircuit(2, 1)
+        qc.h(0).measure(0, 0).cx(0, 1).t(1)
+        plan = build_noise_plan(qc)
+        assert [step[0] for step in plan.steps] == ["span", "measure", "span"]
+        np.testing.assert_allclose(
+            Statevector(2).evolve(qc)._tensor, ref.evolve_state(qc),
+            atol=1e-12,
         )
+        noisy = build_noise_plan(qc, _noise())
+        with pytest.raises(ValueError, match="noise-free"):
+            noisy.execute(np.zeros((1, 2, 2), dtype=complex))
+
+    def test_timing_and_summary_fields(self):
+        plan = build_noise_plan(_mixed_circuit())
+        assert plan.trace_seconds >= 0.0
         assert plan.source_gates == 14
-        assert 0 < plan.num_ops <= plan.source_gates
+        assert 0 < len(ref.span_ops(plan)) <= plan.source_gates
+        assert (plan.num_spans, plan.num_channels) == (1, 0)
 
 
 class TestFusedAgreement:

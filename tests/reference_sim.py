@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.execution import (
     build_noise_plan,
-    build_plan,
     get_noise_plan_cache,
     get_plan_cache,
 )
@@ -47,6 +46,19 @@ from repro.simulator.kernels import apply_matrix_batch, apply_matrix_state
 
 def _gates(circuit):
     return (inst for inst in circuit if inst.is_gate)
+
+
+def traced_gates(circuit):
+    """The gates of *circuit* as :class:`~repro.execution.plan.TracedOp`
+    in program order, identities included."""
+    return [plan_module.TracedOp(inst) for inst in _gates(circuit)]
+
+
+def span_ops(plan):
+    """Every span op of a noise plan, in program order."""
+    return tuple(
+        op for step in plan.steps if step[0] == "span" for op in step[1]
+    )
 
 
 def _measured(circuit):
@@ -181,7 +193,7 @@ lower_ops`; ``"none"`` keeps one matrix op per non-identity gate, in
 
 @contextmanager
 def lowering(level):
-    """Build every plan and noise plan inside the block at *level*.
+    """Build every plan inside the block at *level*.
 
     Both global plan caches are cleared on entry and on exit, so the
     block never reads a plan lowered another way and never leaves one
@@ -194,18 +206,16 @@ def lowering(level):
     get_plan_cache().clear()
     get_noise_plan_cache().clear()
     try:
-        with mock.patch.object(plan_module, "lower_ops", lower_at):
-            with mock.patch.object(noise_plan_module, "lower_ops", lower_at):
-                yield
+        with mock.patch.object(noise_plan_module, "lower_ops", lower_at):
+            yield
     finally:
         get_plan_cache().clear()
         get_noise_plan_cache().clear()
 
 
 def plan_at(circuit, level):
-    """A fresh :class:`~repro.execution.ExecutionPlan` at *level*."""
-    with lowering(level):
-        return build_plan(circuit)
+    """A fresh noise-free :class:`~repro.execution.NoisePlan` at *level*."""
+    return noise_plan_at(circuit, None, level)
 
 
 def noise_plan_at(circuit, noise_model, level):

@@ -1,9 +1,7 @@
-"""Tests for truth tables, MMD synthesis and MCX decompositions."""
+"""Tests for truth tables and MCX decompositions."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit
 from repro.circuits.random_circuits import random_reversible_circuit
@@ -15,7 +13,6 @@ from repro.synth import (
     mcx_decomposition,
     mcz_parity_network,
     simulate_reversible,
-    synthesize_mmd,
 )
 
 
@@ -91,36 +88,6 @@ class TestSimulateReversible:
             expected_col = np.zeros(8)
             expected_col[table(x)] = 1.0
             assert np.allclose(unitary[:, x], expected_col)
-
-
-class TestMMD:
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 100_000), lines=st.integers(2, 4))
-    def test_random_permutations_synthesise(self, seed, lines):
-        """Property: MMD realises arbitrary permutations exactly."""
-        rng = np.random.default_rng(seed)
-        table = TruthTable(rng.permutation(2 ** lines).tolist())
-        circuit = synthesize_mmd(table)
-        assert simulate_reversible(circuit) == table
-
-    def test_identity_needs_no_gates(self):
-        assert synthesize_mmd(TruthTable.identity(3)).size() == 0
-
-    def test_not_function(self):
-        table = TruthTable.from_function(lambda x: x ^ 1, 2)
-        circuit = synthesize_mmd(table)
-        assert simulate_reversible(circuit) == table
-        assert circuit.size() == 1
-
-    def test_half_adder_synthesis(self):
-        """Synthesise (a, b, s, c) -> (a, b, s^a^b, c^(a&b))."""
-        def half_adder(x):
-            a, b = x & 1, (x >> 1) & 1
-            return x ^ ((a ^ b) << 2) ^ ((a & b) << 3)
-
-        table = TruthTable.from_function(half_adder, 4)
-        circuit = synthesize_mmd(table)
-        assert simulate_reversible(circuit) == table
 
 
 class TestDecompositions:
