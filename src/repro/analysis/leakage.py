@@ -19,12 +19,10 @@ Quantifies the qualitative security arguments of the paper:
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..circuits.circuit import QuantumCircuit
-from ..circuits.dag import circuit_layers
 from ..core.insertion import InsertionResult
 
 __all__ = [

@@ -21,7 +21,8 @@ class SearchOptions:
     any work starts); *prefilter* enables the structural pruning of
     :mod:`repro.attacks.prefilter`; *jobs* > 1 searches chunks of the
     candidate stream on a process pool, bit-identical to sequential;
-    *chunk_size* is the stream slice handed to one worker task;
+    *chunk_size* is the pool's task size and the early-exit unit (a
+    sequential full search walks the stream once, whatever its value);
     *early_exit* stops the search after the first chunk (in dispatch
     order) containing a functional match; *record_all* keeps a result
     record for every checked candidate instead of matches only; *seed*

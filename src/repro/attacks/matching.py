@@ -27,11 +27,15 @@ The stream is walked as :class:`Rows`: a slice ``[start, stop)`` is
 unranked per overlap ``j`` with a few array operations — a candidate's
 offset within ``j`` splits by ``divmod`` into the rank of its segment-2
 subset, of its segment-1 subset and of its bijection — and the search
-checks all of an overlap's rows of a slice together.  The same-width
-stream is the single overlap ``j = n``.  Nothing factorial-sized is
-ever materialised: one :class:`Rows` holds at most :data:`_ROWS` rows,
-and :func:`matching_slice` yields a :class:`Matching` per row only for
-the callers that want objects.
+checks all of an overlap's rows of a slice together.  Within overlap
+``j`` the rows come in groups of ``j!``, one per (segment-2 subset,
+segment-1 subset) pair; a prefiltered search walks the stream group
+first, ranking each group once and expanding rows only for the groups
+its tables admit.  The same-width stream is the single overlap
+``j = n``.  Nothing factorial-sized is ever materialised: one
+:class:`Rows` holds at most :data:`_ROWS` rows, and
+:func:`matching_slice` yields a :class:`Matching` per row only for the
+callers that want objects.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -112,6 +116,10 @@ _TABLE_MAX = 9
 # Most rows one :class:`Rows` holds: arrays stay bounded whatever the
 # chunk size, and a lazy stream never builds a factorial-sized table.
 _ROWS = 1 << 16
+
+# Overlap ``j``'s group tables: boolean per segment-2 subset rank and
+# per segment-1 subset rank (see :func:`matching_rows`).
+GroupTables = Tuple[np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=None)
@@ -234,14 +242,19 @@ def _spans(kind: str, n1: int, n2: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 def matching_rows(
-    kind: str, n1: int, n2: int, start: int = 0, stop: Optional[int] = None
+    kind: str, n1: int, n2: int, start: int = 0, stop: Optional[int] = None,
+    groups: Optional[Callable[[int, int, int], GroupTables]] = None,
 ) -> Iterator[Rows]:
     """The canonical stream's candidates ``start <= index < stop`` as
     :class:`Rows`, overlap by overlap.
 
     Every row is unranked from its index, so a slice costs its own rows
     whatever its position; the same-width stream is the single overlap
-    ``j = n``.
+    ``j = n``.  With *groups* — ``groups(n1, n2, j)`` gives overlap
+    ``j``'s two boolean tables over segment-2 and segment-1 subset
+    ranks — the walk is group-first: each group of ``j!`` rows is
+    ranked once, and only the rows of groups both tables admit are
+    yielded.
     """
     spans = _spans(kind, n1, n2)
     stop = spans[-1][2] if stop is None else min(stop, spans[-1][2])
@@ -250,12 +263,39 @@ def matching_rows(
             continue
         if offset >= stop:
             return
-        for lo in range(max(start, offset), min(stop, end), _ROWS):
-            hi = min(lo + _ROWS, stop, end)
-            local = np.arange(lo - offset, hi - offset)
+        lo, hi = max(start, offset) - offset, min(stop, end) - offset
+        walk = (
+            (np.arange(a, min(a + _ROWS, hi)) for a in range(lo, hi, _ROWS))
+            if groups is None
+            else _admitted_offsets(lo, hi, perms, *groups(n1, n2, j))
+        )
+        for local in walk:
             seg2, rest = np.divmod(local, group)
             seg1, perm = np.divmod(rest, perms)
             yield Rows(n1, n2, j, local + offset, seg2, seg1, perm)
+
+
+def _admitted_offsets(
+    lo: int, hi: int, perms: int, fits2: np.ndarray, fits1: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Offsets ``lo <= r < hi`` within one overlap whose group
+    ``r // perms`` both tables admit, ascending, at most :data:`_ROWS`
+    an array: group ranks are computed per window of :data:`_ROWS`
+    groups, rows only for the admitted groups."""
+    last = -(-hi // perms)
+    batch = max(1, _ROWS // perms)
+    for first in range(lo // perms, last, _ROWS):
+        ids = np.arange(first, min(first + _ROWS, last))
+        seg2, seg1 = np.divmod(ids, len(fits1))
+        ids = ids[fits2[seg2] & fits1[seg1]]
+        for i in range(0, len(ids), batch):
+            for p in range(0, perms, _ROWS):
+                local = (ids[i:i + batch, None] * perms
+                         + np.arange(p, min(p + _ROWS, perms))).ravel()
+                local = local[np.searchsorted(local, lo):
+                              np.searchsorted(local, hi)]
+                if len(local):
+                    yield local
 
 
 def iter_same_width_matchings(n: int, start: int = 0) -> Iterator[Matching]:

@@ -1,24 +1,30 @@
-"""Chunked streaming search over a candidate-matching stream.
+"""Streaming search over a candidate-matching stream.
 
-The candidate space is sliced into fixed-size chunks of the canonical
-enumeration (``[0, chunk), [chunk, 2*chunk), ...``).  Each chunk is an
-independent, picklable unit of work: a worker unranks its slice into
-:class:`~repro.attacks.matching.Rows`, one per overlap, and evaluates
-each at once — the prefilter's group tables and row mask, then the
-oracle's probe-then-verify verdicts on the rows they pass, no candidate
-circuit — returning records for hits (or every checked row under
-``record_all``).  Nothing the size of the full space
-is ever materialised, in the parent or in any worker.
+A search evaluates ranges ``[start, stop)`` of the canonical
+enumeration, each an independent, picklable unit of work: it unranks
+the range into :class:`~repro.attacks.matching.Rows` (group first when
+prefiltering, so rejected subset groups never become rows) and
+evaluates each at once — the prefilter's row mask, then the oracle's
+probe-then-verify verdicts, no candidate circuit — returning records
+for hits (or every checked row under ``record_all``).  Nothing the size
+of the full space is ever materialised, in the parent or any worker.
+
+A sequential full search walks the stream once, as ``[0, total)``.
+Otherwise the stream is cut into chunks of ``SearchOptions.chunk_size``
+(``[0, chunk), [chunk, 2*chunk), ...``): the pool runs one task per
+chunk, and early exit stops after a chunk.
 
 Determinism contract (the part the tests pin):
 
-* chunk *contents* depend only on the canonical enumeration order, so
-  evaluating a chunk is a pure function of (problem, kind, range);
+* range *contents* depend only on the canonical enumeration order, so
+  evaluating a range is a pure function of (problem, kind, range);
+* full searches aggregate *every* candidate and sort records by
+  candidate index, so the outcome does not depend on how the stream is
+  cut: the one-pass sequential and chunked ``jobs=N`` runs are
+  bit-identical;
 * the **dispatch order** of chunks is the identity permutation, or a
   :class:`numpy.random.SeedSequence`-seeded shuffle when
   ``SearchOptions.seed`` is set — deterministic either way;
-* full searches aggregate *every* chunk and sort records by candidate
-  index, so sequential and ``jobs=N`` runs are bit-identical;
 * early-exit searches aggregate exactly the dispatch-order prefix up
   to and including the first chunk containing a match.  The parallel
   path never cancels a chunk at or before the current cutoff and
@@ -31,12 +37,11 @@ Determinism contract (the part the tests pin):
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.circuit import QuantumCircuit
 from .base import AttackOutcome, CandidateOutcome, SearchOptions
 from .matching import matching_count, matching_rows
 from .oracle import MAX_UNITARY_QUBITS, EquivalenceOracle
@@ -48,11 +53,9 @@ __all__ = ["run_streaming_search"]
 
 @dataclass(frozen=True)
 class _ChunkTask:
-    """Everything one worker needs to evaluate a stream slice."""
+    """Everything one worker needs to evaluate a stream range."""
 
-    segment1: QuantumCircuit
-    segment2: QuantumCircuit
-    oracle: QuantumCircuit
+    problem: CollusionProblem
     kind: str
     start: int
     stop: int
@@ -74,12 +77,12 @@ class _ChunkReport:
 def _chunk_context(
     task: _ChunkTask,
 ) -> Tuple[EquivalenceOracle, Optional[StructuralPrefilter]]:
-    """Build the per-problem state a chunk evaluation needs."""
-    oracle = EquivalenceOracle(
-        task.oracle, segments=(task.segment1, task.segment2)
-    )
+    """Build the per-problem state a range evaluation needs."""
+    problem = task.problem
+    segments = (problem.segment1, problem.segment2)
+    oracle = EquivalenceOracle(problem.oracle, segments=segments)
     prefilter = (
-        StructuralPrefilter(task.segment1, task.segment2, task.oracle)
+        StructuralPrefilter(*segments, problem.oracle)
         if task.prefilter
         else None
     )
@@ -102,25 +105,23 @@ def _evaluate_chunk(
         Tuple[EquivalenceOracle, Optional[StructuralPrefilter]]
     ] = None,
 ) -> _ChunkReport:
-    """Evaluate one slice of the candidate stream (pool-picklable).
+    """Evaluate one range of the candidate stream (pool-picklable).
 
     The sequential path passes the search's shared *context*; pool
     workers use the one their initializer built, so reference tables
     and segment profiles are derived once per search and worker.
     """
-    n1 = task.segment1.num_qubits
-    n2 = task.segment2.num_qubits
+    n1, n2 = task.problem.widths
     oracle, prefilter = context or _WORKER_CONTEXT[0]
-    tried = pruned = 0
+    groups = None if prefilter is None else prefilter.group_fits
+    tried = 0
     records: List[CandidateOutcome] = []
-    for rows in matching_rows(task.kind, n1, n2, task.start, task.stop):
+    for rows in matching_rows(task.kind, n1, n2, task.start, task.stop,
+                              groups):
         if prefilter is not None:
-            admitted = prefilter.admitted(rows)
-            passed = int(np.count_nonzero(admitted))
-            pruned += len(rows) - passed
-            if passed == 0:
+            rows = rows.select(prefilter.admitted(rows))
+            if not len(rows):
                 continue
-            rows = rows.select(admitted)
         verdicts = oracle.verdicts(rows)
         tried += len(rows)
         for row in np.flatnonzero(verdicts | task.record_all):
@@ -133,6 +134,7 @@ def _evaluate_chunk(
                     functional_match=bool(verdicts[row]),
                 )
             )
+    pruned = task.stop - task.start - tried
     return _ChunkReport(tried=tried, pruned=pruned, records=tuple(records))
 
 
@@ -187,44 +189,44 @@ def run_streaming_search(
             f"{options.max_candidates}; raise "
             f"SearchOptions.max_candidates to search anyway"
         )
-    tasks = [
-        _ChunkTask(
-            segment1=problem.segment1,
-            segment2=problem.segment2,
-            oracle=problem.oracle,
-            kind=kind,
-            start=start,
-            stop=min(start + options.chunk_size, total),
-            prefilter=options.prefilter,
-            record_all=options.record_all,
-        )
-        for start in range(0, total, options.chunk_size)
-    ]
-    context = _chunk_context(tasks[0])
+    search = _ChunkTask(
+        problem, kind, 0, total, options.prefilter, options.record_all
+    )
+    context = _chunk_context(search)
     widest = max(n1 + n2 * (kind != "same-width"), problem.oracle.num_qubits)
     if not context[0].composes and widest > MAX_UNITARY_QUBITS:
         raise ValueError(
             f"candidates up to {widest} qubits exceed the unitary "
             f"oracle's {MAX_UNITARY_QUBITS}"
         )
+    if not options.early_exit and (
+        options.jobs == 1 or total <= options.chunk_size
+    ):
+        # the outcome of a full search does not depend on chunking
+        report = _evaluate_chunk(search, context)
+        return _aggregate(attack_name, total, [report], early_exit=False)
+    step = options.chunk_size
+    tasks = [
+        replace(search, start=start, stop=min(start + step, total))
+        for start in range(0, total, step)
+    ]
     order = _dispatch_order(len(tasks), options.seed)
 
     if options.jobs == 1 or len(tasks) <= 1:
+        # early exit: chunks in dispatch order, up to the first match
         reports: List[_ChunkReport] = []
         for position in order:
             report = _evaluate_chunk(tasks[position], context)
             reports.append(report)
-            if options.early_exit and report.has_match:
+            if report.has_match:
                 break
-        return _aggregate(
-            attack_name, total, reports, early_exit=options.early_exit
-        )
+        return _aggregate(attack_name, total, reports, early_exit=True)
 
     workers = min(options.jobs, len(tasks))
     completed: Dict[int, _ChunkReport] = {}  # dispatch position -> report
     cutoff: Optional[int] = None  # first matching dispatch position
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(tasks[0],)
+        max_workers=workers, initializer=_init_worker, initargs=(search,)
     ) as pool:
         futures = {
             pool.submit(_evaluate_chunk, tasks[chunk_index]): position

@@ -24,11 +24,14 @@ boolean ``(segment-2 qubit, slot)`` fit table, and it runs on
 :class:`~repro.attacks.matching.Rows` of candidates at once
 (:meth:`StructuralPrefilter.admitted`).  A row's ancilla pairs depend
 only on its segment-2 subset and the slots it leaves to segment 1 only
-on its segment-1 subset, so two per-overlap group tables reject whole
-subset groups before any row's slots are expanded; one gather of the
-fit table masks the survivors, and only rows that pass it pay the
-``O(edges)`` edge-multiset test.  :meth:`StructuralPrefilter.admits` is
-the one-row case.
+on its segment-1 subset, so two per-overlap group tables
+(:meth:`StructuralPrefilter.group_fits`) reject whole subset groups
+before any row is unranked: the search hands them to
+:func:`~repro.attacks.matching.matching_rows`, which expands rows only
+for the admitted groups.  One gather of the fit table masks the
+survivors, and only rows that pass it pay the ``O(edges)``
+edge-multiset test.  :meth:`StructuralPrefilter.admits` is the one-row
+case.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
-from .matching import Matching, Rows, _subsets
+from .matching import GroupTables, Matching, Rows, _subsets
 
 __all__ = ["StructuralPrefilter", "edge_histogram", "qubit_histograms"]
 
@@ -110,7 +113,7 @@ class StructuralPrefilter:
         self._fits = (h1 + h2[:, None] == ref).all(axis=2)
         # slots that misfit when segment 1 keeps them alone
         self._alone = (h1 != ref).any(axis=1)
-        self._groups: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._groups: Dict[int, GroupTables] = {}
         self._e1 = edge_histogram(segment1)
         self._seg2_edges: List[Tuple[str, Tuple[int, ...]]] = [
             (inst.name, inst.qubits)
@@ -120,13 +123,12 @@ class StructuralPrefilter:
         self._ref_edges = edge_histogram(reference)
 
     # ------------------------------------------------------------------
-    def _group_fits(
-        self, n1: int, n2: int, j: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def group_fits(self, n1: int, n2: int, j: int) -> GroupTables:
         """Overlap *j*'s group tables: whether each segment-2 subset's
         ancilla pairs fit, and whether each segment-1 subset leaves only
         slots that fit alone (none does when a reference slot past the
-        candidate register misfits)."""
+        candidate register misfits): the *groups* of
+        :func:`~repro.attacks.matching.matching_rows`."""
         if j not in self._groups:
             chosen1 = _subsets(n1, j)[0]
             unmatched = _subsets(n2, j)[1]
@@ -140,11 +142,12 @@ class StructuralPrefilter:
     def admitted(self, rows: Rows) -> np.ndarray:
         """Boolean mask of the *rows* that survive both filters.
 
-        The group tables reject whole subset groups; one gather of the
-        fit table masks the rest, and only rows the mask passes pay the
-        edge-multiset test.
+        The group tables mask rows by subset group (every row of a
+        group-first walk passes them); one gather of the fit table masks
+        the rest, and only rows the mask passes pay the edge-multiset
+        test.
         """
-        fits2, fits1 = self._group_fits(rows.n1, rows.n2, rows.overlap)
+        fits2, fits1 = self.group_fits(rows.n1, rows.n2, rows.overlap)
         admitted = fits2[rows.seg2] & fits1[rows.seg1]
         passed = np.flatnonzero(admitted)
         if not len(passed):

@@ -13,7 +13,7 @@ qubit correspondence in ``k_n * n!`` trials — feasible for NISQ sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 

@@ -24,7 +24,6 @@ from .gates import (
     CXGate,
     CYGate,
     CZGate,
-    Gate,
     HGate,
     IGate,
     MCXGate,

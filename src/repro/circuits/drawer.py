@@ -7,7 +7,7 @@ and interlocking split boundaries (paper Figures 2 and 3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .circuit import QuantumCircuit
 from .dag import circuit_layers

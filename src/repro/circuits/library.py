@@ -10,7 +10,7 @@ demo material.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from .circuit import QuantumCircuit
 

@@ -54,9 +54,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .attacks import ATTACKS
+from .attacks import ATTACKS, SearchOptions
 from .circuits import QuantumCircuit, draw_circuit, from_qasm, to_qasm
 from .circuits.grid import OccupancyGrid
 from .execution import (
@@ -308,7 +308,7 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
 def _cmd_attack(args: argparse.Namespace) -> int:
     import time
 
-    from .attacks import SearchOptions, get_attack, problem_for, select_attack
+    from .attacks import get_attack, problem_for, select_attack
     from .revlib.benchmarks import benchmark_circuit
 
     if args.list_adversaries:
@@ -599,8 +599,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="inserted-pair budget before splitting")
     attack.add_argument("--jobs", type=int, default=1,
                         help="parallel search processes")
-    attack.add_argument("--chunk-size", type=int, default=256,
-                        help="candidates per worker task")
+    attack.add_argument(
+        "--chunk-size", type=int, default=SearchOptions.chunk_size,
+        help="candidates per pool task and per early-exit step (a "
+        "sequential full search walks the stream once)",
+    )
     attack.add_argument("--max-candidates", type=int, default=500_000,
                         help="refuse searches larger than this")
     attack.add_argument(

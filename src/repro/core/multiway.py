@@ -18,7 +18,7 @@ With ``k = 2`` this reduces exactly to the standard interlocking split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from ..circuits.dag import CircuitDag
 from .insertion import InsertionResult
 from .split import (
     SplitBoundary,
-    SplitResult,
     SplitSegment,
     _extract_segment,
     interlocking_split,

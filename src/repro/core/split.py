@@ -21,7 +21,7 @@ re-checked and the cut resampled when violated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np

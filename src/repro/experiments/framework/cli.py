@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from .runner import parse_shard, run_experiment
 from .spec import get_spec, list_specs

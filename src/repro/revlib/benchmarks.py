@@ -15,8 +15,8 @@ metadata (expected stats, the paper's Table I values, the deterministic
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 from ..synth.truthtable import simulate_reversible

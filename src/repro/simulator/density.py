@@ -13,7 +13,7 @@ when this beats trajectories.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 

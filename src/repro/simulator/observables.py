@@ -8,11 +8,10 @@ hardware without basis-change circuits).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..circuits.circuit import QuantumCircuit
 from .statevector import Statevector
 
 __all__ = [

@@ -15,8 +15,7 @@ in :meth:`Statevector.apply_matrix` contracts accordingly.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 

@@ -9,7 +9,7 @@ phase, and up to a qubit permutation after routing) as the original.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
+import numpy as np
+
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import MCXGate
 
@@ -20,14 +22,14 @@ class TruthTable:
     """A permutation ``x -> table[x]`` over ``2^num_lines`` values."""
 
     def __init__(self, table: Sequence[int]) -> None:
-        table = [int(v) for v in table]
-        size = len(table)
+        values = np.asarray(table, dtype=np.int64)
+        size = len(values)
         num_lines = size.bit_length() - 1
         if 2 ** num_lines != size:
             raise ValueError("table length must be a power of two")
-        if sorted(table) != list(range(size)):
+        if not np.array_equal(np.sort(values), np.arange(size)):
             raise ValueError("table is not a permutation")
-        self.table: List[int] = table
+        self.table: List[int] = values.tolist()
         self.num_lines = num_lines
 
     # ------------------------------------------------------------------
@@ -86,57 +88,29 @@ class TruthTable:
 def simulate_reversible(circuit: QuantumCircuit) -> TruthTable:
     """Exact truth table of a classical-reversible circuit.
 
-    Only NOT/CNOT/Toffoli/MCT gates are allowed (names ``x``, ``cx``,
-    ``ccx``, ``mcxK``); anything else raises :class:`ValueError`.
-    Runs in ``O(gates * 2^n)`` bit operations — much faster than the
-    statevector for pure reversible circuits.
+    Only NOT/CNOT/Toffoli/MCT/SWAP/Fredkin gates are allowed (names
+    ``x``, ``cx``, ``ccx``, ``mcxK``, ``swap``, ``cswap``); anything else
+    raises :class:`ValueError`.  Each gate is one array operation over
+    all ``2^n`` entries — much faster than the statevector for pure
+    reversible circuits.
     """
-    n = circuit.num_qubits
-    table = list(range(2 ** n))
+    table = np.arange(1 << circuit.num_qubits, dtype=np.int64)
     for inst in circuit:
         if inst.is_barrier or inst.is_measure:
             continue
         op = inst.operation
-        if op.name == "swap":
-            a, b = inst.qubits
-            mask_a, mask_b = 1 << a, 1 << b
-            table = [
-                value ^ (mask_a | mask_b)
-                if ((value >> a) ^ (value >> b)) & 1
-                else value
-                for value in table
-            ]
-            continue
-        if op.name == "cswap":
-            control, a, b = inst.qubits
-            mask_c, mask_a, mask_b = 1 << control, 1 << a, 1 << b
-            table = [
-                value ^ (mask_a | mask_b)
-                if (value & mask_c) and ((value >> a) ^ (value >> b)) & 1
-                else value
-                for value in table
-            ]
-            continue
-        if isinstance(op, MCXGate):
-            controls, target = inst.qubits[:-1], inst.qubits[-1]
-        elif op.name == "x":
-            controls, target = (), inst.qubits[0]
-        elif op.name == "cx":
-            controls, target = (inst.qubits[0],), inst.qubits[1]
-        elif op.name == "ccx":
-            controls, target = inst.qubits[:2], inst.qubits[2]
+        qubits = inst.qubits
+        if op.name in ("swap", "cswap"):
+            controls, (a, b) = qubits[:-2], qubits[-2:]
+            flip = (1 << a) | (1 << b)
+            differ = ((table >> a) ^ (table >> b)) & 1
+        elif isinstance(op, MCXGate) or op.name in ("x", "cx", "ccx"):
+            controls, flip = qubits[:-1], 1 << qubits[-1]
+            differ = 1
         else:
             raise ValueError(
                 f"gate {op.name!r} is not classical-reversible"
             )
-        control_mask = 0
-        for c in controls:
-            control_mask |= 1 << c
-        target_mask = 1 << target
-        table = [
-            value ^ target_mask
-            if (value & control_mask) == control_mask
-            else value
-            for value in table
-        ]
+        mask = sum(1 << c for c in controls)
+        table ^= (differ & (table & mask == mask)) * flip
     return TruthTable(table)

@@ -11,14 +11,13 @@ ABC construction.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import (
     CXGate,
-    Gate,
     MCXGate,
     U1Gate,
     U2Gate,

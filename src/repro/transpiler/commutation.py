@@ -21,7 +21,7 @@ Commutation rules implemented (standard Clifford-level peephole set):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional
 
 import numpy as np
 

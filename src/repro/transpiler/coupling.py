@@ -7,7 +7,7 @@ router consults shortest paths here when inserting SWAPs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 

@@ -9,7 +9,7 @@ together during de-obfuscation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from ..circuits.circuit import QuantumCircuit
 from .coupling import CouplingMap

@@ -15,12 +15,11 @@ holds only one half of every ``g, g†`` pair):
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
-from ..circuits.gates import Gate
 from ..circuits.instruction import Instruction
 from .basis import _angles_to_basis  # shared angle-to-cheapest-gate logic
 from .euler import u3_angles

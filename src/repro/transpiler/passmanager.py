@@ -14,7 +14,7 @@ and measurable — :meth:`PassManager.run` records per-pass wall time in
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 from .basis import translate_to_basis

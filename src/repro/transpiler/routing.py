@@ -19,7 +19,6 @@ from typing import List, Optional, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import SwapGate
-from ..circuits.instruction import Instruction
 from .coupling import CouplingMap
 from .layout import Layout
 

@@ -5,6 +5,8 @@ import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.circuits.random_circuits import random_reversible_circuit
+from repro.core import insert_random_pairs
+from repro.revlib import benchmark_circuit, benchmark_names
 from repro.simulator import circuit_unitary, equal_up_to_global_phase
 from repro.synth import (
     TruthTable,
@@ -14,6 +16,7 @@ from repro.synth import (
     mcz_parity_network,
     simulate_reversible,
 )
+from reference_truthtable import simulate_reversible_loops
 
 
 class TestTruthTable:
@@ -88,6 +91,49 @@ class TestSimulateReversible:
             expected_col = np.zeros(8)
             expected_col[table(x)] = 1.0
             assert np.allclose(unitary[:, x], expected_col)
+
+
+def every_gate_circuit(num_qubits, num_gates, seed):
+    """A random circuit over x, cx, ccx, mcx (3+ controls), swap and
+    cswap, with a barrier in the middle."""
+    rng = np.random.default_rng(seed)
+    qc = QuantumCircuit(num_qubits)
+    kinds = ("x", "cx", "ccx", "mcx", "swap", "cswap")
+    for index in range(num_gates):
+        if index == num_gates // 2:
+            qc.barrier()
+        kind = kinds[index % len(kinds)]
+        arity = {"x": 1, "cx": 2, "swap": 2, "ccx": 3, "cswap": 3}.get(
+            kind, int(rng.integers(4, num_qubits + 1))
+        )
+        qubits = [int(q) for q in rng.choice(num_qubits, arity, replace=False)]
+        if kind == "mcx":
+            qc.mcx(qubits[:-1], qubits[-1])
+        else:
+            getattr(qc, kind)(*qubits)
+    return qc
+
+
+class TestArrayTableAgainstLoops:
+    """The array ``simulate_reversible`` against the per-entry loops of
+    :func:`reference_truthtable.simulate_reversible_loops`."""
+
+    @pytest.mark.parametrize("name", benchmark_names(table1_only=True))
+    def test_benchmarks_and_their_rc_circuits(self, name):
+        circuit = benchmark_circuit(name).remove_final_measurements()
+        rc = insert_random_pairs(circuit, gate_limit=4, seed=0).rc_circuit()
+        for qc in (circuit, rc):
+            assert simulate_reversible(qc) == simulate_reversible_loops(qc)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_circuits_with_every_gate_kind(self, seed):
+        qc = every_gate_circuit(4 + seed % 3, 30, seed)
+        names = {inst.name for inst in qc if inst.is_gate}
+        assert {"x", "cx", "ccx", "swap", "cswap"} <= names
+        assert any(name.startswith("mcx") for name in names)
+        table = simulate_reversible(qc)
+        assert table == simulate_reversible_loops(qc)
+        assert all(type(value) is int for value in table.table)
 
 
 class TestDecompositions:
