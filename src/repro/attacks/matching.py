@@ -252,8 +252,7 @@ def matching_rows(
     whatever its position; the same-width stream is the single overlap
     ``j = n``.  With *groups* — ``groups(n1, n2, j)`` gives overlap
     ``j``'s two boolean tables over segment-2 and segment-1 subset
-    ranks — the walk is group-first: each group of ``j!`` rows is
-    ranked once, and only the rows of groups both tables admit are
+    ranks — only the rows of groups both tables admit are built and
     yielded.
     """
     spans = _spans(kind, n1, n2)
@@ -263,39 +262,45 @@ def matching_rows(
             continue
         if offset >= stop:
             return
+        tables = None if groups is None else groups(n1, n2, j)
         lo, hi = max(start, offset) - offset, min(stop, end) - offset
-        walk = (
-            (np.arange(a, min(a + _ROWS, hi)) for a in range(lo, hi, _ROWS))
-            if groups is None
-            else _admitted_offsets(lo, hi, perms, *groups(n1, n2, j))
-        )
-        for local in walk:
+        for local in _offsets(lo, hi, j, tables):
             seg2, rest = np.divmod(local, group)
             seg1, perm = np.divmod(rest, perms)
             yield Rows(n1, n2, j, local + offset, seg2, seg1, perm)
 
 
-def _admitted_offsets(
-    lo: int, hi: int, perms: int, fits2: np.ndarray, fits1: np.ndarray
+def _offsets(
+    lo: int, hi: int, j: int, tables: Optional[GroupTables] = None
 ) -> Iterator[np.ndarray]:
-    """Offsets ``lo <= r < hi`` within one overlap whose group
-    ``r // perms`` both tables admit, ascending, at most :data:`_ROWS`
-    an array: group ranks are computed per window of :data:`_ROWS`
-    groups, rows only for the admitted groups."""
-    last = -(-hi // perms)
-    batch = max(1, _ROWS // perms)
-    for first in range(lo // perms, last, _ROWS):
-        ids = np.arange(first, min(first + _ROWS, last))
-        seg2, seg1 = np.divmod(ids, len(fits1))
-        ids = ids[fits2[seg2] & fits1[seg1]]
-        for i in range(0, len(ids), batch):
-            for p in range(0, perms, _ROWS):
-                local = (ids[i:i + batch, None] * perms
-                         + np.arange(p, min(p + _ROWS, perms))).ravel()
-                local = local[np.searchsorted(local, lo):
-                              np.searchsorted(local, hi)]
-                if len(local):
-                    yield local
+    """Offsets ``lo <= r < hi`` within overlap *j*, ascending, at most
+    :data:`_ROWS` an array, skipping the groups ``r // j!`` that
+    *tables* reject.
+
+    The walk goes block by block: a block is a group's ``j!`` rows, or
+    ``k!`` of them for the largest ``k`` whose ``k!`` fits in
+    :data:`_ROWS` (``k!`` divides ``j!``).  Block ranks are filtered a
+    window of :data:`_ROWS` blocks at once, and offsets are built only
+    for the rows of admitted blocks that fall inside ``[lo, hi)``.
+    """
+    k = j
+    while math.factorial(k) > _ROWS:
+        k -= 1
+    width = math.factorial(k)
+    per_group, batch = math.factorial(j) // width, _ROWS // width
+    last = -(-hi // width)
+    for first in range(lo // width, last, _ROWS):
+        blocks = np.arange(first, min(first + _ROWS, last))
+        if tables is not None:
+            fits2, fits1 = tables
+            seg2, seg1 = np.divmod(blocks // per_group, len(fits1))
+            blocks = blocks[fits2[seg2] & fits1[seg1]]
+        for i in range(0, len(blocks), batch):
+            begins = blocks[i:i + batch] * width
+            starts = np.maximum(begins, lo)
+            sizes = np.minimum(begins + width, hi) - starts
+            yield (np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+                   + np.arange(sizes.sum()))
 
 
 def iter_same_width_matchings(n: int, start: int = 0) -> Iterator[Matching]:

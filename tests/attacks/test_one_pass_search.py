@@ -2,11 +2,15 @@
 
 A sequential full search evaluates the whole candidate stream as one
 range, whatever ``chunk_size`` is; a prefiltered range is walked group
-first, expanding rows only for the subset groups the prefilter's group
-tables admit.  Both must leave every outcome as the chunked, plain walk
-gives it.
+first, building rows only for the subset groups the prefilter's group
+tables admit, and any range builds only its own rows.  Both must leave
+every outcome as the chunked walk without tables gives it.
 """
 
+import math
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.attacks import (
@@ -63,10 +67,10 @@ def indices(rows_stream, mask=None):
 
 
 def test_group_first_walk_equals_masked_plain_walk(problem):
-    """Every range ``[start, stop)`` of the 73 candidates: the group-first
-    walk yields the plain walk's rows of admitted groups, the prefilter
-    admits the same rows of both, and a range's counters add up to its
-    length."""
+    """Every range ``[start, stop)`` of the 73 candidates: the walk with
+    the prefilter's group tables yields the rows of admitted groups of
+    the walk without them, the prefilter admits the same rows of both,
+    and a range's counters add up to its length."""
     segments = (problem.segment1, problem.segment2)
     prefilter = StructuralPrefilter(*segments, problem.oracle)
     context = parallel._chunk_context(parallel._ChunkTask(
@@ -101,8 +105,8 @@ def test_group_first_walk_equals_masked_plain_walk(problem):
 @pytest.mark.parametrize("cap", [2, 5])
 def test_group_first_walk_keeps_the_row_bound(problem, cap, monkeypatch):
     """With at most *cap* rows a :class:`Rows`, fewer than the 6 of an
-    overlap-3 group, the walk splits groups and still yields the plain
-    walk's rows of admitted groups."""
+    overlap-3 group, the walk splits groups and still yields the rows of
+    admitted groups of the walk without tables."""
     monkeypatch.setattr(matching, "_ROWS", cap)
     prefilter = StructuralPrefilter(
         problem.segment1, problem.segment2, problem.oracle
@@ -121,3 +125,31 @@ def test_group_first_walk_keeps_the_row_bound(problem, cap, monkeypatch):
         assert indices(grouped) == indices(
             matching_rows("subset", n1, n2, start, stop), in_admitted_group
         )
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("filtered", [False, True])
+def test_narrow_range_builds_only_its_rows(n, filtered):
+    """A 256-candidate range deep in an ``n``-qubit same-width stream
+    (across the boundary of two 8!-row blocks at 9 qubits) allocates
+    arrays of its own size: no ``n!``-row group (8! offsets alone are
+    315 KiB) is built and then cut down to the range."""
+    def admit_all(n1, n2, j):
+        return np.ones(1, dtype=bool), np.ones(1, dtype=bool)
+
+    groups = admit_all if filtered else None
+    start = math.factorial(n - 1) * (n // 2) - 100
+
+    def walk():
+        return list(matching_rows("same-width", n, n, start, start + 256,
+                                  groups))
+
+    walk()  # warm the cached spans
+    tracemalloc.start()
+    try:
+        rows = walk()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert indices(rows) == list(range(start, start + 256))
+    assert peak < 64 * 1024
