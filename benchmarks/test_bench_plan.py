@@ -50,7 +50,7 @@ def _repeat_run(circuit):
 
 def _unfused_ops(circuit):
     """``(matrix, qubits)`` per non-identity gate, and the measure map."""
-    gates = [TracedOp(inst) for inst in circuit if inst.is_gate]
+    gates = [TracedOp.of(inst) for inst in circuit if inst.is_gate]
     ops = [(op.matrix, op.qubits) for op in gates if not op.identity]
     measured = [
         (inst.qubits[0], inst.clbits[0]) for inst in circuit if inst.is_measure

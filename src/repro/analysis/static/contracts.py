@@ -22,11 +22,12 @@ consumer relies on.  This module states them as executable contracts:
   justified from its own segment only, via
   :func:`repro.analysis.static.dataflow.verify_lowering`) and the
   measure ordering preserved against the circuit;
-* the trajectory ensemble's compiled stream: every span op equal to
-  its source op times the no-jump factors it absorbs, every Kraus
-  anchor's pending factors matching the folds re-derived from the
-  operators, flushes and renormalisations where the fold rule puts
-  them.
+* the trajectory ensemble's compiled stream: every qubit born once,
+  before its first op, and every op compiled onto the layout of the
+  qubits born by then; every span op equal to its source op times the
+  no-jump factors it absorbs, every Kraus anchor's pending factors
+  matching the folds re-derived from the operators, flushes and
+  renormalisations where the fold rule puts them.
 
 Checking never executes a plan (it builds the plan's lazily compiled
 stream to check it).  :func:`check_noise_plan` returns a
@@ -54,7 +55,6 @@ from ...execution.noise_plan import (
     _compile_span,
     _diagonal_tensor,
     _monomial_decomposition,
-    _SpanGate,
 )
 from ...execution.plan import PlanOp, TracedOp
 from ...simulator.noisy import ENSEMBLE_DTYPE
@@ -576,19 +576,24 @@ def _check_folds(report: Report, plan: NoisePlan) -> None:
     """The trajectory ensemble's stream (:meth:`NoisePlan.compiled_steps`)
     against the plan's own steps.
 
-    Re-derives from each Kraus anchor's ``K_0`` which no-jump factors
-    are pending where (normalised to a leading 1), and tracks them from
-    the stream the way the executor does: every compiled span op must
-    equal its source op times the factors on its qubits and name the
-    qubits it absorbs, the factors tracked at and after every Kraus
-    anchor must be the derived ones (``D`` and ``D'``), and
-    flushes and renormalisations must sit where the fold rule puts
-    them.
+    Tracks births and pending factors from the stream the way the
+    executor does, and re-derives from each Kraus anchor's ``K_0``
+    which no-jump factors are pending where (normalised to a leading
+    1).  Every qubit is born once, before its first op: a step's births
+    name qubits not yet born, its ops and anchor act only on born
+    qubits, and an anchor's axes are its qubits' places among them
+    (every qubit is born at a measurement).  Every compiled span op
+    must equal its source op times the factors on its qubits, compiled
+    onto the layout of the born qubits, and name the qubits it absorbs;
+    the factors tracked at and after every Kraus anchor must be the
+    derived ones (``D`` and ``D'``), and flushes and renormalisations
+    must sit where the fold rule puts them.
     """
     n = plan.num_qubits
     stream = iter(plan.compiled_steps())
     pending: dict = {}  # derived: qubit -> diagonal
     tracked: dict = {}  # from the stream, as the executor tracks it
+    layout: dict = {}  # born qubit -> axis, as the executor tracks them
     shrink = 1.0
 
     def agree() -> bool:
@@ -602,12 +607,14 @@ def _check_folds(report: Report, plan: NoisePlan) -> None:
         if not owed:
             return True
         step = next(stream, None)
-        want = _diagonal_tensor(owed, n)
+        want = _diagonal_tensor(owed, layout)
         for q in owed:
             tracked.pop(q, None)
         return report.check(
             step is not None
             and step[0] == "span"
+            and len(step) == 4
+            and not step[3]
             and [op[0] for op in step[1]] == ["diag"]
             and set(step[2]) == set(owed)
             and step[1][0][1].shape == want.shape
@@ -627,9 +634,59 @@ def _check_folds(report: Report, plan: NoisePlan) -> None:
             if not flush(qubits, loc):
                 return
             shrink = 1.0 if kind == "measure" else shrink
-        want = absorbed = None
+        touched = (
+            {q for op in step[1] for q in op.qubits}
+            if kind == "span"
+            else set(binding.qubits) if binding is not None else set()
+        )
+        absorbed = pending.keys() & touched
+        compiled = next(stream, None)
+        if not report.check(
+            compiled is not None
+            and (
+                compiled[0] == "span"
+                and len(compiled) == 4
+                and len(compiled[1]) == len(step[1])
+                and set(compiled[2]) == absorbed
+                if kind == "span"
+                else len(compiled) in (3, 6) and compiled[:3] == step
+                if binding is not None
+                else compiled is step
+            ),
+            "fold-stream",
+            f"compiled stream does not carry this {kind} step here (with "
+            "the qubits whose pending factors a span absorbs and the "
+            "qubits born at it)",
+            loc,
+        ):
+            return
+        if kind == "measure":
+            layout = {q: q for q in range(n)}
+            continue
         if kind == "span":
-            absorbed = pending.keys() & {q for op in step[1] for q in op.qubits}
+            carried, axes, births = None, None, compiled[3]
+        else:  # a step left as the plan's own keeps its qubits' axes
+            carried, axes, births = compiled[3:] or (None, binding.qubits, ())
+        fresh = len(set(births)) == len(births) and all(
+            0 <= q < n and q not in layout for q in births
+        )
+        live = sorted({*layout, *births})
+        layout = {q: axis for axis, q in enumerate(live)}
+        if not report.check(
+            fresh
+            and touched <= layout.keys()
+            and (
+                binding is None
+                or axes == tuple(layout[q] for q in binding.qubits)
+            ),
+            "fold-birth",
+            f"births {tuple(births)} name a qubit born before, or the "
+            f"step acts on a qubit not yet born (born: {live}), or an "
+            "anchor's axes are not its qubits' places among them",
+            loc,
+        ):
+            return
+        if kind == "span":
             want = []
             for op in step[1]:
                 if not pending.keys().isdisjoint(op.qubits):
@@ -645,26 +702,7 @@ def _check_folds(report: Report, plan: NoisePlan) -> None:
                         )
                     )
                 want.append(op)
-            want = _compile_span(want, ENSEMBLE_DTYPE, n)
-        compiled = next(stream, None)
-        if not report.check(
-            compiled is not None
-            and (
-                compiled[0] == "span"
-                and len(compiled[1]) == len(want)
-                and set(compiled[2]) == absorbed
-                if kind == "span"
-                else compiled[:3] == step
-                if binding is not None and binding.kind == "kraus"
-                else compiled is step
-            ),
-            "fold-stream",
-            f"compiled stream does not carry this {kind} step here (with "
-            "the qubits whose pending factors a span absorbs)",
-            loc,
-        ):
-            return
-        if kind == "span":
+            want = _compile_span(want, ENSEMBLE_DTYPE, layout)
             for q in absorbed:
                 tracked.pop(q, None)
             for j, (g, w) in enumerate(zip(compiled[1], want)):
@@ -683,7 +721,7 @@ def _check_folds(report: Report, plan: NoisePlan) -> None:
             factor = np.diagonal(binding.operators[0]) * pending.get(qubit, 1)
             pending[qubit] = factor / factor[0]
             shrink *= 1.0 - binding.jump_bound
-            tracked[qubit] = compiled[3] if len(compiled) > 3 else binding.fold
+            tracked[qubit] = binding.fold if carried is None else carried
         report.check(
             ok and agree(),
             "fold-anchor",
@@ -788,7 +826,7 @@ def _check_anchor_structure(
                 _flush()
                 expected.append(("measure",) + measures[-1])
             continue
-        segment.append(TracedOp(inst))
+        segment.append(TracedOp.of(inst))
         if not noisy:
             continue
         for bound in noise_model.errors_for(inst):
@@ -796,7 +834,7 @@ def _check_anchor_structure(
             channel = bound.channel
             if len(channel.kraus_operators) == 1:
                 segment.append(
-                    _SpanGate(np.asarray(channel.kraus_operators[0]), qubits)
+                    TracedOp(np.asarray(channel.kraus_operators[0]), qubits)
                 )
                 continue
             _flush()

@@ -140,8 +140,8 @@ def verify_lowering(
     """Prove *plan_ops* is a reordering-safe lowering of *source_ops*.
 
     *source_ops* is any sequence exposing ``matrix``/``qubits``/
-    ``identity`` (:class:`TracedOp`, :class:`_SpanGate`); identity ops
-    are ignored, matching :func:`repro.execution.plan.lower_ops`.
+    ``identity`` (:class:`TracedOp`); identity ops are ignored,
+    matching :func:`repro.execution.plan.lower_ops`.
     Returns a :class:`Report` whose metadata carries the recovered
     ``provenance`` (source indices justifying each lowered op) and any
     ``dead_ops``.

@@ -96,7 +96,7 @@ def verify_plan(circuit: QuantumCircuit, noise_model=None) -> PlanVerification:
     """Statically verify the plan(s) *circuit* lowers to."""
     plan = build_noise_plan(circuit, None)
     contract = check_noise_plan(plan, circuit)
-    gates = [TracedOp(inst) for inst in circuit if inst.is_gate]
+    gates = [TracedOp.of(inst) for inst in circuit if inst.is_gate]
     ops = [op for step in plan.steps if step[0] == "span" for op in step[1]]
     lowering = verify_lowering(gates, ops, plan.num_qubits)
     tableau = certify_equivalence(gates, ops, plan.num_qubits)

@@ -12,7 +12,9 @@ of the full space is ever materialised, in the parent or any worker.
 A sequential full search walks the stream once, as ``[0, total)``.
 Otherwise the stream is cut into chunks of ``SearchOptions.chunk_size``
 (``[0, chunk), [chunk, 2*chunk), ...``): the pool runs one task per
-chunk, and early exit stops after a chunk.
+chunk, and early exit stops after a chunk.  A pool task pickles only
+its ``(start, stop)``; each worker's initializer receives the search
+once and builds its oracle and prefilter from it.
 
 Determinism contract (the part the tests pin):
 
@@ -89,30 +91,35 @@ def _chunk_context(
     return oracle, prefilter
 
 
-# A pool worker's context: built once, by the pool's initializer, for
-# the one search the pool serves (on an rd53 (6, 7) split the build
-# costs about as much as the 256 candidates of a chunk).
-_WORKER_CONTEXT: List[Tuple] = []
+# A pool worker's search and context: built once, by the pool's
+# initializer, for the one search the pool serves (on an rd53 (6, 7)
+# split the build costs about as much as the 256 candidates of a
+# chunk), so a task carries only its range.
+_WORKER_SEARCH: List[Tuple] = []
 
 
-def _init_worker(task: _ChunkTask) -> None:
-    _WORKER_CONTEXT[:] = [_chunk_context(task)]
+def _init_worker(search: _ChunkTask) -> None:
+    _WORKER_SEARCH[:] = [search, _chunk_context(search)]
+
+
+def _evaluate_range(start: int, stop: int) -> _ChunkReport:
+    """A pool task: the range ``[start, stop)`` of the worker's search."""
+    search, context = _WORKER_SEARCH
+    return _evaluate_chunk(replace(search, start=start, stop=stop), context)
 
 
 def _evaluate_chunk(
     task: _ChunkTask,
-    context: Optional[
-        Tuple[EquivalenceOracle, Optional[StructuralPrefilter]]
-    ] = None,
+    context: Tuple[EquivalenceOracle, Optional[StructuralPrefilter]],
 ) -> _ChunkReport:
-    """Evaluate one range of the candidate stream (pool-picklable).
+    """Evaluate one range of the candidate stream.
 
-    The sequential path passes the search's shared *context*; pool
-    workers use the one their initializer built, so reference tables
-    and segment profiles are derived once per search and worker.
+    *context* is the search's shared oracle and prefilter (a pool
+    worker's is the one its initializer built), so reference tables and
+    segment profiles are derived once per search and process.
     """
     n1, n2 = task.problem.widths
-    oracle, prefilter = context or _WORKER_CONTEXT[0]
+    oracle, prefilter = context
     groups = None if prefilter is None else prefilter.group_fits
     tried = 0
     records: List[CandidateOutcome] = []
@@ -206,30 +213,32 @@ def run_streaming_search(
         report = _evaluate_chunk(search, context)
         return _aggregate(attack_name, total, [report], early_exit=False)
     step = options.chunk_size
-    tasks = [
-        replace(search, start=start, stop=min(start + step, total))
-        for start in range(0, total, step)
+    ranges = [
+        (start, min(start + step, total)) for start in range(0, total, step)
     ]
-    order = _dispatch_order(len(tasks), options.seed)
+    order = _dispatch_order(len(ranges), options.seed)
 
-    if options.jobs == 1 or len(tasks) <= 1:
+    if options.jobs == 1 or len(ranges) <= 1:
         # early exit: chunks in dispatch order, up to the first match
         reports: List[_ChunkReport] = []
         for position in order:
-            report = _evaluate_chunk(tasks[position], context)
+            start, stop = ranges[position]
+            report = _evaluate_chunk(
+                replace(search, start=start, stop=stop), context
+            )
             reports.append(report)
             if report.has_match:
                 break
         return _aggregate(attack_name, total, reports, early_exit=True)
 
-    workers = min(options.jobs, len(tasks))
+    workers = min(options.jobs, len(ranges))
     completed: Dict[int, _ChunkReport] = {}  # dispatch position -> report
     cutoff: Optional[int] = None  # first matching dispatch position
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(search,)
     ) as pool:
         futures = {
-            pool.submit(_evaluate_chunk, tasks[chunk_index]): position
+            pool.submit(_evaluate_range, *ranges[chunk_index]): position
             for position, chunk_index in enumerate(order)
         }
         for future in concurrent.futures.as_completed(futures):

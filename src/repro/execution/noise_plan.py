@@ -28,7 +28,11 @@ module lifts all of that to trace time:
 * for the trajectory ensemble only, :meth:`NoisePlan.compiled_steps`
   folds each Kraus anchor's diagonal no-jump operator ``K_0`` forward
   into the next span op on its qubit (the rare-jump form of the
-  quantum-jump method: Dalibard, Castin & Mølmer, PRL 68, 580 (1992)).
+  quantum-jump method: Dalibard, Castin & Mølmer, PRL 68, 580 (1992)),
+  and gives each qubit an axis of the ensemble's layout only at the
+  first step that touches it: an untouched qubit is exactly |0> and a
+  tensor factor, so every op before that step runs on the narrower
+  layout of the qubits already born.
 
 The result is a :class:`NoisePlan`: a flat step stream (span / channel
 / measure) plus a random-site numbering that assigns every stochastic
@@ -55,12 +59,11 @@ from ..noise.model import NoiseModel
 from ..simulator.kernels import (
     contract_batch,
     embed,
-    matrix_is_identity,
     multiply_diagonal,
 )
 from ..simulator.noisy import ENSEMBLE_DTYPE
 from ..simulator.trajectory import measures_are_terminal
-from .plan import PlanOp, TracedOp, _is_diagonal, lower_ops
+from .plan import PlanOp, TracedOp, lower_ops
 
 __all__ = ["ChannelBinding", "NoisePlan", "build_noise_plan"]
 
@@ -120,8 +123,8 @@ def _shared(table: Tuple) -> Tuple:
 def _mixed_program(
     monomials: Tuple,
     noops: Tuple[bool, ...],
-    qubits: Tuple[int, ...],
-    num_qubits: int,
+    axes: Tuple[int, ...],
+    width: int,
 ) -> Tuple[np.ndarray, Tuple]:
     """A mixed-unitary binding's per-branch programs for the executor.
 
@@ -131,8 +134,9 @@ def _mixed_program(
     never split a row; ``programs[b]`` is ``None`` for a no-op,
     ``("perm", moves)`` for a monomial (Pauli) branch — the span
     kernels' slice copies — and ``("gen", b)`` for a dense one, applied
-    from the binding's ``scaled_ops[b]``.  Keyed by value, so equal
-    channels on equal qubits share one program.
+    from the binding's ``scaled_ops[b]``.  *axes* are the binding's
+    qubits in a layout of *width* born qubits.  Keyed by value, so
+    equal channels on equal axes share one program.
     """
     columns: List[int] = []
     programs: List = []
@@ -145,26 +149,25 @@ def _mixed_program(
         if monomial is None:
             programs.append(("gen", b))
         else:
-            moves = _perm_moves(*monomial, qubits, num_qubits, ENSEMBLE_DTYPE)
+            moves = _perm_moves(*monomial, axes, width, ENSEMBLE_DTYPE)
             programs.append(("perm", moves))
     return _read_only(columns, np.intp), tuple(programs)
 
 
 @functools.lru_cache(maxsize=4096)
-def _basis_selector(
-    index: int, qubits: Tuple[int, ...], num_qubits: int
-) -> Tuple:
-    """Batch-tensor selector fixing *qubits* to the bits of *index*.
+def _basis_selector(index: int, axes: Tuple[int, ...], width: int) -> Tuple:
+    """Selector of a ``(W, 2, ..., 2)`` batch of *width* qubit axes that
+    fixes *axes* to the bits of *index*.
 
-    Axis 0 is the shot axis; qubit ``q`` lives on axis ``q + 1``.  Bit
-    ordering follows the gate-matrix convention: the first listed
-    qubit is the most significant bit of *index*.  Memoised, so every
-    compiled perm span on the same qubits shares its selectors.
+    Axis 0 is the shot axis; layout axis ``a`` is batch axis ``a + 1``.
+    Bit ordering follows the gate-matrix convention: the first listed
+    axis is the most significant bit of *index*.  Memoised, so every
+    compiled perm span on the same axes shares its selectors.
     """
-    sel: List = [slice(None)] * (num_qubits + 1)
-    k = len(qubits)
-    for t, qubit in enumerate(qubits):
-        sel[qubit + 1] = (index >> (k - 1 - t)) & 1
+    sel: List = [slice(None)] * (width + 1)
+    k = len(axes)
+    for t, axis in enumerate(axes):
+        sel[axis + 1] = (index >> (k - 1 - t)) & 1
     return tuple(sel)
 
 
@@ -172,26 +175,27 @@ def _basis_selector(
 def _perm_moves(
     rows: Tuple[int, ...],
     phases: Tuple[complex, ...],
-    qubits: Tuple[int, ...],
-    num_qubits: int,
+    axes: Tuple[int, ...],
+    width: int,
     dtype: np.dtype,
 ) -> Tuple:
     """The ``(out_sel, in_sel, phase)`` slice copies of a monomial gate
-    (phase ``None`` means exactly 1); memoised, so every compiled span
-    applying the same permutation on the same qubits shares one.
+    on *axes* of a *width*-qubit layout (phase ``None`` means exactly
+    1); memoised, so every compiled span applying the same permutation
+    on the same axes shares one.
 
     Phases are tested after the cast to *dtype*: a Pauli channel's
     ``K / sqrt(p)`` has complex128 entries one ulp off 1 that are
-    exactly 1 in complex64.  A gate on the last qubit keeps its unit
+    exactly 1 in complex64.  A gate on the last axis keeps its unit
     phases: its selectors fix the innermost axis, and numpy copies such
     unit-stride-free views ~3x slower than it multiplies them by one
     (measured on 10-qubit, 50-row chunks).
     """
-    inner = num_qubits - 1 in qubits
+    inner = width - 1 in axes
     return tuple(
         (
-            _basis_selector(row, qubits, num_qubits),
-            _basis_selector(j, qubits, num_qubits),
+            _basis_selector(row, axes, width),
+            _basis_selector(j, axes, width),
             None if (cast := dtype.type(phase)) == 1 and not inner else cast,
         )
         for j, (row, phase) in enumerate(zip(rows, phases))
@@ -199,9 +203,14 @@ def _perm_moves(
 
 
 def _compile_span(
-    ops: Sequence[PlanOp], dtype: np.dtype, num_qubits: int
+    ops: Sequence[PlanOp], dtype: np.dtype, layout: Dict[int, int]
 ) -> Tuple[Tuple, ...]:
     """Lower a span's :class:`PlanOp` list for the chunked executor.
+
+    *layout* maps each qubit with an axis in the executor's chunk (each
+    born qubit) to that axis, and every op compiles onto the axes of
+    its qubits.  The layout keeps physical order, so an ascending qubit
+    tuple maps to ascending axes.
 
     Emits one of four op forms, chosen by matrix *structure* only —
     never by batch size — so a fixed seed gives bit-identical counts
@@ -210,19 +219,21 @@ def _compile_span(
     * ``("diag", tensor)`` — broadcast in-place multiply;
     * ``("perm", ((out_sel, in_sel, phase), ...))`` — monomial matrix
       as slice copies (phase ``None`` means exactly 1);
-    * ``("mul1", matrix, qubit)`` — dense 1q gate as four elementwise
+    * ``("mul1", matrix, axis)`` — dense 1q gate as four elementwise
       axpy ops on the two sub-lattices (no transpose copies);
-    * ``("gen", matrix, qubits)`` — dense multi-qubit fallback through
+    * ``("gen", matrix, axes)`` — dense multi-qubit fallback through
       :func:`~repro.simulator.kernels.apply_matrix_batch`.
     """
+    width = len(layout)
     compiled: List[Tuple] = []
     for op in ops:
+        axes = tuple(layout[qubit] for qubit in op.qubits)
         if op.diag is not None:
             # diagonal PlanOps store the smallest qubit as the most
             # significant bit, which is exactly the broadcast layout
-            shape = [1] * (num_qubits + 1)
-            for qubit in op.qubits:
-                shape[qubit + 1] = 2
+            shape = [1] * (width + 1)
+            for axis in axes:
+                shape[axis + 1] = 2
             diag = op.diag.astype(dtype, copy=False)
             compiled.append(
                 ("diag", np.ascontiguousarray(diag).reshape(shape))
@@ -231,25 +242,13 @@ def _compile_span(
         matrix = np.ascontiguousarray(op.matrix.astype(dtype))
         monomial = _monomial_table(matrix)
         if monomial is not None:
-            moves = _perm_moves(*monomial, tuple(op.qubits), num_qubits, dtype)
+            moves = _perm_moves(*monomial, axes, width, dtype)
             compiled.append(("perm", moves))
-        elif len(op.qubits) == 1:
-            compiled.append(("mul1", matrix, op.qubits[0]))
+        elif len(axes) == 1:
+            compiled.append(("mul1", matrix, axes[0]))
         else:
-            compiled.append(("gen", matrix, op.qubits))
+            compiled.append(("gen", matrix, axes))
     return tuple(compiled)
-
-
-class _SpanGate:
-    """A folded unitary channel operator, span-fusable like a gate."""
-
-    __slots__ = ("matrix", "qubits", "identity", "diagonal")
-
-    def __init__(self, matrix: np.ndarray, qubits: Tuple[int, ...]) -> None:
-        self.matrix = matrix
-        self.qubits = qubits
-        self.identity = matrix_is_identity(matrix)
-        self.diagonal = False if self.identity else _is_diagonal(matrix)
 
 
 class ChannelBinding:
@@ -266,9 +265,9 @@ class ChannelBinding:
       branch's ``monomials`` entry: its :func:`_monomial_decomposition`
       as ``(rows, phases)`` tuples, ``None`` when the branch is not
       monomial (or has ``p = 0``) — Pauli branches then run as slice
-      copies with phases — and, per chunk layout, the executor's
-      branch programs (:meth:`mixed_program`; both tables are shared
-      by value across bindings);
+      copies with phases — and, per place in a chunk layout, the
+      executor's branch programs (:meth:`mixed_program`; both tables
+      are shared by value across bindings);
     * Kraus channels carry the operator ``stack`` in
       :data:`~repro.simulator.noisy.ENSEMBLE_DTYPE`, the Gram matrices
       ``K^† K`` (candidate rows' branch norms come from their reduced
@@ -316,7 +315,7 @@ class ChannelBinding:
         self.operators = tuple(channel.kraus_operators)
         self.identity_flags = tuple(channel.scalar_identity_flags)
         self.cumulative = self.scaled_ops = self.monomials = None
-        self.programs: Dict[int, Tuple] = {}
+        self.programs: Dict[Tuple, Tuple] = {}
         self.superops: Dict[Tuple[int, ...], np.ndarray] = {}
         self.grams = self.stack = self.jump_bound = self.fold = None
         self.threshold = None
@@ -361,18 +360,21 @@ class ChannelBinding:
             )
         return binding
 
-    def mixed_program(self, num_qubits: int) -> Tuple[np.ndarray, Tuple]:
-        """This mixed-unitary binding's executor programs on a
-        *num_qubits* chunk layout (see :func:`_mixed_program`)."""
-        program = self.programs.get(num_qubits)
+    def mixed_program(
+        self, axes: Tuple[int, ...], width: int
+    ) -> Tuple[np.ndarray, Tuple]:
+        """This mixed-unitary binding's executor programs with its
+        qubits on *axes* of a *width*-qubit chunk layout (see
+        :func:`_mixed_program`)."""
+        key = (axes, width)
+        program = self.programs.get(key)
         if program is None:
             noops = tuple(
                 op is None or identity
                 for op, identity in zip(self.scaled_ops, self.identity_flags)
             )
             program = self.programs.setdefault(
-                num_qubits,
-                _mixed_program(self.monomials, noops, self.qubits, num_qubits),
+                key, _mixed_program(self.monomials, noops, axes, width)
             )
         return program
 
@@ -399,13 +401,17 @@ class ChannelBinding:
         )
 
 
-def _diagonal_tensor(factors: Dict[int, np.ndarray], num_qubits: int):
+def _diagonal_tensor(
+    factors: Dict[int, np.ndarray], layout: Dict[int, int]
+):
     """Per-qubit diagonals ``{qubit: f}`` as one ``diag`` span op tensor,
-    broadcasting over a ``(W, 2, ..., 2)`` chunk."""
-    tensor = np.ones((1,) * (num_qubits + 1))
+    broadcasting over a ``(W, 2, ..., 2)`` chunk in *layout* (see
+    :func:`_compile_span`)."""
+    width = len(layout)
+    tensor = np.ones((1,) * (width + 1))
     for qubit, factor in factors.items():
-        shape = [1] * (num_qubits + 1)
-        shape[qubit + 1] = 2
+        shape = [1] * (width + 1)
+        shape[layout[qubit] + 1] = 2
         tensor = tensor * np.reshape(factor, shape)
     return _read_only(tensor, ENSEMBLE_DTYPE)
 
@@ -435,23 +441,36 @@ def _fold_steps(
 ) -> List[Tuple]:
     """Lower a plan's steps for the trajectory ensemble.
 
-    Spans become layout-bound op lists of
-    :data:`~repro.simulator.noisy.ENSEMBLE_DTYPE` amplitudes
-    (:func:`_compile_span`), and each folded Kraus anchor's no-jump
-    diagonal ``K_0`` is deferred: it stays *pending* on its qubit until
-    the next span op on that qubit applies it first.  A row that does
-    not jump is then never touched at the anchor; the executor keeps
-    ``stored row = D^-1 · true state`` (up to a scalar), ``D`` the
-    product of every qubit's pending factor, and rewrites a row that
-    jumps as ``D'^-1 K_j D ·`` its copy, ``D'`` the product after the
-    anchor.
+    **Births.**  The executor starts with no qubit axis (every qubit is
+    exactly |0>, a tensor factor) and gives a qubit its axis at the
+    first step that touches it.  The born qubits, in physical order,
+    are the layout every op of a step compiles onto
+    (:func:`_compile_span`).  A span or channel step names the qubits
+    born at it, before its ops run; every qubit not yet born is born,
+    implicitly, before a mid-circuit measurement and after the last
+    step, so the collapse and the final sample see the full layout.
+
+    **Folds.**  Spans become layout-bound op lists of
+    :data:`~repro.simulator.noisy.ENSEMBLE_DTYPE` amplitudes, and each
+    folded Kraus anchor's no-jump diagonal ``K_0`` is deferred: it stays
+    *pending* on its qubit until the next span op on that qubit applies
+    it first.  A row that does not jump is then never touched at the
+    anchor; the executor keeps ``stored row = D^-1 · true state`` (up to
+    a scalar), ``D`` the product of every qubit's pending factor, and
+    rewrites a row that jumps as ``D'^-1 K_j D ·`` its copy, ``D'`` the
+    product after the anchor.
 
     A pending factor is the diagonal ``f`` (``f[0] = 1``).  The executor
-    tracks which are pending from the stream: span steps become
-    ``("span", ops, absorbed)``, where the qubits in *absorbed* leave
-    pending, and a folded Kraus anchor makes its binding's ``fold``
-    pending on its qubit — or, where one was pending there already, the
-    product, carried as ``("channel", binding, site, factor)``.
+    tracks which are pending from the stream.  Steps become
+
+    * ``("span", ops, absorbed, born)``, where the qubits in *absorbed*
+      leave pending;
+    * ``("channel", binding, site, factor, axes, born)``: *axes* are
+      the binding's qubits in the layout, and a folded Kraus anchor
+      makes its binding's ``fold`` pending on its qubit — or, where one
+      was pending there already, the product *factor* (else ``None``).
+      A channel step with no factor and no birth whose qubits sit on
+      their own axes stays the plan's ``("channel", binding, site)``.
 
     Pending factors are flushed — applied as one ``diag`` span — before
     a mixed-unitary anchor on their qubit (its branches do not commute
@@ -459,50 +478,67 @@ def _fold_steps(
     sample.  Where the product of ``1 - B`` over folded anchors since
     the rows were last normalised falls below :data:`_NORM_FLOOR`, a
     flush of every pending factor and a ``("normalise",)`` step follow
-    the anchor.  Other steps pass through unchanged.
+    the anchor.  Measure steps pass through unchanged.
     """
     compiled: List[Tuple] = []
     pending: Dict[int, np.ndarray] = {}  # qubit -> diagonal still owed
+    layout: Dict[int, int] = {}  # born qubit -> its axis
     shrink = 1.0
+
+    def bear(qubits) -> Tuple[int, ...]:
+        if len(layout) == num_qubits:
+            return ()
+        born = tuple(sorted({q for q in qubits if q not in layout}))
+        if born:
+            live = sorted([*layout, *born])
+            layout.update((q, axis) for axis, q in enumerate(live))
+        return born
 
     def flush(qubits) -> None:
         owed = {q: pending.pop(q) for q in qubits if q in pending}
         if owed:
-            tensor = _diagonal_tensor(owed, num_qubits)
+            tensor = _diagonal_tensor(owed, layout)
             compiled.append(
-                ("span", (("diag", tensor),), _shared(tuple(owed)))
+                ("span", (("diag", tensor),), _shared(tuple(owed)), ())
             )
 
     for step in steps:
         kind = step[0]
         if kind == "span":
+            born = bear(q for op in step[1] for q in op.qubits)
             before = set(pending)
             ops = [_absorb(op, pending) for op in step[1]]
             compiled.append(
                 (
                     "span",
-                    _compile_span(ops, ENSEMBLE_DTYPE, num_qubits),
+                    _compile_span(ops, ENSEMBLE_DTYPE, layout),
                     _shared(tuple(sorted(before - set(pending)))),
+                    born,
                 )
             )
             continue
         if kind == "measure":
             flush(list(pending))
+            bear(range(num_qubits))
             shrink = 1.0  # the collapse renormalises every row
             compiled.append(step)
             continue
         binding = step[1]
         if binding.kind == "mixed":
             flush(binding.qubits)
-        elif binding.fold is not None:
+        born = bear(binding.qubits)
+        factor = None
+        if binding.fold is not None:
             qubit = binding.qubits[0]
             if qubit in pending:
-                factor = binding.fold * pending[qubit]
-                pending[qubit] = _read_only(factor / factor[0])
-                step = step + (pending[qubit],)
+                product = binding.fold * pending[qubit]
+                factor = pending[qubit] = _read_only(product / product[0])
             else:
                 pending[qubit] = binding.fold
             shrink *= 1.0 - binding.jump_bound
+        axes = tuple(layout[q] for q in binding.qubits)
+        if factor is not None or born or axes != binding.qubits:
+            step = step + (factor, _shared(axes), born)
         compiled.append(step)
         if shrink < _NORM_FLOOR:
             flush(list(pending))
@@ -665,7 +701,7 @@ def build_noise_plan(
                     )
                 )
             continue
-        op = TracedOp(inst)
+        op = TracedOp.of(inst)
         dim = 1 << len(op.qubits)
         if op.matrix.shape != (dim, dim):
             raise ValueError(
@@ -684,9 +720,7 @@ def build_noise_plan(
                 # single Kraus + CPTP => unitary: no randomness, so it
                 # joins the span (and fuses) instead of anchoring
                 span.append(
-                    _SpanGate(
-                        np.asarray(channel.kraus_operators[0]), qubits
-                    )
+                    TracedOp(np.asarray(channel.kraus_operators[0]), qubits)
                 )
                 continue
             _flush_span()

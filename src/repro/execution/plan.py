@@ -71,20 +71,34 @@ def _is_diagonal(matrix: np.ndarray) -> bool:
 
 
 class TracedOp:
-    """One resolved gate from the trace pass.
+    """One resolved gate from the trace pass: a gate's matrix on its
+    qubits, or a single-operator (hence unitary) noise channel folded
+    into a span like a gate.
 
-    Keeps the source :class:`Instruction`, plus the classification
-    flags the lowering stage and the static checkers need.
+    Keeps the source :class:`Instruction` when there is one, plus the
+    classification flags the lowering stage and the static checkers
+    need.
     """
 
     __slots__ = ("matrix", "qubits", "instruction", "identity", "diagonal")
 
-    def __init__(self, instruction: Instruction) -> None:
+    def __init__(
+        self,
+        matrix: np.ndarray,
+        qubits: Tuple[int, ...],
+        instruction: Optional[Instruction] = None,
+    ) -> None:
         self.instruction = instruction
-        self.matrix = instruction.operation.matrix
-        self.qubits = instruction.qubits
-        self.identity = matrix_is_identity(self.matrix)
-        self.diagonal = False if self.identity else _is_diagonal(self.matrix)
+        self.matrix = matrix
+        self.qubits = qubits
+        self.identity = matrix_is_identity(matrix)
+        self.diagonal = False if self.identity else _is_diagonal(matrix)
+
+    @classmethod
+    def of(cls, instruction: Instruction) -> "TracedOp":
+        """The traced form of a gate *instruction*."""
+        matrix = instruction.operation.matrix
+        return cls(matrix, instruction.qubits, instruction)
 
 
 class PlanOp:

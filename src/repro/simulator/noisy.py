@@ -6,7 +6,20 @@ states: ``R <= W`` rows of :data:`ENSEMBLE_DTYPE` amplitudes in a
 ``(W, 2, ..., 2)`` buffer, with shot ``s`` holding row ``row_of[s]``.
 Every shot starts in |0...0>, so a chunk starts as one row; a row
 splits only where its shots draw different branches (one state per
-distinct jump record, the quantum-jump view).  Per step:
+distinct jump record, the quantum-jump view).
+
+The buffer holds only the qubits *born* so far, one axis each, in
+physical order (the live layout).  A qubit no step has touched is
+exactly |0> and a tensor factor of every row (Nielsen & Chuang, §4.4),
+so a chunk starts with no qubit axis, and the plan's compiled stream
+names the qubits born at each step and compiles every span op, mixed
+branch program and Kraus anchor onto the layout of the qubits born by
+then.  The buffer and its spare are C-contiguous prefix views of two
+flat stores sized for every qubit; a birth writes the live rows into
+the spare view one axis wider, with a zero |1> half, and swaps — at
+most ``n`` such copies per chunk and no allocation.  Every qubit not yet
+born is born before a mid-circuit measurement and after the last step,
+so collapses and the final sample see the full layout.  Per step:
 
 * fused noiseless spans execute through span programs compiled for the
   chunk layout: diagonals are one broadcast in-place multiply, monomial
@@ -59,7 +72,11 @@ shrink it allows since the last normalisation falls below its floor,
 which keeps complex64 amplitudes far from underflow.  All of these are
 elementwise, slice-wise or matrix-wise per row, so their arithmetic is
 bit-exact across chunk widths and row sharing: ``chunk_size=1`` (one
-row per shot) and the default chunk give the same counts.  The only
+row per shot) and the default chunk give the same counts.  Births are
+fixed by the plan, so every chunk runs the same layouts; against a
+full-width run they drop only exact zeros, which leaves elementwise
+and slice-wise arithmetic unchanged and shortens a Kraus anchor's norm
+and a renormalisation's sums by zero terms.  The only
 size-dependent arithmetic left is the GEMM route of
 :func:`~repro.simulator.kernels.apply_matrix_batch`, which non-monomial
 mixed-unitary branches and ``gen`` span ops (dense gates on 2+ qubits)
@@ -71,8 +88,9 @@ iff a *later* draw lands within ~1e-16 of a branch boundary.
 
 from __future__ import annotations
 
+import bisect
 import functools
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -140,40 +158,48 @@ def _evolve(
     plan, draws: List[np.ndarray], lo: int, hi: int
 ) -> Tuple["_Rows", np.ndarray]:
     """Run shots ``[lo, hi)`` through the compiled steps; returns the
-    final rows and the mid-circuit clbit values."""
-    width = hi - lo
+    final rows, every qubit born, and the mid-circuit clbit values."""
     n = plan.num_qubits
-    buffer = np.empty((width,) + (2,) * n, dtype=ENSEMBLE_DTYPE)
-    buffer[0] = 0
-    buffer[(0,) * (n + 1)] = 1.0
-    rows = _Rows(buffer, np.zeros(width, dtype=np.intp), count=1)
-
-    clbits = np.zeros(width, dtype=np.int64)
+    rows = _Rows.fresh(hi - lo, n)
+    clbits = np.zeros(hi - lo, dtype=np.int64)
     # qubit -> diagonal: no-jump factors the plan has folded into a
     # later span op (see noise_plan._fold_steps)
     pending = {}
+    born: List[int] = []  # the qubits with an axis, ascending
+    axes: Dict[int, int] = {}  # each born qubit's axis
     for step in plan.compiled_steps():
         kind = step[0]
         if kind == "span":
-            _execute_span(rows, step[1])
-            for qubit in step[2]:
+            _, ops, absorbed, births = step
+            if births:
+                axes = _bear(rows, born, births)
+            _execute_span(rows, ops)
+            for qubit in absorbed:
                 del pending[qubit]
         elif kind == "channel":
-            binding = step[1]
-            uniforms = draws[step[2]][lo:hi]
+            binding, site = step[1], step[2]
+            # a channel step carried as the plan's own: no factor, no
+            # birth, its qubits on their own axes
+            factor, targets, births = step[3:] or (None, binding.qubits, ())
+            if births:
+                axes = _bear(rows, born, births)
+            uniforms = draws[site][lo:hi]
             if binding.kind == "mixed":
-                _apply_mixed(rows, binding, uniforms)
+                _apply_mixed(rows, binding, uniforms, targets)
                 continue
             folded = None
             if binding.fold is not None:
-                folded = step[3] if len(step) > 3 else binding.fold
+                folded = binding.fold if factor is None else factor
                 folded = folded.astype(ENSEMBLE_DTYPE)
-            _apply_kraus(rows, binding, uniforms, pending, folded)
+            _apply_kraus(
+                rows, binding, uniforms, pending, folded, targets, axes
+            )
             if folded is not None:
                 pending[binding.qubits[0]] = folded
         elif kind == "normalise":
             _normalise(rows)
-        else:  # "measure"
+        else:  # "measure": every qubit is born before a collapse
+            axes = _bear(rows, born, range(n))
             _, qubit, clbit, site, readout, readout_site = step
             outcome = _collapse_measure(rows, qubit, draws[site][lo:hi])
             bits = outcome.astype(np.int64)
@@ -183,7 +209,19 @@ def _evolve(
                 )
                 bits ^= flips.astype(np.int64)
             clbits = (clbits & ~(1 << clbit)) | (bits << clbit)
+    _bear(rows, born, range(n))
     return rows, clbits
+
+
+def _bear(rows: "_Rows", born: List[int], qubits) -> Dict[int, int]:
+    """Give each of *qubits* not in *born* (the chunk's layout, ascending)
+    an axis in |0>, in physical order; returns each born qubit's axis."""
+    for qubit in qubits:
+        if qubit not in born:
+            axis = bisect.bisect(born, qubit)
+            born.insert(axis, qubit)
+            rows.bear(axis)
+    return {qubit: axis for axis, qubit in enumerate(born)}
 
 
 def report_outcomes(plan, outcomes: np.ndarray, draws, lo: int, hi: int):
@@ -207,25 +245,45 @@ class _Rows:
     """A chunk's distinct states and the row each shot holds.
 
     ``buffer[:count]`` are the live rows of a ``(W, 2, ..., 2)`` buffer,
-    and shot ``s`` holds row ``row_of[s]``.  An op that cannot run in
-    place writes into :meth:`output`, and :meth:`swap` makes that the
-    buffer; :meth:`split` appends rows into the buffer's free tail.
-    Every row is held by at least one shot, so ``count <= W`` and no
-    step reallocates the chunk.
+    one axis per born qubit, and shot ``s`` holds row ``row_of[s]``.
+    An op that cannot run in place writes into :meth:`output`, and
+    :meth:`swap` makes that the buffer; :meth:`split` appends rows into
+    the buffer's free tail.  Every row is held by at least one shot, so
+    ``count <= W``.  ``buffer`` and ``spare`` are C-contiguous prefix
+    views of the two flat ``stores``; :meth:`bear` widens both by one
+    axis, so no step reallocates the chunk.
     """
 
-    __slots__ = ("buffer", "spare", "row_of", "count")
+    __slots__ = ("buffer", "spare", "row_of", "count", "stores")
 
     def __init__(
         self,
         buffer: np.ndarray,
         row_of: np.ndarray,
         count: Optional[int] = None,
+        stores: Optional[List[np.ndarray]] = None,
     ) -> None:
+        if stores is None:
+            stores = [buffer.reshape(-1), np.empty(buffer.size, buffer.dtype)]
+        self.stores = stores
         self.buffer = buffer
-        self.spare = np.empty_like(buffer)
+        self.spare = stores[1][: buffer.size].reshape(buffer.shape)
         self.row_of = row_of
         self.count = buffer.shape[0] if count is None else count
+
+    @classmethod
+    def fresh(cls, shots: int, num_qubits: int) -> "_Rows":
+        """*shots* shots sharing one row of no qubit axis (the state
+        ``1``), with stores that fit every one of *num_qubits* born."""
+        stores = [
+            np.empty(shots << num_qubits, dtype=ENSEMBLE_DTYPE)
+            for _ in range(2)
+        ]
+        rows = cls(
+            stores[0][:shots], np.zeros(shots, dtype=np.intp), 1, stores
+        )
+        rows.buffer[0] = 1.0
+        return rows
 
     @property
     def states(self) -> np.ndarray:
@@ -237,6 +295,22 @@ class _Rows:
 
     def swap(self) -> None:
         self.buffer, self.spare = self.spare, self.buffer
+        self.stores.reverse()
+
+    def bear(self, axis: int) -> None:
+        """Insert a qubit in |0> at layout *axis*: the live rows move into
+        the spare store one axis wider, with a zero |1> half, and the
+        stores swap."""
+        shots, count = self.buffer.shape[0], self.count
+        shape = (shots,) + (2,) * self.buffer.ndim
+        size = shots << (len(shape) - 1)
+        wider = self.stores[1][:size].reshape(shape)
+        halves = wider[:count].reshape(count << axis, 2, -1)
+        halves[:, 0] = self.states.reshape(count << axis, -1)
+        halves[:, 1] = 0
+        self.buffer = wider
+        self.spare = self.stores[0][:size].reshape(shape)
+        self.stores.reverse()
 
     def split(
         self, choice: np.ndarray, columns: int
@@ -321,11 +395,14 @@ def _execute_span(rows: _Rows, ops) -> None:
             batch[...] = apply_matrix_batch(batch, op[1], op[2])
 
 
-def _apply_mixed(rows: _Rows, binding, uniforms: np.ndarray) -> None:
+def _apply_mixed(
+    rows: _Rows, binding, uniforms: np.ndarray, targets: Tuple[int, ...]
+) -> None:
     """One mixed-unitary channel: each shot draws its branch from the
     fixed cumulative table, rows split by branch, and each branch's
-    program runs on its rows (no-op branches share one column)."""
-    columns, programs = binding.mixed_program(rows.buffer.ndim - 1)
+    program runs on its rows (no-op branches share one column).
+    *targets* are the binding's qubits in the chunk's layout."""
+    columns, programs = binding.mixed_program(targets, rows.buffer.ndim - 1)
     branches = np.minimum(
         np.searchsorted(binding.cumulative, uniforms, side="right"),
         binding.num_branches - 1,
@@ -336,21 +413,23 @@ def _apply_mixed(rows: _Rows, binding, uniforms: np.ndarray) -> None:
         program = programs[column]
         if program is None:
             continue
-        targets = np.flatnonzero(row_columns == column)
-        source = batch[targets]
+        drew = np.flatnonzero(row_columns == column)
+        source = batch[drew]
         if program[0] == "perm":
             out = _permute(source, program[1], np.empty_like(source))
         else:
             op = binding.scaled_ops[program[1]]
-            out = apply_matrix_batch(source, op, binding.qubits)
-        batch[targets] = out
+            out = apply_matrix_batch(source, op, targets)
+        batch[drew] = out
 
 
-def _scale(rows: np.ndarray, factors) -> None:
-    """Multiply flat ``(R, 2^n)`` *rows* in place by per-qubit diagonals
-    ``{qubit: f}``, qubit 0 most significant."""
+def _scale(rows: np.ndarray, factors, axes=None) -> None:
+    """Multiply flat ``(R, 2^w)`` *rows* in place by per-qubit diagonals
+    ``{qubit: f}``, axis 0 most significant; *axes* maps each qubit to
+    its axis (default: the full layout, where they are equal)."""
     for qubit, factor in factors.items():
-        view = rows.reshape(rows.shape[0] << qubit, 2, -1)
+        axis = qubit if axes is None else axes[qubit]
+        view = rows.reshape(rows.shape[0] << axis, 2, -1)
         view *= factor[:, None]
 
 
@@ -368,16 +447,22 @@ _PAIR = np.ones(2, dtype=ENSEMBLE_DTYPE)
 
 
 @functools.lru_cache(maxsize=1024)
-def _target_axes(qubits: Tuple[int, ...], num_qubits: int) -> Tuple:
-    """The transpose of a ``(R, 2, ..., 2)`` batch that puts *qubits*
-    first, in the listed order, and its inverse."""
-    order = [1 + q for q in qubits]
-    order = [0] + order + [a for a in range(1, num_qubits + 1) if a not in order]
+def _target_axes(axes: Tuple[int, ...], width: int) -> Tuple:
+    """The transpose of a ``(R, 2, ..., 2)`` batch of *width* qubit axes
+    that puts *axes* first, in the listed order, and its inverse."""
+    order = [1 + a for a in axes]
+    order = [0] + order + [a for a in range(1, width + 1) if a not in order]
     return tuple(order), tuple(np.argsort(order))
 
 
 def _apply_kraus(
-    rows: _Rows, binding, uniforms: np.ndarray, pending=None, folded=None
+    rows: _Rows,
+    binding,
+    uniforms: np.ndarray,
+    pending=None,
+    folded=None,
+    targets=None,
+    axes=None,
 ) -> np.ndarray:
     """A general Kraus channel on a chunk; returns each shot's branch.
 
@@ -385,6 +470,9 @@ def _apply_kraus(
     later span op to that diagonal, so a row's true state is its stored
     copy times every pending factor; *folded* is this anchor's own
     pending factor after it, ``None`` when the anchor does not fold.
+    *targets* are the binding's qubits in the chunk's layout and *axes*
+    maps every born qubit to its axis (both default to the full
+    layout, where axes are qubits).
     Only *candidate* shots, whose uniform exceeds ``binding.threshold``,
     can leave branch 0 (any state has ``p_0 >= 1 - B``).  Their rows
     are gathered and scaled to the true state, and each candidate draws
@@ -404,7 +492,8 @@ def _apply_kraus(
         sources = np.unique(sources)
     n = rows.buffer.ndim - 1
     k = len(binding.qubits)
-    forward, inverse = _target_axes(binding.qubits, n)
+    targets = binding.qubits if targets is None else targets
+    forward, inverse = _target_axes(targets, n)
     layout = (sources.size,) + (2,) * n
 
     def targets_first(batch):
@@ -419,7 +508,7 @@ def _apply_kraus(
     true = stored
     if pending:
         true = stored.copy()
-        _scale(true, pending)
+        _scale(true, pending, axes)
     psi = targets_first(true)
     rho = psi @ psi.conj().transpose(0, 2, 1)
     norms = np.einsum("bij,sji->bs", binding.grams, rho).real

@@ -217,17 +217,54 @@ class TestPlanContracts:
                 (out, src, None) for out, src, _ in compiled[absorbing][1][0][1]
             )
             compiled[absorbing] = (
-                "span", (("perm", moves),), compiled[absorbing][2]
+                ("span", (("perm", moves),)) + compiled[absorbing][2:]
             )
         elif table == "absorbed":
             # the executor would keep a factor pending that was applied
-            compiled[absorbing] = compiled[absorbing][:2] + ((),)
+            compiled[absorbing] = (
+                compiled[absorbing][:2] + ((),) + compiled[absorbing][3:]
+            )
         else:
             # the final sample would see the stored, not the true, state
             assert compiled[-1][0] == "span" and compiled[-1][2]
             compiled.pop()
         report = check_noise_plan(plan)
         assert rule in {v.rule for v in report.violations}
+
+    @pytest.mark.parametrize("corruption", ["unborn", "reborn", "axes"])
+    def test_birth_corruption_rejected(self, corruption):
+        model = NoiseModel()
+        model.add_all_qubit_quantum_error(amplitude_damping(0.1), ["h", "cx"])
+        circuit = ghz_circuit(3)
+        plan = build_noise_plan(circuit, model)
+        assert check_noise_plan(plan, circuit, model).ok
+        compiled = plan.compiled_steps()
+        # qubits 0, 1 and 2 are born at the spans of h(0), cx(0, 1) and
+        # cx(1, 2), and each anchor follows its gate's span
+        births = [
+            (i, step[3])
+            for i, step in enumerate(compiled)
+            if step[0] == "span" and step[3]
+        ]
+        assert [born for _, born in births] == [(0,), (1,), (2,)]
+        last = births[-1][0]
+        if corruption == "unborn":
+            # cx(1, 2) compiled onto qubit 2 before anything bears it
+            compiled[last] = compiled[last][:-1] + ((),)
+        elif corruption == "reborn":
+            compiled[last] = compiled[last][:-1] + ((0, 2),)
+        else:
+            # the damping on qubit 2 after cx(1, 2) acts on qubit 1's axis
+            anchor = next(
+                i for i, step in enumerate(compiled)
+                if i > last and step[0] == "channel"
+                and step[1].qubits == (2,)
+            )
+            # every qubit is born: the step stays the plan's own
+            assert len(compiled[anchor]) == 3
+            compiled[anchor] = compiled[anchor] + (None, (1,), ())
+        report = check_noise_plan(plan)
+        assert "fold-birth" in {v.rule for v in report.violations}
 
     @pytest.mark.parametrize(
         "corruption", ["phase", "fake-monomial", "dropped-monomial"]

@@ -38,7 +38,7 @@ def test_sequential_full_search_is_one_pass(problem, prefilter, monkeypatch):
     evaluate = parallel._evaluate_chunk
     calls = []
 
-    def counted(task, context=None):
+    def counted(task, context):
         calls.append((task.start, task.stop))
         return evaluate(task, context)
 

@@ -2,8 +2,10 @@
 dispatch-order shuffling, chunks that cut subset groups, and the
 composed check's memory bound."""
 
+import concurrent.futures
 import multiprocessing
 import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -86,6 +88,34 @@ class TestParallelBitIdentity:
         assert pids.count(str(os.getpid())) == 1
         workers = [pid for pid in pids if pid != str(os.getpid())]
         assert 1 <= len(workers) <= 2 and len(set(workers)) == len(workers)
+
+    def test_pool_tasks_carry_only_their_range(
+        self, mismatched_problem, monkeypatch
+    ):
+        # the workers' initializer receives the problem once; a task
+        # pickles a function reference and two ints
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                sizes.append(len(pickle.dumps((fn, args, kwargs))))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", Recording
+        )
+        options = SearchOptions(chunk_size=4, record_all=True)
+        attack = get_attack("mismatched")
+        sequential = attack.search(mismatched_problem, options)
+        pooled = attack.search(
+            mismatched_problem, SearchOptions(
+                chunk_size=4, record_all=True, jobs=2
+            )
+        )
+        assert outcome_key(pooled) == outcome_key(sequential)
+        assert len(sizes) == -(-sequential.search_space // 4) > 1
+        assert max(sizes) <= 128
+        assert max(sizes) < len(pickle.dumps(mismatched_problem)) // 4
 
     def test_jobs_equal_sequential_with_prefilter_and_recording(
         self, mismatched_problem

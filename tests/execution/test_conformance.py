@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 import pytest
-
+from birth_circuits import late_birth_circuit, untouched_qubit_circuit
 from kraus_models import exaggerated_model, kraus_route_models
 from reference_sim import LOWERINGS, apply_readout, evolve_density, lowering
 
@@ -181,6 +181,36 @@ def test_exaggerated_rates_match_density(fusion):
     distance = 0.5 * np.abs(empirical - exact).sum()
     assert distance <= _tvd_bound(circuit.num_qubits), (
         f"exaggerated@{fusion}: TVD {distance:.4f} to the density engine"
+    )
+
+
+@pytest.mark.parametrize("fusion", LOWERINGS)
+@pytest.mark.parametrize(
+    "make",
+    [late_birth_circuit, untouched_qubit_circuit],
+    ids=["late-birth", "untouched-qubit"],
+)
+def test_late_births_match_density(make, fusion):
+    """A qubit first touched by the last gate, and a measured qubit no
+    gate touches: the ensemble gives each an axis late or only at the
+    final sample."""
+    circuit = make()
+    model = valencia_like_backend(circuit.num_qubits).noise_model()
+    exact = _exact_distribution(circuit, model)
+
+    with lowering(fusion):
+        counts = run(
+            circuit, SHOTS, noise_model=model, method="trajectory",
+            seed=2025,
+        )
+    empirical = np.zeros_like(exact)
+    for bitstring, count in counts.items():
+        empirical[int(bitstring, 2)] = count / SHOTS
+
+    distance = 0.5 * np.abs(empirical - exact).sum()
+    assert distance <= _tvd_bound(circuit.num_qubits), (
+        f"{make.__name__}@{fusion}: TVD {distance:.4f} to the density "
+        "engine"
     )
 
 

@@ -3,6 +3,7 @@
 import functools
 
 import pytest
+from birth_circuits import late_birth_circuit, untouched_qubit_circuit
 
 from repro.circuits import QuantumCircuit, random_circuit
 from repro.execution import ENGINES, run, select_engine
@@ -307,4 +308,34 @@ class TestRegressionPins:
         assert dict(counts) == {
             "000": 635, "001": 15, "010": 13, "011": 228, "100": 12,
             "101": 25, "110": 64, "111": 8,
+        }
+
+    def test_late_birth_counts(self):
+        # qubit 4 is first touched by the last gate
+        circuit = late_birth_circuit()
+        model = valencia_like_backend(5).noise_model()
+        counts = run(
+            circuit, 1000, noise_model=model, method="trajectory", seed=7
+        )
+        assert dict(counts) == {
+            "00000": 295, "00001": 25, "00010": 7, "00011": 10,
+            "00100": 294, "00101": 15, "00110": 5, "00111": 6,
+            "01000": 4, "01010": 2, "01011": 4, "01100": 5, "01110": 1,
+            "01111": 2, "10000": 6, "10010": 1, "10011": 1, "10100": 4,
+            "10110": 2, "10111": 3, "11000": 19, "11001": 4, "11010": 40,
+            "11011": 93, "11100": 18, "11101": 2, "11110": 37,
+            "11111": 95,
+        }
+
+    def test_untouched_measured_qubit_counts(self):
+        # qubit 3 is measured, and only its readout error acts on it
+        circuit = untouched_qubit_circuit()
+        model = valencia_like_backend(4).noise_model()
+        counts = run(
+            circuit, 1000, noise_model=model, method="trajectory", seed=7
+        )
+        assert dict(counts) == {
+            "0000": 326, "0001": 8, "0010": 20, "0011": 122, "0100": 349,
+            "0101": 6, "0110": 20, "0111": 137, "1000": 4, "1010": 1,
+            "1011": 1, "1100": 4, "1111": 2,
         }

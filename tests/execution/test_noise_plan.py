@@ -38,6 +38,7 @@ from repro.noise import (
     depolarizing,
     valencia_like_backend,
 )
+from repro.simulator import noisy
 from repro.simulator.noisy import ENSEMBLE_DTYPE
 
 
@@ -135,6 +136,36 @@ class TestChannelPrecompute:
             atol=1e-6,
         )
         assert compiled[-1][0] == "span" and compiled[-1][2] == (1,)
+
+    def test_qubits_are_born_at_their_first_step(self):
+        # qubit 2 is first touched by the CX, qubit 0 by the last gate,
+        # and qubit 3 by no gate: the final sample bears it
+        model = NoiseModel()
+        model.add_all_qubit_quantum_error(amplitude_damping(0.2), ["h"])
+        circuit = QuantumCircuit(4)
+        circuit.h(1).cx(1, 2).h(0)
+        plan = noise_plan_at(circuit, model, "none")
+        compiled = plan.compiled_steps()
+        assert [s[0] for s in compiled] == [
+            "span", "channel", "span", "channel", "span"
+        ]
+        assert [compiled[i][3] for i in (0, 2, 4)] == [(1,), (0, 2), ()]
+        # h(1) runs on a 1-qubit layout, where its anchor sits on axis 0
+        assert compiled[0][1][0][0] == "mul1" and compiled[0][1][0][2] == 0
+        assert compiled[1][3:] == (None, (0,), ())
+        # the span of the CX and h(0) bears qubits 0 and 2 first and
+        # holds 0, 1, 2 on axes 0, 1, 2
+        cx, h0 = compiled[2][1]
+        assert cx[0] == "perm" and all(len(m[0]) == 4 for m in cx[1])
+        assert h0[0] == "mul1" and h0[2] == 0
+        # qubit 0 sits on axis 0: h(0)'s anchor stays the plan's step
+        assert compiled[3] == plan.steps[3]
+        # the flush of qubit 0's pending K0 before the final sample
+        assert compiled[4][2] == (0,) and compiled[4][1][0][1].ndim == 4
+        rows, _ = noisy._evolve(
+            plan, [np.full(2, 0.5)] * plan.num_sites, 0, 2
+        )
+        assert rows.states.shape == (1, 2, 2, 2, 2)
 
     def test_trace_time_arrays_are_frozen(self):
         for channel in (depolarizing(0.1), amplitude_damping(0.2)):

@@ -51,7 +51,7 @@ def _gates(circuit):
 def traced_gates(circuit):
     """The gates of *circuit* as :class:`~repro.execution.plan.TracedOp`
     in program order, identities included."""
-    return [plan_module.TracedOp(inst) for inst in _gates(circuit)]
+    return [plan_module.TracedOp.of(inst) for inst in _gates(circuit)]
 
 
 def span_ops(plan):

@@ -565,6 +565,32 @@ class TestKrausKernel:
         assert not batch[0, 0].any() and not batch[1, 1].any()
 
 
+class TestBirth:
+    """A chunk starts with no qubit axis; a birth adds one in |0>."""
+
+    def test_bear_inserts_a_zero_half_in_place(self):
+        rows = _Rows.fresh(5, 3)
+        stores = [id(store) for store in rows.stores]
+        assert rows.states.shape == (1,) and rows.states[0] == 1
+        rows.bear(0)
+        np.testing.assert_array_equal(rows.states, [[1, 0]])
+        rng = np.random.default_rng(4)
+        rows.count = 2
+        rows.states[...] = rng.standard_normal((2, 2))
+        before = rows.states.copy()
+        rows.bear(0)  # before the born axis: it moves to axis 1
+        rows.bear(2)  # after both
+        expected = np.zeros((2, 2, 2, 2), dtype=ENSEMBLE_DTYPE)
+        expected[:, 0, :, 0] = before
+        np.testing.assert_array_equal(rows.states, expected)
+        assert rows.buffer.shape == rows.spare.shape == (5, 2, 2, 2)
+        assert rows.buffer.flags.c_contiguous
+        # the two stores swapped roles, nothing was allocated
+        assert sorted(id(store) for store in rows.stores) == sorted(stores)
+        assert np.shares_memory(rows.buffer, rows.stores[0])
+        assert np.shares_memory(rows.spare, rows.stores[1])
+
+
 class TestRowSplit:
     """Shots share a row until they draw different branches."""
 
