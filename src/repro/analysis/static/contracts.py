@@ -560,16 +560,46 @@ def _same_compiled_op(got, want) -> bool:
     if got[0] != want[0] or len(got) != len(want):
         return False
     if got[0] == "perm":
-        return len(got[1]) == len(want[1]) and all(
-            g[:2] == w[:2]
-            and abs((g[2] or 1) - (w[2] or 1)) <= _STACK_ATOL
-            for g, w in zip(got[1], want[1])
+        got_moves, want_moves = _block_moves(got[1]), _block_moves(want[1])
+        return (
+            got_moves is not None
+            and len(got_moves) == len(want_moves)
+            and all(
+                g[:2] == w[:2] and abs(g[2] - w[2]) <= _STACK_ATOL
+                for g, w in zip(got_moves, want_moves)
+            )
         )
     return (
         got[2:] == want[2:]
         and got[1].shape == want[1].shape
         and bool(np.allclose(got[1], want[1], atol=_STACK_ATOL))
     )
+
+
+def _block_moves(cycles) -> list:
+    """In-place cycle moves (``_perm_moves``) as sorted ``(to, from,
+    phase)`` block moves, each block a tuple of fixed bits (``-1`` for
+    a free axis); fixed points within tolerance of phase 1 are dropped,
+    as the compiler drops those exactly 1.  ``None`` when a cycle is
+    malformed: blocks repeated, a phase missing, or a fixed point
+    without one (the executor multiplies a fixed point by its phase)."""
+    def key(block):
+        return tuple(-1 if isinstance(b, slice) else b for b in block)
+
+    moves = []
+    for blocks, phases in cycles:
+        if (
+            len(phases) != len(blocks)
+            or len(set(map(key, blocks))) != len(blocks)
+            or len(blocks) == 1 and phases[0] is None
+        ):
+            return None
+        for i, (block, phase) in enumerate(zip(blocks, phases)):
+            to = key(blocks[(i + 1) % len(blocks)])
+            phase = 1 if phase is None else complex(phase)
+            if to != key(block) or abs(phase - 1) > _STACK_ATOL:
+                moves.append((to, key(block), phase))
+    return sorted(moves, key=lambda move: move[:2])
 
 
 def _check_folds(report: Report, plan: NoisePlan) -> None:

@@ -102,7 +102,14 @@ def _monomial_decomposition(matrix: np.ndarray):
 
 def _monomial_table(matrix: np.ndarray):
     """:func:`_monomial_decomposition` as hashable ``(rows, phases)``
-    tuples (the :func:`_perm_moves` key), or ``None``."""
+    tuples (the :func:`_perm_moves` key), or ``None``; memoised per
+    distinct matrix (by its bytes, so equal tables are one object)."""
+    return _monomial_of(matrix.shape[0], matrix.dtype, matrix.tobytes())
+
+
+@functools.lru_cache(maxsize=4096)
+def _monomial_of(dim: int, dtype: np.dtype, data: bytes):
+    matrix = np.frombuffer(data, dtype=dtype).reshape(dim, dim)
     monomial = _monomial_decomposition(matrix)
     if monomial is None:
         return None
@@ -133,7 +140,7 @@ def _mixed_program(
     (``None`` or a scalar identity) sharing the first one's, so they
     never split a row; ``programs[b]`` is ``None`` for a no-op,
     ``("perm", moves)`` for a monomial (Pauli) branch — the span
-    kernels' slice copies — and ``("gen", b)`` for a dense one, applied
+    kernels' in-place cycle moves — and ``("gen", b)`` for a dense one, applied
     from the binding's ``scaled_ops[b]``.  *axes* are the binding's
     qubits in a layout of *width* born qubits.  Keyed by value, so
     equal channels on equal axes share one program.
@@ -179,27 +186,48 @@ def _perm_moves(
     width: int,
     dtype: np.dtype,
 ) -> Tuple:
-    """The ``(out_sel, in_sel, phase)`` slice copies of a monomial gate
-    on *axes* of a *width*-qubit layout (phase ``None`` means exactly
-    1); memoised, so every compiled span applying the same permutation
-    on the same axes shares one.
+    """A monomial gate on *axes* of a *width*-qubit layout as in-place
+    cycle moves ``(blocks, phases)``; memoised, so every compiled span
+    applying the same permutation on the same axes shares one.
+
+    *blocks* are the selectors of one cycle of the permutation: block
+    ``i`` moves to block ``i + 1`` (the last to the first), multiplied
+    by ``phases[i]`` (``None`` means exactly 1).  A one-block cycle is a
+    fixed point with a phase, one in-place multiply; a fixed point with
+    phase 1 emits nothing.  Each element still gets one copy or one
+    multiply, so the result equals the out-of-place application bit for
+    bit.
 
     Phases are tested after the cast to *dtype*: a Pauli channel's
     ``K / sqrt(p)`` has complex128 entries one ulp off 1 that are
-    exactly 1 in complex64.  A gate on the last axis keeps its unit
-    phases: its selectors fix the innermost axis, and numpy copies such
-    unit-stride-free views ~3x slower than it multiplies them by one
-    (measured on 10-qubit, 50-row chunks).
+    exactly 1 in complex64.  A gate on the last axis keeps the unit
+    phases of its cycles: its selectors fix the innermost axis, and
+    numpy copies such unit-stride-free views ~3x slower than it
+    multiplies them by one (measured on 10-qubit, 50-row chunks).
     """
     inner = width - 1 in axes
-    return tuple(
-        (
-            _basis_selector(row, axes, width),
-            _basis_selector(j, axes, width),
-            None if (cast := dtype.type(phase)) == 1 and not inner else cast,
+    cast = [dtype.type(phase) for phase in phases]
+    moves = []
+    seen = set()
+    for start in range(len(rows)):
+        if start in seen:
+            continue
+        cycle = [start]
+        while rows[cycle[-1]] != start:
+            cycle.append(rows[cycle[-1]])
+        seen.update(cycle)
+        if len(cycle) == 1 and cast[start] == 1:
+            continue
+        moves.append(
+            (
+                tuple(_basis_selector(j, axes, width) for j in cycle),
+                tuple(
+                    None if cast[j] == 1 and not inner else cast[j]
+                    for j in cycle
+                ),
+            )
         )
-        for j, (row, phase) in enumerate(zip(rows, phases))
-    )
+    return tuple(moves)
 
 
 def _compile_span(
@@ -217,8 +245,8 @@ def _compile_span(
     for every chunk width:
 
     * ``("diag", tensor)`` — broadcast in-place multiply;
-    * ``("perm", ((out_sel, in_sel, phase), ...))`` — monomial matrix
-      as slice copies (phase ``None`` means exactly 1);
+    * ``("perm", ((blocks, phases), ...))`` — monomial matrix as
+      in-place cycle moves (:func:`_perm_moves`);
     * ``("mul1", matrix, axis)`` — dense 1q gate as four elementwise
       axpy ops on the two sub-lattices (no transpose copies);
     * ``("gen", matrix, axes)`` — dense multi-qubit fallback through

@@ -348,15 +348,29 @@ class _Rows:
         return np.concatenate([kept, extra]), sources
 
 
-def _permute(batch: np.ndarray, moves, out: np.ndarray) -> np.ndarray:
-    """A monomial op as its ``(out_sel, in_sel, phase)`` slice copies
-    from *batch* into *out* (phase ``None`` means exactly 1)."""
-    for out_sel, in_sel, phase in moves:
-        if phase is None:
-            out[out_sel] = batch[in_sel]
-        else:
-            np.multiply(batch[in_sel], phase, out=out[out_sel])
-    return out
+def _permute(batch: np.ndarray, moves, store: np.ndarray) -> None:
+    """A monomial op's in-place cycle moves on *batch* (see
+    :func:`repro.execution.noise_plan._perm_moves`): a cycle saves its
+    last block into scratch taken from the flat *store* (which must not
+    hold *batch*), moves every other block one place along, and writes
+    the saved block to the first place."""
+    for blocks, phases in moves:
+        last = batch[blocks[-1]]
+        if len(blocks) == 1:
+            last *= phases[0]
+            continue
+        saved = store[: last.size].reshape(last.shape)
+        saved[...] = last
+        for i in range(len(blocks) - 1, 0, -1):
+            _move(batch[blocks[i - 1]], phases[i - 1], batch[blocks[i]])
+        _move(saved, phases[-1], batch[blocks[0]])
+
+
+def _move(source: np.ndarray, phase, out: np.ndarray) -> None:
+    if phase is None:
+        out[...] = source
+    else:
+        np.multiply(source, phase, out=out)
 
 
 def _execute_span(rows: _Rows, ops) -> None:
@@ -374,8 +388,7 @@ def _execute_span(rows: _Rows, ops) -> None:
         if tag == "diag":
             batch *= op[1]
         elif tag == "perm":
-            _permute(batch, op[1], rows.output())
-            rows.swap()
+            _permute(batch, op[1], rows.stores[1])
         elif tag == "mul1":
             _, matrix, qubit = op
             n = batch.ndim - 1
@@ -416,21 +429,27 @@ def _apply_mixed(
         drew = np.flatnonzero(row_columns == column)
         source = batch[drew]
         if program[0] == "perm":
-            out = _permute(source, program[1], np.empty_like(source))
+            _permute(source, program[1], rows.stores[1])
         else:
             op = binding.scaled_ops[program[1]]
-            out = apply_matrix_batch(source, op, targets)
-        batch[drew] = out
+            source = apply_matrix_batch(source, op, targets)
+        batch[drew] = source
 
 
 def _scale(rows: np.ndarray, factors, axes=None) -> None:
     """Multiply flat ``(R, 2^w)`` *rows* in place by per-qubit diagonals
-    ``{qubit: f}``, axis 0 most significant; *axes* maps each qubit to
-    its axis (default: the full layout, where they are equal)."""
+    ``{qubit: f}``, axis 0 most significant, in one broadcast multiply;
+    *axes* maps each qubit to its axis (default: the full layout, where
+    they are equal)."""
+    width = rows.shape[1].bit_length() - 1
+    product = None
     for qubit, factor in factors.items():
-        axis = qubit if axes is None else axes[qubit]
-        view = rows.reshape(rows.shape[0] << axis, 2, -1)
-        view *= factor[:, None]
+        shape = [1] * width
+        shape[qubit if axes is None else axes[qubit]] = 2
+        factor = factor.reshape(shape)
+        product = factor if product is None else product * factor
+    if product is not None:
+        rows *= np.broadcast_to(product, (2,) * width).reshape(-1)
 
 
 def _local(factors, qubits: Tuple[int, ...]) -> np.ndarray:

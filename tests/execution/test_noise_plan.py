@@ -127,14 +127,14 @@ class TestChannelPrecompute:
         assert [s[0] for s in steps] == ["span", "channel", "span",
                                          "channel"]
         # K0 on qubit 0 is pending after the first anchor; the CX takes
-        # it as its moves' scalars and the final sample flushes qubit 1
+        # it as the phases of its one cycle (the control-1 blocks swap;
+        # the control-0 blocks are fixed with phase 1 and emit nothing)
+        # and the final sample flushes qubit 1
         span, absorbed = compiled[2][1], compiled[2][2]
         assert absorbed == (0,)
-        phases = [1 if p is None else p for _, _, p in span[0][1]]
-        np.testing.assert_allclose(
-            sorted(np.abs(phases)), [np.sqrt(0.8)] * 2 + [1.0] * 2,
-            atol=1e-6,
-        )
+        (blocks, phases), = span[0][1]
+        assert [block[1:] for block in blocks] == [(1, 0), (1, 1)]
+        np.testing.assert_allclose(phases, [np.sqrt(0.8)] * 2, atol=1e-6)
         assert compiled[-1][0] == "span" and compiled[-1][2] == (1,)
 
     def test_qubits_are_born_at_their_first_step(self):
@@ -156,7 +156,9 @@ class TestChannelPrecompute:
         # the span of the CX and h(0) bears qubits 0 and 2 first and
         # holds 0, 1, 2 on axes 0, 1, 2
         cx, h0 = compiled[2][1]
-        assert cx[0] == "perm" and all(len(m[0]) == 4 for m in cx[1])
+        assert cx[0] == "perm" and all(
+            len(block) == 4 for blocks, _ in cx[1] for block in blocks
+        )
         assert h0[0] == "mul1" and h0[2] == 0
         # qubit 0 sits on axis 0: h(0)'s anchor stays the plan's step
         assert compiled[3] == plan.steps[3]
