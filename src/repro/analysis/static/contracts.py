@@ -310,7 +310,7 @@ def _check_channel_binding(
 def _check_branch_monomials(
     report: Report, binding: ChannelBinding, loc: str
 ) -> None:
-    """The ``(rows, phases)`` tables mixed branches run as slice copies.
+    """The ``(rows, phases)`` tables mixed branches run as cycle moves.
 
     A monomial entry must rebuild its pre-scaled branch exactly; a
     branch that is not monomial (or has ``p = 0``) must be marked
@@ -417,13 +417,27 @@ def check_noise_plan(
 ) -> Report:
     """Contract-check one :class:`NoisePlan` without executing it.
 
-    With *circuit* (and optionally *noise_model*) supplied, the anchor
-    structure is re-derived independently and each span is proven to be
-    a correct lowering of its own segment only — i.e. fusion never
-    crossed a noise anchor — and the measure map is held to the
-    circuit's measures.
+    With *circuit* supplied, the anchor structure is re-derived
+    independently and each span is proven to be a correct lowering of
+    its own segment only — i.e. fusion never crossed a noise anchor —
+    and the measure map is held to the circuit's measures.  The walk
+    binds the circuit's errors from *noise_model*, so a noisy plan must
+    come with the model it was built with: a plan with a channel anchor
+    or a readout error and no (or a trivial) model raises
+    :class:`ValueError`.  *noise_model* is optional for a noise-free
+    plan and when *circuit* is omitted.
     """
     from .dataflow import verify_lowering
+
+    noiseless = noise_model is None or noise_model.is_trivial()
+    if circuit is not None and noiseless:
+        readouts = [step[4] for step in plan.steps if step[0] == "measure"]
+        readouts += [entry[2] for entry in plan.entries]
+        if plan.num_channels or any(r is not None for r in readouts):
+            raise ValueError(
+                "check_noise_plan: this plan carries noise; pass the noise "
+                "model it was built with to check it against its circuit"
+            )
 
     report = Report("plan")
     report.metadata.update(
@@ -783,8 +797,8 @@ def _check_monomial_classification(
 ) -> None:
     """Monomial structure classification must hold exactly.
 
-    The chunked executor routes monomial matrices through strided slice
-    copies; a decomposition that does not reconstruct the stored matrix
+    The chunked executor routes monomial matrices through strided block
+    moves; a decomposition that does not reconstruct the stored matrix
     bit-for-bit would silently change the arithmetic.
     """
     monomial = _monomial_decomposition(matrix)

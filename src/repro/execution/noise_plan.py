@@ -37,8 +37,10 @@ module lifts all of that to trace time:
 The result is a :class:`NoisePlan`: a flat step stream (span / channel
 / measure) plus a random-site numbering that assigns every stochastic
 decision in the plan a fixed index.  The trajectory ensemble
-(:func:`repro.simulator.noisy.run_noise_plan`) spawns one seed per
-site, which is what makes its output independent of the chunk size.
+(:func:`repro.simulator.noisy.run_noise_plan`) draws every site's
+uniforms for all shots up front
+(:func:`repro.simulator.noisy.site_draws`), which is what makes its
+output independent of the chunk size.
 The exact engine (:func:`repro.simulator.density.run_density_plan`)
 runs terminal plans on the density tensor.  Plans are cached in
 :mod:`repro.execution.plan_cache`.
@@ -85,8 +87,8 @@ def _monomial_decomposition(matrix: np.ndarray):
 
     A monomial matrix (exactly one non-zero entry per row and column —
     X, CX, SWAP, CCX, Y, ...) maps each basis state to a single basis
-    state with a phase: applying it is ``2^k`` strided slice copies
-    instead of a dense contraction.  Detection is exact (``!= 0``):
+    state with a phase: applying it moves at most ``2^k`` strided blocks
+    in place (:func:`_perm_moves`) instead of a dense contraction.  Detection is exact (``!= 0``):
     gate constructors emit literal zeros, and fused products with
     float dust simply stay on the dense route.
     """
@@ -592,7 +594,8 @@ class NoisePlan:
     final-state draw) and :attr:`entries` — ``(qubit, clbit, readout,
     readout_site)`` report tuples in program order.  ``site`` indices
     number every stochastic decision ``0..num_sites-1`` in program
-    order; the executor derives one independent seed stream per site.
+    order; the engines draw one independent uniform stream per site
+    (:func:`repro.simulator.noisy.site_draws`).
 
     Immutable once built; the compiled span stream is lazily built
     under a lock.

@@ -21,7 +21,7 @@ from ..circuits.circuit import QuantumCircuit
 from ..noise.model import NoiseModel
 from .counts import Counts, counts_from_outcomes
 from .kernels import _kron, embed
-from .noisy import report_outcomes
+from .noisy import report_outcomes, site_draws
 from .statevector import Statevector
 
 __all__ = [
@@ -200,21 +200,17 @@ def evolve_plan(plan) -> np.ndarray:
 def run_density_plan(plan, shots: int, *, entropy: int) -> Counts:
     """Evolve a terminal *plan* exactly and report *shots* samples.
 
-    Site ``s`` draws from child ``s`` of ``SeedSequence(entropy)`` as in
-    :func:`~repro.simulator.noisy.run_noise_plan`, for the final-state
-    and readout sites only."""
+    The final-state and readout sites draw their uniforms by the
+    ensemble's rule (:func:`~repro.simulator.noisy.site_draws`): site
+    ``s`` from child ``s`` of ``SeedSequence(entropy)``, equal to the
+    ones :func:`~repro.simulator.noisy.run_noise_plan` reports through
+    at the same entropy."""
     if shots <= 0:
         raise ValueError("shots must be positive")
     rho = DensityMatrix(plan.num_qubits)
     rho._tensor = evolve_plan(plan)
     probs = rho.probabilities()
-    draws = {
-        site: np.random.default_rng(
-            np.random.SeedSequence(entropy, spawn_key=(site,))
-        ).random(shots)
-        for site in [plan.sample_site] + [entry[3] for entry in plan.entries]
-        if site is not None
-    }
+    draws = site_draws(plan, shots, entropy=entropy, steps=False)
     cumulative = np.cumsum(probs / probs.sum())
     outcomes = np.minimum(
         np.searchsorted(cumulative, draws[plan.sample_site]), probs.size - 1

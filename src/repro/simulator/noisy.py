@@ -23,15 +23,19 @@ so collapses and the final sample see the full layout.  Per step:
 
 * fused noiseless spans execute through span programs compiled for the
   chunk layout: diagonals are one broadcast in-place multiply, monomial
-  gates (X, CX, SWAP, CCX, ...) are strided slice copies, dense 1q
-  gates are four elementwise axpy passes over the two sub-lattices —
-  none of which pays the transpose-copy sandwich of the GEMM route;
+  gates (X, CX, SWAP, CCX, ...) are in-place cycle moves of strided
+  blocks — a cycle saves one block into scratch from the spare store
+  and shifts the others along, a fixed point with a phase is one
+  in-place multiply and one with phase 1 costs nothing — and dense 1q
+  gates are four elementwise axpy passes over the two sub-lattices
+  into the spare buffer; none of them pays the transpose-copy sandwich
+  of the GEMM route;
 * mixed-unitary channels draw every shot's branch with one
   ``searchsorted`` against the precomputed cumulative table.  Rows
   split by branch — no-op branches share one column, so they never
-  split a row — and each branch runs on its rows: monomial (Pauli)
-  branches as the span kernels' slice copies with phases, others
-  through :func:`~repro.simulator.kernels.apply_matrix_batch`;
+  split a row — and each branch runs on its gathered rows: monomial
+  (Pauli) branches as the span kernels' cycle moves with phases,
+  others through :func:`~repro.simulator.kernels.apply_matrix_batch`;
 * general Kraus channels touch only the shots that might jump — the
   no-jump evolution of the quantum-jump method (Dalibard, Castin &
   Mølmer, PRL 68, 580 (1992); Plenio & Knight, RMP 70, 101 (1998)).
@@ -55,11 +59,15 @@ compiled_steps`), so a row on branch 0 is never touched; rows that
 
 Determinism
 -----------
-Randomness is drawn per *site*, not per chunk: the executor spawns one
-``SeedSequence`` child per stochastic site of the plan (every channel
-anchor, measurement and readout entry) and pre-draws that site's full
-``(shots,)`` uniform array; a chunk consumes ``[lo:hi)`` slices.  The
-draws are therefore exactly independent of the chunk size.  Each shot
+Randomness is drawn per *site*, not per chunk: every stochastic site
+of the plan (each channel anchor, measurement and readout entry) has
+its full ``(shots,)`` uniform array drawn up front (:func:`site_draws`),
+and a chunk consumes ``[lo:hi)`` slices.  Channel anchors and
+mid-circuit measurements and readouts are the rows of one
+``(sites, shots)`` matrix from one generator; the final sample and the
+terminal readouts each draw from their own ``SeedSequence`` child,
+which the exact engine shares.  The draws are therefore exactly
+independent of the chunk size.  Each shot
 draws with its own uniform against its row's table, by the same rule
 as if it held the row alone, and a split copies the row bit for bit,
 so a shot's arithmetic does not depend on which shots share its row.
@@ -97,7 +105,12 @@ import numpy as np
 from .counts import Counts, counts_from_outcomes
 from .kernels import apply_matrix_batch
 
-__all__ = ["ENSEMBLE_DTYPE", "default_chunk_size", "run_noise_plan"]
+__all__ = [
+    "ENSEMBLE_DTYPE",
+    "default_chunk_size",
+    "run_noise_plan",
+    "site_draws",
+]
 
 # The ensemble's amplitude type.  Measured on a 2-core x86 box: Table I
 # cells of the five <=5-qubit circuits at 1000 shots took 2.71-3.31 s
@@ -127,23 +140,52 @@ def run_noise_plan(
 ) -> Counts:
     """Execute *plan* for *shots* trajectories and return the counts.
 
-    *entropy* seeds the per-site ``SeedSequence`` spawn; two runs with
-    the same entropy produce identical counts for any *chunk_size*.
+    *entropy* seeds every site's uniforms (:func:`site_draws`); two runs
+    with the same entropy produce identical counts for any *chunk_size*.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
     if chunk_size is None:
         chunk_size = default_chunk_size(shots, plan.num_qubits)
     chunk_size = max(1, int(chunk_size))
-    children = np.random.SeedSequence(entropy).spawn(max(plan.num_sites, 1))
-    draws = [
-        np.random.default_rng(child).random(shots) for child in children
-    ]
+    draws = site_draws(plan, shots, entropy=entropy)
     values = np.empty(shots, dtype=np.int64)
     for lo in range(0, shots, chunk_size):
         hi = min(shots, lo + chunk_size)
         values[lo:hi] = _run_chunk(plan, draws, lo, hi)
     return counts_from_outcomes(values, plan.width, shots=shots)
+
+
+def site_draws(
+    plan, shots: int, *, entropy: int, steps: bool = True
+) -> List[Optional[np.ndarray]]:
+    """Each random site's ``(shots,)`` uniforms, indexed by site: the
+    stream rule of both engines.
+
+    A terminal plan's final-sample and readout sites (numbered after
+    every other site) draw site ``s`` from child ``s`` of
+    ``SeedSequence(entropy)``, so the exact engine and the ensemble
+    report through the same uniforms.  Every other site — each channel
+    anchor, mid-circuit measurement and its readout — is row ``s`` of
+    one ``(num_sites, shots)`` matrix drawn from
+    ``SeedSequence(entropy, spawn_key=(num_sites,))``, a key no child
+    of the spawn takes (only its leading rows that some site reads are
+    drawn).  With *steps* false those entries are ``None``: the exact
+    engine reads the terminal sites only.
+    """
+    terminal = [plan.sample_site] + [entry[3] for entry in plan.entries]
+    terminal = [site for site in terminal if site is not None]
+    stepwise = plan.sample_site if plan.terminal else plan.num_sites
+    draws: List[Optional[np.ndarray]] = [None] * plan.num_sites
+    if steps and stepwise:
+        seed = np.random.SeedSequence(entropy, spawn_key=(plan.num_sites,))
+        draws[:stepwise] = np.random.default_rng(seed).random(
+            (stepwise, shots)
+        )
+    for site in terminal:
+        seed = np.random.SeedSequence(entropy, spawn_key=(site,))
+        draws[site] = np.random.default_rng(seed).random(shots)
+    return draws
 
 
 def _run_chunk(plan, draws: List[np.ndarray], lo: int, hi: int) -> np.ndarray:
@@ -246,12 +288,14 @@ class _Rows:
 
     ``buffer[:count]`` are the live rows of a ``(W, 2, ..., 2)`` buffer,
     one axis per born qubit, and shot ``s`` holds row ``row_of[s]``.
-    An op that cannot run in place writes into :meth:`output`, and
-    :meth:`swap` makes that the buffer; :meth:`split` appends rows into
-    the buffer's free tail.  Every row is held by at least one shot, so
-    ``count <= W``.  ``buffer`` and ``spare`` are C-contiguous prefix
-    views of the two flat ``stores``; :meth:`bear` widens both by one
-    axis, so no step reallocates the chunk.
+    A dense 1q gate writes into :meth:`output`, and :meth:`swap` makes
+    that the buffer; every other op runs in place, and a monomial op
+    takes its cycle scratch from the spare store ``stores[1]``.
+    :meth:`split` appends rows into the buffer's free tail.  Every row
+    is held by at least one shot, so ``count <= W``.  ``buffer`` and
+    ``spare`` are C-contiguous prefix views of the two flat ``stores``;
+    :meth:`bear` widens both by one axis, so no step reallocates the
+    chunk.
     """
 
     __slots__ = ("buffer", "spare", "row_of", "count", "stores")

@@ -26,6 +26,7 @@ from repro.execution.plan_cache import PlanCache, get_plan, get_plan_cache
 from repro.noise import (
     NoiseModel,
     QuantumChannel,
+    ReadoutError,
     amplitude_damping,
     depolarizing,
     fake_valencia,
@@ -335,6 +336,25 @@ class TestPlanContracts:
         rules = {v.rule for v in report.violations}
         assert rules & {"anchor-structure", "anchor-crossing"}
 
+
+    @pytest.mark.parametrize("model", ["channels", "readout"])
+    def test_noisy_plan_without_its_model_raises(self, model):
+        # the walk cannot bind errors without the model: a missing model
+        # is reported as such, not as a false anchor-structure violation
+        circuit = benchmark_circuit("4gt13")
+        if model == "channels":
+            noise = valencia_like_backend(circuit.num_qubits).noise_model()
+        else:
+            noise = NoiseModel()
+            noise.add_readout_error(ReadoutError(0.02, 0.05), 0)
+        plan = build_noise_plan(circuit, noise)
+        assert check_noise_plan(plan, circuit, noise).ok
+        with pytest.raises(ValueError, match="noise model"):
+            check_noise_plan(plan, circuit)
+        with pytest.raises(ValueError, match="noise model"):
+            check_noise_plan(plan, circuit, NoiseModel())
+        # without a circuit there is no walk, so no model is needed
+        assert check_noise_plan(plan).ok
 
 class TestValidateKnob:
     def test_get_plan_validate_passes_clean(self):

@@ -20,8 +20,10 @@ from repro.simulator import (
     DensityMatrixSimulator,
     Statevector,
 )
+from repro.execution import build_noise_plan
+from repro.simulator import density, noisy
 from repro.simulator.density import evolve_plan
-from repro.simulator.noisy import report_outcomes
+from repro.simulator.noisy import report_outcomes, site_draws
 
 
 def bell_circuit(measured=True):
@@ -140,6 +142,56 @@ class TestReadoutErrors:
         counts = run(qc, shots=5000, noise_model=model, seed=2)
         assert counts.fraction("0") == pytest.approx(0.4, abs=0.03)
 
+
+class TestSiteDraws:
+    """Both engines draw by one rule (``noisy.site_draws``)."""
+
+    @staticmethod
+    def _plan():
+        qc = QuantumCircuit(3)
+        qc.h(0).cx(0, 1).cx(1, 2)
+        qc.measure_all()
+        return build_noise_plan(qc, fake_valencia().noise_model())
+
+    def test_engines_report_through_equal_uniforms(self, monkeypatch):
+        plan = self._plan()
+        seen = {}
+        for name, module in (("trajectory", noisy), ("density", density)):
+
+            def capture(plan, outcomes, draws, lo, hi, _name=name):
+                seen[_name] = draws
+                return report_outcomes(plan, outcomes, draws, lo, hi)
+
+            monkeypatch.setattr(module, "report_outcomes", capture)
+        noisy.run_noise_plan(plan, 64, entropy=2024)
+        density.run_density_plan(plan, 64, entropy=2024)
+        sites = [plan.sample_site]
+        sites += [entry[3] for entry in plan.entries if entry[3] is not None]
+        assert len(sites) == 1 + plan.num_qubits
+        children = np.random.SeedSequence(2024).spawn(plan.num_sites)
+        for site in sites:
+            np.testing.assert_array_equal(
+                seen["trajectory"][site], seen["density"][site]
+            )
+            # child ``s`` of the entropy's spawn, as before
+            np.testing.assert_array_equal(
+                seen["density"][site],
+                np.random.default_rng(children[site]).random(64),
+            )
+
+    def test_step_sites_are_rows_of_one_matrix(self):
+        plan = self._plan()
+        draws = site_draws(plan, 16, entropy=5)
+        seed = np.random.SeedSequence(5, spawn_key=(plan.num_sites,))
+        matrix = np.random.default_rng(seed).random((plan.num_sites, 16))
+        assert plan.num_channels == plan.sample_site > 0
+        for site in range(plan.sample_site):
+            np.testing.assert_array_equal(draws[site], matrix[site])
+        # the exact engine reads only the terminal sites
+        exact = site_draws(plan, 16, entropy=5, steps=False)
+        assert exact[: plan.sample_site] == [None] * plan.sample_site
+        for site in range(plan.sample_site, plan.num_sites):
+            np.testing.assert_array_equal(exact[site], draws[site])
 
 class TestDensityMatrix:
     def test_pure_state_purity(self):

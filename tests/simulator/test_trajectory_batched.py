@@ -22,6 +22,9 @@ The contract under test (see ``repro/simulator/noisy.py``):
   Grams) and on the Valencia-like device model, and ``chunk_size=1``
   (one row per shot) matches the default chunk (shots sharing rows)
   on paper circuits;
+* monomial ops (span gates and Pauli branches) run as in-place cycle
+  moves equal bit for bit to out-of-place block moves, and to the
+  dense matrix within single precision;
 * rows split only where their shots draw different branches or
   outcomes: the first branch present keeps the row, each other one is
   appended;
@@ -37,7 +40,14 @@ from reference_sim import PerShotSampler, kraus_draws
 from repro.circuits import QuantumCircuit
 from repro.circuits.gates import gate_from_name
 from repro.execution import get_noise_plan_cache, plan_cache, run
-from repro.execution.noise_plan import ChannelBinding
+from repro.execution.noise_plan import (
+    ChannelBinding,
+    _absorb,
+    _basis_selector,
+    _compile_span,
+    _monomial_decomposition,
+)
+from repro.execution.plan import PlanOp
 from repro.metrics import tvd_counts
 from repro.noise import (
     NoiseModel,
@@ -52,11 +62,13 @@ from repro.noise import (
 )
 from repro.revlib import benchmark_circuit
 from repro.simulator import noisy
-from repro.simulator.kernels import apply_matrix_state
+from repro.simulator.kernels import apply_matrix_batch, apply_matrix_state
 from repro.simulator.noisy import (
     ENSEMBLE_DTYPE,
     _apply_kraus,
+    _apply_mixed,
     _collapse_measure,
+    _execute_span,
     _Rows,
     default_chunk_size,
 )
@@ -589,6 +601,124 @@ class TestBirth:
         assert sorted(id(store) for store in rows.stores) == sorted(stores)
         assert np.shares_memory(rows.buffer, rows.stores[0])
         assert np.shares_memory(rows.spare, rows.stores[1])
+
+
+def _gate(name, *params):
+    return gate_from_name(name, params).matrix
+
+
+class TestCyclePrograms:
+    """Monomial ops compile to in-place cycle moves
+    (``noise_plan._perm_moves``) that the executor runs on the rows
+    themselves: every amplitude equals the out-of-place block moves'
+    bit for bit (one copy or one multiply each) and the dense matrix
+    within single precision."""
+
+    WIDTH = 4
+
+    @classmethod
+    def _states(cls, count=3):
+        shape = (count,) + (2,) * cls.WIDTH
+        rng = np.random.default_rng(11)
+        states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return states.astype(ENSEMBLE_DTYPE)
+
+    @classmethod
+    def _rows(cls, states):
+        count = len(states)
+        return _Rows(states.copy(), np.arange(count), count=count)
+
+    @classmethod
+    def _check(cls, states, result, matrix, axes):
+        """*result* is *matrix* on *axes* of *states*: bit for bit
+        against out-of-place block moves in the ensemble dtype, and
+        against the dense complex128 product."""
+        matrix = matrix.astype(ENSEMBLE_DTYPE)
+        rows, phases = _monomial_decomposition(matrix)
+        moved = np.empty_like(states)
+        for j, (row, phase) in enumerate(zip(rows, phases)):
+            out = _basis_selector(int(row), axes, cls.WIDTH)
+            moved[out] = states[_basis_selector(j, axes, cls.WIDTH)] * phase
+        np.testing.assert_array_equal(result, moved)
+        dense = apply_matrix_batch(
+            states.astype(complex), matrix.astype(complex), axes
+        )
+        np.testing.assert_allclose(result, dense, rtol=0, atol=1e-6)
+
+    def _span(self, matrix, qubits, pending=None):
+        op = PlanOp("matrix", qubits, matrix=matrix)
+        if pending:
+            op = _absorb(op, dict(pending))
+        layout = {q: q for q in range(self.WIDTH)}
+        (compiled,) = _compile_span([op], ENSEMBLE_DTYPE, layout)
+        assert compiled[0] == "perm"
+        states = self._states()
+        rows = self._rows(states)
+        buffer = rows.buffer
+        _execute_span(rows, (compiled,))
+        # in place: no swap into the spare store
+        assert rows.buffer is buffer
+        self._check(states, rows.states, op.matrix, qubits)
+        return compiled[1]
+
+    @pytest.mark.parametrize(
+        "name,qubits",
+        [
+            ("x", (1,)),
+            ("y", (0,)),
+            ("z", (2,)),
+            ("swap", (0, 2)),
+            ("ccx", (2, 0, 1)),
+            ("cx", (0, 1)),
+            ("cx", (1, 0)),
+        ],
+    )
+    def test_gate_matches_dense(self, name, qubits):
+        moves = self._span(_gate(name), qubits)
+        if name == "z":
+            # |0> is fixed with phase 1 and emits nothing; |1> is one
+            # in-place multiply by -1
+            ((blocks, phases),) = moves
+            assert len(blocks) == 1 and phases[0] == -1
+        if name.startswith("c"):
+            # a controlled gate's control-0 blocks are fixed points
+            assert len(moves) == 1 and len(moves[0][0]) == 2
+
+    @pytest.mark.parametrize("qubits", [(0, 2), (2, 0)])
+    def test_cx_absorbs_pending_factors(self, qubits):
+        pending = {
+            0: np.array([1.0, 0.8 * np.exp(0.3j)]),
+            2: np.array([1.0, 0.6 * np.exp(-1.1j)]),
+        }
+        moves = self._span(_gate("cx"), qubits, pending)
+        # the control-0 blocks become fixed points scaled by the target's
+        # factor (one of them phase 1: nothing to do), and the cycle of
+        # the control-1 blocks multiplies by both factors
+        assert sorted(len(blocks) for blocks, _ in moves) == [1, 2]
+        assert all(p is not None for _, phases in moves for p in phases)
+
+    def test_gate_on_the_last_axis_multiplies_by_one(self):
+        moves = self._span(_gate("x"), (self.WIDTH - 1,))
+        ((blocks, phases),) = moves
+        assert len(blocks) == 2
+        assert [complex(p) for p in phases] == [1, 1]
+
+    def test_mixed_pauli_branches(self):
+        binding = ChannelBinding(depolarizing(0.3, num_qubits=2), (3, 1))
+        edges = np.concatenate([[0.0], binding.cumulative])
+        ran = 0
+        for b in range(binding.num_branches):
+            if binding.monomials[b] is None or binding.identity_flags[b]:
+                continue
+            _, programs = binding.mixed_program((3, 1), self.WIDTH)
+            assert programs[b][0] == "perm"
+            states = self._states()
+            rows = self._rows(states)
+            uniforms = np.full(len(states), 0.5 * (edges[b] + edges[b + 1]))
+            _apply_mixed(rows, binding, uniforms, (3, 1))
+            self._check(states, rows.states, binding.scaled_ops[b], (3, 1))
+            ran += 1
+        assert ran == 15
 
 
 class TestRowSplit:
