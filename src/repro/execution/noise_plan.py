@@ -88,9 +88,10 @@ def _monomial_decomposition(matrix: np.ndarray):
     A monomial matrix (exactly one non-zero entry per row and column —
     X, CX, SWAP, CCX, Y, ...) maps each basis state to a single basis
     state with a phase: applying it moves at most ``2^k`` strided blocks
-    in place (:func:`_perm_moves`) instead of a dense contraction.  Detection is exact (``!= 0``):
-    gate constructors emit literal zeros, and fused products with
-    float dust simply stay on the dense route.
+    in place (:func:`_perm_moves`) instead of a dense contraction.
+    Detection is exact (``!= 0``): gate constructors emit literal
+    zeros, and fused products with float dust simply stay on the dense
+    route.
     """
     nonzero = matrix != 0
     if not (nonzero.sum(axis=0) == 1).all():
@@ -142,10 +143,10 @@ def _mixed_program(
     (``None`` or a scalar identity) sharing the first one's, so they
     never split a row; ``programs[b]`` is ``None`` for a no-op,
     ``("perm", moves)`` for a monomial (Pauli) branch — the span
-    kernels' in-place cycle moves — and ``("gen", b)`` for a dense one, applied
-    from the binding's ``scaled_ops[b]``.  *axes* are the binding's
-    qubits in a layout of *width* born qubits.  Keyed by value, so
-    equal channels on equal axes share one program.
+    kernels' in-place cycle moves — and ``("gen", b)`` for a dense one,
+    applied from the binding's ``scaled_ops[b]``.  *axes* are the
+    binding's qubits in a layout of *width* born qubits.  Keyed by
+    value, so equal channels on equal axes share one program.
     """
     columns: List[int] = []
     programs: List = []
