@@ -603,8 +603,8 @@ class TestBirth:
         assert np.shares_memory(rows.spare, rows.stores[1])
 
 
-def _gate(name, *params):
-    return gate_from_name(name, params).matrix
+def _gate(name):
+    return gate_from_name(name).matrix
 
 
 class TestCyclePrograms:
