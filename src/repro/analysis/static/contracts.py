@@ -453,6 +453,9 @@ def check_noise_plan(
     n = plan.num_qubits
 
     sites: list = []
+    # steps share one ChannelBinding per channel and qubit tuple
+    # (ChannelBinding.bind): check each once, reporting at its first step
+    checked: set = set()
     prev_kind: Optional[str] = None
     for s, step in enumerate(plan.steps):
         kind = step[0]
@@ -480,7 +483,9 @@ def check_noise_plan(
                         report, op.matrix, f"{loc}.ops[{j}]"
                     )
         elif kind == "channel":
-            _check_channel_binding(report, step[1], n, loc)
+            if id(step[1]) not in checked:
+                checked.add(id(step[1]))
+                _check_channel_binding(report, step[1], n, loc)
             sites.append(step[2])
         else:  # measure
             qubit, clbit, site, readout, readout_site = step[1:]

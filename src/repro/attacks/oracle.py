@@ -40,7 +40,7 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..simulator.unitary import circuit_unitary, equal_up_to_global_phase
-from ..synth.truthtable import simulate_reversible
+from ..synth.truthtable import reversible_table
 from .matching import Matching, Rows, recombine_candidate
 
 __all__ = [
@@ -128,18 +128,14 @@ class EquivalenceOracle:
             map(is_reversible, segments)
         )
         if self.composes:
-            self._table1, self._table2 = (
-                np.asarray(simulate_reversible(s).table) for s in segments
-            )
+            self._table1, self._table2 = map(reversible_table, segments)
 
     # ------------------------------------------------------------------
     def _table(self, width: int) -> np.ndarray:
         if width not in self._tables:
             n = self.reference.num_qubits
             if n not in self._tables:
-                self._tables[n] = np.asarray(
-                    simulate_reversible(self.reference).table
-                )
+                self._tables[n] = reversible_table(self.reference)
             self._tables[width] = _pad(self._tables[n], n, width)
         return self._tables[width]
 
@@ -213,7 +209,7 @@ class EquivalenceOracle:
     def _check_circuit(self, candidate: QuantumCircuit) -> bool:
         width = max(candidate.num_qubits, self.reference.num_qubits)
         if self.use_truth_table and is_reversible(candidate):
-            table = np.asarray(simulate_reversible(candidate).table)
+            table = reversible_table(candidate)
             return np.array_equal(
                 _pad(table, candidate.num_qubits, width), self._table(width)
             )

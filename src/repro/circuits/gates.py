@@ -13,6 +13,17 @@ The global *state* indexing used across the project is little-endian
 (Qiskit convention): bit ``i`` of a computational basis index is the
 state of qubit ``i``, and measurement bitstrings are written with qubit
 0 as the right-most character.
+
+Adding a standard gate takes one class and one registry entry.  The
+class states its ``name``, ``num_qubits`` (default 1), ``num_params``
+(default 0) and ``adjoint`` (the registered name of the gate that
+undoes it once its parameters are negated; ``None`` falls back to an
+explicit :class:`UnitaryGate`), plus its matrix: a fixed gate holds one
+frozen class-level ``matrix``, a parameterised gate implements
+``_build_matrix`` (built once per instance).  Listing the class in
+:data:`GATE_REGISTRY` makes it reachable by name from
+:func:`gate_from_name`, the QASM reader and :func:`random_circuit
+<repro.circuits.random_circuits.random_circuit>`.
 """
 
 from __future__ import annotations
@@ -72,21 +83,38 @@ def _is_unitary(matrix: np.ndarray, atol: float = 1e-8) -> bool:
     return bool(np.allclose(matrix @ matrix.conj().T, identity, atol=atol))
 
 
+def _frozen(values) -> np.ndarray:
+    """*values* as a read-only complex matrix (no copy if already complex)."""
+    matrix = np.asarray(values, dtype=complex)
+    matrix.setflags(write=False)
+    return matrix
+
+
 class Gate:
     """Base class for unitary quantum gates.
 
-    Subclasses define :attr:`name`, :attr:`num_qubits` and implement
-    :meth:`_build_matrix`.  Parameterised gates store their parameters
-    in :attr:`params`.  Gates compare equal when their name and
-    parameters match (modulo floating point noise).
+    What a subclass states is set out in the module docstring.  Gates
+    compare equal when their name and parameters match (modulo floating
+    point noise).
     """
 
     name: str = "gate"
     num_qubits: int = 1
+    num_params: int = 0
+    # registered name of the gate that, given the negated parameters,
+    # implements the adjoint; None falls back to an explicit UnitaryGate
+    adjoint: Optional[str] = None
+    _matrix: Optional[np.ndarray] = None  # built by the matrix property
 
     def __init__(self, params: Optional[Sequence[float]] = None) -> None:
-        self.params: Tuple[float, ...] = tuple(float(p) for p in (params or ()))
-        self._matrix: Optional[np.ndarray] = None
+        self.params: Tuple[float, ...] = tuple(
+            float(p) for p in (() if params is None else params)
+        )
+        if len(self.params) != self.num_params:
+            raise ValueError(
+                f"gate {self.name!r} expects {self.num_params} parameter(s), "
+                f"got {len(self.params)}"
+            )
 
     # -- matrix ---------------------------------------------------------
     def _build_matrix(self) -> np.ndarray:
@@ -94,22 +122,22 @@ class Gate:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The (cached) unitary matrix of the gate."""
+        """The (cached, read-only) unitary matrix of the gate."""
         if self._matrix is None:
-            built = np.asarray(self._build_matrix(), dtype=complex)
-            built.setflags(write=False)
-            self._matrix = built
+            self._matrix = _frozen(self._build_matrix())
         return self._matrix
 
     # -- algebra --------------------------------------------------------
     def inverse(self) -> "Gate":
         """Return a gate implementing the adjoint of this gate.
 
-        Self-inverse gates return an equivalent instance; parameterised
-        rotations negate their angles; anything else falls back to a
+        The :attr:`adjoint` gate with every parameter negated (the gate
+        itself for self-inverse gates and rotations); without one, a
         :class:`UnitaryGate` wrapping the conjugate transpose.
         """
-        return UnitaryGate(self.matrix.conj().T, label=f"{self.name}_dg")
+        if self.adjoint is None:
+            return UnitaryGate(self.matrix.conj().T, label=f"{self.name}_dg")
+        return GATE_REGISTRY[self.adjoint]([-p for p in self.params])
 
     def is_self_inverse(self) -> bool:
         """True when ``U @ U`` is the identity."""
@@ -118,7 +146,7 @@ class Gate:
 
     # -- misc -----------------------------------------------------------
     def copy(self) -> "Gate":
-        return type(self)(self.params) if self.params else type(self)()
+        return type(self)(self.params)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gate):
@@ -182,127 +210,79 @@ class IGate(Gate):
     """Identity gate."""
 
     name = "id"
-    num_qubits = 1
-
-    def _build_matrix(self) -> np.ndarray:
-        return np.eye(2)
-
-    def inverse(self) -> Gate:
-        return IGate()
+    adjoint = "id"
+    matrix = _frozen(np.eye(2))
 
 
 class XGate(Gate):
     """Pauli-X (NOT) gate."""
 
     name = "x"
-    num_qubits = 1
-
-    def _build_matrix(self) -> np.ndarray:
-        return np.array([[0, 1], [1, 0]])
-
-    def inverse(self) -> Gate:
-        return XGate()
+    adjoint = "x"
+    matrix = _frozen([[0, 1], [1, 0]])
 
 
 class YGate(Gate):
     """Pauli-Y gate."""
 
     name = "y"
-    num_qubits = 1
-
-    def _build_matrix(self) -> np.ndarray:
-        return np.array([[0, -1j], [1j, 0]])
-
-    def inverse(self) -> Gate:
-        return YGate()
+    adjoint = "y"
+    matrix = _frozen([[0, -1j], [1j, 0]])
 
 
 class ZGate(Gate):
     """Pauli-Z gate."""
 
     name = "z"
-    num_qubits = 1
-
-    def _build_matrix(self) -> np.ndarray:
-        return np.array([[1, 0], [0, -1]])
-
-    def inverse(self) -> Gate:
-        return ZGate()
+    adjoint = "z"
+    matrix = _frozen([[1, 0], [0, -1]])
 
 
 class HGate(Gate):
     """Hadamard gate."""
 
     name = "h"
-    num_qubits = 1
-
-    def _build_matrix(self) -> np.ndarray:
-        return np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-
-    def inverse(self) -> Gate:
-        return HGate()
+    adjoint = "h"
+    matrix = _frozen(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 
 
 class SGate(Gate):
     """Phase gate S = sqrt(Z)."""
 
     name = "s"
-    num_qubits = 1
-
-    def _build_matrix(self) -> np.ndarray:
-        return np.array([[1, 0], [0, 1j]])
-
-    def inverse(self) -> Gate:
-        return SdgGate()
+    adjoint = "sdg"
+    matrix = _frozen([[1, 0], [0, 1j]])
 
 
 class SdgGate(Gate):
     """Adjoint of the S gate."""
 
     name = "sdg"
-    num_qubits = 1
-
-    def _build_matrix(self) -> np.ndarray:
-        return np.array([[1, 0], [0, -1j]])
-
-    def inverse(self) -> Gate:
-        return SGate()
+    adjoint = "s"
+    matrix = _frozen([[1, 0], [0, -1j]])
 
 
 class TGate(Gate):
     """T gate (pi/8 gate)."""
 
     name = "t"
-    num_qubits = 1
-
-    def _build_matrix(self) -> np.ndarray:
-        return np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]])
-
-    def inverse(self) -> Gate:
-        return TdgGate()
+    adjoint = "tdg"
+    matrix = _frozen([[1, 0], [0, cmath.exp(1j * math.pi / 4)]])
 
 
 class TdgGate(Gate):
     """Adjoint of the T gate."""
 
     name = "tdg"
-    num_qubits = 1
-
-    def _build_matrix(self) -> np.ndarray:
-        return np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]])
-
-    def inverse(self) -> Gate:
-        return TGate()
+    adjoint = "t"
+    matrix = _frozen([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]])
 
 
 class SXGate(Gate):
     """Square root of X."""
 
     name = "sx"
-    num_qubits = 1
-
-    def _build_matrix(self) -> np.ndarray:
-        return np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2
+    matrix = _frozen(np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2)
 
     def inverse(self) -> Gate:
         return UnitaryGate(self.matrix.conj().T, label="sxdg")
@@ -312,52 +292,34 @@ class RXGate(Gate):
     """Rotation about the X axis by ``theta``."""
 
     name = "rx"
-    num_qubits = 1
-
-    def __init__(self, params: Sequence[float]) -> None:
-        super().__init__(params)
-        if len(self.params) != 1:
-            raise ValueError("rx takes exactly one parameter")
+    num_params = 1
+    adjoint = "rx"
 
     def _build_matrix(self) -> np.ndarray:
         theta = self.params[0]
         cos, sin = math.cos(theta / 2), math.sin(theta / 2)
         return np.array([[cos, -1j * sin], [-1j * sin, cos]])
 
-    def inverse(self) -> Gate:
-        return RXGate([-self.params[0]])
-
 
 class RYGate(Gate):
     """Rotation about the Y axis by ``theta``."""
 
     name = "ry"
-    num_qubits = 1
-
-    def __init__(self, params: Sequence[float]) -> None:
-        super().__init__(params)
-        if len(self.params) != 1:
-            raise ValueError("ry takes exactly one parameter")
+    num_params = 1
+    adjoint = "ry"
 
     def _build_matrix(self) -> np.ndarray:
         theta = self.params[0]
         cos, sin = math.cos(theta / 2), math.sin(theta / 2)
         return np.array([[cos, -sin], [sin, cos]])
 
-    def inverse(self) -> Gate:
-        return RYGate([-self.params[0]])
-
 
 class RZGate(Gate):
     """Rotation about the Z axis by ``phi`` (global-phase-symmetric)."""
 
     name = "rz"
-    num_qubits = 1
-
-    def __init__(self, params: Sequence[float]) -> None:
-        super().__init__(params)
-        if len(self.params) != 1:
-            raise ValueError("rz takes exactly one parameter")
+    num_params = 1
+    adjoint = "rz"
 
     def _build_matrix(self) -> np.ndarray:
         phi = self.params[0]
@@ -365,35 +327,23 @@ class RZGate(Gate):
             [[cmath.exp(-1j * phi / 2), 0], [0, cmath.exp(1j * phi / 2)]]
         )
 
-    def inverse(self) -> Gate:
-        return RZGate([-self.params[0]])
-
 
 class PhaseGate(Gate):
     """Phase gate ``diag(1, e^{i lambda})``."""
 
     name = "p"
-    num_qubits = 1
-
-    def __init__(self, params: Sequence[float]) -> None:
-        super().__init__(params)
-        if len(self.params) != 1:
-            raise ValueError("p takes exactly one parameter")
+    num_params = 1
+    adjoint = "p"
 
     def _build_matrix(self) -> np.ndarray:
         return np.array([[1, 0], [0, cmath.exp(1j * self.params[0])]])
-
-    def inverse(self) -> Gate:
-        return PhaseGate([-self.params[0]])
 
 
 class U1Gate(PhaseGate):
     """IBM U1 gate — identical matrix to :class:`PhaseGate`."""
 
     name = "u1"
-
-    def inverse(self) -> Gate:
-        return U1Gate([-self.params[0]])
+    adjoint = "u1"
 
 
 class U2Gate(Gate):
@@ -403,12 +353,7 @@ class U2Gate(Gate):
     """
 
     name = "u2"
-    num_qubits = 1
-
-    def __init__(self, params: Sequence[float]) -> None:
-        super().__init__(params)
-        if len(self.params) != 2:
-            raise ValueError("u2 takes exactly two parameters")
+    num_params = 2
 
     def _build_matrix(self) -> np.ndarray:
         phi, lam = self.params
@@ -423,12 +368,7 @@ class U3Gate(Gate):
     """Generic single-qubit rotation ``U3(theta, phi, lam)``."""
 
     name = "u3"
-    num_qubits = 1
-
-    def __init__(self, params: Sequence[float]) -> None:
-        super().__init__(params)
-        if len(self.params) != 3:
-            raise ValueError("u3 takes exactly three parameters")
+    num_params = 3
 
     def _build_matrix(self) -> np.ndarray:
         theta, phi, lam = self.params
@@ -468,12 +408,8 @@ class CXGate(Gate):
 
     name = "cx"
     num_qubits = 2
-
-    def _build_matrix(self) -> np.ndarray:
-        return controlled_matrix(XGate().matrix)
-
-    def inverse(self) -> Gate:
-        return CXGate()
+    adjoint = "cx"
+    matrix = _frozen(controlled_matrix(XGate.matrix))
 
 
 class CYGate(Gate):
@@ -481,12 +417,8 @@ class CYGate(Gate):
 
     name = "cy"
     num_qubits = 2
-
-    def _build_matrix(self) -> np.ndarray:
-        return controlled_matrix(YGate().matrix)
-
-    def inverse(self) -> Gate:
-        return CYGate()
+    adjoint = "cy"
+    matrix = _frozen(controlled_matrix(YGate.matrix))
 
 
 class CZGate(Gate):
@@ -494,12 +426,8 @@ class CZGate(Gate):
 
     name = "cz"
     num_qubits = 2
-
-    def _build_matrix(self) -> np.ndarray:
-        return controlled_matrix(ZGate().matrix)
-
-    def inverse(self) -> Gate:
-        return CZGate()
+    adjoint = "cz"
+    matrix = _frozen(controlled_matrix(ZGate.matrix))
 
 
 class CHGate(Gate):
@@ -507,12 +435,8 @@ class CHGate(Gate):
 
     name = "ch"
     num_qubits = 2
-
-    def _build_matrix(self) -> np.ndarray:
-        return controlled_matrix(HGate().matrix)
-
-    def inverse(self) -> Gate:
-        return CHGate()
+    adjoint = "ch"
+    matrix = _frozen(controlled_matrix(HGate.matrix))
 
 
 class SwapGate(Gate):
@@ -520,19 +444,15 @@ class SwapGate(Gate):
 
     name = "swap"
     num_qubits = 2
-
-    def _build_matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [1, 0, 0, 0],
-                [0, 0, 1, 0],
-                [0, 1, 0, 0],
-                [0, 0, 0, 1],
-            ]
-        )
-
-    def inverse(self) -> Gate:
-        return SwapGate()
+    adjoint = "swap"
+    matrix = _frozen(
+        [
+            [1, 0, 0, 0],
+            [0, 0, 1, 0],
+            [0, 1, 0, 0],
+            [0, 0, 0, 1],
+        ]
+    )
 
 
 class CRZGate(Gate):
@@ -540,17 +460,11 @@ class CRZGate(Gate):
 
     name = "crz"
     num_qubits = 2
-
-    def __init__(self, params: Sequence[float]) -> None:
-        super().__init__(params)
-        if len(self.params) != 1:
-            raise ValueError("crz takes exactly one parameter")
+    num_params = 1
+    adjoint = "crz"
 
     def _build_matrix(self) -> np.ndarray:
-        return controlled_matrix(RZGate([self.params[0]]).matrix)
-
-    def inverse(self) -> Gate:
-        return CRZGate([-self.params[0]])
+        return controlled_matrix(RZGate(self.params).matrix)
 
 
 class CPhaseGate(Gate):
@@ -558,17 +472,11 @@ class CPhaseGate(Gate):
 
     name = "cp"
     num_qubits = 2
-
-    def __init__(self, params: Sequence[float]) -> None:
-        super().__init__(params)
-        if len(self.params) != 1:
-            raise ValueError("cp takes exactly one parameter")
+    num_params = 1
+    adjoint = "cp"
 
     def _build_matrix(self) -> np.ndarray:
-        return controlled_matrix(PhaseGate([self.params[0]]).matrix)
-
-    def inverse(self) -> Gate:
-        return CPhaseGate([-self.params[0]])
+        return controlled_matrix(PhaseGate(self.params).matrix)
 
 
 class CCXGate(Gate):
@@ -576,12 +484,8 @@ class CCXGate(Gate):
 
     name = "ccx"
     num_qubits = 3
-
-    def _build_matrix(self) -> np.ndarray:
-        return controlled_matrix(XGate().matrix, num_controls=2)
-
-    def inverse(self) -> Gate:
-        return CCXGate()
+    adjoint = "ccx"
+    matrix = _frozen(controlled_matrix(XGate.matrix, num_controls=2))
 
 
 class CSwapGate(Gate):
@@ -589,12 +493,8 @@ class CSwapGate(Gate):
 
     name = "cswap"
     num_qubits = 3
-
-    def _build_matrix(self) -> np.ndarray:
-        return controlled_matrix(SwapGate().matrix)
-
-    def inverse(self) -> Gate:
-        return CSwapGate()
+    adjoint = "cswap"
+    matrix = _frozen(controlled_matrix(SwapGate.matrix))
 
 
 class MCXGate(Gate):
@@ -617,7 +517,7 @@ class MCXGate(Gate):
         )
 
     def _build_matrix(self) -> np.ndarray:
-        return controlled_matrix(XGate().matrix, num_controls=self.num_controls)
+        return controlled_matrix(XGate.matrix, num_controls=self.num_controls)
 
     def inverse(self) -> Gate:
         return MCXGate(self.num_controls)
@@ -630,7 +530,11 @@ class MCXGate(Gate):
 
 
 class UnitaryGate(Gate):
-    """An arbitrary unitary supplied as an explicit matrix."""
+    """An arbitrary unitary supplied as an explicit matrix.
+
+    Its inverse is the base rule's :class:`UnitaryGate` fallback,
+    labelled ``<name>_dg``.
+    """
 
     name = "unitary"
 
@@ -646,14 +550,7 @@ class UnitaryGate(Gate):
         self.num_qubits = num_qubits
         if label:
             self.name = label
-        self._matrix = matrix.copy()
-        self._matrix.setflags(write=False)
-
-    def _build_matrix(self) -> np.ndarray:  # pragma: no cover - set eagerly
-        return self._matrix
-
-    def inverse(self) -> Gate:
-        return UnitaryGate(self.matrix.conj().T, label=f"{self.name}_dg")
+        self._matrix = _frozen(matrix.copy())
 
     def copy(self) -> Gate:
         return UnitaryGate(self.matrix, label=self.name)
@@ -674,44 +571,35 @@ class UnitaryGate(Gate):
 # ---------------------------------------------------------------------------
 
 GATE_REGISTRY: Dict[str, type] = {
-    "id": IGate,
-    "x": XGate,
-    "y": YGate,
-    "z": ZGate,
-    "h": HGate,
-    "s": SGate,
-    "sdg": SdgGate,
-    "t": TGate,
-    "tdg": TdgGate,
-    "sx": SXGate,
-    "rx": RXGate,
-    "ry": RYGate,
-    "rz": RZGate,
-    "p": PhaseGate,
-    "u1": U1Gate,
-    "u2": U2Gate,
-    "u3": U3Gate,
-    "cx": CXGate,
-    "cy": CYGate,
-    "cz": CZGate,
-    "ch": CHGate,
-    "swap": SwapGate,
-    "crz": CRZGate,
-    "cp": CPhaseGate,
-    "ccx": CCXGate,
-    "cswap": CSwapGate,
-}
-
-_PARAM_COUNTS: Dict[str, int] = {
-    "rx": 1,
-    "ry": 1,
-    "rz": 1,
-    "p": 1,
-    "u1": 1,
-    "u2": 2,
-    "u3": 3,
-    "crz": 1,
-    "cp": 1,
+    cls.name: cls
+    for cls in (
+        IGate,
+        XGate,
+        YGate,
+        ZGate,
+        HGate,
+        SGate,
+        SdgGate,
+        TGate,
+        TdgGate,
+        SXGate,
+        RXGate,
+        RYGate,
+        RZGate,
+        PhaseGate,
+        U1Gate,
+        U2Gate,
+        U3Gate,
+        CXGate,
+        CYGate,
+        CZGate,
+        CHGate,
+        SwapGate,
+        CRZGate,
+        CPhaseGate,
+        CCXGate,
+        CSwapGate,
+    )
 }
 
 
@@ -728,15 +616,13 @@ def gate_from_name(name: str, params: Optional[Sequence[float]] = None) -> Gate:
     parameter count does not match.
     """
     name = name.lower()
+    params = () if params is None else tuple(params)
     if name.startswith("mcx") and name[3:].isdigit():
+        if params:
+            raise ValueError(
+                f"gate {name!r} expects 0 parameter(s), got {len(params)}"
+            )
         return MCXGate(int(name[3:]))
     if name not in GATE_REGISTRY:
         raise KeyError(f"unknown gate: {name!r}")
-    expected = _PARAM_COUNTS.get(name, 0)
-    params = list(params or [])
-    if len(params) != expected:
-        raise ValueError(
-            f"gate {name!r} expects {expected} parameter(s), got {len(params)}"
-        )
-    cls = GATE_REGISTRY[name]
-    return cls(params) if expected else cls()
+    return GATE_REGISTRY[name](params)

@@ -238,7 +238,8 @@ def _parse_statement(
         [_eval_param(p) for p in param_text.split(",")] if param_text else []
     )
     try:
-        gate = gate_from_name(name, params)
+        circuit.append(gate_from_name(name, params), qubits)
     except KeyError as exc:
         raise QasmError(f"unsupported gate {name!r}") from exc
-    circuit.append(gate, qubits)
+    except ValueError as exc:  # parameter count or arity
+        raise QasmError(f"{exc} in statement {stmt!r}") from exc

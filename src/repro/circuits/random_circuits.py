@@ -12,38 +12,24 @@ Two flavours are needed by the project:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .circuit import QuantumCircuit
-from .gates import gate_from_name
+from .gates import GATE_REGISTRY, gate_from_name
 
 __all__ = ["random_circuit", "random_reversible_circuit", "DEFAULT_GATE_POOL"]
 
 DEFAULT_GATE_POOL: List[str] = ["x", "y", "z", "h", "s", "t", "cx", "cz"]
 
-_PARAM_GATES = {
-    "rx": 1,
-    "ry": 1,
-    "rz": 1,
-    "p": 1,
-    "u1": 1,
-    "u2": 2,
-    "u3": 3,
-    "crz": 1,
-    "cp": 1,
-}
-_TWO_QUBIT = {"cx", "cy", "cz", "ch", "swap", "crz", "cp"}
-_THREE_QUBIT = {"ccx", "cswap"}
 
-
-def _resolve_rng(
-    seed: Optional[Union[int, np.random.Generator]]
-) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+def _shape(name: str) -> Tuple[int, int]:
+    """Qubit and parameter counts of the pool gate *name*."""
+    cls = GATE_REGISTRY.get(name.lower())
+    if cls is None:  # mcxK, or a name gate_from_name refuses
+        return gate_from_name(name).num_qubits, 0
+    return cls.num_qubits, cls.num_params
 
 
 def random_circuit(
@@ -55,30 +41,25 @@ def random_circuit(
 ) -> QuantumCircuit:
     """Generate a random circuit from *gate_pool*.
 
-    Gate arity is inferred from the pool entry; parameterised gates get
-    angles drawn uniformly from ``[0, 2*pi)``.  Pools whose arity
+    Each entry is a :func:`~repro.circuits.gates.gate_from_name` name
+    (``mcxK`` included) whose gate states its arity; parameterised gates
+    get angles drawn uniformly from ``[0, 2*pi)``.  Pools whose arity
     exceeds ``num_qubits`` raise :class:`ValueError`.
     """
     if num_qubits <= 0:
         raise ValueError("random circuits need at least one qubit")
     pool = list(gate_pool or DEFAULT_GATE_POOL)
-    rng = _resolve_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator passes through
     circuit = QuantumCircuit(num_qubits, name=name)
     for _ in range(num_gates):
         gate_name = pool[int(rng.integers(len(pool)))]
-        if gate_name in _THREE_QUBIT:
-            arity = 3
-        elif gate_name in _TWO_QUBIT:
-            arity = 2
-        else:
-            arity = 1
+        arity, num_params = _shape(gate_name)
         if arity > num_qubits:
             raise ValueError(
                 f"gate {gate_name!r} needs {arity} qubits, circuit has "
                 f"{num_qubits}"
             )
         qubits = rng.choice(num_qubits, size=arity, replace=False).tolist()
-        num_params = _PARAM_GATES.get(gate_name, 0)
         params = (rng.uniform(0, 2 * np.pi, size=num_params)).tolist()
         circuit.append(gate_from_name(gate_name, params), qubits)
     return circuit

@@ -112,25 +112,16 @@ def write_real(
     ]
     for inst in circuit:
         op = inst.operation
-        if isinstance(op, MCXGate):
-            arity = op.num_controls + 1
-        elif op.name == "x":
-            arity = 1
-        elif op.name == "cx":
-            arity = 2
-        elif op.name == "ccx":
-            arity = 3
+        if isinstance(op, MCXGate) or op.name in ("x", "cx", "ccx"):
+            kind = f"t{len(inst.qubits)}"
         elif op.name == "cswap":
-            lines.append(
-                "f3 " + " ".join(variables[q] for q in inst.qubits)
-            )
-            continue
+            kind = "f3"
         else:
             raise RealFormatError(
                 f"gate {op.name!r} has no .real representation"
             )
         lines.append(
-            f"t{arity} " + " ".join(variables[q] for q in inst.qubits)
+            f"{kind} " + " ".join(variables[q] for q in inst.qubits)
         )
     lines.append(".end")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import MCXGate
 
-__all__ = ["TruthTable", "simulate_reversible"]
+__all__ = ["TruthTable", "reversible_table", "simulate_reversible"]
 
 
 class TruthTable:
@@ -90,9 +90,16 @@ def simulate_reversible(circuit: QuantumCircuit) -> TruthTable:
 
     Only NOT/CNOT/Toffoli/MCT/SWAP/Fredkin gates are allowed (names
     ``x``, ``cx``, ``ccx``, ``mcxK``, ``swap``, ``cswap``); anything else
-    raises :class:`ValueError`.  Each gate is one array operation over
-    all ``2^n`` entries — much faster than the statevector for pure
-    reversible circuits.
+    raises :class:`ValueError`.
+    """
+    return TruthTable(reversible_table(circuit))
+
+
+def reversible_table(circuit: QuantumCircuit) -> np.ndarray:
+    """:func:`simulate_reversible`'s table as an int64 array.
+
+    Each gate is one array operation over all ``2^n`` entries — much
+    faster than the statevector for pure reversible circuits.
     """
     table = np.arange(1 << circuit.num_qubits, dtype=np.int64)
     for inst in circuit:
@@ -113,4 +120,4 @@ def simulate_reversible(circuit: QuantumCircuit) -> TruthTable:
             )
         mask = sum(1 << c for c in controls)
         table ^= (differ & (table & mask == mask)) * flip
-    return TruthTable(table)
+    return table

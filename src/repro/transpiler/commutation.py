@@ -27,6 +27,7 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.instruction import Instruction
+from .optimization import _inverse_of
 
 __all__ = ["commutes", "commutation_cancel"]
 
@@ -98,20 +99,6 @@ def commutes(a: Instruction, b: Instruction, atol: float = 1e-9) -> bool:
     return bool(np.allclose(mat_a @ mat_b, mat_b @ mat_a, atol=atol))
 
 
-def _inverse_pair(a: Instruction, b: Instruction) -> bool:
-    if a.qubits != b.qubits:
-        return False
-    inverse = a.operation.inverse()
-    if inverse == b.operation:
-        return True
-    try:
-        return bool(
-            np.allclose(inverse.matrix, b.operation.matrix, atol=1e-9)
-        )
-    except Exception:  # pragma: no cover - defensive
-        return False
-
-
 def commutation_cancel(
     circuit: QuantumCircuit, max_window: int = 10
 ) -> QuantumCircuit:
@@ -139,7 +126,7 @@ def commutation_cancel(
                     continue
                 if not other.is_gate:
                     break
-                if _inverse_pair(inst, other):
+                if _inverse_of(inst, other):
                     instructions[i] = None
                     instructions[j] = None
                     changed = True

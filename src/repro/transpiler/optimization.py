@@ -38,9 +38,11 @@ def _is_trivial_rotation(inst: Instruction) -> bool:
     name = inst.name
     if name == "id":
         return True
-    if name in ("rx", "ry", "rz", "p", "u1", "crz", "cp"):
-        angle = inst.operation.params[0] % _TWO_PI
-        return min(angle, _TWO_PI - angle) < 1e-12
+    if inst.operation.num_params == 1:  # rx ry rz p u1 crz cp: an angle
+        # crz(2 pi) is Z on its control, not a global phase
+        period = 2 * _TWO_PI if name == "crz" else _TWO_PI
+        angle = inst.operation.params[0] % period
+        return min(angle, period - angle) < 1e-12
     if name == "u3":
         theta, phi, lam = inst.operation.params
         theta_mod = theta % _TWO_PI
@@ -68,17 +70,11 @@ def _inverse_of(a: Instruction, b: Instruction) -> bool:
     if a.qubits != b.qubits or not (a.is_gate and b.is_gate):
         return False
     inverse = a.operation.inverse()
-    if inverse == b.operation:
-        return True
-    # parameterised / unitary fallback: compare matrices
-    try:
-        return bool(
-            np.allclose(
-                inverse.matrix, b.operation.matrix, atol=1e-9
-            )
-        )
-    except Exception:  # pragma: no cover - defensive
-        return False
+    # parameterised / unitary fallback: compare matrices (equal qubits
+    # give equal shapes)
+    return inverse == b.operation or bool(
+        np.allclose(inverse.matrix, b.operation.matrix, atol=1e-9)
+    )
 
 
 def cancel_inverse_pairs(circuit: QuantumCircuit) -> QuantumCircuit:

@@ -34,6 +34,7 @@ from repro.noise import (
 )
 from repro.revlib import benchmark_circuit
 from repro.revlib.benchmarks import benchmark_names
+from repro.transpiler import transpile
 
 
 def _with_span_ops(plan, ops):
@@ -169,6 +170,29 @@ class TestPlanContracts:
         assert any(
             v.rule == "cumulative-table" for v in report.violations
         )
+
+    def test_shared_binding_reported_once_at_its_first_step(self):
+        backend = fake_valencia()
+        # compiled to the device, each gate's error binds once per qubits
+        circuit = transpile(
+            benchmark_circuit("4gt13"), backend=backend, optimization_level=2
+        ).circuit
+        plan = build_noise_plan(circuit, backend.noise_model())
+        steps_of = {}
+        for i, step in enumerate(plan.steps):
+            if step[0] == "channel" and step[1].kind == "mixed":
+                steps_of.setdefault(id(step[1]), []).append(i)
+        shared = max(steps_of.values(), key=len)
+        assert len(shared) > 1
+        binding = plan.steps[shared[0]][1]
+        binding.cumulative = binding.cumulative * 0.5
+        report = check_noise_plan(plan)
+        locations = {
+            v.location
+            for v in report.violations
+            if v.rule == "cumulative-table"
+        }
+        assert locations == {f"steps[{shared[0]}]"}
 
     @pytest.mark.parametrize(
         "table,rule",

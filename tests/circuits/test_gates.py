@@ -8,6 +8,8 @@ import pytest
 from repro.circuits.gates import (
     Barrier,
     CCXGate,
+    CPhaseGate,
+    CRZGate,
     CXGate,
     CZGate,
     GATE_REGISTRY,
@@ -38,16 +40,20 @@ from repro.circuits.gates import (
 )
 
 
+# sample parameters of every parameterised registered gate
+_PARAMS = {
+    "rx": [0.3], "ry": [0.7], "rz": [1.1], "p": [0.5],
+    "u1": [0.4], "u2": [0.2, 0.9], "u3": [0.3, 0.5, 0.7],
+    "crz": [0.6], "cp": [0.8],
+}
+_FIXED = [name for name in standard_gate_names() if name not in _PARAMS]
+
+
 def _all_standard_gates():
-    gates = []
-    for name in standard_gate_names():
-        params = {
-            "rx": [0.3], "ry": [0.7], "rz": [1.1], "p": [0.5],
-            "u1": [0.4], "u2": [0.2, 0.9], "u3": [0.3, 0.5, 0.7],
-            "crz": [0.6], "cp": [0.8],
-        }.get(name, [])
-        gates.append(gate_from_name(name, params))
-    return gates
+    return [
+        gate_from_name(name, _PARAMS.get(name, []))
+        for name in standard_gate_names()
+    ]
 
 
 class TestUnitarity:
@@ -172,6 +178,59 @@ class TestSelfInverse:
         assert np.allclose(product, np.eye(2), atol=1e-10)
 
 
+# every gate's inverse: (gate, inverse class, inverse name, inverse params)
+_INVERSES = [
+    ("ccx", CCXGate(), "CCXGate", "ccx", ()),
+    ("ch", gate_from_name("ch"), "CHGate", "ch", ()),
+    ("cp", CPhaseGate([0.8]), "CPhaseGate", "cp", (-0.8,)),
+    ("crz", CRZGate([0.6]), "CRZGate", "crz", (-0.6,)),
+    ("cswap", gate_from_name("cswap"), "CSwapGate", "cswap", ()),
+    ("cx", CXGate(), "CXGate", "cx", ()),
+    ("cy", gate_from_name("cy"), "CYGate", "cy", ()),
+    ("cz", CZGate(), "CZGate", "cz", ()),
+    ("h", HGate(), "HGate", "h", ()),
+    ("id", IGate(), "IGate", "id", ()),
+    ("p", PhaseGate([0.5]), "PhaseGate", "p", (-0.5,)),
+    ("rx", RXGate([0.3]), "RXGate", "rx", (-0.3,)),
+    ("ry", RYGate([0.7]), "RYGate", "ry", (-0.7,)),
+    ("rz", RZGate([1.1]), "RZGate", "rz", (-1.1,)),
+    ("s", SGate(), "SdgGate", "sdg", ()),
+    ("sdg", SdgGate(), "SGate", "s", ()),
+    ("swap", SwapGate(), "SwapGate", "swap", ()),
+    ("sx", SXGate(), "UnitaryGate", "sxdg", ()),
+    ("t", TGate(), "TdgGate", "tdg", ()),
+    ("tdg", TdgGate(), "TGate", "t", ()),
+    ("u1", U1Gate([0.4]), "U1Gate", "u1", (-0.4,)),
+    ("u2", U2Gate([0.2, 0.9]), "U3Gate", "u3", (-math.pi / 2, -0.9, -0.2)),
+    ("u3", U3Gate([0.3, 0.5, 0.7]), "U3Gate", "u3", (-0.3, -0.7, -0.5)),
+    ("x", XGate(), "XGate", "x", ()),
+    ("y", YGate(), "YGate", "y", ()),
+    ("z", ZGate(), "ZGate", "z", ()),
+    ("mcx0", MCXGate(0), "MCXGate", "x", ()),
+    ("mcx1", MCXGate(1), "MCXGate", "cx", ()),
+    ("mcx2", MCXGate(2), "MCXGate", "ccx", ()),
+    ("mcx3", MCXGate(3), "MCXGate", "mcx3", ()),
+    ("mcx4", MCXGate(4), "MCXGate", "mcx4", ()),
+    ("unitary", UnitaryGate(HGate().matrix, label="had"), "UnitaryGate",
+     "had_dg", ()),
+]
+
+
+class TestInversePins:
+    def test_table_covers_the_registry(self):
+        assert set(standard_gate_names()) <= {row[0] for row in _INVERSES}
+
+    @pytest.mark.parametrize(
+        "gate, cls, name, params", [row[1:] for row in _INVERSES],
+        ids=[row[0] for row in _INVERSES],
+    )
+    def test_inverse_class_name_and_params(self, gate, cls, name, params):
+        inverse = gate.inverse()
+        assert type(inverse).__name__ == cls
+        assert inverse.name == name
+        assert inverse.params == params
+
+
 class TestMCX:
     def test_mcx_zero_controls_is_x(self):
         assert np.allclose(MCXGate(0).matrix, XGate().matrix)
@@ -241,6 +300,16 @@ class TestRegistry:
             gate_from_name("rx")
         with pytest.raises(ValueError):
             gate_from_name("x", [0.1])
+
+    def test_array_parameters(self):
+        params = np.array([0.3, 0.5, 0.7])
+        assert U3Gate(params) == gate_from_name("u3", params)
+        assert U3Gate(params).params == (0.3, 0.5, 0.7)
+
+    @pytest.mark.parametrize("name", _FIXED)
+    def test_fixed_gate_refuses_parameters(self, name):
+        with pytest.raises(ValueError, match="expects 0 parameter"):
+            GATE_REGISTRY[name]([0.1])
 
     def test_equality_and_hash(self):
         assert XGate() == XGate()

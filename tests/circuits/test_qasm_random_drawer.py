@@ -1,6 +1,7 @@
 """Tests for QASM I/O, random circuit generation and the drawer."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -19,22 +20,13 @@ from repro.circuits import (
 )
 from repro.circuits.gates import GATE_REGISTRY, gate_from_name
 from repro.simulator import circuit_unitary, equal_up_to_global_phase
-
-
-def _param_count(name):
-    for count in range(4):
-        try:
-            gate_from_name(name, [0.0] * count)
-            return count
-        except ValueError:
-            continue
-    raise AssertionError(name)
+from repro.transpiler.cache import circuit_structural_hash
 
 
 # every registered gate: name -> (parameter count, qubit count)
 _GATES = {
-    name: (_param_count(name), GATE_REGISTRY[name].num_qubits)
-    for name in sorted(GATE_REGISTRY)
+    name: (cls.num_params, cls.num_qubits)
+    for name, cls in sorted(GATE_REGISTRY.items())
 }
 _ANGLES = st.floats(
     -8 * math.pi, 8 * math.pi, allow_nan=False, allow_infinity=False
@@ -186,6 +178,17 @@ class TestQasmReader:
         with pytest.raises(QasmError, match=message):
             from_qasm("OPENQASM 2.0; " + program)
 
+    @pytest.mark.parametrize("statement", [
+        "rx q[0]",
+        "u3(1,2) q[0]",
+        "cx q[0]",
+        "x(0.1) q[0]",
+        "mcx3(1) q[0],q[1],q[2],q[3]",
+    ])
+    def test_bad_gate_arity_rejected(self, statement):
+        with pytest.raises(QasmError, match=re.escape(repr(statement))):
+            from_qasm(f"OPENQASM 2.0; qreg q[4]; {statement};")
+
     def test_malicious_parameter_rejected(self):
         with pytest.raises(QasmError):
             from_qasm(
@@ -232,6 +235,20 @@ class TestRandomCircuits:
         qc = random_circuit(2, 10, gate_pool=["u3", "cp"], seed=9)
         for inst in qc:
             assert len(inst.operation.params) in (1, 3)
+
+    def test_full_registry_pool_pinned(self):
+        # digest captured before gates stated their own arity and
+        # parameter count: the draws must not move
+        qc = random_circuit(6, 300, gate_pool=sorted(GATE_REGISTRY), seed=3)
+        assert set(qc.count_ops()) == set(GATE_REGISTRY)
+        assert (
+            circuit_structural_hash(qc) == "16db83fb116d76e8583489baf260ea34"
+        )
+
+    def test_mcx_pool(self):
+        qc = random_circuit(5, 4, gate_pool=["mcx3"], seed=0)
+        assert qc.count_ops() == {"mcx3": 4}
+        assert all(len(inst.qubits) == 4 for inst in qc)
 
 
 class TestDrawer:

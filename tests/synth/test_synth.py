@@ -16,6 +16,7 @@ from repro.synth import (
     mcz_parity_network,
     simulate_reversible,
 )
+from repro.synth.truthtable import reversible_table
 from reference_truthtable import simulate_reversible_loops
 
 
@@ -59,6 +60,12 @@ class TestTruthTable:
 
 
 class TestSimulateReversible:
+    def test_array_form_is_the_table(self):
+        circuit = benchmark_circuit("rd53")
+        table = reversible_table(circuit)
+        assert table.dtype == np.int64
+        assert table.tolist() == simulate_reversible(circuit).table
+
     def test_x_gate(self):
         qc = QuantumCircuit(2)
         qc.x(1)

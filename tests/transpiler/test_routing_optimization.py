@@ -79,6 +79,16 @@ class TestOptimisationPasses:
         qc.i(0).x(0).rz(0.0, 0).u3(0, 0, 0, 0)
         assert remove_identities(qc).size() == 1
 
+    @pytest.mark.parametrize("turns, kept", [(1, 1), (2, 0)])
+    def test_crz_full_turn_is_z_on_control(self, turns, kept):
+        qc = QuantumCircuit(2)
+        qc.h(0).crz(turns * 2 * np.pi, 0, 1)
+        out = remove_identities(qc)
+        assert out.count_ops()["crz"] == kept
+        assert equal_up_to_global_phase(
+            circuit_unitary(out), circuit_unitary(qc)
+        )
+
     def test_cancel_adjacent_self_inverse(self):
         qc = QuantumCircuit(2)
         qc.x(0).x(0).cx(0, 1).cx(0, 1)
