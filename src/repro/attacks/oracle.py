@@ -40,14 +40,12 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..simulator.unitary import circuit_unitary, equal_up_to_global_phase
-from ..synth.truthtable import reversible_table
+from ..synth.truthtable import is_reversible, reversible_table
 from .matching import Matching, Rows, recombine_candidate
 
 __all__ = [
     "MAX_UNITARY_QUBITS", "EquivalenceOracle", "is_reversible", "pad_table"
 ]
-
-_REVERSIBLE_NAMES = {"x", "cx", "ccx", "swap", "cswap"}
 
 # Widest candidate the unitary path may check: a 2^12 x 2^12 complex
 # matrix is 256 MB, and each further qubit quadruples it.
@@ -58,15 +56,6 @@ MAX_UNITARY_QUBITS = 12
 _GATHER_BUDGET = 1 << 20
 # Inputs every row is probed on before its full table is composed.
 _PROBE = 8
-
-
-def is_reversible(circuit: QuantumCircuit) -> bool:
-    """True when every gate is classical-reversible (truth-table safe)."""
-    return all(
-        inst.name in _REVERSIBLE_NAMES or inst.name.startswith("mcx")
-        for inst in circuit
-        if inst.is_gate
-    )
 
 
 def _pad(table: np.ndarray, num_qubits: int, width: int) -> np.ndarray:

@@ -53,6 +53,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -414,61 +415,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit_build_simulate(args: argparse.Namespace) -> tuple:
-    return "simulate", {
-        "qasm": to_qasm(_load_circuit(args.circuit)),
-        "shots": args.shots,
-        "seed": args.seed,
-        "noisy": args.noisy,
-        "method": args.method,
-    }
+def _submit_params(args: argparse.Namespace) -> dict:
+    """The job's wire params: only the options given, by field name,
+    so an omitted one takes the request's own default."""
+    from .service.requests import REQUEST_TYPES
 
-
-def _submit_build_protect(args: argparse.Namespace) -> tuple:
-    return "protect", {
-        "qasm": to_qasm(_load_circuit(args.circuit)),
-        "gate_limit": args.gate_limit,
-        "gate_pool": args.gate_pool,
-        "seed": args.seed,
-    }
-
-
-def _submit_build_transpile(args: argparse.Namespace) -> tuple:
-    return "transpile", {
-        "qasm": to_qasm(_load_circuit(args.circuit)),
-        "coupling": args.coupling,
-        "size": args.size,
-        "layout": args.layout,
-        "level": args.level,
-    }
-
-
-def _submit_target_params(args: argparse.Namespace) -> dict:
-    if args.circuit is not None:
-        return {"qasm": to_qasm(_load_circuit(args.circuit))}
-    return {"benchmark": args.benchmark}
-
-
-def _submit_build_evaluate(args: argparse.Namespace) -> tuple:
-    return "evaluate", {
-        **_submit_target_params(args),
-        "shots": args.shots,
-        "gate_limit": args.gate_limit,
-        "iterations": args.iterations,
-        "seed": args.seed,
-    }
-
-
-def _submit_build_attack(args: argparse.Namespace) -> tuple:
-    return "attack", {
-        **_submit_target_params(args),
-        "adversary": args.adversary,
-        "seed": args.seed,
-        "gate_limit": args.gate_limit,
-        "max_candidates": args.max_candidates,
-        "prefilter": not args.no_prefilter,
-        "early_exit": args.early_exit,
-    }
+    names = {f.name for f in fields(REQUEST_TYPES[args.action])}
+    params = {k: v for k, v in vars(args).items() if k in names}
+    if "qasm" in params:
+        params["qasm"] = to_qasm(_load_circuit(params["qasm"]))
+        params.pop("benchmark", None)  # --circuit replaces the default
+    return params
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -483,8 +440,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             cancelled = client.cancel(args.job_id)
             print(json.dumps({"id": args.job_id, "cancelled": cancelled}))
             return 0 if cancelled else 2
-        kind, params = args.build(args)
-        job_id = client.submit(kind, params, priority=args.priority)
+        job_id = client.submit(
+            args.action, _submit_params(args), priority=args.priority
+        )
         if args.no_wait:
             print(json.dumps(client.status(job_id), indent=2))
             return 0
@@ -680,75 +638,59 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="seconds to wait for completion")
     actions = submit.add_subparsers(dest="action", required=True)
 
-    def _submit_circuit_arg(p):
-        p.add_argument("circuit", help=".qasm or .real input")
+    def _job_parser(kind, summary):
+        # an omitted option stays out of the namespace: the request's
+        # own default applies, stated once on its dataclass
+        job = actions.add_parser(
+            kind, help=summary, argument_default=argparse.SUPPRESS
+        )
+        job.set_defaults(func=_cmd_submit)
+        if kind in ("evaluate", "attack"):
+            target = job.add_mutually_exclusive_group()
+            target.add_argument("--benchmark", default="4gt13",
+                                help="RevLib benchmark name")
+            target.add_argument("--circuit", dest="qasm", metavar="CIRCUIT",
+                                help=".qasm or .real input instead")
+        else:
+            job.add_argument("qasm", metavar="circuit",
+                             help=".qasm or .real input")
+        return job
 
-    def _submit_target_args(p):
-        target = p.add_mutually_exclusive_group()
-        target.add_argument("--benchmark", default="4gt13",
-                            help="RevLib benchmark name")
-        target.add_argument("--circuit", default=None,
-                            help=".qasm or .real input instead")
-
-    sim_job = actions.add_parser("simulate", help="noisy/noiseless run")
-    _submit_circuit_arg(sim_job)
-    sim_job.add_argument("--shots", type=int, default=1000)
-    sim_job.add_argument("--seed", type=int, default=None)
+    sim_job = _job_parser("simulate", "noisy/noiseless run")
+    sim_job.add_argument("--shots", type=int)
+    sim_job.add_argument("--seed", type=int)
     sim_job.add_argument("--noisy", action="store_true")
-    sim_job.add_argument("--method", default="auto")
-    sim_job.set_defaults(func=_cmd_submit, build=_submit_build_simulate)
+    sim_job.add_argument("--method")
 
-    protect_job = actions.add_parser(
-        "protect", help="obfuscate + split via the service"
-    )
-    _submit_circuit_arg(protect_job)
-    protect_job.add_argument("--gate-limit", type=int, default=4)
-    protect_job.add_argument("--gate-pool", default="x,cx")
-    protect_job.add_argument("--seed", type=int, default=None)
-    protect_job.set_defaults(func=_cmd_submit, build=_submit_build_protect)
+    protect_job = _job_parser("protect", "obfuscate + split via the service")
+    protect_job.add_argument("--gate-limit", type=int)
+    protect_job.add_argument("--gate-pool")
+    protect_job.add_argument("--seed", type=int)
 
-    transpile_job = actions.add_parser(
-        "transpile", help="compile for a device topology"
-    )
-    _submit_circuit_arg(transpile_job)
-    transpile_job.add_argument(
-        "--coupling", default="valencia",
-        choices=DEVICE_TARGETS,
-    )
-    transpile_job.add_argument("--size", type=int, default=None)
-    transpile_job.add_argument("--layout", default="greedy",
-                               choices=("greedy", "trivial"))
-    transpile_job.add_argument("--level", type=int, default=1)
-    transpile_job.set_defaults(
-        func=_cmd_submit, build=_submit_build_transpile
-    )
+    transpile_job = _job_parser("transpile", "compile for a device topology")
+    transpile_job.add_argument("--coupling", choices=DEVICE_TARGETS)
+    transpile_job.add_argument("--size", type=int)
+    transpile_job.add_argument("--layout", choices=("greedy", "trivial"))
+    transpile_job.add_argument("--level", type=int)
 
-    evaluate_job = actions.add_parser(
-        "evaluate", help="full pipeline evaluation (Sec. V)"
+    evaluate_job = _job_parser(
+        "evaluate", "full pipeline evaluation (Sec. V)"
     )
-    _submit_target_args(evaluate_job)
-    evaluate_job.add_argument("--shots", type=int, default=1000)
-    evaluate_job.add_argument("--gate-limit", type=int, default=4)
-    evaluate_job.add_argument("--iterations", type=int, default=1)
-    evaluate_job.add_argument("--seed", type=int, default=None)
-    evaluate_job.set_defaults(
-        func=_cmd_submit, build=_submit_build_evaluate
-    )
+    evaluate_job.add_argument("--shots", type=int)
+    evaluate_job.add_argument("--gate-limit", type=int)
+    evaluate_job.add_argument("--iterations", type=int)
+    evaluate_job.add_argument("--seed", type=int)
 
-    attack_job = actions.add_parser(
-        "attack", help="adversary search against a protected split"
+    attack_job = _job_parser(
+        "attack", "adversary search against a protected split"
     )
-    _submit_target_args(attack_job)
-    attack_job.add_argument(
-        "--adversary", default="auto", choices=("auto", *ATTACKS)
-    )
-    attack_job.add_argument("--seed", type=int, default=0)
-    attack_job.add_argument("--gate-limit", type=int, default=4)
-    attack_job.add_argument("--max-candidates", type=int,
-                            default=500_000)
-    attack_job.add_argument("--no-prefilter", action="store_true")
+    attack_job.add_argument("--adversary", choices=("auto", *ATTACKS))
+    attack_job.add_argument("--seed", type=int)
+    attack_job.add_argument("--gate-limit", type=int)
+    attack_job.add_argument("--max-candidates", type=int)
+    attack_job.add_argument("--no-prefilter", dest="prefilter",
+                            action="store_false")
     attack_job.add_argument("--early-exit", action="store_true")
-    attack_job.set_defaults(func=_cmd_submit, build=_submit_build_attack)
 
     status_job = actions.add_parser("status", help="poll one job")
     status_job.add_argument("job_id")

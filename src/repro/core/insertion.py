@@ -33,8 +33,8 @@ from ..circuits.gates import CXGate, CZGate, Gate, HGate, XGate
 from ..circuits.grid import OccupancyGrid
 from ..circuits.instruction import Instruction
 
-__all__ = ["InsertionResult", "InsertedPair", "insert_random_pairs",
-           "ROLE_ORIGINAL", "ROLE_R", "ROLE_RDG"]
+__all__ = ["InsertionResult", "InsertedPair", "check_gate_pool",
+           "insert_random_pairs", "ROLE_ORIGINAL", "ROLE_R", "ROLE_RDG"]
 
 ROLE_ORIGINAL = "original"
 ROLE_R = "r"
@@ -133,6 +133,16 @@ def _window_capacity(grid: OccupancyGrid, earlier: int) -> List[int]:
     ]
 
 
+def check_gate_pool(gate_pool: Sequence[str]) -> None:
+    """Refuse a pool naming a gate outside the self-inverse pool."""
+    for name in gate_pool:
+        if name not in _SELF_INVERSE_POOL:
+            raise ValueError(
+                f"gate_pool entry {name!r} is not in the self-inverse pool "
+                f"{sorted(_SELF_INVERSE_POOL)}"
+            )
+
+
 def insert_random_pairs(
     circuit: QuantumCircuit,
     gate_limit: int = 4,
@@ -157,12 +167,7 @@ def insert_random_pairs(
     when the window offers too few free cells — exactly the behaviour
     behind the per-benchmark insertion-count differences in Table I.
     """
-    for name in gate_pool:
-        if name not in _SELF_INVERSE_POOL:
-            raise ValueError(
-                f"gate {name!r} is not in the self-inverse pool "
-                f"{sorted(_SELF_INVERSE_POOL)}"
-            )
+    check_gate_pool(gate_pool)
     if gate_limit < 0:
         raise ValueError("gate_limit must be non-negative")
     rng = _resolve_rng(seed)

@@ -51,15 +51,13 @@ def execute_simulate_batch(
     probs, measured = terminal_distribution(circuit)
     results = []
     for params in params_list:
-        shots = int(params.get("shots", 1000))
-        rng = np.random.default_rng(params.get("seed"))
         counts = sample_terminal_counts(
             probs,
             measured,
             circuit.num_qubits,
             circuit.num_clbits,
-            shots,
-            rng,
+            params["shots"],
+            np.random.default_rng(params["seed"]),
         )
         results.append(
             {

@@ -2,6 +2,8 @@
 
 A handler is a pure, picklable, module-level function from a params
 dict (the request's canonical wire form) to a JSON-safe result dict.
+A typed kind's params carry every field of its request, defaults
+filled in and types checked at submit, so handlers read them by name.
 :data:`HANDLERS` maps each request kind to its handler: the five typed
 kinds of :mod:`repro.service.requests`, plus the internal ``_sleep``
 and ``_crash`` kinds that only in-process callers (failure-path tests,
@@ -39,11 +41,8 @@ def handle_simulate(params: Dict[str, Any]) -> Dict[str, Any]:
     from .requests import prepare_circuit, simulate_noise_model
 
     circuit = prepare_circuit(params["qasm"])
-    noise_model = (
-        simulate_noise_model(circuit) if params.get("noisy") else None
-    )
-    method = params.get("method", "auto")
-    shots = int(params.get("shots", 1000))
+    noise_model = simulate_noise_model(circuit) if params["noisy"] else None
+    method, shots = params["method"], params["shots"]
     engine = (
         select_engine(circuit, shots=shots, noise_model=noise_model)
         if method == "auto"
@@ -54,7 +53,7 @@ def handle_simulate(params: Dict[str, Any]) -> Dict[str, Any]:
         shots,
         noise_model=noise_model,
         method=engine,  # already resolved; skip a second auto-dispatch
-        seed=params.get("seed"),
+        seed=params["seed"],
     )
     return {
         "counts": counts.to_dict(),
@@ -71,9 +70,9 @@ def handle_protect(params: Dict[str, Any]) -> Dict[str, Any]:
     circuit = from_qasm(params["qasm"])
     protection = protect_circuit(
         circuit,
-        gate_limit=int(params.get("gate_limit", 4)),
-        gate_pool=tuple(params.get("gate_pool", "x,cx").split(",")),
-        seed=params.get("seed"),
+        gate_limit=params["gate_limit"],
+        gate_pool=params["gate_pool"].split(","),
+        seed=params["seed"],
     )
     return {
         "segment1_qasm": to_qasm(protection.split.segment1.compact),
@@ -88,12 +87,12 @@ def handle_transpile(params: Dict[str, Any]) -> Dict[str, Any]:
     from ..transpiler import DEVICE_TARGETS, transpile
 
     circuit = from_qasm(params["qasm"])
-    size = params.get("size") or max(circuit.num_qubits, 2)
+    size = params["size"] or max(circuit.num_qubits, 2)
     result = transpile(
         circuit,
-        **DEVICE_TARGETS[params.get("coupling", "valencia")](size),
-        layout_method=params.get("layout", "greedy"),
-        optimization_level=int(params.get("level", 1)),
+        **DEVICE_TARGETS[params["coupling"]](size),
+        layout_method=params["layout"],
+        optimization_level=params["level"],
     )
     return {
         "qasm": to_qasm(result.circuit),
@@ -110,7 +109,7 @@ def _target_circuit(params: Dict[str, Any]):
     from ..circuits.qasm import from_qasm
     from ..revlib.benchmarks import load_benchmark
 
-    if params.get("qasm") is not None:
+    if params["qasm"] is not None:
         return from_qasm(params["qasm"]), None
     record = load_benchmark(params["benchmark"])
     return record.circuit(), record
@@ -121,16 +120,17 @@ def handle_evaluate(params: Dict[str, Any]) -> Dict[str, Any]:
     from ..core.pipeline import evaluate_iteration
 
     circuit, record = _target_circuit(params)
-    iterations = int(params.get("iterations", 1))
-    children = np.random.SeedSequence(params.get("seed")).spawn(iterations)
+    children = np.random.SeedSequence(params["seed"]).spawn(
+        params["iterations"]
+    )
     results = []
     for child in children:
         evaluation = evaluate_iteration(
             circuit,
             record.name if record is not None else circuit.name,
             record.output_qubits if record is not None else None,
-            shots=int(params.get("shots", 1000)),
-            gate_limit=int(params.get("gate_limit", 4)),
+            shots=params["shots"],
+            gate_limit=params["gate_limit"],
             seed=child,
         )
         results.append(
@@ -150,12 +150,12 @@ def handle_attack(params: Dict[str, Any]) -> Dict[str, Any]:
     from ..attacks import SearchOptions, get_attack, problem_for, select_attack
 
     circuit, _ = _target_circuit(params)
-    adversary = params.get("adversary", "auto")
+    adversary = params["adversary"]
     problem = problem_for(
         circuit,
         adversary,
-        seed=int(params.get("seed", 0)),
-        gate_limit=int(params.get("gate_limit", 4)),
+        seed=params["seed"],
+        gate_limit=params["gate_limit"],
     )
     attack = (
         select_attack(problem)
@@ -163,9 +163,9 @@ def handle_attack(params: Dict[str, Any]) -> Dict[str, Any]:
         else get_attack(adversary)
     )
     options = SearchOptions(
-        max_candidates=int(params.get("max_candidates", 500_000)),
-        prefilter=bool(params.get("prefilter", True)),
-        early_exit=bool(params.get("early_exit", False)),
+        max_candidates=params["max_candidates"],
+        prefilter=params["prefilter"],
+        early_exit=params["early_exit"],
     )
     outcome = attack.search(problem, options)
     first = outcome.first_match

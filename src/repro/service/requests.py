@@ -4,21 +4,28 @@ Every job the service accepts is described by one of these request
 dataclasses.  Circuits travel as OpenQASM 2 text
 (:mod:`repro.circuits.qasm`), never as pickled objects, so the same
 request shape works in-process, over HTTP and inside worker processes.
+A kind's fields and their defaults are stated once, on its dataclass:
+handlers read every field from ``params()``, and ``repro submit``
+sends only the options it was given.
 
 Each request knows three things about itself:
 
 * ``params()`` — its canonical wire form (the dict a handler runs on);
-* ``fingerprint()`` — the result-cache key, or ``None`` when the
-  request is not cacheable.  Fingerprints combine the **structural
-  circuit hash** (:func:`repro.transpiler.cache.circuit_structural_hash`,
-  so QASM formatting differences never defeat the cache) with a
-  canonical-JSON digest of the remaining parameters
-  (:mod:`repro._hashing`).  Requests that draw unseeded randomness
-  (``seed=None`` on simulate/protect/evaluate) are never cached;
+* ``fingerprint()`` — the result-cache key, by one rule for every
+  kind: a canonical-JSON digest (:mod:`repro._hashing`) of the kind and
+  ``params()``, with the QASM text replaced by its **structural circuit
+  hash** (:func:`repro.transpiler.cache.circuit_structural_hash`, so
+  QASM formatting differences never defeat the cache).  A request whose
+  ``seed`` field is ``None`` draws unseeded randomness and is never
+  cached (``None``); a same-width attack leaves out the ``gate_limit``
+  it never reads;
 * ``coalesce_key()`` — the compatibility class for request batching,
   or ``None``.  Only noiseless, terminal-measurement simulations
   coalesce: those share one statevector evolution and then
   sample per-request, which is bit-identical to running each alone.
+
+Bad input is refused when the request is built (``ValueError``, so
+HTTP 400 at submit), never inside a worker.
 """
 
 from __future__ import annotations
@@ -31,7 +38,9 @@ from .._hashing import json_digest
 from ..attacks.bruteforce import ATTACKS
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.qasm import from_qasm
+from ..core.insertion import check_gate_pool
 from ..simulator.trajectory import measures_are_terminal
+from ..synth.truthtable import is_reversible
 from ..transpiler.cache import circuit_structural_hash
 from ..transpiler.transpile import DEVICE_TARGETS
 
@@ -123,6 +132,23 @@ class ServiceRequest:
     # measure-all semantics before hashing and execution
     NORMALISE_MEASUREMENTS: ClassVar[bool] = False
 
+    # the parsed QASM circuit, held after its first parse
+    _prepared: Optional[QuantumCircuit] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if getattr(self, "qasm", None) == "":
+            raise ValueError(f"{self.KIND} request needs a 'qasm' circuit")
+        for name in ("seed", "gate_limit"):  # shared by every kind
+            value = getattr(self, name, None)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be non-negative")
+        self._validate()
+
+    def _validate(self) -> None:
+        """The kind's own checks; bad input fails here, at submit."""
+
     def params(self) -> Dict[str, Any]:
         """Canonical wire/cache form of this request.
 
@@ -138,7 +164,7 @@ class ServiceRequest:
     # -- circuit plumbing (qasm-bearing requests) ----------------------
     def _circuit(self) -> QuantumCircuit:
         """The parsed circuit, held to the size caps on first parse."""
-        cached = getattr(self, "_prepared", None)
+        cached = self._prepared
         if cached is None:
             cached = (
                 prepare_circuit(self.qasm)
@@ -152,17 +178,32 @@ class ServiceRequest:
     def circuit_hash(self) -> str:
         return circuit_structural_hash(self._circuit())
 
-    def _fingerprint_of(self, identity: Dict[str, Any]) -> str:
-        return json_digest(
-            {"kind": self.KIND, **identity}, digest_size=_FINGERPRINT_SIZE
-        )
+    # -- cache identity --------------------------------------------------
+    def _identity(self) -> Dict[str, Any]:
+        """The params a result depends on, QASM by structural hash."""
+        identity = self.params()
+        if identity.get("qasm") is not None:
+            identity["qasm"] = self.circuit_hash()
+        return identity
 
-    # -- defaults ------------------------------------------------------
     def fingerprint(self) -> Optional[str]:
-        return None
+        if getattr(self, "seed", 0) is None:
+            return None  # unseeded randomness is not reproducible
+        return json_digest(
+            {"kind": self.KIND, **self._identity()},
+            digest_size=_FINGERPRINT_SIZE,
+        )
 
     def coalesce_key(self) -> Optional[Tuple]:
         return None
+
+
+def _check_unmeasured(circuit: QuantumCircuit) -> None:
+    if circuit.has_measurements():
+        raise ValueError(
+            "the circuit must be measurement-free: pairs are inserted "
+            "into the unitary circuit, measurements come after restoring"
+        )
 
 
 @dataclass
@@ -177,13 +218,8 @@ class SimulateRequest(ServiceRequest):
     seed: Optional[int] = None
     noisy: bool = False
     method: str = "auto"
-    _prepared: Optional[QuantumCircuit] = field(
-        default=None, repr=False, compare=False
-    )
 
-    def __post_init__(self) -> None:
-        if not self.qasm:
-            raise ValueError("simulate request needs a 'qasm' circuit")
+    def _validate(self) -> None:
         circuit = self._circuit()  # malformed QASM fails at submit
         _check_caps(self.shots)
         if self.method != "auto":
@@ -198,19 +234,6 @@ class SimulateRequest(ServiceRequest):
         reason = refusal(self.method, circuit, noise_model)
         if reason is not None:
             raise ValueError(reason)
-
-    def fingerprint(self) -> Optional[str]:
-        if self.seed is None:
-            return None  # unseeded sampling is not reproducible
-        return self._fingerprint_of(
-            {
-                "circuit": self.circuit_hash(),
-                "shots": self.shots,
-                "seed": self.seed,
-                "noisy": self.noisy,
-                "method": self.method,
-            }
-        )
 
     def coalesce_key(self) -> Optional[Tuple]:
         if self.noisy or self.method not in ("auto", "statevector"):
@@ -230,30 +253,10 @@ class ProtectRequest(ServiceRequest):
     gate_limit: int = 4
     gate_pool: str = "x,cx"
     seed: Optional[int] = None
-    _prepared: Optional[QuantumCircuit] = field(
-        default=None, repr=False, compare=False
-    )
 
-    def __post_init__(self) -> None:
-        if not self.qasm:
-            raise ValueError("protect request needs a 'qasm' circuit")
-        if self.gate_limit < 0:
-            raise ValueError("gate_limit must be non-negative")
-        if not self.gate_pool:
-            raise ValueError("gate_pool must not be empty")
-        self._circuit()  # malformed QASM fails at submit
-
-    def fingerprint(self) -> Optional[str]:
-        if self.seed is None:
-            return None
-        return self._fingerprint_of(
-            {
-                "circuit": self.circuit_hash(),
-                "gate_limit": self.gate_limit,
-                "gate_pool": self.gate_pool,
-                "seed": self.seed,
-            }
-        )
+    def _validate(self) -> None:
+        check_gate_pool(self.gate_pool.split(","))
+        _check_unmeasured(self._circuit())  # malformed QASM fails here
 
 
 @dataclass
@@ -267,13 +270,8 @@ class TranspileRequest(ServiceRequest):
     size: Optional[int] = None
     layout: str = "greedy"
     level: int = 1
-    _prepared: Optional[QuantumCircuit] = field(
-        default=None, repr=False, compare=False
-    )
 
-    def __post_init__(self) -> None:
-        if not self.qasm:
-            raise ValueError("transpile request needs a 'qasm' circuit")
+    def _validate(self) -> None:
         if self.coupling not in DEVICE_TARGETS:
             raise ValueError(
                 f"unknown coupling {self.coupling!r}; "
@@ -291,25 +289,13 @@ class TranspileRequest(ServiceRequest):
                 f"size must be in {circuit.num_qubits}..{MAX_DEVICE_QUBITS}"
             )
 
-    def fingerprint(self) -> Optional[str]:
-        # compilation is RNG-free: always cacheable
-        return self._fingerprint_of(
-            {
-                "circuit": self.circuit_hash(),
-                "coupling": self.coupling,
-                "size": self.size,
-                "layout": self.layout,
-                "level": self.level,
-            }
-        )
-
 
 def _validate_target(request: "ServiceRequest") -> None:
     """Exactly one of benchmark/qasm, and it must resolve at submit.
 
     The QASM parse lands in the request's ``_prepared`` cache, so
-    :func:`_target_identity` (and nothing else in the submitting
-    thread) ever parses the text again.
+    the fingerprint (and nothing else in the submitting thread) never
+    parses the text again.
     """
     if (request.benchmark is None) == (request.qasm is None):
         raise ValueError(
@@ -324,12 +310,6 @@ def _validate_target(request: "ServiceRequest") -> None:
             load_benchmark(request.benchmark)  # unknown names fail here
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
-
-
-def _target_identity(request: "ServiceRequest") -> Dict[str, Any]:
-    if request.qasm is not None:
-        return {"circuit": request.circuit_hash()}
-    return {"benchmark": request.benchmark}
 
 
 @dataclass
@@ -350,28 +330,19 @@ class EvaluateRequest(ServiceRequest):
     gate_limit: int = 4
     iterations: int = 1
     seed: Optional[int] = None
-    _prepared: Optional[QuantumCircuit] = field(
-        default=None, repr=False, compare=False
-    )
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _validate_target(self)
         _check_caps(self.shots, self.iterations)
-        if self.gate_limit < 0:
-            raise ValueError("gate_limit must be non-negative")
-
-    def fingerprint(self) -> Optional[str]:
-        if self.seed is None:
-            return None
-        return self._fingerprint_of(
-            {
-                **_target_identity(self),
-                "shots": self.shots,
-                "gate_limit": self.gate_limit,
-                "iterations": self.iterations,
-                "seed": self.seed,
-            }
-        )
+        if self.qasm is not None:
+            circuit = self._circuit()
+            _check_unmeasured(circuit)
+            # the expected output comes from the circuit's truth table
+            if not is_reversible(circuit):
+                raise ValueError(
+                    "evaluate scores classical-reversible circuits only "
+                    "(x, cx, ccx, mcx, swap and cswap gates)"
+                )
 
 
 @dataclass
@@ -390,37 +361,24 @@ class AttackRequest(ServiceRequest):
     max_candidates: int = MAX_CANDIDATES
     prefilter: bool = True
     early_exit: bool = False
-    _prepared: Optional[QuantumCircuit] = field(
-        default=None, repr=False, compare=False
-    )
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _validate_target(self)
         if self.adversary != "auto" and self.adversary not in ATTACKS:
             raise ValueError(
                 f"unknown adversary {self.adversary!r}; expected 'auto' "
                 f"or one of {', '.join(ATTACKS)}"
             )
-        if self.gate_limit < 0:
-            raise ValueError("gate_limit must be non-negative")
         if not 0 < self.max_candidates <= MAX_CANDIDATES:
             raise ValueError(f"max_candidates must be in 1..{MAX_CANDIDATES}")
 
-    def fingerprint(self) -> Optional[str]:
-        # the search is canonical-order deterministic for a fixed seed
-        identity = {
-            **_target_identity(self),
-            "adversary": self.adversary,
-            "seed": self.seed,
-            "max_candidates": self.max_candidates,
-            "prefilter": self.prefilter,
-            "early_exit": self.early_exit,
-        }
+    def _identity(self) -> Dict[str, Any]:
+        identity = super()._identity()
         # a same-width split is a plain Saki split: no pairs are
         # inserted, so gate_limit never reaches the search
-        if self.adversary != "same-width":
-            identity["gate_limit"] = self.gate_limit
-        return self._fingerprint_of(identity)
+        if self.adversary == "same-width":
+            del identity["gate_limit"]
+        return identity
 
 
 @dataclass
@@ -440,6 +398,9 @@ class RawRequest(ServiceRequest):
 
     def params(self) -> Dict[str, Any]:
         return dict(self.raw_params)
+
+    def fingerprint(self) -> Optional[str]:
+        return None
 
 
 REQUEST_TYPES: Dict[str, type] = {

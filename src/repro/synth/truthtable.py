@@ -15,7 +15,11 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import MCXGate
 
-__all__ = ["TruthTable", "reversible_table", "simulate_reversible"]
+__all__ = [
+    "TruthTable", "is_reversible", "reversible_table", "simulate_reversible"
+]
+
+_REVERSIBLE_NAMES = frozenset({"x", "cx", "ccx", "swap", "cswap"})
 
 
 class TruthTable:
@@ -85,6 +89,18 @@ class TruthTable:
         return f"TruthTable(lines={self.num_lines})"
 
 
+def _reversible_gate(op) -> bool:
+    return isinstance(op, MCXGate) or op.name in _REVERSIBLE_NAMES
+
+
+def is_reversible(circuit: QuantumCircuit) -> bool:
+    """True when every gate is classical-reversible: the circuits
+    :func:`reversible_table` accepts."""
+    return all(
+        _reversible_gate(inst.operation) for inst in circuit if inst.is_gate
+    )
+
+
 def simulate_reversible(circuit: QuantumCircuit) -> TruthTable:
     """Exact truth table of a classical-reversible circuit.
 
@@ -107,17 +123,17 @@ def reversible_table(circuit: QuantumCircuit) -> np.ndarray:
             continue
         op = inst.operation
         qubits = inst.qubits
+        if not _reversible_gate(op):
+            raise ValueError(
+                f"gate {op.name!r} is not classical-reversible"
+            )
         if op.name in ("swap", "cswap"):
             controls, (a, b) = qubits[:-2], qubits[-2:]
             flip = (1 << a) | (1 << b)
             differ = ((table >> a) ^ (table >> b)) & 1
-        elif isinstance(op, MCXGate) or op.name in ("x", "cx", "ccx"):
+        else:
             controls, flip = qubits[:-1], 1 << qubits[-1]
             differ = 1
-        else:
-            raise ValueError(
-                f"gate {op.name!r} is not classical-reversible"
-            )
         mask = sum(1 << c for c in controls)
         table ^= (differ & (table & mask == mask)) * flip
     return table

@@ -17,6 +17,7 @@ from repro.attacks import (
     StructuralPrefilter,
     find_mismatched_split,
     get_attack,
+    is_reversible,
     iter_same_width_matchings,
     iter_subset_matchings,
     problem_for,
@@ -29,7 +30,7 @@ from repro.attacks import (
 )
 from repro.attacks.oracle import pad_table
 from repro.baselines import saki_split
-from repro.circuits import QuantumCircuit
+from repro.circuits import CXGate, QuantumCircuit, UnitaryGate
 from repro.core import insert_random_pairs, interlocking_split
 from repro.revlib import benchmark_circuit
 from repro.synth import simulate_reversible
@@ -212,6 +213,17 @@ class TestOracle:
         qc = QuantumCircuit(1).measure_all()
         with pytest.raises(ValueError, match="measurement-free"):
             EquivalenceOracle(qc)
+
+    def test_unitary_gate_named_like_mcx_takes_the_unitary_path(self):
+        # only MCXGate and the x/cx/ccx/swap/cswap gates have a truth
+        # table; a UnitaryGate whose label starts with "mcx" is checked
+        # by its unitary instead of raising
+        reference = QuantumCircuit(2)
+        reference.cx(0, 1)
+        candidate = QuantumCircuit(2)
+        candidate.append(UnitaryGate(CXGate().matrix, label="mcx_x"), [0, 1])
+        assert is_reversible(reference) and not is_reversible(candidate)
+        assert EquivalenceOracle(reference).check(candidate) is True
 
 
 class TestPrefilter:

@@ -4,14 +4,16 @@ from repro.execution import run as execute
 from repro.service import JobService, ServiceClient
 from repro.service.coalesce import execute_simulate_batch
 from repro.service.handlers import handle_simulate
-from repro.service.requests import prepare_circuit
+from repro.service.requests import SimulateRequest, prepare_circuit
 
 
 class TestBatchExecutor:
     def test_batch_matches_solo_handler_bit_for_bit(self, bench_qasm):
         """The pure worker function: one evolution, per-request draws."""
         params_list = [
-            {"qasm": bench_qasm, "shots": 100 + 10 * i, "seed": i}
+            SimulateRequest(
+                qasm=bench_qasm, shots=100 + 10 * i, seed=i
+            ).params()
             for i in range(5)
         ]
         batched = execute_simulate_batch(params_list)
@@ -20,7 +22,8 @@ class TestBatchExecutor:
 
     def test_batch_matches_direct_execution(self, bench_qasm):
         params_list = [
-            {"qasm": bench_qasm, "shots": 200, "seed": s} for s in (1, 2)
+            SimulateRequest(qasm=bench_qasm, shots=200, seed=s).params()
+            for s in (1, 2)
         ]
         batched = execute_simulate_batch(params_list)
         circuit = prepare_circuit(bench_qasm)

@@ -22,7 +22,7 @@ from repro.service.requests import (
     request_from_wire,
 )
 
-from service_qasm import BELL_QASM, MID_MEASURE_QASM
+from service_qasm import BELL_QASM, BELL_UNITARY_QASM, MID_MEASURE_QASM
 
 
 class TestWireParsing:
@@ -77,7 +77,7 @@ class TestWireParsing:
 # a valid target per kind, and wrong-typed values per declared type
 WIRE_TARGETS = {
     "simulate": {"qasm": BELL_QASM},
-    "protect": {"qasm": BELL_QASM},
+    "protect": {"qasm": BELL_UNITARY_QASM},
     "transpile": {"qasm": BELL_QASM},
     "evaluate": {"benchmark": "4gt13"},
     "attack": {"benchmark": "4gt13"},
@@ -274,16 +274,49 @@ class TestValidation:
         EvaluateRequest(benchmark="4gt13", gate_limit=0)
         AttackRequest(benchmark="4gt13", gate_limit=0)
 
+    @pytest.mark.parametrize("kind", ["simulate", "protect", "evaluate",
+                                      "attack"])
+    def test_negative_seed_refused_at_submit(self, kind):
+        target = {**WIRE_TARGETS[kind]}
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            request_from_wire(kind, {**target, "seed": -3})
+        request_from_wire(kind, {**target, "seed": 0})
+
+    @pytest.mark.parametrize("pool", ["bogus", "rz", "x,,cx"])
+    def test_protect_pool_outside_the_insertion_pool_refused(self, pool):
+        with pytest.raises(ValueError, match="gate_pool entry"):
+            ProtectRequest(qasm=BELL_UNITARY_QASM, gate_pool=pool)
+
+    def test_protect_pool_inside_the_insertion_pool_accepted(self):
+        for pool in ("x", "h", "x,cx", "cz,h,x"):
+            ProtectRequest(qasm=BELL_UNITARY_QASM, gate_pool=pool)
+
+    def test_protect_measured_circuit_refused_at_submit(self):
+        with pytest.raises(ValueError, match="measurement-free"):
+            ProtectRequest(qasm=BELL_QASM)
+
+    def test_evaluate_circuit_it_cannot_score_refused_at_submit(
+        self, bench_qasm
+    ):
+        # the expected output is read from a truth table, so the target
+        # must be classical-reversible and measurement-free
+        with pytest.raises(ValueError, match="classical-reversible"):
+            EvaluateRequest(qasm=BELL_UNITARY_QASM)
+        measured = bench_qasm + "creg c[4];\nmeasure q[0] -> c[0];\n"
+        with pytest.raises(ValueError, match="measurement-free"):
+            EvaluateRequest(qasm=measured)
+        EvaluateRequest(qasm=bench_qasm)
+
 
 class TestFingerprints:
     def test_unseeded_stochastic_not_cacheable(self):
         assert SimulateRequest(qasm=BELL_QASM).fingerprint() is None
-        assert ProtectRequest(qasm=BELL_QASM).fingerprint() is None
+        assert ProtectRequest(qasm=BELL_UNITARY_QASM).fingerprint() is None
         assert EvaluateRequest(benchmark="4gt13").fingerprint() is None
 
     def test_seeded_cacheable(self):
         assert SimulateRequest(qasm=BELL_QASM, seed=1).fingerprint()
-        assert ProtectRequest(qasm=BELL_QASM, seed=1).fingerprint()
+        assert ProtectRequest(qasm=BELL_UNITARY_QASM, seed=1).fingerprint()
 
     def test_transpile_always_cacheable(self):
         assert TranspileRequest(qasm=BELL_QASM).fingerprint()
@@ -328,7 +361,7 @@ class TestFingerprints:
 
     def test_kind_in_fingerprint(self):
         sim = SimulateRequest(qasm=BELL_QASM, seed=1).fingerprint()
-        prot = ProtectRequest(qasm=BELL_QASM, seed=1).fingerprint()
+        prot = ProtectRequest(qasm=BELL_UNITARY_QASM, seed=1).fingerprint()
         assert sim != prot
 
 

@@ -136,9 +136,12 @@ class TestDeterminism:
         """An evaluate job and the table1 grid run one iteration alike."""
         from repro.experiments import run_experiment
         from repro.service.handlers import handle_evaluate
+        from repro.service.requests import EvaluateRequest
 
         served = handle_evaluate(
-            {"benchmark": "4gt13", "iterations": 2, "shots": 100, "seed": 7}
+            EvaluateRequest(
+                benchmark="4gt13", iterations=2, shots=100, seed=7
+            ).params()
         )["iterations"]
         cells = run_experiment(
             "table1",

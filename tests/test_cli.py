@@ -332,6 +332,75 @@ class TestCleanErrors:
         assert "engine: trajectory" in capsys.readouterr().out
 
 
+# `repro submit` argument lists (the circuit path is CIRCUIT) and the
+# request each one must build: every field, defaults included
+SUBMIT_CASES = [
+    (["simulate", "CIRCUIT"],
+     {"qasm": "QASM", "shots": 1000, "seed": None, "noisy": False,
+      "method": "auto"}),
+    (["simulate", "CIRCUIT", "--shots", "200", "--seed", "7", "--noisy",
+      "--method", "trajectory"],
+     {"qasm": "QASM", "shots": 200, "seed": 7, "noisy": True,
+      "method": "trajectory"}),
+    (["protect", "CIRCUIT", "--gate-pool", "x", "--seed", "5"],
+     {"qasm": "QASM", "gate_limit": 4, "gate_pool": "x", "seed": 5}),
+    (["transpile", "CIRCUIT", "--coupling", "line", "--size", "6"],
+     {"qasm": "QASM", "coupling": "line", "size": 6, "layout": "greedy",
+      "level": 1}),
+    (["evaluate", "--iterations", "2", "--seed", "13"],
+     {"benchmark": "4gt13", "qasm": None, "shots": 1000, "gate_limit": 4,
+      "iterations": 2, "seed": 13}),
+    (["evaluate", "--circuit", "CIRCUIT", "--gate-limit", "2"],
+     {"benchmark": None, "qasm": "QASM", "shots": 1000, "gate_limit": 2,
+      "iterations": 1, "seed": None}),
+    (["attack"],
+     {"benchmark": "4gt13", "qasm": None, "adversary": "auto", "seed": 0,
+      "gate_limit": 4, "max_candidates": 500_000, "prefilter": True,
+      "early_exit": False}),
+    (["attack", "--circuit", "CIRCUIT", "--adversary", "mismatched",
+      "--max-candidates", "1000", "--no-prefilter", "--early-exit"],
+     {"benchmark": None, "qasm": "QASM", "adversary": "mismatched",
+      "seed": 0, "gate_limit": 4, "max_candidates": 1000,
+      "prefilter": False, "early_exit": True}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", SUBMIT_CASES, ids=[" ".join(c[0]) for c in SUBMIT_CASES]
+)
+def test_submit_builds_each_request_kind(argv, expected, real_file,
+                                         monkeypatch, capsys):
+    """Options left out of `repro submit` take the request's own
+    defaults, and every option lands on its field."""
+    from repro.circuits import to_qasm
+    from repro.revlib import parse_real
+    from repro.service import client as client_module
+    from repro.service.requests import request_from_wire
+
+    submitted = []
+
+    class RecordingClient:
+        def __init__(self, url, timeout=None):
+            pass
+
+        def submit(self, kind, params, priority=0):
+            submitted.append((kind, params))
+            return "j000001"
+
+        def wait_for(self, job_id, timeout=None):
+            return {"id": job_id, "state": "done"}
+
+    monkeypatch.setattr(client_module, "HTTPServiceClient", RecordingClient)
+    argv = [str(real_file) if arg == "CIRCUIT" else arg for arg in argv]
+    assert main(["submit", *argv]) == 0
+    capsys.readouterr()
+    (kind, params), = submitted
+    assert kind == argv[0]
+    qasm = to_qasm(parse_real(real_file.read_text(), name="4gt13"))
+    expected = {k: qasm if v == "QASM" else v for k, v in expected.items()}
+    assert request_from_wire(kind, params).params() == expected
+
+
 class TestServeSubmitCLI:
     """`repro submit` against an in-process service HTTP endpoint."""
 
