@@ -34,6 +34,7 @@ from .bruteforce import (
     ATTACKS,
     MismatchedWidthBruteForce,
     SameWidthBruteForce,
+    attack_for,
     get_attack,
     select_attack,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "SameWidthBruteForce",
     "SearchOptions",
     "StructuralPrefilter",
+    "attack_for",
     "complexity_ratio",
     "find_mismatched_split",
     "get_attack",

@@ -36,6 +36,7 @@ __all__ = [
     "ATTACKS",
     "MismatchedWidthBruteForce",
     "SameWidthBruteForce",
+    "attack_for",
     "get_attack",
     "select_attack",
 ]
@@ -153,3 +154,11 @@ def select_attack(problem: CollusionProblem) -> _Model:
         (attack for attack in ATTACKS.values() if attack.supports(problem)),
         key=lambda attack: (attack.search_space(problem), attack.name),
     )
+
+
+def attack_for(problem: CollusionProblem, adversary: str) -> _Model:
+    """The attack an *adversary* request runs on *problem*: the one
+    :data:`ATTACKS` names, or for ``"auto"`` :func:`select_attack`'s."""
+    if adversary == "auto":
+        return select_attack(problem)
+    return get_attack(adversary)

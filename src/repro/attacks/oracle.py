@@ -16,10 +16,11 @@ Two check paths, chosen automatically:
   permutation of ``2^n`` bitstrings.  A matching's table is composed
   from the segments' tables, simulated once per search: no circuit.
   :meth:`EquivalenceOracle.verdicts` checks all
-  :class:`~repro.attacks.matching.Rows` of one overlap at once: every
-  row is first probed on the first few inputs, which rejects nearly
-  every wrong matching, and only the rows that pass are composed on all
-  ``2^width`` inputs, in slices of bounded size;
+  :class:`~repro.attacks.matching.Rows` of one overlap at once, in
+  tiers of inputs: every row on input 0, which alone rejects nearly
+  every wrong matching, the survivors on the rest of the first
+  :data:`_PROBE`, and only the rows that pass those on the rest of all
+  ``2^width`` inputs, each tier in slices of bounded size;
 * **unitary** — otherwise the full matrix is built through the shared
   batched gate kernels (:func:`repro.simulator.unitary.circuit_unitary`)
   and compared up to global phase, each matching recombined first.
@@ -54,7 +55,8 @@ MAX_UNITARY_QUBITS = 12
 # Most table elements one slice of the composed check holds in an
 # array: 8 MB of int64 per array, whatever the number of rows.
 _GATHER_BUDGET = 1 << 20
-# Inputs every row is probed on before its full table is composed.
+# Inputs a row is probed on, after input 0, before its full table is
+# composed.
 _PROBE = 8
 
 
@@ -154,23 +156,26 @@ class EquivalenceOracle:
     def _compose(self, rows: Rows) -> np.ndarray:
         """Segment 1's table, then segment 2's on each row's slots.
 
-        Every row is probed on the first :data:`_PROBE` inputs; the rows
-        that pass are checked on all ``2^width`` inputs.  Each pass runs
-        in slices of rows whose arrays hold at most
-        :data:`_GATHER_BUDGET` elements.
+        Rows are checked in tiers of inputs: input 0, then the rest of
+        the first :data:`_PROBE`, then the rest of all ``2^width``; each
+        tier checks only the rows every earlier one passed, so the last
+        makes the verdict exact.  Input 0 alone rejects nearly every
+        wrong row.  Each tier runs in slices of rows whose arrays hold
+        at most :data:`_GATHER_BUDGET` elements.
         """
         width = max(rows.num_qubits, self.reference.num_qubits)
         # segment 1's output on every input; bits above its qubits pass
         after1 = _pad(self._table1, rows.n1, width)
         reference = self._table(width)
         verdicts = np.ones(len(rows), dtype=bool)
-        for inputs in (min(_PROBE, len(reference)), len(reference)):
-            step = max(1, _GATHER_BUDGET // (inputs * (rows.n2 + 1)))
+        bounds = sorted({0, 1, min(_PROBE, len(reference)), len(reference)})
+        for lo, hi in zip(bounds, bounds[1:]):
+            step = max(1, _GATHER_BUDGET // ((hi - lo) * (rows.n2 + 1)))
             left = np.flatnonzero(verdicts)
-            for lo in range(0, len(left), step):
-                part = left[lo:lo + step]
+            for first in range(0, len(left), step):
+                part = left[first:first + step]
                 verdicts[part] = self._agree(
-                    rows.slots[part], after1[:inputs], reference[:inputs]
+                    rows.slots[part], after1[lo:hi], reference[lo:hi]
                 )
         return verdicts
 

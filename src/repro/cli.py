@@ -309,7 +309,7 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
 def _cmd_attack(args: argparse.Namespace) -> int:
     import time
 
-    from .attacks import get_attack, problem_for, select_attack
+    from .attacks import attack_for, problem_for
     from .revlib.benchmarks import benchmark_circuit
 
     if args.list_adversaries:
@@ -325,11 +325,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             circuit, args.adversary, seed=args.seed,
             gate_limit=args.gate_limit,
         )
-        attack = (
-            select_attack(problem)
-            if args.adversary == "auto"
-            else get_attack(args.adversary)
-        )
+        attack = attack_for(problem, args.adversary)
         options = SearchOptions(
             max_candidates=args.max_candidates,
             prefilter=not args.no_prefilter,

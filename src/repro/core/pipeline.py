@@ -30,7 +30,7 @@ from ..execution import Counts, run as execute
 from ..metrics.accuracy import accuracy
 from ..metrics.tvd import tvd_counts, tvd_to_reference
 from ..noise.backend import Backend, valencia_like_backend
-from ..synth.truthtable import simulate_reversible
+from ..synth.truthtable import reversible_table
 from ..transpiler.transpile import TranspileResult, transpile
 from .deobfuscate import CompiledSplit, SplitCompilationFlow
 from .obfuscate import TetrisLockObfuscator
@@ -210,7 +210,7 @@ class TetrisLockPipeline:
             output_qubits = tuple(range(circuit.num_qubits))
         output_qubits = tuple(sorted(output_qubits))
         full_expected = format(
-            simulate_reversible(circuit)(0), f"0{circuit.num_qubits}b"
+            int(reversible_table(circuit)[0]), f"0{circuit.num_qubits}b"
         )
         reversed_bits = full_expected[::-1]
         expected = "".join(reversed_bits[q] for q in output_qubits)[::-1]

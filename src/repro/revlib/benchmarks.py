@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..circuits.circuit import QuantumCircuit
-from ..synth.truthtable import simulate_reversible
+from ..synth.truthtable import reversible_table
 from .real_format import parse_real
 
 __all__ = [
@@ -267,8 +267,8 @@ class BenchmarkRecord:
         output of ``|0...0>`` is a single basis state — the reference
         the paper's accuracy metric counts "correct outcomes" against.
         """
-        table = simulate_reversible(self.circuit())
-        return format(table(0), f"0{self.num_qubits}b")
+        output = int(reversible_table(self.circuit())[0])
+        return format(output, f"0{self.num_qubits}b")
 
     def expected_output_bits(self) -> str:
         """Expected value of the output qubits only (qubit order,

@@ -147,7 +147,7 @@ def handle_evaluate(params: Dict[str, Any]) -> Dict[str, Any]:
 
 def handle_attack(params: Dict[str, Any]) -> Dict[str, Any]:
     """One adversary search against a protected split (sequential)."""
-    from ..attacks import SearchOptions, get_attack, problem_for, select_attack
+    from ..attacks import SearchOptions, attack_for, problem_for
 
     circuit, _ = _target_circuit(params)
     adversary = params["adversary"]
@@ -157,11 +157,7 @@ def handle_attack(params: Dict[str, Any]) -> Dict[str, Any]:
         seed=params["seed"],
         gate_limit=params["gate_limit"],
     )
-    attack = (
-        select_attack(problem)
-        if adversary == "auto"
-        else get_attack(adversary)
-    )
+    attack = attack_for(problem, adversary)
     options = SearchOptions(
         max_candidates=params["max_candidates"],
         prefilter=params["prefilter"],

@@ -371,6 +371,32 @@ class AttackRequest(ServiceRequest):
             )
         if not 0 < self.max_candidates <= MAX_CANDIDATES:
             raise ValueError(f"max_candidates must be in 1..{MAX_CANDIDATES}")
+        space = self._search_space()
+        if space > self.max_candidates:
+            raise ValueError(
+                f"the attack searches {space} candidates, more than "
+                f"max_candidates {self.max_candidates}"
+            )
+
+    def _search_space(self) -> int:
+        """The size of the search the handler will run.  The split is
+        built as the handler builds it (deterministic: 1-4 ms on rd53
+        and rd84); a circuit it cannot split is refused here too."""
+        from ..attacks import attack_for, problem_for
+        from ..revlib.benchmarks import load_benchmark
+
+        circuit = (
+            self._circuit() if self.qasm is not None
+            else load_benchmark(self.benchmark).circuit()
+        )
+        try:
+            problem = problem_for(
+                circuit, self.adversary, seed=self.seed,
+                gate_limit=self.gate_limit,
+            )
+        except RuntimeError as exc:  # no interlocking cut found
+            raise ValueError(str(exc)) from None
+        return attack_for(problem, self.adversary).search_space(problem)
 
     def _identity(self) -> Dict[str, Any]:
         identity = super()._identity()

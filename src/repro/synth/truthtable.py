@@ -4,11 +4,18 @@ A reversible function over n lines is a permutation of ``2^n`` basis
 indices (little-endian bit order, consistent with the simulators).
 Used to specify RevLib benchmark functions, verify reconstructed
 circuits, and drive the transformation-based synthesiser.
+
+:func:`reversible_table` simulates a circuit bit-sliced: one Python
+int per line holds that line's value on every input, so each gate is
+one or three big-int operations (the bit-slicing of Biham, "A fast new
+DES implementation in software", FSE 1997), and the table is unpacked
+into an array once, at the end.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from functools import lru_cache
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -114,26 +121,65 @@ def simulate_reversible(circuit: QuantumCircuit) -> TruthTable:
 def reversible_table(circuit: QuantumCircuit) -> np.ndarray:
     """:func:`simulate_reversible`'s table as an int64 array.
 
-    Each gate is one array operation over all ``2^n`` entries — much
-    faster than the statevector for pure reversible circuits.
+    The table is built bit-sliced: line ``q`` is one Python int whose
+    bit ``x`` is the line's value on input ``x``, so a gate is one or
+    three big-int operations over all ``2^n`` inputs at once.  An X,
+    CX, Toffoli or MCT flips its target plane where every control plane
+    is set; a (Fredkin-controlled) SWAP exchanges the two planes where
+    they differ and the controls are set.  The planes are unpacked into
+    the array once, at the end.
     """
-    table = np.arange(1 << circuit.num_qubits, dtype=np.int64)
+    n = circuit.num_qubits
+    planes = list(_identity_planes(n))
+    every = (1 << (1 << n)) - 1  # every input
     for inst in circuit:
         if inst.is_barrier or inst.is_measure:
             continue
         op = inst.operation
-        qubits = inst.qubits
         if not _reversible_gate(op):
             raise ValueError(
                 f"gate {op.name!r} is not classical-reversible"
             )
+        qubits = inst.qubits
         if op.name in ("swap", "cswap"):
-            controls, (a, b) = qubits[:-2], qubits[-2:]
-            flip = (1 << a) | (1 << b)
-            differ = ((table >> a) ^ (table >> b)) & 1
+            *controls, a, b = qubits
+            flip = planes[a] ^ planes[b]
+            for c in controls:
+                flip &= planes[c]
+            planes[a] ^= flip
+            planes[b] ^= flip
         else:
-            controls, flip = qubits[:-1], 1 << qubits[-1]
-            differ = 1
-        mask = sum(1 << c for c in controls)
-        table ^= (differ & (table & mask == mask)) * flip
-    return table
+            *controls, target = qubits
+            flip = every
+            for c in controls:
+                flip &= planes[c]
+            planes[target] ^= flip
+    return _unpack(planes, n)
+
+
+@lru_cache(maxsize=None)
+def _identity_planes(n: int) -> Tuple[int, ...]:
+    """The planes of the identity on *n* lines: bit ``x`` of plane
+    ``q`` is bit ``q`` of ``x``."""
+    inputs = np.arange(1 << n, dtype=np.int64)
+    return tuple(_pack((inputs >> q) & 1) for q in range(n))
+
+
+def _pack(bits: np.ndarray) -> int:
+    """The int whose bit ``x`` is ``bits[x]``."""
+    return int.from_bytes(
+        np.packbits(bits.astype(np.uint8), bitorder="little").tobytes(),
+        "little",
+    )
+
+
+def _unpack(planes: List[int], n: int) -> np.ndarray:
+    """The table of *planes*: entry ``x`` gathers bit ``x`` of each."""
+    size = 1 << n
+    length = (size + 7) // 8
+    data = b"".join(plane.to_bytes(length, "little") for plane in planes)
+    bits = np.unpackbits(
+        np.frombuffer(data, dtype=np.uint8).reshape(n, length),
+        axis=1, count=size, bitorder="little",
+    )
+    return (1 << np.arange(n, dtype=np.int64)) @ bits

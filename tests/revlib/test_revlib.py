@@ -15,6 +15,7 @@ from repro.revlib import (
     write_real,
 )
 from repro.synth import simulate_reversible
+from reference_truthtable import simulate_reversible_loops
 
 
 class TestRealFormat:
@@ -120,6 +121,14 @@ class TestBenchmarks:
             # recompute through the truth table directly
             table = simulate_reversible(record.circuit())
             assert int(expected, 2) == table(0)
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_expected_output_equals_the_per_entry_table(self, name):
+        record = load_benchmark(name)
+        table = simulate_reversible_loops(record.circuit())
+        assert record.expected_output() == format(
+            table(0), f"0{record.num_qubits}b"
+        )
 
     def test_output_bits_subset(self):
         record = load_benchmark("rd84")

@@ -257,6 +257,30 @@ class TestValidation:
                 "attack", {"benchmark": "4gt13", "max_candidates": 10**12}
             )
 
+    def test_attack_space_over_max_candidates_refused_at_submit(self):
+        # rd53's seed-2 split searches 130,922 matchings; the worker
+        # would refuse them only after the job was queued
+        params = {"benchmark": "rd53", "adversary": "mismatched", "seed": 2}
+        with pytest.raises(ValueError, match="130922 candidates, more "
+                                             "than max_candidates 20000"):
+            request_from_wire("attack", {**params, "max_candidates": 20000})
+        request_from_wire("attack", {**params, "max_candidates": 130922})
+        with pytest.raises(ValueError, match="max_candidates 130921"):
+            request_from_wire("attack", {**params, "max_candidates": 130921})
+        # "auto" is held to the attack it resolves to: the 7! bijections
+        # of the same-width model's Saki split
+        request_from_wire("attack", {**params, "adversary": "auto",
+                                     "max_candidates": 5040})
+        with pytest.raises(ValueError, match="5040 candidates"):
+            request_from_wire("attack", {**params, "adversary": "auto",
+                                         "max_candidates": 5039})
+
+    def test_attack_target_that_cannot_be_split_refused_at_submit(self):
+        one_gate = 'OPENQASM 2.0; include "qelib1.inc"; qreg q[1]; x q[0];'
+        for adversary in ("mismatched", "same-width"):
+            with pytest.raises(ValueError):
+                AttackRequest(qasm=one_gate, adversary=adversary)
+
     def test_attack_rejects_unknown_adversary(self):
         with pytest.raises(ValueError, match="adversary"):
             AttackRequest(benchmark="4gt13", adversary="quantum")

@@ -143,6 +143,95 @@ class TestArrayTableAgainstLoops:
         assert all(type(value) is int for value in table.table)
 
 
+def admitted_gate_circuit(num_qubits, num_gates, seed):
+    """A random circuit cycling through x, cx, ccx, mcx3 (three
+    controls), swap and cswap, with a barrier and a mid-circuit
+    measurement between gates."""
+    rng = np.random.default_rng(seed)
+    qc = QuantumCircuit(num_qubits, num_qubits)
+    arities = {"x": 1, "cx": 2, "swap": 2, "ccx": 3, "cswap": 3, "mcx3": 4}
+    for index in range(num_gates):
+        if index == num_gates // 3:
+            qc.barrier()
+        if index == 2 * num_gates // 3:
+            qc.measure(index % num_qubits, 0)
+        kind = list(arities)[index % len(arities)]
+        qubits = [
+            int(q) for q in rng.choice(num_qubits, arities[kind], replace=False)
+        ]
+        if kind == "mcx3":
+            qc.mcx(qubits[:-1], qubits[-1])
+        else:
+            getattr(qc, kind)(*qubits)
+    qc.measure_all()
+    return qc
+
+
+class TestBitSlicedTable:
+    """:func:`reversible_table`'s bit-sliced planes against the
+    per-entry loops of
+    :func:`reference_truthtable.simulate_reversible_loops`."""
+
+    @staticmethod
+    def assert_equal_to_loops(qc):
+        table = reversible_table(qc)
+        assert table.dtype == np.int64
+        assert table.tolist() == simulate_reversible_loops(qc).table
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_every_library_benchmark(self, name):
+        circuit = benchmark_circuit(name)
+        self.assert_equal_to_loops(circuit)
+        measured = circuit.copy()
+        measured.measure_all()
+        self.assert_equal_to_loops(measured)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_circuits_with_every_admitted_gate(self, seed):
+        qc = admitted_gate_circuit(4 + seed % 4, 36, seed)
+        names = {inst.name for inst in qc if inst.is_gate}
+        assert names == {"x", "cx", "ccx", "mcx3", "swap", "cswap"}
+        assert any(inst.is_barrier for inst in qc)
+        assert sum(inst.is_measure for inst in qc) > qc.num_qubits
+        self.assert_equal_to_loops(qc)
+
+    def test_zero_and_one_qubit_circuits(self):
+        empty = QuantumCircuit(0)
+        empty.barrier()
+        self.assert_equal_to_loops(empty)
+        assert reversible_table(empty).tolist() == [0]
+        for gates in (0, 1, 2, 3):
+            qc = QuantumCircuit(1, 1)
+            for _ in range(gates):
+                qc.x(0)
+                qc.barrier()
+            qc.measure(0, 0)
+            self.assert_equal_to_loops(qc)
+            assert reversible_table(qc).tolist() == [gates % 2, 1 - gates % 2]
+
+    def test_registers_under_one_byte_of_inputs(self):
+        two = QuantumCircuit(2)
+        two.x(0).cx(0, 1).swap(0, 1).x(1)
+        three = QuantumCircuit(3)
+        three.x(2).ccx(2, 0, 1).cswap(1, 0, 2).swap(2, 1).cx(1, 0)
+        for qc in (two, three):
+            self.assert_equal_to_loops(qc)
+
+    @pytest.mark.parametrize("gate", ["h", "t", "y"])
+    def test_non_reversible_gate_raises_the_same_message(self, gate):
+        qc = QuantumCircuit(2)
+        qc.cx(0, 1)
+        getattr(qc, gate)(1)
+        messages = []
+        for simulate in (reversible_table, simulate_reversible_loops):
+            with pytest.raises(ValueError) as info:
+                simulate(qc)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == (
+            f"gate {gate!r} is not classical-reversible"
+        )
+
+
 class TestDecompositions:
     def test_ccx_decomposition_matrix(self):
         qc = QuantumCircuit(3)
