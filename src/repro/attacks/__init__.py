@@ -34,8 +34,8 @@ from .bruteforce import (
     ATTACKS,
     MismatchedWidthBruteForce,
     SameWidthBruteForce,
-    attack_for,
     get_attack,
+    plan_attack,
     select_attack,
 )
 from .matching import (
@@ -67,13 +67,13 @@ __all__ = [
     "SameWidthBruteForce",
     "SearchOptions",
     "StructuralPrefilter",
-    "attack_for",
     "complexity_ratio",
     "find_mismatched_split",
     "get_attack",
     "is_reversible",
     "iter_same_width_matchings",
     "iter_subset_matchings",
+    "plan_attack",
     "problem_for",
     "problem_from_saki",
     "problem_from_split",

@@ -20,24 +20,26 @@ exit, all bit-identical to a sequential run.
 :data:`ATTACKS` is the fixed name table every caller reads: the CLI's
 ``--adversary`` choices, the service's ``attack`` requests and the
 ``attack_bruteforce`` grid.  :func:`select_attack` picks from it by
-search-space size.
+search-space size, and :func:`plan_attack` pairs a request's split
+with the attack it runs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
+from ..circuits.circuit import QuantumCircuit
 from .base import AttackOutcome, SearchOptions
 from .matching import same_width_matching_count, subset_matching_count
 from .parallel import run_streaming_search
-from .problem import CollusionProblem
+from .problem import CollusionProblem, problem_for
 
 __all__ = [
     "ATTACKS",
     "MismatchedWidthBruteForce",
     "SameWidthBruteForce",
-    "attack_for",
     "get_attack",
+    "plan_attack",
     "select_attack",
 ]
 
@@ -156,9 +158,18 @@ def select_attack(problem: CollusionProblem) -> _Model:
     )
 
 
-def attack_for(problem: CollusionProblem, adversary: str) -> _Model:
-    """The attack an *adversary* request runs on *problem*: the one
-    :data:`ATTACKS` names, or for ``"auto"`` :func:`select_attack`'s."""
+def plan_attack(
+    circuit: QuantumCircuit,
+    adversary: str,
+    *,
+    seed: int,
+    gate_limit: int = 4,
+) -> Tuple[CollusionProblem, _Model]:
+    """The split pair an *adversary* request attacks (:func:`problem_for`)
+    and the attack it runs: the one :data:`ATTACKS` names, or for
+    ``"auto"`` :func:`select_attack`'s.  The CLI, the service handler
+    and the service's submit-time check all build their search here."""
+    problem = problem_for(circuit, adversary, seed=seed, gate_limit=gate_limit)
     if adversary == "auto":
-        return select_attack(problem)
-    return get_attack(adversary)
+        return problem, select_attack(problem)
+    return problem, get_attack(adversary)

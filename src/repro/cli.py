@@ -309,7 +309,7 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
 def _cmd_attack(args: argparse.Namespace) -> int:
     import time
 
-    from .attacks import attack_for, problem_for
+    from .attacks import plan_attack
     from .revlib.benchmarks import benchmark_circuit
 
     if args.list_adversaries:
@@ -321,11 +321,10 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             circuit = _load_circuit(args.circuit)
         else:
             circuit = benchmark_circuit(args.benchmark)
-        problem = problem_for(
+        problem, attack = plan_attack(
             circuit, args.adversary, seed=args.seed,
             gate_limit=args.gate_limit,
         )
-        attack = attack_for(problem, args.adversary)
         options = SearchOptions(
             max_candidates=args.max_candidates,
             prefilter=not args.no_prefilter,

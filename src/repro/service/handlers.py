@@ -147,17 +147,15 @@ def handle_evaluate(params: Dict[str, Any]) -> Dict[str, Any]:
 
 def handle_attack(params: Dict[str, Any]) -> Dict[str, Any]:
     """One adversary search against a protected split (sequential)."""
-    from ..attacks import SearchOptions, attack_for, problem_for
+    from ..attacks import SearchOptions, plan_attack
 
     circuit, _ = _target_circuit(params)
-    adversary = params["adversary"]
-    problem = problem_for(
+    problem, attack = plan_attack(
         circuit,
-        adversary,
+        params["adversary"],
         seed=params["seed"],
         gate_limit=params["gate_limit"],
     )
-    attack = attack_for(problem, adversary)
     options = SearchOptions(
         max_candidates=params["max_candidates"],
         prefilter=params["prefilter"],

@@ -56,6 +56,7 @@ __all__ = [
     "request_from_wire",
     "prepare_circuit",
     "simulate_noise_model",
+    "MAX_ATTACK_GATES",
     "MAX_CANDIDATES",
     "MAX_DEVICE_QUBITS",
     "MAX_GATES",
@@ -73,8 +74,12 @@ _FINGERPRINT_SIZE = 16  # bytes; 32 hex chars
 # or exhaust its memory.  Every QASM circuit is held to MAX_QUBITS and
 # MAX_GATES operations (gates, measures and barriers); a transpile
 # target device to MAX_DEVICE_QUBITS, an attack to MAX_CANDIDATES.
+# An attack target is split at submit to size its search (~20 us an
+# operation on a 2-vCPU x86-64 VM), so it is held to MAX_ATTACK_GATES
+# operations: ~30x rd84's 32 gates, ~20 ms of split.
 MAX_QUBITS = 16
 MAX_GATES = 10_000
+MAX_ATTACK_GATES = 1_000
 MAX_DEVICE_QUBITS = 32
 MAX_SHOTS = 100_000
 MAX_ITERATIONS = 100
@@ -379,24 +384,29 @@ class AttackRequest(ServiceRequest):
             )
 
     def _search_space(self) -> int:
-        """The size of the search the handler will run.  The split is
-        built as the handler builds it (deterministic: 1-4 ms on rd53
-        and rd84); a circuit it cannot split is refused here too."""
-        from ..attacks import attack_for, problem_for
+        """The size of the search the handler will run, from the split
+        it builds (:func:`repro.attacks.plan_attack`; deterministic).  A
+        circuit that cannot be split is refused here too."""
+        from ..attacks import plan_attack
         from ..revlib.benchmarks import load_benchmark
 
-        circuit = (
-            self._circuit() if self.qasm is not None
-            else load_benchmark(self.benchmark).circuit()
-        )
+        if self.qasm is None:
+            circuit = load_benchmark(self.benchmark).circuit()
+        else:
+            circuit = self._circuit()
+            if len(circuit) > MAX_ATTACK_GATES:
+                raise ValueError(
+                    f"circuit has {len(circuit)} operations; the service "
+                    f"attacks at most {MAX_ATTACK_GATES}"
+                )
         try:
-            problem = problem_for(
+            problem, attack = plan_attack(
                 circuit, self.adversary, seed=self.seed,
                 gate_limit=self.gate_limit,
             )
         except RuntimeError as exc:  # no interlocking cut found
             raise ValueError(str(exc)) from None
-        return attack_for(problem, self.adversary).search_space(problem)
+        return attack.search_space(problem)
 
     def _identity(self) -> Dict[str, Any]:
         identity = super()._identity()

@@ -1,11 +1,13 @@
 """Request validation, fingerprints, and coalesce keys."""
 
+import time
 import typing
 from dataclasses import fields
 
 import pytest
 
 from repro.service.requests import (
+    MAX_ATTACK_GATES,
     MAX_CANDIDATES,
     MAX_DEVICE_QUBITS,
     MAX_GATES,
@@ -23,6 +25,15 @@ from repro.service.requests import (
 )
 
 from service_qasm import BELL_QASM, BELL_UNITARY_QASM, MID_MEASURE_QASM
+
+
+def _cx_chain_qasm(qubits: int, gates: int) -> str:
+    """*gates* CX gates stepping down a *qubits*-wide line, repeated."""
+    body = " ".join(
+        f"cx q[{i % (qubits - 1)}],q[{i % (qubits - 1) + 1}];"
+        for i in range(gates)
+    )
+    return f'OPENQASM 2.0; include "qelib1.inc"; qreg q[{qubits}]; {body}'
 
 
 class TestWireParsing:
@@ -274,6 +285,32 @@ class TestValidation:
         with pytest.raises(ValueError, match="5040 candidates"):
             request_from_wire("attack", {**params, "adversary": "auto",
                                          "max_candidates": 5039})
+
+    def test_attack_target_over_gate_cap_refused_before_split(
+        self, monkeypatch
+    ):
+        import repro.attacks
+
+        def no_split(*args, **kwargs):
+            raise AssertionError("split built for an oversized target")
+
+        monkeypatch.setattr(repro.attacks, "plan_attack", no_split)
+        over = _cx_chain_qasm(7, MAX_ATTACK_GATES + 1)
+        for adversary in ("auto", "same-width", "mismatched"):
+            with pytest.raises(ValueError, match="attacks at most 1000"):
+                AttackRequest(qasm=over, adversary=adversary)
+
+    def test_attack_target_at_gate_cap_splits_quickly_at_submit(self):
+        # the split runs in the submitting thread (an HTTP handler):
+        # ~20 ms at the cap on a 2-vCPU VM, so 1 s is far out of reach
+        at_cap = _cx_chain_qasm(MAX_QUBITS, MAX_ATTACK_GATES)
+        for adversary in ("auto", "same-width", "mismatched"):
+            started = time.perf_counter()
+            try:
+                AttackRequest(qasm=at_cap, adversary=adversary)
+            except ValueError as exc:  # a 16-qubit space is over the cap
+                assert "max_candidates" in str(exc)
+            assert time.perf_counter() - started < 1.0
 
     def test_attack_target_that_cannot_be_split_refused_at_submit(self):
         one_gate = 'OPENQASM 2.0; include "qelib1.inc"; qreg q[1]; x q[0];'
