@@ -75,29 +75,6 @@ def edge_histogram(circuit: QuantumCircuit) -> Counter:
     return edges
 
 
-def _role_counts(*circuits: Tuple[QuantumCircuit, int]) -> List[np.ndarray]:
-    """The :func:`qubit_histograms` of each ``(circuit, rows)`` as a
-    ``(rows, roles)`` count table, one column per ``(gate name, operand
-    position)`` role any of the circuits has."""
-    roles: Dict[Tuple[str, int], int] = {}
-    cells = []
-    for circuit, _ in circuits:
-        cells.append([
-            (qubit, roles.setdefault((inst.name, position), len(roles)))
-            for inst in circuit if inst.is_gate
-            for position, qubit in enumerate(inst.qubits)
-        ])
-    columns = len(roles)
-    return [
-        np.bincount(
-            np.array([qubit * columns + role for qubit, role in found],
-                     dtype=np.intp),
-            minlength=rows * columns,
-        ).reshape(rows, columns)
-        for found, (_, rows) in zip(cells, circuits)
-    ]
-
-
 class StructuralPrefilter:
     """Rejects matchings whose candidate cannot equal the reference
     structurally.
@@ -119,13 +96,18 @@ class StructuralPrefilter:
         segment2: QuantumCircuit,
         reference: QuantumCircuit,
     ) -> None:
+        circuits = (segment1, segment2, reference)
+        histograms = [qubit_histograms(circuit) for circuit in circuits]
+        keys = {k: i for i, k in enumerate(set().union(*sum(histograms, [])))}
         width = max(segment1.num_qubits + segment2.num_qubits,
                     reference.num_qubits)
         # (qubit, gate role) count tables, zero rows past each circuit
-        h1, h2, ref = _role_counts(
-            (segment1, width), (segment2, segment2.num_qubits),
-            (reference, width),
-        )
+        h1, h2, ref = (np.zeros((rows, len(keys)), dtype=np.int64)
+                       for rows in (width, segment2.num_qubits, width))
+        for table, histogram in zip((h1, h2, ref), histograms):
+            for qubit, counts in enumerate(histogram):
+                for key, count in counts.items():
+                    table[qubit, keys[key]] = count
         self._reference_width = reference.num_qubits
         # (segment-2 qubit, slot): the two histograms add up to the slot's
         self._fits = (h1 + h2[:, None] == ref).all(axis=2)
